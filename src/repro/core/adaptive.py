@@ -25,10 +25,13 @@ __all__ = ["choose_batch_delta", "choose_delta"]
 _DELTA_SCALE = 4.0
 
 # Batched sweeps run their bucket machinery once for all lanes, so the
-# per-epoch overhead that pushes single-root ∆ upward is amortized 64x —
-# what remains is the cost of speculative relaxations, which a finer ∆
-# avoids.  1/8 of the single-root ∆ sits at the bottom of the measured
-# U-curve for 64-lane sweeps on Kronecker graphs (B1 protocol).
+# per-epoch overhead that pushes single-root ∆ upward is amortized 64x.
+# 1/8 of the single-root ∆ was the bottom of the U-curve measured for
+# 64-lane sweeps on Kronecker graphs (B1 protocol) when sssp_batch had no
+# light/heavy split and re-sent every edge of a re-improved pair; with
+# the split a coarser ∆ is faster but holds a whole epoch's heavy
+# candidates at once (EXPERIMENTS.md B1), so the factor waits for chunked
+# heavy emission.
 _BATCH_DELTA_FACTOR = 0.125
 
 
@@ -57,7 +60,6 @@ def choose_batch_delta(graph: CSRGraph, scale: float = _DELTA_SCALE) -> float:
     The per-lane fixed point is the exact shortest distance for any ∆
     (min over float64 path sums is order-free), so a batched sweep is
     free to bucket more finely than the single-root heuristic without
-    perturbing results — and it should: epoch overhead is shared by all
-    lanes, while speculation cost is paid per lane.
+    perturbing results: epoch overhead is shared by all lanes.
     """
     return float(max(choose_delta(graph, scale) * _BATCH_DELTA_FACTOR, 1e-9))

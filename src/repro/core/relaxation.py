@@ -6,9 +6,8 @@ All SSSP variants in this library share two primitives:
   candidate distances (``dist[u] + w``), optionally restricted to light or
   heavy edges (the ∆-stepping split);
 * :func:`scatter_min` — fold candidate distances into the tentative-distance
-  array and report which vertices improved; small batches use the unbuffered
-  ``np.minimum.at`` scatter, large ones an argsort + ``minimum.reduceat``
-  reduction (bit-identical, several times faster).
+  array with one unbuffered ``np.minimum.at`` scatter and report which
+  vertices improved.
 
 Keeping them in one place means the per-edge operation counts charged to the
 cost model are consistent across algorithms.
@@ -73,45 +72,36 @@ def expand(
     return dst, dist[src] + w, scanned
 
 
-# Below this many candidates the unbuffered ``np.minimum.at`` scatter wins;
-# above it, sorting the batch and reducing per target is several times
-# faster (``minimum.at`` dispatches element-wise and cannot vectorize).
-SORT_SCATTER_THRESHOLD = 96
-
-
 def scatter_min(dist: np.ndarray, targets: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Fold candidates into ``dist`` in place; return improved vertex ids.
 
-    The returned ids are unique and sorted.  Two execution paths produce
-    bit-identical results (``min`` over float64 is exact, associative and
-    commutative):
-
-    * small batches: the unbuffered ``np.minimum.at`` scatter the CPE
-      relaxation kernels implement in the real code;
-    * large batches: argsort by target, one ``np.minimum.reduceat`` per
-      target group, then a single vectorized compare-and-assign — the
-      sort-based scatter-min of the hot path.
+    The returned ids are unique and ascending.  One path for every batch
+    size: read the targets' values, fold with the unbuffered
+    ``np.minimum.at`` scatter (the CPE relaxation kernel of the real
+    code; an indexed inner loop since numpy 1.25, a few ns per
+    candidate), read them again — the winners are the targets whose value
+    dropped.  ``min`` over float64 is exact, associative and commutative,
+    so the result does not depend on candidate order.
     """
     if targets.size == 0:
         return np.empty(0, dtype=np.int64)
-    if targets.size < SORT_SCATTER_THRESHOLD:
-        before = dist[targets]
-        np.minimum.at(dist, targets, candidates)
-        after = dist[targets]
-        improved = np.unique(targets[after < before])
-        return improved.astype(np.int64)
-    # Introsort: the per-target ``min`` is order-independent, so the
-    # cheaper unstable sort produces bit-identical results.
-    order = np.argsort(targets)
-    st = targets[order]
-    sc = candidates[order]
-    starts = np.empty(st.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(st[1:], st[:-1], out=starts[1:])
-    idx = np.flatnonzero(starts)
-    uniq = st[idx]
-    best = np.minimum.reduceat(sc, idx)
-    improved = best < dist[uniq]
-    winners = uniq[improved]
-    dist[winners] = best[improved]
-    return winners.astype(np.int64, copy=False)
+    # One cast up front: every fancy-index below wants intp, and numpy
+    # would otherwise convert a narrower index array three times.
+    targets = np.asarray(targets, dtype=np.intp)
+    before = dist[targets]
+    np.minimum.at(dist, targets, candidates)
+    won = targets[dist[targets] < before]
+    if won.size == 0:
+        return np.empty(0, dtype=np.int64)
+    # ``won`` repeats a target once per candidate it received.  Dedup by
+    # whichever is cheaper: sorting the winners (n log n in their count)
+    # or marking them in a dist-sized mask (linear in dist).
+    if won.size * int(won.size).bit_length() < dist.size:
+        won.sort()
+        first = np.empty(won.size, dtype=bool)
+        first[0] = True
+        np.not_equal(won[1:], won[:-1], out=first[1:])
+        return won[first].astype(np.int64, copy=False)
+    mark = np.zeros(dist.size, dtype=bool)
+    mark[won] = True
+    return np.flatnonzero(mark)

@@ -14,7 +14,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.utils.timing import Counters
 
-__all__ = ["SSSPResult", "derive_parents", "UNREACHABLE_PARENT"]
+__all__ = ["SSSPResult", "derive_parents", "derive_parents_lanes", "UNREACHABLE_PARENT"]
 
 UNREACHABLE_PARENT = np.int64(-1)
 
@@ -90,16 +90,47 @@ def derive_parents(graph: CSRGraph, dist: np.ndarray, source: int) -> np.ndarray
     One vectorized pass over all edges — this is also the derivation an
     extreme-scale code performs locally per rank after the relaxation ends.
     """
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.shape != (graph.num_vertices,):
+        raise ValueError("dist length must equal num_vertices")
+    return _tight_edge_parents(graph, _edge_sources(graph), dist, source)
+
+
+def derive_parents_lanes(graph: CSRGraph, dist: np.ndarray, sources) -> np.ndarray:
+    """:func:`derive_parents` for every column of an ``(n, lanes)`` matrix.
+
+    Column ``i`` is the tree :func:`derive_parents` gives for
+    ``dist[:, i]`` and ``sources[i]``, bit for bit; the columns share one
+    weight check and one edge-source array, and each is read from a
+    contiguous row of the transpose instead of a strided column.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.shape != (graph.num_vertices, len(sources)):
+        raise ValueError("dist must be (num_vertices, len(sources))")
+    src = _edge_sources(graph)
+    lanes = np.ascontiguousarray(dist.T)
+    parent = np.empty(lanes.shape, dtype=np.int64)
+    for i, source in enumerate(sources):
+        parent[i] = _tight_edge_parents(graph, src, lanes[i], int(source))
+    return parent.T
+
+
+def _edge_sources(graph: CSRGraph) -> np.ndarray:
+    """The source vertex of every CSR edge, after the weight check."""
     if np.any(graph.weight <= 0):
         raise ValueError("derive_parents requires strictly positive edge weights")
-    n = graph.num_vertices
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape != (n,):
-        raise ValueError("dist length must equal num_vertices")
-    parent = np.full(n, UNREACHABLE_PARENT, dtype=np.int64)
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.out_degree)
+    return np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.out_degree)
+
+
+def _tight_edge_parents(
+    graph: CSRGraph, src: np.ndarray, dist: np.ndarray, source: int
+) -> np.ndarray:
+    parent = np.full(graph.num_vertices, UNREACHABLE_PARENT, dtype=np.int64)
     dst = graph.adj
-    tight = np.isfinite(dist[src]) & (dist[src] + graph.weight == dist[dst])
+    dist_src = np.repeat(dist, graph.out_degree)  # dist[src], read in order
+    tight = np.flatnonzero(
+        np.isfinite(dist_src) & (dist_src + graph.weight == dist[dst])
+    )
     # Last write wins; any tight edge is a valid tree edge.
     parent[dst[tight]] = src[tight]
     parent[source] = source

@@ -3,10 +3,18 @@
 State is a ``(owned, num_roots)`` float64 matrix plus an ``improved``
 mask; every superstep is one shared bucket epoch whose threshold comes
 from the global min-vote (the same reduction the single-root 1-D engine
-terminates on), and the drain loop inside a superstep relaxes
-in-bucket improvements to quiescence.  Wire records are
-``(vertex, lane, dist)`` triples, so one owner-routed exchange carries
-every lane's relaxations together.
+terminates on).  Inside an epoch the drain loop relaxes only *light*
+edges (``w < ∆``) of in-bucket ``(row, lane)`` pairs, to quiescence;
+the pairs it relaxed are remembered, and the epoch's closing pass
+(``gen_settled``) relaxes their *heavy* edges once, with final
+distances — a heavy candidate cannot land back in the bucket, so one
+pass suffices.  Each rank keeps its out-edges with every row's light
+edges first (one CSR plus a ``light_end`` pointer per row).
+
+Wire records are ``(vertex, lane, dist)`` triples, min-folded per
+``(vertex, lane)`` on the sender and left sorted by vertex, so one
+owner-routed exchange carries every lane's relaxations together and the
+router cuts the batch without permuting it.
 
 Per lane the fixed point is the true shortest distance, and min over
 float64 path sums is exact and order-free — so each distance column is
@@ -20,14 +28,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.multi import MultiSSSPResult
-from repro.core.relaxation import frontier_edges, scatter_min
-from repro.core.result import derive_parents
+from repro.core.relaxation import scatter_min
+from repro.core.result import derive_parents_lanes
 from repro.graph.csr import CSRGraph
 
 __all__ = ["SSSPBatch"]
 
 #: Finite stand-in for "no pending work" (see repro.engine.protocol.VOTE_INF).
 _VOTE_INF = 1e300
+
+#: Rows of the per-lane edges-scanned telemetry.
+_LIGHT, _HEAVY = 0, 1
 
 
 class SSSPBatch:
@@ -37,13 +48,6 @@ class SSSPBatch:
     vote_op = "min"
     drain = True
     value_dtype = np.float64
-    #: Fold duplicate (vertex, lane) candidates with a local min before
-    #: routing.  Result-neutral either way (min is order-free); the knob
-    #: exists because the win depends on the graph's hub density.
-    combine_wire = True
-    #: Multi-field wire record: the destination lane and the candidate
-    #: distance.  The implicit ``vertex`` field is the edge target.
-    wire_fields = (("lane", np.int64), ("dist", np.float64))
 
     def __init__(self, roots, delta: float) -> None:
         roots = np.ascontiguousarray(roots, dtype=np.int64).ravel()
@@ -54,6 +58,13 @@ class SSSPBatch:
         self.roots = roots
         self.num_lanes = int(roots.size)
         self.delta = float(delta)
+        #: Multi-field wire record: the destination lane, in the narrowest
+        #: unsigned type that holds it, and the candidate distance.  The
+        #: implicit ``vertex`` field is the edge target.
+        self.wire_fields = (
+            ("lane", np.min_scalar_type(self.num_lanes - 1)),
+            ("dist", np.float64),
+        )
 
     def init_state(self, ctx) -> dict:
         if np.any(self.roots < 0) or np.any(self.roots >= ctx.num_vertices):
@@ -72,6 +83,19 @@ class SSSPBatch:
             dist[locs, lanes] = 0.0
             improved[locs, lanes] = True
         minpend = np.where(improved, dist, np.inf).min(axis=1)
+        # The rank's out-edges, each row's light edges before its heavy
+        # ones (a stable sort, so both keep adjacency order): row r is
+        # light in [indptr[r], light_end[r]) and heavy up to indptr[r+1].
+        # repro: index-space: light_end[local]=local, adj=global
+        lg = ctx.local_graph
+        heavy = lg.weight >= self.delta
+        row = np.repeat(np.arange(owned, dtype=np.int64), lg.out_degree)
+        order = np.argsort(2 * row + heavy, kind="stable")
+        light_end = lg.indptr[:-1] + np.bincount(row[~heavy], minlength=owned)
+        # Targets in the fold's key type: ``vertex * L + lane`` fits four
+        # bytes on every graph this simulator holds, which quarters the
+        # sort constant and is what the vertex field ships as.
+        key_dtype = np.int32 if ctx.num_vertices * L < 2**31 else np.int64
         return {
             "dist": dist,
             "improved": improved,
@@ -85,8 +109,14 @@ class SSSPBatch:
             # Bucket threshold for the current epoch; begin_step derives
             # it from the allreduced min pending distance.
             "threshold": np.inf,
-            # Per-lane edges-scanned telemetry (gen-owned key).
-            "lane_edges": np.zeros(L, dtype=np.int64),
+            "adj": lg.adj[order].astype(key_dtype),
+            "weight": lg.weight[order],
+            "light_end": light_end,
+            # Pairs whose light edges went out this epoch and whose heavy
+            # edges are owed at its end (gen-owned, like the telemetry).
+            "owed": np.zeros((owned, L), dtype=bool),
+            # Per-lane edges scanned, light and heavy.
+            "lane_edges": np.zeros((2, L), dtype=np.int64),
         }
 
     def begin_step(self, state: dict, ctx, reduced: float) -> None:
@@ -101,65 +131,71 @@ class SSSPBatch:
         return np.flatnonzero(state["minpend"] < state["threshold"])
 
     def gen_messages(self, state: dict, ctx, frontier: np.ndarray):
-        # repro: index-space: frontier=local, dst=global
-        lg = ctx.local_graph
-        dist_rows = state["dist"][frontier]  # compact (F, L) gather, reused below
-        sub = (
-            state["improved"][frontier] & (dist_rows < state["threshold"])
-        )  # (F, L) lanes to expand per frontier row
-        src_l, dst, w = frontier_edges(lg, frontier)
-        scanned = int(src_l.size)
-        deg = lg.degree_of(frontier)
-        # One traversal shared by every lane.  Work is O(messages), not
-        # O(lanes x union edges): expand only the active (row, lane)
-        # pairs, never a per-lane pass over the whole union expansion.
+        # repro: index-space: frontier=local
+        dist_rows = state["dist"][frontier]  # compact (F, L) gather
+        sub = state["improved"][frontier] & (dist_rows < state["threshold"])
+        state["owed"][frontier] |= sub
+        indptr = ctx.local_graph.indptr
+        return self._relax(
+            state, sub, dist_rows,
+            indptr[frontier], state["light_end"][frontier], _LIGHT,
+        )
+
+    def gen_settled(self, state: dict, ctx):
+        """The epoch's closing pass: heavy edges of every pair it settled."""
+        # repro: index-space: rows=local
+        rows = np.flatnonzero(state["owed"].any(axis=1))
+        sub = state["owed"][rows]
+        state["owed"][rows] = False
+        indptr = ctx.local_graph.indptr
+        return self._relax(
+            state, sub, state["dist"][rows],
+            state["light_end"][rows], indptr[rows + 1], _HEAVY,
+        )
+
+    def _relax(self, state, sub, dist_rows, lo, hi, phase):
+        """Candidates along the edge slices ``[lo, hi)`` of some rows' pairs.
+
+        ``sub`` is the ``(rows, L)`` mask of pairs to expand,
+        ``dist_rows`` those rows of the distance matrix and ``lo``/``hi``
+        their edge slices.  Work is O(candidates): the slice of each
+        ``(row, lane)`` pair is gathered directly, so a candidate costs
+        two gathers (target, weight), two repeats (lane, source distance)
+        and one add.  Returns the substrate's ``(targets, (lanes, dists),
+        edges_scanned)``, folded to one record per ``(target, lane)`` and
+        sorted by target.
+        """
+        # repro: index-space: pair_rows=local, tgt=global
+        lane_dtype = self.wire_fields[0][1]
         pair_rows, pair_lanes = np.nonzero(sub)
-        np.add.at(state["lane_edges"], pair_lanes, deg[pair_rows])
-        empty = np.empty(0, dtype=np.int64)
-        if pair_rows.size == 0 or src_l.size == 0:
-            return empty, (empty, np.empty(0, dtype=np.float64)), scanned
-        # Each union edge fans out to its source row's active lanes: edge
-        # e of row r emits rep[e] = |active(r)| records whose lanes are
-        # the row's slice of the row-major (row, lane) pair list.
-        pos = np.repeat(np.arange(frontier.size, dtype=np.int64), deg)
-        active_per_row = sub.sum(axis=1).astype(np.int64)
-        rep = active_per_row[pos]
-        total = int(rep.sum())
-        if total == 0:
-            return empty, (empty, np.empty(0, dtype=np.float64)), scanned
-        row_start = np.zeros(frontier.size, dtype=np.int64)
-        np.cumsum(active_per_row[:-1], out=row_start[1:])
-        # Index of each output record in the pair list: the record block of
-        # edge e starts at its row's pair offset, rebased so one repeat plus
-        # an arange covers every (edge, lane) combination.
-        base = row_start[pos] - (np.cumsum(rep) - rep)
-        pidx = np.repeat(base, rep) + np.arange(total, dtype=np.int64)
-        lanes_out = pair_lanes[pidx]
-        pos_out = np.repeat(pos, rep)
-        d_out = dist_rows[pos_out, lanes_out] + np.repeat(w, rep)
-        tgt_out = np.repeat(dst, rep)
-        if not self.combine_wire:
-            return tgt_out, (lanes_out, d_out), scanned
+        count = (hi - lo)[pair_rows]
+        np.add.at(state["lane_edges"][phase], pair_lanes, count)
+        ends = np.cumsum(count)
+        if ends.size == 0 or ends[-1] == 0:
+            empty = np.empty(0, dtype=state["adj"].dtype)
+            return empty, (empty.astype(lane_dtype), np.empty(0, dtype=np.float64)), 0
+        # Edge ids of every pair's slice, back to back: each slice's start,
+        # rebased to its offset in the output, plus a running index.
+        idx = np.repeat(lo[pair_rows] - (ends - count), count) + np.arange(ends[-1])
+        tgt = state["adj"][idx]
+        cand = np.repeat(dist_rows[sub], count) + state["weight"][idx]
         # Sender-side combine: hubs collect many candidates per
-        # (vertex, lane) in one pass (~10x on Kronecker), and min is
-        # exact over float64 — fold them before they hit the wire so
-        # routing, byte accounting and the receive scatter all run on
-        # the folded records.  Order-free, so lanes stay bit-identical.
-        L = np.int64(self.num_lanes)
-        flat = tgt_out * L + lanes_out
-        if ctx.num_vertices * self.num_lanes < 2**31:
-            # 4-byte sort keys roughly quarter the argsort constant.
-            flat = flat.astype(np.int32)
-        order = np.argsort(flat)
-        sf = flat[order]
-        group = np.empty(sf.size, dtype=bool)
-        group[0] = True
-        np.not_equal(sf[1:], sf[:-1], out=group[1:])
-        idx = np.flatnonzero(group)
-        ukeys = sf[idx]
-        dmin = np.minimum.reduceat(d_out[order], idx)
-        utgt = ukeys // L
-        return utgt, (ukeys - utgt * L, dmin), scanned
+        # (vertex, lane) in one pass, and min is exact over float64 —
+        # fold them before they hit the wire so routing, byte accounting
+        # and the receive scatter all run on the folded records.
+        # Order-free, so lanes stay bit-identical.
+        L = tgt.dtype.type(self.num_lanes)
+        key = tgt * L + np.repeat(pair_lanes.astype(tgt.dtype), count)
+        order = np.argsort(key)
+        key = key[order]
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        key = key[starts]
+        vertex = key // L
+        lane = (key - vertex * L).astype(lane_dtype)
+        return vertex, (lane, np.minimum.reduceat(cand[order], starts)), int(idx.size)
 
     def apply_messages(self, state: dict, ctx, targets, values) -> None:
         dist = state["dist"]
@@ -169,7 +205,8 @@ class SSSPBatch:
         # not cached: only apply writes dist/improved, so the mask is
         # unchanged since gen read it).  Only in-bucket rows can hold
         # expanded bits, so the lane-level scan runs over the frontier,
-        # not over every owned row.
+        # not over every owned row.  The closing pass expands nothing
+        # pending: the drain loop left no row in the bucket.
         rows = np.flatnonzero(minpend < state["threshold"])
         if rows.size:
             imp = improved[rows]
@@ -181,7 +218,8 @@ class SSSPBatch:
         if targets.size == 0:
             return
         L = dist.shape[1]
-        flat = targets * L + lanes
+        # intp before the multiply: the wire's narrow types index nothing.
+        flat = targets.astype(np.intp) * L + lanes
         winners = scatter_min(dist.reshape(-1), flat, dvals)
         if winners.size:
             wr = winners // L
@@ -206,15 +244,14 @@ class SSSPBatch:
     ) -> MultiSSSPResult:
         dist = np.concatenate([e["dist"] for e in exports], axis=0)
         lane_edges = np.sum([e["lane_edges"] for e in exports], axis=0)
-        parent = np.empty_like(dist, dtype=np.int64)
-        for i in range(self.num_lanes):
-            # The same tight-edge pass every single-root engine uses, per
-            # column — which is what pins parent bit-identity per lane.
-            parent[:, i] = derive_parents(graph, dist[:, i], int(self.roots[i]))
+        # The same tight-edge pass every single-root engine uses, per
+        # column — which is what pins parent bit-identity per lane.
+        parent = derive_parents_lanes(graph, dist, self.roots)
         result = MultiSSSPResult(roots=self.roots, dist=dist, parent=parent)
         result.counters.add("epochs", steps)
         result.meta["algorithm"] = "sssp_batch_delta_stepping"
         result.meta["delta"] = self.delta
         result.meta["num_lanes"] = self.num_lanes
-        result.meta["lane_edges_scanned"] = [int(x) for x in lane_edges]
+        result.meta["lane_edges_scanned"] = [int(x) for x in lane_edges.sum(axis=0)]
+        result.meta["lane_heavy_edges_scanned"] = [int(x) for x in lane_edges[_HEAVY]]
         return result

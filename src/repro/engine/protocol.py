@@ -45,7 +45,7 @@ from repro.simmpi.fabric import Message
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
-__all__ = ["Kernel", "KernelRun", "RankContext", "run_kernel"]
+__all__ = ["Kernel", "KernelRun", "RankContext", "run_kernel", "split_by_owner"]
 
 #: Finite stand-in for "no vote": sums/mins of it never reach a NaN and
 #: the sanitizer's finite-contribution audit stays happy (same convention
@@ -100,6 +100,15 @@ class Kernel(Protocol):
     else: under the process backend they execute in forked workers, so
     mutations of kernel-object attributes would be lost.  ``done`` is the
     one parent-side hook and may keep parent-side state.
+
+    Two hooks are optional.  ``begin_step(state, ctx, reduced)`` runs
+    before a superstep's first generate.  ``gen_settled(state, ctx)``
+    returns ``(targets_global, values, edges_scanned)`` like
+    ``gen_messages``; when a kernel defines it, each superstep ends with
+    one extra generate → exchange → apply pass that sends what it returns
+    — the records owed by vertices the superstep settled (∆-stepping's
+    heavy edges, relaxed once with final distances).  It is a generate
+    hook: it must write no state key that ``apply_messages`` writes.
     """
 
     name: str
@@ -142,6 +151,51 @@ class Kernel(Protocol):
     def finalize(self, graph: CSRGraph, exports: list[dict], steps: int) -> Any:
         """Build the kernel-typed result from per-rank exports in rank order."""
         ...
+
+
+def split_by_owner(
+    targets: np.ndarray, values: tuple[np.ndarray, ...], starts: np.ndarray
+) -> list[tuple[int, np.ndarray, tuple[np.ndarray, ...]]]:
+    """Cut one batch of records into per-destination pieces.
+
+    ``starts`` holds the ``P + 1`` boundaries of the ranks' contiguous
+    vertex ranges.  Returns ``(rank, targets, values)`` for every rank
+    that receives something, ranks ascending, each piece in batch order —
+    the slices a stable sort by owner would produce, which is the wire
+    byte order.
+
+    A batch whose owners never decrease (a sender-side fold leaves its
+    records sorted by target) is already that sort's output, so it is cut
+    where it stands and the pieces are views.  Any other batch is
+    permuted first; narrowing the owner keys lets the stable sort run as
+    an O(n) radix pass.
+    """
+    # repro: wire-path
+    # repro: index-space: targets=global
+    num_ranks = starts.size - 1
+    if targets.size == 0:
+        return []
+    if num_ranks == 1:
+        return [(0, targets, values)]
+    owners = np.searchsorted(starts, targets, side="right") - 1
+    if num_ranks <= 256:
+        owners = owners.astype(np.uint8)
+    elif num_ranks <= 65536:
+        owners = owners.astype(np.uint16)
+    if np.any(owners[1:] < owners[:-1]):
+        order = np.argsort(owners, kind="stable")
+        owners = owners[order]
+        targets = targets[order]
+        values = tuple(v[order] for v in values)
+    # Where each rank's run begins; keys of the owners' own dtype keep
+    # searchsorted from widening the whole batch.
+    cuts = np.searchsorted(owners, np.arange(1, num_ranks, dtype=owners.dtype))
+    bounds = [0, *cuts.tolist(), targets.size]
+    return [
+        (dst, targets[b:e], tuple(v[b:e] for v in values))
+        for dst, (b, e) in enumerate(zip(bounds, bounds[1:]))
+        if e > b
+    ]
 
 
 class _KernelRank:
@@ -196,14 +250,17 @@ class _KernelRank:
         if begin is not None:
             begin(self.state, self.ctx, reduced)
 
-    def kernel_generate(self) -> None:
+    def kernel_generate(self, settled: bool) -> None:
         """Run the kernel's generate hook and route what it emitted."""
-        frontier = self.kernel.frontier_from(self.state, self.ctx)
-        if frontier.size == 0:
-            return
-        targets, values, scanned = self.kernel.gen_messages(
-            self.state, self.ctx, frontier
-        )
+        if settled:
+            targets, values, scanned = self.kernel.gen_settled(self.state, self.ctx)
+        else:
+            frontier = self.kernel.frontier_from(self.state, self.ctx)
+            if frontier.size == 0:
+                return
+            targets, values, scanned = self.kernel.gen_messages(
+                self.state, self.ctx, frontier
+            )
         self.step_edges += int(scanned)
         if self._wire_fields is None:
             values = (values,)
@@ -242,16 +299,20 @@ class _KernelRank:
 
     # -- fused superstep phases (one team call per exchange side) -----------
 
-    def superstep_send(self, reduced: float, begin: bool) -> dict[int, Message]:
+    def superstep_send(
+        self, reduced: float, begin: bool, settled: bool
+    ) -> dict[int, Message]:
         """The whole outbound half of one pass, as a single team call.
 
         begin-step (first pass of a superstep only) → generate → route →
         flush.  Returns the packed outbox for the fabric exchange.  Fusing
         the phases costs one dispatch where the unfused driver paid three.
+        ``settled`` selects the kernel's ``gen_settled`` hook for the
+        superstep's closing pass.
         """
         if begin:
             self.kernel_begin_step(reduced)
-        self.kernel_generate()
+        self.kernel_generate(settled)
         return self.flush_outbox()
 
     def superstep_recv(self, msg: Message | None, drain: bool) -> tuple:
@@ -283,37 +344,8 @@ class _KernelRank:
         every field is sliced by the same stable owner order.
         """
         # repro: wire-path
-        # repro: index-space: targets=global
-        if targets.size == 0:
-            return
-        if self.num_ranks == 1:
-            self._out[0].append((targets, values))
-            return
-        owners = np.searchsorted(self.starts, targets, side="right") - 1
-        first = int(owners[0])
-        if owners.size == 1 or not np.any(owners != first):
-            self._out[first].append((targets, values))
-            return
-        # The per-destination record order this split produces is the wire
-        # byte order, so the owner argsort must stay stable.  Narrowing the
-        # key dtype lets the stable sort run as an O(n) radix pass — any
-        # stable sort yields the same permutation, so the wire bytes are
-        # unchanged.
-        if self.num_ranks <= 256:
-            owners = owners.astype(np.uint8)
-        elif self.num_ranks <= 65536:
-            owners = owners.astype(np.uint16)
-        order = np.argsort(owners, kind="stable")
-        so = owners[order]
-        st = targets[order]
-        sv = tuple(v[order] for v in values)
-        cuts = np.flatnonzero(np.diff(so)) + 1
-        bounds = np.concatenate(([0], cuts, [so.size]))
-        for i in range(bounds.size - 1):
-            b, e = int(bounds[i]), int(bounds[i + 1])
-            self._out[int(so[b])].append(
-                (st[b:e], tuple(v[b:e] for v in sv))
-            )
+        for dst, part, part_values in split_by_owner(targets, values, self.starts):
+            self._out[dst].append((part, part_values))
 
     def flush_outbox(self) -> dict[int, Message]:
         """Pack queued records into one message per destination."""
@@ -451,45 +483,54 @@ class _KernelEngine:
     def done(self, reduced: float) -> bool:
         return self.kernel.done(reduced, self.steps)
 
+    def _pass(
+        self, ctx: EngineContext, reduced: float, begin: bool = False,
+        settled: bool = False,
+    ) -> np.ndarray:
+        """One generate → exchange → apply pass; per-rank ``superstep_recv`` rows.
+
+        Two fused team calls (one per exchange side) where the unfused
+        driver paid five; the fabric call sequence and values are
+        unchanged.
+        """
+        team, fabric = ctx.team, ctx.fabric
+        outboxes = team.call(
+            "superstep_send", common=(reduced, begin, settled),
+            parallel=True, lazy=True,
+        )
+        inboxes = fabric.exchange(outboxes)
+        stats = np.array(
+            team.call(
+                "superstep_recv",
+                per_rank=[(m,) for m in inboxes],
+                common=(self.kernel.drain and not settled,),
+                parallel=True,
+            ),
+            dtype=np.float64,
+        )
+        fabric.charge_compute(edges=stats[:, 0], bytes=stats[:, 1])
+        return stats
+
     def step(self, ctx: EngineContext, reduced: float) -> None:
         team, fabric, tracer = ctx.team, ctx.fabric, ctx.tracer
         self.steps += 1
         with tracer.span(
             "superstep", cat="engine", kernel=self.name, step=self.steps
         ) as sp:
-            step_edges = 0
-            step_bytes = 0
-            begin = True
             # One generate→exchange→apply pass per superstep; draining
             # kernels (k-core) repeat until every rank's frontier is empty,
             # with quiescence detected by an any-allreduce like the 1-D
-            # engine's light-phase loop.  Each pass is two fused team calls
-            # (one per exchange side) where the unfused driver paid five;
-            # the fabric call sequence and values are unchanged.
-            while True:
-                outboxes = team.call(
-                    "superstep_send", common=(reduced, begin),
-                    parallel=True, lazy=True,
-                )
-                begin = False
-                inboxes = fabric.exchange(outboxes)
-                stats = np.array(
-                    team.call(
-                        "superstep_recv",
-                        per_rank=[(m,) for m in inboxes],
-                        common=(self.kernel.drain,),
-                        parallel=True,
-                    ),
-                    dtype=np.float64,
-                )
-                fabric.charge_compute(edges=stats[:, 0], bytes=stats[:, 1])
-                step_edges += int(stats[:, 0].sum())
-                step_bytes += int(stats[:, 1].sum())
-                self._vote_cache = stats[:, 3].copy()
-                if not self.kernel.drain:
-                    break
-                if not fabric.allreduce_any(stats[:, 2]):
-                    break
+            # engine's light-phase loop.
+            passes = [self._pass(ctx, reduced, begin=True)]
+            while self.kernel.drain and fabric.allreduce_any(passes[-1][:, 2]):
+                passes.append(self._pass(ctx, reduced))
+            if hasattr(self.kernel, "gen_settled"):
+                passes.append(self._pass(ctx, reduced, settled=True))
+            # The last pass's votes are the next superstep's: the hooks are
+            # pure, so they equal what a fresh loop-top gather would read.
+            self._vote_cache = passes[-1][:, 3].copy()
+            step_edges = sum(int(stats[:, 0].sum()) for stats in passes)
+            step_bytes = sum(int(stats[:, 1].sum()) for stats in passes)
             critical_path, sum_of_ranks = team.take_step_timing()
             sp.tag(
                 edges=step_edges,

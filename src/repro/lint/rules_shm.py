@@ -16,7 +16,8 @@ that no type annotation can see:
   or a silently-lost write depending on the backend;
 * :class:`~repro.engine.protocol.Kernel` hooks have a phase contract:
   ``frontier_from``/``vote``/``export_state`` are pure readouts, and
-  ``gen_messages``/``apply_messages`` must write *disjoint* state keys —
+  ``gen_messages``/``gen_settled`` and ``apply_messages`` must write
+  *disjoint* state keys —
   a key written from both phases is applied twice per exchange round on
   the fused path.
 
@@ -51,8 +52,10 @@ _MUTATOR_UFUNC_AT = (
 #: Kernel hooks that must not write state at all (pure readouts).
 _PURE_HOOKS = ("frontier_from", "vote", "export_state")
 
-#: The two exchange-phase hooks whose state writes must be disjoint.
+#: The exchange-phase hooks: what a generate hook writes, apply must not.
+#: ``gen_settled`` is the optional closing-pass generate hook.
 _GEN_HOOK = "gen_messages"
+_GEN_HOOKS = (_GEN_HOOK, "gen_settled")
 _APPLY_HOOK = "apply_messages"
 
 
@@ -464,20 +467,24 @@ def _kernel_phase_findings(module: LintModule) -> list[tuple[ast.AST, str]]:
                     f"path it runs as a stat served between supersteps — "
                     f"move the write into gen_messages/apply_messages",
                 ))
-        gen, apply_ = hooks[_GEN_HOOK], hooks[_APPLY_HOOK]
-        gen_state, apply_state = _state_param(gen), _state_param(apply_)
-        if gen_state is None or apply_state is None:
+        apply_state = _state_param(hooks[_APPLY_HOOK])
+        if apply_state is None:
             continue
-        apply_keys = {k for _, k in _state_writes(apply_, apply_state)}
-        for write, key in _state_writes(gen, gen_state):
-            if key in apply_keys:
-                out.append((
-                    write,
-                    f"gen_messages() writes {gen_state}[{key!r}], which "
-                    f"apply_messages() also writes; the phases run in the "
-                    f"same exchange round, so the key is updated twice per "
-                    f"superstep — own each key from exactly one phase",
-                ))
+        apply_keys = {k for _, k in _state_writes(hooks[_APPLY_HOOK], apply_state)}
+        for gen_name in _GEN_HOOKS:
+            gen = hooks.get(gen_name)
+            gen_state = _state_param(gen) if gen is not None else None
+            if gen_state is None:
+                continue
+            for write, key in _state_writes(gen, gen_state):
+                if key in apply_keys:
+                    out.append((
+                        write,
+                        f"{gen_name}() writes {gen_state}[{key!r}], which "
+                        f"apply_messages() also writes; the phases run in the "
+                        f"same exchange round, so the key is updated twice per "
+                        f"superstep — own each key from exactly one phase",
+                    ))
     return out
 
 

@@ -2,7 +2,10 @@
 
 The fixture matrix crosses the two batched kernels (``bfs64``,
 ``sssp_batch``) with the three rank-execution backends, with fault
-injection and the runtime sanitizer off and on.  For every cell each
+injection and the runtime sanitizer off, on, and on together — every
+``sssp_batch`` cell includes the closing heavy-edge pass of each epoch,
+so that pass goes through retransmission, the audits and (below) the
+race checker on the thread and process backends.  For every cell each
 lane's answer must hash identically to the corresponding single-root
 reference run:
 
@@ -37,8 +40,9 @@ MODES = (
     {"faults": None, "sanitize": False},
     {"faults": FAULTS, "sanitize": False},
     {"faults": None, "sanitize": True},
+    {"faults": FAULTS, "sanitize": True},
 )
-MODE_IDS = ("plain", "faults", "sanitize")
+MODE_IDS = ("plain", "faults", "sanitize", "faults+sanitize")
 
 
 def _sha(*arrays) -> str:
@@ -119,6 +123,10 @@ def test_lane_hashes_match_single_root(
     assert np.array_equal(result.parent, base.result.parent)
     assert run.modeled_time == base.modeled_time
     assert run.comm == base.comm
+    if kernel == "sssp_batch":
+        # An epoch is a vote, light passes that each end in a quiescence
+        # vote, and exactly one closing heavy pass that needs none.
+        assert run.comm["supersteps"] == run.comm["allreduces"] - 1
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -127,16 +135,20 @@ def test_batched_lanes_validate(graph, roots, serial_batched, kernel):
     assert report.ok, report.failures
 
 
+@pytest.mark.parametrize("backend", ("thread", "process"))
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_racecheck_mode_is_bit_identical(graph, roots, serial_batched, kernel):
-    base = serial_batched[kernel, 0]
+def test_racecheck_mode_is_bit_identical(graph, roots, serial_batched, kernel, backend):
+    base = serial_batched[kernel, 1]
     run = api.run(
         graph, roots, kernel=kernel, num_ranks=NUM_RANKS,
-        executor="thread", workers=3, racecheck=True,
+        executor=backend, workers=3, racecheck=True, faults=FAULTS,
     )
     assert np.array_equal(run.result.parent, base.result.parent)
+    assert run.comm == base.comm
     audit = run.result.meta["racecheck"]
-    assert audit["regions_checked"] > 0
+    # Threads are audited by shared-array region, processes by arena handle.
+    assert audit["regions_checked"] + audit["handles_checked"] > 0
+    assert audit["violations"] == 0
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -152,6 +164,42 @@ def test_lane_edges_telemetry_totals(graph, roots, serial_batched, kernel):
     else:
         # bfs64 charges each edge to every lane it advanced.
         assert sum(lane_edges) >= result.counters.as_dict()["edges_scanned"]
+
+
+def test_sssp_batch_relaxes_each_edge_once(graph, roots, serial_batched):
+    """∆-stepping's promise: a settled pair's heavy edges go out once.
+
+    Heavy edges are relaxed by the epoch's closing pass alone, so per lane
+    they are scanned exactly once per reached vertex; only light edges
+    (``w < ∆``, a few percent) are re-sent when a pair is re-improved
+    inside its bucket, which bounds the whole sweep near the floor of one
+    scan per reached ``(vertex, lane)`` cell's out-edge.
+    """
+    result = serial_batched["sssp_batch", 0].result
+    n = graph.num_vertices
+    src = np.repeat(np.arange(n), graph.out_degree)
+    heavy_degree = np.bincount(src[graph.weight >= result.meta["delta"]], minlength=n)
+    reached = np.isfinite(result.dist)
+    assert result.meta["lane_heavy_edges_scanned"] == [
+        int(heavy_degree[reached[:, i]].sum()) for i in range(len(roots))
+    ]
+    floor = int(graph.out_degree @ reached.sum(axis=1))
+    assert floor <= sum(result.meta["lane_edges_scanned"]) <= 1.05 * floor
+
+
+def test_sssp_batch_past_256_lanes():
+    """300 lanes: the wire's lane field widens from uint8 to uint16."""
+    small = build_csr(generate_kronecker(8, seed=2022))
+    distinct = np.flatnonzero(small.out_degree > 0)[:37]
+    lane_roots = [int(distinct[i % distinct.size]) for i in range(300)]
+    swept = api.run(small, lane_roots, kernel="sssp_batch", num_ranks=4).result
+    single = {
+        int(r): api.run(small, int(r), kernel="sssp", num_ranks=4).result
+        for r in distinct
+    }
+    for i, root in enumerate(lane_roots):
+        lane = swept.lane(i)
+        assert _sha(lane.dist, lane.parent) == _sha(single[root].dist, single[root].parent)
 
 
 def test_sssp_batch_respects_explicit_delta(graph, roots):

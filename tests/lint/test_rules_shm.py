@@ -241,6 +241,27 @@ class TestKernelPhase:
         )
         assert [f.rule for f in findings] == ["shm-kernel-phase"]
 
+    def test_closing_pass_hook_is_a_generate_hook(self, lint):
+        findings = lint(
+            """
+            class Bad:
+                def gen_messages(self, state, frontier):
+                    state["owed"][frontier] = True
+                    return frontier
+
+                def gen_settled(self, state, ctx):
+                    state["owed"][:] = False
+                    state["dist"][:] = 0
+                    return state["owed"]
+
+                def apply_messages(self, state, inbox):
+                    state["dist"][inbox] = 1
+            """,
+            SHM,
+        )
+        assert [f.rule for f in findings] == ["shm-kernel-phase"]
+        assert "gen_settled() writes state['dist']" in findings[0].message
+
     def test_disjoint_phase_writes_are_clean(self, lint):
         # The KCore shape: gen writes coreness/alive, apply writes degree.
         findings = lint(

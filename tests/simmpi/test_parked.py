@@ -321,11 +321,16 @@ class TestShutdown:
         monkeypatch.setattr(parked, "_WORKER_TIMEOUT", 5.0)
         baseline = _shm_names()
         team = _process_team()
+        # One round trip first, so the worker is parked when the signal
+        # lands: CPython drops signals that reach a child between fork()
+        # and its after-fork hook, and the join below then never returns.
+        assert team.call("identity", parallel=True) == [0, 1]
         # SIGINT the parked worker: it dies (default handler), the call
         # fails, and close() — already run by the failure path — leaves
         # nothing behind; a second close stays a no-op.
         os.kill(team._procs[1].pid, signal.SIGINT)
-        team._procs[1].join()
+        team._procs[1].join(timeout=30)
+        assert not team._procs[1].is_alive()
         with pytest.raises(WorkerError):
             team.call("identity", parallel=True)
         team.close()
