@@ -9,8 +9,8 @@ win while keeping bottom-up communication at bitmap cost.
 
 import numpy as np
 
+import repro
 from repro.bfs import bfs, validate_bfs
-from repro.bfs.dist_bfs import _distributed_bfs as distributed_bfs
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph500.report import render_table
@@ -37,14 +37,14 @@ def test_e1_bfs_direction_optimization(benchmark, write_result):
         )
     dist_rows = []
     for direction in ("top_down", "auto"):
-        run = distributed_bfs(graph, src, num_ranks=16, direction=direction)
+        run = repro.run(graph, src, kernel="bfs", num_ranks=16, direction=direction)
         assert validate_bfs(graph, run.result).ok
         dist_rows.append(
             {
                 "direction": direction,
                 "edges_inspected": run.result.counters["edges_inspected"],
-                "bytes": run.trace_summary["total_bytes"],
-                "sim_s": run.simulated_seconds,
+                "bytes": run.comm["total_bytes"],
+                "sim_s": run.modeled_time,
                 "TEPS": run.teps(graph),
             }
         )

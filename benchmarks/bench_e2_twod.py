@@ -9,8 +9,7 @@ simulated time — the crossover is a fan-out effect that grows with P.
 
 import numpy as np
 
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
-from repro.core.twod_engine import _distributed_sssp_2d as distributed_sssp_2d
+import repro
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph500.report import render_table
@@ -27,11 +26,13 @@ def test_e2_twod_vs_oned(benchmark, write_result):
         rows = []
         for num_ranks in (16, 64):
             r1 = [
-                distributed_sssp(graph, int(r), num_ranks=num_ranks, machine=machine)
+                repro.run(graph, int(r), num_ranks=num_ranks, machine=machine)
                 for r in roots
             ]
             r2 = [
-                distributed_sssp_2d(graph, int(r), num_ranks=num_ranks, machine=machine)
+                repro.run(
+                    graph, int(r), engine="dist2d", num_ranks=num_ranks, machine=machine
+                )
                 for r in roots
             ]
             for a, b in zip(r1, r2):
@@ -41,17 +42,17 @@ def test_e2_twod_vs_oned(benchmark, write_result):
                     "ranks": num_ranks,
                     "layout": "1-D",
                     "max_partners": num_ranks - 1,
-                    "bytes": int(np.mean([x.trace_summary["total_bytes"] for x in r1])),
-                    "sim_s": float(np.mean([x.simulated_seconds for x in r1])),
+                    "bytes": int(np.mean([x.comm["total_bytes"] for x in r1])),
+                    "sim_s": float(np.mean([x.modeled_time for x in r1])),
                 }
             )
             rows.append(
                 {
                     "ranks": num_ranks,
-                    "layout": f"2-D ({r2[0].rows}x{r2[0].cols})",
-                    "max_partners": r2[0].max_partners_per_rank,
-                    "bytes": int(np.mean([x.trace_summary["total_bytes"] for x in r2])),
-                    "sim_s": float(np.mean([x.simulated_seconds for x in r2])),
+                    "layout": "2-D ({}x{})".format(*r2[0].meta["grid"]),
+                    "max_partners": r2[0].meta["max_partners_per_rank"],
+                    "bytes": int(np.mean([x.comm["total_bytes"] for x in r2])),
+                    "sim_s": float(np.mean([x.modeled_time for x in r2])),
                 }
             )
         return rows

@@ -13,7 +13,7 @@ totals must agree byte for byte.
 
 import numpy as np
 
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
+import repro
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph500.report import render_table
@@ -27,14 +27,14 @@ def test_f10_traffic_wavefront(benchmark, write_result):
 
     tracer = Tracer()
     run = benchmark.pedantic(
-        lambda: distributed_sssp(graph, root, num_ranks=16, tracer=tracer),
+        lambda: repro.run(graph, root, num_ranks=16, tracer=tracer),
         rounds=1,
         iterations=1,
     )
     report = RunReport.from_events(tracer.events)
     series = np.array(report.wavefront(), dtype=np.int64)
     assert series.size > 0
-    assert series.sum() == run.trace_summary["total_bytes"]
+    assert series.sum() == run.comm["total_bytes"]
 
     peak_step = int(np.argmax(series))
     rows = [

@@ -13,8 +13,8 @@ than reaching into ``CommTrace`` internals.
 
 import numpy as np
 
+import repro
 from repro.core.config import SSSPConfig
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph500.report import render_table
@@ -27,7 +27,7 @@ def _run(graph, config, roots, num_ranks=16):
     runs = []
     for root in roots:
         tracer = Tracer()
-        run = distributed_sssp(
+        run = repro.run(
             graph, int(root), num_ranks=num_ranks, config=config, tracer=tracer
         )
         runs.append(run)

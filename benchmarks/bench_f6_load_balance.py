@@ -8,8 +8,8 @@ imbalance; only delegation fixes the hub tail.
 
 import numpy as np
 
+import repro
 from repro.core.config import SSSPConfig
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph500.report import render_table
@@ -58,7 +58,7 @@ def test_f6_load_balance(benchmark, write_result):
             "edge_balanced + delegation": SSSPConfig(),
         }.items():
             imbs = [
-                distributed_sssp(graph, int(r), num_ranks=num_ranks, config=config).work_imbalance
+                repro.run(graph, int(r), num_ranks=num_ranks, config=config).work_imbalance
                 for r in roots
             ]
             dynamic_rows.append({"configuration": name, "work_imbalance": round(float(np.mean(imbs)), 3)})

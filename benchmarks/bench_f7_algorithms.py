@@ -10,9 +10,8 @@ parallel; the optimized engine beats the simple one on traffic.
 
 import numpy as np
 
+import repro
 from repro.baselines import bellman_ford, dijkstra, frontier_bellman_ford, simple_distributed_sssp
-from repro.core.delta_stepping import _delta_stepping as delta_stepping
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph500.report import render_table
@@ -23,7 +22,7 @@ def test_f7_algorithm_comparison(benchmark, write_result):
     src = int(np.argmax(graph.out_degree))
 
     # Timed kernel: the core contribution's shared-memory form.
-    result = benchmark(lambda: delta_stepping(graph, src))
+    result = benchmark(lambda: repro.run(graph, src, engine="shared").result)
     assert result.num_reached > 1
 
     ref = dijkstra(graph, src)
@@ -32,7 +31,7 @@ def test_f7_algorithm_comparison(benchmark, write_result):
         ("dijkstra (oracle)", ref),
         ("bellman_ford", bellman_ford(graph, src)),
         ("chaotic (frontier BF)", frontier_bellman_ford(graph, src)),
-        ("delta_stepping", delta_stepping(graph, src)),
+        ("delta_stepping", repro.run(graph, src, engine="shared").result),
     ]:
         assert np.array_equal(res.dist, ref.dist), name
         c = res.counters
@@ -44,22 +43,22 @@ def test_f7_algorithm_comparison(benchmark, write_result):
             }
         )
 
-    opt = distributed_sssp(graph, src, num_ranks=16)
+    opt = repro.run(graph, src, num_ranks=16)
     simple = simple_distributed_sssp(graph, src, num_ranks=16)
     assert np.array_equal(opt.result.dist, ref.dist)
     assert np.array_equal(simple.result.dist, ref.dist)
     dist_rows = [
         {
             "engine": "optimized distributed",
-            "sim_s": opt.simulated_seconds,
-            "bytes": opt.trace_summary["total_bytes"],
-            "supersteps": opt.trace_summary["supersteps"],
+            "sim_s": opt.modeled_time,
+            "bytes": opt.comm["total_bytes"],
+            "supersteps": opt.comm["supersteps"],
         },
         {
             "engine": "reference-style distributed",
-            "sim_s": simple.simulated_seconds,
-            "bytes": simple.trace_summary["total_bytes"],
-            "supersteps": simple.trace_summary["supersteps"],
+            "sim_s": simple.modeled_time,
+            "bytes": simple.comm["total_bytes"],
+            "supersteps": simple.comm["supersteps"],
         },
     ]
     write_result(

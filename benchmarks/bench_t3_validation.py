@@ -7,9 +7,8 @@ for acceptance plus one per corruption type for rejection.
 
 import numpy as np
 
+import repro
 from repro.baselines import bellman_ford, dijkstra
-from repro.core.delta_stepping import _delta_stepping as delta_stepping
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import grid_graph, random_graph, star_graph
@@ -26,7 +25,7 @@ def test_t3_validation_coverage(benchmark, write_result):
     }
     kron = graphs["kronecker-12"]
     src = int(np.argmax(kron.out_degree))
-    good = delta_stepping(kron, src)
+    good = repro.run(kron, src, engine="shared").result
 
     # Timed kernel: full validation of a scale-12 run.
     report = benchmark(lambda: validate_sssp(kron, good))
@@ -38,8 +37,8 @@ def test_t3_validation_coverage(benchmark, write_result):
         for aname, algo in {
             "dijkstra": lambda g, r: dijkstra(g, r),
             "bellman_ford": lambda g, r: bellman_ford(g, r),
-            "delta_stepping": lambda g, r: delta_stepping(g, r),
-            "distributed(8)": lambda g, r: distributed_sssp(g, r, num_ranks=8).result,
+            "delta_stepping": lambda g, r: repro.run(g, r, engine="shared").result,
+            "distributed(8)": lambda g, r: repro.run(g, r, num_ranks=8).result,
         }.items():
             res = algo(graph, root)
             rows.append(
@@ -64,7 +63,7 @@ def test_t3_validation_coverage(benchmark, write_result):
         ),
     }
     for name, corrupt in corruptions.items():
-        bad = delta_stepping(kron, src)
+        bad = repro.run(kron, src, engine="shared").result
         corrupt(bad)
         rows.append(
             {

@@ -50,7 +50,7 @@ def main() -> None:
         print(f"   {name:10s} supersteps={r.result.counters['light_supersteps']:4d} "
               f"epochs={r.result.counters['epochs']:4d} "
               f"imbalance={r.work_imbalance:.2f} "
-              f"bytes={r.trace_summary['total_bytes']}")
+              f"bytes={r.comm['total_bytes']}")
     print("\nGrids take many more epochs (long diameter) but fuse well;")
     print("scale-free graphs are shallow but hub-dominated — exactly the")
     print("contrast that motivates the paper's optimization stack.")

@@ -17,10 +17,6 @@ facade also accepts ``faults="drop=0.01,delay=2us,seed=7"`` to inject
 deterministic fabric faults — answers stay bit-identical; only modeled
 time and retransmission accounting change.
 
-The historical per-engine functions (``distributed_sssp``,
-``delta_stepping``, ...) have been removed; calling the stubs that remain
-in ``repro.core``/``repro.bfs`` raises ``RuntimeError`` pointing here.
-
 See README.md for the architecture overview and DESIGN.md for the
 reproduction methodology (what is measured vs. modeled).
 """

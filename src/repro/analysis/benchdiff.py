@@ -8,7 +8,7 @@ every push.
 
 Two document shapes are accepted and may be mixed only with themselves:
 
-* BENCH documents (``bench_p1_wallclock`` / ``bench_p2_parallel`` /
+* BENCH documents (``bench_p1_wallclock`` / ``bench_p4_multicore`` /
   ``repro bench --out``): an ``engines`` mapping whose keys are
   ``engine`` or ``engine@backend`` and whose values carry
   ``wall_seconds``;

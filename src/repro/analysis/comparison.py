@@ -54,9 +54,9 @@ def engine_comparison(
         rows.append(
             {
                 "engine": name,
-                "mean_sim_s": float(np.mean([r.simulated_seconds for r in runs])),
-                "bytes": int(np.mean([r.trace_summary["total_bytes"] for r in runs])),
-                "supersteps": int(np.mean([r.trace_summary["supersteps"] for r in runs])),
+                "mean_sim_s": float(np.mean([r.modeled_time for r in runs])),
+                "bytes": int(np.mean([r.comm["total_bytes"] for r in runs])),
+                "supersteps": int(np.mean([r.comm["supersteps"] for r in runs])),
                 "sync_s": float(
                     np.mean([r.time_breakdown.get("sync", 0.0) for r in runs])
                 ),

@@ -47,7 +47,6 @@ from repro.simmpi.executor import RankExecutor, resolve_executor
 __all__ = [
     "bench_engine",
     "run_bench",
-    "run_parallel_bench",
     "run_multicore_bench",
     "run_kernel_bench",
     "run_batched_bench",
@@ -116,7 +115,7 @@ def bench_engine(
     ``executor``/``workers`` select the rank-execution backend; the warm-up
     run also warms the backend's worker pool so pool spin-up never lands in
     a timed repeat.  ``trace_memory=False`` skips the tracemalloc pass (the
-    P2 protocol times wall-clock only).  ``digest=True`` adds a sha256 of
+    P4/K1 protocols time wall-clock only).  ``digest=True`` adds a sha256 of
     the answer arrays so the document itself witnesses bit-identity.
     """
     exec_obj, owns_executor = resolve_executor(executor, workers)
@@ -185,64 +184,6 @@ def run_bench(
     return doc
 
 
-def run_parallel_bench(
-    scale: int,
-    num_ranks: int,
-    engines: tuple[str, ...] = DEFAULT_ENGINES,
-    backends: tuple[str, ...] = DEFAULT_BACKENDS,
-    workers: int = 4,
-    repeats: int = 5,
-    seed: int = 2022,
-) -> dict[str, Any]:
-    """Run the P2 parallel-backend protocol; returns a JSON-ready document.
-
-    Every (engine, backend) pair is timed with :func:`bench_engine` on the
-    same graph/source; entries land under ``engines["{engine}@{backend}"]``
-    so :func:`check_regression` gates the document unchanged.  A
-    ``speedup`` section records ``serial_wall / backend_wall`` per pair,
-    and ``host_cpus`` records how many cores the measurement actually had —
-    thread/process speedups are only meaningful relative to it.
-    """
-    graph = build_csr(generate_kronecker(scale, seed=seed))
-    source = int(np.argmax(graph.out_degree))
-    doc: dict[str, Any] = {
-        "benchmark": "P2_parallel",
-        "scale": scale,
-        "num_ranks": num_ranks,
-        "seed": seed,
-        "source": source,
-        "num_vertices": int(graph.num_vertices),
-        "num_edges": int(graph.num_edges),
-        "repeats": repeats,
-        "workers": workers,
-        "host_cpus": os.cpu_count(),
-        "engines": {},
-        "speedup": {},
-    }
-    for engine in engines:
-        serial_wall: float | None = None
-        for backend in backends:
-            entry = bench_engine(
-                graph,
-                source,
-                engine,
-                num_ranks,
-                repeats=repeats,
-                executor=backend,
-                workers=None if backend == "serial" else workers,
-                trace_memory=False,
-                digest=True,
-            )
-            doc["engines"][f"{engine}@{backend}"] = entry
-            if backend == "serial":
-                serial_wall = entry["wall_seconds"]
-            elif serial_wall is not None:
-                doc["speedup"][f"{engine}@{backend}"] = (
-                    serial_wall / entry["wall_seconds"]
-                )
-    return doc
-
-
 def run_multicore_bench(
     scale: int,
     num_ranks: int,
@@ -254,12 +195,12 @@ def run_multicore_bench(
 ) -> dict[str, Any]:
     """Run the P4 multi-core scaling protocol; returns a JSON-ready document.
 
-    P2 fixes ``workers`` and varies the backend; P4 fixes the backends
-    (the parallel ones) and sweeps the worker count — the speedup *curve*
-    is the deliverable, because a parked-worker backend that dispatches
-    cheaply should approach linear until it runs out of host cores.  One
-    serial run per engine anchors the curve; every parallel entry lands
-    under ``engines["{engine}@{backend}@w{n}"]`` (so ``bench diff`` and
+    Fixes the backends (the parallel ones) and sweeps the worker count —
+    the speedup *curve* is the deliverable, because a parked-worker
+    backend that dispatches cheaply should approach linear until it runs
+    out of host cores.  One serial run per engine anchors the curve;
+    every parallel entry lands under
+    ``engines["{engine}@{backend}@w{n}"]`` (so ``bench diff`` and
     :func:`check_regression` gate the document unchanged) with its
     ``speedup`` = serial wall / entry wall.  Every entry's answer digest
     must equal the serial digest — the sweep refuses to report a speedup

@@ -20,35 +20,27 @@ changes the answer.
 
 ``source=`` is required for the traversal kernels (``sssp``, ``bfs``)
 and must be omitted for the whole-graph kernels (``cc``, ``pagerank``,
-``kcore``).  Every run returns an object satisfying the
-:class:`RunSummary` protocol, whose kernel-typed ``result`` (distances /
-parent+level / labels / ranks / coreness) carries a uniform
-``validate(graph)`` hook checking it against a sequential oracle.
+``kcore``).  Every run returns one :class:`RunSummary`, whose
+kernel-typed ``result`` (distances / parent+level / labels / ranks /
+coreness) carries a uniform ``validate(graph)`` hook checking it against a
+sequential oracle.
 
 Cross-cutting knobs — ``machine``, ``faults``, ``sanitize``, ``tracer``,
 ``executor``/``workers`` — mean the same thing for every distributed
 kernel.  Kernel-specific extras (``grid`` for ``dist2d``, ``direction``
 for BFS, ``damping``/``iterations``/``tol`` for PageRank, ...) pass
 through as keyword arguments.
-
-The four historical per-engine entry points (``distributed_sssp``,
-``distributed_sssp_2d``, ``distributed_bfs``, ``delta_stepping``) have
-been removed; calling them raises :class:`RuntimeError` pointing here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
-
-from repro._deprecation import warn_alias
 from repro.bfs.dist_bfs import _distributed_bfs
 from repro.bfs.kernel import bfs as _shared_bfs
 from repro.core.config import SSSPConfig
 from repro.core.delta_stepping import _delta_stepping
 from repro.core.dist_sssp import _distributed_sssp
-from repro.core.result import SSSPResult
 from repro.core.twod_engine import _distributed_sssp_2d
+from repro.engine.driver import RunSummary
 from repro.engine.protocol import run_kernel
 from repro.engine.results import CorenessResult, LabelsResult, RanksResult
 from repro.graph.csr import CSRGraph
@@ -57,90 +49,13 @@ from repro.simmpi.executor import RankExecutor
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
-__all__ = ["ENGINES", "KERNELS", "RunSummary", "SharedRun", "run"]
+__all__ = ["ENGINES", "KERNELS", "RunSummary", "run"]
 
 #: Kernel names accepted by :func:`run`, in documentation order.
 KERNELS = ("sssp", "bfs", "cc", "pagerank", "kcore", "bfs64", "sssp_batch")
 
 #: Engine (layout) names accepted by :func:`run`, in documentation order.
 ENGINES = ("dist1d", "dist2d", "shared")
-
-
-@runtime_checkable
-class RunSummary(Protocol):
-    """What every kernel's run object guarantees.
-
-    Attributes:
-        engine: short engine name (``dist1d``/``dist2d``/``bfs``/``shared``).
-        kernel: the kernel computed (``sssp``/``bfs``/``cc``/``pagerank``/
-            ``kcore``).
-        result: the kernel-typed answer object (with counters, meta and a
-            ``validate(graph)`` oracle check).
-        modeled_time: simulated seconds charged by the cost model (0.0 for
-            the shared engine, which has no cost model).
-        comm: exact communication statistics (``CommTrace.summary()``
-            shape; empty for the shared engine).
-
-    Methods:
-        report: one kernel-agnostic dict (engine, kernel, num_ranks,
-            modeled_time, time_breakdown, comm, counters, work_imbalance,
-            meta).
-    """
-
-    engine: str
-    kernel: str
-
-    @property
-    def result(self): ...
-
-    @property
-    def modeled_time(self) -> float: ...
-
-    @property
-    def comm(self) -> dict: ...
-
-    def report(self) -> dict: ...
-
-
-@dataclass
-class SharedRun:
-    """RunSummary wrapper for the in-process sequential kernels.
-
-    The shared engine has no fabric and no cost model, so ``modeled_time``
-    is 0.0 and ``comm`` is empty — the uniform interface still holds, which
-    is what lets callers flip ``engine=`` without restructuring.
-    """
-
-    engine = "shared"
-
-    result: SSSPResult
-    kernel: str = "sssp"
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def num_ranks(self) -> int:
-        return 1
-
-    @property
-    def modeled_time(self) -> float:
-        return 0.0
-
-    @property
-    def comm(self) -> dict:
-        return {}
-
-    def report(self) -> dict:
-        return {
-            "engine": self.engine,
-            "kernel": self.kernel,
-            "num_ranks": 1,
-            "modeled_time": 0.0,
-            "time_breakdown": {},
-            "comm": {},
-            "counters": self.result.counters.as_dict(),
-            "work_imbalance": 1.0,
-            "meta": dict(self.meta),
-        }
 
 
 def _reject_extra(kernel: str, engine: str, extra: dict) -> None:
@@ -246,7 +161,7 @@ def _run_sssp_shared(
     result = _delta_stepping(
         graph, source, delta=delta, max_phases=max_phases, tracer=tracer
     )
-    return SharedRun(result=result, kernel="sssp")
+    return RunSummary(engine="shared", kernel="sssp", result=result)
 
 
 def _run_bfs_dist1d(
@@ -290,7 +205,9 @@ def _run_bfs_shared(
     bad = set(extra) - allowed
     if bad:
         _reject_extra("bfs", "shared", {k: extra[k] for k in bad})
-    return SharedRun(result=_shared_bfs(graph, source, **extra), kernel="bfs")
+    return RunSummary(
+        engine="shared", kernel="bfs", result=_shared_bfs(graph, source, **extra)
+    )
 
 
 def _as_roots(kernel: str, source) -> "np.ndarray":
@@ -400,7 +317,8 @@ def _make_oracle_dispatch(name: str):
     """Dispatcher for a whole-graph kernel on the shared (sequential) engine.
 
     Runs the same oracle ``validate()`` checks against — so a shared run
-    is the reference answer with the uniform RunSummary shape around it.
+    is the reference answer with the uniform RunSummary around it (no
+    fabric, no cost model: ``modeled_time`` 0.0, ``comm`` empty).
     """
 
     def _dispatch(
@@ -440,7 +358,7 @@ def _make_oracle_dispatch(name: str):
             result = CorenessResult(coreness=kcore_reference(graph))
             result.meta["algorithm"] = "sequential_peeling"
             result.meta["max_coreness"] = result.max_coreness
-        return SharedRun(result=result, kernel=name)
+        return RunSummary(engine="shared", kernel=name, result=result)
 
     return _dispatch
 
@@ -504,8 +422,6 @@ def run(
             the simulated fabric; every kernel), ``"dist2d"``
             (checkerboard grid; ``sssp`` only), or ``"shared"``
             (in-process sequential reference, no cost model).
-            ``engine="bfs"`` is a deprecated alias for
-            ``kernel="bfs", engine="dist1d"``.
         num_ranks: simulated ranks (ignored by ``shared``).
         machine: simulated hardware (:class:`MachineSpec`); defaults to a
             small commodity cluster sized to ``num_ranks``.
@@ -542,20 +458,9 @@ def run(
             ``iterations=``, ``tol=``) for the whole-graph kernels.
 
     Returns:
-        A run object satisfying :class:`RunSummary`, whose kernel-typed
-        ``result`` implements ``validate(graph)`` against a sequential
-        oracle.
+        A :class:`RunSummary`, whose kernel-typed ``result`` implements
+        ``validate(graph)`` against a sequential oracle.
     """
-    if engine == "bfs":
-        # The pre-registry facade spelled BFS as an engine; keep it working
-        # one release as an alias so callers migrate with a warning, not a
-        # crash.
-        if kernel not in ("sssp", "bfs"):
-            raise ValueError(
-                f"engine 'bfs' (deprecated alias) cannot run kernel {kernel!r}"
-            )
-        warn_alias("engine='bfs'", "kernel='bfs' (with engine='dist1d')")
-        kernel, engine = "bfs", "dist1d"
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; options: {', '.join(KERNELS)}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro import api
 from repro.core.config import SSSPConfig
-from repro.core.dist_sssp import DistSSSPRun
+from repro.engine.driver import RunSummary
 from repro.graph.csr import CSRGraph
 from repro.simmpi.machine import MachineSpec
 
@@ -25,7 +25,7 @@ def simple_distributed_sssp(
     num_ranks: int = 8,
     machine: MachineSpec | None = None,
     delta: float | None = None,
-) -> DistSSSPRun:
+) -> RunSummary:
     """Distributed ∆-stepping with the baseline (unoptimized) configuration."""
     config = SSSPConfig.baseline()
     if delta is not None:

@@ -6,13 +6,10 @@ substrate.  This package implements the kernel on the library's existing
 infrastructure: a direction-optimizing shared-memory BFS (Beamer's
 top-down/bottom-up switch), a distributed BFS on SimMPI with frontier
 bitmap allgather for the bottom-up phase, and the spec's BFS validator.
-
-``distributed_bfs`` is a retired stub that raises ``RuntimeError``
-pointing at ``repro.run(..., kernel="bfs")``.
+The distributed engine is reached through ``repro.run(..., kernel="bfs")``.
 """
 
-from repro.bfs.dist_bfs import DistBFSRun, distributed_bfs
 from repro.bfs.kernel import BFSResult, bfs
 from repro.bfs.validation import validate_bfs
 
-__all__ = ["BFSResult", "DistBFSRun", "bfs", "distributed_bfs", "validate_bfs"]
+__all__ = ["BFSResult", "bfs", "validate_bfs"]

@@ -17,20 +17,17 @@ kernel, evaluated on globally allreduced frontier statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro._deprecation import legacy_removed
 from repro.bfs.kernel import BFSResult, _bottom_up_step, _NO_PARENT
 from repro.core.relaxation import frontier_edges
 from repro.engine.driver import (
     EngineContext,
+    RunSummary,
     attach_fabric_outcome,
-    executor_meta,
-    rank_state_meta,
     run_superstep_engine,
 )
+from repro.engine.rank import Outbox, OwnerRouter, Rank
 from repro.engine.validation import (
     check_direction,
     check_source,
@@ -43,61 +40,8 @@ from repro.simmpi.fabric import Message
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
-__all__ = ["distributed_bfs", "DistBFSRun"]
 
-
-@dataclass
-class DistBFSRun:
-    """Outcome of one distributed BFS: answer plus simulated costs.
-
-    Implements the :class:`repro.api.RunSummary` protocol (``result``,
-    ``modeled_time``, ``comm``, ``report()``) shared by every engine.
-    """
-
-    # The layout axis: the BFS engine is a 1-D vertex partition, same as
-    # the ∆-stepping engine; what differs is the kernel.
-    engine = "dist1d"
-    kernel = "bfs"
-
-    result: BFSResult
-    num_ranks: int
-    simulated_seconds: float
-    time_breakdown: dict[str, float]
-    trace_summary: dict[str, float | int]
-    work_imbalance: float
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def modeled_time(self) -> float:
-        """Simulated seconds the cost model charged (RunSummary protocol)."""
-        return self.simulated_seconds
-
-    @property
-    def comm(self) -> dict[str, float | int]:
-        """Exact communication statistics (RunSummary protocol)."""
-        return self.trace_summary
-
-    def report(self) -> dict:
-        """Uniform engine-agnostic run report (RunSummary protocol)."""
-        return {
-            "engine": self.engine,
-            "kernel": self.kernel,
-            "num_ranks": self.num_ranks,
-            "modeled_time": self.modeled_time,
-            "time_breakdown": dict(self.time_breakdown),
-            "comm": dict(self.comm),
-            "counters": self.result.counters.as_dict(),
-            "work_imbalance": self.work_imbalance,
-            "meta": dict(self.meta),
-        }
-
-    def teps(self, graph: CSRGraph) -> float:
-        if self.simulated_seconds <= 0:
-            raise ValueError("run has no positive simulated time")
-        return self.result.traversed_edges(graph) / self.simulated_seconds
-
-
-class _BFSRank:
+class _BFSRank(Rank):
     """Per-rank state of the level-synchronous engine.
 
     State is *owned-local*: ``parent``/``level``/``frontier`` are indexed by
@@ -113,16 +57,13 @@ class _BFSRank:
         rank: int,
         graph: CSRGraph,
         owned: np.ndarray,
-        owner: np.ndarray,
-        num_ranks: int,
+        router: OwnerRouter,
     ) -> None:
-        self.rank = rank
-        self.num_ranks = num_ranks
+        super().__init__(rank, router)
         # repro: index-space: self.parent[local], self.level[local]
-        # repro: index-space: self.owner[global], self.owned=global
+        # repro: index-space: self.owned=global
         # repro: index-space: self.frontier=local, owned=global
-        # repro: shared-ro: self.owner
-        self.owner = owner
+        self.claims = Outbox(router, ("vertex", "parent"))
         self.owned = owned
         self.range_lo = int(owned[0]) if owned.size else 0
         self.range_hi = int(owned[-1]) + 1 if owned.size else 0
@@ -131,16 +72,12 @@ class _BFSRank:
         self.parent = np.full(owned.size, _NO_PARENT, dtype=np.int64)
         self.level = np.full(owned.size, -1, dtype=np.int64)
         self.frontier = np.empty(0, dtype=np.int64)  # owned-local ids
-        self.step_edges = 0
-        self.step_bytes = 0
 
     # -- top-down ---------------------------------------------------------
 
     def expand_top_down(self, depth: int) -> dict[int, Message]:
         """Expand owned frontier; claim locally, route remote claims."""
-        # repro: wire-path
         # repro: index-space: dst=global
-        # Per-destination claim order is wire byte order: stable sort only.
         src, dst, _ = frontier_edges(self.local_graph, self.frontier)
         self.step_edges += int(src.size)
         self.frontier = np.empty(0, dtype=np.int64)
@@ -155,25 +92,8 @@ class _BFSRank:
             return {}
         # Coalesce: one claim per remote target (any parent is valid).
         uniq, first = np.unique(rem_dst, return_index=True)
-        rem_dst, rem_src = uniq, rem_src[first]
-        out: dict[int, Message] = {}
-        owners = self.owner[rem_dst]
-        first_owner = int(owners[0])
-        if owners.size == 1 or not np.any(owners != first_owner):
-            msg = Message(vertex=rem_dst, parent=rem_src)
-            self.step_bytes += msg.nbytes
-            out[first_owner] = msg
-            return out
-        order = np.argsort(owners, kind="stable")
-        so, sd, sp = owners[order], rem_dst[order], rem_src[order]
-        cuts = np.flatnonzero(np.diff(so)) + 1
-        bounds = np.concatenate(([0], cuts, [so.size]))
-        for i in range(bounds.size - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            msg = Message(vertex=sd[lo:hi], parent=sp[lo:hi])
-            self.step_bytes += msg.nbytes
-            out[int(so[lo])] = msg
-        return out
+        self.claims.route(uniq, rem_src[first])
+        return self.flush_outbox(self.claims)
 
     def apply_claims(self, msg: Message | None, depth: int) -> None:
         if msg is None:
@@ -247,54 +167,20 @@ class _BFSRank:
         self.bottom_up_level(global_frontier, depth)
         return self._level_tail()
 
-    def export_final(self) -> dict:
-        """Final per-rank payload gathered by the driver after the loop."""
+    def answer(self) -> dict:
+        return {"parent": self.parent, "level": self.level}
+
+    def resident(self) -> dict[str, dict[str, np.ndarray]]:
+        lg = self.local_graph
         return {
-            "parent": self.parent,
-            "level": self.level,
-            "nbytes": self.state_nbytes(),
-            "graph_nbytes": self.graph_payload_nbytes(),
-            "lengths": self.state_array_lengths(),
+            "vertex": {
+                "parent": self.parent,
+                "level": self.level,
+                "local_indptr": lg.indptr,
+            },
+            "edges": {"adj": lg.adj, "weight": lg.weight},
+            "other": {"owned": self.owned},
         }
-
-    def take_step_work(self) -> tuple[int, int]:
-        work = (self.step_edges, self.step_bytes)
-        self.step_edges = 0
-        self.step_bytes = 0
-        return work
-
-    def state_array_lengths(self) -> dict[str, int]:
-        """Length of every resident per-vertex array this rank holds."""
-        return {
-            "parent": int(self.parent.size),
-            "level": int(self.level.size),
-            "local_indptr": int(self.local_graph.indptr.size),
-        }
-
-    def state_nbytes(self) -> int:
-        """Resident bytes of this rank's owned-local state (graph included)."""
-        return int(
-            self.parent.nbytes
-            + self.level.nbytes
-            + self.owned.nbytes
-            + self.local_graph.nbytes
-        )
-
-    def graph_payload_nbytes(self) -> int:
-        """Bytes of the rank's share of input edges (adjacency + weights)."""
-        return int(self.local_graph.adj.nbytes + self.local_graph.weight.nbytes)
-
-
-def distributed_bfs(*args, **kwargs):
-    """Removed legacy entry point for the distributed BFS engine.
-
-    Raises :class:`RuntimeError` pointing at ``repro.run`` — the unified
-    kernel-registry facade with the same semantics and a uniform return
-    shape.
-    """
-    legacy_removed(
-        "distributed_bfs", 'repro.run(graph, source, kernel="bfs", engine="dist1d")'
-    )
 
 
 def _distributed_bfs(
@@ -313,7 +199,7 @@ def _distributed_bfs(
     racecheck: bool = False,
     executor: str | RankExecutor | None = None,
     workers: int | None = None,
-) -> DistBFSRun:
+) -> RunSummary:
     """Distributed BFS; returns levels/parents identical to the shared kernel's
     reachability and validated by :func:`repro.bfs.validation.validate_bfs`.
 
@@ -348,12 +234,13 @@ class _BFSEngine:
     The driver owns the fabric, team, solve span and the vote → allreduce
     → step loop; this class owns the BFS-specific parts — the frontier
     size vote, the Beamer direction switch, the top-down claim exchange
-    vs. bottom-up bitmap allgather, and the :class:`DistBFSRun` assembly.
+    vs. bottom-up bitmap allgather, and the result assembly.
     The sequence of team and fabric calls is exactly the pre-substrate
     engine's, which the byte-exact equivalence fixtures pin.
     """
 
-    name = "bfs"
+    layout = "dist1d"
+    kernel_name = "bfs"
     vote_op = "sum"
 
     def __init__(
@@ -392,12 +279,12 @@ class _BFSEngine:
             graph, self.partition, num_ranks, "distributed BFS"
         )
         self.unexplored = float(graph.num_edges)
-        owner = np.asarray(self.part.owner_array)
+        router = OwnerRouter(self.part)
         ranks = [
-            _BFSRank(r, graph, self.part.vertices_of(r), owner, num_ranks)
+            _BFSRank(r, graph, self.part.vertices_of(r), router)
             for r in range(num_ranks)
         ]
-        src_rank = ranks[int(owner[self.source])]
+        src_rank = ranks[int(self.part.owner_of(self.source))]
         src_local = self.source - src_rank.range_lo
         src_rank.parent[src_local] = self.source
         src_rank.level[src_local] = 0
@@ -495,8 +382,9 @@ class _BFSEngine:
                 sum_of_ranks=sum_of_ranks,
             )
 
-    def finalize(self, ctx: EngineContext, exports: list[dict]) -> DistBFSRun:
-        fabric = ctx.fabric
+    def finalize(
+        self, ctx: EngineContext, exports: list[dict]
+    ) -> tuple[BFSResult, dict]:
         n = ctx.graph.num_vertices
         parent = np.full(n, _NO_PARENT, dtype=np.int64)
         level = np.full(n, -1, dtype=np.int64)
@@ -507,25 +395,10 @@ class _BFSEngine:
         result.counters.add("levels", self.depth)
         result.counters.add("levels_top_down", self.levels_top_down)
         result.counters.add("levels_bottom_up", self.levels_bottom_up)
-        result.counters.add(
-            "edges_inspected",
-            int(fabric.work_per_rank.get("edges", np.zeros(1)).sum()),
-        )
         result.meta.update(
             direction=self.direction,
             num_ranks=ctx.num_ranks,
             partition=self.part.kind,
         )
-        attach_fabric_outcome(result, fabric)
-        return DistBFSRun(
-            result=result,
-            num_ranks=ctx.num_ranks,
-            simulated_seconds=fabric.clock.total,
-            time_breakdown=fabric.clock.breakdown(),
-            trace_summary=fabric.trace.summary(),
-            work_imbalance=fabric.compute_imbalance("edges"),
-            meta={
-                "executor": executor_meta(ctx.team),
-                "rank_state": rank_state_meta(exports),
-            },
-        )
+        attach_fabric_outcome(result, ctx.fabric, "edges_inspected")
+        return result, {}

@@ -2,11 +2,11 @@
 
 Mirrors the real benchmark driver's workflow:
 
-* ``run``      — the full Graph500 SSSP protocol, official output block;
+* ``run``      — the full Graph500 SSSP protocol, official output block
+                 (``--kernel bfs``: the kernel-2 per-direction table);
                  ``--trace-out/--report-out/--chrome-out`` persist the run's
                  telemetry (JSONL stream, per-superstep report, Perfetto);
 * ``inspect``  — summarize a saved ``--trace-out`` JSONL telemetry file;
-* ``bfs``      — the kernel-2 extension, per-direction statistics;
 * ``ablation`` — the optimization ablation table;
 * ``sweep``    — the ∆ sensitivity sweep;
 * ``profile``  — run one engine under full instrumentation; print the
@@ -278,13 +278,6 @@ def _run_bfs_batched(args: argparse.Namespace) -> int:
     return 0 if result.all_valid else 1
 
 
-def _cmd_bfs_alias(args: argparse.Namespace) -> int:
-    from repro._deprecation import warn_alias
-
-    warn_alias("the 'bfs' subcommand", "'repro run --kernel bfs'")
-    return _run_bfs_table(args)
-
-
 def _run_bfs_table(args: argparse.Namespace) -> int:
     from repro import api
     from repro.bfs import validate_bfs
@@ -309,7 +302,7 @@ def _run_bfs_table(args: argparse.Namespace) -> int:
                 direction=direction,
                 faults=faults,
                 sanitize=args.sanitize,
-                racecheck=getattr(args, "racecheck", False),
+                racecheck=args.racecheck,
                 executor=exec_obj,
             )
             ok &= validate_bfs(graph, run.result).ok
@@ -318,7 +311,7 @@ def _run_bfs_table(args: argparse.Namespace) -> int:
                     "direction": direction,
                     "edges_inspected": run.result.counters["edges_inspected"],
                     "levels": run.result.counters["levels"],
-                    "sim_s": run.simulated_seconds,
+                    "sim_s": run.modeled_time,
                     "TEPS": run.teps(graph),
                 }
             )
@@ -390,7 +383,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
         run_kernel_bench,
         run_multicore_bench,
-        run_parallel_bench,
     )
 
     if args.batched:
@@ -419,16 +411,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             args.scale,
             args.ranks,
             kernels=tuple(args.kernels),
-            backends=tuple(args.backends),
-            workers=args.workers if args.workers is not None else 4,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    elif args.parallel:
-        doc = run_parallel_bench(
-            args.scale,
-            args.ranks,
-            engines=tuple(args.engines),
             backends=tuple(args.backends),
             workers=args.workers if args.workers is not None else 4,
             repeats=args.repeats,
@@ -506,8 +488,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         tracer.add_meta(faults=faults.describe())
     graph = build_csr(generate_kronecker(args.scale, seed=args.seed))
     source = int(np.argmax(graph.out_degree))
-    # "--engine bfs" predates the kernel axis; translate rather than go
-    # through the deprecated facade alias.
+    # "--engine bfs" is the committed documents' key for the BFS kernel
+    # on the 1-D layout.
     kernel = "bfs" if args.engine == "bfs" else "sssp"
     engine = "dist1d" if args.engine == "bfs" else args.engine
     run = api.run(
@@ -526,7 +508,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     tracer.close()
     attribution = PhaseAttribution.from_records(tracer.events)
     print(attribution.render_text())
-    print(f"\nmodeled time: {run.simulated_seconds:.6f}s (cost model, unchanged)")
+    print(f"\nmodeled time: {run.modeled_time:.6f}s (cost model, unchanged)")
     doc = attribution.to_dict()
     validate_profile_report(doc)
     if args.out:
@@ -728,29 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--max-rows", type=int, default=80)
     p_inspect.set_defaults(func=_cmd_inspect)
 
-    p_bfs = sub.add_parser(
-        "bfs", help="deprecated alias for 'run --kernel bfs'"
-    )
-    _add_common(p_bfs)
-    p_bfs.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="inject deterministic fabric faults (see 'run --faults')",
-    )
-    p_bfs.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="audit every fabric collective at runtime (see 'run --sanitize')",
-    )
-    p_bfs.add_argument(
-        "--racecheck",
-        action="store_true",
-        help="verify parallel-backend shared-memory contracts (see 'run --racecheck')",
-    )
-    _add_executor(p_bfs)
-    p_bfs.set_defaults(func=_cmd_bfs_alias)
-
     p_abl = sub.add_parser("ablation", help="optimization ablation table")
     _add_common(p_abl)
     p_abl.add_argument("--roots", type=int, default=2)
@@ -787,14 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
             "run the K1 vertex-kernel protocol instead: time these "
             "whole-graph kernels under every --backends entry "
             "(entries land under engines['kernel@backend'])"
-        ),
-    )
-    p_bench.add_argument(
-        "--parallel",
-        action="store_true",
-        help=(
-            "run the P2 parallel-backend protocol instead: time each "
-            "engine under every --backends entry and embed speedups"
         ),
     )
     p_bench.add_argument(
@@ -842,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=["serial", "thread", "process"],
         choices=("serial", "thread", "process"),
-        help="rank-execution backends to time (with --parallel)",
+        help="rank-execution backends to time (--kernels/--multicore/--batched)",
     )
     p_bench.add_argument(
         "--workers",

@@ -1,26 +1,11 @@
 """The paper's primary contribution: bucketed ∆-stepping SSSP, shared-memory
 and distributed, with the extreme-scale optimization stack (hub delegation,
-message coalescing, bucket fusion, adaptive ∆).
-
-``delta_stepping``/``distributed_sssp``/``distributed_sssp_2d`` are retired
-stubs that raise ``RuntimeError`` pointing at :func:`repro.run`.
+message coalescing, bucket fusion, adaptive ∆).  The engines are reached
+through :func:`repro.run`.
 """
 
 from repro.core.adaptive import choose_delta
 from repro.core.config import SSSPConfig
-from repro.core.delta_stepping import delta_stepping
-from repro.core.dist_sssp import DistSSSPRun, distributed_sssp
 from repro.core.result import SSSPResult, derive_parents
-from repro.core.twod_engine import TwoDRun, distributed_sssp_2d
 
-__all__ = [
-    "DistSSSPRun",
-    "SSSPConfig",
-    "SSSPResult",
-    "TwoDRun",
-    "choose_delta",
-    "delta_stepping",
-    "derive_parents",
-    "distributed_sssp",
-    "distributed_sssp_2d",
-]
+__all__ = ["SSSPConfig", "SSSPResult", "choose_delta", "derive_parents"]

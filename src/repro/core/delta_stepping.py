@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._deprecation import legacy_removed
 from repro.core.adaptive import choose_delta
 from repro.core.buckets import BucketQueue
 from repro.core.relaxation import expand, scatter_min
@@ -24,21 +23,6 @@ from repro.core.result import SSSPResult, derive_parents
 from repro.engine.validation import check_delta, check_source
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-__all__ = ["delta_stepping"]
-
-
-def delta_stepping(*args, **kwargs):
-    """Removed legacy entry point for the shared-memory ∆-stepping kernel.
-
-    Raises :class:`RuntimeError` pointing at ``repro.run`` — the unified
-    kernel-registry facade with the same semantics and a uniform return
-    shape.
-    """
-    legacy_removed(
-        "delta_stepping", 'repro.run(graph, source, kernel="sssp", engine="shared")'
-    )
-
 
 def _delta_stepping(
     graph: CSRGraph,

@@ -26,11 +26,8 @@ communication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro._deprecation import legacy_removed
 from repro.core.adaptive import choose_delta
 from repro.core.buckets import BucketQueue
 from repro.core.coalescing import dedup_min, pack_updates, unpack_updates
@@ -41,11 +38,11 @@ from repro.core.relaxation import expand, scatter_min
 from repro.core.result import SSSPResult, derive_parents
 from repro.engine.driver import (
     EngineContext,
+    RunSummary,
     attach_fabric_outcome,
-    executor_meta,
-    rank_state_meta,
     run_superstep_engine,
 )
+from repro.engine.rank import Columns, Outbox, OwnerRouter, Rank
 from repro.engine.validation import (
     check_delta,
     check_num_ranks,
@@ -61,55 +58,43 @@ from repro.simmpi.fabric import Message
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
-__all__ = ["distributed_sssp", "DistSSSPRun"]
-
-_KIND_UPDATE = 0
 _KIND_LIGHT_ANNOUNCE = 1
 _KIND_HEAVY_ANNOUNCE = 2
 
 _INF = np.inf
 
 
-class _Rank:
+class _Rank(Rank):
     """State and per-superstep behaviour of one simulated rank.
 
     All per-vertex state lives in *owned-local* index space: arrays are
     sized by the rank's owned-vertex count, not by the global vertex
     count, so a P-rank run costs O(n + halo) memory in total instead of
     O(n * P).  Global ids appear only on the wire and in the shared
-    read-only ``owner`` array; :class:`LocalIndexMap` translates at the
+    read-only owner router; :class:`LocalIndexMap` translates at the
     boundary.
     """
 
     def __init__(
         self,
         rank: int,
-        num_ranks: int,
         graph: CSRGraph,
         owned: np.ndarray,
-        owner: np.ndarray,
+        router: OwnerRouter,
         delegates: DelegateTable | None,
         config: SSSPConfig,
         delta: float,
     ) -> None:
-        self.rank = rank
-        self.num_ranks = num_ranks
+        super().__init__(rank, router)
+        self.num_ranks = router.num_ranks
+        self.num_vertices = graph.num_vertices
         self.config = config
         self.delta = delta
-        # repro: index-space: self.owner[global], self.owned[local]=global
+        # repro: index-space: self.owned[local]=global
         # repro: index-space: self.dist[local], self.in_epoch[local]
         # repro: index-space: self.is_hub_local[local], owned=global
-        # repro: shared-ro: self.owner
-        self.owner = owner  # shared dense owner array (read-only use)
         self.owned = owned
         self.lmap = LocalIndexMap(owned)
-        # On contiguous partitions "is it mine" is a range test — cheaper
-        # than gathering from the dense owner array on every route call.
-        self._own_contig = (
-            owned.size > 0 and int(owned[-1]) - int(owned[0]) + 1 == owned.size
-        )
-        self._own_lo = int(owned[0]) if owned.size else 0
-        self._own_hi = int(owned[-1]) + 1 if owned.size else 0
         self.delegates = delegates
         if delegates is not None and delegates.num_hubs:
             # Owned-local hub lookup plus a local CSR whose hub rows are
@@ -130,7 +115,7 @@ class _Rank:
         )
         self.ghosts = (
             GhostMinCache(key_dtype=ghost_key_dtype)
-            if (config.coalesce and num_ranks > 1)
+            if (config.coalesce and self.num_ranks > 1)
             else None
         )
         self.buckets = BucketQueue(self.dist, delta)
@@ -141,15 +126,12 @@ class _Rank:
             self.announced = np.full(delegates.num_hubs, _INF, dtype=np.float64)
         else:
             self.announced = np.empty(0, dtype=np.float64)
-        # Outbox accumulators: per destination, lists of (targets, dists, kinds).
-        self._out: list[list[tuple[np.ndarray, np.ndarray, int]]] = [
-            [] for _ in range(num_ranks)
-        ]
-        # Per-superstep work counters, reset by take_step_work().
-        self.step_edges = 0
-        self.step_bytes = 0
+        # Two record classes, two outboxes: plain distance updates go out
+        # in a superstep's reduce round, hub announcements in its
+        # broadcast round.
+        self.updates = Outbox(router, ("vertex", "dist"))
+        self.announcements = Outbox(router, ("vertex", "dist", "kind"))
         self._bucket_ops_seen = 0
-        self.has_pending_announcements = False
 
     # -- epoch lifecycle ---------------------------------------------------
 
@@ -167,67 +149,40 @@ class _Rank:
     def bucket_live_count(self, k: int) -> int:
         return int(self.buckets.live_count(k))
 
-    def take_pending_announcements(self) -> bool:
-        """Return and reset whether this rank queued a hub announcement."""
-        pending = self.has_pending_announcements
-        self.has_pending_announcements = False
-        return pending
-
     # -- candidate routing ---------------------------------------------------
 
-    def _route(self, targets: np.ndarray, cands: np.ndarray, kind: int) -> None:
-        """Apply owned candidates locally; enqueue remote ones for owners."""
-        # repro: wire-path
+    def _apply(self, targets: np.ndarray, cands: np.ndarray) -> None:
+        """Fold candidates for owned vertices into ``dist`` and the buckets."""
         # repro: index-space: targets=global
-        # The per-destination record order this split produces is the wire
-        # byte order, so the owner argsort below must stay stable.
+        improved = scatter_min(self.dist, self.lmap.to_local(targets), cands)
+        if improved.size:
+            self.buckets.insert(improved)
+
+    def _route(self, targets: np.ndarray, cands: np.ndarray) -> None:
+        """Apply owned candidates locally; enqueue remote ones for owners."""
+        # repro: index-space: targets=global
         if targets.size == 0:
             return
         if self.num_ranks == 1:
-            # Single-rank fast path: everything is owned — no owner
-            # gather, no remote split, no outbox.
-            improved = scatter_min(self.dist, self.lmap.to_local(targets), cands)
-            if improved.size:
-                self.buckets.insert(improved)
+            self._apply(targets, cands)
             return
-        if self._own_contig:
-            mine = (targets >= self._own_lo) & (targets < self._own_hi)
+        # On contiguous partitions "is it mine" is a range test — cheaper
+        # than an owner lookup on every route call.
+        if self.lmap.contiguous:
+            mine = self.lmap.contains(targets)
         else:
-            mine = self.owner[targets] == self.rank
+            mine = self.router.owners(targets) == self.rank
         if mine.any():
-            improved = scatter_min(
-                self.dist, self.lmap.to_local(targets[mine]), cands[mine]
-            )
-            if improved.size:
-                self.buckets.insert(improved)
+            self._apply(targets[mine], cands[mine])
         rem_t = targets[~mine]
         rem_c = cands[~mine]
-        if rem_t.size == 0:
-            return
-        if self.config.coalesce:
+        if rem_t.size and self.config.coalesce:
             # Filter through the cached view: only candidates that beat the
             # best value this rank ever sent can matter to the owner.  The
-            # batch comes back deduplicated, which also shrinks the owner
-            # split below and the flush-time re-dedup.
+            # batch comes back sorted by target and deduplicated, which on
+            # a contiguous partition is already the owner split's order.
             rem_t, rem_c = self.ghosts.coalesce_batch(rem_t, rem_c)
-            if rem_t.size == 0:
-                return
-        owners = self.owner[rem_t]
-        first = int(owners[0])
-        if owners.size == 1 or not np.any(owners != first):
-            # All candidates share one owner (common on contiguous
-            # partitions): skip the argsort/split entirely.
-            self._out[first].append((rem_t, rem_c, _KIND_UPDATE))
-            return
-        order = np.argsort(owners, kind="stable")
-        so = owners[order]
-        st = rem_t[order]
-        sc = rem_c[order]
-        cuts = np.flatnonzero(np.diff(so)) + 1
-        bounds = np.concatenate(([0], cuts, [so.size]))
-        for i in range(bounds.size - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            self._out[int(so[lo])].append((st[lo:hi], sc[lo:hi], _KIND_UPDATE))
+        self.updates.route(rem_t, rem_c)
 
     def _announce(self, hubs_local: np.ndarray, kind: int) -> None:
         """Broadcast (hub, dist) records; expand the local slice directly."""
@@ -247,10 +202,10 @@ class _Rank:
         dists = d[fresh]
         if hubs.size == 0:
             return
+        kinds = np.full(hubs.size, kind, dtype=np.uint8)
         for dst in range(self.num_ranks):
             if dst != self.rank:
-                self._out[dst].append((hubs, dists, kind))
-        self.has_pending_announcements = self.num_ranks > 1
+                self.announcements.put(dst, (hubs, dists, kinds))
         # This rank's own slice is expanded immediately (no self-message).
         self._expand_delegated(hubs, dists, kind)
 
@@ -261,7 +216,7 @@ class _Rank:
         else:
             targets, cands, scanned = self.delegates.expand(hubs, dists, weight_min=self.delta)
         self.step_edges += scanned
-        self._route(targets, cands, _KIND_UPDATE)
+        self._route(targets, cands)
 
     # -- superstep bodies ------------------------------------------------------
 
@@ -272,19 +227,10 @@ class _Rank:
         # repro: index-space: targets=global
         targets, dists, kinds = unpack_updates(msg)
         if not kinds.any():
-            # Pure-update message (the reduce phase): skip the kind split.
-            improved = scatter_min(self.dist, self.lmap.to_local(targets), dists)
-            if improved.size:
-                self.buckets.insert(improved)
+            # Pure-update message (the reduce round).  Plain updates are
+            # routed to the owner, so every target is owned by this rank.
+            self._apply(targets, dists)
             return
-        upd = kinds == _KIND_UPDATE
-        if upd.any():
-            # Plain updates are routed to the owner, so every target here
-            # is owned by this rank.
-            t = self.lmap.to_local(targets[upd])
-            improved = scatter_min(self.dist, t, dists[upd])
-            if improved.size:
-                self.buckets.insert(improved)
         for kind in (_KIND_LIGHT_ANNOUNCE, _KIND_HEAVY_ANNOUNCE):
             sel = kinds == kind
             if sel.any():
@@ -317,7 +263,7 @@ class _Rank:
                     self.local_graph, normal, self.dist, weight_max=self.delta
                 )
                 self.step_edges += scanned
-                self._route(targets, cands, _KIND_UPDATE)
+                self._route(targets, cands)
             if hubs.size:
                 self._announce(hubs, _KIND_LIGHT_ANNOUNCE)
 
@@ -338,101 +284,62 @@ class _Rank:
                 self.local_graph, normal, self.dist, weight_min=self.delta
             )
             self.step_edges += scanned
-            self._route(targets, cands, _KIND_UPDATE)
+            self._route(targets, cands)
         if hubs.size:
             self._announce(hubs, _KIND_HEAVY_ANNOUNCE)
 
     # -- flushing ---------------------------------------------------------------
 
-    def flush_outbox(self, num_vertices: int, announcements: bool) -> dict[int, Message]:
-        """Pack one class of queued records into one message per destination.
+    def _pack_updates(self, columns: Columns, num_parts: int) -> Message:
+        """Wire message for one destination's queued distance updates."""
+        targets, dists = columns
+        if self.config.coalesce and num_parts > 1:
+            # One minimum per target.  A lone part is already
+            # sorted-unique — it came out of the ghost cache's
+            # coalesce_batch — so dedup would be the identity.
+            targets, dists = dedup_min(targets, dists)
+        return pack_updates(
+            targets,
+            dists,
+            np.zeros(targets.size, dtype=np.uint8),
+            self.config.compressed_indices,
+            self.num_vertices,
+        )
 
-        ``announcements=True`` flushes hub announcements (the broadcast
-        phase of a superstep); ``False`` flushes plain distance updates (the
-        reduce phase).  Records of the other class stay queued.
-        """
-        out: dict[int, Message] = {}
-        for dst in range(self.num_ranks):
-            parts = self._out[dst]
-            if not parts:
-                continue
-            take = [p for p in parts if (p[2] != _KIND_UPDATE) == announcements]
-            if not take:
-                continue
-            if len(take) == len(parts):
-                # Everything queued is the flushed class (the common case).
-                self._out[dst] = []
-            else:
-                self._out[dst] = [
-                    p for p in parts if (p[2] != _KIND_UPDATE) != announcements
-                ]
-            if len(take) == 1:
-                # Single batch (the common case for broadcast rounds):
-                # no concatenation copies needed.
-                targets, dists = take[0][0], take[0][1]
-            else:
-                targets = np.concatenate([p[0] for p in take])
-                dists = np.concatenate([p[1] for p in take])
-            if self.config.coalesce and not announcements:
-                # Dedup plain updates per target (announcements are already
-                # unique per hub by the announce filter).  A lone part is
-                # already sorted-unique — it came out of the ghost cache's
-                # coalesce_batch — so dedup would be the identity.
-                if len(take) > 1:
-                    targets, dists = dedup_min(targets, dists)
-                kinds = np.zeros(targets.size, dtype=np.uint8)
-            elif len(take) == 1:
-                kinds = np.full(targets.size, take[0][2], dtype=np.uint8)
-            else:
-                kinds = np.concatenate(
-                    [np.full(p[0].size, p[2], dtype=np.uint8) for p in take]
-                )
-            msg = pack_updates(
-                targets, dists, kinds, self.config.compressed_indices, num_vertices
-            )
-            self.step_bytes += msg.nbytes
-            out[dst] = msg
-        return out
+    def _pack_announcements(self, columns: Columns, num_parts: int) -> Message:
+        """Wire message for queued hub announcements (unique per hub already)."""
+        return pack_updates(
+            *columns, self.config.compressed_indices, self.num_vertices
+        )
 
     # -- fused superstep phases (one team call per exchange side) -----------
     #
-    # Each light superstep used to cost up to five team calls (relax,
-    # pending check, two flushes, two inbox applies); the fused methods
-    # collapse them to one call per fabric exchange.  The announcement
-    # flush stays conditional per rank: the pending flag is True exactly
-    # when this rank queued announcement records (and implies the driver
-    # will run the broadcast round — announcements require delegation),
-    # so flushing only then produces byte-identical outboxes.
+    # A light superstep is one call per fabric exchange.  Each outbound
+    # call returns the rank's announcement outbox — non-empty exactly when
+    # it queued announcement records (which requires delegation) — and the
+    # driver runs the broadcast round when any rank returns one.
 
-    def light_superstep(
-        self, k: int, num_vertices: int, first: bool
-    ) -> tuple[bool, dict[int, Message]]:
+    def light_superstep(self, k: int, first: bool) -> dict[int, Message]:
         """Outbound half of a light superstep: drain, relax, flush announcements.
 
-        Returns ``(pending, announcement_outbox)``; ``first`` marks the
-        epoch's first superstep and runs ``start_epoch`` inline.
+        ``first`` marks the epoch's first superstep and runs
+        ``start_epoch`` inline.
         """
         if first:
             self.start_epoch()
         self.relax_bucket(k)
-        pending = self.take_pending_announcements()
-        ann = self.flush_outbox(num_vertices, True) if pending else {}
-        return pending, ann
+        return self.flush_outbox(self.announcements, self._pack_announcements)
 
-    def heavy_superstep(self, num_vertices: int) -> tuple[bool, dict[int, Message]]:
+    def heavy_superstep(self) -> dict[int, Message]:
         """Outbound half of the heavy round: emit, flush announcements."""
         self.emit_heavy()
-        pending = self.take_pending_announcements()
-        ann = self.flush_outbox(num_vertices, True) if pending else {}
-        return pending, ann
+        return self.flush_outbox(self.announcements, self._pack_announcements)
 
-    def process_then_flush_updates(
-        self, msg: Message | None, num_vertices: int
-    ) -> dict[int, Message]:
+    def process_then_flush_updates(self, msg: Message | None) -> dict[int, Message]:
         """Apply the announcement inbox (None when the broadcast round was
         skipped), then flush the plain-update outbox for the reduce round."""
         self.process_inbox(msg)
-        return self.flush_outbox(num_vertices, False)
+        return self.flush_outbox(self.updates, self._pack_updates)
 
     def finish_light_superstep(self, msg: Message | None, k: int) -> tuple:
         """Inbound tail of a light superstep: apply updates, read out work.
@@ -442,11 +349,7 @@ class _Rank:
         to the continuation allreduce.
         """
         self.process_inbox(msg)
-        edges, bucket_ops, nbytes = self.take_step_work()
-        return (
-            float(edges), float(bucket_ops), float(nbytes),
-            float(self.bucket_live(k)),
-        )
+        return (*self._work_readout(), float(self.bucket_live(k)))
 
     def finish_epoch(self, msg: Message | None) -> tuple:
         """Inbound tail of the heavy round: apply updates, read out work.
@@ -456,14 +359,10 @@ class _Rank:
         fused call so the loop top needs no extra gather.
         """
         self.process_inbox(msg)
-        edges, bucket_ops, nbytes = self.take_step_work()
-        return (
-            float(edges), float(bucket_ops), float(nbytes),
-            self.local_min_bucket(),
-        )
+        return (*self._work_readout(), self.local_min_bucket())
 
-    def take_step_work(self) -> tuple[int, int, int]:
-        """Return and reset (edges, bucket_ops, bytes) since the last call.
+    def _work_readout(self) -> tuple[float, float, float]:
+        """``(edges, bucket_ops, bytes)`` since the last call, as floats.
 
         Guarded against double-reset: a second call without intervening
         work returns zeros, and a rebuilt/reset bucket structure (ops
@@ -471,140 +370,38 @@ class _Rank:
         """
         bucket_ops = max(0, self.buckets.ops - self._bucket_ops_seen)
         self._bucket_ops_seen = self.buckets.ops
-        work = (self.step_edges, bucket_ops, self.step_bytes)
-        self.step_edges = 0
-        self.step_bytes = 0
-        return work
+        edges, nbytes = self.take_step_work()
+        return float(edges), float(bucket_ops), float(nbytes)
 
     # -- introspection -----------------------------------------------------
 
-    def state_array_lengths(self) -> dict[str, int]:
-        """Length of every resident per-vertex array this rank holds.
-
-        Used by the owned-local regression test (no array may scale with
-        the global vertex count) and the memory benchmark.
-        """
-        return {
-            "dist": int(self.dist.size),
-            "in_epoch": int(self.in_epoch.size),
-            "local_indptr": int(self.local_graph.indptr.size),
-            "ghost_slots": int(self.ghosts.capacity) if self.ghosts is not None else 0,
-            "announced": int(self.announced.size),
-            "is_hub_local": (
-                int(self.is_hub_local.size) if self.is_hub_local is not None else 0
-            ),
+    def resident(self) -> dict[str, dict[str, np.ndarray]]:
+        lg = self.local_graph
+        vertex = {
+            "dist": self.dist,
+            "in_epoch": self.in_epoch,
+            "local_indptr": lg.indptr,
+            "announced": self.announced,
         }
-
-    def state_nbytes(self) -> int:
-        """Resident bytes of this rank's owned-local state (graph included)."""
-        total = (
-            self.dist.nbytes
-            + self.in_epoch.nbytes
-            + self.owned.nbytes
-            + self.local_graph.nbytes
-            + self.announced.nbytes
-        )
-        if self.ghosts is not None:
-            total += self.ghosts.nbytes
         if self.is_hub_local is not None:
-            total += self.is_hub_local.nbytes
+            vertex["is_hub_local"] = self.is_hub_local
+        edges = {"adj": lg.adj, "weight": lg.weight}
+        other = {"owned": self.owned}
         if self.delegates is not None:
             d = self.delegates
-            total += d.hubs.nbytes + d.indptr.nbytes + d.adj.nbytes + d.weight.nbytes
-        return int(total)
-
-    def graph_payload_nbytes(self) -> int:
-        """Bytes of the partitioned input edges (adjacency + weights).
-
-        This is the rank's share of the graph itself — resident in any
-        layout — as opposed to the algorithm state the owned-local
-        refactor shrinks.
-        """
-        total = self.local_graph.adj.nbytes + self.local_graph.weight.nbytes
-        if self.delegates is not None:
-            total += self.delegates.adj.nbytes + self.delegates.weight.nbytes
-        return int(total)
-
-    def export_final(self) -> dict:
-        """Everything the driver needs after the last superstep.
-
-        Rank state may live in a worker process, so the final read-out is
-        a team call like any other phase.
-        """
+            edges.update(delegate_adj=d.adj, delegate_weight=d.weight)
+            other.update(hubs=d.hubs, delegate_indptr=d.indptr)
         return {
-            "dist": self.dist,
-            "nbytes": self.state_nbytes(),
-            "graph_nbytes": self.graph_payload_nbytes(),
-            "lengths": self.state_array_lengths(),
+            "vertex": vertex,
+            # The ghost cache sizes with the vertices a rank actually
+            # relaxes remotely (the halo), not with n.
+            "halo": {} if self.ghosts is None else self.ghosts.resident(),
+            "edges": edges,
+            "other": other,
         }
 
-
-@dataclass
-class DistSSSPRun:
-    """Everything a distributed run produced: answer, costs, measurements.
-
-    Implements the :class:`repro.api.RunSummary` protocol (``result``,
-    ``modeled_time``, ``comm``, ``report()``) shared by every engine.
-    """
-
-    engine = "dist1d"
-    kernel = "sssp"
-
-    result: SSSPResult
-    config: SSSPConfig
-    num_ranks: int
-    delta: float
-    simulated_seconds: float
-    time_breakdown: dict[str, float]
-    trace_summary: dict[str, float | int]
-    work_imbalance: float
-    machine_name: str
-    # Wire bytes per superstep: the traffic wavefront (rises through the
-    # dense middle buckets, decays in the tail).
-    step_bytes: list[int] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def modeled_time(self) -> float:
-        """Simulated seconds the cost model charged (RunSummary protocol)."""
-        return self.simulated_seconds
-
-    @property
-    def comm(self) -> dict[str, float | int]:
-        """Exact communication statistics (RunSummary protocol)."""
-        return self.trace_summary
-
-    def report(self) -> dict:
-        """Uniform engine-agnostic run report (RunSummary protocol)."""
-        return {
-            "engine": self.engine,
-            "kernel": self.kernel,
-            "num_ranks": self.num_ranks,
-            "modeled_time": self.modeled_time,
-            "time_breakdown": dict(self.time_breakdown),
-            "comm": dict(self.comm),
-            "counters": self.result.counters.as_dict(),
-            "work_imbalance": self.work_imbalance,
-            "meta": dict(self.meta),
-        }
-
-    def teps(self, graph: CSRGraph) -> float:
-        """Traversed edges per simulated second (Graph500 metric)."""
-        if self.simulated_seconds <= 0:
-            raise ValueError("run has no positive simulated time")
-        return self.result.traversed_edges(graph) / self.simulated_seconds
-
-
-def distributed_sssp(*args, **kwargs):
-    """Removed legacy entry point for the 1-D ∆-stepping engine.
-
-    Raises :class:`RuntimeError` pointing at ``repro.run`` — the unified
-    kernel-registry facade with the same semantics and a uniform return
-    shape.
-    """
-    legacy_removed(
-        "distributed_sssp", 'repro.run(graph, source, kernel="sssp", engine="dist1d")'
-    )
+    def answer(self) -> dict:
+        return {"dist": self.dist}
 
 
 class _DistSSSPEngine:
@@ -614,12 +411,12 @@ class _DistSSSPEngine:
     fabric, team, solve span and the vote → allreduce → step loop; this
     class owns what is ∆-stepping-specific — bucket votes, the epoch body
     (light phases, hub announcement rounds, the heavy round), and the
-    :class:`DistSSSPRun` assembly.  The sequence of team and fabric calls
-    is exactly the pre-substrate engine's, which the byte-exact
-    equivalence fixtures pin.
+    result assembly.  The sequence of team and fabric calls is exactly the
+    pre-substrate engine's, which the byte-exact equivalence fixtures pin.
     """
 
-    name = "dist1d"
+    layout = "dist1d"
+    kernel_name = "sssp"
     vote_op = "min"
 
     def __init__(
@@ -650,15 +447,14 @@ class _DistSSSPEngine:
     # -- driver hooks ------------------------------------------------------
 
     def build_ranks(self, graph: CSRGraph, num_ranks: int) -> list[_Rank]:
-        owner = np.asarray(self.partition.owner_array)
+        router = OwnerRouter(self.partition)
         config = self.config
         ranks = [
             _Rank(
                 rank=r,
-                num_ranks=num_ranks,
                 graph=graph,
                 owned=self.partition.vertices_of(r),
-                owner=owner,
+                router=router,
                 delegates=(
                     DelegateTable.build(graph, self.hubs, r, num_ranks)
                     if config.delegate_hubs
@@ -669,7 +465,7 @@ class _DistSSSPEngine:
             )
             for r in range(num_ranks)
         ]
-        src_rank = ranks[int(owner[self.source])]
+        src_rank = ranks[int(self.partition.owner_of(self.source))]
         src_local = int(src_rank.lmap.to_local(np.int64(self.source)))
         src_rank.dist[src_local] = 0.0
         src_rank.buckets.insert(np.array([src_local], dtype=np.int64))
@@ -696,39 +492,23 @@ class _DistSSSPEngine:
     ) -> np.ndarray:
         """The communication tail shared by light and heavy supersteps.
 
-        ``sent`` holds each rank's ``(pending, announcement_outbox)`` from
-        the fused outbound call.  Runs the announcement broadcast round
-        when any rank queued one (the skip condition is knowable without
-        extra cost on a real machine: the flag rides on the preceding
-        allreduce), then the plain-update reduce round, then the fused
+        ``sent`` holds each rank's announcement outbox from the fused
+        outbound call.  Runs the announcement broadcast round when any
+        rank queued one (the skip condition is knowable without extra cost
+        on a real machine: the flag rides on the preceding allreduce), then the plain-update reduce round, then the fused
         ``finish`` call whose per-rank ``(edges, bucket_ops, bytes, vote)``
         rows it charges to the cost model and returns.  The fabric call
         sequence — conditional exchange, exchange, charge — is exactly the
         unfused engine's.
         """
         team, fabric = ctx.team, ctx.fabric
-        num_vertices = ctx.graph.num_vertices
-        if (
-            self.config.delegate_hubs
-            and self.hubs.size
-            and any(pending for pending, _ in sent)
-        ):
-            inboxes = fabric.exchange([outbox for _, outbox in sent])
-            updates = team.call(
-                "process_then_flush_updates",
-                per_rank=[(m,) for m in inboxes],
-                common=(num_vertices,),
-                parallel=True,
-                lazy=True,
-            )
-        else:
-            updates = team.call(
-                "process_then_flush_updates",
-                per_rank=[(None,)] * ctx.num_ranks,
-                common=(num_vertices,),
-                parallel=True,
-                lazy=True,
-            )
+        inboxes = fabric.exchange(sent) if any(sent) else [None] * ctx.num_ranks
+        updates = team.call(
+            "process_then_flush_updates",
+            per_rank=[(m,) for m in inboxes],
+            parallel=True,
+            lazy=True,
+        )
         inboxes = fabric.exchange(updates)
         stats = np.array(
             team.call(
@@ -750,7 +530,6 @@ class _DistSSSPEngine:
         k = int(reduced)
         self.epochs += 1
         epochs = self.epochs
-        num_vertices = ctx.graph.num_vertices
         first = True
         with tracer.span("epoch", cat="engine", epoch=epochs, bucket=k):
             # ---- light phases.  Each superstep: local drain/relax, then
@@ -777,7 +556,7 @@ class _DistSSSPEngine:
                 ) as sp:
                     sent = team.call(
                         "light_superstep",
-                        common=(k, num_vertices, first),
+                        common=(k, first),
                         parallel=True,
                         lazy=True,
                     )
@@ -808,12 +587,7 @@ class _DistSSSPEngine:
             with tracer.span(
                 "superstep", cat="engine", phase="heavy", epoch=epochs, bucket=k
             ) as sp:
-                sent = team.call(
-                    "heavy_superstep",
-                    common=(num_vertices,),
-                    parallel=True,
-                    lazy=True,
-                )
+                sent = team.call("heavy_superstep", parallel=True, lazy=True)
                 stats = self._exchange_halves(ctx, sent, "finish_epoch", ())
                 edges = int(stats[:, 0].sum())
                 bucket_ops = int(stats[:, 1].sum())
@@ -831,7 +605,9 @@ class _DistSSSPEngine:
                 metrics.histogram("superstep_bytes").observe(step_bytes)
             self.heavy_rounds += 1
 
-    def finalize(self, ctx: EngineContext, exports: list[dict]) -> DistSSSPRun:
+    def finalize(
+        self, ctx: EngineContext, exports: list[dict]
+    ) -> tuple[SSSPResult, dict]:
         fabric, tracer = ctx.fabric, ctx.tracer
         metrics = self.metrics
         # ---- assemble the global answer ---------------------------------
@@ -849,9 +625,6 @@ class _DistSSSPEngine:
         result.counters.add("epochs", self.epochs)
         result.counters.add("light_supersteps", self.light_supersteps)
         result.counters.add("heavy_rounds", self.heavy_rounds)
-        result.counters.add(
-            "edges_relaxed", int(fabric.work_per_rank.get("edges", np.zeros(1)).sum())
-        )
         result.meta.update(
             algorithm="distributed_delta_stepping",
             delta=float(self.delta),
@@ -860,7 +633,7 @@ class _DistSSSPEngine:
             num_hubs=int(self.hubs.size),
             variant=self.config.variant_name(),
         )
-        attach_fabric_outcome(result, fabric)
+        attach_fabric_outcome(result, fabric, "edges_relaxed")
         if tracer.enabled:
             metrics.gauge("work_imbalance").set(fabric.compute_imbalance("edges"))
             metrics.gauge("comm_imbalance").set(fabric.trace.comm_imbalance())
@@ -869,28 +642,11 @@ class _DistSSSPEngine:
             )
             metrics.absorb_counters(result.counters)
             tracer.emit_metrics("engine", metrics.snapshot())
-        return DistSSSPRun(
-            result=result,
-            config=self.config,
-            num_ranks=ctx.num_ranks,
-            delta=float(self.delta),
-            simulated_seconds=fabric.clock.total,
-            time_breakdown=fabric.clock.breakdown(),
-            trace_summary=fabric.trace.summary(),
-            work_imbalance=fabric.compute_imbalance("edges"),
-            machine_name=ctx.machine.name,
-            step_bytes=list(fabric.trace.step_bytes),
-            meta={
-                "partition": self.partition.kind,
-                "executor": executor_meta(ctx.team),
-                # The ghost cache is excluded from the dense-length gate:
-                # it sizes with the vertices a rank actually relaxes
-                # remotely (the halo), not with n.
-                "rank_state": rank_state_meta(
-                    exports, dense_exclude=("ghost_slots",)
-                ),
-            },
-        )
+        return result, {
+            "partition": self.partition.kind,
+            "config": self.config,
+            "delta": float(self.delta),
+        }
 
 
 def _distributed_sssp(
@@ -905,10 +661,10 @@ def _distributed_sssp(
     racecheck: bool = False,
     executor: str | RankExecutor | None = None,
     workers: int | None = None,
-) -> DistSSSPRun:
+) -> RunSummary:
     """Run distributed ∆-stepping SSSP on a simulated machine.
 
-    Returns a :class:`DistSSSPRun` whose ``result`` is bit-identical in
+    Returns a :class:`RunSummary` whose ``result`` is bit-identical in
     distances to the sequential oracle (the engine is exact; the simulation
     only affects the modeled time).
 

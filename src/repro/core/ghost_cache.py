@@ -59,14 +59,9 @@ class GhostMinCache:
     def __len__(self) -> int:
         return int(self._keys.size)
 
-    @property
-    def capacity(self) -> int:
-        """Allocated entries — equal to ``len``: the layout is exact-fit."""
-        return int(self._keys.size)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._keys.nbytes + self._vals.nbytes)
+    def resident(self) -> dict[str, np.ndarray]:
+        """The arrays the cache holds, by name — exact-fit, ``len`` entries each."""
+        return {"ghost_keys": self._keys, "ghost_vals": self._vals}
 
     # -- lookup ------------------------------------------------------------
 

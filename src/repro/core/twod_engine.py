@@ -21,22 +21,19 @@ way (tests compare both against Dijkstra).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro._deprecation import legacy_removed
 from repro.core.coalescing import dedup_min
 from repro.core.config import SSSPConfig
 from repro.core.relaxation import frontier_edges, scatter_min
 from repro.core.result import SSSPResult, derive_parents
 from repro.engine.driver import (
     EngineContext,
+    RunSummary,
     attach_fabric_outcome,
-    executor_meta,
-    rank_state_meta,
     run_superstep_engine,
 )
+from repro.engine.rank import Columns, Outbox, OwnerRouter, Rank
 from repro.engine.validation import (
     check_grid,
     check_source,
@@ -50,66 +47,10 @@ from repro.simmpi.fabric import Message
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
-__all__ = ["distributed_sssp_2d", "TwoDRun"]
-
 _INF = np.inf
 
 
-@dataclass
-class TwoDRun:
-    """Outcome of a 2-D engine run.
-
-    Implements the :class:`repro.api.RunSummary` protocol (``result``,
-    ``modeled_time``, ``comm``, ``report()``) shared by every engine.
-    """
-
-    engine = "dist2d"
-    kernel = "sssp"
-
-    result: SSSPResult
-    rows: int
-    cols: int
-    simulated_seconds: float
-    time_breakdown: dict[str, float]
-    trace_summary: dict[str, float | int]
-    max_partners_per_rank: int
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def num_ranks(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def modeled_time(self) -> float:
-        """Simulated seconds the cost model charged (RunSummary protocol)."""
-        return self.simulated_seconds
-
-    @property
-    def comm(self) -> dict[str, float | int]:
-        """Exact communication statistics (RunSummary protocol)."""
-        return self.trace_summary
-
-    def report(self) -> dict:
-        """Uniform engine-agnostic run report (RunSummary protocol)."""
-        return {
-            "engine": self.engine,
-            "kernel": self.kernel,
-            "num_ranks": self.num_ranks,
-            "modeled_time": self.modeled_time,
-            "time_breakdown": dict(self.time_breakdown),
-            "comm": dict(self.comm),
-            "counters": self.result.counters.as_dict(),
-            "work_imbalance": 1.0,
-            "meta": dict(self.meta),
-        }
-
-    def teps(self, graph: CSRGraph) -> float:
-        if self.simulated_seconds <= 0:
-            raise ValueError("run has no positive simulated time")
-        return self.result.traversed_edges(graph) / self.simulated_seconds
-
-
-class _GridRank:
+class _GridRank(Rank):
     """One rank of the R x C grid: an edge block plus (maybe) owned vertices.
 
     State is *row-local*: every per-vertex array spans only this grid row's
@@ -131,16 +72,16 @@ class _GridRank:
         rows: int,
         cols: int,
         graph: CSRGraph,
-        owner: np.ndarray,
+        router: OwnerRouter,
         owned: np.ndarray,
         row_range: tuple[int, int],
+        adj_cols: np.ndarray,
         coalesce: bool = True,
         vertex_dtype: np.dtype = np.int64,
-        adj_cols: np.ndarray | None = None,
     ) -> None:
-        self.rank = rank
-        # repro: shared-ro: self._owner
-        self._owner = owner
+        super().__init__(rank, router)
+        # Column-reduce candidates, split by target owner.
+        self.candidates = Outbox(router, ("vertex", "dist"))
         self.coalesce = coalesce
         self.vertex_dtype = vertex_dtype
         self.grid_row = rank // cols
@@ -149,7 +90,7 @@ class _GridRank:
         self.cols = cols
         # "local" for a grid rank means *row-local*: global id − row_lo.
         # repro: index-space: self.dist_row[local], self.frontier=local
-        # repro: index-space: self.owned=global, self._owner[global]
+        # repro: index-space: self.owned=global
         self.owned = owned
         self.row_lo, self.row_hi = row_range
         self.own_lo = int(owned[0]) if owned.size else 0
@@ -164,8 +105,6 @@ class _GridRank:
         # ``adj_cols`` (the grid column of every target in this row's edge
         # slice) is shared by the row's ``cols`` ranks; the driver computes
         # it once per grid row instead of once per rank.
-        if adj_cols is None:
-            adj_cols = owner[adj] % cols
         keep = adj_cols == self.grid_col
         kept_upto = np.zeros(adj.size + 1, dtype=np.int64)
         np.cumsum(keep, out=kept_upto[1:])
@@ -184,8 +123,6 @@ class _GridRank:
         # letting the consumers skip the sort/unique.
         self.frontier = np.empty(0, dtype=np.int64)
         self._frontier_segs = 0
-        self.step_edges = 0
-        self.step_bytes = 0
 
     # -- phase 1: frontier broadcast along the grid row --------------------
 
@@ -262,37 +199,14 @@ class _GridRank:
         if rem_t.size == 0:
             return {}
         # Owners of these targets sit in this grid column by construction.
-        return self._route_column(rem_t, rem_b)
+        self.candidates.route(rem_t, rem_b)
+        return self.flush_outbox(self.candidates, self._pack_candidates)
 
-    def _route_column(self, targets: np.ndarray, best: np.ndarray) -> dict[int, Message]:
-        # repro: wire-path
-        # repro: index-space: targets=global
-        # Per-destination record order is wire byte order: stable sort only.
-        out: dict[int, Message] = {}
-        owner_rank = self._owner[targets]
-        first = int(owner_rank[0])
-        if owner_rank.size == 1 or not np.any(owner_rank != first):
-            # Single destination (common once the column has few owners):
-            # skip the sort/split machinery.
-            msg = Message(
-                vertex=targets.astype(self.vertex_dtype, copy=False), dist=best
-            )
-            self.step_bytes += msg.nbytes
-            out[first] = msg
-            return out
-        order = np.argsort(owner_rank, kind="stable")
-        so, st, sb = owner_rank[order], targets[order], best[order]
-        cuts = np.flatnonzero(np.diff(so)) + 1
-        bounds = np.concatenate(([0], cuts, [so.size]))
-        for i in range(bounds.size - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            msg = Message(
-                vertex=st[lo:hi].astype(self.vertex_dtype, copy=False),
-                dist=sb[lo:hi],
-            )
-            self.step_bytes += msg.nbytes
-            out[int(so[lo])] = msg
-        return out
+    def _pack_candidates(self, columns: Columns, num_parts: int) -> Message:
+        targets, best = columns
+        return Message(
+            vertex=targets.astype(self.vertex_dtype, copy=False), dist=best
+        )
 
     def receive_candidates(self, msg: Message | None) -> None:
         if msg is None:
@@ -307,12 +221,6 @@ class _GridRank:
         if improved.size:
             self.frontier = np.concatenate([self.frontier, improved])
             self._frontier_segs += 1
-
-    def take_step_work(self) -> tuple[int, int]:
-        work = (self.step_edges, self.step_bytes)
-        self.step_edges = 0
-        self.step_bytes = 0
-        return work
 
     def frontier_size(self) -> int:
         return int(self.frontier.size)
@@ -338,42 +246,15 @@ class _GridRank:
         edges, nbytes = self.take_step_work()
         return (float(edges), float(nbytes), float(self.frontier.size))
 
-    def export_final(self) -> dict:
-        """Final per-rank payload gathered by the driver after the loop."""
+    def answer(self) -> dict:
+        return {"owned_dist": self.dist_row[self.owned - self.row_lo]}
+
+    def resident(self) -> dict[str, dict[str, np.ndarray]]:
         return {
-            "owned_dist": self.dist_row[self.owned - self.row_lo],
-            "nbytes": self.state_nbytes(),
-            "graph_nbytes": self.graph_payload_nbytes(),
-            "lengths": self.state_array_lengths(),
+            "vertex": {"dist_row": self.dist_row, "block_indptr": self.block.indptr},
+            "edges": {"adj": self.block.adj, "weight": self.block.weight},
+            "other": {"owned": self.owned},
         }
-
-    def state_array_lengths(self) -> dict[str, int]:
-        """Length of every resident per-vertex array this rank holds."""
-        return {
-            "dist_row": int(self.dist_row.size),
-            "block_indptr": int(self.block.indptr.size),
-        }
-
-    def state_nbytes(self) -> int:
-        """Resident bytes of this rank's row-local state (block included)."""
-        return int(self.dist_row.nbytes + self.owned.nbytes + self.block.nbytes)
-
-    def graph_payload_nbytes(self) -> int:
-        """Bytes of the rank's block of input edges (adjacency + weights)."""
-        return int(self.block.adj.nbytes + self.block.weight.nbytes)
-
-
-def distributed_sssp_2d(*args, **kwargs):
-    """Removed legacy entry point for the 2-D engine.
-
-    Raises :class:`RuntimeError` pointing at ``repro.run`` — the unified
-    kernel-registry facade with the same semantics and a uniform return
-    shape.
-    """
-    legacy_removed(
-        "distributed_sssp_2d",
-        'repro.run(graph, source, kernel="sssp", engine="dist2d")',
-    )
 
 
 def _distributed_sssp_2d(
@@ -389,7 +270,7 @@ def _distributed_sssp_2d(
     racecheck: bool = False,
     executor: str | RankExecutor | None = None,
     workers: int | None = None,
-) -> TwoDRun:
+) -> RunSummary:
     """Exact SSSP with 2-D frontier relaxation on a process grid.
 
     ``grid`` defaults to the most-square factorization of ``num_ranks``.
@@ -436,12 +317,13 @@ class _TwoDEngine:
     The driver owns the fabric, team, solve span and the vote → allreduce
     → step loop; this class owns the grid-specific parts — the frontier
     size vote, the round body (row broadcast, block relaxation, column
-    reduce), and the :class:`TwoDRun` assembly.  The sequence of team and
-    fabric calls is exactly the pre-substrate engine's, which the
-    byte-exact equivalence fixtures pin.
+    reduce), and the result assembly.  The sequence of team and fabric
+    calls is exactly the pre-substrate engine's, which the byte-exact
+    equivalence fixtures pin.
     """
 
-    name = "dist2d"
+    layout = "dist2d"
+    kernel_name = "sssp"
     hierarchical = False
     vote_op = "sum"
 
@@ -486,7 +368,8 @@ class _TwoDEngine:
                 np.uint32 if (config.compressed_indices and small_enough) else np.int64
             )
         self.part = part
-        owner = np.asarray(part.owner_array)
+        router = OwnerRouter(part)
+        owner = part.owner_array
         owned_arrays = [part.vertices_of(r) for r in range(num_ranks)]
         # Each grid row's source range: the union of its ranks' (contiguous,
         # ordered) owned ranges.  Row-local state spans exactly this range.
@@ -511,12 +394,12 @@ class _TwoDEngine:
                 rows,
                 cols,
                 graph,
-                owner,
+                router,
                 owned_arrays[r],
                 row_ranges[r // cols],
+                row_adj_cols[r // cols],
                 coalesce=coalesce,
                 vertex_dtype=vertex_dtype,
-                adj_cols=row_adj_cols[r // cols],
             )
             for r in range(num_ranks)
         ]
@@ -584,8 +467,9 @@ class _TwoDEngine:
                 sum_of_ranks=sum_of_ranks,
             )
 
-    def finalize(self, ctx: EngineContext, exports: list[dict]) -> TwoDRun:
-        fabric = ctx.fabric
+    def finalize(
+        self, ctx: EngineContext, exports: list[dict]
+    ) -> tuple[SSSPResult, dict]:
         dist = np.full(ctx.graph.num_vertices, _INF, dtype=np.float64)
         for r, export in zip(ctx.ranks, exports):
             dist[r.owned] = export["owned_dist"]
@@ -595,9 +479,6 @@ class _TwoDEngine:
             parent=derive_parents(ctx.graph, dist, self.source),
         )
         result.counters.add("rounds", self.rounds)
-        result.counters.add(
-            "edges_relaxed", int(fabric.work_per_rank.get("edges", np.zeros(1)).sum())
-        )
         result.meta.update(
             algorithm="distributed_sssp_2d",
             grid=f"{self.rows}x{self.cols}",
@@ -605,17 +486,8 @@ class _TwoDEngine:
         )
         if self.config is not None:
             result.meta["variant"] = self.config.variant_name()
-        attach_fabric_outcome(result, fabric)
-        return TwoDRun(
-            result=result,
-            rows=self.rows,
-            cols=self.cols,
-            simulated_seconds=fabric.clock.total,
-            time_breakdown=fabric.clock.breakdown(),
-            trace_summary=fabric.trace.summary(),
-            max_partners_per_rank=self.max_partners,
-            meta={
-                "executor": executor_meta(ctx.team),
-                "rank_state": rank_state_meta(exports),
-            },
-        )
+        attach_fabric_outcome(result, ctx.fabric, "edges_relaxed")
+        return result, {
+            "grid": (self.rows, self.cols),
+            "max_partners_per_rank": self.max_partners,
+        }

@@ -1,12 +1,15 @@
 """The generic superstep substrate every distributed engine runs on.
 
-Two layers live here:
+Three layers live here:
 
 * :mod:`repro.engine.driver` — the low-level loop (vote → fabric
   allreduce → engine-defined step) shared by the 1-D ∆-stepping, 2-D
-  checkerboard, and distributed BFS engines, plus the finalize
-  bookkeeping they all repeat (fault counters, sanitizer report,
-  executor/rank-state meta).
+  checkerboard, and distributed BFS engines, plus the one
+  :class:`~repro.engine.driver.RunSummary` every run returns, filled
+  from the fabric in one place.
+* :mod:`repro.engine.rank` — what every rank does besides its algorithm:
+  the owner router, the outbox, the step-work readout and the final
+  export's memory accounting.
 * :mod:`repro.engine.protocol` — the high-level vertex-kernel substrate:
   implement the small :class:`~repro.engine.protocol.Kernel` protocol
   (``init_state`` / ``frontier_from`` / ``gen_messages`` /
@@ -23,18 +26,19 @@ engine shares, so error messages agree across engines by construction.
 
 from repro.engine.driver import (
     EngineContext,
+    RunSummary,
     SuperstepEngine,
     run_superstep_engine,
 )
-from repro.engine.protocol import Kernel, KernelRun, RankContext, run_kernel
+from repro.engine.protocol import Kernel, RankContext, run_kernel
 from repro.engine.results import CorenessResult, LabelsResult, RanksResult
 
 __all__ = [
     "EngineContext",
+    "RunSummary",
     "SuperstepEngine",
     "run_superstep_engine",
     "Kernel",
-    "KernelRun",
     "RankContext",
     "run_kernel",
     "LabelsResult",

@@ -22,7 +22,7 @@ pin the refactor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Protocol
 
 import numpy as np
@@ -36,12 +36,69 @@ from repro.simmpi.machine import MachineSpec, small_cluster
 
 __all__ = [
     "EngineContext",
+    "RunSummary",
     "SuperstepEngine",
     "run_superstep_engine",
     "attach_fabric_outcome",
-    "executor_meta",
     "rank_state_meta",
 ]
+
+
+@dataclass
+class RunSummary:
+    """What every run produced, whatever the kernel and engine.
+
+    Attributes:
+        engine: the layout that ran (``dist1d``/``dist2d``/``shared``).
+        kernel: the kernel computed (``sssp``/``bfs``/``cc``/``pagerank``/
+            ``kcore``/``bfs64``/``sssp_batch``).
+        result: the kernel-typed answer object (with counters, meta and a
+            ``validate(graph)`` oracle check).
+        num_ranks: simulated ranks (1 for the shared engine).
+        modeled_time: simulated seconds charged by the cost model (0.0 for
+            the shared engine, which has no cost model).
+        time_breakdown: ``modeled_time`` split by cost-model term.
+        comm: exact communication statistics (``CommTrace.summary()``
+            shape; empty for the shared engine).
+        work_imbalance: max over mean of the per-rank edge work charged.
+        machine_name: the simulated machine's name.
+        step_bytes: wire bytes per superstep — the traffic wavefront.
+        meta: what is specific to the engine (``config``/``delta`` for
+            1-D ∆-stepping, ``grid``/``max_partners_per_rank`` for the 2-D
+            grid, ``partition``) plus ``executor`` and ``rank_state``.
+    """
+
+    engine: str
+    kernel: str
+    result: Any
+    num_ranks: int = 1
+    modeled_time: float = 0.0
+    time_breakdown: dict[str, float] = field(default_factory=dict)
+    comm: dict[str, float | int] = field(default_factory=dict)
+    work_imbalance: float = 1.0
+    machine_name: str = ""
+    step_bytes: list[int] = field(default_factory=list)
+    meta: dict = field(default_factory=dict)
+
+    def report(self) -> dict:
+        """One kernel-agnostic report dict."""
+        return {
+            "engine": self.engine,
+            "kernel": self.kernel,
+            "num_ranks": self.num_ranks,
+            "modeled_time": self.modeled_time,
+            "time_breakdown": dict(self.time_breakdown),
+            "comm": dict(self.comm),
+            "counters": self.result.counters.as_dict(),
+            "work_imbalance": self.work_imbalance,
+            "meta": dict(self.meta),
+        }
+
+    def teps(self, graph: CSRGraph) -> float:
+        """Traversed edges per simulated second (Graph500 metric)."""
+        if self.modeled_time <= 0:
+            raise ValueError("run has no positive simulated time")
+        return self.result.traversed_edges(graph) / self.modeled_time
 
 
 @dataclass
@@ -68,13 +125,15 @@ class SuperstepEngine(Protocol):
     """What an engine must provide to run on the superstep driver.
 
     Attributes:
-        name: short engine name (lands in run meta and tracer spans).
+        layout: the run's ``engine`` name (``dist1d``/``dist2d``).
+        kernel_name: the run's ``kernel`` name.
         hierarchical: whether the fabric aggregates reduces hierarchically.
         vote_op: the allreduce op combining per-rank votes
             (``"min"``/``"sum"``/``"max"``).
     """
 
-    name: str
+    layout: str
+    kernel_name: str
     hierarchical: bool
     vote_op: str
 
@@ -94,8 +153,12 @@ class SuperstepEngine(Protocol):
         """One engine-defined superstep/epoch of team phases + exchanges."""
         ...
 
-    def finalize(self, ctx: EngineContext, exports: list[dict]) -> Any:
-        """Assemble the run object from the per-rank final exports."""
+    def finalize(self, ctx: EngineContext, exports: list[dict]) -> tuple[Any, dict]:
+        """Assemble ``(result, meta)`` from the per-rank final exports.
+
+        ``result`` is the kernel-typed answer; ``meta`` holds what is
+        specific to this engine in the run's ``meta``.
+        """
         ...
 
 
@@ -111,7 +174,7 @@ def run_superstep_engine(
     racecheck: bool = False,
     executor: str | RankExecutor | None = None,
     workers: int | None = None,
-) -> Any:
+) -> RunSummary:
     """Run ``engine`` to convergence on a simulated machine.
 
     The loop is vote → allreduce → step: every engine terminates on a
@@ -171,25 +234,41 @@ def run_superstep_engine(
         team.close()
         if owns_executor:
             exec_obj.close()
-    run = engine.finalize(ctx, exports)
+    result, meta = engine.finalize(ctx, exports)
     if team.racecheck is not None:
-        # Next to the sanitizer report (the kernel-typed result's meta):
-        # violations raise during the run, so a report landing here
-        # certifies zero of them.
-        inner = getattr(run, "result", run)
-        meta = getattr(inner, "meta", None)
-        if meta is not None:
-            meta["racecheck"] = team.racecheck.report()
-    return run
+        # Next to the sanitizer report: violations raise during the run,
+        # so a report landing here certifies zero of them.
+        result.meta["racecheck"] = team.racecheck.report()
+    return RunSummary(
+        engine=engine.layout,
+        kernel=engine.kernel_name,
+        result=result,
+        num_ranks=num_ranks,
+        modeled_time=fabric.clock.total,
+        time_breakdown=fabric.clock.breakdown(),
+        comm=fabric.trace.summary(),
+        work_imbalance=fabric.compute_imbalance("edges"),
+        machine_name=machine.name,
+        step_bytes=list(fabric.trace.step_bytes),
+        meta={
+            **meta,
+            "executor": {"backend": team.backend, "workers": team.num_workers},
+            "rank_state": rank_state_meta(exports),
+        },
+    )
 
 
-def attach_fabric_outcome(result, fabric: Fabric) -> None:
-    """Fold the fabric's fault and sanitizer outcomes into a result.
+def attach_fabric_outcome(result, fabric: Fabric, edges_counter: str) -> None:
+    """Fold what the fabric measured into a result.
 
-    Every engine records these identically: fault-injection counters and
-    the spec that produced them (when a plan was active), and the
-    sanitizer's audit summary (when auditing was on).
+    Every engine records these identically: the per-rank edge work the
+    cost model was charged, summed under the engine's own counter name;
+    fault-injection counters and the spec that produced them (when a plan
+    was active); and the sanitizer's audit summary (when auditing was on).
     """
+    result.counters.add(
+        edges_counter, int(fabric.work_per_rank.get("edges", np.zeros(1)).sum())
+    )
     if fabric.faults is not None:
         result.meta["faults"] = fabric.faults.spec.describe()
         result.counters.add("messages_dropped", fabric.trace.messages_dropped)
@@ -200,38 +279,32 @@ def attach_fabric_outcome(result, fabric: Fabric) -> None:
         result.meta["sanitizer"] = fabric.sanitizer.report()
 
 
-def executor_meta(team: RankTeam) -> dict:
-    """The executor block of a run's meta: which backend actually ran."""
-    return {"backend": team.backend, "workers": team.num_workers}
-
-
-def rank_state_meta(
-    exports: list[dict], *, dense_exclude: tuple[str, ...] | None = None
-) -> dict:
+def rank_state_meta(exports: list[dict]) -> dict:
     """The rank-state block of a run's meta, from per-rank final exports.
 
-    Every engine's ``export_final`` reports ``nbytes`` (resident state,
-    graph share included), ``graph_nbytes`` (the rank's share of the input
-    edges — resident in any layout), and ``lengths`` (every resident
-    per-vertex array).  ``dense_exclude`` names arrays that size with a
-    halo rather than with owned vertices (the 1-D engine's ghost cache);
-    when given, a ``max_dense_len`` entry tracks only the truly dense
-    arrays the owned-local layout shrinks from O(n) to O(owned).
+    Every rank's ``export_final`` (:class:`repro.engine.rank.Rank`)
+    reports ``nbytes`` (resident state, graph share included),
+    ``graph_nbytes`` (the rank's share of the input edges — resident in
+    any layout) and ``lengths`` (every resident per-vertex array).  A
+    rank that also declares halo arrays (the 1-D engine's ghost cache,
+    which sizes with the remote vertices touched rather than with owned
+    ones) reports them apart as ``halo_lengths``; ``max_dense_len`` then
+    tracks only the truly dense arrays the owned-local layout shrinks
+    from O(n) to O(owned).
     """
     rank_bytes = [e["nbytes"] for e in exports]
-    rank_state_only = [e["nbytes"] - e["graph_nbytes"] for e in exports]
-    rank_lengths = [e["lengths"] for e in exports]
+    dense = max(max(e["lengths"].values()) for e in exports)
     out = {
         "max_bytes": max(rank_bytes),
         "total_bytes": sum(rank_bytes),
         # Algorithm state only: excludes the rank's share of the input
         # edges (adjacency + weights), which is resident in any layout.
-        "max_state_bytes": max(rank_state_only),
-        "max_array_len": max(max(d.values()) for d in rank_lengths),
+        "max_state_bytes": max(e["nbytes"] - e["graph_nbytes"] for e in exports),
+        "max_array_len": dense,
     }
-    if dense_exclude is not None:
-        out["max_dense_len"] = max(
-            max(v for k, v in d.items() if k not in dense_exclude)
-            for d in rank_lengths
+    if "halo_lengths" in exports[0]:
+        out["max_dense_len"] = dense
+        out["max_array_len"] = max(
+            dense, *(max(e["halo_lengths"].values(), default=0) for e in exports)
         )
     return out

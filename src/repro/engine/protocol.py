@@ -7,7 +7,7 @@ else is supplied by :func:`run_kernel` on top of the superstep driver:
 owner routing over contiguous 1-D partitions, the simulated fabric with
 its cost model, fault injection and the sanitizer, rank-execution
 backends (serial/thread/process), tracer spans and profile buckets, and
-the uniform :class:`KernelRun` summary.
+the uniform :class:`~repro.engine.driver.RunSummary`.
 
 The substrate is deliberately order-disciplined so kernels can be exact:
 records travel the wire in *(owner rank ascending, generation order)*
@@ -24,18 +24,18 @@ on this interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Protocol
 
 import numpy as np
 
 from repro.engine.driver import (
     EngineContext,
+    RunSummary,
     attach_fabric_outcome,
-    executor_meta,
-    rank_state_meta,
     run_superstep_engine,
 )
+from repro.engine.rank import Outbox, OwnerRouter, Rank
 from repro.engine.validation import check_num_ranks, make_contiguous_partition
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
@@ -45,7 +45,7 @@ from repro.simmpi.fabric import Message
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
-__all__ = ["Kernel", "KernelRun", "RankContext", "run_kernel", "split_by_owner"]
+__all__ = ["Kernel", "RankContext", "run_kernel"]
 
 #: Finite stand-in for "no vote": sums/mins of it never reach a NaN and
 #: the sanitizer's finite-contribution audit stays happy (same convention
@@ -153,79 +153,26 @@ class Kernel(Protocol):
         ...
 
 
-def split_by_owner(
-    targets: np.ndarray, values: tuple[np.ndarray, ...], starts: np.ndarray
-) -> list[tuple[int, np.ndarray, tuple[np.ndarray, ...]]]:
-    """Cut one batch of records into per-destination pieces.
-
-    ``starts`` holds the ``P + 1`` boundaries of the ranks' contiguous
-    vertex ranges.  Returns ``(rank, targets, values)`` for every rank
-    that receives something, ranks ascending, each piece in batch order —
-    the slices a stable sort by owner would produce, which is the wire
-    byte order.
-
-    A batch whose owners never decrease (a sender-side fold leaves its
-    records sorted by target) is already that sort's output, so it is cut
-    where it stands and the pieces are views.  Any other batch is
-    permuted first; narrowing the owner keys lets the stable sort run as
-    an O(n) radix pass.
-    """
-    # repro: wire-path
-    # repro: index-space: targets=global
-    num_ranks = starts.size - 1
-    if targets.size == 0:
-        return []
-    if num_ranks == 1:
-        return [(0, targets, values)]
-    owners = np.searchsorted(starts, targets, side="right") - 1
-    if num_ranks <= 256:
-        owners = owners.astype(np.uint8)
-    elif num_ranks <= 65536:
-        owners = owners.astype(np.uint16)
-    if np.any(owners[1:] < owners[:-1]):
-        order = np.argsort(owners, kind="stable")
-        owners = owners[order]
-        targets = targets[order]
-        values = tuple(v[order] for v in values)
-    # Where each rank's run begins; keys of the owners' own dtype keep
-    # searchsorted from widening the whole batch.
-    cuts = np.searchsorted(owners, np.arange(1, num_ranks, dtype=owners.dtype))
-    bounds = [0, *cuts.tolist(), targets.size]
-    return [
-        (dst, targets[b:e], tuple(v[b:e] for v in values))
-        for dst, (b, e) in enumerate(zip(bounds, bounds[1:]))
-        if e > b
-    ]
-
-
-class _KernelRank:
+class _KernelRank(Rank):
     """Generic per-rank plumbing shared by every vertex kernel.
 
-    Owns the routing and wire concerns a kernel never sees: the owner
-    split of generated records, outbox packing, inbox unpacking, and the
-    per-superstep work accounting the cost model charges.  All kernel
-    state lives in ``self.state`` in owned-local index space.
+    Owns the wire concerns a kernel never sees — routing generated records
+    to their owners and unpacking the inbox — on top of the rank
+    substrate.  All kernel state lives in ``self.state`` in owned-local
+    index space.
     """
 
     def __init__(
-        self,
-        rank: int,
-        num_ranks: int,
-        graph: CSRGraph,
-        starts: np.ndarray,
-        kernel: Kernel,
+        self, rank: int, graph: CSRGraph, router: OwnerRouter, kernel: Kernel
     ) -> None:
-        self.rank = rank
-        self.num_ranks = num_ranks
-        # repro: index-space: self.starts[rank]=global, owned=global
-        # repro: shared-ro: self.starts
-        self.starts = starts  # contiguous range boundaries, len P+1
-        lo, hi = int(starts[rank]), int(starts[rank + 1])
+        super().__init__(rank, router)
+        # repro: index-space: owned=global
+        lo, hi = int(router.starts[rank]), int(router.starts[rank + 1])
         owned = np.arange(lo, hi, dtype=np.int64)
         self.kernel = kernel
         self.ctx = RankContext(
             rank=rank,
-            num_ranks=num_ranks,
+            num_ranks=router.num_ranks,
             num_vertices=graph.num_vertices,
             lo=lo,
             hi=hi,
@@ -236,12 +183,18 @@ class _KernelRank:
         # single "value" field).  Internally values are always a tuple of
         # equal-length arrays so routing has one code path.
         self._wire_fields = getattr(kernel, "wire_fields", None)
-        # Outbox accumulators: per destination, lists of (targets, values).
-        self._out: list[list[tuple[np.ndarray, tuple[np.ndarray, ...]]]] = [
-            [] for _ in range(num_ranks)
-        ]
-        self.step_edges = 0
-        self.step_bytes = 0
+        names = (
+            ("value",)
+            if self._wire_fields is None
+            else tuple(name for name, _ in self._wire_fields)
+        )
+        # Self-addressed records go through the fabric like any others:
+        # the inbox then holds *every* record for an owned vertex
+        # concatenated in source-rank order, which is what lets
+        # order-sensitive kernels reproduce a sequential oracle bitwise
+        # (and keeps the sanitizer's conservation audit covering the whole
+        # payload).
+        self.outbox = Outbox(router, ("vertex", *names))
 
     # -- kernel hook dispatch (team-callable) -------------------------------
 
@@ -264,7 +217,7 @@ class _KernelRank:
         self.step_edges += int(scanned)
         if self._wire_fields is None:
             values = (values,)
-        self._route(targets, values)
+        self.outbox.route(targets, *values)
 
     def kernel_apply(self, msg: Message | None) -> None:
         """Unpack the inbox (possibly empty) and fold it into owned state.
@@ -313,7 +266,7 @@ class _KernelRank:
         if begin:
             self.kernel_begin_step(reduced)
         self.kernel_generate(settled)
-        return self.flush_outbox()
+        return self.flush_outbox(self.outbox)
 
     def superstep_recv(self, msg: Message | None, drain: bool) -> tuple:
         """The whole inbound half of one pass, as a single team call.
@@ -330,134 +283,40 @@ class _KernelRank:
         pending = self.kernel_pending() if drain else 0.0
         return (float(edges), float(nbytes), pending, self.kernel_vote())
 
-    # -- routing ------------------------------------------------------------
-
-    def _route(self, targets: np.ndarray, values: tuple[np.ndarray, ...]) -> None:
-        """Split emitted records by owner, preserving generation order.
-
-        Self-addressed records go through the fabric like any others: the
-        inbox then holds *every* record for an owned vertex concatenated
-        in source-rank order, which is what lets order-sensitive kernels
-        reproduce a sequential oracle bitwise (and keeps the sanitizer's
-        conservation audit covering the whole payload).  ``values`` is a
-        tuple of equal-length field arrays (length 1 for legacy kernels);
-        every field is sliced by the same stable owner order.
-        """
-        # repro: wire-path
-        for dst, part, part_values in split_by_owner(targets, values, self.starts):
-            self._out[dst].append((part, part_values))
-
-    def flush_outbox(self) -> dict[int, Message]:
-        """Pack queued records into one message per destination."""
-        out: dict[int, Message] = {}
-        names = (
-            ("value",)
-            if self._wire_fields is None
-            else tuple(name for name, _ in self._wire_fields)
-        )
-        for dst in range(self.num_ranks):
-            parts = self._out[dst]
-            if not parts:
-                continue
-            self._out[dst] = []
-            if len(parts) == 1:
-                targets, values = parts[0]
-            else:
-                targets = np.concatenate([p[0] for p in parts])
-                values = tuple(
-                    np.concatenate([p[1][i] for p in parts])
-                    for i in range(len(names))
-                )
-            msg = Message(vertex=targets, **dict(zip(names, values)))
-            self.step_bytes += msg.nbytes
-            out[dst] = msg
-        return out
-
-    def take_step_work(self) -> tuple[int, int]:
-        """Return and reset (edges, bytes) since the last call."""
-        work = (self.step_edges, self.step_bytes)
-        self.step_edges = 0
-        self.step_bytes = 0
-        return work
-
     # -- introspection ------------------------------------------------------
 
-    def export_final(self) -> dict:
-        """Final read-out: kernel arrays plus the driver's memory meta."""
-        kernel_export = self.kernel.export_state(self.state, self.ctx)
-        lengths = {
-            k: int(np.asarray(v).size) for k, v in kernel_export.items()
+    def answer(self) -> dict:
+        return {"kernel": self.kernel.export_state(self.state, self.ctx)}
+
+    def resident(self) -> dict[str, dict[str, np.ndarray]]:
+        # A kernel's per-vertex arrays are the ones it exports; whatever
+        # else it keeps in ``state`` is scratch.
+        lg = self.ctx.local_graph
+        exported = {
+            k: np.asarray(v)
+            for k, v in self.kernel.export_state(self.state, self.ctx).items()
         }
-        lengths["local_indptr"] = int(self.ctx.local_graph.indptr.size)
-        state_bytes = sum(
-            int(v.nbytes) for v in self.state.values() if isinstance(v, np.ndarray)
-        )
-        graph_bytes = int(
-            self.ctx.local_graph.adj.nbytes + self.ctx.local_graph.weight.nbytes
-        )
+        held = {id(v) for v in exported.values()}
         return {
-            "kernel": kernel_export,
-            "nbytes": state_bytes + int(self.ctx.local_graph.nbytes),
-            "graph_nbytes": graph_bytes,
-            "lengths": lengths,
-        }
-
-
-@dataclass
-class KernelRun:
-    """What a substrate run produced: answer, costs, measurements.
-
-    Implements the :class:`repro.api.RunSummary` protocol (``engine``,
-    ``kernel``, ``result``, ``modeled_time``, ``comm``, ``report()``)
-    shared by every engine.
-    """
-
-    engine = "dist1d"
-
-    kernel: str
-    result: Any
-    num_ranks: int
-    simulated_seconds: float
-    time_breakdown: dict[str, float]
-    trace_summary: dict[str, float | int]
-    work_imbalance: float
-    machine_name: str
-    step_bytes: list[int] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def modeled_time(self) -> float:
-        """Simulated seconds the cost model charged (RunSummary protocol)."""
-        return self.simulated_seconds
-
-    @property
-    def comm(self) -> dict[str, float | int]:
-        """Exact communication statistics (RunSummary protocol)."""
-        return self.trace_summary
-
-    def report(self) -> dict:
-        """Uniform engine-agnostic run report (RunSummary protocol)."""
-        return {
-            "engine": self.engine,
-            "kernel": self.kernel,
-            "num_ranks": self.num_ranks,
-            "modeled_time": self.modeled_time,
-            "time_breakdown": dict(self.time_breakdown),
-            "comm": dict(self.comm),
-            "counters": self.result.counters.as_dict(),
-            "work_imbalance": self.work_imbalance,
-            "meta": dict(self.meta),
+            "vertex": {**exported, "local_indptr": lg.indptr},
+            "edges": {"adj": lg.adj, "weight": lg.weight},
+            "other": {
+                k: v
+                for k, v in self.state.items()
+                if isinstance(v, np.ndarray) and id(v) not in held
+            },
         }
 
 
 class _KernelEngine:
     """Adapter expressing a vertex kernel as a :class:`SuperstepEngine`."""
 
+    layout = "dist1d"
     hierarchical = False
 
     def __init__(self, kernel: Kernel, partition: Partition1D) -> None:
         self.kernel = kernel
-        self.name = kernel.name
+        self.kernel_name = kernel.name
         self.vote_op = kernel.vote_op
         self.partition = partition
         self.steps = 0
@@ -467,12 +326,9 @@ class _KernelEngine:
         self._vote_cache: np.ndarray | None = None
 
     def build_ranks(self, graph: CSRGraph, num_ranks: int) -> list[_KernelRank]:
-        starts = np.concatenate(
-            ([0], np.cumsum(self.partition.counts().astype(np.int64)))
-        )
+        router = OwnerRouter(self.partition)
         return [
-            _KernelRank(r, num_ranks, graph, starts, self.kernel)
-            for r in range(num_ranks)
+            _KernelRank(r, graph, router, self.kernel) for r in range(num_ranks)
         ]
 
     def votes(self, ctx: EngineContext) -> np.ndarray:
@@ -515,7 +371,7 @@ class _KernelEngine:
         team, fabric, tracer = ctx.team, ctx.fabric, ctx.tracer
         self.steps += 1
         with tracer.span(
-            "superstep", cat="engine", kernel=self.name, step=self.steps
+            "superstep", cat="engine", kernel=self.kernel_name, step=self.steps
         ) as sp:
             # One generate→exchange→apply pass per superstep; draining
             # kernels (k-core) repeat until every rank's frontier is empty,
@@ -539,33 +395,14 @@ class _KernelEngine:
                 sum_of_ranks=sum_of_ranks,
             )
 
-    def finalize(self, ctx: EngineContext, exports: list[dict]) -> KernelRun:
-        fabric = ctx.fabric
+    def finalize(self, ctx: EngineContext, exports: list[dict]) -> tuple[Any, dict]:
         result = self.kernel.finalize(
             ctx.graph, [e["kernel"] for e in exports], self.steps
         )
         result.counters.add("supersteps", self.steps)
-        result.counters.add(
-            "edges_scanned", int(fabric.work_per_rank.get("edges", np.zeros(1)).sum())
-        )
-        result.meta.update(kernel=self.name, num_ranks=ctx.num_ranks)
-        attach_fabric_outcome(result, fabric)
-        return KernelRun(
-            kernel=self.name,
-            result=result,
-            num_ranks=ctx.num_ranks,
-            simulated_seconds=fabric.clock.total,
-            time_breakdown=fabric.clock.breakdown(),
-            trace_summary=fabric.trace.summary(),
-            work_imbalance=fabric.compute_imbalance("edges"),
-            machine_name=ctx.machine.name,
-            step_bytes=list(fabric.trace.step_bytes),
-            meta={
-                "partition": self.partition.kind,
-                "executor": executor_meta(ctx.team),
-                "rank_state": rank_state_meta(exports),
-            },
-        )
+        result.meta.update(kernel=self.kernel_name, num_ranks=ctx.num_ranks)
+        attach_fabric_outcome(result, ctx.fabric, "edges_scanned")
+        return result, {"partition": self.partition.kind}
 
 
 def run_kernel(
@@ -581,7 +418,7 @@ def run_kernel(
     racecheck: bool = False,
     executor: str | RankExecutor | None = None,
     workers: int | None = None,
-) -> KernelRun:
+) -> RunSummary:
     """Run a vertex kernel distributed over a simulated machine.
 
     ``kernel`` is a :class:`Kernel` instance or a registered name

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.rank import Outbox, OwnerRouter
 from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.kronecker import KroneckerSpec, _permutation, kronecker_edge_slice
 from repro.graph.types import EdgeList
@@ -56,15 +57,12 @@ def distributed_construction(
     hierarchical: bool = False,
 ) -> DistBuildResult:
     """Generate + shuffle + build the benchmark graph across ranks."""
-    # repro: wire-path
-    # Edge shuffle order is wire byte order (and CSR build order): the
-    # owner argsort below must stay stable so the dense build reproduces.
     if num_ranks < 1:
         raise ValueError("num_ranks must be >= 1")
     machine = machine or small_cluster(max(num_ranks, 1))
     fabric = Fabric(machine, num_ranks, hierarchical=hierarchical)
     part = block1d(spec.num_vertices, num_ranks)
-    owner = np.asarray(part.owner_array)
+    router = OwnerRouter(part)
     wall = Timer()
     with wall:
         # 1. Each rank generates its slice (no communication: the stream is
@@ -89,20 +87,11 @@ def distributed_construction(
             dst = np.concatenate([sl.dst, sl.src])
             w = np.concatenate([sl.weight, sl.weight])
             gen_edges[r] = src.size
-            owners = owner[src]
-            order = np.argsort(owners, kind="stable")
-            so, ss, sd, sw = owners[order], src[order], dst[order], w[order]
-            cuts = np.flatnonzero(np.diff(so)) + 1
-            outbox: dict[int, Message] = {}
-            for dst_rank, s_chunk, d_chunk, w_chunk in zip(
-                so[np.concatenate(([0], cuts))],
-                np.split(ss, cuts),
-                np.split(sd, cuts),
-                np.split(sw, cuts),
-            ):
-                msg = Message(src=s_chunk, dst=d_chunk, weight=w_chunk)
-                pack_bytes[r] += msg.nbytes
-                outbox[int(dst_rank)] = msg
+            # The router's stable owner split is the wire byte order, which
+            # is also the CSR build order: the dense build reproduces.
+            shuffle = Outbox(router, ("src", "dst", "weight"))
+            shuffle.route(src, dst, w)
+            outbox, pack_bytes[r] = shuffle.flush()
             outboxes.append(outbox)
         fabric.charge_compute(edges=gen_edges, bytes=pack_bytes)
         inboxes = fabric.exchange(outboxes)

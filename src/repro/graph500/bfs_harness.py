@@ -160,13 +160,13 @@ def run_graph500_bfs(
         runs.append(
             BFSRootRun(
                 root=int(root),
-                simulated_seconds=run.simulated_seconds,
-                teps=traversed / run.simulated_seconds,
+                simulated_seconds=run.modeled_time,
+                teps=traversed / run.modeled_time,
                 traversed_edges=traversed,
                 levels=run.result.counters["levels"],
                 validation=report,
                 counters=run.result.counters.as_dict(),
-                trace=run.trace_summary,
+                trace=run.comm,
             )
         )
     return BFSBenchmarkResult(

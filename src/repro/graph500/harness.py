@@ -221,7 +221,7 @@ def run_sssp_on_graph(
                     counters=run.result.counters.as_dict(),
                     time_breakdown=run.time_breakdown,
                     trace=run.comm,
-                    work_imbalance=getattr(run, "work_imbalance", 1.0),
+                    work_imbalance=run.work_imbalance,
                     racecheck=run.result.meta.get("racecheck"),
                 )
             )
@@ -311,7 +311,7 @@ def _batched_sssp_runs(
                         counters=counters,
                         time_breakdown=run.time_breakdown,
                         trace=run.comm,
-                        work_imbalance=getattr(run, "work_imbalance", 1.0),
+                        work_imbalance=run.work_imbalance,
                         racecheck=run.result.meta.get("racecheck"),
                         lane=i,
                         batch=batch_index,

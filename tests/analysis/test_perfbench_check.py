@@ -59,21 +59,21 @@ class TestCheckRegression:
             check_regression(CURRENT, baseline)
 
 
-class TestParallelBench:
-    """Shape and gate-compatibility of the P2 document."""
+class TestMulticoreBench:
+    """Shape and gate-compatibility of the P4 document."""
 
     @pytest.fixture(scope="class")
     def doc(self):
-        from repro.analysis.perfbench import run_parallel_bench
+        from repro.analysis.perfbench import run_multicore_bench
 
-        return run_parallel_bench(
-            6, 4, engines=("dist1d",), backends=("serial", "thread"),
-            workers=2, repeats=1,
+        return run_multicore_bench(
+            6, 4, engines=("dist1d",), backends=("thread",),
+            worker_counts=(2,), repeats=1,
         )
 
-    def test_entries_keyed_engine_at_backend(self, doc):
-        assert doc["benchmark"] == "P2_parallel"
-        assert set(doc["engines"]) == {"dist1d@serial", "dist1d@thread"}
+    def test_entries_keyed_engine_at_backend_at_workers(self, doc):
+        assert doc["benchmark"] == "P4_multicore"
+        assert set(doc["engines"]) == {"dist1d@serial", "dist1d@thread@w2"}
         for entry in doc["engines"].values():
             assert entry["wall_seconds"] > 0
             assert "tracemalloc_peak_bytes" not in entry  # wall-clock only
@@ -83,39 +83,39 @@ class TestParallelBench:
         assert len(shas) == 1
 
     def test_speedup_and_host_cpus_recorded(self, doc):
-        assert "dist1d@thread" in doc["speedup"]
-        assert doc["speedup"]["dist1d@thread"] == pytest.approx(
+        assert doc["speedup"]["dist1d@thread@w2"] == pytest.approx(
             doc["engines"]["dist1d@serial"]["wall_seconds"]
-            / doc["engines"]["dist1d@thread"]["wall_seconds"]
+            / doc["engines"]["dist1d@thread@w2"]["wall_seconds"]
         )
         assert doc["host_cpus"] >= 1
-        assert doc["workers"] == 2
+        assert doc["worker_counts"] == [2]
 
     def test_executor_meta_embedded(self, doc):
         assert doc["engines"]["dist1d@serial"]["executor"] == {
             "backend": "serial", "workers": 1,
         }
-        assert doc["engines"]["dist1d@thread"]["executor"] == {
+        assert doc["engines"]["dist1d@thread@w2"]["executor"] == {
             "backend": "thread", "workers": 2,
         }
 
-    def test_check_regression_gates_the_p2_document(self, doc):
-        # The @backend keys ride through the existing gate unchanged.
+    def test_check_regression_gates_the_p4_document(self, doc):
+        # The @backend@wN keys ride through the existing gate unchanged.
         assert check_regression(doc, doc, max_regression=0.0) == []
         tighter = json.loads(json.dumps(doc))
-        tighter["engines"]["dist1d@thread"]["wall_seconds"] /= 10.0
+        tighter["engines"]["dist1d@thread@w2"]["wall_seconds"] /= 10.0
         failures = check_regression(doc, tighter, max_regression=0.30)
-        assert failures and "dist1d@thread" in failures[0]
+        assert failures and "dist1d@thread@w2" in failures[0]
 
-    def test_bench_parallel_cli(self, capsys):
+    def test_bench_multicore_cli(self, capsys):
         rc = main(
-            ["bench", "--parallel", "--scale", "6", "--ranks", "2",
-             "--engines", "dist1d", "--backends", "serial", "--repeats", "1"]
+            ["bench", "--multicore", "--scale", "6", "--ranks", "2",
+             "--engines", "dist1d", "--backends", "thread",
+             "--worker-counts", "1", "--repeats", "1"]
         )
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["benchmark"] == "P2_parallel"
-        assert list(doc["engines"]) == ["dist1d@serial"]
+        assert doc["benchmark"] == "P4_multicore"
+        assert list(doc["engines"]) == ["dist1d@serial", "dist1d@thread@w1"]
 
 
 class TestBenchCheckCli:

@@ -52,7 +52,7 @@ class TestFusionCapSweep:
         off = distributed_sssp(
             kron11, root, num_ranks=2, config=SSSPConfig(fuse_buckets=False)
         )
-        assert capped.trace_summary["supersteps"] == off.trace_summary["supersteps"]
+        assert capped.comm["supersteps"] == off.comm["supersteps"]
 
 
 class TestEngineComparison:

@@ -129,7 +129,7 @@ class TestDistributedBFS:
         n = kron.num_vertices
         levels = run.result.counters["levels"]
         # Upper bound: levels * P*(P-1) * ceil(n/8) bytes.
-        assert run.trace_summary["total_bytes"] <= levels * 4 * 3 * (n // 8 + 16)
+        assert run.comm["total_bytes"] <= levels * 4 * 3 * (n // 8 + 16)
 
     def test_block_partition(self, kron):
         run = distributed_bfs(kron, 3, num_ranks=4, partition="block")
@@ -151,7 +151,7 @@ class TestDistributedBFS:
         src = int(np.argmax(kron.out_degree))
         run = distributed_bfs(kron, src, num_ranks=4)
         assert run.teps(kron) > 0
-        assert run.simulated_seconds == pytest.approx(sum(run.time_breakdown.values()))
+        assert run.modeled_time == pytest.approx(sum(run.time_breakdown.values()))
 
     def test_invalid_source(self, kron):
         with pytest.raises(ValueError):

@@ -100,11 +100,11 @@ class TestDistributedCorrectness:
         ref = dijkstra(kron10, 3)
         run = simple_distributed_sssp(kron10, 3, num_ranks=4)
         assert_exact(run, ref)
-        assert run.config == SSSPConfig.baseline()
+        assert run.meta["config"] == SSSPConfig.baseline()
 
     def test_simple_dist_with_delta(self, kron10):
         run = simple_distributed_sssp(kron10, 3, num_ranks=2, delta=0.5)
-        assert run.delta == 0.5
+        assert run.meta["delta"] == 0.5
 
 
 class TestDistributedMeasurements:
@@ -114,7 +114,7 @@ class TestDistributedMeasurements:
         off = distributed_sssp(
             kron10, src, num_ranks=8, config=SSSPConfig().without("coalesce")
         )
-        assert on.trace_summary["total_bytes"] < off.trace_summary["total_bytes"] / 1.5
+        assert on.comm["total_bytes"] < off.comm["total_bytes"] / 1.5
 
     def test_delegation_improves_balance_on_star(self):
         """Star graph: all edges at one vertex — the extreme delegation case."""
@@ -142,9 +142,9 @@ class TestDistributedMeasurements:
 
     def test_simulated_time_positive_and_decomposed(self, kron10):
         run = distributed_sssp(kron10, 0, num_ranks=4)
-        assert run.simulated_seconds > 0
+        assert run.modeled_time > 0
         assert set(run.time_breakdown) <= {"compute", "comm", "sync"}
-        assert run.simulated_seconds == pytest.approx(sum(run.time_breakdown.values()))
+        assert run.modeled_time == pytest.approx(sum(run.time_breakdown.values()))
 
     def test_teps(self, kron10):
         src = int(np.argmax(kron10.out_degree))
@@ -154,7 +154,7 @@ class TestDistributedMeasurements:
 
     def test_single_rank_no_network_bytes(self, kron10):
         run = distributed_sssp(kron10, 0, num_ranks=1)
-        assert run.trace_summary["total_bytes"] == 0
+        assert run.comm["total_bytes"] == 0
 
     def test_machine_capacity_respected(self, kron10):
         with pytest.raises(ValueError):

@@ -53,8 +53,9 @@ def test_growth_preserves_contents():
     want = np.array([expect[int(k)] for k in q])
     np.testing.assert_array_equal(got, want)
     # The sorted layout is exact-fit: no load-factor slack.
-    assert c.capacity == len(c)
-    assert c.nbytes == len(c) * (c._keys.itemsize + 8)
+    held = c.resident()
+    assert {a.size for a in held.values()} == {len(c)}
+    assert sum(a.nbytes for a in held.values()) == len(c) * (c._keys.itemsize + 8)
 
 
 def test_batch_with_many_new_keys():

@@ -101,7 +101,7 @@ class TestConservationProperty:
                 san.check_exchange(trial, sent, delivered, fault_tags={})
 
 
-class TestKernelRunsAreConserved:
+class TestKernelsAreConserved:
     """End-to-end: sanitized kernel runs audit every collective cleanly."""
 
     @pytest.fixture(scope="class")

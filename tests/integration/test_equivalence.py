@@ -84,8 +84,8 @@ class TestDeterminism:
         b = distributed_sssp(graph, src, num_ranks=4)
         assert np.array_equal(a.result.dist, b.result.dist)
         assert np.array_equal(a.result.parent, b.result.parent)
-        assert a.trace_summary == b.trace_summary
-        assert a.simulated_seconds == b.simulated_seconds
+        assert a.comm == b.comm
+        assert a.modeled_time == b.modeled_time
         assert a.time_breakdown == b.time_breakdown
 
     def test_distributed_bfs_trace_deterministic(self):
@@ -94,7 +94,7 @@ class TestDeterminism:
         a = distributed_bfs(graph, src, num_ranks=4)
         b = distributed_bfs(graph, src, num_ranks=4)
         assert np.array_equal(a.result.level, b.result.level)
-        assert a.trace_summary == b.trace_summary
+        assert a.comm == b.comm
 
     def test_rank_count_does_not_change_answers(self):
         graph = build_csr(generate_kronecker(10, seed=6))
@@ -156,5 +156,5 @@ class TestWavefrontInvariants:
         graph = build_csr(generate_kronecker(10, seed=6))
         src = int(np.argmax(graph.out_degree))
         run = distributed_sssp(graph, src, num_ranks=4)
-        assert sum(run.step_bytes) == run.trace_summary["total_bytes"]
-        assert len(run.step_bytes) == run.trace_summary["supersteps"]
+        assert sum(run.step_bytes) == run.comm["total_bytes"]
+        assert len(run.step_bytes) == run.comm["supersteps"]

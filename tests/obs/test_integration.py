@@ -27,10 +27,10 @@ class TestEngineTelemetry:
         tracer = Tracer()
         run = distributed_sssp(_graph(), 0, num_ranks=4, tracer=tracer)
         report = RunReport.from_events(tracer.events)
-        assert report.total_bytes == run.trace_summary["total_bytes"]
-        assert report.total_messages == run.trace_summary["messages"]
-        assert report.num_steps == run.trace_summary["supersteps"]
-        assert report.allreduces == run.trace_summary["allreduces"]
+        assert report.total_bytes == run.comm["total_bytes"]
+        assert report.total_messages == run.comm["messages"]
+        assert report.num_steps == run.comm["supersteps"]
+        assert report.allreduces == run.comm["allreduces"]
 
     def test_dist_sssp_step_annotations(self):
         tracer = Tracer()
@@ -58,14 +58,14 @@ class TestEngineTelemetry:
         tracer = Tracer()
         run = distributed_sssp_2d(_graph(), 0, num_ranks=4, tracer=tracer)
         report = RunReport.from_events(tracer.events)
-        assert report.total_bytes == run.trace_summary["total_bytes"]
+        assert report.total_bytes == run.comm["total_bytes"]
         assert all(row["phase"] == "frontier" for row in report.steps)
 
     def test_bfs_bytes_match_commtrace(self):
         tracer = Tracer()
         run = distributed_bfs(_graph(), 0, num_ranks=4, direction="auto", tracer=tracer)
         report = RunReport.from_events(tracer.events)
-        assert report.total_bytes == run.trace_summary["total_bytes"]
+        assert report.total_bytes == run.comm["total_bytes"]
         phases = {row["phase"] for row in report.steps}
         assert phases <= {"top_down", "bottom_up"}
 
@@ -85,8 +85,8 @@ class TestTelemetryIsInert:
         base = distributed_sssp(g, 0, num_ranks=4)
         traced = distributed_sssp(g, 0, num_ranks=4, tracer=Tracer())
         assert np.array_equal(base.result.dist, traced.result.dist)
-        assert base.trace_summary == traced.trace_summary
-        assert base.simulated_seconds == traced.simulated_seconds
+        assert base.comm == traced.comm
+        assert base.modeled_time == traced.modeled_time
 
     def test_disabled_path_allocates_no_records(self):
         from repro.obs import NULL_TRACER

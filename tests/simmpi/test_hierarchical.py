@@ -99,7 +99,7 @@ class TestHierarchicalEngine:
             config=SSSPConfig(hierarchical_aggregation=True),
         )
         assert np.array_equal(run.result.dist, ref.dist)
-        assert run.config.hierarchical_aggregation
+        assert run.meta["config"].hierarchical_aggregation
 
     def test_forwarding_happens_at_scale(self):
         g = build_csr(generate_kronecker(10, seed=8))
@@ -111,4 +111,4 @@ class TestHierarchicalEngine:
             machine=small_cluster(64),
             config=SSSPConfig(hierarchical_aggregation=True),
         )
-        assert run.trace_summary["bytes_forwarded"] > 0
+        assert run.comm["bytes_forwarded"] > 0

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from repro import api, run
-from repro.api import ENGINES, KERNELS, RunSummary, SharedRun
+from repro.api import ENGINES, KERNELS, RunSummary
 from repro.baselines import dijkstra
-from repro.bfs.dist_bfs import distributed_bfs
-from repro.core import SSSPConfig, delta_stepping, distributed_sssp
-from repro.core.twod_engine import _distributed_sssp_2d, distributed_sssp_2d
+from repro.core import SSSPConfig
+from repro.core.twod_engine import _distributed_sssp_2d
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.simmpi.machine import small_cluster
@@ -45,29 +44,20 @@ class TestDispatch:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_every_engine_satisfies_runsummary(self, graph, oracle, engine):
         out = api.run(graph, 0, engine=engine, num_ranks=4)
-        assert isinstance(out, RunSummary)
-        assert out.engine == engine
-        assert out.kernel == "sssp"
         assert out.modeled_time >= 0.0
         assert isinstance(out.comm, dict)
-        report = out.report()
-        for key in REPORT_KEYS:
-            assert key in report, key
-        assert report["engine"] == engine
-        assert report["kernel"] == "sssp"
         assert np.array_equal(out.result.dist, oracle.dist)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_every_kernel_satisfies_runsummary(self, graph, kernel):
-        source = _source_for(kernel)
-        out = api.run(graph, source, kernel=kernel, num_ranks=4)
-        assert isinstance(out, RunSummary)
-        assert out.engine == "dist1d"
-        assert out.kernel == kernel
+    @pytest.mark.parametrize("kernel,engine", sorted(api._DISPATCH))
+    def test_every_cell_returns_one_runsummary(self, graph, kernel, engine):
+        out = api.run(
+            graph, _source_for(kernel), kernel=kernel, engine=engine, num_ranks=4
+        )
+        assert type(out) is RunSummary
+        assert (out.engine, out.kernel) == (engine, kernel)
         report = out.report()
-        for key in REPORT_KEYS:
-            assert key in report, key
-        assert report["kernel"] == kernel
+        assert tuple(report) == REPORT_KEYS
+        assert (report["engine"], report["kernel"]) == (engine, kernel)
         # The uniform hook: every kernel-typed result oracle-checks itself.
         assert out.result.validate(graph)
 
@@ -80,10 +70,9 @@ class TestDispatch:
                 api.run(graph, source, kernel=kernel, engine="shared")
             return
         out = api.run(graph, source, kernel=kernel, engine="shared")
-        assert isinstance(out, SharedRun)
         assert out.kernel == kernel
         assert out.modeled_time == 0.0
-        assert out.result.validate(graph)
+        assert out.comm == {}
 
     def test_top_level_alias(self, graph):
         assert run is api.run
@@ -93,9 +82,16 @@ class TestDispatch:
             assert api.run(graph, 0, engine=engine, num_ranks=4).modeled_time > 0.0
         assert api.run(graph, 0, engine="shared").modeled_time == 0.0
 
-    def test_unknown_engine(self, graph):
-        with pytest.raises(ValueError, match="unknown engine 'frob'"):
-            api.run(graph, 0, engine="frob")
+    @pytest.mark.parametrize("engine", ["frob", "bfs"])
+    def test_unknown_engine(self, graph, engine):
+        with pytest.raises(ValueError, match=f"unknown engine '{engine}'"):
+            api.run(graph, 0, engine=engine)
+
+    def test_dist2d_reports_its_work_imbalance(self):
+        g = build_csr(generate_kronecker(10, seed=5))
+        out = api.run(g, int(np.argmax(g.out_degree)), engine="dist2d", num_ranks=8)
+        assert out.work_imbalance > 1.0
+        assert out.report()["work_imbalance"] == out.work_imbalance
 
     def test_unknown_kernel(self, graph):
         with pytest.raises(ValueError, match="unknown kernel 'frob'"):
@@ -155,7 +151,6 @@ class TestDispatch:
 
     def test_shared_run_wrapper(self, graph):
         out = api.run(graph, 0, engine="shared")
-        assert isinstance(out, SharedRun)
         assert out.num_ranks == 1
         assert out.comm == {}
         assert out.report()["counters"]["epochs"] > 0
@@ -225,21 +220,7 @@ class TestConfigHonored:
         assert plain.comm == direct.comm
 
 
-class TestLegacyRetirement:
-    """The four historical entry points are hard stubs now: importable (so
-    old code fails at the call with a pointed message, not at import) but
-    raising RuntimeError that names the ``repro.run`` replacement."""
-
-    def test_stubs_raise_pointing_at_run(self, graph):
-        with pytest.raises(RuntimeError, match=r"delta_stepping\(\) was removed"):
-            delta_stepping(graph, 0)
-        with pytest.raises(RuntimeError, match=r"repro\.run"):
-            distributed_sssp(graph, 0, num_ranks=2)
-        with pytest.raises(RuntimeError, match="kernel-registry facade"):
-            distributed_sssp_2d(graph, 0, num_ranks=4)
-        with pytest.raises(RuntimeError, match='kernel="bfs"'):
-            distributed_bfs(graph, 0, num_ranks=2)
-
+class TestNoDeprecatedPaths:
     def test_facade_does_not_warn(self, graph):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -248,18 +229,6 @@ class TestLegacyRetirement:
             for kernel in ("bfs", "cc", "pagerank", "kcore"):
                 source = 0 if kernel == "bfs" else None
                 api.run(graph, source, kernel=kernel, num_ranks=2)
-
-    def test_engine_bfs_alias_warns_and_works(self, graph):
-        with pytest.deprecated_call(match="engine='bfs'"):
-            out = api.run(graph, 0, engine="bfs", num_ranks=4)
-        assert out.kernel == "bfs"
-        direct = api.run(graph, 0, kernel="bfs", num_ranks=4)
-        assert np.array_equal(out.result.level, direct.result.level)
-        assert out.modeled_time == direct.modeled_time
-
-    def test_engine_bfs_alias_rejects_other_kernels(self, graph):
-        with pytest.raises(ValueError, match="deprecated alias"):
-            api.run(graph, kernel="cc", engine="bfs")
 
 
 class TestDeltaValidation:

@@ -46,7 +46,7 @@ class TestCommands:
         assert "variant: baseline" in capsys.readouterr().out
 
     def test_bfs(self, capsys):
-        rc = main(["bfs", "--scale", "9", "--ranks", "2"])
+        rc = main(["run", "--kernel", "bfs", "--scale", "9", "--ranks", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "top_down" in out and "auto" in out
