@@ -10,9 +10,10 @@ win while keeping bottom-up communication at bitmap cost.
 import numpy as np
 
 import repro
-from repro.bfs import bfs, validate_bfs
+from repro.bfs import bfs
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
+from repro.graph500 import validate_bfs
 from repro.graph500.report import render_table
 
 

@@ -10,8 +10,9 @@ import sys
 import numpy as np
 
 from repro import run as run_engine
-from repro.bfs import bfs, validate_bfs
+from repro.bfs import bfs
 from repro.graph import build_csr, generate_kronecker
+from repro.graph500 import validate_bfs
 
 
 def main() -> None:

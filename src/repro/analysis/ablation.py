@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.config import SSSPConfig
 from repro.graph.csr import CSRGraph
-from repro.graph500.harness import run_sssp_on_graph
+from repro.graph500.harness import run_roots
 from repro.graph500.roots import sample_roots
 from repro.simmpi.machine import MachineSpec, small_cluster
 
@@ -54,7 +54,7 @@ def ablation_study(
     roots = sample_roots(graph, num_roots, seed=seed)
     raw: dict[str, dict[str, object]] = {}
     for name, config in variants.items():
-        runs = run_sssp_on_graph(graph, roots, num_ranks, machine, config, validate)
+        runs = run_roots(graph, roots, num_ranks, machine, config, validate)
         sim = float(np.mean([r.simulated_seconds for r in runs]))
         raw[name] = {
             "variant": name,

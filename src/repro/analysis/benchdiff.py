@@ -8,10 +8,9 @@ every push.
 
 Two document shapes are accepted and may be mixed only with themselves:
 
-* BENCH documents (``bench_p1_wallclock`` / ``bench_p4_multicore`` /
-  ``repro bench --out``): an ``engines`` mapping whose keys are
-  ``engine`` or ``engine@backend`` and whose values carry
-  ``wall_seconds``;
+* BENCH documents (``repro bench --protocol P1|P4|K1|B1 --out``): an
+  ``engines`` mapping whose keys are ``engine``, ``engine@backend`` or
+  ``engine@backend@wN`` and whose values carry ``wall_seconds``;
 * profile reports (``repro-profile-report/v1``): compared bucket by
   bucket, with ``total_wall_s`` as the regression gate.
 
@@ -69,10 +68,11 @@ def _wall_rows(doc: Mapping, label: str) -> dict[str, float]:
         if not isinstance(entry, Mapping) or "wall_seconds" not in entry:
             raise ValueError(f"{label}: engines[{name!r}] has no wall_seconds")
         wall = entry["wall_seconds"]
-        if not isinstance(wall, (int, float)) or isinstance(wall, bool) or wall < 0:
+        if not isinstance(wall, (int, float)) or isinstance(wall, bool) or wall <= 0:
+            # A zero baseline could never gate, and no run takes zero time.
             raise ValueError(
-                f"{label}: engines[{name!r}].wall_seconds is not a "
-                f"non-negative number"
+                f"{label}: engines[{name!r}].wall_seconds must be a positive "
+                f"number, got {wall!r}"
             )
         rows[str(name)] = float(wall)
     return rows
@@ -107,7 +107,7 @@ def diff_documents(
             failures.append(f"{name}: present in baseline but not in candidate")
             continue
         new_s = new_rows[name]
-        delta = (new_s / old_s - 1.0) if old_s > 0 else 0.0
+        delta = (new_s / old_s - 1.0) if old_s > 0 else 0.0  # profile buckets may be 0
         gated = not name.startswith("bucket:")
         if gated and delta > max_regression:
             status = "regression"

@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.adaptive import choose_delta
 from repro.core.config import SSSPConfig
 from repro.graph.csr import CSRGraph
-from repro.graph500.harness import run_sssp_on_graph
+from repro.graph500.harness import run_roots
 from repro.graph500.roots import sample_roots
 from repro.simmpi.machine import MachineSpec, small_cluster
 
@@ -53,7 +53,7 @@ def delta_sweep(
     rows: list[dict[str, object]] = []
     for delta, tag in [(d, "") for d in deltas] + [(adaptive, "adaptive")]:
         config = SSSPConfig(delta=float(delta))
-        runs = run_sssp_on_graph(graph, roots, num_ranks, machine, config, validate)
+        runs = run_roots(graph, roots, num_ranks, machine, config, validate)
         rows.append(
             {
                 "delta": float(delta),
@@ -97,7 +97,7 @@ def hub_threshold_sweep(
     ] + [(str(t), SSSPConfig(hub_degree_threshold=t)) for t in thresholds]
     rows = []
     for label, config in configs:
-        runs = run_sssp_on_graph(graph, roots, num_ranks, machine, config, False)
+        runs = run_roots(graph, roots, num_ranks, machine, config, False)
         threshold = (
             config.hub_degree_threshold
             if config.hub_degree_threshold
@@ -134,7 +134,7 @@ def fusion_cap_sweep(
     rows = []
     for cap in caps:
         config = SSSPConfig(fusion_cap=cap)
-        runs = run_sssp_on_graph(graph, roots, num_ranks, machine, config, False)
+        runs = run_roots(graph, roots, num_ranks, machine, config, False)
         rows.append(
             {
                 "fusion_cap": cap,

@@ -10,6 +10,6 @@ The distributed engine is reached through ``repro.run(..., kernel="bfs")``.
 """
 
 from repro.bfs.kernel import BFSResult, bfs
-from repro.bfs.validation import validate_bfs
+from repro.graph500.validation import validate_bfs
 
 __all__ = ["BFSResult", "bfs", "validate_bfs"]

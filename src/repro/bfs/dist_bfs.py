@@ -201,7 +201,7 @@ def _distributed_bfs(
     workers: int | None = None,
 ) -> RunSummary:
     """Distributed BFS; returns levels/parents identical to the shared kernel's
-    reachability and validated by :func:`repro.bfs.validation.validate_bfs`.
+    reachability and validated by :func:`repro.graph500.validation.validate_bfs`.
 
     ``tracer`` (optional) receives one ``level`` span per BFS level plus the
     fabric's per-exchange byte events.  ``faults`` (optional) injects a

@@ -59,7 +59,7 @@ class BFSResult:
 
         The uniform hook every kernel-typed result implements.
         """
-        from repro.bfs.validation import validate_bfs
+        from repro.graph500.validation import validate_bfs
 
         return validate_bfs(graph, self)
 

@@ -81,8 +81,7 @@ class MultiBFSResult:
 
     def validate(self, graph: CSRGraph):
         """Spec tree checks on every lane; failures are lane-prefixed."""
-        from repro.bfs.validation import validate_bfs
-        from repro.graph500.validation import ValidationReport
+        from repro.graph500.validation import ValidationReport, validate_bfs
 
         failures: list[str] = []
         for i in range(self.num_lanes):

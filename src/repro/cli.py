@@ -2,8 +2,8 @@
 
 Mirrors the real benchmark driver's workflow:
 
-* ``run``      — the full Graph500 SSSP protocol, official output block
-                 (``--kernel bfs``: the kernel-2 per-direction table);
+* ``run``      — the full Graph500 protocol, official output block
+                 (``--kernel sssp`` / ``--kernel bfs``: the same root loop);
                  ``--trace-out/--report-out/--chrome-out`` persist the run's
                  telemetry (JSONL stream, per-superstep report, Perfetto);
 * ``inspect``  — summarize a saved ``--trace-out`` JSONL telemetry file;
@@ -13,7 +13,8 @@ Mirrors the real benchmark driver's workflow:
   compute/barrier/dispatch/transport/serialization attribution table and
   the ranked bottleneck diagnosis (``--out`` writes the
   ``repro-profile-report/v1`` document);
-* ``bench diff`` — compare two BENCH_*.json documents (or profile
+* ``bench``    — one host wall-clock protocol (``--protocol P1|P4|K1|B1``);
+  ``bench diff`` compares two BENCH_*.json documents (or profile
   reports) with per-engine deltas and a regression threshold;
 * ``project``  — fit the cost model from real runs, project a target
   (scale, nodes) on the Sunway-class machine;
@@ -71,11 +72,7 @@ def _parse_faults_arg(text: str | None):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.kernel == "bfs":
-        if args.batch_roots is not None:
-            return _run_bfs_batched(args)
-        return _run_bfs_table(args)
-    if args.kernel != "sssp":
+    if args.kernel not in ("sssp", "bfs"):
         if args.batch_roots is not None:
             raise SystemExit(
                 f"repro run: --batch-roots applies to the multi-source "
@@ -83,10 +80,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         return _run_kernel_smoke(args)
     from repro.core.config import SSSPConfig
-    from repro.graph500.harness import run_graph500_sssp
+    from repro.graph500.harness import run_graph500_bfs, run_graph500_sssp
     from repro.graph500.report import render_output_block
 
-    config = SSSPConfig.baseline() if args.baseline else SSSPConfig.optimized()
+    if args.kernel == "sssp":
+        config = SSSPConfig.baseline() if args.baseline else SSSPConfig.optimized()
+        harness, kernel_opts = run_graph500_sssp, {"config": config, "engine": args.engine}
+    elif args.baseline or args.engine != "dist1d":
+        raise SystemExit("repro run: --baseline/--engine apply to --kernel sssp, not bfs")
+    else:
+        harness, kernel_opts = run_graph500_bfs, {}
     faults = _parse_faults_arg(args.faults)
     tracer = None
     tracing = args.trace_out or args.report_out or args.chrome_out
@@ -99,20 +102,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if faults is not None:
             tracer.add_meta(faults=faults.describe())
     racecheck = args.racecheck or bool(args.racecheck_out)
-    result = run_graph500_sssp(
+    result = harness(
         scale=args.scale,
         num_ranks=args.ranks,
         num_roots=args.roots,
         seed=args.seed,
-        config=config,
         tracer=tracer,
         faults=faults,
-        engine=args.engine,
         sanitize=args.sanitize,
         racecheck=racecheck,
         executor=args.executor,
         workers=args.workers,
         batch_roots=args.batch_roots,
+        **kernel_opts,
     )
     print(render_output_block(result))
     if faults is not None:
@@ -251,78 +253,6 @@ def _run_kernel_smoke(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _run_bfs_batched(args: argparse.Namespace) -> int:
-    """``run --kernel bfs --batch-roots N``: bit-parallel kernel-2 sweeps."""
-    from repro.graph500.bfs_harness import run_graph500_bfs
-    from repro.graph500.report import render_table
-
-    result = run_graph500_bfs(
-        args.scale,
-        num_ranks=args.ranks,
-        num_roots=getattr(args, "roots", 16),
-        seed=args.seed,
-        faults=_parse_faults_arg(args.faults),
-        batch_roots=args.batch_roots,
-    )
-    sweeps = len({r.batch for r in result.roots})
-    print(
-        render_table(
-            [result.row()],
-            title=(
-                f"BFS batched (scale {args.scale}, {args.ranks} ranks, "
-                f"{sweeps} bfs64 sweeps x <= {args.batch_roots} lanes)"
-            ),
-        )
-    )
-    print(f"validation: {'PASSED' if result.all_valid else 'FAILED'}")
-    return 0 if result.all_valid else 1
-
-
-def _run_bfs_table(args: argparse.Namespace) -> int:
-    from repro import api
-    from repro.bfs import validate_bfs
-    from repro.graph.csr import build_csr
-    from repro.graph.kronecker import generate_kronecker
-    from repro.graph500.report import render_table
-    from repro.simmpi.executor import resolve_executor
-
-    faults = _parse_faults_arg(args.faults)
-    graph = build_csr(generate_kronecker(args.scale, seed=args.seed))
-    src = int(np.argmax(graph.out_degree))
-    exec_obj, owns_executor = resolve_executor(args.executor, args.workers)
-    rows = []
-    ok = True
-    try:
-        for direction in ("top_down", "auto"):
-            run = api.run(
-                graph,
-                src,
-                kernel="bfs",
-                num_ranks=args.ranks,
-                direction=direction,
-                faults=faults,
-                sanitize=args.sanitize,
-                racecheck=args.racecheck,
-                executor=exec_obj,
-            )
-            ok &= validate_bfs(graph, run.result).ok
-            rows.append(
-                {
-                    "direction": direction,
-                    "edges_inspected": run.result.counters["edges_inspected"],
-                    "levels": run.result.counters["levels"],
-                    "sim_s": run.modeled_time,
-                    "TEPS": run.teps(graph),
-                }
-            )
-    finally:
-        if owns_executor:
-            exec_obj.close()
-    print(render_table(rows, title=f"BFS (scale {args.scale}, {args.ranks} ranks)"))
-    print(f"validation: {'PASSED' if ok else 'FAILED'}")
-    return 0 if ok else 1
-
-
 def _cmd_ablation(args: argparse.Namespace) -> int:
     from repro.analysis.ablation import ablation_study
     from repro.graph.csr import build_csr
@@ -375,88 +305,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.perfbench import (
-        check_regression,
-        dump_json,
-        load_json,
-        run_batched_bench,
-        run_bench,
-        run_kernel_bench,
-        run_multicore_bench,
-    )
+    from repro.analysis.perfbench import dump_json, run_bench
 
-    if args.batched:
-        doc = run_batched_bench(
-            args.scale,
-            args.ranks,
-            backends=tuple(args.backends),
-            num_roots=args.bench_roots,
-            batch_roots=args.batch_roots,
-            workers=args.workers if args.workers is not None else 4,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    elif args.multicore:
-        doc = run_multicore_bench(
-            args.scale,
-            args.ranks,
-            engines=tuple(args.engines),
-            backends=tuple(b for b in args.backends if b != "serial"),
-            worker_counts=tuple(args.worker_counts),
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    elif args.kernels:
-        doc = run_kernel_bench(
-            args.scale,
-            args.ranks,
-            kernels=tuple(args.kernels),
-            backends=tuple(args.backends),
-            workers=args.workers if args.workers is not None else 4,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    else:
-        doc = run_bench(
-            args.scale,
-            args.ranks,
-            engines=tuple(args.engines),
-            repeats=args.repeats,
-            seed=args.seed,
-        )
+    doc = run_bench(
+        args.protocol,
+        args.scale,
+        args.ranks,
+        engines=tuple(args.engines),
+        kernels=tuple(args.kernels),
+        backends=tuple(args.backends),
+        worker_counts=tuple(args.worker_counts),
+        workers=args.workers,
+        num_roots=args.bench_roots,
+        batch_roots=args.batch_roots,
+        repeats=args.repeats,
+        seed=args.seed,
+    )
     print(json.dumps(doc, indent=1, sort_keys=True))
     if args.out:
         dump_json(doc, args.out)
         print(f"bench: wrote {args.out}", file=sys.stderr)
-    if args.check:
-        try:
-            baseline = load_json(args.check)
-        except FileNotFoundError:
-            print(
-                f"repro bench: baseline not found: {args.check} (generate "
-                f"one with 'repro bench --out {args.check}')",
-                file=sys.stderr,
-            )
-            return 2
-        except json.JSONDecodeError as exc:
-            print(
-                f"repro bench: baseline {args.check} is not valid JSON "
-                f"(line {exc.lineno}: {exc.msg})",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            failures = check_regression(
-                doc, baseline, max_regression=args.max_regression
-            )
-        except ValueError as exc:
-            print(f"repro bench: {exc}", file=sys.stderr)
-            return 2
-        if failures:
-            for line in failures:
-                print(f"bench: PERF REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"bench: within {args.max_regression:.0%} of {args.check}", file=sys.stderr)
     return 0
 
 
@@ -630,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("sssp", "bfs", "cc", "pagerank", "kcore"),
         default="sssp",
         help=(
-            "which kernel to run: sssp runs the full Graph500 protocol, "
-            "bfs the per-direction kernel-2 table, cc/pagerank/kcore a "
+            "which kernel to run: sssp and bfs run the full Graph500 "
+            "protocol (kernel 3 / kernel 2), cc/pagerank/kcore a "
             "validated whole-graph run on the vertex-kernel substrate"
         ),
     )
@@ -726,86 +594,73 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_bench = sub.add_parser(
-        "bench", help="host wall-clock / memory benchmark of the engines (P1)"
+        "bench", help="host wall-clock benchmark protocols of the engines"
     )
     _add_common(p_bench)
+    p_bench.add_argument(
+        "--protocol",
+        choices=("P1", "P4", "K1", "B1"),
+        default="P1",
+        help=(
+            "P1: every --engines entry, serial, with memory peaks; "
+            "P4: multi-core curve, --worker-counts per parallel --backends "
+            "entry against a serial anchor; K1: the whole-graph --kernels "
+            "under every --backends entry; B1: the per-root loop vs batched "
+            "sweeps (bfs64 / sssp_batch) over --bench-roots sampled roots.  "
+            "Answer digests are asserted before any speedup is reported"
+        ),
+    )
     p_bench.add_argument("--repeats", type=int, default=1)
     p_bench.add_argument(
         "--engines",
         nargs="+",
         default=["dist1d", "dist2d", "bfs"],
         choices=("dist1d", "dist2d", "bfs"),
+        help="engines timed by P1/P4",
     )
     p_bench.add_argument(
         "--kernels",
         nargs="+",
-        default=None,
+        default=["cc", "pagerank", "kcore"],
         choices=("cc", "pagerank", "kcore"),
         metavar="KERNEL",
-        help=(
-            "run the K1 vertex-kernel protocol instead: time these "
-            "whole-graph kernels under every --backends entry "
-            "(entries land under engines['kernel@backend'])"
-        ),
-    )
-    p_bench.add_argument(
-        "--multicore",
-        action="store_true",
-        help=(
-            "run the P4 multi-core protocol instead: sweep --worker-counts "
-            "per parallel backend against a serial anchor and embed the "
-            "speedup curve (digests asserted identical to serial)"
-        ),
-    )
-    p_bench.add_argument(
-        "--batched",
-        action="store_true",
-        help=(
-            "run the B1 batched multi-source protocol instead: time the "
-            "sequential per-root loop vs batched sweeps (bfs64 / "
-            "sssp_batch) over the same root sample, digest-asserting "
-            "per-lane bit-identity, and embed aggregate roots/sec speedups"
-        ),
+        help="whole-graph kernels timed by K1 (entries: engines['kernel@backend'])",
     )
     p_bench.add_argument(
         "--bench-roots",
         type=int,
         default=64,
         metavar="N",
-        help="root sample size for --batched (default: the official 64)",
+        help="root sample size for B1 (default: the official 64)",
     )
     p_bench.add_argument(
         "--batch-roots",
         type=int,
         default=64,
         metavar="N",
-        help="lanes per batched sweep for --batched (<= 64, default 64)",
+        help="lanes per batched sweep for B1 (<= 64, default 64)",
     )
     p_bench.add_argument(
         "--worker-counts",
         nargs="+",
         type=int,
         default=[1, 2, 4],
-        help="worker counts swept by --multicore",
+        help="worker counts swept by P4",
     )
     p_bench.add_argument(
         "--backends",
         nargs="+",
         default=["serial", "thread", "process"],
         choices=("serial", "thread", "process"),
-        help="rank-execution backends to time (--kernels/--multicore/--batched)",
+        help="rank-execution backends to time (P4/K1/B1)",
     )
     p_bench.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker pool size for thread/process backends (default: 4)",
+        default=4,
+        help="worker pool size for K1/B1's thread/process backends",
     )
     p_bench.add_argument("--out", default=None, help="write the JSON document here")
-    p_bench.add_argument(
-        "--check", default=None, help="baseline JSON to gate against (perf-smoke)"
-    )
-    p_bench.add_argument("--max-regression", type=float, default=0.30)
     p_bench.set_defaults(func=_cmd_bench)
     bench_sub = p_bench.add_subparsers(dest="bench_command")
     p_diff = bench_sub.add_parser(

@@ -1,18 +1,20 @@
-"""The end-to-end Graph500 SSSP benchmark driver.
+"""The end-to-end Graph500 benchmark driver: one root loop for every kernel.
 
-``run_graph500_sssp`` executes the full benchmark protocol on the simulated
-machine: generate the Kronecker edge list, build the CSR (kernel 1, wall-
-clock timed), sample roots, run distributed ∆-stepping per root (kernel 3,
-simulated-time measured), validate every run, and aggregate TEPS.
+The protocol is the same whatever the kernel — generate the Kronecker
+edge list, build the CSR (kernel 1, wall-clock timed), sample roots,
+answer every root on the simulated machine (simulated-time measured),
+validate every answer against the spec, aggregate harmonic-mean TEPS —
+so there is one loop, :func:`run_roots`, and ``run_graph500_sssp`` /
+``run_graph500_bfs`` are the two public names over one pipeline body.
 
-With ``batch_roots=`` the per-root loop becomes batched multi-source
-sweeps on the ``sssp_batch`` kernel: roots are chunked into groups of at
-most ``batch_roots`` and each group is answered by one sweep over a
-shared distance matrix.  TEPS accounting stays per-root — every lane
-gets its own :class:`RootRun` whose simulated time is the amortized
-share ``sweep_seconds / num_lanes`` and whose validation runs on the
-lane's reconstructed single-root answer (bit-identical to the unbatched
-run by construction).
+:func:`run_roots` cuts the root sample into sweeps of ``batch_roots``
+lanes — one lane when unbatched, where the "sweep" is a single-root run
+(SSSP: distributed ∆-stepping, BFS: direction-optimizing) — and answers
+each sweep with one kernel invocation (``sssp_batch`` over a shared
+distance matrix, ``bfs64`` with one uint64 bit per root).  TEPS
+accounting stays per-root: every lane becomes one :class:`RootRun` whose
+simulated time is the amortized share ``sweep_seconds / num_lanes`` and
+whose validation runs on the lane's reconstructed single-root answer.
 
 The harness is what every evaluation experiment calls; its knobs mirror the
 real benchmark driver's command line (scale, edgefactor, roots, ranks,
@@ -22,6 +24,7 @@ machine, algorithm configuration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,26 +35,44 @@ from repro.graph.kronecker import generate_kronecker
 from repro.graph500.roots import sample_roots
 from repro.graph500.spec import GRAPH500_EDGEFACTOR, GRAPH500_NUM_ROOTS
 from repro.graph500.teps import lane_teps, teps_summary
-from repro.graph500.validation import ValidationReport, validate_sssp
+from repro.graph500.validation import ValidationReport, validate_bfs, validate_sssp
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simmpi.executor import RankExecutor, resolve_executor
 from repro.simmpi.machine import MachineSpec, small_cluster
+from repro.utils.bitset import MAX_LANES
 from repro.utils.stats import Summary
 from repro.utils.timing import Timer
 
-__all__ = ["RootRun", "BenchmarkResult", "run_graph500_sssp", "run_sssp_on_graph"]
+__all__ = [
+    "BenchmarkResult",
+    "RootRun",
+    "run_graph500_bfs",
+    "run_graph500_sssp",
+    "run_roots",
+]
+
+#: Per Graph500 kernel: the single-root kernel of the loop, the
+#: multi-root kernel of a sweep, and the spec validator of one answer.
+_KERNELS = {
+    "sssp": ("sssp", "sssp_batch", validate_sssp),
+    "bfs": ("bfs", "bfs64", validate_bfs),
+}
 
 
 @dataclass
 class RootRun:
-    """Outcome of kernel 3 from one root."""
+    """Outcome of one root: kernel 3 (SSSP) or kernel 2 (BFS)."""
 
     root: int
     simulated_seconds: float
     teps: float
     traversed_edges: int
     validation: ValidationReport
+    #: The run's counters; kernel-specific values live here (BFS
+    #: ``levels``, SSSP ``edges_relaxed``).  A sweep lane carries the
+    #: sweep's shared counters overlaid with its own (``edges_scanned``,
+    #: BFS depth) plus ``batch_lanes``.
     counters: dict[str, int]
     time_breakdown: dict[str, float]
     trace: dict[str, float | int]
@@ -77,13 +98,21 @@ class BenchmarkResult:
     seed: int
     num_ranks: int
     machine_name: str
-    config: SSSPConfig
+    #: The SSSP optimization knobs; ``None`` for BFS.
+    config: SSSPConfig | None
     num_vertices: int
     num_edges_generated: int
     num_edges_csr: int
     generation_wall_seconds: float
     construction_wall_seconds: float
     roots: list[RootRun] = field(default_factory=list)
+    kernel: str = "sssp"
+    #: BFS only: the traversal policy of the loop, ``"bfs64"`` for sweeps.
+    direction: str | None = None
+
+    @property
+    def variant(self) -> str:
+        return self.direction or self.config.variant_name()
 
     @property
     def teps(self) -> Summary:
@@ -119,9 +148,10 @@ class BenchmarkResult:
         """One summary row for report tables."""
         s = self.teps
         return {
+            "kernel": self.kernel.upper(),
             "scale": self.scale,
             "ranks": self.num_ranks,
-            "variant": self.config.variant_name(),
+            "variant": self.variant,
             "roots": len(self.roots),
             "hmean_TEPS": s.hmean,
             "valid": self.all_valid,
@@ -129,13 +159,15 @@ class BenchmarkResult:
         }
 
 
-def run_sssp_on_graph(
+def run_roots(
     graph: CSRGraph,
     roots: np.ndarray,
     num_ranks: int,
-    machine: MachineSpec,
-    config: SSSPConfig,
-    validate: bool = True,
+    machine: MachineSpec | None = None,
+    config: SSSPConfig | None = None,
+    validate: bool | Callable[[CSRGraph, object], ValidationReport] = True,
+    *,
+    kernel: str = "sssp",
     tracer: Tracer | None = None,
     faults: object = None,
     engine: str = "dist1d",
@@ -144,23 +176,30 @@ def run_sssp_on_graph(
     executor: str | RankExecutor | None = None,
     workers: int | None = None,
     batch_roots: int | None = None,
+    **kernel_opts,
 ) -> list[RootRun]:
-    """Kernel-3 loop: one distributed run per root, each validated.
+    """The root loop: answer every root, one validated :class:`RootRun` each.
+
+    ``kernel`` picks the Graph500 kernel (``"sssp"``/``"bfs"``).  Unbatched,
+    each root is one run of the single-root kernel; ``batch_roots`` cuts
+    the sample into sweeps of at most that many lanes, each answered by
+    one run of the multi-root kernel and split back per lane (amortized
+    timing, per-lane validation).  ``validate`` runs the kernel's spec
+    validator on every answer; ``False`` skips it (vacuous reports), a
+    callable ``(graph, answer) -> ValidationReport`` runs in its place.
 
     ``faults`` (a spec/plan/CLI string, see :mod:`repro.simmpi.faults`)
-    injects the same deterministic fault schedule into every root's fabric;
+    injects the same deterministic fault schedule into every run's fabric;
     ``engine`` selects the distributed SSSP engine (``dist1d``/``dist2d``).
     ``executor``/``workers`` select the rank-execution backend; the backend
     is resolved once and its worker pool is shared across all roots.
-
-    ``batch_roots`` switches to batched multi-source sweeps: the roots
-    are chunked into groups of at most ``batch_roots`` and each group is
-    answered by one ``sssp_batch`` sweep, split back into per-lane
-    :class:`RootRun` entries (amortized timing, per-lane validation).
+    ``kernel_opts`` pass to the single-root kernel (BFS ``direction=``).
     """
     if tracer is None:
         tracer = NULL_TRACER
-    if batch_roots is not None:
+    loop_kernel, sweep_kernel, validator = _KERNELS[kernel]
+    sweeps = batch_roots is not None
+    if sweeps:
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         if engine != "dist1d":
@@ -168,32 +207,29 @@ def run_sssp_on_graph(
                 "batched sweeps run on the dist1d vertex-kernel substrate; "
                 f"engine={engine!r} does not support batch_roots="
             )
-        return _batched_sssp_runs(
-            graph,
-            roots,
-            num_ranks,
-            machine,
-            config,
-            validate,
-            tracer=tracer,
-            faults=faults,
-            sanitize=sanitize,
-            racecheck=racecheck,
-            executor=executor,
-            workers=workers,
-            batch_roots=batch_roots,
-        )
+    check = validator if validate is True else validate
+    lanes_per_run = batch_roots if sweeps else 1
     exec_obj, owns_executor = resolve_executor(executor, workers)
     runs: list[RootRun] = []
     try:
-        for index, root in enumerate(roots):
-            # Each root gets a fresh fabric (and simulated clock); detach the
-            # previous one so the root span doesn't straddle two clocks.
+        for index in range((len(roots) + lanes_per_run - 1) // lanes_per_run):
+            chunk = [
+                int(r) for r in roots[index * lanes_per_run : (index + 1) * lanes_per_run]
+            ]
+            num_lanes = len(chunk)
+            # Each run gets a fresh fabric (and simulated clock); detach the
+            # previous one so the span doesn't straddle two clocks.
             tracer.use_sim_clock(None)
-            with tracer.span("root", cat="harness", root=int(root), index=index):
+            span = (
+                tracer.span("batch", cat="harness", index=index, roots=chunk, lanes=num_lanes)
+                if sweeps
+                else tracer.span("root", cat="harness", root=chunk[0], index=index)
+            )
+            with span:
                 run = api.run(
                     graph,
-                    int(root),
+                    chunk if sweeps else chunk[0],
+                    kernel=sweep_kernel if sweeps else loop_kernel,
                     engine=engine,
                     num_ranks=num_ranks,
                     machine=machine,
@@ -203,125 +239,123 @@ def run_sssp_on_graph(
                     sanitize=sanitize,
                     racecheck=racecheck,
                     executor=exec_obj,
+                    **kernel_opts,
                 )
-                traversed = run.result.traversed_edges(graph)
-                with tracer.span("validation", cat="harness", root=int(root)):
-                    report = (
-                        validate_sssp(graph, run.result)
-                        if validate
-                        else ValidationReport(ok=True, failures=[])
+                seconds = run.modeled_time
+                lane_edges = run.result.meta.get("lane_edges_scanned")
+                for lane, root in enumerate(chunk):
+                    answer = run.result.lane(lane) if sweeps else run.result
+                    traversed = answer.traversed_edges(graph)
+                    span_lane = {"lane": lane} if sweeps else {}
+                    with tracer.span("validation", cat="harness", root=root, **span_lane):
+                        report = check(graph, answer) if check else ValidationReport(ok=True)
+                    counters = run.result.counters.as_dict()
+                    provenance = {}
+                    if sweeps:
+                        # Per-lane telemetry split: the sweep's shared
+                        # counters, overlaid with what is this lane's own.
+                        # The key set intentionally differs from
+                        # single-root runs (see total_counters).
+                        counters.update(answer.counters.as_dict())
+                        if lane_edges is not None:
+                            counters["edges_scanned"] = int(lane_edges[lane])
+                        counters["batch_lanes"] = num_lanes
+                        provenance = {"lane": lane, "batch": index, "sweep_seconds": seconds}
+                    runs.append(
+                        RootRun(
+                            root=root,
+                            simulated_seconds=seconds / num_lanes,
+                            teps=lane_teps(traversed, seconds, num_lanes),
+                            traversed_edges=traversed,
+                            validation=report,
+                            counters=counters,
+                            time_breakdown=run.time_breakdown,
+                            trace=run.comm,
+                            work_imbalance=run.work_imbalance,
+                            racecheck=run.result.meta.get("racecheck"),
+                            **provenance,
+                        )
                     )
-            runs.append(
-                RootRun(
-                    root=int(root),
-                    simulated_seconds=run.modeled_time,
-                    teps=traversed / run.modeled_time,
-                    traversed_edges=traversed,
-                    validation=report,
-                    counters=run.result.counters.as_dict(),
-                    time_breakdown=run.time_breakdown,
-                    trace=run.comm,
-                    work_imbalance=run.work_imbalance,
-                    racecheck=run.result.meta.get("racecheck"),
-                )
-            )
     finally:
         if owns_executor:
             exec_obj.close()
     return runs
 
 
-def _batched_sssp_runs(
-    graph: CSRGraph,
-    roots: np.ndarray,
+def _run_graph500(
+    kernel: str,
+    variant: str,
+    scale: int,
     num_ranks: int,
-    machine: MachineSpec,
-    config: SSSPConfig,
-    validate: bool,
-    *,
-    tracer: Tracer,
-    faults: object,
-    sanitize: bool,
-    racecheck: bool,
-    executor: str | RankExecutor | None,
-    workers: int | None,
-    batch_roots: int,
-) -> list[RootRun]:
-    """Kernel-3 loop in batched sweeps: ``sssp_batch``, split per lane.
+    edgefactor: int,
+    seed: int,
+    num_roots: int,
+    machine: MachineSpec | None,
+    tracer: Tracer | None,
+    **loop,
+) -> BenchmarkResult:
+    """generation → construction → roots → loop → result, for either kernel.
 
-    One sweep answers up to ``batch_roots`` roots over a shared distance
-    matrix; per-lane answers are bit-identical to single-root runs, so
-    each lane is validated and TEPS-accounted as its own root with the
-    amortized time share ``sweep_seconds / num_lanes``.
+    ``variant`` labels the result (SSSP: the config's name, BFS: the
+    traversal policy); ``loop`` is every other keyword of :func:`run_roots`.
     """
-    exec_obj, owns_executor = resolve_executor(executor, workers)
-    runs: list[RootRun] = []
-    try:
-        for batch_index in range(0, (len(roots) + batch_roots - 1) // batch_roots):
-            chunk = roots[batch_index * batch_roots : (batch_index + 1) * batch_roots]
-            chunk = [int(r) for r in chunk]
-            num_lanes = len(chunk)
-            tracer.use_sim_clock(None)
-            with tracer.span(
-                "batch", cat="harness", index=batch_index,
-                roots=chunk, lanes=num_lanes,
-            ):
-                run = api.run(
-                    graph,
-                    chunk,
-                    kernel="sssp_batch",
-                    num_ranks=num_ranks,
-                    machine=machine,
-                    config=config,
-                    faults=faults,
-                    tracer=tracer,
-                    sanitize=sanitize,
-                    racecheck=racecheck,
-                    executor=exec_obj,
-                )
-            sweep_seconds = run.modeled_time
-            shared_counters = run.result.counters.as_dict()
-            lane_edges = run.result.meta.get("lane_edges_scanned")
-            for i, root in enumerate(chunk):
-                lane_result = run.result.lane(i)
-                traversed = lane_result.traversed_edges(graph)
-                with tracer.span(
-                    "validation", cat="harness", root=root, lane=i,
-                ):
-                    report = (
-                        validate_sssp(graph, lane_result)
-                        if validate
-                        else ValidationReport(ok=True, failures=[])
-                    )
-                # Per-lane telemetry split: shared sweep counters plus
-                # this lane's own edges-scanned attribution.  The key set
-                # intentionally differs from single-root runs (see
-                # BenchmarkResult.total_counters).
-                counters = dict(shared_counters)
-                if lane_edges is not None:
-                    counters["edges_scanned"] = int(lane_edges[i])
-                counters["batch_lanes"] = num_lanes
-                runs.append(
-                    RootRun(
-                        root=root,
-                        simulated_seconds=sweep_seconds / num_lanes,
-                        teps=lane_teps(traversed, sweep_seconds, num_lanes),
-                        traversed_edges=traversed,
-                        validation=report,
-                        counters=counters,
-                        time_breakdown=run.time_breakdown,
-                        trace=run.comm,
-                        work_imbalance=run.work_imbalance,
-                        racecheck=run.result.meta.get("racecheck"),
-                        lane=i,
-                        batch=batch_index,
-                        sweep_seconds=sweep_seconds,
-                    )
-                )
-    finally:
-        if owns_executor:
-            exec_obj.close()
-    return runs
+    if tracer is None:
+        tracer = NULL_TRACER
+    if machine is None:
+        machine = small_cluster(max(num_ranks, 1))
+    tracer.add_meta(
+        scale=scale,
+        edgefactor=edgefactor,
+        seed=seed,
+        ranks=num_ranks,
+        machine=machine.name,
+        variant=variant,
+        num_roots=num_roots,
+        batch_roots=loop["batch_roots"],
+    )
+    gen_timer = Timer()
+    with tracer.span("generation", cat="harness", scale=scale, edgefactor=edgefactor):
+        with gen_timer:
+            edges = generate_kronecker(scale, edgefactor=edgefactor, seed=seed)
+    build_timer = Timer()
+    with tracer.span("construction", cat="harness"):
+        with build_timer:
+            graph = build_csr(edges)
+    runs = run_roots(
+        graph,
+        sample_roots(graph, num_roots, seed=seed),
+        num_ranks,
+        machine,
+        kernel=kernel,
+        tracer=tracer,
+        **loop,
+    )
+    if tracer.enabled:
+        registry = MetricsRegistry()
+        for run in runs:
+            registry.histogram("root_simulated_seconds").observe(
+                run.simulated_seconds
+            )
+            registry.histogram("root_teps").observe(run.teps)
+        registry.gauge("generation_wall_seconds").set(gen_timer.seconds)
+        registry.gauge("construction_wall_seconds").set(build_timer.seconds)
+        tracer.emit_metrics("harness", registry.snapshot())
+    return BenchmarkResult(
+        scale=scale,
+        edgefactor=edgefactor,
+        seed=seed,
+        num_ranks=num_ranks,
+        machine_name=machine.name,
+        config=loop.get("config"),
+        num_vertices=graph.num_vertices,
+        num_edges_generated=edges.num_edges,
+        num_edges_csr=graph.num_edges,
+        generation_wall_seconds=gen_timer.seconds,
+        construction_wall_seconds=build_timer.seconds,
+        roots=runs,
+        kernel=kernel,
+        direction=variant if kernel == "bfs" else None,
+    )
 
 
 def run_graph500_sssp(
@@ -360,71 +394,62 @@ def run_graph500_sssp(
 
     ``tracer`` (optional) receives the full telemetry of the protocol —
     generation/construction spans (wall-clock kernels), one ``root`` span
-    per kernel-3 invocation wrapping the engine's epoch/superstep spans and
-    the fabric's per-exchange events, and a harness metrics snapshot.
+    per kernel invocation (``batch`` per sweep) wrapping the engine's
+    epoch/superstep spans, the fabric's per-exchange events and the
+    per-answer ``validation`` spans, and a harness metrics snapshot.
     """
-    if tracer is None:
-        tracer = NULL_TRACER
     if config is None:
         config = SSSPConfig()
-    if machine is None:
-        machine = small_cluster(max(num_ranks, 1))
-    tracer.add_meta(
-        scale=scale,
-        edgefactor=edgefactor,
-        seed=seed,
-        ranks=num_ranks,
-        machine=machine.name,
-        variant=config.variant_name(),
-        num_roots=num_roots,
-        batch_roots=batch_roots,
+    return _run_graph500(
+        "sssp", config.variant_name(), scale, num_ranks, edgefactor, seed,
+        num_roots, machine, tracer, config=config, validate=validate,
+        faults=faults, engine=engine, sanitize=sanitize, racecheck=racecheck,
+        executor=executor, workers=workers, batch_roots=batch_roots,
     )
-    gen_timer = Timer()
-    with tracer.span("generation", cat="harness", scale=scale, edgefactor=edgefactor):
-        with gen_timer:
-            edges = generate_kronecker(scale, edgefactor=edgefactor, seed=seed)
-    build_timer = Timer()
-    with tracer.span("construction", cat="harness"):
-        with build_timer:
-            graph = build_csr(edges)
-    roots = sample_roots(graph, num_roots, seed=seed)
-    runs = run_sssp_on_graph(
-        graph,
-        roots,
-        num_ranks,
-        machine,
-        config,
-        validate,
-        tracer=tracer,
-        faults=faults,
-        engine=engine,
-        sanitize=sanitize,
-        racecheck=racecheck,
-        executor=executor,
-        workers=workers,
-        batch_roots=batch_roots,
-    )
-    if tracer.enabled:
-        registry = MetricsRegistry()
-        for run in runs:
-            registry.histogram("root_simulated_seconds").observe(
-                run.simulated_seconds
+
+
+def run_graph500_bfs(
+    scale: int,
+    num_ranks: int = 8,
+    edgefactor: int = GRAPH500_EDGEFACTOR,
+    seed: int = 2022,
+    num_roots: int = GRAPH500_NUM_ROOTS,
+    machine: MachineSpec | None = None,
+    direction: str = "auto",
+    validate: bool = True,
+    tracer: Tracer | None = None,
+    faults: object = None,
+    sanitize: bool = False,
+    racecheck: bool = False,
+    executor: str | RankExecutor | None = None,
+    workers: int | None = None,
+    batch_roots: int | None = None,
+) -> BenchmarkResult:
+    """Run the complete Graph500 BFS benchmark at the given scale.
+
+    The same protocol and knobs as :func:`run_graph500_sssp`, on the
+    distributed direction-optimizing BFS (``direction=`` pins its
+    traversal policy).  ``batch_roots`` answers the roots in bit-parallel
+    ``bfs64`` sweeps of at most that many lanes (<= 64: one uint64 bit per
+    root) instead of one run per root.
+    """
+    loop_opts = {"direction": direction}
+    if batch_roots is not None:
+        if not 1 <= batch_roots <= MAX_LANES:
+            raise ValueError(
+                f"batch_roots must be in [1, {MAX_LANES}] (one uint64 bit "
+                f"per root), got {batch_roots}"
             )
-            registry.histogram("root_teps").observe(run.teps)
-        registry.gauge("generation_wall_seconds").set(gen_timer.seconds)
-        registry.gauge("construction_wall_seconds").set(build_timer.seconds)
-        tracer.emit_metrics("harness", registry.snapshot())
-    return BenchmarkResult(
-        scale=scale,
-        edgefactor=edgefactor,
-        seed=seed,
-        num_ranks=num_ranks,
-        machine_name=machine.name,
-        config=config,
-        num_vertices=graph.num_vertices,
-        num_edges_generated=edges.num_edges,
-        num_edges_csr=graph.num_edges,
-        generation_wall_seconds=gen_timer.seconds,
-        construction_wall_seconds=build_timer.seconds,
-        roots=runs,
+        if direction != "auto":
+            raise ValueError(
+                "bfs64 batched sweeps are level-synchronous and have no "
+                f"direction knob; direction={direction!r} conflicts with "
+                "batch_roots="
+            )
+        direction, loop_opts = "bfs64", {}
+    return _run_graph500(
+        "bfs", direction, scale, num_ranks, edgefactor, seed, num_roots,
+        machine, tracer, validate=validate, faults=faults, sanitize=sanitize,
+        racecheck=racecheck, executor=executor, workers=workers,
+        batch_roots=batch_roots, **loop_opts,
     )

@@ -20,7 +20,7 @@ def render_output_block(result: BenchmarkResult) -> str:
     """Render the spec's output statistics block as text."""
     teps = result.teps
     sims = np.array([r.simulated_seconds for r in result.roots])
-    batched = [r for r in result.roots if getattr(r, "lane", None) is not None]
+    batched = [r for r in result.roots if r.lane is not None]
     lines = [
         f"SCALE: {result.scale}",
         f"edgefactor: {result.edgefactor}",
@@ -30,7 +30,7 @@ def render_output_block(result: BenchmarkResult) -> str:
         f"num_edges_generated: {result.num_edges_generated}",
         f"num_edges_constructed: {result.num_edges_csr}",
         f"machine: {result.machine_name} x {result.num_ranks} ranks",
-        f"variant: {result.config.variant_name()}",
+        f"variant: {result.variant}",
         f"construction_time: {result.construction_wall_seconds:.6g} s (wall)",
         f"generation_time: {result.generation_wall_seconds:.6g} s (wall)",
         f"min_time: {sims.min():.6g} s (simulated)",

@@ -80,18 +80,29 @@ class TestDiffDocuments:
 
 
 class TestMalformedDocuments:
-    def test_missing_engines_mapping(self):
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, {"engines": {}}, {"engines": "oops"}, {"something": 1}],
+    )
+    def test_missing_engines_mapping(self, doc):
         with pytest.raises(ValueError, match="engines"):
-            diff_documents({"something": 1}, bench_doc(a=1.0))
+            diff_documents(doc, bench_doc(a=1.0))
 
-    def test_engine_without_wall_seconds(self):
+    @pytest.mark.parametrize("entry", [{}, 3.5, None, [1.0]])
+    def test_engine_without_wall_seconds(self, entry):
         with pytest.raises(ValueError, match="wall_seconds"):
-            diff_documents({"engines": {"a": {}}}, bench_doc(a=1.0))
+            diff_documents({"engines": {"a": entry}}, bench_doc(a=1.0))
 
-    def test_non_numeric_wall(self):
-        with pytest.raises(ValueError, match="non-negative"):
+    @pytest.mark.parametrize("wall", [None, "fast", 0, -1.0, [1.0], True])
+    def test_wall_must_be_a_positive_number(self, wall):
+        with pytest.raises(ValueError, match="wall_seconds must be a positive"):
             diff_documents(
-                {"engines": {"a": {"wall_seconds": "fast"}}}, bench_doc(a=1.0)
+                {"engines": {"a": {"wall_seconds": wall}}}, bench_doc(a=1.0)
+            )
+        # The candidate side is held to the same rule as the baseline.
+        with pytest.raises(ValueError, match="candidate"):
+            diff_documents(
+                bench_doc(a=1.0), {"engines": {"a": {"wall_seconds": wall}}}
             )
 
     def test_profile_without_buckets(self):

@@ -7,7 +7,8 @@ import scipy.sparse.csgraph as csg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bfs import bfs, validate_bfs
+from repro.bfs import bfs
+from repro.graph500.validation import validate_bfs
 from repro.bfs.dist_bfs import _distributed_bfs as distributed_bfs
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker

@@ -1,8 +1,11 @@
-"""Tests for batched multi-source sweeps in the Graph500 harnesses.
+"""Kernel-specific tests for batched multi-source sweeps in the harness.
 
-Covers the ``batch_roots=`` rewiring of the SSSP and BFS drivers: chunked
-sweeps, per-lane RootRun splitting (amortized timing, per-lane TEPS and
-validation), heterogeneous-counter aggregation, and the report rendering.
+The invariants every (kernel, loop/sweeps) cell shares — chunking, lane
+provenance, amortized timing, per-lane TEPS and validation — are one
+parametrised test in ``test_harness.py``; what is left here is particular
+to one kernel or to sweeps: argument rejection, the per-lane
+``edges_scanned`` split, faults + sanitizer, heterogeneous-counter
+aggregation, and the report rendering.
 """
 
 import pytest
@@ -10,12 +13,12 @@ import pytest
 from repro.core.config import SSSPConfig
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
-from repro.graph500.bfs_harness import run_graph500_bfs
 from repro.graph500.harness import (
     BenchmarkResult,
     RootRun,
+    run_graph500_bfs,
     run_graph500_sssp,
-    run_sssp_on_graph,
+    run_roots,
 )
 from repro.graph500.report import render_output_block
 from repro.graph500.roots import sample_roots
@@ -35,7 +38,7 @@ def graph():
 @pytest.fixture(scope="module")
 def batched(graph):
     roots = sample_roots(graph, 10, seed=2022)
-    return roots, run_sssp_on_graph(
+    return roots, run_roots(
         graph, roots, RANKS, small_cluster(RANKS), SSSPConfig(),
         batch_roots=4,
     )
@@ -57,45 +60,6 @@ class TestLaneTeps:
 
 
 class TestBatchedSSSPHarness:
-    def test_every_root_gets_a_run(self, batched):
-        roots, runs = batched
-        assert [r.root for r in runs] == [int(r) for r in roots]
-
-    def test_chunking_and_lane_provenance(self, batched):
-        _, runs = batched
-        assert [r.batch for r in runs] == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
-        assert [r.lane for r in runs] == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
-        assert all(r.counters["batch_lanes"] in (2, 4) for r in runs)
-
-    def test_amortized_timing_conserves_sweep(self, batched):
-        _, runs = batched
-        for batch in (0, 1, 2):
-            group = [r for r in runs if r.batch == batch]
-            assert all(r.sweep_seconds == group[0].sweep_seconds for r in group)
-            total = sum(r.simulated_seconds for r in group)
-            assert total == pytest.approx(group[0].sweep_seconds, rel=1e-12)
-
-    def test_per_lane_teps_accounting(self, batched):
-        _, runs = batched
-        for r in runs:
-            assert r.teps == pytest.approx(
-                r.traversed_edges / r.simulated_seconds
-            )
-
-    def test_lanes_validated_individually(self, batched):
-        _, runs = batched
-        assert all(r.validation.ok for r in runs)
-
-    def test_answers_match_unbatched_loop(self, graph, batched):
-        roots, runs = batched
-        plain = run_sssp_on_graph(
-            graph, roots, RANKS, small_cluster(RANKS), SSSPConfig()
-        )
-        assert [r.traversed_edges for r in runs] == [
-            r.traversed_edges for r in plain
-        ]
-        assert all(r.lane is None and r.batch is None for r in plain)
-
     def test_per_lane_edges_scanned_split(self, batched):
         _, runs = batched
         group = [r for r in runs if r.batch == 0]
@@ -107,7 +71,7 @@ class TestBatchedSSSPHarness:
     def test_rejects_bad_batch_roots(self, graph):
         roots = sample_roots(graph, 4, seed=2022)
         with pytest.raises(ValueError, match="batch_roots"):
-            run_sssp_on_graph(
+            run_roots(
                 graph, roots, RANKS, small_cluster(RANKS), SSSPConfig(),
                 batch_roots=0,
             )
@@ -115,7 +79,7 @@ class TestBatchedSSSPHarness:
     def test_rejects_non_dist1d_engine(self, graph):
         roots = sample_roots(graph, 4, seed=2022)
         with pytest.raises(ValueError, match="dist1d"):
-            run_sssp_on_graph(
+            run_roots(
                 graph, roots, RANKS, small_cluster(RANKS), SSSPConfig(),
                 engine="dist2d", batch_roots=4,
             )
@@ -171,7 +135,7 @@ class TestHeterogeneousCounters:
 
     def test_mixed_batched_and_plain_roots_aggregate(self, graph, batched):
         roots, runs = batched
-        plain = run_sssp_on_graph(
+        plain = run_roots(
             graph, roots[:2], RANKS, small_cluster(RANKS), SSSPConfig()
         )
         mixed = self._result_with(list(runs) + list(plain))
@@ -204,7 +168,7 @@ class TestBatchedReport:
 
     def test_unbatched_block_has_no_sweep_line(self, graph):
         roots = sample_roots(graph, 2, seed=2022)
-        runs = run_sssp_on_graph(
+        runs = run_roots(
             graph, roots, RANKS, small_cluster(RANKS), SSSPConfig()
         )
         result = BenchmarkResult(
@@ -218,29 +182,13 @@ class TestBatchedReport:
 
 
 class TestBatchedBFSHarness:
-    def test_batched_bfs_protocol(self):
+    def test_sweeps_are_labelled_bfs64(self):
         result = run_graph500_bfs(
             scale=SCALE, num_ranks=RANKS, num_roots=10, batch_roots=8
         )
         assert result.all_valid
         assert result.direction == "bfs64"
         assert [r.batch for r in result.roots] == [0] * 8 + [1] * 2
-        plain = run_graph500_bfs(scale=SCALE, num_ranks=RANKS, num_roots=10)
-        assert [r.traversed_edges for r in result.roots] == [
-            r.traversed_edges for r in plain.roots
-        ]
-        assert [r.levels for r in result.roots] == [
-            r.levels for r in plain.roots
-        ]
-
-    def test_amortized_lane_timing(self):
-        result = run_graph500_bfs(
-            scale=SCALE, num_ranks=RANKS, num_roots=4, batch_roots=4
-        )
-        group = result.roots
-        assert sum(r.simulated_seconds for r in group) == pytest.approx(
-            group[0].sweep_seconds
-        )
 
     def test_rejects_too_many_lanes(self):
         with pytest.raises(ValueError, match=r"\[1, 64\]"):

@@ -7,11 +7,11 @@ from repro.core.config import SSSPConfig
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import star_graph
-from repro.graph500.harness import run_graph500_sssp
+from repro.graph500.harness import run_graph500_bfs, run_graph500_sssp, run_roots
 from repro.graph500.report import render_output_block, render_table
 from repro.graph500.roots import sample_roots
 from repro.graph500.spec import GRAPH500_EDGEFACTOR, GRAPH500_NUM_ROOTS, problem_class
-from repro.graph500.teps import teps_summary
+from repro.graph500.teps import lane_teps, teps_summary
 
 
 class TestSpec:
@@ -74,6 +74,83 @@ class TestTeps:
             teps_summary(np.array([1e6, 0.0]))
 
 
+SCALE = 9
+RANKS = 4
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return build_csr(generate_kronecker(SCALE, seed=2022))
+
+
+@pytest.fixture(scope="module")
+def sample(graph):
+    return sample_roots(graph, 10, seed=2022)
+
+
+@pytest.fixture(scope="module")
+def unbatched(graph, sample):
+    return {
+        kernel: run_roots(graph, sample, RANKS, kernel=kernel)
+        for kernel in ("sssp", "bfs")
+    }
+
+
+@pytest.mark.parametrize("batch_roots", [None, 4], ids=["loop", "sweeps"])
+@pytest.mark.parametrize("kernel", ["sssp", "bfs"])
+def test_root_loop_invariants(graph, sample, unbatched, kernel, batch_roots):
+    """The one root loop, for every kernel, looped and in sweeps."""
+    plain = unbatched[kernel]
+    runs = plain if batch_roots is None else run_roots(
+        graph, sample, RANKS, kernel=kernel, batch_roots=batch_roots
+    )
+    # Every root gets a run, in sample order.
+    assert [r.root for r in runs] == [int(r) for r in sample]
+    # Chunking and lane provenance.
+    if batch_roots is None:
+        assert all(
+            r.lane is None and r.batch is None and r.sweep_seconds is None
+            for r in runs
+        )
+        groups = [[r] for r in runs]
+    else:
+        assert [r.batch for r in runs] == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+        assert [r.lane for r in runs] == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
+        assert [r.counters["batch_lanes"] for r in runs] == [4] * 8 + [2] * 2
+        groups = [[r for r in runs if r.batch == b] for b in (0, 1, 2)]
+    # Amortised time sums to the sweep's; TEPS is the lane's share of it.
+    for group in groups:
+        sweep = group[0].sweep_seconds or group[0].simulated_seconds
+        assert all((r.sweep_seconds or r.simulated_seconds) == sweep for r in group)
+        assert sum(r.simulated_seconds for r in group) == pytest.approx(
+            sweep, rel=1e-12
+        )
+        for r in group:
+            assert r.teps == lane_teps(r.traversed_edges, sweep, len(group))
+            assert r.teps > 0
+            assert r.teps == pytest.approx(r.traversed_edges / r.simulated_seconds)
+    # Every lane is validated on its own answer.
+    assert all(r.validation.ok and r.validation.failures == [] for r in runs)
+    # Answers equal the unbatched loop's.
+    assert [r.traversed_edges for r in runs] == [r.traversed_edges for r in plain]
+    if kernel == "bfs":
+        assert all(r.counters["levels"] > 0 for r in runs)
+        assert [r.counters["levels"] for r in runs] == [
+            r.counters["levels"] for r in plain
+        ]
+
+
+@pytest.mark.parametrize("harness", [run_graph500_sssp, run_graph500_bfs])
+def test_pipeline_front_times_generation_and_construction_apart(harness):
+    res = harness(scale=8, num_ranks=4, num_roots=2, seed=5)
+    assert res.generation_wall_seconds > 0
+    assert res.construction_wall_seconds > 0
+    assert res.num_edges_generated == GRAPH500_EDGEFACTOR << 8
+    assert res.num_vertices == 256
+    assert res.num_edges_csr <= 2 * res.num_edges_generated
+    assert res.teps.hmean > 0 and res.teps.minimum > 0
+
+
 class TestHarness:
     @pytest.fixture(scope="class")
     def result(self):
@@ -83,16 +160,9 @@ class TestHarness:
         assert len(result.roots) == 6
         assert result.all_valid
 
-    def test_edge_counts(self, result):
-        assert result.num_edges_generated == 16 * 256
-        assert result.num_edges_csr <= 2 * result.num_edges_generated
-
-    def test_teps_positive(self, result):
-        assert result.teps.hmean > 0
-        assert result.teps.minimum > 0
-
     def test_row(self, result):
         row = result.row()
+        assert row["kernel"] == "SSSP"
         assert row["scale"] == 8
         assert row["valid"] is True
         assert row["variant"] == "optimized"
@@ -117,6 +187,29 @@ class TestHarness:
     def test_validate_can_be_skipped(self):
         res = run_graph500_sssp(scale=7, num_ranks=2, num_roots=2, validate=False)
         assert res.all_valid  # vacuous reports
+
+
+class TestBFSHarness:
+    def test_row_and_output_block(self):
+        result = run_graph500_bfs(scale=8, num_ranks=4, num_roots=6, seed=5)
+        row = result.row()
+        assert row["kernel"] == "BFS"
+        assert row["valid"] is True
+        assert row["variant"] == result.direction == "auto"
+        block = render_output_block(result)
+        assert "variant: auto" in block and "validation: PASSED" in block
+
+    def test_direction_threads_through(self):
+        res = run_graph500_bfs(scale=7, num_ranks=2, num_roots=2, direction="top_down")
+        assert res.direction == "top_down"
+        assert res.all_valid
+
+    def test_auto_beats_top_down_on_inspections(self):
+        auto = run_graph500_bfs(scale=9, num_ranks=2, num_roots=2)
+        td = run_graph500_bfs(scale=9, num_ranks=2, num_roots=2, direction="top_down")
+        assert sum(r.counters["edges_inspected"] for r in auto.roots) < sum(
+            r.counters["edges_inspected"] for r in td.roots
+        )
 
 
 class TestRenderTable:

@@ -21,8 +21,7 @@ from repro.core.delta_stepping import _delta_stepping as delta_stepping
 from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
 from repro.graph import build_csr, generate_kronecker
 from repro.graph.synth import grid_graph, random_graph, star_graph
-from repro.graph500 import validate_sssp
-from repro.bfs import validate_bfs
+from repro.graph500 import validate_bfs, validate_sssp
 
 
 GRAPHS = {

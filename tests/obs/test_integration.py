@@ -7,6 +7,7 @@ exchange escaped the telemetry stream.
 """
 
 import numpy as np
+import pytest
 
 from repro.bfs.dist_bfs import _distributed_bfs as distributed_bfs
 from repro.core.delta_stepping import _delta_stepping as delta_stepping
@@ -14,7 +15,7 @@ from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
 from repro.core.twod_engine import _distributed_sssp_2d as distributed_sssp_2d
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
-from repro.graph500.harness import run_graph500_sssp
+from repro.graph500.harness import run_graph500_bfs, run_graph500_sssp
 from repro.obs import RunReport, Tracer
 
 
@@ -113,14 +114,32 @@ class TestHarnessTelemetry:
             assert len(rows) == root_run.trace["supersteps"]
         assert report.total_bytes == sum(r.trace["total_bytes"] for r in result.roots)
 
-    def test_harness_spans_and_meta(self):
+    @pytest.mark.parametrize(
+        "harness, batch_roots, engine_spans",
+        [
+            (run_graph500_sssp, None, {("engine", "epoch"), ("engine", "superstep")}),
+            (run_graph500_bfs, None, {("engine", "level")}),
+            (run_graph500_sssp, 2, {("engine", "superstep")}),
+            (run_graph500_bfs, 2, {("engine", "superstep")}),
+        ],
+        ids=["sssp", "bfs", "sssp-sweeps", "bfs-sweeps"],
+    )
+    def test_harness_spans_and_meta(self, harness, batch_roots, engine_spans):
         tracer = Tracer()
-        run_graph500_sssp(scale=8, num_ranks=2, num_roots=2, tracer=tracer)
+        harness(
+            scale=8, num_ranks=2, num_roots=2, tracer=tracer, batch_roots=batch_roots
+        )
         report = RunReport.from_events(tracer.events)
         names = {(a["cat"], a["name"]) for a in report.span_summary}
+        run_span = ("harness", "root" if batch_roots is None else "batch")
         assert {("harness", "generation"), ("harness", "construction"),
-                ("harness", "root"), ("harness", "validation"),
-                ("engine", "epoch"), ("engine", "superstep")} <= names
+                run_span, ("harness", "validation")} | engine_spans <= names
+        # Validation nests inside the run's span, looped or in sweeps.
+        spans = [e for e in tracer.events if e.get("cat") == "harness"]
+        runs = [e for e in spans if e["name"] == run_span[1]]
+        checks = [e for e in spans if e["name"] == "validation"]
+        assert len(checks) == 2 and len(runs) == (2 if batch_roots is None else 1)
+        assert {c["parent"] for c in checks} == {r["id"] for r in runs}
         assert report.meta["scale"] == 8
         assert report.meta["ranks"] == 2
         assert "harness" in report.metrics

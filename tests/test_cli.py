@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -46,11 +48,30 @@ class TestCommands:
         assert "variant: baseline" in capsys.readouterr().out
 
     def test_bfs(self, capsys):
-        rc = main(["run", "--kernel", "bfs", "--scale", "9", "--ranks", "2"])
+        # Kernel 2 runs the same protocol and prints the same block as SSSP.
+        rc = main(["run", "--kernel", "bfs", "--scale", "9", "--ranks", "2", "--roots", "2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "top_down" in out and "auto" in out
+        assert "harmonic_mean_TEPS" in out and "variant: auto" in out
         assert "validation: PASSED" in out
+
+    @pytest.mark.parametrize("kernel", ["sssp", "bfs"])
+    def test_every_run_flag_reaches_the_kernel(self, kernel, capsys):
+        rc = main(
+            ["run", "--kernel", kernel, "--scale", "8", "--ranks", "4",
+             "--roots", "4", "--batch-roots", "4", "--sanitize", "--racecheck",
+             "--executor", "thread", "--workers", "2"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "batched: 1 multi-source sweeps x <= 4 lanes" in out
+        assert "sanitizer: 4 root run(s) audited" in out
+        regions = re.search(r"racecheck: .*\((\d+) lazy handles, (\d+) parallel regions\)", out)
+        assert regions and int(regions.group(2)) > 0
+
+    def test_sssp_only_flags_are_rejected_for_bfs(self):
+        with pytest.raises(SystemExit, match="apply to --kernel sssp"):
+            main(["run", "--kernel", "bfs", "--scale", "8", "--engine", "dist2d"])
 
     def test_ablation(self, capsys):
         rc = main(["ablation", "--scale", "9", "--ranks", "2", "--roots", "1"])
