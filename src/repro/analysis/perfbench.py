@@ -212,7 +212,7 @@ def _p1(graph, doc, *, num_ranks, engines, **_) -> Iterator[Entry]:
 
 def _p4(graph, doc, *, num_ranks, engines, backends, worker_counts, **_) -> Iterator[Entry]:
     doc["source"] = source = int(np.argmax(graph.out_degree))
-    doc.update(worker_counts=list(worker_counts), host_cpus=os.cpu_count(), speedup={})
+    doc.update(worker_counts=list(worker_counts), speedup={})
     for engine in engines:
         anchor = f"{engine}@serial"
         yield _single_run(graph, source, engine, num_ranks, anchor, backend="serial")
@@ -228,7 +228,7 @@ def _p4(graph, doc, *, num_ranks, engines, backends, worker_counts, **_) -> Iter
 
 
 def _k1(graph, doc, *, num_ranks, kernels, backends, workers, **_) -> Iterator[Entry]:
-    doc.update(workers=workers, host_cpus=os.cpu_count())
+    doc["workers"] = workers
     for kernel in kernels:
         first = None
         for backend in backends:
@@ -251,7 +251,7 @@ def _b1(
     doc.update(
         num_roots=num_roots, batch_roots=batch_roots,
         delta=float(choose_delta(graph)), batch_delta=float(choose_batch_delta(graph)),
-        workers=workers, host_cpus=os.cpu_count(), speedup={},
+        workers=workers, speedup={},
     )
     for backend in backends:
         on = dict(backend=backend, workers=None if backend == "serial" else workers)
@@ -309,6 +309,9 @@ def run_bench(
         "num_vertices": int(graph.num_vertices),
         "num_edges": int(graph.num_edges),
         "repeats": repeats,
+        # Walls (and above all speedups) only mean anything relative to
+        # the host that measured them.
+        "host_cpus": os.cpu_count(),
         "engines": {},
     }
     params = dict(

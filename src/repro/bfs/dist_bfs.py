@@ -36,7 +36,7 @@ from repro.engine.validation import (
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
 from repro.simmpi.executor import RankExecutor
-from repro.simmpi.fabric import Message
+from repro.simmpi.fabric import Message, Wire
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
@@ -75,21 +75,21 @@ class _BFSRank(Rank):
 
     # -- top-down ---------------------------------------------------------
 
-    def expand_top_down(self, depth: int) -> dict[int, Message]:
+    def expand_top_down(self, depth: int) -> Wire | None:
         """Expand owned frontier; claim locally, route remote claims."""
         # repro: index-space: dst=global
         src, dst, _ = frontier_edges(self.local_graph, self.frontier)
         self.step_edges += int(src.size)
         self.frontier = np.empty(0, dtype=np.int64)
         if src.size == 0:
-            return {}
+            return None
         src_global = src + self.range_lo  # parents are global on the wire
         mine = (dst >= self.range_lo) & (dst < self.range_hi)
         self._claim(dst[mine] - self.range_lo, src_global[mine], depth)
         rem_dst = dst[~mine]
         rem_src = src_global[~mine]
         if rem_dst.size == 0:
-            return {}
+            return None
         # Coalesce: one claim per remote target (any parent is valid).
         uniq, first = np.unique(rem_dst, return_index=True)
         self.claims.route(uniq, rem_src[first])

@@ -1,26 +1,21 @@
-"""Message coalescing: per-destination reduction and wire packing.
+"""Message coalescing: the sender-side reduction.
 
 On a scale-free graph a single light phase can generate many updates for
 the *same* remote vertex (every frontier vertex adjacent to it produces
 one).  Sending them all wastes bandwidth; only the minimum can win at the
 receiver.  :func:`dedup_min` reduces a batch of ``(target, dist)`` updates
 to one entry per target — the send-side half of the paper-style coalescing,
-whose receive-side half is the owner's scatter-min.
-
-:func:`pack_updates` / :func:`unpack_updates` implement the wire format,
-including the optional uint32 index compression (a third of the record is
-the index; halving it saves ~17% of bytes on 64-bit-index graphs).
+whose receive-side half is the owner's scatter-min.  The 1-D engine hands
+it to its update outbox as the fold over the whole send buffer; the wire
+format itself (columns, counts, the optional uint32 index compression) is
+the outbox's, :mod:`repro.engine.rank`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.simmpi.fabric import Message
-
-__all__ = ["dedup_min", "pack_updates", "unpack_updates"]
-
-_UINT32_MAX = np.iinfo(np.uint32).max
+__all__ = ["dedup_min"]
 
 
 def dedup_min(targets: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -44,38 +39,3 @@ def dedup_min(targets: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.nd
     np.not_equal(st[1:], st[:-1], out=starts[1:])
     idx = np.flatnonzero(starts)
     return st[idx], np.minimum.reduceat(sd, idx)
-
-
-def pack_updates(
-    targets: np.ndarray,
-    dists: np.ndarray,
-    kinds: np.ndarray,
-    compress: bool,
-    num_vertices: int,
-) -> Message:
-    """Pack update records into a wire message.
-
-    ``kinds`` distinguishes record types (0 = distance update to an owned
-    vertex, 1 = light hub announcement, 2 = heavy hub announcement).
-    Distances are always float64 — compressing them would break the
-    float-exact tree validation.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    if compress and num_vertices <= _UINT32_MAX:
-        vertex = targets.astype(np.uint32)
-    else:
-        vertex = targets
-    return Message(
-        vertex=vertex,
-        dist=np.asarray(dists, dtype=np.float64),
-        kind=np.asarray(kinds, dtype=np.uint8),
-    )
-
-
-def unpack_updates(msg: Message) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_updates`: ``(targets int64, dists, kinds)``."""
-    return (
-        msg["vertex"].astype(np.int64),
-        msg["dist"],
-        msg["kind"],
-    )

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.adaptive import choose_delta
 from repro.core.buckets import BucketQueue
-from repro.core.coalescing import dedup_min, pack_updates, unpack_updates
+from repro.core.coalescing import dedup_min
 from repro.core.config import SSSPConfig
 from repro.core.delegation import DelegateTable, auto_hub_threshold, select_hubs
 from repro.core.ghost_cache import GhostMinCache
@@ -42,7 +42,7 @@ from repro.engine.driver import (
     attach_fabric_outcome,
     run_superstep_engine,
 )
-from repro.engine.rank import Columns, Outbox, OwnerRouter, Rank
+from repro.engine.rank import Columns, Outbox, OwnerRouter, Rank, wire_id_dtype
 from repro.engine.validation import (
     check_delta,
     check_num_ranks,
@@ -54,14 +54,21 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.partition import LocalIndexMap, Partition1D
 from repro.simmpi.executor import RankExecutor
-from repro.simmpi.fabric import Message
+from repro.simmpi.fabric import Message, Wire
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
+# Record kinds on the wire; 0 is a plain distance update to an owned vertex.
 _KIND_LIGHT_ANNOUNCE = 1
 _KIND_HEAVY_ANNOUNCE = 2
 
 _INF = np.inf
+
+
+def _min_per_target(targets: np.ndarray, dists: np.ndarray, kinds: np.ndarray) -> Columns:
+    """Outbox fold for distance updates (all of kind 0): one minimum per target."""
+    targets, dists = dedup_min(targets, dists)
+    return targets, dists, kinds[: targets.size]
 
 
 class _Rank(Rank):
@@ -87,7 +94,6 @@ class _Rank(Rank):
     ) -> None:
         super().__init__(rank, router)
         self.num_ranks = router.num_ranks
-        self.num_vertices = graph.num_vertices
         self.config = config
         self.delta = delta
         # repro: index-space: self.owned[local]=global
@@ -110,11 +116,8 @@ class _Rank(Rank):
         # best candidate ever sent toward each owner — lives in a compact
         # sorted-key map sized by the halo actually touched, not by n,
         # with 32-bit keys whenever the vertex ids fit.
-        ghost_key_dtype = (
-            np.uint32 if graph.num_vertices <= np.iinfo(np.uint32).max else np.int64
-        )
         self.ghosts = (
-            GhostMinCache(key_dtype=ghost_key_dtype)
+            GhostMinCache(key_dtype=wire_id_dtype(graph.num_vertices, True))
             if (config.coalesce and self.num_ranks > 1)
             else None
         )
@@ -128,9 +131,19 @@ class _Rank(Rank):
             self.announced = np.empty(0, dtype=np.float64)
         # Two record classes, two outboxes: plain distance updates go out
         # in a superstep's reduce round, hub announcements in its
-        # broadcast round.
-        self.updates = Outbox(router, ("vertex", "dist"))
-        self.announcements = Outbox(router, ("vertex", "dist", "kind"))
+        # broadcast round.  Both ship (vertex, dist, kind) records;
+        # distances are always float64 — compressing them would break the
+        # float-exact tree validation.  Several update batches queued for
+        # one flush are reduced to one minimum per target; a lone batch is
+        # already sorted-unique (it came out of the ghost cache's
+        # coalesce_batch), so folding it would be the identity.
+        fields = ("vertex", "dist", "kind")
+        id_dtype = wire_id_dtype(graph.num_vertices, config.compressed_indices)
+        self.updates = Outbox(
+            router, fields, id_dtype, fold=_min_per_target if config.coalesce else None
+        )
+        self.announcements = Outbox(router, fields, id_dtype)
+        self.others = np.delete(np.arange(self.num_ranks), rank)
         self._bucket_ops_seen = 0
 
     # -- epoch lifecycle ---------------------------------------------------
@@ -182,7 +195,7 @@ class _Rank(Rank):
             # batch comes back sorted by target and deduplicated, which on
             # a contiguous partition is already the owner split's order.
             rem_t, rem_c = self.ghosts.coalesce_batch(rem_t, rem_c)
-        self.updates.route(rem_t, rem_c)
+        self.updates.route(rem_t, rem_c, np.zeros(rem_t.size, dtype=np.uint8))
 
     def _announce(self, hubs_local: np.ndarray, kind: int) -> None:
         """Broadcast (hub, dist) records; expand the local slice directly."""
@@ -202,11 +215,9 @@ class _Rank(Rank):
         dists = d[fresh]
         if hubs.size == 0:
             return
-        kinds = np.full(hubs.size, kind, dtype=np.uint8)
-        for dst in range(self.num_ranks):
-            if dst != self.rank:
-                self.announcements.put(dst, (hubs, dists, kinds))
-        # This rank's own slice is expanded immediately (no self-message).
+        # One copy of the records for every other rank; this rank's own
+        # slice is expanded immediately (no self-message).
+        self.announcements.route(hubs, dists, np.full(hubs.size, kind, dtype=np.uint8))
         self._expand_delegated(hubs, dists, kind)
 
     def _expand_delegated(self, hubs: np.ndarray, dists: np.ndarray, kind: int) -> None:
@@ -225,7 +236,8 @@ class _Rank(Rank):
         if msg is None:
             return
         # repro: index-space: targets=global
-        targets, dists, kinds = unpack_updates(msg)
+        targets = msg["vertex"].astype(np.int64, copy=False)
+        dists, kinds = msg["dist"], msg["kind"]
         if not kinds.any():
             # Pure-update message (the reduce round).  Plain updates are
             # routed to the owner, so every target is owned by this rank.
@@ -288,38 +300,14 @@ class _Rank(Rank):
         if hubs.size:
             self._announce(hubs, _KIND_HEAVY_ANNOUNCE)
 
-    # -- flushing ---------------------------------------------------------------
-
-    def _pack_updates(self, columns: Columns, num_parts: int) -> Message:
-        """Wire message for one destination's queued distance updates."""
-        targets, dists = columns
-        if self.config.coalesce and num_parts > 1:
-            # One minimum per target.  A lone part is already
-            # sorted-unique — it came out of the ghost cache's
-            # coalesce_batch — so dedup would be the identity.
-            targets, dists = dedup_min(targets, dists)
-        return pack_updates(
-            targets,
-            dists,
-            np.zeros(targets.size, dtype=np.uint8),
-            self.config.compressed_indices,
-            self.num_vertices,
-        )
-
-    def _pack_announcements(self, columns: Columns, num_parts: int) -> Message:
-        """Wire message for queued hub announcements (unique per hub already)."""
-        return pack_updates(
-            *columns, self.config.compressed_indices, self.num_vertices
-        )
-
     # -- fused superstep phases (one team call per exchange side) -----------
     #
     # A light superstep is one call per fabric exchange.  Each outbound
-    # call returns the rank's announcement outbox — non-empty exactly when
+    # call returns the rank's announcement wire — not ``None`` exactly when
     # it queued announcement records (which requires delegation) — and the
     # driver runs the broadcast round when any rank returns one.
 
-    def light_superstep(self, k: int, first: bool) -> dict[int, Message]:
+    def light_superstep(self, k: int, first: bool) -> Wire | None:
         """Outbound half of a light superstep: drain, relax, flush announcements.
 
         ``first`` marks the epoch's first superstep and runs
@@ -328,18 +316,18 @@ class _Rank(Rank):
         if first:
             self.start_epoch()
         self.relax_bucket(k)
-        return self.flush_outbox(self.announcements, self._pack_announcements)
+        return self.flush_outbox(self.announcements, to=self.others)
 
-    def heavy_superstep(self) -> dict[int, Message]:
+    def heavy_superstep(self) -> Wire | None:
         """Outbound half of the heavy round: emit, flush announcements."""
         self.emit_heavy()
-        return self.flush_outbox(self.announcements, self._pack_announcements)
+        return self.flush_outbox(self.announcements, to=self.others)
 
-    def process_then_flush_updates(self, msg: Message | None) -> dict[int, Message]:
+    def process_then_flush_updates(self, msg: Message | None) -> Wire | None:
         """Apply the announcement inbox (None when the broadcast round was
         skipped), then flush the plain-update outbox for the reduce round."""
         self.process_inbox(msg)
-        return self.flush_outbox(self.updates, self._pack_updates)
+        return self.flush_outbox(self.updates)
 
     def finish_light_superstep(self, msg: Message | None, k: int) -> tuple:
         """Inbound tail of a light superstep: apply updates, read out work.
@@ -492,17 +480,21 @@ class _DistSSSPEngine:
     ) -> np.ndarray:
         """The communication tail shared by light and heavy supersteps.
 
-        ``sent`` holds each rank's announcement outbox from the fused
-        outbound call.  Runs the announcement broadcast round when any
-        rank queued one (the skip condition is knowable without extra cost
-        on a real machine: the flag rides on the preceding allreduce), then the plain-update reduce round, then the fused
+        ``sent`` holds each rank's announcement wire (or ``None``) from
+        the fused outbound call.  Runs the announcement broadcast round
+        when any rank queued one (the skip condition is knowable without
+        extra cost on a real machine: the flag rides on the preceding
+        allreduce), then the plain-update reduce round, then the fused
         ``finish`` call whose per-rank ``(edges, bucket_ops, bytes, vote)``
         rows it charges to the cost model and returns.  The fabric call
         sequence — conditional exchange, exchange, charge — is exactly the
         unfused engine's.
         """
         team, fabric = ctx.team, ctx.fabric
-        inboxes = fabric.exchange(sent) if any(sent) else [None] * ctx.num_ranks
+        if any(wire is not None for wire in sent):
+            inboxes = fabric.exchange(sent)
+        else:
+            inboxes = [None] * ctx.num_ranks
         updates = team.call(
             "process_then_flush_updates",
             per_rank=[(m,) for m in inboxes],

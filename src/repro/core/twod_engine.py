@@ -33,7 +33,7 @@ from repro.engine.driver import (
     attach_fabric_outcome,
     run_superstep_engine,
 )
-from repro.engine.rank import Columns, Outbox, OwnerRouter, Rank
+from repro.engine.rank import Outbox, OwnerRouter, Rank, wire_id_dtype
 from repro.engine.validation import (
     check_grid,
     check_source,
@@ -43,7 +43,7 @@ from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
 from repro.partition import block1d, make_grid
 from repro.simmpi.executor import RankExecutor
-from repro.simmpi.fabric import Message
+from repro.simmpi.fabric import Message, Wire
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
@@ -77,17 +77,19 @@ class _GridRank(Rank):
         row_range: tuple[int, int],
         adj_cols: np.ndarray,
         coalesce: bool = True,
-        vertex_dtype: np.dtype = np.int64,
+        id_dtype: np.dtype = np.int64,
     ) -> None:
         super().__init__(rank, router)
-        # Column-reduce candidates, split by target owner.
-        self.candidates = Outbox(router, ("vertex", "dist"))
+        # Row-broadcast frontier records, and column-reduce candidates
+        # split by target owner.
+        self.row_frontier = Outbox(router, ("vertex", "dist"), id_dtype)
+        self.candidates = Outbox(router, ("vertex", "dist"), id_dtype)
         self.coalesce = coalesce
-        self.vertex_dtype = vertex_dtype
         self.grid_row = rank // cols
         self.grid_col = rank % cols
+        row_ranks = np.arange(self.grid_row * cols, (self.grid_row + 1) * cols)
+        self.row_partners = row_ranks[row_ranks != rank]
         self.rows = rows
-        self.cols = cols
         # "local" for a grid rank means *row-local*: global id − row_lo.
         # repro: index-space: self.dist_row[local], self.frontier=local
         # repro: index-space: self.owned=global
@@ -126,26 +128,19 @@ class _GridRank(Rank):
 
     # -- phase 1: frontier broadcast along the grid row --------------------
 
-    def broadcast_frontier(self) -> dict[int, Message]:
+    def broadcast_frontier(self) -> Wire | None:
         """Send owned active vertices to the other ranks of this grid row."""
-        out: dict[int, Message] = {}
         if self.frontier.size == 0:
-            return out
+            return None
         if self._frontier_segs > 1:
             # Pieces appended by separate _apply calls may overlap (a vertex
             # can improve more than once between broadcasts).
             self.frontier = np.unique(self.frontier)
         self._frontier_segs = 1
-        msg = Message(
-            vertex=(self.frontier + self.row_lo).astype(self.vertex_dtype, copy=False),
-            dist=self.dist_row[self.frontier],
+        self.row_frontier.route(
+            self.frontier + self.row_lo, self.dist_row[self.frontier]
         )
-        for c in range(self.cols):
-            if c != self.grid_col:
-                dst = self.grid_row * self.cols + c
-                out[dst] = msg
-                self.step_bytes += msg.nbytes
-        return out
+        return self.flush_outbox(self.row_frontier, to=self.row_partners)
 
     def receive_frontier(self, msg: Message | None) -> None:
         if msg is None:
@@ -157,11 +152,11 @@ class _GridRank(Rank):
 
     # -- phase 2: local relax + column reduce ------------------------------
 
-    def relax_block(self) -> dict[int, Message]:
+    def relax_block(self) -> Wire | None:
         """Relax the block's edges out of the frontier; route candidates."""
         # repro: index-space: targets=global, dst=global
         if self.frontier.size == 0:
-            return {}
+            return None
         # At this point the frontier is the broadcast-deduplicated owned
         # piece plus one piece per row partner — pieces are sorted and
         # mutually disjoint (vertex ownership partitions the row), so a
@@ -176,7 +171,7 @@ class _GridRank(Rank):
         src, dst, w = frontier_edges(self.block, frontier)
         self.step_edges += int(src.size)
         if src.size == 0:
-            return {}
+            return None
         cands = self.dist_row[src] + w
         if self.coalesce:
             # Send-side coalescing: one minimum per target, and candidates
@@ -192,21 +187,13 @@ class _GridRank(Rank):
         else:
             targets, best = dst, cands
         if targets.size == 0:
-            return {}
+            return None
         mine = (targets >= self.own_lo) & (targets < self.own_hi)
         self._apply(targets[mine] - self.row_lo, best[mine])
-        rem_t, rem_b = targets[~mine], best[~mine]
-        if rem_t.size == 0:
-            return {}
-        # Owners of these targets sit in this grid column by construction.
-        self.candidates.route(rem_t, rem_b)
-        return self.flush_outbox(self.candidates, self._pack_candidates)
-
-    def _pack_candidates(self, columns: Columns, num_parts: int) -> Message:
-        targets, best = columns
-        return Message(
-            vertex=targets.astype(self.vertex_dtype, copy=False), dist=best
-        )
+        # Owners of the remaining targets sit in this grid column by
+        # construction.
+        self.candidates.route(targets[~mine], best[~mine])
+        return self.flush_outbox(self.candidates)
 
     def receive_candidates(self, msg: Message | None) -> None:
         if msg is None:
@@ -227,10 +214,10 @@ class _GridRank(Rank):
 
     # -- fused round phases (one team call per exchange side) ---------------
 
-    def receive_and_relax(self, msg: Message | None) -> dict[int, Message]:
+    def receive_and_relax(self, msg: Message | None) -> Wire | None:
         """Apply the row-broadcast inbox, then relax the block — the whole
         middle of a round as one team call.  Returns the column-reduce
-        outbox for the second exchange."""
+        wire for the second exchange."""
         self.receive_frontier(msg)
         return self.relax_block()
 
@@ -355,7 +342,7 @@ class _TwoDEngine:
         if config is None:
             part = block1d(n, num_ranks)
             coalesce = True
-            vertex_dtype = np.int64
+            id_dtype = wire_id_dtype(n, compress=False)
         else:
             # The grid-column owner mapping relies on owned ranges being
             # contiguous vertex-id intervals.
@@ -363,10 +350,7 @@ class _TwoDEngine:
                 graph, config.partition, num_ranks, "the 2-D engine"
             )
             coalesce = config.coalesce
-            small_enough = n <= int(np.iinfo(np.uint32).max)
-            vertex_dtype = (
-                np.uint32 if (config.compressed_indices and small_enough) else np.int64
-            )
+            id_dtype = wire_id_dtype(n, config.compressed_indices)
         self.part = part
         router = OwnerRouter(part)
         owner = part.owner_array
@@ -399,7 +383,7 @@ class _TwoDEngine:
                 row_ranges[r // cols],
                 row_adj_cols[r // cols],
                 coalesce=coalesce,
-                vertex_dtype=vertex_dtype,
+                id_dtype=id_dtype,
             )
             for r in range(num_ranks)
         ]
@@ -418,6 +402,14 @@ class _TwoDEngine:
     def done(self, reduced: float) -> bool:
         return reduced == 0
 
+    def _note_partners(self, wires: list) -> None:
+        """Track the most ranks any one rank addressed in one exchange."""
+        for wire in wires:
+            if wire is not None:
+                self.max_partners = max(
+                    self.max_partners, int(np.count_nonzero(wire.counts))
+                )
+
     def step(self, ctx: EngineContext, total_active: float) -> None:
         team, fabric = ctx.team, ctx.fabric
         self.rounds += 1
@@ -433,9 +425,7 @@ class _TwoDEngine:
             # calls and values are unchanged.
             # Phase 1: row broadcast of owned frontiers.
             bcast = team.call("broadcast_frontier", parallel=True, lazy=True)
-            self.max_partners = max(
-                self.max_partners, max((len(o) for o in bcast), default=0)
-            )
+            self._note_partners(bcast)
             inboxes = fabric.exchange(bcast)
             # Phase 2: apply the broadcast, relax the block, column-reduce
             # candidates to owners — one fused call per rank.
@@ -445,9 +435,7 @@ class _TwoDEngine:
                 parallel=True,
                 lazy=True,
             )
-            self.max_partners = max(
-                self.max_partners, max((len(o) for o in reduce_out), default=0)
-            )
+            self._note_partners(reduce_out)
             inboxes = fabric.exchange(reduce_out)
             stats = np.array(
                 team.call(

@@ -202,10 +202,6 @@ def run_superstep_engine(
     # goes through the team — the parent's rank objects may be stale copies.
     exec_obj, owns_executor = resolve_executor(executor, workers)
     team = exec_obj.team(ranks, tracer=tracer, racecheck=racecheck)
-    if fabric.sanitizer is not None:
-        # The sanitizer audits every inbound piece's payload bytes between
-        # calls, so lazy shared-memory results must materialize eagerly.
-        team.set_transport_lazy(False)
     ctx = EngineContext(
         graph=graph,
         num_ranks=num_ranks,

@@ -41,7 +41,7 @@ from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
 from repro.partition import Partition1D
 from repro.simmpi.executor import RankExecutor
-from repro.simmpi.fabric import Message
+from repro.simmpi.fabric import Message, Wire
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
 
@@ -254,11 +254,11 @@ class _KernelRank(Rank):
 
     def superstep_send(
         self, reduced: float, begin: bool, settled: bool
-    ) -> dict[int, Message]:
+    ) -> Wire | None:
         """The whole outbound half of one pass, as a single team call.
 
         begin-step (first pass of a superstep only) → generate → route →
-        flush.  Returns the packed outbox for the fabric exchange.  Fusing
+        flush.  Returns the flushed wire for the fabric exchange.  Fusing
         the phases costs one dispatch where the unfused driver paid three.
         ``settled`` selects the kernel's ``gen_settled`` hook for the
         superstep's closing pass.

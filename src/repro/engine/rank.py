@@ -4,11 +4,11 @@ Four rank classes run on the superstep driver — 1-D ∆-stepping, the 2-D
 grid, distributed BFS and the vertex-kernel substrate — and all four do
 the same four things around their algorithm.  Each lives here once:
 
-* :class:`OwnerRouter` — who owns a vertex, and the cut of a record batch
-  into per-destination pieces in wire byte order;
-* :class:`Outbox` — per-destination part lists packed into one
-  :class:`~repro.simmpi.fabric.Message` per destination, bytes counted at
-  the flush;
+* :class:`OwnerRouter` — who owns a vertex, and the arrangement of a
+  record batch into destination order, which is the wire byte order;
+* :class:`Outbox` — record batches queued until the next exchange and
+  flushed as one :class:`~repro.simmpi.fabric.Wire`: one send buffer with
+  a count per destination, bytes counted at the flush;
 * :meth:`Rank.take_step_work` — the ``(edges, bytes)`` readout the cost
   model charges per superstep;
 * :meth:`Rank.export_final` — the answer arrays plus the memory
@@ -23,15 +23,29 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.partition import Partition1D
-from repro.simmpi.fabric import Message
+from repro.simmpi.fabric import Wire
 
-__all__ = ["Outbox", "OwnerRouter", "Rank"]
+__all__ = ["Outbox", "OwnerRouter", "Rank", "wire_id_dtype"]
 
 Columns = tuple[np.ndarray, ...]
 
 
+def wire_id_dtype(num_vertices: int, compress: bool) -> np.dtype:
+    """The dtype vertex ids travel in: ``uint32`` iff index compression is
+    on and every id of the graph fits, ``int64`` otherwise.
+
+    A third of an update record is its index, so halving it saves ~17% of
+    the bytes; at paper scale (2^42 vertices) ids do not fit and the rule
+    refuses.  An :class:`Outbox` is declared with the result and narrows
+    at the flush.
+    """
+    if compress and num_vertices <= np.iinfo(np.uint32).max:
+        return np.dtype(np.uint32)
+    return np.dtype(np.int64)
+
+
 class OwnerRouter:
-    """Owner lookup of a 1-D partition plus the per-destination split.
+    """Owner lookup of a 1-D partition plus the destination-order sort.
 
     Built once per run and shared read-only by every rank.  The lookup is
     decided by the partition: when its owner array never decreases, every
@@ -63,97 +77,97 @@ class OwnerRouter:
             return self.table[targets]
         return np.searchsorted(self._inner, targets, side="right").astype(self._key)
 
-    def split(
-        self, targets: np.ndarray, values: Columns
-    ) -> list[tuple[int, np.ndarray, Columns]]:
-        """Cut one batch of records into per-destination pieces.
+    def split(self, columns: Columns) -> tuple[Columns, np.ndarray]:
+        """Arrange one batch of records in destination order.
 
-        Returns ``(rank, targets, values)`` for every rank that receives
-        something, ranks ascending, each piece in batch order — the slices
-        a stable sort by owner would produce, which is the wire byte
-        order.
+        ``columns[0]`` holds the global target ids.  Returns the columns
+        sorted stably by owner — ranks ascending, each rank's records in
+        batch order, which is the wire byte order — and ``counts``, how
+        many records each rank receives.
 
         A batch whose owners never decrease (a sender-side fold leaves its
         records sorted by target) is already that sort's output, so it is
-        cut where it stands and the pieces are views.  Any other batch is
-        permuted first.
+        returned as it stands.  Any other batch is permuted first.
         """
         # repro: wire-path
         # repro: index-space: targets=global
-        if targets.size == 0:
-            return []
+        targets = columns[0]
         if self.num_ranks == 1:
-            return [(0, targets, values)]
+            return columns, np.array([targets.size], dtype=np.int64)
         owners = self.owners(targets)
         if np.any(owners[1:] < owners[:-1]):
             order = np.argsort(owners, kind="stable")
             owners = owners[order]
-            targets = targets[order]
-            values = tuple(v[order] for v in values)
-        first, last = int(owners[0]), int(owners[-1])
-        if first == last:
-            return [(first, targets, values)]
-        # Where each later rank's run begins; keys of the owners' own dtype
-        # keep searchsorted from widening the whole batch.
-        cuts = np.searchsorted(
-            owners, np.arange(first + 1, last + 1, dtype=owners.dtype)
+            columns = tuple(c[order] for c in columns)
+        # Where each rank's run begins and the last one ends; keys of the
+        # owners' own dtype keep searchsorted from widening the whole batch.
+        bounds = np.empty(self.num_ranks + 1, dtype=np.int64)
+        bounds[0] = 0
+        bounds[1:-1] = np.searchsorted(
+            owners, np.arange(1, self.num_ranks, dtype=owners.dtype)
         )
-        bounds = [0, *cuts.tolist(), targets.size]
-        return [
-            (dst, targets[b:e], tuple(v[b:e] for v in values))
-            for dst, (b, e) in enumerate(zip(bounds, bounds[1:]), first)
-            if e > b
-        ]
+        bounds[-1] = targets.size
+        return columns, bounds[1:] - bounds[:-1]
 
 
 class Outbox:
-    """Records queued per destination until the next exchange.
+    """Records queued until the next exchange, flushed as one wire.
 
-    ``fields`` names the columns of one record (``vertex`` first).  Parts
-    for one destination are concatenated in insertion order at the flush,
-    so the wire byte order is the order the algorithm produced them in.
+    ``fields`` names the columns of one record, the id column first.
+    Batches are laid end to end in the order they were routed, so within
+    a destination the wire byte order is the order the algorithm produced
+    the records in.  ``id_dtype`` (see :func:`wire_id_dtype`) is the wire
+    dtype of the id column; the other columns travel as routed.
+
+    ``fold(*columns) -> columns``, when given, reduces the concatenation
+    of *several* batches before it is sent (a sender-side min per
+    target); a lone batch goes out as routed.
     """
 
-    def __init__(self, router: OwnerRouter, fields: tuple[str, ...]) -> None:
+    def __init__(
+        self,
+        router: OwnerRouter,
+        fields: tuple[str, ...],
+        id_dtype: np.dtype | None = None,
+        fold: Callable[..., Columns] | None = None,
+    ) -> None:
         self.router = router
         self.fields = fields
-        self._parts: dict[int, list[Columns]] = {}
-
-    def put(self, dst: int, columns: Columns) -> None:
-        """Queue one part (a tuple of equal-length columns) for ``dst``."""
-        self._parts.setdefault(dst, []).append(columns)
+        self.id_dtype = id_dtype
+        self.fold = fold
+        self._batches: list[Columns] = []
 
     def route(self, targets: np.ndarray, *values: np.ndarray) -> None:
-        """Queue a batch keyed by global target id, split by owner."""
-        for dst, part, part_values in self.router.split(targets, values):
-            self.put(dst, (part, *part_values))
+        """Queue a batch of records keyed by global id."""
+        if targets.size:
+            self._batches.append((targets, *values))
 
-    def flush(
-        self, pack: Callable[[Columns, int], Message] | None = None
-    ) -> tuple[dict[int, Message], int]:
-        """Pack what is queued: ``({dst: message}, wire bytes)``, dst ascending.
+    def flush(self, to: np.ndarray | None = None) -> Wire | None:
+        """Pack what is queued into one wire; ``None`` when that is nothing.
 
-        ``pack(columns, num_parts)`` builds the message from a
-        destination's concatenated columns — the place for a sender-side
-        fold or an index narrowing; the default names the columns after
-        ``fields`` as they are.
+        By default every record goes to the owner of its id.  ``to``
+        (an array of ranks) broadcasts instead: the buffer holds one copy
+        of the records and every rank in ``to`` receives all of them.
         """
-        parts, self._parts = self._parts, {}
-        out: dict[int, Message] = {}
-        nbytes = 0
-        for dst in sorted(parts):
-            queued = parts[dst]
-            if len(queued) == 1:
-                columns = queued[0]
-            else:
-                columns = tuple(np.concatenate(c) for c in zip(*queued))
-            if pack is None:
-                msg = Message(**dict(zip(self.fields, columns)))
-            else:
-                msg = pack(columns, len(queued))
-            nbytes += msg.nbytes
-            out[dst] = msg
-        return out, nbytes
+        batches, self._batches = self._batches, []
+        if not batches or (to is not None and to.size == 0):
+            return None
+        if len(batches) == 1:
+            columns = batches[0]
+        else:
+            columns = tuple(np.concatenate(c) for c in zip(*batches))
+            if self.fold is not None:
+                columns = self.fold(*columns)
+        if to is None:
+            columns, counts = self.router.split(columns)
+            displs = None
+        else:
+            counts = np.zeros(self.router.num_ranks, dtype=np.int64)
+            counts[to] = columns[0].size
+            displs = np.zeros_like(counts)
+        if self.id_dtype is not None:
+            columns = (columns[0].astype(self.id_dtype, copy=False), *columns[1:])
+        return Wire(self.fields, columns, counts, displs)
 
 
 class Rank:
@@ -176,13 +190,12 @@ class Rank:
         self.step_edges = 0
         self.step_bytes = 0
 
-    def flush_outbox(
-        self, outbox: Outbox, pack: Callable[[Columns, int], Message] | None = None
-    ) -> dict[int, Message]:
+    def flush_outbox(self, outbox: Outbox, to: np.ndarray | None = None) -> Wire | None:
         """Flush ``outbox`` for the next exchange, charging its wire bytes."""
-        out, nbytes = outbox.flush(pack)
-        self.step_bytes += nbytes
-        return out
+        wire = outbox.flush(to)
+        if wire is not None:
+            self.step_bytes += wire.nbytes
+        return wire
 
     def take_step_work(self) -> tuple[int, int]:
         """Return and reset ``(edges, bytes)`` since the last call."""

@@ -25,7 +25,7 @@ from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.kronecker import KroneckerSpec, _permutation, kronecker_edge_slice
 from repro.graph.types import EdgeList
 from repro.partition import block1d
-from repro.simmpi.fabric import Fabric, Message
+from repro.simmpi.fabric import Fabric
 from repro.simmpi.machine import MachineSpec, small_cluster
 from repro.utils.timing import Timer
 
@@ -79,7 +79,7 @@ def distributed_construction(
             for r in range(num_ranks)
         ]
         # 2. Symmetrize locally and shuffle by source-vertex owner.
-        outboxes: list[dict[int, Message]] = []
+        wires = []
         gen_edges = np.zeros(num_ranks, dtype=np.float64)
         pack_bytes = np.zeros(num_ranks, dtype=np.float64)
         for r, sl in enumerate(slices):
@@ -91,10 +91,11 @@ def distributed_construction(
             # is also the CSR build order: the dense build reproduces.
             shuffle = Outbox(router, ("src", "dst", "weight"))
             shuffle.route(src, dst, w)
-            outbox, pack_bytes[r] = shuffle.flush()
-            outboxes.append(outbox)
+            wire = shuffle.flush()
+            pack_bytes[r] = 0 if wire is None else wire.nbytes
+            wires.append(wire)
         fabric.charge_compute(edges=gen_edges, bytes=pack_bytes)
-        inboxes = fabric.exchange(outboxes)
+        inboxes = fabric.exchange(wires)
         # 3. Each rank builds CSR rows for its owned contiguous range.
         local_graphs: list[CSRGraph] = []
         edges_per_rank = np.zeros(num_ranks, dtype=np.int64)

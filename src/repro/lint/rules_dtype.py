@@ -3,8 +3,9 @@
 Graph500 at paper scale has 2^42+ vertices: a vertex id does not fit in
 32 bits, so every narrowing cast of id-like data is a scale bug waiting
 for a bigger graph — unless the code proves the range first (an
-``np.iinfo`` bound check, as ``pack_updates`` does before packing wire
-words).  The pack also flags two quieter dtype costs: per-iteration
+``np.iinfo`` bound check, as ``repro.engine.rank.wire_id_dtype`` does
+before an outbox is declared with a ``uint32`` id column; the narrowing
+cast itself is ``Outbox.flush``'s, to whatever dtype was declared).  The pack also flags two quieter dtype costs: per-iteration
 ``astype`` of loop-invariant arrays (a hidden copy per superstep) and
 hand-rolled byte math that hard-codes element widths instead of asking
 the array (``arr.nbytes`` / ``dtype.itemsize``).

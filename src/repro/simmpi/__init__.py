@@ -31,7 +31,7 @@ from repro.simmpi.executor import (
     make_executor,
     resolve_executor,
 )
-from repro.simmpi.fabric import Fabric, Message
+from repro.simmpi.fabric import Fabric, Message, Wire
 from repro.simmpi.faults import (
     FaultPlan,
     FaultSpec,
@@ -66,6 +66,7 @@ __all__ = [
     "ThreadExecutor",
     "Topology",
     "UndeliverableMessageError",
+    "Wire",
     "WorkerError",
     "laptop_machine",
     "make_executor",

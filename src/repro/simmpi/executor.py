@@ -16,13 +16,15 @@ methods run:
   release the GIL, so real cores overlap them.  Rank objects stay
   in-process; nothing is copied, and a phase costs two barrier crossings
   instead of per-rank pool submissions.
-* ``process`` — on resident worker processes parked on a shared
-  ``multiprocessing`` barrier.  Workers are forked from the parent *after*
-  the rank objects exist, so the initial state transfers by copy-on-write
-  instead of pickling; steady-state arguments and results (``Message``
-  bundles, numpy arrays) move through ``multiprocessing.shared_memory``
-  arenas without ever being pickled, and ``lazy=True`` results stay in the
-  producing worker's arena until the destination rank reads them
+* ``process`` — on resident worker processes, each parked on its own
+  ``multiprocessing`` semaphore (:mod:`repro.simmpi.parked`; a shared
+  barrier could wedge the dispatcher on a dead worker).  Workers are
+  forked from the parent *after* the rank objects exist, so the initial
+  state transfers by copy-on-write instead of pickling; steady-state
+  arguments and results (wires, messages, numpy arrays) move through
+  ``multiprocessing.shared_memory`` arenas without ever being pickled,
+  and a ``lazy=True`` result's send buffer stays in the producing
+  worker's arena until the destination ranks read their runs of it
   (zero-copy inter-rank transport).
 
 Determinism guarantee: compute phases may interleave freely because ranks
@@ -54,7 +56,7 @@ import numpy as np
 
 from repro.obs.profile import split_call_buckets
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.simmpi.fabric import LazyConcat, Message, ShmMessage
+from repro.simmpi.fabric import Message, Wire
 
 __all__ = [
     "EXECUTOR_BACKENDS",
@@ -88,12 +90,20 @@ class WorkerError(RuntimeError):
 
 # -- pickle-free payload transport (process backend) ------------------------
 #
-# Arguments and results are mostly numpy arrays and Message bundles.  The
+# Arguments and results are mostly numpy arrays, wires and messages.  The
 # encoder walks a value, parks every array in a shared-memory arena, and
 # returns a small metadata tree (offsets + dtypes + shapes) that *is*
 # cheap to send over the control pipe.  Scalars and other plain leaves ride
 # along in the metadata.  The decoder maps each array straight out of the
 # arena.  Nothing array-shaped is ever pickled.
+#
+# Two tags carry the wire.  ``"w"`` is a send buffer: each column of a
+# :class:`Wire` is written once, with its counts and displacements.
+# ``"g"`` is a :class:`Message` as the list of pieces it gathers from: a
+# piece whose source wire is parked in a worker's out arena ships as a
+# reference (arena name, column offsets, start, count) and the decoding
+# worker reads it straight from that arena; any other piece is written to
+# the arena at hand.
 
 
 class _PayloadWriter:
@@ -123,27 +133,28 @@ def _encode(obj: Any, writer: _PayloadWriter):
     if isinstance(obj, np.ndarray):
         a = np.ascontiguousarray(obj)
         return ("a", writer.reserve(a), a.dtype.str, a.shape)
-    if isinstance(obj, Message):
-        # Message fields are contiguous by construction; the wire header
-        # (field names + dtypes) is cached on the message, so fan-out and
-        # retransmission re-encodes skip the per-field walk.
-        schema = obj.wire_schema()
-        if len(obj) == 0:
-            # Zero-length fast path: an empty bundle has no payload bytes,
-            # so it needs no arena reservation — just the header.
-            return ("m0", schema)
-        fields = obj.fields
+    if isinstance(obj, Wire):
         return (
-            "m",
-            [(k, writer.reserve(fields[k]), dt, fields[k].shape) for k, dt in schema],
+            "w",
+            obj.names,
+            [(writer.reserve(c), c.dtype.str) for c in obj.columns],
+            obj.length,
+            _encode(obj.counts, writer),
+            _encode(obj.displs, writer),
         )
-    if isinstance(obj, ShmMessage):
-        # Already parked in a worker-owned arena: ship the handle, not the
-        # bytes.  The destination attaches the arena by name and copies the
-        # fields out exactly once.
-        return ("sm", obj.arena_name, obj.refs)
-    if isinstance(obj, LazyConcat):
-        return ("sc", [_encode(p, writer) for p in obj.pieces])
+    if isinstance(obj, Message):
+        pieces = []
+        for wire, start, count in obj.pieces:
+            if not count:
+                continue  # an empty message keeps one piece, for its schema
+            if wire.arena_name is not None:
+                pieces.append((wire.arena_name, wire.offsets, start, count))
+            else:
+                offsets = tuple(
+                    writer.reserve(c[start : start + count]) for c in wire.columns
+                )
+                pieces.append((None, offsets, 0, count))
+        return ("g", obj.names, tuple(dt.str for dt in obj.dtypes), pieces)
     if isinstance(obj, tuple):
         return ("t", [_encode(x, writer) for x in obj])
     if isinstance(obj, list):
@@ -165,62 +176,59 @@ def _decode_array(buf, offset: int, dtype_str: str, shape) -> np.ndarray:
     )
 
 
-def _arena_fields(
-    arena_name: str, refs, attach: Callable[[str], Any], copy: bool
-) -> dict[str, np.ndarray]:
-    """Field views (or owned copies) of an ``("sm", ...)`` ref tuple."""
-    buf = attach(arena_name)
-    out: dict[str, np.ndarray] = {}
-    for k, off, dt, n in refs:
-        dtype = np.dtype(dt)
-        if n == 0:
-            out[k] = np.empty(0, dtype=dtype)
-        else:
-            view = np.frombuffer(buf, dtype=dtype, count=n, offset=off)
-            out[k] = view.copy() if copy else view
-    return out
+def _decode(
+    meta,
+    buf,
+    attach: Callable[[str], Any] | None = None,
+    park: Callable[..., Wire] | None = None,
+) -> Any:
+    """Rebuild a value from its metadata tree and the arena ``buf``.
 
-
-def _decode(meta, buf, attach: Callable[[str], Any] | None = None) -> Any:
+    ``attach(name)`` maps another arena by name (workers only: message
+    pieces parked in other workers' out arenas).  ``park``, when given,
+    receives every wire's header instead of its columns being copied out
+    — the parent uses it to leave lazy replies in the out arena.
+    """
     tag = meta[0]
     if tag == "a":
         return _decode_array(buf, meta[1], meta[2], meta[3])
-    if tag == "m":
-        return Message(
-            **{k: _decode_array(buf, off, dt, shape) for k, off, dt, shape in meta[1]}
-        )
-    if tag == "m0":
-        return Message(**{k: np.empty(0, dtype=np.dtype(dt)) for k, dt in meta[1]})
+    if tag == "w":
+        _, names, refs, length, counts, displs = meta
+        counts = _decode(counts, buf)
+        displs = _decode(displs, buf)
+        if park is not None:
+            return park(names, refs, length, counts, displs)
+        columns = [_decode_array(buf, off, dt, (length,)) for off, dt in refs]
+        return Wire(names, columns, counts, displs)
+    if tag == "g":
+        _, names, dtypes, pieces = meta
+        if attach is None and any(arena is not None for arena, *_ in pieces):
+            raise RuntimeError(
+                "message piece parked in a shared-memory arena decoded "
+                "outside the process backend (no arena attach function)"
+            )
+        fields = {}
+        for j, (name, dt) in enumerate(zip(names, dtypes)):
+            dtype = np.dtype(dt)
+            # One copy total per field: pieces map to arena *views*, and
+            # the concatenate allocates the owned destination array.
+            views = [
+                np.frombuffer(
+                    buf if arena is None else attach(arena),
+                    dtype=dtype,
+                    count=count,
+                    offset=offsets[j] + start * dtype.itemsize,
+                )
+                for arena, offsets, start, count in pieces
+            ]
+            fields[name] = np.concatenate(views) if views else np.empty(0, dtype)
+        return Message(**fields)
     if tag == "t":
-        return tuple(_decode(m, buf, attach) for m in meta[1])
+        return tuple(_decode(m, buf, attach, park) for m in meta[1])
     if tag == "l":
-        return [_decode(m, buf, attach) for m in meta[1]]
+        return [_decode(m, buf, attach, park) for m in meta[1]]
     if tag == "d":
-        return {k: _decode(m, buf, attach) for k, m in meta[1]}
-    if tag == "sm":
-        if attach is None:
-            raise RuntimeError(
-                "lazy shared-memory message decoded outside the process "
-                "backend (no arena attach function)"
-            )
-        return Message(**_arena_fields(meta[1], meta[2], attach, copy=True))
-    if tag == "sc":
-        if attach is None:
-            raise RuntimeError(
-                "lazy shared-memory message decoded outside the process "
-                "backend (no arena attach function)"
-            )
-        # One copy total per field: pieces decode to arena *views*, and the
-        # concatenate allocates the owned destination array.
-        parts = []
-        for m in meta[1]:
-            if m[0] == "sm":
-                parts.append(_arena_fields(m[1], m[2], attach, copy=False))
-            else:
-                parts.append(_decode(m, buf, attach).fields)
-        return Message(
-            **{k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-        )
+        return {k: _decode(m, buf, attach, park) for k, m in meta[1]}
     return meta[1]
 
 
@@ -237,13 +245,13 @@ class RankTeam:
     its per-rank wall durations feed the critical-path accounting;
     ``parallel=False`` is for cheap control reads that stay sequential.
 
-    ``lazy=True`` marks a call whose results are outbox ``Message``
-    bundles that the fabric will route straight into the *next* call
-    (flush-type phases).  Backends with an inter-process transport may
-    then return :class:`~repro.simmpi.fabric.ShmMessage` handles instead
-    of materialized bundles — payload bytes stay in the producing
-    worker's arena until the destination rank reads them.  In-process
-    backends ignore the flag; results are bit-identical either way.
+    ``lazy=True`` marks a call whose results are the wires of an outbox
+    flush, which the fabric will route straight into the *next* call.
+    Backends with an inter-process transport then return each
+    :class:`~repro.simmpi.fabric.Wire` as a handle — its columns stay in
+    the producing worker's arena until the destination ranks read them.
+    In-process backends ignore the flag; results are bit-identical either
+    way.
     """
 
     backend = "?"
@@ -360,15 +368,6 @@ class RankTeam:
         """Invoke ``method`` on a single rank (control plane, untimed)."""
         raise NotImplementedError
 
-    def set_transport_lazy(self, enabled: bool) -> None:
-        """Allow or forbid lazy shared-memory results for ``lazy=True`` calls.
-
-        The driver forbids them when a consumer outside the rank methods
-        must read payload bytes between calls (the fabric sanitizer audits
-        every inbound piece).  Backends without an inter-process transport
-        have nothing to switch; the base implementation is a no-op.
-        """
-
     def close(self) -> None:
         """Release the team's workers; the team is unusable afterwards."""
 
@@ -470,7 +469,6 @@ class ThreadExecutor(RankExecutor):
     Threads are spawned per team (parked on a barrier pair for the team's
     whole run) rather than pooled across teams — the crew holds direct
     references to the team's rank objects, so it cannot outlive them.
-    ``_pool`` remains for backwards compatibility and is always ``None``.
     """
 
     name = "thread"
@@ -479,15 +477,11 @@ class ThreadExecutor(RankExecutor):
         self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
-        self._pool = None
 
     def team(self, ranks, tracer=None, racecheck=False):
         from repro.simmpi.parked import ParkedThreadTeam
 
         return ParkedThreadTeam(ranks, self.workers, tracer, racecheck=racecheck)
-
-    def close(self):
-        self._pool = None
 
 
 class ProcessExecutor(RankExecutor):

@@ -4,14 +4,16 @@ The fabric is the single point through which all inter-rank data flows, so
 it is also where measurement (bytes, messages, supersteps — exact) and
 modeling (seconds — alpha-beta with topology tiers) happen.
 
-A :class:`Message` is a struct-of-arrays bundle (e.g. ``vertex`` ids plus
-tentative ``dist`` values); its wire size is the sum of its arrays' bytes.
-This mirrors how the real codes pack update records into flat send buffers.
+One rank sends one :class:`Wire` per exchange: a struct-of-arrays send
+buffer (e.g. ``vertex`` ids plus tentative ``dist`` values) in destination
+order with a count and a displacement per rank — the alltoallv layout the
+real codes pack update records into.  One rank receives one
+:class:`Message`, gathered from its runs of the senders' wires.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -24,227 +26,230 @@ from repro.simmpi.sanitizer import FabricSanitizer
 from repro.simmpi.topology import Topology
 from repro.simmpi.trace import CommTrace
 
-__all__ = ["Fabric", "LazyConcat", "Message", "ShmMessage"]
+__all__ = ["Fabric", "Message", "Wire"]
 
 
-class Message:
-    """An immutable bundle of equal-length named numpy arrays."""
+class _Header:
+    """Column names and dtypes: all the fabric may know about a payload.
 
-    __slots__ = ("fields", "nbytes", "_wire")
+    The cost model, fault injection, the trace and the sanitizer read
+    this header and the counts next to it; only a receiving rank reads
+    the columns themselves.
+    """
 
-    #: Real messages hold their arrays; the process backend's lazy handles
-    #: (:class:`ShmMessage`, :class:`LazyConcat`) set this True instead.
-    is_lazy = False
+    __slots__ = ()
+
+    names: tuple[str, ...]
+    dtypes: tuple[np.dtype, ...]
+
+    @property
+    def schema(self) -> tuple[tuple[str, str], ...]:
+        return tuple((k, str(dt)) for k, dt in zip(self.names, self.dtypes))
+
+    @property
+    def record_bytes(self) -> int:
+        return sum(dt.itemsize for dt in self.dtypes)
+
+
+class Wire(_Header):
+    """What one rank sends in one exchange: one flat buffer plus counts.
+
+    ``columns`` holds one contiguous array per name, all of one length;
+    destination ``d`` receives the ``counts[d]`` records starting at
+    ``displs[d]`` of every column — the alltoallv layout.  Runs may
+    overlap: a broadcast is one copy of the records with every receiver's
+    run at displacement 0.  ``displs=None`` packs the runs back to back
+    in destination order.
+
+    On the process backend the parent holds a wire as a *handle*
+    (:meth:`parked`): the columns stay in the out arena the producing
+    worker wrote them to, only the header and the counts crossed, and a
+    destination worker reads its run straight from the arena.  ``columns``
+    on a handle copies the buffer out, for debugging; no steady-state
+    consumer calls it.  A handle is valid until its worker's next-but-one
+    lazy reply (out arenas are double-buffered).  The team stamps it with
+    the mint generation (``_team_ref``, ``_worker``, ``_gen``): closing
+    the team detaches it, so a late read raises :class:`ArenaClosedError`
+    instead of touching an unlinked mapping, and under ``racecheck=True``
+    every read verifies the generation.
+    """
+
+    __slots__ = (
+        "names", "dtypes", "length", "counts", "displs", "_columns",
+        "arena_name", "offsets", "_buf", "_team_ref", "_worker", "_gen",
+        "__weakref__",
+    )
+
+    def __init__(self, names, columns, counts, displs=None) -> None:
+        self.names = tuple(names)
+        self._columns = tuple(np.ascontiguousarray(c) for c in columns)
+        if not self._columns or len(self._columns) != len(self.names):
+            raise ValueError("a wire needs at least one column, and a name for each")
+        self.dtypes = tuple(c.dtype for c in self._columns)
+        self.length = self._columns[0].shape[0]
+        if any(c.shape != (self.length,) for c in self._columns):
+            shapes = dict(zip(self.names, (c.shape for c in self._columns)))
+            raise ValueError(f"columns must be equal-length 1-D arrays, got {shapes}")
+        self.counts = np.asarray(counts, dtype=np.int64)
+        if displs is None:
+            displs = np.cumsum(self.counts) - self.counts
+        self.displs = np.asarray(displs, dtype=np.int64)
+        if self.counts.ndim != 1 or self.displs.shape != self.counts.shape:
+            raise ValueError("counts and displs must be 1-D, one entry per rank")
+        if self.counts.size and (
+            min(self.counts.min(), self.displs.min()) < 0
+            or (self.displs + self.counts).max() > self.length
+        ):
+            raise ValueError("a destination's run lies outside the send buffer")
+        self.arena_name = None
+
+    @classmethod
+    def parked(cls, names, refs, length, counts, displs, arena_name, buf) -> "Wire":
+        """A handle to a wire whose columns sit in the arena ``buf`` maps.
+
+        ``refs`` holds one ``(byte offset, dtype string)`` per column.
+        """
+        self = object.__new__(cls)
+        self.names = tuple(names)
+        self.offsets = tuple(off for off, _ in refs)
+        self.dtypes = tuple(np.dtype(dt) for _, dt in refs)
+        self.length = length
+        self.counts = counts
+        self.displs = displs
+        self._columns = None
+        self.arena_name = arena_name
+        self._buf = buf
+        self._team_ref = None
+        self._worker = self._gen = 0
+        return self
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this wire puts on the network, every receiver counted."""
+        return int(self.counts.sum()) * self.record_bytes
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The send buffer; a handle copies it out of its arena, once.
+
+        That read raises :class:`ArenaClosedError` after the owning team
+        closed (always checked), and a stale-generation violation when
+        the team runs with ``racecheck=True``.
+        """
+        if self._columns is None:
+            if self._buf is None:
+                raise ArenaClosedError(
+                    f"wire handle (arena {self.arena_name!r}) used after the "
+                    f"owning team closed and released its arenas; read "
+                    f".columns before close()"
+                )
+            team = self._team_ref() if self._team_ref is not None else None
+            if team is not None:
+                team._check_handle(self)
+            self._columns = tuple(
+                np.frombuffer(self._buf, dtype=dt, count=self.length, offset=off).copy()
+                for dt, off in zip(self.dtypes, self.offsets)
+            )
+        return self._columns
+
+    @classmethod
+    def from_mapping(cls, outbox: Mapping[int, "Message"], num_ranks: int) -> "Wire | None":
+        """The door for ``{dst: Message}`` outboxes, converted once, here.
+
+        Callers outside the rank layer (tests, benchmark probes) describe
+        a send as one message per destination; the fabric moves only
+        wires, so the messages are laid end to end in destination order.
+        ``None`` when nothing non-empty is addressed.
+        """
+        for dst in outbox:
+            if not (0 <= dst < num_ranks):
+                raise ValueError(f"message addressed to invalid rank {dst}")
+        sends = [
+            (dst, m) for dst, m in sorted(outbox.items()) if m is not None and len(m)
+        ]
+        if not sends:
+            return None
+        body = Message.gather([piece for _, m in sends for piece in m.pieces])
+        counts = np.zeros(num_ranks, dtype=np.int64)
+        counts[[dst for dst, _ in sends]] = [len(m) for _, m in sends]
+        return cls(body.names, body.columns, counts)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        where = f", arena={self.arena_name!r}" if self.arena_name else ""
+        return f"Wire(n={self.length}, names={list(self.names)}{where})"
+
+
+class Message(_Header):
+    """What one rank receives: an immutable bundle of named numpy arrays.
+
+    A message is ``pieces`` of wires — ``(wire, start, count)`` runs, in
+    delivery order — and its arrays are assembled when a field is first
+    read: by the receiving rank, wherever it runs.  Length, byte size and
+    schema come from the wire headers and never touch payload.
+    ``Message(vertex=..., dist=...)`` wraps the given arrays as one piece.
+    """
+
+    __slots__ = ("names", "dtypes", "nbytes", "pieces", "_length", "_fields")
 
     def __init__(self, **fields: np.ndarray) -> None:
         if not fields:
             raise ValueError("a message needs at least one field")
-        out: dict[str, np.ndarray] = {}
-        length = -1
-        nbytes = 0
-        for k, v in fields.items():
-            a = np.ascontiguousarray(v)
-            if a.ndim != 1 or (length >= 0 and a.shape[0] != length):
-                shapes = {k: np.asarray(v).shape for k, v in fields.items()}
-                raise ValueError(f"message fields must be equal-length 1-D arrays, got {shapes}")
-            length = a.shape[0]
-            nbytes += a.nbytes
-            out[k] = a
-        self.fields = out
-        # Fields never change after construction, so the wire size is fixed;
-        # the cost model reads it once per hop and charge.
-        self.nbytes = int(nbytes)
-        self._wire = None
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.fields[key]
-
-    def __len__(self) -> int:
-        return next(iter(self.fields.values())).shape[0]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.fields)
-
-    def wire_schema(self) -> tuple[tuple[str, str], ...]:
-        """Cached ``(name, dtype.str)`` wire header for this bundle.
-
-        Fields never change after construction, so the header is computed
-        once and reused: fault-injected retransmissions and fan-out sends
-        (the same Message object encoded for several destinations) skip the
-        per-field dict walk on every re-encode.
-        """
-        ws = self._wire
-        if ws is None:
-            ws = self._wire = tuple((k, v.dtype.str) for k, v in self.fields.items())
-        return ws
+        wire = Wire(fields, fields.values(), counts=())
+        self._set_pieces([(wire, 0, wire.length)])
 
     @classmethod
-    def concat(cls, messages: Iterable["Message"]) -> "Message | None":
-        """Concatenate compatible messages; ``None`` for an empty iterable.
+    def gather(cls, pieces: list) -> "Message":
+        """The message made of the given ``(wire, start, count)`` pieces.
 
-        Zero-length pieces are dropped before concatenating (an empty
-        frontier contributes no wire bytes, so it should cost no copy and
-        no downstream header either); if *every* piece is empty the first
-        is aliased, preserving the schema.  If any surviving piece is a
-        lazy shared-memory handle the result is a :class:`LazyConcat`
-        handle — payload bytes stay in the owning workers' arenas until a
-        destination rank materializes them.
+        All wires must share one schema.  Nothing is copied here, and a
+        lone piece never is: its fields are views of the wire's columns.
         """
-        msgs = [m for m in messages if m is not None]
-        if not msgs:
-            return None
-        names = msgs[0].names
-        for m in msgs[1:]:
-            if m.names != names:
-                raise ValueError(f"incompatible message schemas: {names} vs {m.names}")
-        if len(msgs) > 1:
-            nonempty = [m for m in msgs if len(m)]
-            msgs = nonempty if nonempty else msgs[:1]
-        if len(msgs) == 1:
-            # Lone message: messages are immutable, so aliasing it is safe
-            # and saves one full copy of every field (the common case for
-            # sparse exchanges, where most ranks hear from one sender).
-            return msgs[0]
-        if any(m.is_lazy for m in msgs):
-            return LazyConcat(msgs)
-        return cls(**{k: np.concatenate([m[k] for m in msgs]) for k in names})
+        self = object.__new__(cls)
+        self._set_pieces(pieces)
+        return self
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Message(n={len(self)}, fields={list(self.fields)})"
-
-
-class ShmMessage:
-    """Lazy handle to a :class:`Message` parked in a shared-memory arena.
-
-    The process backend's zero-copy transport returns these instead of
-    materialized bundles: the payload bytes stay where the owning worker
-    wrote them (its out arena), and only this handle — arena name plus
-    per-field ``(name, offset, dtype, length)`` refs — crosses the control
-    plane.  The destination worker attaches the arena by name and copies
-    the fields out exactly once; nothing is ever pickled.
-
-    The handle is valid until the owning worker's *next-but-one* lazy
-    reply (out arenas are double-buffered), which covers the engines'
-    exchange-then-apply pattern.  ``fields`` materializes driver-side for
-    debugging; steady-state consumers never call it.
-
-    A team-minted handle carries its mint generation (``_team_ref``,
-    ``_worker``, ``_gen``): closing the team detaches the handle from its
-    arena, so a late ``fields`` raises :class:`ArenaClosedError` instead
-    of reading an unlinked mapping, and under ``racecheck=True`` the team
-    verifies the arena generation on every materialization.
-    """
-
-    __slots__ = (
-        "arena_name", "refs", "nbytes", "_buf", "_fields",
-        "_team_ref", "_worker", "_gen", "__weakref__",
-    )
-
-    is_lazy = True
-
-    def __init__(self, arena_name: str, refs, buf) -> None:
-        # refs: tuple of (field_name, offset, dtype_str, length)
-        self.arena_name = arena_name
-        self.refs = tuple(refs)
-        self._buf = buf
+    def _set_pieces(self, pieces: list) -> None:
+        head = pieces[0][0]
+        for wire, _, _ in pieces[1:]:
+            if wire.names != head.names or wire.dtypes != head.dtypes:
+                raise ValueError(
+                    f"incompatible message schemas: {head.schema} vs {wire.schema}"
+                )
+        # An empty piece contributes no bytes and should cost no copy;
+        # all-empty keeps the first so the schema survives.
+        self.pieces = [p for p in pieces if p[2]] or pieces[:1]
+        self.names = head.names
+        self.dtypes = head.dtypes
+        self._length = sum(count for _, _, count in self.pieces)
+        self.nbytes = self._length * head.record_bytes
         self._fields = None
-        self._team_ref = None
-        self._worker = 0
-        self._gen = 0
-        self.nbytes = int(
-            sum(np.dtype(dt).itemsize * n for _, _, dt, n in self.refs)
-        )
-
-    def __len__(self) -> int:
-        return self.refs[0][3]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(r[0] for r in self.refs)
-
-    def check_live(self) -> None:
-        """Raise unless this handle's arena bytes are still readable.
-
-        Detachment (team closed) is always checked; generation staleness
-        only when the owning team runs with ``racecheck=True``.
-        """
-        if self._fields is not None:
-            return  # already materialized into owned arrays
-        if self._buf is None:
-            raise ArenaClosedError(
-                f"lazy message handle (arena {self.arena_name!r}) used "
-                f"after the owning team closed and released its arenas; "
-                f"materialize .fields before close()"
-            )
-        team = self._team_ref() if self._team_ref is not None else None
-        if team is not None:
-            team._check_handle(self)
 
     @property
     def fields(self) -> dict[str, np.ndarray]:
         if self._fields is None:
-            self.check_live()
-            out = {}
-            for name, off, dt, n in self.refs:
-                dtype = np.dtype(dt)
-                if n == 0:
-                    out[name] = np.empty(0, dtype=dtype)
-                else:
-                    out[name] = np.frombuffer(
-                        self._buf, dtype=dtype, count=n, offset=off
-                    ).copy()
-            self._fields = out
+            runs = [
+                [c[start : start + count] for c in wire.columns]
+                for wire, start, count in self.pieces
+            ]
+            if len(runs) == 1:
+                columns = runs[0]
+            else:
+                columns = [np.concatenate(parts) for parts in zip(*runs)]
+            self._fields = dict(zip(self.names, columns))
         return self._fields
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.fields.values())
 
     def __getitem__(self, key: str) -> np.ndarray:
         return self.fields[key]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ShmMessage(n={len(self)}, arena={self.arena_name!r})"
-
-
-class LazyConcat:
-    """A concatenation of message pieces, at least one of them lazy.
-
-    Produced by :meth:`Message.concat` during a fabric exchange when the
-    inbound pieces are :class:`ShmMessage` handles.  The concatenation is
-    deferred: the destination worker decodes each piece (attaching foreign
-    arenas by name) and concatenates once, instead of the driver copying
-    every payload out of shared memory only to copy it back in.
-    """
-
-    __slots__ = ("pieces", "nbytes", "_length", "_fields")
-
-    is_lazy = True
-
-    def __init__(self, pieces) -> None:
-        self.pieces = tuple(pieces)
-        self.nbytes = int(sum(p.nbytes for p in self.pieces))
-        self._length = sum(len(p) for p in self.pieces)
-        self._fields = None
 
     def __len__(self) -> int:
         return self._length
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.pieces[0].names
-
-    @property
-    def fields(self) -> dict[str, np.ndarray]:
-        if self._fields is None:
-            self._fields = {
-                k: np.concatenate([p.fields[k] for p in self.pieces])
-                for k in self.names
-            }
-        return self._fields
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.fields[key]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"LazyConcat(n={len(self)}, pieces={len(self.pieces)})"
+        return f"Message(n={len(self)}, fields={list(self.names)})"
 
 
 class Fabric:
@@ -326,14 +331,20 @@ class Fabric:
     # -- data movement ----------------------------------------------------
 
     def exchange(
-        self, outboxes: list[Mapping[int, Message]]
+        self, sends: list[Wire | Mapping[int, Message] | None]
     ) -> list[Message | None]:
-        """Personalized all-to-all: ``outboxes[src][dst]`` -> inbox per dst.
+        """Personalized all-to-all: one send per rank -> one inbox per rank.
 
-        Returns, for every rank, the concatenation of all messages addressed
-        to it (sources in rank order), or ``None`` when it received nothing.
+        ``sends[src]`` is the :class:`Wire` rank ``src`` flushed, or
+        ``None`` when it sends nothing (a ``{dst: Message}`` mapping is
+        converted at the door, :meth:`Wire.from_mapping`).  Returns, for
+        every rank, the records addressed to it (sources in rank order)
+        as one :class:`Message`, or ``None`` when it received nothing.
         Charges one superstep of communication time:
         ``max over ranks of max(send time, recv time) + barrier``.
+
+        Everything here reads headers and counts; payload is first
+        touched by the rank that reads a field of its inbox.
 
         When tracing, the whole collective runs inside a ``fabric_exchange``
         span: its *wall* duration is the driver-side cost of moving payloads
@@ -341,26 +352,31 @@ class Fabric:
         bucket (timing flows through the tracer, never ad-hoc clocks).
         """
         with self.tracer.span("fabric_exchange", cat="fabric", kind="alltoallv"):
-            return self._exchange_body(outboxes)
+            return self._exchange_body(sends)
 
-    def _exchange_body(
-        self, outboxes: list[Mapping[int, Message]]
-    ) -> list[Message | None]:
-        if len(outboxes) != self.num_ranks:
-            raise ValueError(f"need {self.num_ranks} outboxes, got {len(outboxes)}")
+    def _exchange_body(self, sends: list) -> list[Message | None]:
+        if len(sends) != self.num_ranks:
+            raise ValueError(f"need {self.num_ranks} outboxes, got {len(sends)}")
         p = self.num_ranks
-        bytes_matrix = np.zeros((p, p), dtype=np.int64)
-        msg_count = 0
-        inbound: list[list[Message]] = [[] for _ in range(p)]
-        for src, outbox in enumerate(outboxes):
-            for dst, msg in outbox.items():
-                if not (0 <= dst < p):
-                    raise ValueError(f"rank {src} addressed invalid rank {dst}")
-                if msg is None or len(msg) == 0:
-                    continue
-                bytes_matrix[src, dst] += msg.nbytes
-                msg_count += 1
-                inbound[dst].append(msg)
+        counts = np.zeros((p, p), dtype=np.int64)
+        displs = np.zeros((p, p), dtype=np.int64)
+        record_bytes = np.zeros((p, 1), dtype=np.int64)
+        wires: list[Wire | None] = []
+        for src, wire in enumerate(sends):
+            if isinstance(wire, Mapping):
+                wire = Wire.from_mapping(wire, p)
+            wires.append(wire)
+            if wire is None:
+                continue
+            if wire.counts.shape != (p,):
+                raise ValueError(
+                    f"rank {src} sent counts for {wire.counts.size} ranks, not {p}"
+                )
+            counts[src] = wire.counts
+            displs[src] = wire.displs
+            record_bytes[src] = wire.record_bytes
+        bytes_matrix = counts * record_bytes
+        msg_count = int(np.count_nonzero(counts))
         if msg_count == 0:
             step = 0.0
         elif self.hierarchical:
@@ -392,10 +408,18 @@ class Fabric:
                 messages=msg_count,
                 **fault_tags,
             )
-        delivered = [Message.concat(msgs) for msgs in inbound]
+        # Destination-major, sources ascending: the delivery order.
+        inbound: list[list] = [[] for _ in range(p)]
+        dsts, srcs = np.nonzero(counts.T)
+        for dst, src, start, count in zip(
+            dsts.tolist(), srcs.tolist(),
+            displs[srcs, dsts].tolist(), counts[srcs, dsts].tolist(),
+        ):
+            inbound[dst].append((wires[src], start, count))
+        delivered = [Message.gather(pieces) if pieces else None for pieces in inbound]
         if self.sanitizer is not None:
             self.sanitizer.check_exchange(
-                self.trace.supersteps - 1, inbound, delivered, fault_tags
+                self.trace.supersteps - 1, wires, delivered, fault_tags
             )
         return delivered
 
@@ -652,7 +676,11 @@ class Fabric:
                 )
         self.clock.charge("sync", self.topology.barrier_cost())
         self.trace.barriers += 1
-        gathered = Message.concat(nonempty) if nonempty else None
+        gathered = (
+            Message.gather([piece for m in nonempty for piece in m.pieces])
+            if nonempty
+            else None
+        )
         delivered = [gathered for _ in range(self.num_ranks)]
         if self.sanitizer is not None:
             self.sanitizer.check_allgather(

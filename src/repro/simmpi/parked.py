@@ -26,13 +26,13 @@ per-call submission with **resident parked workers**:
   detected on the reply pipe instead.
 
 The process team also implements the **zero-copy lazy transport** for
-``call(..., lazy=True)`` phases (outbox flushes): the worker encodes its
-result into a worker-owned *out arena* and the driver receives
-:class:`~repro.simmpi.fabric.ShmMessage` handles instead of materialized
-bundles.  The fabric routes the handles to their destination ranks
-(:meth:`Message.concat` defers mixed pieces as ``LazyConcat``), and the
-destination worker attaches the owning worker's arena by name and copies
-each field out exactly once — one copy end to end, zero pickling.
+``call(..., lazy=True)`` phases (outbox flushes): the worker writes each
+column of its :class:`~repro.simmpi.fabric.Wire` into a worker-owned *out
+arena* once, and the driver receives a handle — header, counts and
+column offsets — instead of the columns.  The fabric cuts the handles
+into per-destination pieces, and the destination worker attaches the
+owning worker's arena by name and gathers its pieces straight out of it
+— one copy end to end, zero pickling.
 
 Safety invariants of the lazy transport:
 
@@ -58,6 +58,7 @@ raises :class:`WorkerError` *after* the team has torn itself down, so
 
 from __future__ import annotations
 
+import functools
 import mmap
 import multiprocessing
 import os
@@ -81,7 +82,7 @@ from repro.simmpi.executor import (
     _encode,
     _PayloadWriter,
 )
-from repro.simmpi.fabric import LazyConcat, ShmMessage
+from repro.simmpi.fabric import Message, Wire
 from repro.simmpi.racecheck import RaceChecker, SharedArrayTracker
 
 __all__ = ["ParkedProcessTeam", "ParkedThreadTeam"]
@@ -340,7 +341,7 @@ def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
             payload = None
             if out_name is not None and writer.total <= out_size:
                 # Lazy reply: park the payload in this worker's out arena;
-                # the parent hands out ShmMessage handles, nothing moves.
+                # the parent hands out wire handles, nothing moves.
                 writer.write_into(attach(out_name))
                 where = "out"
             elif out_name is None and writer.total <= rep_size:
@@ -363,32 +364,6 @@ def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
         conn.close()
 
 
-def _lazy_decode(meta, arena_name: str, buf, register=None):
-    """Parent-side decode of an out-arena reply: Messages stay parked.
-
-    ``Message`` metas become :class:`ShmMessage` handles referencing the
-    worker's out arena; containers recurse; everything else (plain
-    arrays, empty bundles, scalars) materializes — only bulk message
-    payloads are worth keeping lazy.  ``register`` is called with every
-    minted handle so the team can stamp its arena generation and track
-    it for close-time invalidation.
-    """
-    tag = meta[0]
-    if tag == "m":
-        refs = tuple((k, off, dt, shape[0]) for k, off, dt, shape in meta[1])
-        handle = ShmMessage(arena_name, refs, buf)
-        if register is not None:
-            register(handle)
-        return handle
-    if tag == "t":
-        return tuple(_lazy_decode(m, arena_name, buf, register) for m in meta[1])
-    if tag == "l":
-        return [_lazy_decode(m, arena_name, buf, register) for m in meta[1]]
-    if tag == "d":
-        return {k: _lazy_decode(m, arena_name, buf, register) for k, m in meta[1]}
-    return _decode(meta, buf)
-
-
 class ParkedProcessTeam(RankTeam):
     """Parallel phases run on resident forked workers parked on semaphores.
 
@@ -404,11 +379,9 @@ class ParkedProcessTeam(RankTeam):
     workers persist for the team's whole run — one fork per run,
     thousands of supersteps served.
 
-    ``call(..., lazy=True)`` results stay in the producing worker's
-    double-buffered out arenas as :class:`ShmMessage` handles (zero-copy
-    transport); :meth:`set_transport_lazy` disables this when a
-    driver-side consumer (the fabric sanitizer) must read payload bytes
-    between calls.
+    The wires a ``call(..., lazy=True)`` returns stay in the producing
+    worker's double-buffered out arenas; the parent holds handles
+    (zero-copy transport).
     """
 
     backend = "process"
@@ -426,7 +399,7 @@ class ParkedProcessTeam(RankTeam):
             # shared-array tracker has no process-side analogue (writes
             # happen in forked address spaces the parent cannot see).
             self.racecheck = RaceChecker(self.backend, self.tracer)
-        #: Weakrefs to every ShmMessage this team minted; ``close()``
+        #: Weakrefs to every wire handle this team minted; ``close()``
         #: detaches the live ones from their arenas (always on — this is
         #: the use-after-close guard, independent of ``racecheck``).
         self._minted: list[weakref.ref] = []
@@ -437,7 +410,6 @@ class ParkedProcessTeam(RankTeam):
             [i for i in range(len(ranks)) if i % workers == w] for w in range(workers)
         ]
         self._closed = False
-        self._lazy_ok = True
         self._gos = [ctx.Semaphore(0) for _ in range(workers)]
         self._conns = []
         self._procs = []
@@ -450,7 +422,7 @@ class ParkedProcessTeam(RankTeam):
         self._out: list[list[shared_memory.SharedMemory]] = []
         self._out_flip = [0] * workers
         #: Out arenas retired by growth; their names may still be held by
-        #: in-flight ShmMessage handles, so they are unlinked only at close.
+        #: in-flight wire handles, so they are unlinked only at close.
         self._retired: list[shared_memory.SharedMemory] = []
         for w in range(workers):
             slot = shared_memory.SharedMemory(create=True, size=_SLOT_SIZE)
@@ -479,27 +451,27 @@ class ParkedProcessTeam(RankTeam):
                 shared_memory.SharedMemory(create=True, size=_MIN_ARENA),
             ])
 
-    def set_transport_lazy(self, enabled: bool) -> None:
-        self._lazy_ok = bool(enabled)
-
     # -- lazy-handle lifetime & generation guards ---------------------------
 
-    def _register_handle(self, handle: ShmMessage, worker: int, gen: int) -> None:
-        """Stamp a freshly minted handle with its mint generation.
+    def _mint_handle(self, worker: int, out, *header) -> Wire:
+        """A handle to a wire ``worker`` just parked in its out arena ``out``.
 
-        ``gen`` is the owning worker's out-arena flip counter *after* the
-        minting dispatch; the handle's double-buffered arena half is
-        re-armed for writing by the second lazy dispatch after the mint,
-        so the handle is stale once ``_out_flip[worker] >= gen + 2``.
+        Stamped with the mint generation — the worker's out-arena flip
+        counter *after* the minting dispatch; the handle's double-buffered
+        arena half is re-armed for writing by the second lazy dispatch
+        after the mint, so the handle is stale once
+        ``_out_flip[worker] >= gen + 2``.
         """
+        handle = Wire.parked(*header, out.name, out.buf)
         handle._team_ref = weakref.ref(self)
         handle._worker = worker
-        handle._gen = gen
+        handle._gen = self._out_flip[worker]
         self._minted.append(weakref.ref(handle))
         if self.racecheck is not None:
             self.racecheck.handles_minted += 1
+        return handle
 
-    def _check_handle(self, handle: ShmMessage) -> None:
+    def _check_handle(self, handle: Wire) -> None:
         """Generation check for one team-minted handle (``racecheck=True``)."""
         checker = self.racecheck
         if checker is None:
@@ -523,20 +495,24 @@ class ParkedProcessTeam(RankTeam):
         """Validate every team-minted handle about to ship into a worker.
 
         Workers copy a shipped handle's bytes straight out of the named
-        arena (even when the driver already materialized ``fields``), so
-        staleness must be caught here, before dispatch.
+        arena (even when the driver already read ``columns``), so
+        staleness must be caught here, before dispatch.  A handle is
+        checked once per call, however many ranks receive a run of it.
         """
         stack = list(common)
         if per_rank is not None:
             stack.extend(a for args in per_rank for a in args)
+        seen: set[int] = set()
         while stack:
             obj = stack.pop()
-            if isinstance(obj, ShmMessage):
-                ref = obj._team_ref
-                if ref is not None and ref() is self:
-                    self._check_handle(obj)
-            elif isinstance(obj, LazyConcat):
-                stack.extend(obj.pieces)
+            if isinstance(obj, Wire):
+                if obj.arena_name is not None and id(obj) not in seen:
+                    seen.add(id(obj))
+                    ref = obj._team_ref
+                    if ref is not None and ref() is self:
+                        self._check_handle(obj)
+            elif isinstance(obj, Message):
+                stack.extend(wire for wire, _, _ in obj.pieces)
             elif isinstance(obj, (tuple, list)):
                 stack.extend(obj)
             elif isinstance(obj, dict):
@@ -699,16 +675,13 @@ class ParkedProcessTeam(RankTeam):
                 continue
             _, metas, where, total, worker_dec, worker_enc = msg
             transport_in += worker_dec + worker_enc
-            arena_name = None
-            register = None
+            park = None
             if where == "rep":
                 buf = self._rep[w].buf
             elif where == "out":
                 out = self._out[w][lazy_idx[w]]
-                arena_name, buf = out.name, out.buf
-
-                def register(handle, _w=w, _gen=self._out_flip[w]):
-                    self._register_handle(handle, _w, _gen)
+                buf = out.buf
+                park = functools.partial(self._mint_handle, w, out)
             else:  # pipe spill
                 spills += 1
                 buf = self._conns[w].recv_bytes()
@@ -718,10 +691,7 @@ class ParkedProcessTeam(RankTeam):
                     self._rep[w] = self._grown(self._rep[w], total)
             t0 = time.perf_counter() if profiling else 0.0
             for rk, meta, duration, start in metas:
-                if arena_name is not None:
-                    results[rk] = _lazy_decode(meta, arena_name, buf, register)
-                else:
-                    results[rk] = _decode(meta, buf)
+                results[rk] = _decode(meta, buf, park=park)
                 durations[rk] = duration
                 if starts is not None:
                     starts[rk] = start
@@ -745,7 +715,7 @@ class ParkedProcessTeam(RankTeam):
             per_rank = {i: tuple(args) for i, args in enumerate(per_rank)}
         involved, lazy_idx, ser_out = self._dispatch(
             method, per_rank, tuple(common),
-            profiling=profiling, lazy=lazy and self._lazy_ok,
+            profiling=profiling, lazy=lazy,
         )
         t_dispatched = time.perf_counter() if profiling else t_begin
         results: list = [None] * self.num_ranks
@@ -830,7 +800,7 @@ class ParkedProcessTeam(RankTeam):
                 continue
             try:
                 segment.close()
-            except BufferError:  # a leaked ShmMessage still views it
+            except BufferError:  # a leaked wire handle still views it
                 pass
             try:
                 segment.unlink()

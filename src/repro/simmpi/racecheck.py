@@ -5,14 +5,16 @@ hazards, this module checks the *running* backends: the invariants the
 PR 8 zero-copy transport and the parked thread crew silently depend on
 are instrumented and verified while a run executes —
 
-* **arena generations (process backend)** — every ``lazy=True`` result
-  is a :class:`~repro.simmpi.fabric.ShmMessage` handle into a
-  double-buffered per-worker out arena.  A handle minted at flip ``f``
-  is valid only while the worker's flip counter is below ``f + 2``; one
+* **arena generations (process backend)** — the
+  :class:`~repro.simmpi.fabric.Wire` a rank returns from a ``lazy=True``
+  call reaches the parent as a handle into a double-buffered per-worker
+  out arena, one per rank per call.  A handle minted at flip ``f`` is
+  valid only while the worker's flip counter is below ``f + 2``; one
   more lazy call recycles the arena underneath it.  Each minted handle
-  carries its generation, and materializing (or re-shipping) a handle
-  past its window raises :class:`StaleViewError` instead of silently
-  reading bytes the next phase already overwrote.
+  carries its generation, and reading (or re-shipping, inside an inbox
+  that holds a run of it) a handle past its window raises
+  :class:`StaleViewError` instead of silently reading bytes the next
+  phase already overwrote.
 * **arena lifetime (always on)** — closing the team invalidates every
   live handle it minted.  Touching one afterwards raises
   :class:`ArenaClosedError` — a clear diagnosis where the raw

@@ -7,7 +7,7 @@ audited for the BSP invariants an engine silently depends on —
 * **collective matching** — within one exchange, every message carries
   the same schema (field names and dtypes).  Mixed schemas mean two
   ranks disagree about which collective they are in, the SimMPI analogue
-  of mismatched MPI tags; ``Message.concat`` would either crash or,
+  of mismatched MPI tags; gathering them would either crash or,
   worse, silently upcast dtypes and change wire bytes.
 * **message conservation** — every element sent is delivered exactly
   once: per destination, the delivered length equals the sum of the
@@ -37,10 +37,6 @@ __all__ = ["FabricSanitizer", "SanitizerViolation"]
 
 class SanitizerViolation(RuntimeError):
     """A communication invariant was broken; the run cannot be trusted."""
-
-
-def _schema_of(msg) -> tuple[tuple[str, str], ...]:
-    return tuple((name, str(arr.dtype)) for name, arr in msg.fields.items())
 
 
 class FabricSanitizer:
@@ -98,33 +94,37 @@ class FabricSanitizer:
     def check_exchange(
         self,
         step: int,
-        sent: list[list],
+        wires: list,
         delivered: list,
         fault_tags: dict,
     ) -> None:
         """Audit one personalized all-to-all.
 
-        ``sent[dst]`` is the list of messages addressed to ``dst`` (in
-        source rank order), ``delivered[dst]`` the concatenated inbox.
+        ``wires`` holds what each rank sent (a
+        :class:`~repro.simmpi.fabric.Wire` or ``None``), ``delivered[dst]``
+        the inbox rank ``dst`` was handed.  The audit reads headers and
+        counts only: the schema is the wire header, and what a rank must
+        receive is its column of the stacked counts.
         """
         schema = None
-        total_elements = 0
-        for dst in range(self.num_ranks):
-            expected = 0
-            for msg in sent[dst]:
-                expected += len(msg)
-                self.messages_checked += 1
-                s = _schema_of(msg)
-                if schema is None:
-                    schema = s
-                elif s != schema:
-                    self._violate(
-                        "collective-mismatch",
-                        f"superstep {step}: messages with schemas {schema} "
-                        f"and {s} in one exchange — senders disagree about "
-                        f"which collective this is",
-                        step=step,
-                    )
+        sent_to = np.zeros(self.num_ranks, dtype=np.int64)
+        for wire in wires:
+            if wire is None:
+                continue
+            sent_to += wire.counts
+            self.messages_checked += int(np.count_nonzero(wire.counts))
+            s = wire.schema
+            if schema is None:
+                schema = s
+            elif s != schema:
+                self._violate(
+                    "collective-mismatch",
+                    f"superstep {step}: messages with schemas {schema} "
+                    f"and {s} in one exchange — senders disagree about "
+                    f"which collective this is",
+                    step=step,
+                )
+        for dst, expected in enumerate(sent_to.tolist()):
             got = 0 if delivered[dst] is None else len(delivered[dst])
             if got != expected:
                 self._violate(
@@ -136,7 +136,7 @@ class FabricSanitizer:
                     rank=dst,
                 )
             if delivered[dst] is not None and schema is not None:
-                got_schema = _schema_of(delivered[dst])
+                got_schema = delivered[dst].schema
                 if got_schema != schema:
                     self._violate(
                         "collective-mismatch",
@@ -146,7 +146,7 @@ class FabricSanitizer:
                         step=step,
                         rank=dst,
                     )
-            total_elements += expected
+        total_elements = int(sent_to.sum())
         self.elements_checked += total_elements
         drops = int(fault_tags.get("drops", 0))
         retries = int(fault_tags.get("retries", 0))
@@ -169,7 +169,7 @@ class FabricSanitizer:
                 continue
             expected += len(msg)
             self.messages_checked += 1
-            s = _schema_of(msg)
+            s = msg.schema
             if schema is None:
                 schema = s
             elif s != schema:

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coalescing import dedup_min, pack_updates, unpack_updates
+from repro.core.coalescing import dedup_min
 from repro.core.delegation import DelegateTable, auto_hub_threshold, select_hubs
+from repro.engine.rank import Outbox, OwnerRouter, wire_id_dtype
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import star_graph
+from repro.partition import block1d
+from repro.simmpi.fabric import Fabric
+from repro.simmpi.machine import laptop_machine
 
 
 class TestDedupMin:
@@ -43,31 +47,48 @@ class TestDedupMin:
         assert dict(zip(t.tolist(), d.tolist())) == ref
 
 
+def _shipped(targets, dists, kinds, compress, num_vertices):
+    """One batch through an outbox declared for a ``num_vertices`` graph:
+    the wire it flushes and the inbox the fabric delivers from it."""
+    outbox = Outbox(
+        OwnerRouter(block1d(1000, 1)),
+        ("vertex", "dist", "kind"),
+        wire_id_dtype(num_vertices, compress),
+    )
+    outbox.route(np.asarray(targets), np.asarray(dists), np.asarray(kinds, np.uint8))
+    wire = outbox.flush()
+    (inbox,) = Fabric(laptop_machine(), 1).exchange([wire])
+    return wire, inbox
+
+
 class TestPacking:
+    """The wire's id narrowing, declared once where an outbox is built."""
+
     def test_roundtrip_compressed(self):
-        msg = pack_updates(
-            np.array([5, 9]), np.array([0.5, 0.7]), np.array([0, 1]), True, 100
-        )
-        t, d, k = unpack_updates(msg)
-        assert t.dtype == np.int64
-        assert list(t) == [5, 9]
-        assert list(k) == [0, 1]
+        wire, msg = _shipped([5, 9], [0.5, 0.7], [0, 1], True, 100)
+        assert wire.dtypes[0] == np.uint32
         assert msg["vertex"].dtype == np.uint32
+        assert list(msg["vertex"].astype(np.int64)) == [5, 9]
+        assert list(msg["dist"]) == [0.5, 0.7]
+        assert list(msg["kind"]) == [0, 1]
 
     def test_uncompressed_keeps_int64(self):
-        msg = pack_updates(np.array([5]), np.array([0.5]), np.array([0]), False, 100)
+        _, msg = _shipped([5], [0.5], [0], False, 100)
         assert msg["vertex"].dtype == np.int64
 
     def test_compression_saves_bytes(self):
         t = np.arange(1000)
         d = np.ones(1000)
         k = np.zeros(1000)
-        small = pack_updates(t, d, k, True, 10_000).nbytes
-        big = pack_updates(t, d, k, False, 10_000).nbytes
-        assert small == big - 4 * 1000
+        small, _ = _shipped(t, d, k, True, 10_000)
+        big, _ = _shipped(t, d, k, False, 10_000)
+        assert small.nbytes == big.nbytes - 4 * 1000
+        assert small.record_bytes == 13
 
     def test_too_many_vertices_disables_compression(self):
-        msg = pack_updates(np.array([5]), np.array([0.5]), np.array([0]), True, 2**40)
+        assert wire_id_dtype(2**32 - 1, True) == np.uint32
+        assert wire_id_dtype(2**32, True) == np.int64
+        _, msg = _shipped([5], [0.5], [0], True, 2**40)
         assert msg["vertex"].dtype == np.int64
 
 

@@ -1,7 +1,7 @@
 """Message-conservation property of the sanitized exchange.
 
 Randomized trials against :class:`FabricSanitizer`: for arbitrary
-per-rank outboxes, the concatenated inboxes pass the conservation audit
+per-rank outboxes, the gathered inboxes pass the conservation audit
 *iff* each destination receives exactly as many elements as were
 addressed to it.  Any single tampering — a lost element or a duplicated
 element — must raise a ``conservation`` violation.  (The audit is
@@ -20,7 +20,7 @@ import pytest
 from repro import api
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
-from repro.simmpi.fabric import Message
+from repro.simmpi.fabric import Message, Wire
 from repro.simmpi.sanitizer import FabricSanitizer, SanitizerViolation
 
 TRIALS = 25
@@ -43,6 +43,19 @@ def _random_outboxes(rng: np.random.Generator, num_ranks: int):
     return sent
 
 
+def _wires(sent):
+    """One sender's wire per message, all of its records in ``dst``'s run."""
+    return [
+        Wire(m.names, m.columns, np.eye(len(sent), dtype=np.int64)[dst] * len(m))
+        for dst, msgs in enumerate(sent)
+        for m in msgs
+    ]
+
+
+def _inbox(msgs) -> Message:
+    return Message.gather([piece for m in msgs for piece in m.pieces])
+
+
 def _tamper(inbox: Message, kind: str) -> Message | None:
     fields = {k: v.copy() for k, v in inbox.fields.items()}
     if kind == "lose":
@@ -61,8 +74,8 @@ class TestConservationProperty:
             num_ranks = int(rng.integers(1, 6))
             san = FabricSanitizer(num_ranks=num_ranks)
             sent = _random_outboxes(rng, num_ranks)
-            delivered = [Message.concat(msgs) for msgs in sent]
-            san.check_exchange(trial, sent, delivered, fault_tags={})
+            delivered = [_inbox(msgs) for msgs in sent]
+            san.check_exchange(trial, _wires(sent), delivered, fault_tags={})
             assert san.report()["violations"] == 0
             assert san.elements_checked == sum(
                 len(m) for msgs in sent for m in msgs
@@ -79,12 +92,12 @@ class TestConservationProperty:
             sent = _random_outboxes(rng, num_ranks)
             delivered = []
             for msgs in sent:
-                inbox = Message.concat(msgs)
+                inbox = _inbox(msgs)
                 perm = rng.permutation(len(inbox))
                 delivered.append(
                     Message(**{k: v[perm] for k, v in inbox.fields.items()})
                 )
-            san.check_exchange(trial, sent, delivered, fault_tags={})
+            san.check_exchange(trial, _wires(sent), delivered, fault_tags={})
             assert san.report()["violations"] == 0
 
     @pytest.mark.parametrize("kind", ["lose", "duplicate"])
@@ -94,11 +107,11 @@ class TestConservationProperty:
             num_ranks = int(rng.integers(1, 6))
             san = FabricSanitizer(num_ranks=num_ranks)
             sent = _random_outboxes(rng, num_ranks)
-            delivered = [Message.concat(msgs) for msgs in sent]
+            delivered = [_inbox(msgs) for msgs in sent]
             victim = int(rng.integers(0, num_ranks))
             delivered[victim] = _tamper(delivered[victim], kind)
             with pytest.raises(SanitizerViolation, match="conservation"):
-                san.check_exchange(trial, sent, delivered, fault_tags={})
+                san.check_exchange(trial, _wires(sent), delivered, fault_tags={})
 
 
 class TestKernelsAreConserved:

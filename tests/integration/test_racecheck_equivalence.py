@@ -80,11 +80,9 @@ def test_racecheck_is_bit_identical(
     assert audit["violations"] == 0
     if backend == "thread":
         assert audit["regions_checked"] > 0
-    elif mode["sanitize"]:
-        # The sanitizer forces eager transport, so no handles are minted;
-        # the audit still attaches and stays clean.
-        assert audit["handles_minted"] == 0
     else:
+        # The sanitizer reads wire headers, never payload, so it rides the
+        # same lazy transport: every cell mints and checks real handles.
         assert audit["handles_minted"] > 0
         assert audit["handles_checked"] == audit["handles_minted"]
 

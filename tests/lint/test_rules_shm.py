@@ -70,7 +70,7 @@ class TestViewEscape:
 
     def test_dual_mode_helper_is_clean(self, lint):
         # A helper that *can* return an owned copy is not view-returning;
-        # _arena_fields-style dual-mode code must not be flagged.
+        # dual-mode (``view.copy() if copy else view``) code must not be flagged.
         findings = lint(
             """
             import numpy as np

@@ -334,4 +334,5 @@ class TestFactories:
             team = exec_obj.team([_Counter(0)])
             assert team.call("identity") == [0]
             team.close()
-        assert exec_obj._pool is None
+        # The executor pools nothing; the crew belonged to the team.
+        assert not any(t.is_alive() for t in team._threads)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simmpi.fabric import Fabric, Message
+from repro.simmpi.fabric import Fabric, Message, Wire
 from repro.simmpi.machine import laptop_machine, small_cluster
 
 
@@ -11,6 +11,15 @@ def _msg(vertices, dists):
     return Message(
         vertex=np.asarray(vertices, dtype=np.int64),
         dist=np.asarray(dists, dtype=np.float64),
+    )
+
+
+def _wire(vertices, dists):
+    """A one-destination wire holding the given records."""
+    return Wire(
+        ("vertex", "dist"),
+        (np.asarray(vertices, dtype=np.int64), np.asarray(dists, dtype=np.float64)),
+        [len(vertices)],
     )
 
 
@@ -33,28 +42,86 @@ class TestMessage:
         with pytest.raises(ValueError):
             Message()
 
+    # A received message is the concatenation of the pieces the fabric
+    # gathers it from: ``(wire, start, count)`` runs of the senders' wires.
+
     def test_concat(self):
-        m = Message.concat([_msg([1], [0.1]), _msg([2, 3], [0.2, 0.3])])
+        a, b = _wire([7, 1], [0.7, 0.1]), _wire([2, 3, 9], [0.2, 0.3, 0.9])
+        m = Message.gather([(a, 1, 1), (b, 0, 2)])
+        assert len(m) == 3 and m.nbytes == 3 * 16
         assert np.array_equal(m["vertex"], [1, 2, 3])
+        assert np.array_equal(m["dist"], [0.1, 0.2, 0.3])
 
     def test_concat_empty_returns_none(self):
-        assert Message.concat([]) is None
-        assert Message.concat([None, None]) is None
+        # Nothing addressed to a rank is no message at all, and pieces
+        # that are all empty keep the schema.
+        f = Fabric(laptop_machine(), 2)
+        assert f.exchange([None, {}]) == [None, None]
+        assert f.allgather([None, None]) == [None, None]
+        m = Message.gather([(_wire([1], [0.1]), 0, 0), (_wire([2], [0.2]), 1, 0)])
+        assert len(m) == 0 and m.names == ("vertex", "dist")
+        assert m["vertex"].dtype == np.int64 and m["vertex"].size == 0
 
     def test_concat_single_returns_it_uncopied(self):
-        # The lone-sender fast path: messages are immutable, so aliasing
+        # The lone-sender fast path: payloads are immutable, so aliasing
         # is safe and skips a full copy of every field.
-        msg = _msg([1, 2], [0.1, 0.2])
-        assert Message.concat([msg]) is msg
-        assert Message.concat([None, msg, None]) is msg
+        wire = _wire([1, 2, 5], [0.1, 0.2, 0.5])
+        m = Message.gather([(wire, 1, 2)])
+        assert np.array_equal(m["vertex"], [2, 5])
+        assert all(np.shares_memory(got, col) for got, col in zip(m.columns, wire.columns))
+        # Empty pieces next to it cost no copy either.
+        m = Message.gather([(_wire([9], [0.9]), 0, 0), (wire, 0, 3)])
+        assert np.shares_memory(m["dist"], wire.columns[1])
 
     def test_concat_schema_mismatch(self):
         with pytest.raises(ValueError):
-            Message.concat([_msg([1], [0.1]), Message(other=np.zeros(1))])
+            Message.gather(_msg([1], [0.1]).pieces + Message(other=np.zeros(1)).pieces)
+        narrow = Wire(("vertex", "dist"), (np.zeros(1, np.uint32), np.zeros(1)), [1])
+        with pytest.raises(ValueError):
+            Message.gather([(_wire([1], [0.1]), 0, 1), (narrow, 0, 1)])
 
     def test_zero_length_message(self):
         m = _msg([], [])
         assert len(m) == 0
+
+
+class TestWire:
+    def test_scatter_runs_are_back_to_back(self):
+        wire = Wire(("v",), (np.arange(6),), [2, 0, 4])
+        assert wire.displs.tolist() == [0, 2, 2]
+        assert wire.nbytes == 6 * 8 and wire.schema == (("v", "int64"),)
+
+    def test_broadcast_is_one_copy_with_overlapping_runs(self):
+        f = Fabric(small_cluster(), 3)
+        wire = Wire(
+            ("vertex", "dist"), (np.array([4, 5]), np.array([0.4, 0.5])),
+            counts=[0, 2, 2], displs=[0, 0, 0],
+        )
+        inboxes = f.exchange([wire, None, None])
+        assert inboxes[0] is None
+        for inbox in inboxes[1:]:
+            assert np.array_equal(inbox["vertex"], [4, 5])
+            assert np.shares_memory(inbox["dist"], wire.columns[1])
+        # Every receiver's copy is charged, though one was built.
+        assert wire.nbytes == f.trace.total_bytes == 2 * 2 * 16
+        assert f.trace.messages == 2
+
+    def test_run_outside_the_buffer_rejected(self):
+        with pytest.raises(ValueError, match="outside the send buffer"):
+            Wire(("v",), (np.arange(3),), [2, 2])
+        with pytest.raises(ValueError, match="outside the send buffer"):
+            Wire(("v",), (np.arange(3),), [2], displs=[2])
+
+    def test_columns_must_match_names_and_lengths(self):
+        with pytest.raises(ValueError):
+            Wire(("a", "b"), (np.arange(3),), [3])
+        with pytest.raises(ValueError):
+            Wire(("a", "b"), (np.arange(3), np.arange(2)), [2])
+
+    def test_counts_for_another_rank_count_rejected(self):
+        f = Fabric(laptop_machine(), 3)
+        with pytest.raises(ValueError, match="counts for 2 ranks"):
+            f.exchange([Wire(("v",), (np.arange(2),), [1, 1]), None, None])
 
 
 class TestExchange:

@@ -22,7 +22,8 @@ from repro.simmpi.executor import (
     ThreadExecutor,
     WorkerError,
 )
-from repro.simmpi.fabric import LazyConcat, Message, ShmMessage
+from repro.simmpi.fabric import Fabric, Message, Wire
+from repro.simmpi.machine import small_cluster
 from repro.simmpi.parked import ParkedProcessTeam, ParkedThreadTeam
 
 
@@ -43,14 +44,16 @@ class _Rank:
         return np.full(nbytes // 8, float(self.rank), dtype=np.float64)
 
     def outbox(self, length):
-        """A flush-shaped result: one Message per destination."""
-        return {
-            dst: Message(
-                vertex=np.arange(length, dtype=np.int64) + self.rank,
-                dist=np.full(length, float(self.rank)),
-            )
-            for dst in range(2)
-        }
+        """A flush-shaped result: one wire, every record for both ranks."""
+        return Wire(
+            ("vertex", "dist"),
+            (
+                np.arange(length, dtype=np.int64) + self.rank,
+                np.full(length, float(self.rank)),
+            ),
+            counts=[length, length],
+            displs=[0, 0],
+        )
 
     def consume(self, msg):
         """An apply-shaped phase: read the routed message's payload."""
@@ -130,25 +133,32 @@ class TestArenaGrowthAndSpill:
 # -- zero-copy lazy transport ------------------------------------------------
 
 
+def _route(wires):
+    """Route flushed wires like an engine does: through a fabric."""
+    return Fabric(small_cluster(2), 2).exchange(wires)
+
+
 class TestLazyTransport:
     def test_lazy_reply_returns_shm_handles(self):
         team = _process_team()
         try:
             out = team.call("outbox", common=(5,), parallel=True, lazy=True)
-            assert all(isinstance(o, dict) for o in out)
-            handles = [msg for o in out for msg in o.values()]
-            assert handles and all(isinstance(m, ShmMessage) for m in handles)
-            assert all(m.is_lazy for m in handles)
-            # Handles materialize to the same payload the eager path built.
+            assert all(isinstance(w, Wire) for w in out)
+            # One handle per rank; the payload stays in the producing
+            # worker's armed out arena, only the header crossed.
+            for worker, wire in enumerate(out):
+                assert wire.arena_name in {seg.name for seg in team._out[worker]}
+                assert wire._columns is None
+                assert wire.counts.tolist() == [5, 5] and wire.nbytes == 2 * 5 * 16
+            # Handles read back the same payload the eager path built.
             eager = team.call("outbox", common=(5,), parallel=True)
-            for lazy_out, eager_out in zip(out, eager):
-                for dst in eager_out:
-                    assert np.array_equal(
-                        lazy_out[dst]["vertex"], eager_out[dst]["vertex"]
-                    )
-                    assert np.array_equal(
-                        lazy_out[dst]["dist"], eager_out[dst]["dist"]
-                    )
+            for lazy_wire, eager_wire in zip(out, eager):
+                assert eager_wire.arena_name is None
+                assert lazy_wire.schema == eager_wire.schema
+                assert np.array_equal(lazy_wire.counts, eager_wire.counts)
+                assert np.array_equal(lazy_wire.displs, eager_wire.displs)
+                for got, want in zip(lazy_wire.columns, eager_wire.columns):
+                    assert np.array_equal(got, want)
         finally:
             team.close()
 
@@ -156,12 +166,12 @@ class TestLazyTransport:
         team = _process_team()
         try:
             out = team.call("outbox", common=(7,), parallel=True, lazy=True)
-            # Route like the fabric: destination d receives a concat of every
-            # rank's piece for d — a cross-worker arena read on the far side.
-            routed = [
-                Message.concat([o[dst] for o in out]) for dst in range(2)
-            ]
-            assert any(isinstance(m, (ShmMessage, LazyConcat)) for m in routed)
+            # Destination d receives a run of every rank's wire — a
+            # cross-worker arena read on the far side.
+            routed = _route(out)
+            assert all(
+                src.arena_name is not None for m in routed for src, _, _ in m.pieces
+            )
             got = team.call(
                 "consume", per_rank=[(m,) for m in routed], parallel=True
             )
@@ -181,36 +191,31 @@ class TestLazyTransport:
             # new lazy replies (ping-pong out arenas).
             first = team.call("outbox", common=(3,), parallel=True, lazy=True)
             second = team.call("outbox", common=(4,), parallel=True, lazy=True)
-            for o in first:
-                assert all(len(m) == 3 for m in o.values())
-            for o in second:
-                assert all(len(m) == 4 for m in o.values())
+            for rank, (old, new) in enumerate(zip(first, second)):
+                assert old.arena_name != new.arena_name
+                assert np.array_equal(old.columns[0], np.arange(3) + rank)
+                assert np.array_equal(new.columns[0], np.arange(4) + rank)
         finally:
             team.close()
 
     def test_lazy_spill_grows_out_arena_and_retires_old(self):
         team = _process_team()
         try:
-            length = (_MIN_ARENA // 16) + 64  # two fields → > _MIN_ARENA total
+            length = (_MIN_ARENA // 16) + 64  # two columns → > _MIN_ARENA total
             before = len(team._retired)
             out = team.call("outbox", common=(length,), parallel=True, lazy=True)
-            for rank, o in enumerate(out):
-                assert np.all(o[0]["dist"] == float(rank))
+            for rank, wire in enumerate(out):
+                assert np.all(wire.columns[1] == float(rank))
             # The spilled reply grew the armed out arena; the replaced
             # segment went to the graveyard, not /dev/shm limbo.
-            assert len(team._retired) >= before
+            assert len(team._retired) > before
             grown = [s for pair in team._out for s in pair if s.size > _MIN_ARENA]
             assert grown
-        finally:
-            team.close()
-
-    def test_set_transport_lazy_false_materializes(self):
-        team = _process_team()
-        try:
-            team.set_transport_lazy(False)
-            out = team.call("outbox", common=(5,), parallel=True, lazy=True)
-            for o in out:
-                assert all(isinstance(m, Message) for m in o.values())
+            # The next reply spills out of the buffer's other half; the one
+            # after lands in the arena the first spill grew.
+            team.call("outbox", common=(length,), parallel=True, lazy=True)
+            again = team.call("outbox", common=(length,), parallel=True, lazy=True)
+            assert all(wire.arena_name is not None for wire in again)
         finally:
             team.close()
 

@@ -16,7 +16,8 @@ import pytest
 
 from repro.obs.tracer import Tracer
 from repro.simmpi.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
-from repro.simmpi.fabric import LazyConcat, Message, ShmMessage
+from repro.simmpi.fabric import Fabric, Wire
+from repro.simmpi.machine import small_cluster
 from repro.simmpi.parked import ParkedProcessTeam, ParkedThreadTeam
 from repro.simmpi.racecheck import (
     ArenaClosedError,
@@ -37,13 +38,16 @@ class _Rank:
         return self.rank
 
     def outbox(self, length):
-        return {
-            dst: Message(
-                vertex=np.arange(length, dtype=np.int64) + self.rank,
-                dist=np.full(length, float(self.rank)),
-            )
-            for dst in range(2)
-        }
+        """A flush-shaped result: one wire, every record for both ranks."""
+        return Wire(
+            ("vertex", "dist"),
+            (
+                np.arange(length, dtype=np.int64) + self.rank,
+                np.full(length, float(self.rank)),
+            ),
+            counts=[length, length],
+            displs=[0, 0],
+        )
 
     def consume(self, msg):
         return (int(msg["vertex"].sum()), float(msg["dist"].sum()))
@@ -72,7 +76,13 @@ def _process_team(racecheck=False, tracer=None):
 
 
 def _handles(out):
-    return [m for o in out for m in o.values()]
+    """The arena-backed wire handles among a lazy call's results."""
+    return [w for w in out if isinstance(w, Wire) and w.arena_name is not None]
+
+
+def _route(wires):
+    """Route flushed wires like an engine does: through a fabric."""
+    return Fabric(small_cluster(2), 2).exchange(wires)
 
 
 # -- generation checks (process backend) -------------------------------------
@@ -86,8 +96,9 @@ class TestStaleGenerations:
             team.call("outbox", common=(4,), parallel=True, lazy=True)
             # One intervening lazy call: the double buffer still protects
             # the old generation, so materializing must succeed.
+            assert len(_handles(first)) == 2
             for handle in _handles(first):
-                assert handle["vertex"].size == 3
+                assert handle.columns[0].size == 3
             assert team.racecheck.handles_checked >= len(_handles(first))
         finally:
             team.close()
@@ -99,10 +110,10 @@ class TestStaleGenerations:
             team.call("outbox", common=(4,), parallel=True, lazy=True)
             team.call("outbox", common=(5,), parallel=True, lazy=True)
             # Two lazy calls since mint: the arena was recycled underneath.
-            stale = [h for h in _handles(first) if isinstance(h, ShmMessage)]
+            stale = _handles(first)
             assert stale
             with pytest.raises(StaleViewError, match="stale-view"):
-                stale[0].fields  # noqa: B018 - materialization is the effect
+                stale[0].columns  # noqa: B018 - materialization is the effect
         finally:
             team.close()
 
@@ -112,9 +123,7 @@ class TestStaleGenerations:
             first = team.call("outbox", common=(3,), parallel=True, lazy=True)
             team.call("outbox", common=(4,), parallel=True, lazy=True)
             team.call("outbox", common=(5,), parallel=True, lazy=True)
-            routed = [
-                Message.concat([o[dst] for o in first]) for dst in range(2)
-            ]
+            routed = _route(first)
             # The defect is caught before the workers ever see the call.
             with pytest.raises(StaleViewError, match="stale-view"):
                 team.call(
@@ -128,16 +137,18 @@ class TestStaleGenerations:
         team = _process_team(racecheck=True)
         try:
             out = team.call("outbox", common=(7,), parallel=True, lazy=True)
-            routed = [
-                Message.concat([o[dst] for o in out]) for dst in range(2)
-            ]
-            assert any(isinstance(m, (ShmMessage, LazyConcat)) for m in routed)
+            routed = _route(out)
+            assert all(
+                src.arena_name is not None for m in routed for src, _, _ in m.pieces
+            )
             got = team.call(
                 "consume", per_rank=[(m,) for m in routed], parallel=True
             )
             assert len(got) == 2
-            assert team.racecheck.handles_minted > 0
-            assert team.racecheck.handles_checked > 0
+            # One handle per rank per lazy call, each checked once at the
+            # dispatch that ships its runs (to both ranks).
+            assert team.racecheck.handles_minted == 2
+            assert team.racecheck.handles_checked == 2
         finally:
             team.close()
 
@@ -148,7 +159,7 @@ class TestStaleGenerations:
             team.call("outbox", common=(4,), parallel=True, lazy=True)
             team.call("outbox", common=(5,), parallel=True, lazy=True)
             # Unchecked mode preserves the old (unsafe) behaviour: no raise.
-            _handles(first)[0].fields
+            _handles(first)[0].columns
             assert team.racecheck is None
         finally:
             team.close()
@@ -163,12 +174,12 @@ class TestArenaLifetime:
         team = _process_team(racecheck=False)
         try:
             out = team.call("outbox", common=(5,), parallel=True, lazy=True)
-            held = [h for h in _handles(out) if isinstance(h, ShmMessage)]
+            held = _handles(out)
             assert held
         finally:
             team.close()
         with pytest.raises(ArenaClosedError, match="after the owning team"):
-            held[0].fields  # noqa: B018
+            held[0].columns  # noqa: B018
         # ArenaClosedError is a lifetime bug, not a race-mode violation.
         assert not issubclass(ArenaClosedError, RaceCheckViolation)
         assert _shm_names() == before
@@ -177,9 +188,10 @@ class TestArenaLifetime:
         team = _process_team(racecheck=False)
         try:
             out = team.call("outbox", common=(5,), parallel=True, lazy=True)
-            routed = Message.concat([o[0] for o in out])
+            routed = _route(out)[0]
         finally:
             team.close()
+        # The inbox gathers from the handles on first read — too late now.
         with pytest.raises(ArenaClosedError):
             routed.fields  # noqa: B018
 
@@ -188,13 +200,14 @@ class TestArenaLifetime:
         try:
             out = team.call("outbox", common=(5,), parallel=True, lazy=True)
             held = _handles(out)
-            copies = [np.array(h["vertex"]) for h in held]
+            copies = [np.array(h.columns[0]) for h in held]
         finally:
             team.close()
         # Materializing copied the bytes out of the arena; close() must
         # not invalidate already-owned payloads.
+        assert held
         for handle, copy in zip(held, copies):
-            assert np.array_equal(handle["vertex"], copy)
+            assert np.array_equal(handle.columns[0], copy)
 
     def test_close_with_held_handles_leaks_nothing(self):
         before = _shm_names()
@@ -291,7 +304,7 @@ class TestAuditPlumbing:
         try:
             out = team.call("outbox", common=(6,), parallel=True, lazy=True)
             for handle in _handles(out):
-                handle.fields  # noqa: B018
+                handle.columns  # noqa: B018
             report = team.racecheck.report()
         finally:
             team.close()

@@ -20,7 +20,7 @@ from repro.baselines.dijkstra import dijkstra
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.obs.tracer import Tracer
-from repro.simmpi.fabric import Fabric, Message
+from repro.simmpi.fabric import Fabric, Message, Wire
 from repro.simmpi.machine import small_cluster
 from repro.simmpi.sanitizer import FabricSanitizer, SanitizerViolation
 
@@ -31,12 +31,26 @@ def _msg(n, dtype=np.int64):
     )
 
 
+def _wires(sent):
+    """``sent[dst]`` lists the messages addressed to ``dst``: each becomes
+    one sender's wire, all of its records in ``dst``'s run."""
+    return [
+        Wire(m.names, m.columns, np.eye(len(sent), dtype=np.int64)[dst] * len(m))
+        for dst, msgs in enumerate(sent)
+        for m in msgs
+    ]
+
+
+def _inbox(msgs):
+    return Message.gather([piece for m in msgs for piece in m.pieces]) if msgs else None
+
+
 class TestExchange:
     def test_clean_exchange_counts_what_it_audited(self):
         san = FabricSanitizer(num_ranks=2)
         sent = [[_msg(3)], [_msg(2), _msg(1)]]
-        delivered = [Message.concat(msgs) for msgs in sent]
-        san.check_exchange(0, sent, delivered, fault_tags={})
+        delivered = [_inbox(msgs) for msgs in sent]
+        san.check_exchange(0, _wires(sent), delivered, fault_tags={})
         assert san.collectives == 1
         assert san.messages_checked == 3
         assert san.elements_checked == 6
@@ -46,36 +60,38 @@ class TestExchange:
         odd = Message(vertex=np.arange(2, dtype=np.int64))  # missing "dist"
         sent = [[_msg(3)], [odd]]
         with pytest.raises(SanitizerViolation, match="collective-mismatch"):
-            san.check_exchange(0, sent, [_msg(3), odd], fault_tags={})
+            san.check_exchange(0, _wires(sent), [_msg(3), odd], fault_tags={})
 
     def test_mixed_dtype_is_a_schema_mismatch(self):
         san = FabricSanitizer(num_ranks=2)
         sent = [[_msg(3)], [_msg(2, dtype=np.int32)]]
         with pytest.raises(SanitizerViolation, match="collective-mismatch"):
-            san.check_exchange(0, sent, [_msg(3), _msg(2)], fault_tags={})
+            san.check_exchange(0, _wires(sent), [_msg(3), _msg(2)], fault_tags={})
 
     def test_lost_payload_raises_conservation(self):
         san = FabricSanitizer(num_ranks=2)
         sent = [[_msg(3)], [_msg(2)]]
         delivered = [_msg(3), _msg(1)]  # rank 1 got 1 of 2 elements
         with pytest.raises(SanitizerViolation, match="conservation"):
-            san.check_exchange(4, sent, delivered, fault_tags={})
+            san.check_exchange(4, _wires(sent), delivered, fault_tags={})
 
     def test_duplicated_payload_raises_conservation(self):
         san = FabricSanitizer(num_ranks=1)
         with pytest.raises(SanitizerViolation, match="conservation"):
-            san.check_exchange(0, [[_msg(2)]], [_msg(3)], fault_tags={})
+            san.check_exchange(0, _wires([[_msg(2)]]), [_msg(3)], fault_tags={})
 
     def test_drops_without_retries_raise(self):
         san = FabricSanitizer(num_ranks=1)
         sent = [[_msg(2)]]
         with pytest.raises(SanitizerViolation, match="unacked-drop"):
-            san.check_exchange(0, sent, [_msg(2)], fault_tags={"drops": 3})
+            san.check_exchange(0, _wires(sent), [_msg(2)], fault_tags={"drops": 3})
 
     def test_drops_with_retries_are_reconciled(self):
         san = FabricSanitizer(num_ranks=1)
         sent = [[_msg(2)]]
-        san.check_exchange(0, sent, [_msg(2)], fault_tags={"drops": 3, "retries": 2})
+        san.check_exchange(
+            0, _wires(sent), [_msg(2)], fault_tags={"drops": 3, "retries": 2}
+        )
         assert san.drops_reconciled == 3
 
 
@@ -112,7 +128,7 @@ class TestAllgatherAllreduce:
 class TestNoProgress:
     def test_empty_streak_trips_the_threshold(self):
         san = FabricSanitizer(num_ranks=1, deadlock_threshold=4)
-        empty = [[]]
+        empty = [None]
         for _ in range(3):
             san.check_exchange(0, empty, [None], fault_tags={})
         with pytest.raises(SanitizerViolation, match="no-progress"):
@@ -121,10 +137,10 @@ class TestNoProgress:
     def test_payload_resets_the_streak(self):
         san = FabricSanitizer(num_ranks=1, deadlock_threshold=4)
         for _ in range(3):
-            san.check_exchange(0, [[]], [None], fault_tags={})
-        san.check_exchange(0, [[_msg(1)]], [_msg(1)], fault_tags={})
+            san.check_exchange(0, [None], [None], fault_tags={})
+        san.check_exchange(0, _wires([[_msg(1)]]), [_msg(1)], fault_tags={})
         for _ in range(3):
-            san.check_exchange(0, [[]], [None], fault_tags={})
+            san.check_exchange(0, [None], [None], fault_tags={})
         assert san.max_empty_streak == 3
 
     def test_allreduce_is_control_plane_not_progress(self):
@@ -132,14 +148,14 @@ class TestNoProgress:
         # those votes must neither feed nor reset the streak.
         san = FabricSanitizer(num_ranks=1, deadlock_threshold=4)
         for _ in range(3):
-            san.check_exchange(0, [[]], [None], fault_tags={})
+            san.check_exchange(0, [None], [None], fault_tags={})
             san.check_allreduce(np.array([0.0]), op="sum")
         with pytest.raises(SanitizerViolation, match="no-progress"):
-            san.check_exchange(0, [[]], [None], fault_tags={})
+            san.check_exchange(0, [None], [None], fault_tags={})
 
     def test_report_shape(self):
         san = FabricSanitizer(num_ranks=2)
-        san.check_exchange(0, [[_msg(2)], []], [_msg(2), None], fault_tags={})
+        san.check_exchange(0, _wires([[_msg(2)], []]), [_msg(2), None], fault_tags={})
         rep = san.report()
         assert rep["violations"] == 0
         assert rep["collectives"] == 1

@@ -118,8 +118,9 @@ class TestMessageEdgeCases:
         assert m.nbytes == 3 + 24
 
     def test_concat_single(self):
-        m = Message.concat([Message(x=np.array([1]))])
+        m = Message.gather(Message(x=np.array([1])).pieces)
         assert len(m) == 1
+        assert m["x"].tolist() == [1]
 
 
 class TestPRNGEdgeCases:
