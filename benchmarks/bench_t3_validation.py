@@ -2,7 +2,8 @@
 
 Every benchmark run must pass the spec validator, and the validator must
 actually reject corrupted results.  One row per (graph family, algorithm)
-for acceptance plus one per corruption type for rejection.
+for acceptance — SSSP and BFS, plus one multigraph whose parallel edges
+were kept — and one per corruption type for rejection.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import grid_graph, random_graph, star_graph
 from repro.graph500.report import render_table
-from repro.graph500.validation import validate_sssp
+from repro.graph500.validation import validate_bfs, validate_sssp
 
 
 def test_t3_validation_coverage(benchmark, write_result):
@@ -48,6 +49,20 @@ def test_t3_validation_coverage(benchmark, write_result):
                     "validates": validate_sssp(graph, res).ok,
                 }
             )
+        res = repro.run(graph, root, kernel="bfs", num_ranks=8).result
+        rows.append(
+            {"graph": gname, "algorithm": "bfs(8)", "validates": validate_bfs(graph, res).ok}
+        )
+    # A tree edge closes over the lightest of its parallel CSR entries.
+    multi = build_csr(random_graph(2000, 20_000, seed=1), dedup=False)
+    res = repro.run(multi, int(np.argmax(multi.out_degree)), engine="shared").result
+    rows.append(
+        {
+            "graph": "random-2k, parallel edges kept",
+            "algorithm": "delta_stepping",
+            "validates": validate_sssp(multi, res).ok,
+        }
+    )
     assert all(r["validates"] for r in rows)
 
     # Rejection half: corrupt one run per rule.
@@ -61,6 +76,7 @@ def test_t3_validation_coverage(benchmark, write_result):
         "parent to non-neighbor": lambda r: r.parent.__setitem__(
             v, int(np.setdiff1d(reached, np.append(kron.neighbors(v), v))[0])
         ),
+        "parent out of range": lambda r: r.parent.__setitem__(v, kron.num_vertices + 7),
     }
     for name, corrupt in corruptions.items():
         bad = repro.run(kron, src, engine="shared").result

@@ -23,6 +23,24 @@ parent, reached)`` and are one shared core (:class:`_TreeCheck`); each
 validator keeps its own closure and per-edge slack rule.  All checks are
 whole-array vectorized; the validator runs comfortably on every benchmark
 run rather than on samples.
+
+One answer costs one pass in edge order, the shape of GBBS's dense
+``edgeMap``: source-side state is ``np.repeat(state, out_degree)``, read
+sequentially, and only the target side is gathered through ``adj``.  Rules
+3 and 4 are evaluated on every edge and masked by both-reached (true on
+nearly every edge of a Kronecker graph) instead of compressing the edge
+arrays by it; the tree edge of each reached vertex is found by the same
+kind of test, ``parent[adj] == source of the edge``, which sees every
+parallel entry of a multigraph and needs no sorted rows; BFS levels are
+compared in the narrowest dtype their observed range allows.
+
+Nothing is kept between calls.  A prototype that parked its per-graph
+edge keys on the ``CSRGraph`` read, on ``bfs_s17`` (scale 17, 64 answers),
+``validate_s`` 6.94 / 5.51 / 6.87 s against 7.55 / 7.18 / 7.28 s for the
+stateless pass (16.55 / 14.75 / 16.05 s before either), but ``peak_rss_mb``
+above its paired parent in 7 of 7 runs, by 6-21% (481 -> 578 MB) against a
+0.20 bound, and ``solve_s`` above it in 6 of 7 (median +7%): one second is
+not worth a cache and its invalidation on a mutable dataclass.
 """
 
 from __future__ import annotations
@@ -55,65 +73,79 @@ class ValidationReport:
 class _TreeCheck:
     """The spec checks that read only ``(root, parent, reached)``.
 
-    Collects failure messages in call order; the edge-source array every
-    per-edge rule needs is built once here.
+    Collects failure messages in call order.  A per-edge rule reads its
+    source-side state as ``np.repeat(state, graph.out_degree)`` — sequential,
+    in edge order — and gathers only the target side through ``graph.adj``.
     """
 
     def __init__(
-        self, graph: CSRGraph, root: int, parent: np.ndarray, reached: np.ndarray
+        self,
+        graph: CSRGraph,
+        root: int,
+        parent: np.ndarray,
+        reached: np.ndarray,
+        name: str,
+        state: np.ndarray,
     ) -> None:
-        self.graph, self.root, self.parent, self.reached = graph, root, parent, reached
-        self.failures: list[str] = []
+        """Rule 1: the root sits at zero and is its own parent; rule 2's
+        bookkeeping: every other reached vertex names a parent, in range."""
         n = graph.num_vertices
-        self.src = np.repeat(np.arange(n, dtype=np.int64), graph.out_degree)
-        tree_vs = np.flatnonzero(reached & (parent >= 0))
-        #: Every reached non-root vertex with a parent, and those parents.
-        self.tree_vs = tree_vs[tree_vs != root]
+        # An answer shaped for another graph is a caller error, not a tree failure.
+        for field_name, arr in (("parent", parent), (name, state)):
+            if arr.shape != (n,):
+                raise ValueError(
+                    f"{field_name} has length {arr.size}, expected {n} (num_vertices)"
+                )
+        if not 0 <= root < n:
+            raise ValueError(f"source {root} out of range for {n} vertices")
+        self.graph, self.root, self.reached = graph, root, reached
+        self.failures: list[str] = []
+        if state[root] != 0:
+            self.failures.append(f"rule 1: {name}[root]={state[root]}, expected 0")
+        if parent[root] != root:
+            self.failures.append(f"rule 1: parent[root]={parent[root]}, expected {root}")
+        others = reached.copy()
+        others[root] = False
+        for bad, what in (
+            (others & (parent < 0), "reached vertices without a parent"),
+            (others & (parent >= n), "parent pointers out of range"),
+        ):
+            if np.any(bad):
+                self.failures.append(f"rule 2: {np.count_nonzero(bad)} {what}")
+        #: Every reached non-root vertex whose parent is a vertex, and those
+        #: parents; a pointer out of range is reported above and goes no further.
+        self.tree_vs = np.flatnonzero(others & (parent >= 0) & (parent < n))
         self.ps = parent[self.tree_vs]
 
-    def root_and_parents(self, name: str, value) -> None:
-        """Rule 1: the root sits at zero and is its own parent; rule 2's
-        bookkeeping: every other reached vertex names a parent."""
-        root = self.root
-        if value != 0:
-            self.failures.append(f"rule 1: {name}[root]={value}, expected 0")
-        if self.parent[root] != root:
-            self.failures.append(
-                f"rule 1: parent[root]={self.parent[root]}, expected {root}"
-            )
-        bad_parent = self.reached & (self.parent < 0)
-        bad_parent[root] = False
-        if np.any(bad_parent):
-            self.failures.append(
-                f"rule 2: {np.count_nonzero(bad_parent)} reached vertices without a parent"
-            )
-
-    def tree_edges(self) -> tuple[np.ndarray, np.ndarray]:
+    def tree_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rule 2, structural half: parents are reached, tree edges exist.
 
-        Returns ``(loc, ok)``: the CSR position of each ``(parent, v)``
-        tree edge and whether it was found there.
+        One test in edge order, ``parent[adj] == source of the edge``, marks
+        the CSR entries that are some vertex's tree edge — a run of them
+        where parallel edges were kept.  Returns ``(hit, at, ok)``: those CSR
+        positions, the index into ``tree_vs`` each belongs to, and per tree
+        vertex whether it has one.
         """
-        n = self.graph.num_vertices
+        n, adj = self.graph.num_vertices, self.graph.adj
         if np.any(~self.reached[self.ps]):
             self.failures.append("rule 2: some parents are unreached")
-        # Locate each (p, v) tree edge with one vectorized binary search:
-        # encode (row, col) as row * n + col — CSR order makes the key array
-        # globally sorted.  n is bounded well below 2^31 in practice, so the
-        # product cannot overflow int64; guard anyway.
-        if n >= np.iinfo(np.int64).max // max(n, 1):
-            raise ValueError("graph too large for vectorized edge validation")
-        key_all = self.src * n + self.graph.adj
-        key_tree = self.ps * n + self.tree_vs
-        loc = np.searchsorted(key_all, key_tree)
-        valid = loc < key_all.size
+        # Ids are compared in 32 bits where the range check allows it; a
+        # vertex outside the tree carries -1, which matches no edge source.
+        ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        tree_parent = np.full(n, -1, dtype=ids)
+        tree_parent[self.tree_vs] = self.ps
+        source = np.repeat(np.arange(n, dtype=ids), self.graph.out_degree)
+        hit = np.flatnonzero(tree_parent[adj] == source)
+        slot = np.empty(n, dtype=np.int64)  # read at tree vertices only
+        slot[self.tree_vs] = np.arange(self.tree_vs.size)
+        at = slot[adj[hit]]
         ok = np.zeros(self.tree_vs.size, dtype=bool)
-        ok[valid] = key_all[loc[valid]] == key_tree[valid]
+        ok[at] = True
         if np.any(~ok):
             self.failures.append(
                 f"rule 2: {np.count_nonzero(~ok)} tree edges missing from graph"
             )
-        return loc, ok
+        return hit, at, ok
 
     def adjacency(self, what: str) -> np.ndarray:
         """Rule 4: no edge joins a reached and an unreached vertex.
@@ -121,7 +153,7 @@ class _TreeCheck:
         Returns the mask of edges with both endpoints reached, which is
         where the kernel's slack rule (rule 3) applies.
         """
-        u_reached = self.reached[self.src]
+        u_reached = np.repeat(self.reached, self.graph.out_degree)
         v_reached = self.reached[self.graph.adj]
         mixed = u_reached != v_reached
         if np.any(mixed):
@@ -131,11 +163,20 @@ class _TreeCheck:
         return u_reached & v_reached
 
     def reaches_root(self) -> None:
-        """Rule 5: pointer-jump every tree vertex to the root, O(log n) rounds."""
-        hop = self.parent.copy()
-        hop[self.root] = self.root
-        for _ in range(int(np.ceil(np.log2(max(self.graph.num_vertices, 2)))) + 1):
-            hop[self.tree_vs] = hop[hop[self.tree_vs]]
+        """Rule 5: pointer-jump every tree vertex to the root, O(log n) rounds.
+
+        Every other vertex is its own fixed point, so a path that runs into
+        an unreached or parentless vertex ends there and not at the root.
+        The loop stops at its fixed point — further rounds are no-ops; only
+        a cycle longer than two keeps moving and runs all the rounds.
+        """
+        n = self.graph.num_vertices
+        hop = np.arange(n)
+        hop[self.tree_vs] = self.ps
+        for _ in range(int(np.ceil(np.log2(max(n, 2)))) + 1):
+            hop, last = hop[hop], hop
+            if np.array_equal(hop, last):
+                break
         if np.any(hop[self.tree_vs] != self.root):
             self.failures.append("rule 5: some tree paths do not terminate at the root")
 
@@ -143,6 +184,7 @@ class _TreeCheck:
         return ValidationReport(ok=not self.failures, failures=self.failures)
 
 
+@np.errstate(invalid="ignore")  # inf - inf on an edge neither end of which is reached
 def validate_sssp(
     graph: CSRGraph,
     result: SSSPResult,
@@ -157,10 +199,9 @@ def validate_sssp(
     dist = result.dist
     parent = result.parent
     reached = np.isfinite(dist)
-    tree = _TreeCheck(graph, result.source, parent, reached)
+    tree = _TreeCheck(graph, result.source, parent, reached, "dist", dist)
     failures, tree_vs, ps = tree.failures, tree.tree_vs, tree.ps
 
-    tree.root_and_parents("dist", dist[result.source])
     unreached_with_parent = ~reached & (parent != UNREACHABLE_PARENT)
     if np.any(unreached_with_parent):
         failures.append(
@@ -170,9 +211,11 @@ def validate_sssp(
 
     # -- check 2: tree edges exist and close distances exactly ---------------
     if tree_vs.size:
-        loc, ok_edge = tree.tree_edges()
-        w_edge = np.full(tree_vs.size, np.nan)
-        w_edge[ok_edge] = graph.weight[loc[ok_edge]]
+        # A tree edge closes when any of its parallel (p, v) entries does;
+        # rule 3 forbids one that undercuts, so the lightest decides.
+        hit, at, ok_edge = tree.tree_edges()
+        w_edge = np.full(tree_vs.size, np.inf)
+        np.minimum.at(w_edge, at, graph.weight[hit])
         tight = np.abs(dist[ps] + w_edge - dist[tree_vs]) <= tolerance
         tight |= ~ok_edge  # missing edges already reported above
         if np.any(~tight):
@@ -183,12 +226,10 @@ def validate_sssp(
 
     # -- checks 3 and 4: per-edge conditions ---------------------------------
     both = tree.adjacency("unreached vertices")
-    slack = dist[graph.adj[both]] - (dist[tree.src[both]] + graph.weight[both])
-    if np.any(slack > tolerance):
-        failures.append(
-            f"rule 3: {np.count_nonzero(slack > tolerance)} edges violate the "
-            "relaxation condition"
-        )
+    slack = dist[graph.adj] - (np.repeat(dist, graph.out_degree) + graph.weight)
+    relaxable = np.count_nonzero((slack > tolerance) & both)
+    if relaxable:
+        failures.append(f"rule 3: {relaxable} edges violate the relaxation condition")
 
     # -- check 5: forest structure -------------------------------------------
     if tree_vs.size:
@@ -211,10 +252,9 @@ def validate_bfs(graph: CSRGraph, result: BFSResult) -> ValidationReport:
     level = result.level
     parent = result.parent
     reached = level >= 0
-    tree = _TreeCheck(graph, result.source, parent, reached)
+    tree = _TreeCheck(graph, result.source, parent, reached, "level", level)
     failures, tree_vs, ps = tree.failures, tree.tree_vs, tree.ps
 
-    tree.root_and_parents("level", level[result.source])
     unreached_bad = ~reached & ((parent != -1) | (level != -1))
     if np.any(unreached_bad):
         failures.append(
@@ -231,10 +271,14 @@ def validate_bfs(graph: CSRGraph, result: BFSResult) -> ValidationReport:
         tree.reaches_root()
 
     both = tree.adjacency("unreached")
-    skew = np.abs(level[tree.src[both]] - level[graph.adj[both]])
-    if np.any(skew > 1):
-        failures.append(
-            f"rule 3: {np.count_nonzero(skew > 1)} edges span more than one level"
-        )
+    # Levels are values, not ids: compare them in the narrowest signed dtype
+    # whose half-range holds every value present, so no difference can wrap.
+    extent = max(int(level.max()), -int(level.min()))
+    fits = (t for t in (np.int8, np.int16, np.int32) if extent <= np.iinfo(t).max // 2)
+    lv = level.astype(next(fits, np.int64))
+    skew = np.abs(np.repeat(lv, graph.out_degree) - lv[graph.adj])
+    skewed = np.count_nonzero((skew > 1) & both)
+    if skewed:
+        failures.append(f"rule 3: {skewed} edges span more than one level")
 
     return tree.report()
