@@ -43,6 +43,7 @@ from repro.core.twod_engine import _distributed_sssp_2d
 from repro.engine.driver import RunSummary
 from repro.engine.protocol import run_kernel
 from repro.engine.results import CorenessResult, LabelsResult, RanksResult
+from repro.engine.validation import check_integral_roots
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
 from repro.simmpi.executor import RankExecutor
@@ -472,6 +473,7 @@ def run(
     if kernel in _NEEDS_SOURCE:
         if source is None:
             raise ValueError(f"kernel {kernel!r} requires a source vertex")
+        check_integral_roots(kernel, source)
     elif source is not None:
         raise ValueError(
             f"kernel {kernel!r} is whole-graph; source= does not apply"

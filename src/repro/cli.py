@@ -7,8 +7,11 @@ Mirrors the real benchmark driver's workflow:
                  ``--trace-out/--report-out/--chrome-out`` persist the run's
                  telemetry (JSONL stream, per-superstep report, Perfetto);
 * ``inspect``  — summarize a saved ``--trace-out`` JSONL telemetry file;
-* ``ablation`` — the optimization ablation table;
-* ``sweep``    — the ∆ sensitivity sweep;
+* ``experiment`` — regenerate one table or figure of the reconstructed
+  evaluation (``T1``-``T3``, ``F1``-``F11``, ``E1``-``E3``, or ``all``) as a
+  JSON document and check its expected shape (``--smoke``: the seconds-long
+  profile, unchecked); other parameters are Python calls, see
+  :mod:`repro.analysis.studies`;
 * ``profile``  — run one engine under full instrumentation; print the
   compute/barrier/dispatch/transport/serialization attribution table and
   the ranked bottleneck diagnosis (``--out`` writes the
@@ -16,8 +19,6 @@ Mirrors the real benchmark driver's workflow:
 * ``bench``    — one host wall-clock protocol (``--protocol P1|P4|K1|B1``);
   ``bench diff`` compares two BENCH_*.json documents (or profile
   reports) with per-engine deltas and a regression threshold;
-* ``project``  — fit the cost model from real runs, project a target
-  (scale, nodes) on the Sunway-class machine;
 * ``lint``     — the codebase-specific static analyzer (index-space,
   determinism, and dtype rule packs; see :mod:`repro.lint`).
 """
@@ -253,53 +254,37 @@ def _run_kernel_smoke(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_ablation(args: argparse.Namespace) -> int:
-    from repro.analysis.ablation import ablation_study
-    from repro.graph.csr import build_csr
-    from repro.graph.kronecker import generate_kronecker
-    from repro.graph500.report import render_table
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    import json
+    import os
 
-    graph = build_csr(generate_kronecker(args.scale, seed=args.seed))
-    rows = ablation_study(graph, num_ranks=args.ranks, num_roots=args.roots)
-    print(
-        render_table(
-            rows, title=f"Ablation (scale {args.scale}, {args.ranks} ranks, simulated)"
+    from repro.analysis.experiments import EXPERIMENTS, run_experiment
+    from repro.graph500.report import render_tables
+
+    if args.id != "all" and args.id not in EXPERIMENTS:
+        print(
+            f"repro experiment: unknown id {args.id!r}; options: {', '.join(EXPERIMENTS)}, all",
+            file=sys.stderr,
         )
-    )
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.sweep import delta_sweep
-    from repro.graph.csr import build_csr
-    from repro.graph.kronecker import generate_kronecker
-    from repro.graph500.report import render_table
-
-    graph = build_csr(generate_kronecker(args.scale, seed=args.seed))
-    rows = delta_sweep(graph, num_ranks=args.ranks, num_roots=args.roots)
-    print(
-        render_table(
-            rows, title=f"Delta sweep (scale {args.scale}, {args.ranks} ranks, simulated)"
-        )
-    )
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.comparison import engine_comparison
-    from repro.graph.csr import build_csr
-    from repro.graph.kronecker import generate_kronecker
-    from repro.graph500.report import render_table
-
-    graph = build_csr(generate_kronecker(args.scale, seed=args.seed))
-    rows = engine_comparison(graph, num_ranks=args.ranks, num_roots=args.roots)
-    print(
-        render_table(
-            rows,
-            title=f"Engine comparison (scale {args.scale}, {args.ranks} ranks, simulated)",
-        )
-    )
-    return 0
+        return 2
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    failed = 0
+    for exp_id in EXPERIMENTS if args.id == "all" else [args.id]:
+        doc = run_experiment(exp_id, smoke=args.smoke)
+        print(render_tables(doc["tables"]))
+        if args.id == "all":
+            print()
+        if args.out:
+            # Key order is kept: it is the column order of the tables.
+            with open(os.path.join(args.out, f"{exp_id}.json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1, allow_nan=False)
+                fh.write("\n")
+        for claim, held in (doc["checks"] or {}).items():
+            if not held:
+                failed += 1
+                print(f"repro experiment: {exp_id}: shape check failed: {claim}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -464,30 +449,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
-    from repro.analysis.projection import fit_projection_model
-    from repro.graph500.report import render_table
-    from repro.simmpi.machine import sunway_exascale
-
-    machine = sunway_exascale()
-    fit_scales = [args.fit_scale - 2, args.fit_scale - 1, args.fit_scale]
-    print(f"fitting cost model at scales {fit_scales} on {args.ranks} ranks...")
-    model, _ = fit_projection_model(scales=fit_scales, num_ranks=args.ranks, num_roots=2)
-    target_nodes = args.nodes or machine.max_nodes
-    rows = []
-    for eff in (1.0, args.efficiency):
-        p = model.project(args.target_scale, target_nodes, machine, efficiency=eff)
-        row = p.row()
-        row["efficiency"] = eff
-        rows.append(row)
-    print(render_table(rows, title=f"Projection to scale {args.target_scale} (modeled)"))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Graph500 SSSP reproduction: benchmark, ablate, sweep, project.",
+        description="Graph500 SSSP reproduction: run, measure, regenerate the evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -578,20 +543,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--max-rows", type=int, default=80)
     p_inspect.set_defaults(func=_cmd_inspect)
 
-    p_abl = sub.add_parser("ablation", help="optimization ablation table")
-    _add_common(p_abl)
-    p_abl.add_argument("--roots", type=int, default=2)
-    p_abl.set_defaults(func=_cmd_ablation)
-
-    p_sweep = sub.add_parser("sweep", help="delta sensitivity sweep")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--roots", type=int, default=2)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_cmp = sub.add_parser("compare", help="1-D/2-D/hierarchical engine comparison")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--roots", type=int, default=2)
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_exp = sub.add_parser(
+        "experiment", help="regenerate one table/figure of the reconstructed evaluation"
+    )
+    p_exp.add_argument("id", help="T1-T3, F1-F11, E1-E3 (DESIGN.md section 4), or 'all'")
+    p_exp.add_argument(
+        "--smoke",
+        action="store_true",
+        help="the entry's seconds-long profile (rows pinned by tier-1, shape not checked)",
+    )
+    p_exp.add_argument("--out", default=None, metavar="DIR", help="write DIR/<ID>.json")
+    p_exp.set_defaults(func=_cmd_experiment)
 
     p_bench = sub.add_parser(
         "bench", help="host wall-clock benchmark protocols of the engines"
@@ -760,14 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument("--out", default=None, help="write the report here")
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_proj = sub.add_parser("project", help="full-machine projection")
-    p_proj.add_argument("--fit-scale", type=int, default=13, help="largest fit scale")
-    p_proj.add_argument("--ranks", type=int, default=8)
-    p_proj.add_argument("--target-scale", type=int, default=42)
-    p_proj.add_argument("--nodes", type=int, default=None)
-    p_proj.add_argument("--efficiency", type=float, default=0.25)
-    p_proj.set_defaults(func=_cmd_project)
 
     return parser
 

@@ -25,6 +25,7 @@ __all__ = [
     "CONTIGUOUS_PARTITIONS",
     "PARTITIONS",
     "check_source",
+    "check_integral_roots",
     "check_num_ranks",
     "check_delta",
     "check_direction",
@@ -45,6 +46,19 @@ def check_source(graph: CSRGraph, source: int) -> None:
     n = graph.num_vertices
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
+
+
+def check_integral_roots(kernel: str, source) -> None:
+    """Reject root ids that are not integers (a scalar or a sequence).
+
+    A float root is never rounded to a neighbouring vertex: ``1.7`` names
+    no vertex, and answering it as vertex 1 is a silently wrong answer.
+    """
+    roots = np.asarray(source)
+    if roots.size and roots.dtype.kind not in "iu":
+        raise ValueError(
+            f"kernel {kernel!r} needs integer vertex ids as source=; got {source!r}"
+        )
 
 
 def check_num_ranks(num_ranks: int) -> None:

@@ -2,8 +2,8 @@
 
 The benchmark specifies the exact set of statistics a submission reports;
 this module renders them from a :class:`~repro.graph500.harness.BenchmarkResult`
-as the familiar ``key: value`` block, plus compact table rows used by the
-experiment scripts.
+as the familiar ``key: value`` block, plus the fixed-width tables of the
+experiment documents (:mod:`repro.analysis.experiments`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from repro.graph500.harness import BenchmarkResult
 from repro.graph500.spec import problem_class
 
-__all__ = ["render_output_block", "render_table", "rows_to_csv"]
+__all__ = ["render_output_block", "render_table", "render_tables"]
 
 
 def render_output_block(result: BenchmarkResult) -> str:
@@ -75,28 +75,26 @@ def render_table(rows: list[dict[str, object]], title: str = "") -> str:
     return "\n".join(out)
 
 
-def rows_to_csv(rows: list[dict[str, object]]) -> str:
-    """Render dict rows as CSV text (plotting-friendly experiment export).
+def render_tables(tables: dict[str, object]) -> str:
+    """Render an experiment document's ``tables`` in order, blank-line separated.
 
-    Columns come from the first row; values are comma-escaped by quoting.
+    A list of row dicts is a table under its name; a dict is one row, printed
+    as a ``key: value`` block; a string is a caption under the table before it.
     """
-    if not rows:
-        return ""
-    cols = list(rows[0])
-
-    def esc(v: object) -> str:
-        s = str(v)
-        if "," in s or '"' in s or "\n" in s:
-            s = '"' + s.replace('"', '""') + '"'
-        return s
-
-    lines = [",".join(esc(c) for c in cols)]
-    for row in rows:
-        lines.append(",".join(esc(row.get(c, "")) for c in cols))
-    return "\n".join(lines)
+    text = ""
+    for name, body in tables.items():
+        if isinstance(body, str):
+            text += "\n" + body
+        elif isinstance(body, dict):
+            text += "\n\n" + "\n".join(f"{key}: {value}" for key, value in body.items())
+        else:
+            text += "\n\n" + render_table(body, title=name)
+    return text.lstrip("\n")
 
 
 def _fmt(v: object) -> str:
+    if v is None:
+        return "-"  # not applicable
     if isinstance(v, float):
         if v == 0:
             return "0"

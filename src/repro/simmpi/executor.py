@@ -364,10 +364,6 @@ class RankTeam:
     ) -> list:
         raise NotImplementedError
 
-    def call_one(self, rank: int, method: str, *args) -> Any:
-        """Invoke ``method`` on a single rank (control plane, untimed)."""
-        raise NotImplementedError
-
     def close(self) -> None:
         """Release the team's workers; the team is unusable afterwards."""
 
@@ -405,9 +401,6 @@ class SerialTeam(RankTeam):
                 starts, durations,
             )
         return results
-
-    def call_one(self, rank, method, *args):
-        return getattr(self.ranks[rank], method)(*args)
 
 
 # -- executors --------------------------------------------------------------

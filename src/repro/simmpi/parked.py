@@ -220,11 +220,6 @@ class ParkedThreadTeam(RankTeam):
             )
         return self._results
 
-    def call_one(self, rank, method, *args):
-        if self._closed:
-            raise RuntimeError("team is closed")
-        return getattr(self.ranks[rank], method)(*args)
-
     def close(self):
         if self._closed:
             return
@@ -305,7 +300,7 @@ def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
                 name_off = _SLOT_HEADER.size + 8
                 slot_arena = bytes(slot.buf[name_off:name_off + nlen]).decode("ascii")
                 cmd = pickle.loads(bytes(attach(slot_arena)[a:a + b]))
-            (method, common_meta, per_metas, only,
+            (method, common_meta, per_metas,
              cmd_name, rep_name, rep_size, out_name, out_size) = cmd
             if cmd_name == _CMD_NAME_FROM_SLOT:
                 cmd_name = slot_arena
@@ -318,7 +313,7 @@ def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
                     dec_s += time.perf_counter() - td
                 writer = _PayloadWriter()
                 metas = []
-                for rk in only if only is not None else sorted(ranks):
+                for rk in sorted(ranks):
                     if per_metas is not None:
                         td = time.perf_counter() if profiled else 0.0
                         # Decode-then-execute: every argument is an owned
@@ -563,20 +558,15 @@ class ParkedProcessTeam(RankTeam):
         self.close()
         raise WorkerError(detail)
 
-    def _dispatch(self, method, per_rank, common, only_rank=None,
-                  profiling=False, lazy=False):
-        """Arm the involved control slots, then release their semaphores.
+    def _dispatch(self, method, per_rank, common, profiling=False, lazy=False):
+        """Arm every worker's control slot, then release their semaphores.
 
         Returns ``(involved, lazy_idx, ser_out)``: the workers taking part
-        in the call, the out-arena index armed per involved worker when
-        ``lazy``, and the measured parent-side encode + arena-write
-        seconds (0.0 unless ``profiling``).  Uninvolved workers stay
-        parked — they are never woken.
+        in the call (all of them), the out-arena index armed per worker
+        when ``lazy``, and the measured parent-side encode + arena-write
+        seconds (0.0 unless ``profiling``).
         """
-        involved = (
-            tuple(range(self.num_workers)) if only_rank is None
-            else (only_rank % self.num_workers,)
-        )
+        involved = tuple(range(self.num_workers))
         ser_out = 0.0
         lazy_idx: dict[int, int] = {}
         for w in involved:
@@ -585,9 +575,9 @@ class ParkedProcessTeam(RankTeam):
             common_meta = tuple(_encode(a, writer) for a in common)
             per_metas = None
             if per_rank is not None:
-                ids = self._rank_ids[w] if only_rank is None else [only_rank]
                 per_metas = {
-                    i: tuple(_encode(a, writer) for a in per_rank[i]) for i in ids
+                    i: tuple(_encode(a, writer) for a in per_rank[i])
+                    for i in self._rank_ids[w]
                 }
             out_name = out_size = None
             if lazy:
@@ -596,12 +586,11 @@ class ParkedProcessTeam(RankTeam):
                 lazy_idx[w] = idx
                 out = self._out[w][idx]
                 out_name, out_size = out.name, out.size
-            only = None if only_rank is None else [only_rank]
             cmd_name = None
             if writer.total:
                 self._cmd[w] = self._grown(self._cmd[w], writer.total)
                 cmd_name = self._cmd[w].name
-            cmd = (method, common_meta, per_metas, only,
+            cmd = (method, common_meta, per_metas,
                    cmd_name, self._rep[w].name, self._rep[w].size,
                    out_name, out_size)
             blob = pickle.dumps(cmd, protocol=pickle.HIGHEST_PROTOCOL)
@@ -617,7 +606,7 @@ class ParkedProcessTeam(RankTeam):
                 # tail (the worker is parked, not reading its pipe — a
                 # large pipe write here would deadlock the dispatcher).
                 meta_off = -(-writer.total // _ALIGN) * _ALIGN
-                cmd_with_name = cmd[:4] + (_CMD_NAME_FROM_SLOT,) + cmd[5:]
+                cmd_with_name = cmd[:3] + (_CMD_NAME_FROM_SLOT,) + cmd[4:]
                 blob = pickle.dumps(cmd_with_name, protocol=pickle.HIGHEST_PROTOCOL)
                 self._cmd[w] = self._grown(self._cmd[w], meta_off + len(blob))
                 if writer.total:
@@ -732,31 +721,6 @@ class ParkedProcessTeam(RankTeam):
                 starts, durations, ser_out, ser_in, spills, transport_in,
             )
         return results
-
-    def call_one(self, rank, method, *args):
-        if self._closed:
-            raise RuntimeError("team is closed")
-        profiling = self.tracer.enabled
-        t_begin = time.perf_counter() if profiling else 0.0
-        if self.racecheck is not None:
-            self._check_lazy_args([args], ())
-        involved, lazy_idx, ser_out = self._dispatch(
-            method, {rank: args}, (), only_rank=rank, profiling=profiling
-        )
-        t_dispatched = time.perf_counter() if profiling else t_begin
-        results: list = [None] * self.num_ranks
-        durations = [0.0] * self.num_ranks
-        starts = [0.0] * self.num_ranks if profiling else None
-        ser_in, transport_in, spills = self._gather(
-            involved, lazy_idx, results, durations, starts, profiling, method
-        )
-        if profiling:
-            self._profile_call(
-                method, False, t_begin, t_dispatched, time.perf_counter(),
-                [starts[rank]], [durations[rank]], ser_out, ser_in, spills,
-                transport_in,
-            )
-        return results[rank]
 
     def close(self):
         if self._closed:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis.ablation import ablation_study, default_ablation_variants
+from repro.analysis.studies import ablation_study, default_ablation_variants
 from repro.analysis.projection import ProjectionModel, fit_projection_model
-from repro.analysis.scaling import strong_scaling, weak_scaling
-from repro.analysis.sweep import default_delta_grid, delta_sweep
+from repro.analysis.studies import strong_scaling, weak_scaling
+from repro.analysis.studies import default_delta_grid, delta_sweep
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.simmpi.machine import small_cluster, sunway_exascale
@@ -31,6 +31,20 @@ class TestWeakScaling:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             weak_scaling(8, [3], num_roots=1)
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_rejects_non_positive_node_counts_by_name(self, bad):
+        # Was OverflowError / "cannot convert float NaN to integer" from log2.
+        with pytest.raises(ValueError, match=f"power-of-two node counts, got {bad}"):
+            weak_scaling(8, [1, bad], num_roots=1)
+        with pytest.raises(ValueError, match=f"positive node counts, got {bad}"):
+            strong_scaling(8, [1, bad], num_roots=1)
+
+    @pytest.mark.parametrize("study", [weak_scaling, strong_scaling])
+    def test_rejects_empty_node_counts(self, study):
+        # strong_scaling(8, []) was an IndexError.
+        with pytest.raises(ValueError, match="at least one node count"):
+            study(8, [], num_roots=1)
 
 
 class TestStrongScaling:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.comparison import engine_comparison
-from repro.analysis.sweep import fusion_cap_sweep, hub_threshold_sweep
+from repro.analysis.studies import engine_comparison
+from repro.analysis.studies import fusion_cap_sweep, hub_threshold_sweep
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import star_graph

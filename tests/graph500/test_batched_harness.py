@@ -146,8 +146,8 @@ class TestHeterogeneousCounters:
         assert totals["edges_relaxed"] > 0
 
     def test_delta_sweep_tolerates_batched_counters(self, graph):
-        """analysis.sweep must not KeyError on sweep-style counters."""
-        from repro.analysis.sweep import delta_sweep
+        """analysis.studies must not KeyError on sweep-style counters."""
+        from repro.analysis.studies import delta_sweep
 
         rows = delta_sweep(graph, num_ranks=RANKS, deltas=[0.5], num_roots=2)
         assert all("epochs" in row for row in rows)

@@ -229,25 +229,3 @@ class TestRenderTable:
         assert "0.0001235" in out
         assert "1.235e+05" in out
         assert "1.5" in out
-
-
-class TestRowsToCsv:
-    def test_basic(self):
-        from repro.graph500.report import rows_to_csv
-
-        csv = rows_to_csv([{"a": 1, "b": "x"}, {"a": 2, "b": "y,z"}])
-        lines = csv.splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,x"
-        assert lines[2] == '2,"y,z"'
-
-    def test_empty(self):
-        from repro.graph500.report import rows_to_csv
-
-        assert rows_to_csv([]) == ""
-
-    def test_quote_escaping(self):
-        from repro.graph500.report import rows_to_csv
-
-        csv = rows_to_csv([{"a": 'he said "hi"'}])
-        assert csv.splitlines()[1] == '"he said ""hi"""'

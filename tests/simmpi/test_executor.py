@@ -154,16 +154,6 @@ class TestTeams:
                 team.close()
                 exec_obj.close()
 
-    def test_call_one_targets_single_rank(self):
-        for backend, exec_obj, team in _teams():
-            try:
-                assert team.call_one(2, "add", 9) == 9, backend
-                # Only rank 2 changed.
-                assert team.call("add", common=(0,)) == [0, 0, 9, 0], backend
-            finally:
-                team.close()
-                exec_obj.close()
-
     def test_message_payload_roundtrip(self):
         msg = Message(vertex=np.array([1, 2], dtype=np.int64), dist=np.ones(2))
         for backend, exec_obj, team in _teams():

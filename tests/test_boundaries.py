@@ -8,6 +8,7 @@ code most often breaks silently.
 import numpy as np
 import pytest
 
+import repro
 from repro.core import SSSPConfig
 from repro.core.delta_stepping import _delta_stepping as delta_stepping
 from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
@@ -139,3 +140,38 @@ class TestPRNGEdgeCases:
 
     def test_permutation_of_one(self):
         assert list(CounterRNG(1).shuffle_permutation(1)) == [0]
+
+
+class TestNonIntegralRoots:
+    """A root that is not an integer names no vertex: rejected at ``repro.run``."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return build_csr(generate_kronecker(6, seed=3))
+
+    @pytest.mark.parametrize(
+        "kernel, engine",
+        [("sssp", "dist1d"), ("sssp", "dist2d"), ("sssp", "shared"),
+         ("bfs", "dist1d"), ("bfs", "shared")],
+    )
+    def test_single_root_kernels_reject_a_float(self, graph, kernel, engine):
+        with pytest.raises(ValueError, match=rf"kernel '{kernel}' .*1\.7"):
+            repro.run(graph, 1.7, kernel=kernel, engine=engine, num_ranks=4)
+
+    @pytest.mark.parametrize("kernel", ["bfs64", "sssp_batch"])
+    def test_batched_kernels_do_not_truncate(self, graph, kernel):
+        # Was answered as roots [1, 2].
+        with pytest.raises(ValueError, match=rf"kernel '{kernel}' .*1\.7"):
+            repro.run(graph, [1.7, 2.2], kernel=kernel, num_ranks=4)
+
+    def test_integer_spellings_keep_working(self, graph):
+        want = repro.run(graph, 3, num_ranks=4).result.dist
+        for root in (np.int64(3), np.uint32(3), np.array(3)):
+            np.testing.assert_array_equal(repro.run(graph, root, num_ranks=4).result.dist, want)
+        batch = repro.run(graph, np.array([3, 5], dtype=np.uint32), kernel="sssp_batch", num_ranks=4)
+        np.testing.assert_array_equal(batch.result.lane(0).dist, want)
+        assert repro.run(graph, [3, 5], kernel="bfs64", num_ranks=4).result.validate(graph).ok
+
+    def test_out_of_range_messages_unchanged(self, graph):
+        with pytest.raises(ValueError, match=r"source 64 out of range \[0, 64\)"):
+            repro.run(graph, 64, num_ranks=4)

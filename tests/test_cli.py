@@ -19,9 +19,15 @@ class TestParser:
         assert not args.baseline
 
     def test_project_defaults(self):
-        args = build_parser().parse_args(["project"])
-        assert args.target_scale == 42
-        assert args.efficiency == 0.25
+        # The projection is experiment T1; `experiment` has two options, both off.
+        args = build_parser().parse_args(["experiment", "T1"])
+        assert (args.id, args.smoke, args.out) == ("T1", False, None)
+
+    @pytest.mark.parametrize("command", ["ablation", "sweep", "compare", "project"])
+    def test_removed_subcommands_are_unknown(self, command):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command])
+        assert exit_info.value.code == 2
 
     def test_run_trace_flags_default_off(self):
         args = build_parser().parse_args(["run"])
@@ -74,40 +80,54 @@ class TestCommands:
             main(["run", "--kernel", "bfs", "--scale", "8", "--engine", "dist2d"])
 
     def test_ablation(self, capsys):
-        rc = main(["ablation", "--scale", "9", "--ranks", "2", "--roots", "1"])
+        rc = main(["experiment", "F3", "--smoke"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "optimized" in out and "baseline" in out
 
     def test_sweep(self, capsys):
-        rc = main(["sweep", "--scale", "9", "--ranks", "2", "--roots", "1"])
+        rc = main(["experiment", "F4", "--smoke"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "adaptive" in out
 
     def test_project(self, capsys):
-        rc = main(
-            [
-                "project",
-                "--fit-scale",
-                "10",
-                "--ranks",
-                "4",
-                "--target-scale",
-                "42",
-            ]
-        )
+        rc = main(["experiment", "T1", "--smoke"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "42" in out
         assert "GTEPS (modeled)" in out
 
     def test_compare(self, capsys):
-        rc = main(["compare", "--scale", "9", "--ranks", "4", "--roots", "1"])
+        rc = main(["experiment", "E3", "--smoke"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "2-D checkerboard" in out
         assert "1-D optimized" in out
+
+    def test_experiment_writes_its_document(self, capsys, tmp_path):
+        import json
+
+        rc = main(["experiment", "T2", "--out", str(tmp_path / "docs")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "docs" / "T2.json").read_text())
+        assert doc["benchmark"] == "T2" and doc["smoke"] is False
+        assert all(doc["checks"].values())
+        assert "T2: machine models" in capsys.readouterr().out
+
+    def test_experiment_exits_1_when_a_shape_fails(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from repro.analysis.experiments import EXPERIMENTS
+
+        failing = replace(EXPERIMENTS["T2"], check=lambda rows: {"never holds": False})
+        monkeypatch.setitem(EXPERIMENTS, "T2", failing)
+        assert main(["experiment", "T2"]) == 1
+        assert "T2: shape check failed: never holds" in capsys.readouterr().err
+
+    def test_experiment_unknown_id(self, capsys):
+        assert main(["experiment", "F99"]) == 2
+        assert "unknown id 'F99'" in capsys.readouterr().err
 
 
 class TestTelemetryWorkflow:
