@@ -30,7 +30,7 @@ from repro import api
 from repro.analysis.memory import estimate_memory, max_feasible_scale
 from repro.analysis.projection import fit_projection_model
 from repro.analysis import studies
-from repro.baselines import bellman_ford, dijkstra, frontier_bellman_ford, simple_distributed_sssp
+from repro.baselines import bellman_ford, dijkstra, frontier_bellman_ford
 from repro.bfs import bfs
 from repro.core.config import SSSPConfig
 from repro.graph.csr import CSRGraph, build_csr
@@ -308,7 +308,9 @@ def _f7(scale, ranks):
     }
     engines = {
         "optimized distributed": api.run(graph, src, num_ranks=ranks),
-        "reference-style distributed": simple_distributed_sssp(graph, src, num_ranks=ranks),
+        "reference-style distributed": api.run(
+            graph, src, num_ranks=ranks, config=SSSPConfig.baseline()
+        ),
     }
     oracle = algorithms["dijkstra (oracle)"].dist
     answers = {**algorithms, **{name: run.result for name, run in engines.items()}}

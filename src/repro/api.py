@@ -25,27 +25,48 @@ kernel-typed ``result`` (distances / parent+level / labels / ranks /
 coreness) carries a uniform ``validate(graph)`` hook checking it against a
 sequential oracle.
 
-Cross-cutting knobs — ``machine``, ``faults``, ``sanitize``, ``tracer``,
-``executor``/``workers`` — mean the same thing for every distributed
-kernel.  Kernel-specific extras (``grid`` for ``dist2d``, ``direction``
-for BFS, ``damping``/``iterations``/``tol`` for PageRank, ...) pass
-through as keyword arguments.
+Cross-cutting knobs — ``machine``, ``faults``, ``sanitize``,
+``racecheck``, ``tracer``, ``executor``/``workers`` — mean the same thing
+for every distributed kernel.  Kernel-specific extras (``grid`` for
+``dist2d``, ``direction`` for BFS, ``damping``/``iterations``/``tol`` for
+PageRank, ...) pass through as keyword arguments.
+
+Every ``(kernel, engine)`` cell is one function of ``_DISPATCH``.  A
+distributed cell is an *engine builder*: it checks the cell's arguments,
+does its setup (∆, hubs, grid, partition) and returns a
+:class:`~repro.engine.driver.SuperstepEngine`, which :func:`run` hands to
+:func:`~repro.engine.driver.run_superstep_engine` — the one call that
+threads the cross-cutting knobs.  A ``shared`` cell returns the answer of
+the in-process sequential kernel, which :func:`run` wraps in a
+:class:`RunSummary`.
 """
 
 from __future__ import annotations
 
-from repro.bfs.dist_bfs import _distributed_bfs
+import numpy as np
+
+from repro.bfs.dist_bfs import _BFSEngine
 from repro.bfs.kernel import bfs as _shared_bfs
+from repro.core.adaptive import resolve_delta
 from repro.core.config import SSSPConfig
+from repro.core.delegation import auto_hub_threshold, select_hubs
 from repro.core.delta_stepping import _delta_stepping
-from repro.core.dist_sssp import _distributed_sssp
-from repro.core.twod_engine import _distributed_sssp_2d
-from repro.engine.driver import RunSummary
-from repro.engine.protocol import run_kernel
+from repro.core.dist_sssp import _DistSSSPEngine
+from repro.core.twod_engine import _TwoDEngine
+from repro.engine.driver import RunSummary, run_superstep_engine
+from repro.engine.protocol import _KernelEngine
 from repro.engine.results import CorenessResult, LabelsResult, RanksResult
-from repro.engine.validation import check_integral_roots
+from repro.engine.validation import (
+    check_direction,
+    check_grid,
+    check_integral_roots,
+    check_num_ranks,
+    check_source,
+    make_partition,
+)
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
+from repro.partition import make_grid
 from repro.simmpi.executor import RankExecutor
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.machine import MachineSpec
@@ -72,9 +93,7 @@ def _reject_config(kernel: str, config, hint: str) -> None:
         raise ValueError(f"kernel {kernel!r} takes no SSSPConfig; {hint}")
 
 
-def _reject_fabric_knobs(
-    kernel: str, *, machine, faults, sanitize, racecheck, executor, workers
-) -> None:
+def _reject_fabric_knobs(machine, faults, sanitize, racecheck, executor, workers) -> None:
     """The shared engine has no fabric; every fabric knob is an error."""
     if machine is not None:
         raise ValueError(
@@ -103,119 +122,9 @@ def _reject_fabric_knobs(
         )
 
 
-# -- per-(kernel, engine) dispatchers ---------------------------------------
-
-
-def _run_sssp_dist1d(
-    graph, source, *, num_ranks, machine, config, faults, tracer, sanitize,
-    racecheck, executor, workers, **extra
-):
-    _reject_extra("sssp", "dist1d", extra)
-    return _distributed_sssp(
-        graph,
-        source,
-        num_ranks=num_ranks,
-        machine=machine,
-        config=config,
-        tracer=tracer,
-        faults=faults,
-        sanitize=sanitize,
-        racecheck=racecheck,
-        executor=executor,
-        workers=workers,
-    )
-
-
-def _run_sssp_dist2d(
-    graph, source, *, num_ranks, machine, config, faults, tracer, sanitize,
-    racecheck, executor, workers, **extra
-):
-    grid = extra.pop("grid", None)
-    _reject_extra("sssp", "dist2d", extra)
-    return _distributed_sssp_2d(
-        graph,
-        source,
-        num_ranks=num_ranks,
-        machine=machine,
-        grid=grid,
-        tracer=tracer,
-        config=config,
-        faults=faults,
-        sanitize=sanitize,
-        racecheck=racecheck,
-        executor=executor,
-        workers=workers,
-    )
-
-
-def _run_sssp_shared(
-    graph, source, *, num_ranks, machine, config, faults, tracer, sanitize,
-    racecheck, executor, workers, **extra
-):
-    _reject_fabric_knobs(
-        "sssp", machine=machine, faults=faults, sanitize=sanitize,
-        racecheck=racecheck, executor=executor, workers=workers,
-    )
-    max_phases = extra.pop("max_phases", None)
-    _reject_extra("sssp", "shared", extra)
-    delta = config.delta if config is not None else None
-    result = _delta_stepping(
-        graph, source, delta=delta, max_phases=max_phases, tracer=tracer
-    )
-    return RunSummary(engine="shared", kernel="sssp", result=result)
-
-
-def _run_bfs_dist1d(
-    graph, source, *, num_ranks, machine, config, faults, tracer, sanitize,
-    racecheck, executor, workers, **extra
-):
-    _reject_config(
-        "bfs", config,
-        "pass its own knobs directly (direction=, partition=, "
-        "hierarchical=, alpha=, beta=)",
-    )
-    allowed = {"direction", "alpha", "beta", "partition", "hierarchical"}
-    bad = set(extra) - allowed
-    if bad:
-        _reject_extra("bfs", "dist1d", {k: extra[k] for k in bad})
-    return _distributed_bfs(
-        graph,
-        source,
-        num_ranks=num_ranks,
-        machine=machine,
-        tracer=tracer,
-        faults=faults,
-        sanitize=sanitize,
-        racecheck=racecheck,
-        executor=executor,
-        workers=workers,
-        **extra,
-    )
-
-
-def _run_bfs_shared(
-    graph, source, *, num_ranks, machine, config, faults, tracer, sanitize,
-    racecheck, executor, workers, **extra
-):
-    _reject_config("bfs", config, "pass direction=/alpha=/beta= directly")
-    _reject_fabric_knobs(
-        "bfs", machine=machine, faults=faults, sanitize=sanitize,
-        racecheck=racecheck, executor=executor, workers=workers,
-    )
-    allowed = {"direction", "alpha", "beta"}
-    bad = set(extra) - allowed
-    if bad:
-        _reject_extra("bfs", "shared", {k: extra[k] for k in bad})
-    return RunSummary(
-        engine="shared", kernel="bfs", result=_shared_bfs(graph, source, **extra)
-    )
-
-
-def _as_roots(kernel: str, source) -> "np.ndarray":
+def _as_roots(kernel: str, source) -> np.ndarray:
     """Validate a batched kernel's root batch (a sequence of vertex ids)."""
-    import numpy as np
-
-    if source is None or np.isscalar(source) or isinstance(source, (int,)):
+    if source is None or np.isscalar(source):
         raise ValueError(
             f"kernel {kernel!r} is batched multi-source: pass a sequence "
             f"of root vertex ids as source= (e.g. source=[0, 5, 9])"
@@ -226,111 +135,117 @@ def _as_roots(kernel: str, source) -> "np.ndarray":
     return roots
 
 
-def _run_bfs64_dist1d(
-    graph, source, *, num_ranks, machine, config, faults, tracer, sanitize,
-    racecheck, executor, workers, **extra
+# -- distributed cells: engine builders -------------------------------------
+
+
+def _sssp_dist1d(graph, source, num_ranks, config, **extra):
+    _reject_extra("sssp", "dist1d", extra)
+    if config is None:
+        config = SSSPConfig()
+    check_source(graph, source)
+    check_num_ranks(num_ranks)
+    delta = resolve_delta(graph, config)
+    partition = make_partition(graph, config.partition, num_ranks)
+    if config.delegate_hubs:
+        threshold = config.hub_degree_threshold
+        if threshold is None:
+            threshold = auto_hub_threshold(graph, num_ranks)
+        hubs = select_hubs(graph, threshold)
+    else:
+        threshold, hubs = 0, np.empty(0, dtype=np.int64)
+    return _DistSSSPEngine(source, config, delta, partition, hubs, threshold)
+
+
+def _sssp_dist2d(graph, source, num_ranks, config, grid=None, **extra):
+    _reject_extra("sssp", "dist2d", extra)
+    check_source(graph, source)
+    rows, cols = grid if grid is not None else make_grid(num_ranks)
+    check_grid(rows, cols, num_ranks)
+    return _TwoDEngine(source, rows, cols, config)
+
+
+def _bfs_dist1d(
+    graph, source, num_ranks, config, direction="auto", alpha=15.0, beta=18.0,
+    partition="edge_balanced", hierarchical=False, **extra
 ):
+    _reject_config(
+        "bfs", config,
+        "pass its own knobs directly (direction=, partition=, "
+        "hierarchical=, alpha=, beta=)",
+    )
+    _reject_extra("bfs", "dist1d", extra)
+    check_source(graph, source)
+    check_direction(direction)
+    return _BFSEngine(source, direction, alpha, beta, partition, hierarchical)
+
+
+def _bfs64_dist1d(graph, source, num_ranks, config, partition="block", **extra):
     _reject_config("bfs64", config, "bfs64 takes no tuning knobs")
-    partition = extra.pop("partition", "block")
     _reject_extra("bfs64", "dist1d", extra)
     from repro.engine.kernels import BFS64
 
-    return run_kernel(
-        graph,
-        BFS64(_as_roots("bfs64", source)),
-        num_ranks=num_ranks,
-        machine=machine,
-        partition=partition,
-        tracer=tracer,
-        faults=faults,
-        sanitize=sanitize,
-        racecheck=racecheck,
-        executor=executor,
-        workers=workers,
+    return _KernelEngine(
+        graph, BFS64(_as_roots("bfs64", source)), num_ranks, partition
     )
 
 
-def _run_sssp_batch_dist1d(
-    graph, source, *, num_ranks, machine, config, faults, tracer, sanitize,
-    racecheck, executor, workers, **extra
+def _sssp_batch_dist1d(
+    graph, source, num_ranks, config, partition="block", delta=None, **extra
 ):
-    partition = extra.pop("partition", "block")
-    delta = extra.pop("delta", None)
     _reject_extra("sssp_batch", "dist1d", extra)
-    if delta is None and config is not None and config.delta is not None:
-        delta = config.delta
-    if delta is None:
-        # Sweeps default to the batch heuristic: finer buckets than a
-        # single-root run, same per-lane fixed point (∆-invariant).
-        from repro.core.adaptive import choose_batch_delta
-
-        delta = choose_batch_delta(graph)
+    # Sweeps default to the batch heuristic: finer buckets than a
+    # single-root run, same per-lane fixed point (∆-invariant).
+    delta = resolve_delta(graph, config, delta, batch=True)
     from repro.engine.kernels import SSSPBatch
 
-    return run_kernel(
-        graph,
-        SSSPBatch(_as_roots("sssp_batch", source), delta=float(delta)),
-        num_ranks=num_ranks,
-        machine=machine,
-        partition=partition,
-        tracer=tracer,
-        faults=faults,
-        sanitize=sanitize,
-        racecheck=racecheck,
-        executor=executor,
-        workers=workers,
+    return _KernelEngine(
+        graph, SSSPBatch(_as_roots("sssp_batch", source), delta), num_ranks, partition
     )
 
 
-def _make_vertex_dispatch(name: str):
-    """Dispatcher for a whole-graph kernel on the vertex-kernel substrate."""
+def _vertex_kernel(name: str):
+    """Builder of a whole-graph kernel on the vertex-kernel substrate."""
 
-    def _dispatch(
-        graph, source, *, num_ranks, machine, config, faults, tracer, sanitize,
-        racecheck, executor, workers, **extra
-    ):
+    def build(graph, source, num_ranks, config, partition="block", **params):
         _reject_config(
             name, config,
             "kernel parameters pass directly (e.g. partition=, and for "
             "pagerank damping=/iterations=/tol=)",
         )
-        partition = extra.pop("partition", "block")
         from repro.engine.kernels import make_kernel
 
-        return run_kernel(
-            graph,
-            make_kernel(name, **extra),
-            num_ranks=num_ranks,
-            machine=machine,
-            partition=partition,
-            tracer=tracer,
-            faults=faults,
-            sanitize=sanitize,
-            racecheck=racecheck,
-            executor=executor,
-            workers=workers,
-        )
+        return _KernelEngine(graph, make_kernel(name, **params), num_ranks, partition)
 
-    return _dispatch
+    return build
 
 
-def _make_oracle_dispatch(name: str):
-    """Dispatcher for a whole-graph kernel on the shared (sequential) engine.
+# -- shared cells: the in-process sequential answer -------------------------
 
-    Runs the same oracle ``validate()`` checks against — so a shared run
-    is the reference answer with the uniform RunSummary around it (no
-    fabric, no cost model: ``modeled_time`` 0.0, ``comm`` empty).
-    """
 
-    def _dispatch(
-        graph, source, *, num_ranks, machine, config, faults, tracer, sanitize,
-        racecheck, executor, workers, **extra
-    ):
+def _sssp_shared(graph, source, config, tracer, max_phases=None, **extra):
+    _reject_extra("sssp", "shared", extra)
+    return _delta_stepping(
+        graph, source, delta=resolve_delta(graph, config),
+        max_phases=max_phases, tracer=tracer,
+    )
+
+
+def _bfs_shared(graph, source, config, tracer, **extra):
+    _reject_config("bfs", config, "pass direction=/alpha=/beta= directly")
+    _reject_extra(
+        "bfs", "shared",
+        {k: v for k, v in extra.items() if k not in ("direction", "alpha", "beta")},
+    )
+    return _shared_bfs(graph, source, **extra)
+
+
+def _oracle(name: str):
+    """Shared cell of a whole-graph kernel: the oracle ``validate()``
+    checks against, so a shared run is the reference answer (no fabric,
+    no cost model: ``modeled_time`` 0.0, ``comm`` empty)."""
+
+    def answer(graph, source, config, tracer, **extra):
         _reject_config(name, config, "kernel parameters pass directly")
-        _reject_fabric_knobs(
-            name, machine=machine, faults=faults, sanitize=sanitize,
-            racecheck=racecheck, executor=executor, workers=workers,
-        )
         if name == "cc":
             _reject_extra(name, "shared", extra)
             from repro.graph.components import connected_components
@@ -359,25 +274,25 @@ def _make_oracle_dispatch(name: str):
             result = CorenessResult(coreness=kcore_reference(graph))
             result.meta["algorithm"] = "sequential_peeling"
             result.meta["max_coreness"] = result.max_coreness
-        return RunSummary(engine="shared", kernel=name, result=result)
+        return result
 
-    return _dispatch
+    return answer
 
 
 _DISPATCH = {
-    ("sssp", "dist1d"): _run_sssp_dist1d,
-    ("sssp", "dist2d"): _run_sssp_dist2d,
-    ("sssp", "shared"): _run_sssp_shared,
-    ("bfs", "dist1d"): _run_bfs_dist1d,
-    ("bfs", "shared"): _run_bfs_shared,
-    ("cc", "dist1d"): _make_vertex_dispatch("cc"),
-    ("cc", "shared"): _make_oracle_dispatch("cc"),
-    ("pagerank", "dist1d"): _make_vertex_dispatch("pagerank"),
-    ("pagerank", "shared"): _make_oracle_dispatch("pagerank"),
-    ("kcore", "dist1d"): _make_vertex_dispatch("kcore"),
-    ("kcore", "shared"): _make_oracle_dispatch("kcore"),
-    ("bfs64", "dist1d"): _run_bfs64_dist1d,
-    ("sssp_batch", "dist1d"): _run_sssp_batch_dist1d,
+    ("sssp", "dist1d"): _sssp_dist1d,
+    ("sssp", "dist2d"): _sssp_dist2d,
+    ("sssp", "shared"): _sssp_shared,
+    ("bfs", "dist1d"): _bfs_dist1d,
+    ("bfs", "shared"): _bfs_shared,
+    ("cc", "dist1d"): _vertex_kernel("cc"),
+    ("cc", "shared"): _oracle("cc"),
+    ("pagerank", "dist1d"): _vertex_kernel("pagerank"),
+    ("pagerank", "shared"): _oracle("pagerank"),
+    ("kcore", "dist1d"): _vertex_kernel("kcore"),
+    ("kcore", "shared"): _oracle("kcore"),
+    ("bfs64", "dist1d"): _bfs64_dist1d,
+    ("sssp_batch", "dist1d"): _sssp_batch_dist1d,
 }
 
 #: Traversal kernels require ``source=``; whole-graph kernels forbid it.
@@ -478,23 +393,25 @@ def run(
         raise ValueError(
             f"kernel {kernel!r} is whole-graph; source= does not apply"
         )
-    dispatch = _DISPATCH.get((kernel, engine))
-    if dispatch is None:
+    cell = _DISPATCH.get((kernel, engine))
+    if cell is None:
         options = ", ".join(e for k, e in _DISPATCH if k == kernel)
         raise ValueError(
             f"kernel {kernel!r} has no {engine!r} engine; options: {options}"
         )
-    return dispatch(
+    if engine == "shared":
+        _reject_fabric_knobs(machine, faults, sanitize, racecheck, executor, workers)
+        result = cell(graph, source, config, tracer, **kernel_kwargs)
+        return RunSummary(engine="shared", kernel=kernel, result=result)
+    return run_superstep_engine(
         graph,
-        source,
+        cell(graph, source, num_ranks, config, **kernel_kwargs),
         num_ranks=num_ranks,
         machine=machine,
-        config=config,
-        faults=faults,
         tracer=tracer,
+        faults=faults,
         sanitize=sanitize,
         racecheck=racecheck,
         executor=executor,
         workers=workers,
-        **kernel_kwargs,
     )

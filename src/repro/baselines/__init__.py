@@ -7,18 +7,18 @@
 * :func:`frontier_bellman_ford` — "chaotic relaxation": only out-edges of
   vertices whose distance changed are re-relaxed; the round structure of an
   unbucketed asynchronous code.
-* :func:`repro.baselines.simple_dist.simple_distributed_sssp` — the
-  reference-style distributed ∆-stepping with every optimization disabled
-  (what the optimized engine is compared to in the ablation).
+
+The reference-style distributed baseline — ∆-stepping with every
+optimization disabled, what the optimized engine is compared to in the
+ablation — is a configuration, not a function:
+``repro.run(graph, source, config=SSSPConfig.baseline())``.
 """
 
 from repro.baselines.bellman_ford import bellman_ford, frontier_bellman_ford
 from repro.baselines.dijkstra import dijkstra
-from repro.baselines.simple_dist import simple_distributed_sssp
 
 __all__ = [
     "bellman_ford",
     "dijkstra",
     "frontier_bellman_ford",
-    "simple_distributed_sssp",
 ]

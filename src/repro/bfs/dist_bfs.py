@@ -21,24 +21,11 @@ import numpy as np
 
 from repro.bfs.kernel import BFSResult, _bottom_up_step, _NO_PARENT
 from repro.core.relaxation import frontier_edges
-from repro.engine.driver import (
-    EngineContext,
-    RunSummary,
-    attach_fabric_outcome,
-    run_superstep_engine,
-)
+from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Outbox, OwnerRouter, Rank
-from repro.engine.validation import (
-    check_direction,
-    check_source,
-    make_contiguous_partition,
-)
+from repro.engine.validation import make_contiguous_partition
 from repro.graph.csr import CSRGraph
-from repro.obs.tracer import Tracer
-from repro.simmpi.executor import RankExecutor
 from repro.simmpi.fabric import Message, Wire
-from repro.simmpi.faults import FaultPlan, FaultSpec
-from repro.simmpi.machine import MachineSpec
 
 
 class _BFSRank(Rank):
@@ -147,8 +134,8 @@ class _BFSRank(Rank):
         """Work readout + next level's votes, carried out of a fused call.
 
         Returns ``(edges, bytes, frontier_size, frontier_edge_count)``;
-        the driver charges the cost model from the first two and caches
-        the last two for the loop-top allreduces — both readouts are
+        the driver charges the cost model from the first two and feeds
+        the last two to the next level's allreduces — both readouts are
         pure, so per-level evaluation matches the unfused call order.
         """
         edges, nbytes = self.take_step_work()
@@ -181,51 +168,6 @@ class _BFSRank(Rank):
             "edges": {"adj": lg.adj, "weight": lg.weight},
             "other": {"owned": self.owned},
         }
-
-
-def _distributed_bfs(
-    graph: CSRGraph,
-    source: int,
-    num_ranks: int = 8,
-    machine: MachineSpec | None = None,
-    direction: str = "auto",
-    alpha: float = 15.0,
-    beta: float = 18.0,
-    partition: str = "edge_balanced",
-    hierarchical: bool = False,
-    tracer: Tracer | None = None,
-    faults: FaultPlan | FaultSpec | str | None = None,
-    sanitize: bool = False,
-    racecheck: bool = False,
-    executor: str | RankExecutor | None = None,
-    workers: int | None = None,
-) -> RunSummary:
-    """Distributed BFS; returns levels/parents identical to the shared kernel's
-    reachability and validated by :func:`repro.graph500.validation.validate_bfs`.
-
-    ``tracer`` (optional) receives one ``level`` span per BFS level plus the
-    fabric's per-exchange byte events.  ``faults`` (optional) injects a
-    deterministic fault schedule at the fabric (drops with ack/retry,
-    delays, stalls, degraded links); the tree is unchanged, only modeled
-    time and the retransmission accounting.  ``executor``/``workers`` select
-    the rank-execution backend (serial, thread, or process) for the per-rank
-    compute phases; the tree is bit-identical across backends.
-    """
-    check_source(graph, source)
-    check_direction(direction)
-    impl = _BFSEngine(source, direction, alpha, beta, partition, hierarchical)
-    return run_superstep_engine(
-        graph,
-        impl,
-        num_ranks=num_ranks,
-        machine=machine,
-        tracer=tracer,
-        faults=faults,
-        sanitize=sanitize,
-        racecheck=racecheck,
-        executor=executor,
-        workers=workers,
-    )
 
 
 class _BFSEngine:
@@ -264,10 +206,10 @@ class _BFSEngine:
         self.unexplored = 0.0
         self.levels_bottom_up = 0
         self.levels_top_down = 0
-        # Per-rank frontier sizes / edge counts carried out of the last
-        # fused finish call; the readouts are pure, so the cached values
-        # equal what fresh loop-top gathers would read.
-        self._vote_cache: np.ndarray | None = None
+        # Per-rank frontier edge counts carried out of the last fused
+        # finish call (the frontier sizes are the step's returned votes);
+        # the readout is pure, so the values equal what a fresh gather
+        # at the next level would read.
         self._edge_cache: np.ndarray | None = None
 
     # -- driver hooks ------------------------------------------------------
@@ -292,14 +234,12 @@ class _BFSEngine:
         return ranks
 
     def votes(self, ctx: EngineContext) -> np.ndarray:
-        if self._vote_cache is not None:
-            return self._vote_cache
         return np.array(ctx.team.call("frontier_size"), dtype=np.float64)
 
     def done(self, reduced: float) -> bool:
         return reduced == 0
 
-    def step(self, ctx: EngineContext, total_frontier: float) -> None:
+    def step(self, ctx: EngineContext, total_frontier: float) -> np.ndarray:
         team, fabric = ctx.team, ctx.fabric
         n = ctx.graph.num_vertices
         self.depth += 1
@@ -371,16 +311,10 @@ class _BFSEngine:
                     ),
                     dtype=np.float64,
                 )
-            fabric.charge_compute(edges=stats[:, 0], bytes=stats[:, 1])
-            self._vote_cache = stats[:, 2].copy()
+            ctx.charge(stats, "edges", "bytes")
             self._edge_cache = stats[:, 3].copy()
-            critical_path, sum_of_ranks = team.take_step_timing()
-            sp.tag(
-                edges=int(stats[:, 0].sum()),
-                bytes=int(stats[:, 1].sum()),
-                critical_path=critical_path,
-                sum_of_ranks=sum_of_ranks,
-            )
+            ctx.close_step(sp)
+        return stats[:, 2]
 
     def finalize(
         self, ctx: EngineContext, exports: list[dict]

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import SSSPConfig
+from repro.engine.validation import check_delta
 from repro.graph.csr import CSRGraph
 
-__all__ = ["choose_batch_delta", "choose_delta"]
+__all__ = ["choose_batch_delta", "choose_delta", "resolve_delta"]
 
 # Relaxations-per-vertex budget per light phase; 3-4 is the usual sweet spot
 # for uniform weights (validated by the F4 sweep).
@@ -63,3 +65,22 @@ def choose_batch_delta(graph: CSRGraph, scale: float = _DELTA_SCALE) -> float:
     perturbing results: epoch overhead is shared by all lanes.
     """
     return float(max(choose_delta(graph, scale) * _BATCH_DELTA_FACTOR, 1e-9))
+
+
+def resolve_delta(
+    graph: CSRGraph,
+    config: SSSPConfig | None = None,
+    delta: float | None = None,
+    batch: bool = False,
+) -> float:
+    """The bucket width a run uses: ``delta``, else ``config.delta``, else
+    the adaptive choice at ``config.delta_scale`` (:func:`choose_batch_delta`
+    for a batched sweep, :func:`choose_delta` otherwise) — checked by
+    ``check_delta`` either way."""
+    config = config if config is not None else SSSPConfig()
+    if delta is None:
+        delta = config.delta
+    adaptive = delta is None
+    if adaptive:
+        delta = (choose_batch_delta if batch else choose_delta)(graph, config.delta_scale)
+    return check_delta(delta, adaptive)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.adaptive import choose_delta
+from repro.core.adaptive import resolve_delta
 from repro.core.buckets import BucketQueue
 from repro.core.relaxation import expand, scatter_min
 from repro.core.result import SSSPResult, derive_parents
-from repro.engine.validation import check_delta, check_source
+from repro.engine.validation import check_source
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -33,7 +33,7 @@ def _delta_stepping(
 ) -> SSSPResult:
     """Exact SSSP from ``source`` by bucketed ∆-stepping.
 
-    ``delta=None`` selects ∆ adaptively (:func:`repro.core.adaptive.choose_delta`).
+    ``delta=None`` selects ∆ adaptively (:func:`repro.core.adaptive.resolve_delta`).
     ``max_phases`` is a safety valve for tests; the algorithm terminates on
     its own for positive weights.
 
@@ -44,13 +44,7 @@ def _delta_stepping(
         tracer = NULL_TRACER
     n = graph.num_vertices
     check_source(graph, source)
-    adaptive = delta is None
-    if delta is None:
-        delta = choose_delta(graph)
-    # Validate the *chosen* value, not just the caller's: a degenerate
-    # weight distribution can push the adaptive heuristic to 0 or NaN, and
-    # BucketQueue would spin forever on a non-positive bucket width.
-    delta = check_delta(delta, adaptive)
+    delta = resolve_delta(graph, delta=delta)
 
     dist = np.full(n, np.inf, dtype=np.float64)
     dist[source] = 0.0

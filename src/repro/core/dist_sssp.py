@@ -28,35 +28,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.adaptive import choose_delta
 from repro.core.buckets import BucketQueue
 from repro.core.coalescing import dedup_min
 from repro.core.config import SSSPConfig
-from repro.core.delegation import DelegateTable, auto_hub_threshold, select_hubs
+from repro.core.delegation import DelegateTable
 from repro.core.ghost_cache import GhostMinCache
 from repro.core.relaxation import expand, scatter_min
 from repro.core.result import SSSPResult, derive_parents
-from repro.engine.driver import (
-    EngineContext,
-    RunSummary,
-    attach_fabric_outcome,
-    run_superstep_engine,
-)
+from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Columns, Outbox, OwnerRouter, Rank, wire_id_dtype
-from repro.engine.validation import (
-    check_delta,
-    check_num_ranks,
-    check_source,
-    make_partition,
-)
 from repro.graph.csr import CSRGraph
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.partition import LocalIndexMap, Partition1D
-from repro.simmpi.executor import RankExecutor
 from repro.simmpi.fabric import Message, Wire
-from repro.simmpi.faults import FaultPlan, FaultSpec
-from repro.simmpi.machine import MachineSpec
 
 # Record kinds on the wire; 0 is a plain distance update to an owned vertex.
 _KIND_LIGHT_ANNOUNCE = 1
@@ -69,6 +53,13 @@ def _min_per_target(targets: np.ndarray, dists: np.ndarray, kinds: np.ndarray) -
     """Outbox fold for distance updates (all of kind 0): one minimum per target."""
     targets, dists = dedup_min(targets, dists)
     return targets, dists, kinds[: targets.size]
+
+
+def _bucket_votes(kmins) -> np.ndarray:
+    """Termination votes from per-rank min live buckets: "none" (inf)
+    becomes the finite 1e300, so the min allreduce stays NaN/inf-free."""
+    kmins = np.asarray(kmins, dtype=np.float64)
+    return np.where(np.isfinite(kmins), kmins, 1e300)
 
 
 class _Rank(Rank):
@@ -427,10 +418,6 @@ class _DistSSSPEngine:
         self.epochs = 0
         self.light_supersteps = 0
         self.heavy_rounds = 0
-        # Per-rank min-bucket votes carried out of the last fused
-        # finish_epoch call; the readout is pure, so the cached values
-        # equal what a fresh loop-top gather would read.
-        self._vote_cache: np.ndarray | None = None
 
     # -- driver hooks ------------------------------------------------------
 
@@ -460,15 +447,8 @@ class _DistSSSPEngine:
         return ranks
 
     def votes(self, ctx: EngineContext) -> np.ndarray:
-        # Termination allreduce: min over local minimum buckets.  After
-        # the first epoch the votes ride out of the fused finish_epoch
-        # call; the first gather (and any run without a step yet) reads
-        # them directly.
-        if self._vote_cache is not None:
-            kmins = self._vote_cache
-        else:
-            kmins = np.array(ctx.team.call("local_min_bucket"))
-        return np.where(np.isfinite(kmins), kmins, 1e300)
+        # Termination allreduce: min over local minimum buckets.
+        return _bucket_votes(ctx.team.call("local_min_bucket"))
 
     def done(self, reduced: float) -> bool:
         return reduced >= 1e300
@@ -511,12 +491,10 @@ class _DistSSSPEngine:
             ),
             dtype=np.float64,
         )
-        fabric.charge_compute(
-            edges=stats[:, 0], bucket_ops=stats[:, 1], bytes=stats[:, 2]
-        )
+        ctx.charge(stats, "edges", "bucket_ops", "bytes")
         return stats
 
-    def step(self, ctx: EngineContext, reduced: float) -> None:
+    def step(self, ctx: EngineContext, reduced: float) -> np.ndarray:
         team, fabric, tracer = ctx.team, ctx.fabric, ctx.tracer
         metrics = self.metrics
         k = int(reduced)
@@ -556,17 +534,7 @@ class _DistSSSPEngine:
                     stats = self._exchange_halves(
                         ctx, sent, "finish_light_superstep", (k,)
                     )
-                    edges = int(stats[:, 0].sum())
-                    bucket_ops = int(stats[:, 1].sum())
-                    step_bytes = int(stats[:, 2].sum())
-                    critical_path, sum_of_ranks = team.take_step_timing()
-                    sp.tag(
-                        edges=edges,
-                        bucket_ops=bucket_ops,
-                        bytes=step_bytes,
-                        critical_path=critical_path,
-                        sum_of_ranks=sum_of_ranks,
-                    )
+                    step_bytes = ctx.close_step(sp)["bytes"]
                 if tracer.enabled:
                     metrics.histogram("frontier_size").observe(frontier_total)
                     metrics.histogram("superstep_bytes").observe(step_bytes)
@@ -581,21 +549,12 @@ class _DistSSSPEngine:
             ) as sp:
                 sent = team.call("heavy_superstep", parallel=True, lazy=True)
                 stats = self._exchange_halves(ctx, sent, "finish_epoch", ())
-                edges = int(stats[:, 0].sum())
-                bucket_ops = int(stats[:, 1].sum())
-                step_bytes = int(stats[:, 2].sum())
-                self._vote_cache = stats[:, 3].copy()
-                critical_path, sum_of_ranks = team.take_step_timing()
-                sp.tag(
-                    edges=edges,
-                    bucket_ops=bucket_ops,
-                    bytes=step_bytes,
-                    critical_path=critical_path,
-                    sum_of_ranks=sum_of_ranks,
-                )
+                step_bytes = ctx.close_step(sp)["bytes"]
             if tracer.enabled:
                 metrics.histogram("superstep_bytes").observe(step_bytes)
             self.heavy_rounds += 1
+        # The next min-bucket votes rode out of the fused finish_epoch call.
+        return _bucket_votes(stats[:, 3])
 
     def finalize(
         self, ctx: EngineContext, exports: list[dict]
@@ -639,72 +598,3 @@ class _DistSSSPEngine:
             "config": self.config,
             "delta": float(self.delta),
         }
-
-
-def _distributed_sssp(
-    graph: CSRGraph,
-    source: int,
-    num_ranks: int = 8,
-    machine: MachineSpec | None = None,
-    config: SSSPConfig | None = None,
-    tracer: Tracer | None = None,
-    faults: FaultPlan | FaultSpec | str | None = None,
-    sanitize: bool = False,
-    racecheck: bool = False,
-    executor: str | RankExecutor | None = None,
-    workers: int | None = None,
-) -> RunSummary:
-    """Run distributed ∆-stepping SSSP on a simulated machine.
-
-    Returns a :class:`RunSummary` whose ``result`` is bit-identical in
-    distances to the sequential oracle (the engine is exact; the simulation
-    only affects the modeled time).
-
-    ``tracer`` (optional) receives the run's telemetry — epoch/superstep
-    spans, per-exchange byte events, a metrics snapshot; ``None`` selects
-    the no-op tracer, whose cost is one attribute check per superstep.
-
-    ``faults`` (optional) injects a deterministic fault schedule at the
-    fabric (drops with ack/retry, delays, stalls, degraded links); the
-    distances stay bit-identical, only modeled time and the retransmission
-    accounting change.
-
-    ``executor`` (optional) selects the rank-execution backend —
-    ``"serial"`` (default), ``"thread"``, ``"process"``, or a prebuilt
-    :class:`~repro.simmpi.executor.RankExecutor`; ``workers`` sizes a
-    string-specified pool.  Results are bit-identical across backends.
-    """
-    if config is None:
-        config = SSSPConfig()
-    check_source(graph, source)
-    check_num_ranks(num_ranks)
-
-    adaptive = config.delta is None
-    delta = choose_delta(graph, config.delta_scale) if adaptive else config.delta
-    delta = check_delta(delta, adaptive)
-    partition = make_partition(graph, config.partition, num_ranks)
-
-    if config.delegate_hubs:
-        threshold = (
-            config.hub_degree_threshold
-            if config.hub_degree_threshold is not None
-            else auto_hub_threshold(graph, num_ranks)
-        )
-        hubs = select_hubs(graph, threshold)
-    else:
-        threshold = 0
-        hubs = np.empty(0, dtype=np.int64)
-
-    impl = _DistSSSPEngine(source, config, delta, partition, hubs, threshold)
-    return run_superstep_engine(
-        graph,
-        impl,
-        num_ranks=num_ranks,
-        machine=machine,
-        tracer=tracer,
-        faults=faults,
-        sanitize=sanitize,
-        racecheck=racecheck,
-        executor=executor,
-        workers=workers,
-    )

@@ -27,25 +27,12 @@ from repro.core.coalescing import dedup_min
 from repro.core.config import SSSPConfig
 from repro.core.relaxation import frontier_edges, scatter_min
 from repro.core.result import SSSPResult, derive_parents
-from repro.engine.driver import (
-    EngineContext,
-    RunSummary,
-    attach_fabric_outcome,
-    run_superstep_engine,
-)
+from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Outbox, OwnerRouter, Rank, wire_id_dtype
-from repro.engine.validation import (
-    check_grid,
-    check_source,
-    make_contiguous_partition,
-)
+from repro.engine.validation import make_contiguous_partition
 from repro.graph.csr import CSRGraph
-from repro.obs.tracer import Tracer
-from repro.partition import block1d, make_grid
-from repro.simmpi.executor import RankExecutor
+from repro.partition import block1d
 from repro.simmpi.fabric import Message, Wire
-from repro.simmpi.faults import FaultPlan, FaultSpec
-from repro.simmpi.machine import MachineSpec
 
 _INF = np.inf
 
@@ -225,8 +212,8 @@ class _GridRank(Rank):
         """Inbound tail of a round: apply candidates, read out work.
 
         Returns ``(edges, bytes, frontier_size)``; the driver charges the
-        cost model from the first two and caches the third for the
-        loop-top allreduce — the readout is pure, so per-round evaluation
+        cost model from the first two and hands the third to the next
+        vote allreduce — the readout is pure, so per-round evaluation
         matches the unfused call order.
         """
         self.receive_candidates(msg)
@@ -244,60 +231,6 @@ class _GridRank(Rank):
         }
 
 
-def _distributed_sssp_2d(
-    graph: CSRGraph,
-    source: int,
-    num_ranks: int = 16,
-    machine: MachineSpec | None = None,
-    grid: tuple[int, int] | None = None,
-    tracer: Tracer | None = None,
-    config: SSSPConfig | None = None,
-    faults: FaultPlan | FaultSpec | str | None = None,
-    sanitize: bool = False,
-    racecheck: bool = False,
-    executor: str | RankExecutor | None = None,
-    workers: int | None = None,
-) -> RunSummary:
-    """Exact SSSP with 2-D frontier relaxation on a process grid.
-
-    ``grid`` defaults to the most-square factorization of ``num_ranks``.
-    ``tracer`` (optional) receives round spans and per-exchange events.
-    ``faults`` (optional) injects a deterministic fault schedule at the
-    fabric; answers are unchanged, only modeled time and retry accounting.
-    ``executor``/``workers`` select the rank-execution backend (serial,
-    thread, or process) that runs the per-rank compute phases; results are
-    bit-identical across backends because ranks share no mutable state and
-    every exchange gathers in canonical rank order.
-
-    ``config`` (optional) applies the :class:`SSSPConfig` knobs that are
-    meaningful to a frontier engine: ``partition`` (vertex ownership),
-    ``coalesce`` (send-side dedup-min + replica filter) and
-    ``compressed_indices`` (uint32 vertex ids on the wire).  ``delta`` and
-    the bucket knobs do not apply — this engine relaxes the whole frontier
-    chaotically and has no buckets (the ∆-stepping ordering lives in the
-    1-D engine); they are ignored *by design*, not silently: the run's
-    ``meta['variant']`` records the applied configuration.  ``config=None``
-    reproduces the historical behavior exactly (block partition, coalescing
-    on, int64 wire ids).
-    """
-    check_source(graph, source)
-    rows, cols = grid if grid is not None else make_grid(num_ranks)
-    check_grid(rows, cols, num_ranks)
-    impl = _TwoDEngine(source, rows, cols, config)
-    return run_superstep_engine(
-        graph,
-        impl,
-        num_ranks=num_ranks,
-        machine=machine,
-        tracer=tracer,
-        faults=faults,
-        sanitize=sanitize,
-        racecheck=racecheck,
-        executor=executor,
-        workers=workers,
-    )
-
-
 class _TwoDEngine:
     """The 2-D checkerboard engine, expressed on the superstep substrate.
 
@@ -307,6 +240,15 @@ class _TwoDEngine:
     reduce), and the result assembly.  The sequence of team and fabric
     calls is exactly the pre-substrate engine's, which the byte-exact
     equivalence fixtures pin.
+
+    ``config`` applies the :class:`SSSPConfig` knobs meaningful to a
+    frontier engine: ``partition`` (vertex ownership), ``coalesce``
+    (send-side dedup-min + replica filter) and ``compressed_indices``
+    (uint32 vertex ids on the wire).  ``delta`` and the bucket knobs do
+    not apply — this engine relaxes the whole frontier chaotically — and
+    the run's ``meta['variant']`` records the applied configuration.
+    ``config=None`` is the historical behaviour: block partition,
+    coalescing on, int64 wire ids.
     """
 
     layout = "dist2d"
@@ -328,10 +270,6 @@ class _TwoDEngine:
         self.part = None
         self.rounds = 0
         self.max_partners = 0
-        # Per-rank frontier sizes carried out of the last fused
-        # finish_round call; the readout is pure, so the cached values
-        # equal what a fresh loop-top gather would read.
-        self._vote_cache: np.ndarray | None = None
 
     # -- driver hooks ------------------------------------------------------
 
@@ -395,8 +333,6 @@ class _TwoDEngine:
         return ranks
 
     def votes(self, ctx: EngineContext) -> np.ndarray:
-        if self._vote_cache is not None:
-            return self._vote_cache
         return np.array(ctx.team.call("frontier_size"), dtype=np.float64)
 
     def done(self, reduced: float) -> bool:
@@ -410,7 +346,7 @@ class _TwoDEngine:
                     self.max_partners, int(np.count_nonzero(wire.counts))
                 )
 
-    def step(self, ctx: EngineContext, total_active: float) -> None:
+    def step(self, ctx: EngineContext, total_active: float) -> np.ndarray:
         team, fabric = ctx.team, ctx.fabric
         self.rounds += 1
         with ctx.tracer.span(
@@ -445,15 +381,10 @@ class _TwoDEngine:
                 ),
                 dtype=np.float64,
             )
-            fabric.charge_compute(edges=stats[:, 0], bytes=stats[:, 1])
-            self._vote_cache = stats[:, 2].copy()
-            critical_path, sum_of_ranks = team.take_step_timing()
-            sp.tag(
-                edges=int(stats[:, 0].sum()),
-                bytes=int(stats[:, 1].sum()),
-                critical_path=critical_path,
-                sum_of_ranks=sum_of_ranks,
-            )
+            ctx.charge(stats, "edges", "bytes")
+            ctx.close_step(sp)
+        # The next frontier sizes rode out of the fused finish_round call.
+        return stats[:, 2]
 
     def finalize(
         self, ctx: EngineContext, exports: list[dict]

@@ -2,14 +2,17 @@
 
 All three original engines (1-D ∆-stepping, 2-D frontier relaxation,
 direction-optimizing BFS) share one loop shape: build per-rank state,
-seed it, then repeat *(gather a per-rank vote → fabric allreduce →
-terminate or run one engine-defined step of team phases and exchanges)*
-until the vote converges, gather the per-rank exports, and assemble a run
-object.  This module owns that shape — fabric construction, executor/team
-lifecycle, the ``solve`` tracer span bounding wall-clock attribution, and
-the shared finalize bookkeeping (fault counters, sanitizer report,
+seed it, gather per-rank votes once, then repeat *(fabric allreduce →
+terminate or run one engine-defined step of team phases and exchanges,
+which hands back the next votes)* until the vote converges, gather the
+per-rank exports, and assemble a run object.  This module owns that
+shape — fabric construction, executor/team lifecycle, the ``solve``
+tracer span bounding wall-clock attribution, the per-step work charge and
+span tags (:meth:`EngineContext.charge` / :meth:`EngineContext.close_step`),
+and the shared finalize bookkeeping (fault counters, sanitizer report,
 executor and rank-state meta) — parameterized by a
-:class:`SuperstepEngine`.
+:class:`SuperstepEngine`.  :func:`repro.run` (and ``run_kernel``) build
+the engine and thread the run knobs here.
 
 What stays engine-defined is exactly what differs between engines: rank
 construction/seeding, the vote (min live bucket, frontier size), and the
@@ -119,6 +122,29 @@ class EngineContext:
     team: RankTeam
     tracer: Tracer
     ranks: list
+    #: Work charged since the last :meth:`close_step`, by component.
+    step_work: dict[str, int] = field(default_factory=dict)
+
+    def charge(self, stats: np.ndarray, *columns: str) -> None:
+        """Charge one compute phase to the cost model.
+
+        ``stats`` holds one row per rank whose leading columns are the
+        work components ``columns`` names (``edges``/``bucket_ops``/
+        ``bytes``).  The phase lasts as long as its slowest rank; its
+        totals count toward the superstep :meth:`close_step` tags.
+        """
+        self.fabric.charge_compute(**{c: stats[:, i] for i, c in enumerate(columns)})
+        for i, c in enumerate(columns):
+            self.step_work[c] = self.step_work.get(c, 0) + int(stats[:, i].sum())
+
+    def close_step(self, span) -> dict[str, int]:
+        """Tag a superstep's span with the work charged since the last
+        close and the team's wall timing (``critical_path``/
+        ``sum_of_ranks``); return the work totals."""
+        work, self.step_work = self.step_work, {}
+        critical_path, sum_of_ranks = self.team.take_step_timing()
+        span.tag(**work, critical_path=critical_path, sum_of_ranks=sum_of_ranks)
+        return work
 
 
 class SuperstepEngine(Protocol):
@@ -142,15 +168,21 @@ class SuperstepEngine(Protocol):
         ...
 
     def votes(self, ctx: EngineContext) -> np.ndarray:
-        """Per-rank convergence votes (float64), gathered via the team."""
+        """The first per-rank convergence votes (float64), gathered via
+        the team once per run; later votes come out of :meth:`step`."""
         ...
 
     def done(self, reduced: float) -> bool:
         """Whether the allreduced vote means the run has converged."""
         ...
 
-    def step(self, ctx: EngineContext, reduced: float) -> None:
-        """One engine-defined superstep/epoch of team phases + exchanges."""
+    def step(self, ctx: EngineContext, reduced: float) -> np.ndarray:
+        """One engine-defined superstep/epoch of team phases + exchanges.
+
+        Returns the next per-rank votes, read out of the step's last
+        fused team call, and closes the step with
+        :meth:`EngineContext.close_step`.
+        """
         ...
 
     def finalize(self, ctx: EngineContext, exports: list[dict]) -> tuple[Any, dict]:
@@ -177,11 +209,13 @@ def run_superstep_engine(
 ) -> RunSummary:
     """Run ``engine`` to convergence on a simulated machine.
 
-    The loop is vote → allreduce → step: every engine terminates on a
-    fabric allreduce over per-rank votes (so termination itself is charged
-    and audited like any collective), and everything between the first
-    vote and the final export happens inside one ``solve`` span — the
-    anchor the wall-clock profiler reconciles its buckets against.
+    The loop is votes, then allreduce → step until done: every engine
+    terminates on a fabric allreduce over per-rank votes (so termination
+    itself is charged and audited like any collective), each step returns
+    the votes it carried out of its last fused call, and everything
+    between the first vote and the final export happens inside one
+    ``solve`` span — the anchor the wall-clock profiler reconciles its
+    buckets against.
     """
     if tracer is None:
         tracer = NULL_TRACER
@@ -219,12 +253,12 @@ def run_superstep_engine(
         with tracer.span(
             "solve", cat="engine", backend=team.backend, workers=team.num_workers
         ):
+            votes = engine.votes(ctx)
             while True:
-                votes = engine.votes(ctx)
                 reduced = fabric.allreduce(votes, op=engine.vote_op)
                 if engine.done(reduced):
                     break
-                engine.step(ctx, reduced)
+                votes = engine.step(ctx, reduced)
             exports = team.call("export_final")
     finally:
         team.close()

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.multi import MultiSSSPResult
 from repro.core.relaxation import scatter_min
 from repro.core.result import derive_parents_lanes
+from repro.engine.validation import check_delta
 from repro.graph.csr import CSRGraph
 
 __all__ = ["SSSPBatch"]
@@ -53,11 +54,9 @@ class SSSPBatch:
         roots = np.ascontiguousarray(roots, dtype=np.int64).ravel()
         if roots.size == 0:
             raise ValueError("sssp_batch needs at least one root")
-        if not delta > 0:
-            raise ValueError(f"delta must be positive, got {delta}")
         self.roots = roots
         self.num_lanes = int(roots.size)
-        self.delta = float(delta)
+        self.delta = check_delta(delta, adaptive=False)
         #: Multi-field wire record: the destination lane, in the narrowest
         #: unsigned type that holds it, and the candidate distance.  The
         #: implicit ``vertex`` field is the edge target.

@@ -39,7 +39,6 @@ from repro.engine.rank import Outbox, OwnerRouter, Rank
 from repro.engine.validation import check_num_ranks, make_contiguous_partition
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
-from repro.partition import Partition1D
 from repro.simmpi.executor import RankExecutor
 from repro.simmpi.fabric import Message, Wire
 from repro.simmpi.faults import FaultPlan, FaultSpec
@@ -274,7 +273,7 @@ class _KernelRank(Rank):
         apply → work readout → (pending when draining) → vote.  Returns
         ``(edges, bytes, pending, vote)``; the driver charges the cost
         model from the first two, drives quiescence from the third, and
-        caches the fourth for the loop-top allreduce — the hooks are pure
+        hands the fourth to the next vote allreduce — the hooks are pure
         readouts, so per-pass evaluation matches the unfused phase order
         bit for bit.
         """
@@ -309,21 +308,34 @@ class _KernelRank(Rank):
 
 
 class _KernelEngine:
-    """Adapter expressing a vertex kernel as a :class:`SuperstepEngine`."""
+    """Adapter expressing a vertex kernel as a :class:`SuperstepEngine`.
+
+    ``kernel`` is a :class:`Kernel` instance or a registered name; its
+    vertices are split over ``num_ranks`` by a contiguous 1-D ``partition``.
+    """
 
     layout = "dist1d"
     hierarchical = False
 
-    def __init__(self, kernel: Kernel, partition: Partition1D) -> None:
+    def __init__(
+        self,
+        graph: CSRGraph,
+        kernel: Kernel | str,
+        num_ranks: int,
+        partition: str = "block",
+    ) -> None:
+        if isinstance(kernel, str):
+            from repro.engine.kernels import make_kernel
+
+            kernel = make_kernel(kernel)
+        check_num_ranks(num_ranks)
+        self.partition = make_contiguous_partition(
+            graph, partition, num_ranks, "the vertex-kernel substrate"
+        )
         self.kernel = kernel
         self.kernel_name = kernel.name
         self.vote_op = kernel.vote_op
-        self.partition = partition
         self.steps = 0
-        # Per-rank votes carried out of the last pass's fused recv call;
-        # the hooks are pure, so the cached values equal what a fresh
-        # loop-top gather would read.  None until the first superstep.
-        self._vote_cache: np.ndarray | None = None
 
     def build_ranks(self, graph: CSRGraph, num_ranks: int) -> list[_KernelRank]:
         router = OwnerRouter(self.partition)
@@ -332,8 +344,6 @@ class _KernelEngine:
         ]
 
     def votes(self, ctx: EngineContext) -> np.ndarray:
-        if self._vote_cache is not None:
-            return self._vote_cache
         return np.array(ctx.team.call("kernel_vote"), dtype=np.float64)
 
     def done(self, reduced: float) -> bool:
@@ -364,36 +374,27 @@ class _KernelEngine:
             ),
             dtype=np.float64,
         )
-        fabric.charge_compute(edges=stats[:, 0], bytes=stats[:, 1])
+        ctx.charge(stats, "edges", "bytes")
         return stats
 
-    def step(self, ctx: EngineContext, reduced: float) -> None:
-        team, fabric, tracer = ctx.team, ctx.fabric, ctx.tracer
+    def step(self, ctx: EngineContext, reduced: float) -> np.ndarray:
         self.steps += 1
-        with tracer.span(
+        with ctx.tracer.span(
             "superstep", cat="engine", kernel=self.kernel_name, step=self.steps
         ) as sp:
             # One generate→exchange→apply pass per superstep; draining
             # kernels (k-core) repeat until every rank's frontier is empty,
             # with quiescence detected by an any-allreduce like the 1-D
             # engine's light-phase loop.
-            passes = [self._pass(ctx, reduced, begin=True)]
-            while self.kernel.drain and fabric.allreduce_any(passes[-1][:, 2]):
-                passes.append(self._pass(ctx, reduced))
+            stats = self._pass(ctx, reduced, begin=True)
+            while self.kernel.drain and ctx.fabric.allreduce_any(stats[:, 2]):
+                stats = self._pass(ctx, reduced)
             if hasattr(self.kernel, "gen_settled"):
-                passes.append(self._pass(ctx, reduced, settled=True))
-            # The last pass's votes are the next superstep's: the hooks are
-            # pure, so they equal what a fresh loop-top gather would read.
-            self._vote_cache = passes[-1][:, 3].copy()
-            step_edges = sum(int(stats[:, 0].sum()) for stats in passes)
-            step_bytes = sum(int(stats[:, 1].sum()) for stats in passes)
-            critical_path, sum_of_ranks = team.take_step_timing()
-            sp.tag(
-                edges=step_edges,
-                bytes=step_bytes,
-                critical_path=critical_path,
-                sum_of_ranks=sum_of_ranks,
-            )
+                stats = self._pass(ctx, reduced, settled=True)
+            ctx.close_step(sp)
+        # The last pass's votes are the next superstep's: the hooks are
+        # pure, so they equal what a fresh gather would read.
+        return stats[:, 3]
 
     def finalize(self, ctx: EngineContext, exports: list[dict]) -> tuple[Any, dict]:
         result = self.kernel.finalize(
@@ -430,18 +431,9 @@ def run_kernel(
     rank-execution ``executor`` backend — results are bit-identical
     across backends and with faults on or off.
     """
-    if isinstance(kernel, str):
-        from repro.engine.kernels import make_kernel
-
-        kernel = make_kernel(kernel)
-    check_num_ranks(num_ranks)
-    part = make_contiguous_partition(
-        graph, partition, num_ranks, "the vertex-kernel substrate"
-    )
-    impl = _KernelEngine(kernel, part)
     return run_superstep_engine(
         graph,
-        impl,
+        _KernelEngine(graph, kernel, num_ranks, partition),
         num_ranks=num_ranks,
         machine=machine,
         tracer=tracer,

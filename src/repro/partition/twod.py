@@ -4,11 +4,11 @@ In a 2-D decomposition over an ``R x C`` process grid, edge ``(u, v)`` is
 owned by the rank at grid position ``(row_of(u), col_of(v))``.  Frontier
 expansion then needs communication only within grid rows and columns —
 O(sqrt(P)) partners instead of O(P) — which is why record-scale Graph500
-codes use it.  Here the 2-D partition is used for the partition-quality
-analysis (replication factor, partner counts, edge balance) reported in the
-load-balance experiment; the executable SSSP engine runs on the 1-D
-partitions, whose communication the coalescing layer aggregates to the same
-effect at simulated scale.
+codes use it.  Here the 2-D partition serves the partition-quality
+analysis (edge balance) of the load-balance experiment; the executable 2-D
+SSSP engine (:mod:`repro.core.twod_engine`, ``repro.run(engine="dist2d")``)
+builds its grid from a contiguous 1-D vertex partition instead, so a rank's
+grid row and column follow vertex ownership.
 """
 
 from __future__ import annotations
@@ -83,16 +83,3 @@ class TwoDPartition:
     def edge_counts(self, edges: EdgeList) -> np.ndarray:
         """Edges per rank (the 2-D analogue of edge balance)."""
         return np.bincount(self.rank_of_edges(edges), minlength=self.num_ranks).astype(np.int64)
-
-    def comm_partners_per_rank(self) -> int:
-        """Number of exchange partners per rank: row + column neighbors."""
-        return (self.cols - 1) + (self.rows - 1)
-
-    def replication_factor(self) -> float:
-        """Copies of each vertex's state a 2-D SpMV-style SSSP maintains.
-
-        A vertex's tentative distance is needed by its grid row (as source)
-        and its grid column (as destination): rows + cols copies, counted
-        once for the owner.
-        """
-        return float(self.rows + self.cols - 1)

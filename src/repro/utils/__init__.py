@@ -8,7 +8,7 @@ bitsets (:mod:`repro.utils.bitset`), wall-clock/counter instrumentation
 
 from repro.utils.bitset import Bitset
 from repro.utils.prng import CounterRNG, splitmix64
-from repro.utils.stats import geometric_mean, harmonic_mean, summarize
+from repro.utils.stats import harmonic_mean, summarize
 from repro.utils.timing import Counters, Timer
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "CounterRNG",
     "Counters",
     "Timer",
-    "geometric_mean",
     "harmonic_mean",
     "splitmix64",
     "summarize",

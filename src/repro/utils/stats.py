@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["harmonic_mean", "geometric_mean", "summarize", "Summary"]
+__all__ = ["harmonic_mean", "summarize", "Summary"]
 
 
 def harmonic_mean(x: np.ndarray) -> float:
@@ -22,16 +22,6 @@ def harmonic_mean(x: np.ndarray) -> float:
     if np.any(x <= 0):
         raise ValueError("harmonic_mean requires strictly positive values")
     return float(x.size / np.sum(1.0 / x))
-
-
-def geometric_mean(x: np.ndarray) -> float:
-    """Geometric mean of strictly positive values."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("geometric_mean of empty array")
-    if np.any(x <= 0):
-        raise ValueError("geometric_mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(x))))
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,13 @@ class TestFusionCapSweep:
         assert steps[0] >= steps[1] >= steps[2]
 
     def test_cap_one_equals_no_fusion(self, kron11):
+        from repro import run
         from repro.core.config import SSSPConfig
-        from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
         from repro.graph500.roots import sample_roots
 
         root = int(sample_roots(kron11, 1, seed=2022)[0])
-        capped = distributed_sssp(kron11, root, num_ranks=2, config=SSSPConfig(fusion_cap=1))
-        off = distributed_sssp(
-            kron11, root, num_ranks=2, config=SSSPConfig(fuse_buckets=False)
-        )
+        capped = run(kron11, root, num_ranks=2, config=SSSPConfig(fusion_cap=1))
+        off = run(kron11, root, num_ranks=2, config=SSSPConfig(fuse_buckets=False))
         assert capped.comm["supersteps"] == off.comm["supersteps"]
 
 

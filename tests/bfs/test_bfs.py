@@ -1,5 +1,7 @@
 """Tests for the BFS extension (Graph500 kernel 2)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,12 +9,14 @@ import scipy.sparse.csgraph as csg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import run
 from repro.bfs import bfs
 from repro.graph500.validation import validate_bfs
-from repro.bfs.dist_bfs import _distributed_bfs as distributed_bfs
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
+
+distributed_bfs = partial(run, kernel="bfs", engine="dist1d")
 
 
 def scipy_levels(graph, source):

@@ -1,18 +1,22 @@
 """Tests for the distributed ∆-stepping engine on SimMPI."""
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra
-from repro.baselines.simple_dist import simple_distributed_sssp
 from repro.core.config import SSSPConfig
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
+from repro import run
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
 from repro.simmpi.machine import small_cluster
+
+distributed_sssp = partial(run, engine="dist1d")
 
 
 def assert_exact(run, ref):
@@ -97,14 +101,18 @@ class TestDistributedCorrectness:
             distributed_sssp(g, 0, num_ranks=0)
 
     def test_simple_dist_baseline_exact(self, kron10):
+        # The reference-style baseline is a configuration of the engine.
         ref = dijkstra(kron10, 3)
-        run = simple_distributed_sssp(kron10, 3, num_ranks=4)
+        run = distributed_sssp(kron10, 3, num_ranks=4, config=SSSPConfig.baseline())
         assert_exact(run, ref)
         assert run.meta["config"] == SSSPConfig.baseline()
+        assert run.result.meta["variant"] == "baseline"
 
     def test_simple_dist_with_delta(self, kron10):
-        run = simple_distributed_sssp(kron10, 3, num_ranks=2, delta=0.5)
+        config = replace(SSSPConfig.baseline(), delta=0.5)
+        run = distributed_sssp(kron10, 3, num_ranks=2, config=config)
         assert run.meta["delta"] == 0.5
+        assert_exact(run, dijkstra(kron10, 3))
 
 
 class TestDistributedMeasurements:

@@ -1,17 +1,21 @@
 """Tests for the 2-D (checkerboard) distributed SSSP engine."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
-from repro.core.twod_engine import _distributed_sssp_2d as distributed_sssp_2d
+from repro import run
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
 from repro.graph500.validation import validate_sssp
+
+distributed_sssp = partial(run, engine="dist1d")
+distributed_sssp_2d = partial(run, engine="dist2d")
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ import repro
 from repro.baselines.dijkstra import dijkstra
 from repro.bfs import bfs
 from repro.core.delta_stepping import _delta_stepping as delta_stepping
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
@@ -34,7 +33,7 @@ class TestValidationAccepts:
         assert validate_sssp(kron, res).ok
 
     def test_distributed(self, kron):
-        run = distributed_sssp(kron, 1, num_ranks=4)
+        run = repro.run(kron, 1, num_ranks=4)
         assert validate_sssp(kron, run.result).ok
 
     def test_disconnected(self):

@@ -5,23 +5,22 @@ never answers — is checked here across the full implementation matrix,
 plus the BFS/SSSP consistency relations that tie the two kernels together.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    bellman_ford,
-    dijkstra,
-    frontier_bellman_ford,
-    simple_distributed_sssp,
-)
+from repro import run
+from repro.baselines import bellman_ford, dijkstra, frontier_bellman_ford
 from repro.bfs import bfs
-from repro.bfs.dist_bfs import _distributed_bfs as distributed_bfs
 from repro.core import SSSPConfig
 from repro.core.delta_stepping import _delta_stepping as delta_stepping
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
 from repro.graph import build_csr, generate_kronecker
 from repro.graph.synth import grid_graph, random_graph, star_graph
 from repro.graph500 import validate_bfs, validate_sssp
+
+distributed_sssp = partial(run, engine="dist1d")
+distributed_bfs = partial(run, kernel="bfs", engine="dist1d")
 
 
 GRAPHS = {
@@ -43,7 +42,9 @@ class TestFullMatrix:
             "chaotic": lambda: frontier_bellman_ford(graph, source),
             "delta_stepping": lambda: delta_stepping(graph, source),
             "dist_opt_4": lambda: distributed_sssp(graph, source, num_ranks=4).result,
-            "dist_base_4": lambda: simple_distributed_sssp(graph, source, num_ranks=4).result,
+            "dist_base_4": lambda: distributed_sssp(
+                graph, source, num_ranks=4, config=SSSPConfig.baseline()
+            ).result,
             "dist_opt_7": lambda: distributed_sssp(graph, source, num_ranks=7).result,
         }
         for name, run in implementations.items():
@@ -137,7 +138,7 @@ class TestEndToEndPipeline:
         run = distributed_sssp(loaded, src, num_ranks=4)
         assert validate_sssp(loaded, run.result).ok
 
-    def test_distributed_construction_feeds_distributed_sssp(self):
+    def test_distributed_construction_feeds_sssp(self):
         """Kernel 1 (distributed) output is directly usable by kernel 3."""
         from repro.graph import distributed_construction
         from repro.graph.kronecker import KroneckerSpec

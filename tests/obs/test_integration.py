@@ -6,17 +6,21 @@ the same ``record_exchange`` call sites, so any divergence means an
 exchange escaped the telemetry stream.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.bfs.dist_bfs import _distributed_bfs as distributed_bfs
+from repro import run
 from repro.core.delta_stepping import _delta_stepping as delta_stepping
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
-from repro.core.twod_engine import _distributed_sssp_2d as distributed_sssp_2d
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph500.harness import run_graph500_bfs, run_graph500_sssp
 from repro.obs import RunReport, Tracer
+
+distributed_sssp = partial(run, engine="dist1d")
+distributed_sssp_2d = partial(run, engine="dist2d")
+distributed_bfs = partial(run, kernel="bfs", engine="dist1d")
 
 
 def _graph(scale=9):

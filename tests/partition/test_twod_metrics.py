@@ -47,15 +47,6 @@ class TestTwoDPartition:
         # Balanced contiguous: sizes 4, 3, 3.
         assert np.array_equal(rows, [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
 
-    def test_partner_count_scales_sqrt(self):
-        p16 = TwoDPartition(1000, 4, 4)
-        p64 = TwoDPartition(1000, 8, 8)
-        assert p16.comm_partners_per_rank() == 6
-        assert p64.comm_partners_per_rank() == 14  # ~sqrt growth
-
-    def test_replication_factor(self):
-        assert TwoDPartition(10, 4, 4).replication_factor() == 7.0
-
     def test_vertex_count_mismatch(self):
         with pytest.raises(ValueError):
             TwoDPartition(10, 2, 2).rank_of_edges(random_graph(20, 5))

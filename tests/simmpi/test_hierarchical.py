@@ -1,15 +1,19 @@
 """Tests for hierarchical (supernode leader) aggregation in the fabric."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.baselines.dijkstra import dijkstra
 from repro.core.config import SSSPConfig
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
+from repro import run
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.simmpi.fabric import Fabric, Message
 from repro.simmpi.machine import small_cluster
+
+distributed_sssp = partial(run, engine="dist1d")
 
 
 def _msg(n):

@@ -11,7 +11,7 @@ from repro import api, run
 from repro.api import ENGINES, KERNELS, RunSummary
 from repro.baselines import dijkstra
 from repro.core import SSSPConfig
-from repro.core.twod_engine import _distributed_sssp_2d
+from repro.core.adaptive import choose_batch_delta, choose_delta
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.simmpi.machine import small_cluster
@@ -211,13 +211,28 @@ class TestConfigHonored:
             api.run(graph, 0, engine="dist2d", num_ranks=4,
                     config=SSSPConfig(partition="hashed"))
 
-    def test_dist2d_default_unchanged_by_config_arg(self, graph):
-        # config=None must reproduce the historical behavior byte-for-byte.
+    def test_dist2d_default_unchanged_by_config_arg(self, graph, oracle):
+        # config=None must reproduce the historical behavior byte-for-byte:
+        # block partition, coalescing on, int64 wire ids.  The schedule
+        # below was recorded from the engine before the run path moved
+        # into repro.run.
         plain = api.run(graph, 0, engine="dist2d", num_ranks=4)
-        direct = _distributed_sssp_2d(graph, 0, num_ranks=4)
-        assert np.array_equal(plain.result.dist, direct.result.dist)
-        assert plain.modeled_time == direct.modeled_time
-        assert plain.comm == direct.comm
+        assert np.array_equal(plain.result.dist, oracle.dist)
+        assert plain.modeled_time == 0.0001240366
+        assert plain.comm == {
+            "ranks": 4, "total_bytes": 55392, "bytes_intra": 55392,
+            "bytes_inter": 0, "bytes_forwarded": 0, "messages": 69,
+            "supersteps": 22, "barriers": 22, "allreduces": 12,
+            "bytes_retransmitted": 0, "messages_dropped": 0, "retries": 0,
+            "stalls": 0, "comm_imbalance": 1.027,
+        }
+        assert plain.result.counters.as_dict() == {"edges_relaxed": 28610, "rounds": 11}
+        historical = api.run(
+            graph, 0, engine="dist2d", num_ranks=4,
+            config=SSSPConfig(partition="block", compressed_indices=False),
+        )
+        assert historical.modeled_time == plain.modeled_time
+        assert historical.comm == plain.comm
 
 
 class TestNoDeprecatedPaths:
@@ -242,17 +257,38 @@ class TestDeltaValidation:
 
     def test_adaptive_bad_delta_caught(self, monkeypatch):
         # A degenerate weight distribution can push choose_delta to a
-        # non-positive value; that must fail loudly, not spin or return 0.
+        # non-positive value; that must fail loudly, not spin or return 0,
+        # wherever ∆ is resolved (repro.core.adaptive.resolve_delta).
         import importlib
 
-        # repro.core re-exports the function under the submodule's name, so
-        # attribute traversal would find the function; import the module.
-        ds = importlib.import_module("repro.core.delta_stepping")
+        from repro.core.delta_stepping import _delta_stepping
 
+        adaptive = importlib.import_module("repro.core.adaptive")
         g = build_csr(generate_kronecker(6, seed=1))
-        monkeypatch.setattr(ds, "choose_delta", lambda graph: 0.0)
-        with pytest.raises(ValueError, match="choose_delta"):
-            ds._delta_stepping(g, 0)
-        monkeypatch.setattr(ds, "choose_delta", lambda graph: float("nan"))
-        with pytest.raises(ValueError, match="choose_delta"):
-            ds._delta_stepping(g, 0)
+        for bad in (0.0, float("nan")):
+            monkeypatch.setattr(adaptive, "choose_delta", lambda graph, scale: bad)
+            for solve in (
+                lambda: _delta_stepping(g, 0),
+                lambda: api.run(g, 0, engine="shared"),
+                lambda: api.run(g, 0, engine="dist1d", num_ranks=2),
+            ):
+                with pytest.raises(ValueError, match="choose_delta"):
+                    solve()
+
+    def test_delta_scale_honored_by_every_engine(self, graph):
+        config = SSSPConfig(delta_scale=2.0)
+        shared = api.run(graph, 0, engine="shared", config=config)
+        dist = api.run(graph, 0, engine="dist1d", num_ranks=4, config=config)
+        assert shared.result.meta["delta"] == dist.result.meta["delta"]
+        assert dist.result.meta["delta"] == choose_delta(graph, 2.0)
+        batch = api.run(graph, [0, 1], kernel="sssp_batch", num_ranks=4, config=config)
+        assert batch.result.meta["delta"] == choose_batch_delta(graph, 2.0)
+
+    def test_sssp_batch_rejects_infinite_delta(self, graph):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            api.run(graph, [0, 1], kernel="sssp_batch", num_ranks=4, delta=float("inf"))
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            api.run(
+                graph, [0, 1], kernel="sssp_batch", num_ranks=4,
+                config=SSSPConfig(delta=float("inf")),
+            )

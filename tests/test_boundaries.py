@@ -5,13 +5,14 @@ single-element structures, extreme configuration values — where vectorized
 code most often breaks silently.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 import repro
 from repro.core import SSSPConfig
 from repro.core.delta_stepping import _delta_stepping as delta_stepping
-from repro.core.dist_sssp import _distributed_sssp as distributed_sssp
 from repro.core.buckets import BucketQueue
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import KroneckerSpec, generate_kronecker
@@ -20,6 +21,8 @@ from repro.graph.types import EdgeList
 from repro.simmpi.fabric import Message
 from repro.utils.bitset import Bitset
 from repro.utils.prng import CounterRNG
+
+distributed_sssp = partial(repro.run, engine="dist1d")
 
 
 class TestWordBoundaries:

@@ -10,6 +10,7 @@ from repro.utils.bitset import (
     Bitset,
     and_not,
     lane_bit,
+    lane_matrix,
     lane_members,
     nonzero_lanes,
 )
@@ -157,6 +158,26 @@ class TestLaneHelpers:
         assert lane_members(words, 3).tolist() == [0, 2, 5]
         assert lane_members(words, 4).tolist() == [1]
         assert lane_members(words, 0).size == 0
+
+
+class TestLaneMatrix:
+    """``lane_matrix``, the one lane helper the batched kernels call."""
+
+    def test_bit_i_is_column_i(self):
+        words = np.array([1, (1 << 5) | (1 << 63), 0], dtype=np.uint64)
+        m = lane_matrix(words)
+        assert m.shape == (3, MAX_LANES) and m.dtype == bool
+        assert [np.flatnonzero(row).tolist() for row in m] == [[0], [5, 63], []]
+
+    def test_any_input_byte_order(self):
+        words = np.array([(1 << 3) | (1 << 40), 1 << 9], dtype=np.uint64)
+        for dtype in ("<u8", ">u8"):
+            m = lane_matrix(words.astype(dtype))
+            assert [np.flatnonzero(row).tolist() for row in m] == [[3, 40], [9]]
+
+    def test_empty_input(self):
+        m = lane_matrix(np.empty(0, dtype=np.uint64))
+        assert m.shape == (0, MAX_LANES) and m.dtype == bool
 
 
 @given(
