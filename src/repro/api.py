@@ -62,6 +62,7 @@ from repro.engine.validation import (
     check_integral_roots,
     check_num_ranks,
     check_source,
+    check_weights,
     make_partition,
 )
 from repro.graph.csr import CSRGraph
@@ -299,6 +300,9 @@ _DISPATCH = {
 #: The batched kernels take a *sequence* of roots as ``source=``.
 _NEEDS_SOURCE = ("sssp", "bfs", "bfs64", "sssp_batch")
 
+#: Kernels whose answer depends on edge weights (finite, >= 0).
+_WEIGHTED = ("sssp", "sssp_batch")
+
 
 def run(
     graph: CSRGraph,
@@ -399,6 +403,8 @@ def run(
         raise ValueError(
             f"kernel {kernel!r} has no {engine!r} engine; options: {options}"
         )
+    if kernel in _WEIGHTED:
+        check_weights(graph, kernel)
     if engine == "shared":
         _reject_fabric_knobs(machine, faults, sanitize, racecheck, executor, workers)
         result = cell(graph, source, config, tracer, **kernel_kwargs)

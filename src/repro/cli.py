@@ -400,8 +400,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
         LintError,
         all_rules,
-        changed_paths,
-        file_digests,
         get_rules,
         lint_paths,
         render_json,
@@ -426,17 +424,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
         paths = [os.path.dirname(os.path.abspath(repro.__file__))]
     try:
-        if args.changed is not None:
-            lint_targets = changed_paths(paths, args.changed)
-        else:
-            lint_targets = paths
-        findings, checked = lint_paths(lint_targets, rules=rules)
-        if args.format == "json":
-            # Digest what was actually scanned, so a full run's report is
-            # a complete --changed baseline for the next run.
-            text = render_json(findings, checked, file_digests(lint_targets))
-        else:
-            text = render_text(findings, checked)
+        findings, checked = lint_paths(paths, rules=rules)
+        render = render_json if args.format == "json" else render_text
+        text = render(findings, checked)
     except LintError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -709,16 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--list-rules", action="store_true", help="list rules and exit"
-    )
-    p_lint.add_argument(
-        "--changed",
-        default=None,
-        metavar="BASELINE",
-        help=(
-            "lint only files that differ from BASELINE: a JSON report "
-            "written by 'repro lint --format json' (content digests) or "
-            "a git ref (diff + untracked)"
-        ),
     )
     p_lint.add_argument("--out", default=None, help="write the report here")
     p_lint.set_defaults(func=_cmd_lint)

@@ -38,7 +38,6 @@ from repro.core.result import SSSPResult, derive_parents
 from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Columns, Outbox, OwnerRouter, Rank, wire_id_dtype
 from repro.graph.csr import CSRGraph
-from repro.obs.metrics import MetricsRegistry
 from repro.partition import LocalIndexMap, Partition1D
 from repro.simmpi.fabric import Message, Wire
 
@@ -414,7 +413,6 @@ class _DistSSSPEngine:
         self.hubs = hubs
         self.threshold = threshold
         self.hierarchical = config.hierarchical_aggregation
-        self.metrics = MetricsRegistry()
         self.epochs = 0
         self.light_supersteps = 0
         self.heavy_rounds = 0
@@ -496,7 +494,6 @@ class _DistSSSPEngine:
 
     def step(self, ctx: EngineContext, reduced: float) -> np.ndarray:
         team, fabric, tracer = ctx.team, ctx.fabric, ctx.tracer
-        metrics = self.metrics
         k = int(reduced)
         self.epochs += 1
         epochs = self.epochs
@@ -534,10 +531,7 @@ class _DistSSSPEngine:
                     stats = self._exchange_halves(
                         ctx, sent, "finish_light_superstep", (k,)
                     )
-                    step_bytes = ctx.close_step(sp)["bytes"]
-                if tracer.enabled:
-                    metrics.histogram("frontier_size").observe(frontier_total)
-                    metrics.histogram("superstep_bytes").observe(step_bytes)
+                    ctx.close_step(sp)
                 self.light_supersteps += 1
                 if not fabric.allreduce_any(stats[:, 3]):
                     break
@@ -549,9 +543,7 @@ class _DistSSSPEngine:
             ) as sp:
                 sent = team.call("heavy_superstep", parallel=True, lazy=True)
                 stats = self._exchange_halves(ctx, sent, "finish_epoch", ())
-                step_bytes = ctx.close_step(sp)["bytes"]
-            if tracer.enabled:
-                metrics.histogram("superstep_bytes").observe(step_bytes)
+                ctx.close_step(sp)
             self.heavy_rounds += 1
         # The next min-bucket votes rode out of the fused finish_epoch call.
         return _bucket_votes(stats[:, 3])
@@ -559,8 +551,7 @@ class _DistSSSPEngine:
     def finalize(
         self, ctx: EngineContext, exports: list[dict]
     ) -> tuple[SSSPResult, dict]:
-        fabric, tracer = ctx.fabric, ctx.tracer
-        metrics = self.metrics
+        fabric = ctx.fabric
         # ---- assemble the global answer ---------------------------------
         # Each rank's dist vector is owned-local, so the gather is one
         # direct scatter per rank — no dense per-rank indexing.
@@ -585,14 +576,6 @@ class _DistSSSPEngine:
             variant=self.config.variant_name(),
         )
         attach_fabric_outcome(result, fabric, "edges_relaxed")
-        if tracer.enabled:
-            metrics.gauge("work_imbalance").set(fabric.compute_imbalance("edges"))
-            metrics.gauge("comm_imbalance").set(fabric.trace.comm_imbalance())
-            metrics.histogram("rank_sent_bytes").observe_many(
-                fabric.trace.bytes_sent_per_rank
-            )
-            metrics.absorb_counters(result.counters)
-            tracer.emit_metrics("engine", metrics.snapshot())
         return result, {
             "partition": self.partition.kind,
             "config": self.config,

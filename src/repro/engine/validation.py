@@ -23,22 +23,19 @@ from repro.partition import (
 
 __all__ = [
     "CONTIGUOUS_PARTITIONS",
-    "PARTITIONS",
     "check_source",
     "check_integral_roots",
     "check_num_ranks",
     "check_delta",
     "check_direction",
     "check_grid",
+    "check_weights",
     "make_partition",
     "make_contiguous_partition",
 ]
 
 #: Partition kinds whose owned ranges are contiguous vertex-id intervals.
 CONTIGUOUS_PARTITIONS = ("block", "edge_balanced")
-
-#: Every 1-D partition kind an engine can request.
-PARTITIONS = ("block", "edge_balanced", "hashed")
 
 
 def check_source(graph: CSRGraph, source: int) -> None:
@@ -92,6 +89,25 @@ def check_grid(rows: int, cols: int, num_ranks: int) -> None:
     """Reject a process grid that does not tile the rank count."""
     if rows * cols != num_ranks:
         raise ValueError(f"grid {rows}x{cols} does not match {num_ranks} ranks")
+
+
+def check_weights(graph: CSRGraph, kernel: str) -> None:
+    """Reject edge weights a shortest-path kernel cannot answer.
+
+    A negative weight on a symmetric graph is a negative 2-cycle, so
+    ∆-stepping never settles; NaN and ±inf poison the ∆ heuristic and
+    every comparison.  One min/max pass; the first bad edge in CSR order
+    is located only on failure and named as ``(u, v, w)``.
+    """
+    w = graph.weight
+    if w.size == 0 or (w.min() >= 0 and np.isfinite(w.max())):
+        return
+    bad = int(np.flatnonzero(~(np.isfinite(w) & (w >= 0)))[0])
+    u = int(np.searchsorted(graph.indptr, bad, side="right")) - 1
+    raise ValueError(
+        f"kernel {kernel!r} needs finite edge weights >= 0; "
+        f"edge ({u}, {int(graph.adj[bad])}, {float(w[bad])!r}) is not"
+    )
 
 
 def make_partition(graph: CSRGraph, kind: str, num_ranks: int) -> Partition1D:

@@ -7,19 +7,13 @@ recurrence exactly (quadrant probabilities A=0.57, B=0.19, C=0.19, D=0.05,
 edgefactor 16, uniform [0,1) weights, random vertex relabeling).
 """
 
-from repro.graph.components import connected_components, giant_component_fraction
+from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.degree import DegreeStats, degree_stats, hub_vertices
 from repro.graph.dist_build import DistBuildResult, distributed_construction
 from repro.graph.io import load_graph, save_graph
 from repro.graph.kronecker import KroneckerSpec, generate_kronecker, kronecker_edge_slice
-from repro.graph.synth import (
-    complete_graph,
-    grid_graph,
-    path_graph,
-    random_graph,
-    star_graph,
-)
+from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
 from repro.graph.types import EdgeList
 
 __all__ = [
@@ -29,12 +23,10 @@ __all__ = [
     "EdgeList",
     "KroneckerSpec",
     "build_csr",
-    "complete_graph",
     "connected_components",
     "degree_stats",
     "distributed_construction",
     "generate_kronecker",
-    "giant_component_fraction",
     "grid_graph",
     "hub_vertices",
     "kronecker_edge_slice",

@@ -1,11 +1,9 @@
 """Connected components by vectorized label propagation.
 
-Graph500 analyses report what fraction of vertices a search can reach —
-which, for the symmetrized benchmark graph, is exactly the giant connected
-component's share.  Labels start as vertex ids and are repeatedly lowered
-to the minimum over each vertex's neighborhood (one whole-edge scatter-min
-per round) with pointer-jumping compression, converging in O(log n) rounds
-on typical graphs.
+The sequential oracle of the ``cc`` kernel.  Labels start as vertex ids
+and are repeatedly lowered to the minimum over each vertex's neighborhood
+(one whole-edge scatter-min per round) with pointer-jumping compression,
+converging in O(log n) rounds on typical graphs.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["connected_components", "giant_component_fraction"]
+__all__ = ["connected_components"]
 
 
 def connected_components(graph: CSRGraph, max_rounds: int | None = None) -> np.ndarray:
@@ -50,11 +48,3 @@ def connected_components(graph: CSRGraph, max_rounds: int | None = None) -> np.n
             return labels
         labels = jumped
 
-
-def giant_component_fraction(graph: CSRGraph) -> float:
-    """Fraction of vertices in the largest connected component."""
-    if graph.num_vertices == 0:
-        raise ValueError("empty graph")
-    labels = connected_components(graph)
-    counts = np.bincount(labels)
-    return float(counts.max() / graph.num_vertices)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["DegreeStats", "degree_stats", "hub_vertices", "degree_histogram"]
+__all__ = ["DegreeStats", "degree_stats", "hub_vertices"]
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,3 @@ def hub_vertices(
     order = np.argsort(deg[ids], kind="stable")[::-1]
     return ids[order].astype(np.int64)
 
-
-def degree_histogram(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Log2-binned degree histogram: (bin upper bounds, vertex counts)."""
-    deg = graph.out_degree
-    nz = deg[deg > 0]
-    if nz.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    bins = np.floor(np.log2(nz)).astype(np.int64)
-    counts = np.bincount(bins)
-    uppers = (np.int64(2) ** np.arange(1, counts.size + 1)) - 1
-    return uppers, counts.astype(np.int64)

@@ -34,14 +34,29 @@ def save_graph(graph: CSRGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> CSRGraph:
-    """Load a CSR graph written by :func:`save_graph`."""
+    """Load a CSR graph written by :func:`save_graph`.
+
+    A file is input from outside the program, so an adjacency id outside
+    ``[0, num_vertices)`` is rejected here, naming the file.  (The
+    ``CSRGraph`` constructor cannot check it: the local CSRs of
+    ``extract_rows`` and the 2-D block build hold global ids.)
+    """
     with np.load(Path(path)) as data:
         version = int(data["version"])
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported graph format version {version}")
-        return CSRGraph(
+        graph = CSRGraph(
             indptr=data["indptr"],
             adj=data["adj"],
             weight=data["weight"],
             num_vertices=int(data["num_vertices"]),
         )
+    n = graph.num_vertices
+    if graph.adj.size:
+        lo, hi = int(graph.adj.min()), int(graph.adj.max())
+        if lo < 0 or hi >= n:
+            bad = lo if lo < 0 else hi
+            raise ValueError(
+                f"{path}: adjacency holds vertex id {bad}, outside [0, {n})"
+            )
+    return graph

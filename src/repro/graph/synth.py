@@ -13,7 +13,7 @@ import numpy as np
 from repro.graph.types import WEIGHT_DTYPE, EdgeList
 from repro.utils.prng import CounterRNG
 
-__all__ = ["path_graph", "star_graph", "grid_graph", "random_graph", "complete_graph"]
+__all__ = ["path_graph", "star_graph", "grid_graph", "random_graph"]
 
 
 def _unit_weights(m: int) -> np.ndarray:
@@ -66,16 +66,3 @@ def random_graph(n: int, m: int, seed: int = 1) -> EdgeList:
     w = rng.uniform_pos(m)
     return EdgeList(src, dst, w, n)
 
-
-def complete_graph(n: int, seed: int | None = None) -> EdgeList:
-    """All ordered pairs (u, v), u != v; for small-n oracle tests."""
-    if n < 1:
-        raise ValueError("complete graph needs at least one vertex")
-    if n > 2048:
-        raise ValueError("complete_graph is for small test graphs (n <= 2048)")
-    src, dst = np.nonzero(~np.eye(n, dtype=bool))
-    if seed is None:
-        w = _unit_weights(src.size)
-    else:
-        w = CounterRNG(seed, 13).uniform_pos(src.size)
-    return EdgeList(src.astype(np.int64), dst.astype(np.int64), w, n)

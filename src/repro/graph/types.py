@@ -59,17 +59,6 @@ class EdgeList:
     def num_edges(self) -> int:
         return int(self.src.size)
 
-    def concat(self, other: "EdgeList") -> "EdgeList":
-        """Concatenate two edge lists over the same vertex set."""
-        if self.num_vertices != other.num_vertices:
-            raise ValueError("vertex-set size mismatch")
-        return EdgeList(
-            np.concatenate([self.src, other.src]),
-            np.concatenate([self.dst, other.dst]),
-            np.concatenate([self.weight, other.weight]),
-            self.num_vertices,
-        )
-
     def select(self, mask: np.ndarray) -> "EdgeList":
         """Return the sub-edge-list selected by a boolean mask or index array."""
         return EdgeList(self.src[mask], self.dst[mask], self.weight[mask], self.num_vertices)

@@ -36,7 +36,6 @@ from repro.graph500.roots import sample_roots
 from repro.graph500.spec import GRAPH500_EDGEFACTOR, GRAPH500_NUM_ROOTS
 from repro.graph500.teps import lane_teps, teps_summary
 from repro.graph500.validation import ValidationReport, validate_bfs, validate_sssp
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simmpi.executor import RankExecutor, resolve_executor
 from repro.simmpi.machine import MachineSpec, small_cluster
@@ -330,16 +329,6 @@ def _run_graph500(
         tracer=tracer,
         **loop,
     )
-    if tracer.enabled:
-        registry = MetricsRegistry()
-        for run in runs:
-            registry.histogram("root_simulated_seconds").observe(
-                run.simulated_seconds
-            )
-            registry.histogram("root_teps").observe(run.teps)
-        registry.gauge("generation_wall_seconds").set(gen_timer.seconds)
-        registry.gauge("construction_wall_seconds").set(build_timer.seconds)
-        tracer.emit_metrics("harness", registry.snapshot())
     return BenchmarkResult(
         scale=scale,
         edgefactor=edgefactor,
@@ -396,7 +385,7 @@ def run_graph500_sssp(
     generation/construction spans (wall-clock kernels), one ``root`` span
     per kernel invocation (``batch`` per sweep) wrapping the engine's
     epoch/superstep spans, the fabric's per-exchange events and the
-    per-answer ``validation`` spans, and a harness metrics snapshot.
+    per-answer ``validation`` spans.
     """
     if config is None:
         config = SSSPConfig()

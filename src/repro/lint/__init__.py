@@ -38,13 +38,7 @@ point is ``python -m repro lint [paths...]``.
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules, get_rules, rule_packs
 from repro.lint.report import render_json, render_text
-from repro.lint.runner import (
-    LintError,
-    changed_paths,
-    file_digests,
-    lint_paths,
-    lint_source,
-)
+from repro.lint.runner import LintError, lint_paths, lint_source
 
 # Importing the packs registers their rules.
 from repro.lint import (  # noqa: F401  (registration)
@@ -60,8 +54,6 @@ __all__ = [
     "LintError",
     "Rule",
     "all_rules",
-    "changed_paths",
-    "file_digests",
     "get_rules",
     "lint_paths",
     "lint_source",

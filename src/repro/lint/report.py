@@ -25,15 +25,8 @@ def render_text(findings: list[Finding], checked: int) -> str:
     return "\n".join(lines)
 
 
-def render_json(
-    findings: list[Finding], checked: int, digests: dict[str, str] | None = None
-) -> str:
-    """Stable JSON document (sorted findings, per-rule counts).
-
-    ``digests`` (path → sha256 of content) makes the report usable as a
-    ``repro lint --changed`` baseline: a later run can skip every file
-    whose digest still matches.
-    """
+def render_json(findings: list[Finding], checked: int) -> str:
+    """Stable JSON document (sorted findings, per-rule counts)."""
     by_rule: dict[str, int] = {}
     for f in findings:
         by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
@@ -44,6 +37,4 @@ def render_json(
         "findings_by_rule": dict(sorted(by_rule.items())),
         "findings": [f.to_dict() for f in sorted(findings)],
     }
-    if digests is not None:
-        doc["file_digests"] = dict(sorted(digests.items()))
     return json.dumps(doc, indent=2, sort_keys=False)

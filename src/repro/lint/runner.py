@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import subprocess
 
 from repro.lint.context import parse_module
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, get_rules
 
-__all__ = ["LintError", "changed_paths", "file_digests", "lint_paths", "lint_source"]
+__all__ = ["LintError", "lint_paths", "lint_source"]
 
 
 class LintError(Exception):
@@ -54,93 +51,6 @@ def _discover(paths: list[str]) -> list[str]:
         else:
             raise LintError(f"{path}: no such file or directory")
     return files
-
-
-def _digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def file_digests(paths: list[str]) -> dict[str, str]:
-    """sha256 content digests of every ``*.py`` file under ``paths``.
-
-    Keyed by the discovered path (as it would appear in findings).  A
-    JSON report carrying these is usable as a ``--changed`` baseline:
-    files whose digest matches can be skipped entirely.
-    """
-    digests: dict[str, str] = {}
-    for file in _discover(paths):
-        try:
-            with open(file, encoding="utf-8") as fh:
-                digests[file] = _digest(fh.read())
-        except OSError as exc:
-            raise LintError(f"{file}: {exc}") from exc
-    return digests
-
-
-def _git_changed(baseline: str) -> set[str]:
-    """Absolute paths changed (or untracked) since the git ref ``baseline``."""
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "-z", baseline, "--"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard", "-z"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", "") or str(exc)
-        raise LintError(
-            f"--changed {baseline!r}: not a baseline JSON report and git "
-            f"diff against it failed: {detail.strip()}"
-        ) from exc
-    return {
-        os.path.realpath(os.path.join(top, p))
-        for p in (diff + untracked).split("\0")
-        if p
-    }
-
-
-def changed_paths(paths: list[str], baseline: str) -> list[str]:
-    """The subset of files under ``paths`` that differ from ``baseline``.
-
-    ``baseline`` is either a path to a ``repro-lint-report/v1`` JSON
-    document with a ``file_digests`` map (written by
-    ``repro lint --format json``), or a git ref — anything
-    ``git diff --name-only <ref>`` accepts.  With a digest baseline a
-    file counts as changed when its content hash differs or it is absent
-    from the baseline; with a git ref, when git reports it modified or
-    untracked.
-    """
-    files = _discover(paths)
-    if os.path.isfile(baseline):
-        try:
-            with open(baseline, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise LintError(f"{baseline}: unreadable baseline: {exc}") from exc
-        digests = doc.get("file_digests")
-        if not isinstance(digests, dict):
-            raise LintError(
-                f"{baseline}: baseline report has no 'file_digests' map; "
-                f"regenerate it with 'repro lint --format json'"
-            )
-        changed = []
-        for file in files:
-            try:
-                with open(file, encoding="utf-8") as fh:
-                    source = fh.read()
-            except OSError as exc:
-                raise LintError(f"{file}: {exc}") from exc
-            if digests.get(file) != _digest(source):
-                changed.append(file)
-        return changed
-    touched = _git_changed(baseline)
-    return [f for f in files if os.path.realpath(f) in touched]
 
 
 def lint_paths(

@@ -1,8 +1,7 @@
-"""Run telemetry: structured spans, unified metrics, trace sinks, reports.
+"""Run telemetry: structured spans, trace sinks, reports.
 
 The observability layer every engine reports into.  One :class:`Tracer`
 travels through harness -> engine -> fabric collecting spans and events;
-:class:`MetricsRegistry` unifies counters/gauges/histograms;
 :mod:`~repro.obs.sinks` persist the stream (JSONL, Chrome ``trace_event``);
 :class:`RunReport` turns it back into the per-superstep timeline the
 evaluation figures are built from.
@@ -12,7 +11,7 @@ Instrumentation contract: engines accept ``tracer=None`` and substitute
 one attribute check per superstep, never per edge.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.profile import (
     BUCKETS,
     PROFILE_SCHEMA,
@@ -31,12 +30,9 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "BUCKETS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "JsonlSink",
     "ListSink",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "PROFILE_SCHEMA",

@@ -1,50 +1,16 @@
-"""Unified metrics: counters, gauges and histograms under one registry.
+"""Power-of-two bucketed histograms.
 
-The engines previously spread quantitative telemetry over three ad-hoc
-mechanisms (``utils.timing.Counters`` bags, loose ints on rank objects,
-``CommTrace`` fields).  The registry gives them one namespace and one
-snapshot schema; the legacy :class:`~repro.utils.timing.Counters` bag is
-absorbed rather than replaced, so every existing counter name survives
-unchanged in the ``counters`` section of a snapshot.
-
-Histograms use power-of-two buckets (``le_1, le_2, le_4, ...``): message
-and frontier sizes span many orders of magnitude, and exponential buckets
-keep the histogram O(log max) regardless of run length.
+Frontier sizes and task durations span many orders of magnitude;
+exponential buckets (``le_1, le_2, le_4, ...``) keep a histogram
+O(log max) regardless of run length.  :class:`~repro.obs.report.RunReport`
+builds its per-superstep ``task_p50_us`` / ``task_p99_us`` columns with it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.utils.timing import Counters
-
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
-
-
-class Counter:
-    """A monotonically increasing integer."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += int(amount)
-
-
-class Gauge:
-    """A last-write-wins float (imbalance factors, ratios, sizes)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
+__all__ = ["Histogram"]
 
 
 class Histogram:
@@ -115,49 +81,4 @@ class Histogram:
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
             "buckets": {f"le_{2 ** e}": n for e, n in sorted(self.buckets.items())},
-        }
-
-
-class MetricsRegistry:
-    """Get-or-create registry of named counters, gauges and histograms."""
-
-    __slots__ = ("_counters", "_gauges", "_histograms")
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter()
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge()
-        return g
-
-    def histogram(self, name: str) -> Histogram:
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram()
-        return h
-
-    def absorb_counters(self, counters: "Counters") -> None:
-        """Fold a legacy :class:`~repro.utils.timing.Counters` bag in, name
-        for name — the bridge from the pre-obs instrumentation."""
-        for name, value in counters.values.items():
-            self.counter(name).add(value)
-
-    def snapshot(self) -> dict:
-        """One JSON-serializable view of everything recorded so far."""
-        return {
-            "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
-            "histograms": {
-                k: h.summary() for k, h in sorted(self._histograms.items())
-            },
         }

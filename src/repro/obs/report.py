@@ -19,8 +19,6 @@ CommTrace.total_bytes`` for every instrumented engine.
 
 from __future__ import annotations
 
-import json
-
 __all__ = ["RunReport"]
 
 # Span names whose tags annotate timeline rows (engine-level work units).
@@ -44,7 +42,6 @@ class RunReport:
         self.meta: dict = {}
         self.steps: list[dict] = []
         self.span_summary: list[dict] = []
-        self.metrics: dict[str, dict] = {}
         self.total_bytes = 0
         self.total_messages = 0
         self.num_steps = 0
@@ -96,8 +93,6 @@ class RunReport:
             kind = r.get("type")
             if kind == "meta":
                 report.meta.update(r.get("meta", {}))
-            elif kind == "metrics":
-                report.metrics[r.get("name", "run")] = r.get("snapshot", {})
             elif kind == "span":
                 key = (r.get("cat", ""), r["name"])
                 agg = summary.setdefault(
@@ -190,11 +185,7 @@ class RunReport:
             "totals": self.totals(),
             "steps": self.steps,
             "span_summary": self.span_summary,
-            "metrics": self.metrics,
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def render_text(self, max_rows: int = 80) -> str:
         """Human-readable timeline + span summary (``repro inspect``)."""

@@ -9,8 +9,7 @@ collects a single ordered stream of records:
   *simulated* time (what the cost model charged) plus free-form tags;
 * **events** — zero-duration points (``exchange``, ``allreduce``) emitted
   by the fabric, each parented to the span that was open when it fired;
-* **meta / metrics** — run-level key/value context and
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshots.
+* **meta** — run-level key/value context (scale, ranks, argv, ...).
 
 Every record is a plain JSON-serializable dict, so sinks
 (:mod:`repro.obs.sinks`) can stream them to JSONL or re-shape them into the
@@ -181,10 +180,6 @@ class Tracer:
         self.meta.update(clean)
         self._emit({"type": "meta", "meta": clean})
 
-    def emit_metrics(self, name: str, snapshot: dict) -> None:
-        """Record a :class:`MetricsRegistry` snapshot under ``name``."""
-        self._emit({"type": "metrics", "name": name, "snapshot": snapshot})
-
     def _emit(self, record: dict) -> None:
         record["seq"] = self._seq
         self._seq += 1
@@ -248,9 +243,6 @@ class NullTracer:
         pass
 
     def add_meta(self, **meta) -> None:
-        pass
-
-    def emit_metrics(self, name: str, snapshot: dict) -> None:
         pass
 
     def close(self) -> None:

@@ -379,7 +379,7 @@ class Fabric:
         msg_count = int(np.count_nonzero(counts))
         if msg_count == 0:
             step = 0.0
-        elif self.hierarchical:
+        elif self.hierarchical and self.topology.num_supernodes() > 1:
             step = self._hierarchical_step_cost(bytes_matrix)
         elif self.faults is not None:
             step = self._direct_step_cost(bytes_matrix, beta=self._beta_faulty)
@@ -526,29 +526,35 @@ class Fabric:
         payloads (inter-SN hop).  Stage C: destination leaders scatter to
         members (intra-SN hop).  Intra-SN traffic still goes direct and
         overlaps stage A.  The stages serialize; the slowest rank bounds
-        each stage.
+        each stage.  Every hop moves its bytes at its own link's
+        bandwidth, so a degraded link slows exactly the hops routed over
+        it.
         """
         m = self.machine
+        p = self.num_ranks
         sn = self.topology.supernode
         num_sn = self.topology.num_supernodes()
-        if num_sn == 1:
-            return self._direct_step_cost(bytes_matrix)
+        # Bandwidth divisor of each (src, dst) link; 1.0 on a healthy one.
+        slow = self.faults.link_beta_factor if self.faults is not None else None
+        if slow is None:
+            slow = np.ones((p, p))
+        ranks = np.arange(p)
         inter_mask = sn[:, None] != sn[None, :]
         intra_bytes = np.where(~inter_mask, bytes_matrix, 0)
         inter_bytes = np.where(inter_mask, bytes_matrix, 0)
-        # Leaders are the first rank of each supernode.
-        leader_of = np.zeros(self.num_ranks, dtype=np.int64)
-        for s in range(num_sn):
-            members = np.flatnonzero(sn == s)
-            leader_of[members] = members[0]
-        is_leader = leader_of == np.arange(self.num_ranks)
+        # Leaders are the first rank of each supernode (supernodes hold
+        # contiguous rank ranges, so ``sn`` is sorted).
+        leaders = np.searchsorted(sn, np.arange(num_sn))
+        leader_of = leaders[sn]
+        is_leader = leader_of == ranks
         # Stage A: member -> leader gather of outbound inter-SN payload.
         out_inter = inter_bytes.sum(axis=1)
+        up = out_inter * slow[ranks, leader_of]
         a_send = np.where(
-            (out_inter > 0) & ~is_leader, m.alpha_intra + out_inter * m.beta_intra, 0.0
+            (out_inter > 0) & ~is_leader, m.alpha_intra + up * m.beta_intra, 0.0
         )
-        a_recv = np.zeros(self.num_ranks)
-        np.add.at(a_recv, leader_of, np.where(~is_leader, out_inter, 0))
+        a_recv = np.zeros(p)
+        np.add.at(a_recv, leader_of, np.where(~is_leader, up, 0))
         a_recv = np.where(a_recv > 0, m.alpha_intra + a_recv * m.beta_intra, 0.0)
         stage_a = float(np.maximum(a_send, a_recv).max())
         # Forwarded bytes: everything a non-leader handed to its leader, and
@@ -563,22 +569,29 @@ class Fabric:
                 if s1 != s2:
                     sn_matrix[s1, s2] = inter_bytes[np.ix_(rows, sn == s2)].sum()
         has = sn_matrix > 0
-        per_pair = np.where(has, m.alpha_inter + sn_matrix * m.beta_inter, 0.0)
+        per_pair = np.where(
+            has,
+            m.alpha_inter + sn_matrix * slow[np.ix_(leaders, leaders)] * m.beta_inter,
+            0.0,
+        )
         stage_b = float(np.maximum(per_pair.sum(axis=1), per_pair.sum(axis=0)).max())
         # Stage C: destination leader -> member scatter.
         in_inter = inter_bytes.sum(axis=0)
+        down = in_inter * slow[leader_of, ranks]
         c_recv = np.where(
-            (in_inter > 0) & ~is_leader, m.alpha_intra + in_inter * m.beta_intra, 0.0
+            (in_inter > 0) & ~is_leader, m.alpha_intra + down * m.beta_intra, 0.0
         )
-        c_send = np.zeros(self.num_ranks)
-        np.add.at(c_send, leader_of, np.where(~is_leader, in_inter, 0))
+        c_send = np.zeros(p)
+        np.add.at(c_send, leader_of, np.where(~is_leader, down, 0))
         c_send = np.where(c_send > 0, m.alpha_intra + c_send * m.beta_intra, 0.0)
         stage_c = float(np.maximum(c_send, c_recv).max())
         forwarded += int(np.where(~is_leader, in_inter, 0).sum())
         self.trace.bytes_forwarded += forwarded
         # Direct intra-SN traffic overlaps stage A.
         has_intra = intra_bytes > 0
-        intra_pair = np.where(has_intra, m.alpha_intra + intra_bytes * m.beta_intra, 0.0)
+        intra_pair = np.where(
+            has_intra, m.alpha_intra + intra_bytes * slow * m.beta_intra, 0.0
+        )
         direct = float(
             np.maximum(intra_pair.sum(axis=1), intra_pair.sum(axis=0)).max()
         )

@@ -312,12 +312,6 @@ class FaultPlan:
         v = self._uniform(_STREAM_STALL_LEN, step, ranks, 0, 0)
         return np.where(hit, spec.stall_time * (0.5 + v), 0.0)
 
-    def beta_factor(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Bandwidth divisor for each (src, dst) link (1.0 = healthy)."""
-        if self.link_beta_factor is None:
-            return np.ones(np.broadcast(src, dst).shape, dtype=np.float64)
-        return self.link_beta_factor[src, dst]
-
     # -- reproducibility ----------------------------------------------------
 
     def sample_schedule(self, num_steps: int, max_attempts: int = 3) -> dict[str, np.ndarray]:

@@ -1,67 +1,18 @@
-"""A numpy-backed fixed-size bitset, plus lane-word helpers.
+"""Lane words: one uint64 per vertex, one bit per root lane.
 
-Used for frontier membership, "vertex settled" flags and validation marks.
-Word-parallel operations (union, intersection, popcount) run at memory
-bandwidth; per-index operations accept arrays so callers never loop in
-Python.
-
-The module-level lane helpers serve the bit-parallel multi-source BFS
-kernel, which carries one uint64 word *per vertex* with one bit per root
-lane: :func:`lane_bit` makes a single-lane mask, :func:`and_not` is the
-word-parallel "new = arrivals & ~visited" step, :func:`nonzero_lanes`
-enumerates which lanes are present anywhere in a word array, and
-:func:`lane_members` extracts one lane's membership column as indices.
+The bit-parallel multi-source BFS kernel carries one word per vertex;
+:data:`MAX_LANES` is the lane count of a word and :func:`lane_matrix`
+unpacks a word array into its (index, lane) membership matrix.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
-__all__ = [
-    "Bitset",
-    "MAX_LANES",
-    "and_not",
-    "lane_bit",
-    "lane_matrix",
-    "lane_members",
-    "nonzero_lanes",
-]
-
-_WORD_BITS = 64
+__all__ = ["MAX_LANES", "lane_matrix"]
 
 #: Lanes per word: one uint64 bit per root in the batched BFS kernel.
-MAX_LANES = _WORD_BITS
-
-
-def lane_bit(lane: int) -> np.uint64:
-    """The single-bit mask selecting ``lane`` (0-based) within a word."""
-    if not 0 <= lane < MAX_LANES:
-        raise ValueError(f"lane must be in [0, {MAX_LANES}), got {lane}")
-    return np.uint64(1) << np.uint64(lane)
-
-
-def and_not(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Word-parallel ``words & ~mask`` (no Python-int promotion pitfalls)."""
-    return np.bitwise_and(words, np.bitwise_not(mask))
-
-
-def nonzero_lanes(words: np.ndarray) -> np.ndarray:
-    """Sorted lane indices set anywhere in ``words`` (int64, ≤ 64 entries).
-
-    The union over all words is one ``bitwise_or`` reduction, so a
-    kernel's per-lane loop iterates only over lanes that actually have
-    members this pass.
-    """
-    words = np.asarray(words, dtype=np.uint64)
-    if words.size == 0:
-        return np.empty(0, dtype=np.int64)
-    union = np.bitwise_or.reduce(words.ravel())
-    if union == 0:
-        return np.empty(0, dtype=np.int64)
-    bits = np.unpackbits(union.reshape(1).view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits).astype(np.int64)
+MAX_LANES = 64
 
 
 def lane_matrix(words: np.ndarray) -> np.ndarray:
@@ -79,136 +30,3 @@ def lane_matrix(words: np.ndarray) -> np.ndarray:
         words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
     )
     return bits.view(bool)
-
-
-def lane_members(words: np.ndarray, lane: int) -> np.ndarray:
-    """Indices whose word has bit ``lane`` set — one lane's membership column."""
-    words = np.asarray(words, dtype=np.uint64)
-    return np.flatnonzero(np.bitwise_and(words, lane_bit(lane)) != 0).astype(
-        np.int64
-    )
-
-
-class Bitset:
-    """Fixed-capacity set of integers in ``[0, size)`` stored as packed bits."""
-
-    __slots__ = ("size", "words")
-
-    def __init__(self, size: int, words: np.ndarray | None = None) -> None:
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        self.size = int(size)
-        nwords = (self.size + _WORD_BITS - 1) // _WORD_BITS
-        if words is None:
-            self.words = np.zeros(nwords, dtype=np.uint64)
-        else:
-            if words.shape != (nwords,):
-                raise ValueError(f"expected {nwords} words, got {words.shape}")
-            self.words = words
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_indices(cls, size: int, indices: np.ndarray) -> "Bitset":
-        bs = cls(size)
-        bs.add(indices)
-        return bs
-
-    def copy(self) -> "Bitset":
-        return Bitset(self.size, self.words.copy())
-
-    # -- element operations (vectorized) ----------------------------------
-
-    def _check(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64).ravel()
-        if idx.size and (idx.min() < 0 or idx.max() >= self.size):
-            raise IndexError(f"index out of range for bitset of size {self.size}")
-        return idx
-
-    def add(self, idx: np.ndarray | int) -> None:
-        idx = self._check(idx)
-        np.bitwise_or.at(
-            self.words,
-            idx >> 6,
-            np.uint64(1) << (idx & 63).astype(np.uint64),
-        )
-
-    def discard(self, idx: np.ndarray | int) -> None:
-        idx = self._check(idx)
-        masks = np.zeros_like(self.words)
-        np.bitwise_or.at(masks, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
-        self.words &= ~masks
-
-    def test(self, idx: np.ndarray | int) -> np.ndarray:
-        """Return a boolean array: membership of each index."""
-        idx = self._check(idx)
-        bits = (self.words[idx >> 6] >> (idx & 63).astype(np.uint64)) & np.uint64(1)
-        return bits.astype(bool)
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.test(np.asarray([i]))[0])
-
-    # -- set operations ----------------------------------------------------
-
-    def _binop(self, other: "Bitset", op) -> "Bitset":
-        if self.size != other.size:
-            raise ValueError("bitset size mismatch")
-        return Bitset(self.size, op(self.words, other.words))
-
-    def __or__(self, other: "Bitset") -> "Bitset":
-        return self._binop(other, np.bitwise_or)
-
-    def __and__(self, other: "Bitset") -> "Bitset":
-        return self._binop(other, np.bitwise_and)
-
-    def __sub__(self, other: "Bitset") -> "Bitset":
-        if self.size != other.size:
-            raise ValueError("bitset size mismatch")
-        return Bitset(self.size, self.words & ~other.words)
-
-    def and_not(self, other: "Bitset") -> "Bitset":
-        """Named spelling of ``self - other`` (the BFS claim step)."""
-        return self - other
-
-    def __ior__(self, other: "Bitset") -> "Bitset":
-        if self.size != other.size:
-            raise ValueError("bitset size mismatch")
-        self.words |= other.words
-        return self
-
-    def clear(self) -> None:
-        self.words[:] = 0
-
-    # -- queries -----------------------------------------------------------
-
-    def count(self) -> int:
-        """Population count."""
-        return int(np.bitwise_count(self.words).sum())
-
-    def __len__(self) -> int:
-        return self.count()
-
-    def any(self) -> bool:
-        return bool(self.words.any())
-
-    def to_indices(self) -> np.ndarray:
-        """Return the sorted member indices as an int64 array."""
-        if not self.words.any():
-            return np.empty(0, dtype=np.int64)
-        bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        idx = np.flatnonzero(bits[: self.size])
-        return idx.astype(np.int64)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.to_indices().tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bitset):
-            return NotImplemented
-        return self.size == other.size and bool(np.array_equal(self.words, other.words))
-
-    def __hash__(self) -> int:  # bitsets are mutable; forbid hashing
-        raise TypeError("Bitset is unhashable")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Bitset(size={self.size}, count={self.count()})"

@@ -1,14 +1,13 @@
 """Tests for connected components and their Graph500 consistency relations."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bfs import bfs
-from repro.graph.components import connected_components, giant_component_fraction
+from repro.graph.components import connected_components
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import grid_graph, path_graph, random_graph
@@ -64,18 +63,13 @@ class TestConnectedComponents:
         """The benchmark graph has one giant component holding most
         non-isolated vertices — the property behind the TEPS definition."""
         g = build_csr(generate_kronecker(12, seed=9))
-        frac = giant_component_fraction(g)
+        frac = np.bincount(connected_components(g)).max() / g.num_vertices
         isolated = float(np.count_nonzero(g.out_degree == 0)) / g.num_vertices
         assert frac > 0.9 * (1 - isolated)
 
     def test_giant_fraction_grid(self):
         g = build_csr(grid_graph(10, 10))
-        assert giant_component_fraction(g) == 1.0
-
-    def test_giant_fraction_empty_rejected(self):
-        g = build_csr(EdgeList(np.array([]), np.array([]), np.array([]), 0))
-        with pytest.raises(ValueError):
-            giant_component_fraction(g)
+        assert np.bincount(connected_components(g)).max() == g.num_vertices
 
 
 class TestKroneckerSkewGrowth:

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import build_csr
-from repro.graph.degree import degree_histogram, degree_stats, hub_vertices
+from repro.graph.degree import degree_stats, hub_vertices
 from repro.graph.io import load_graph, save_graph
-from repro.graph.synth import (
-    complete_graph,
-    grid_graph,
-    path_graph,
-    random_graph,
-    star_graph,
-)
+from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
 from repro.graph.types import EdgeList
 
 
@@ -39,14 +33,6 @@ class TestSynth:
     def test_random_graph_bounds(self):
         el = random_graph(10, 100, seed=2)
         assert el.src.max() < 10 and el.dst.max() < 10
-
-    def test_complete(self):
-        el = complete_graph(4)
-        assert el.num_edges == 12
-
-    def test_complete_too_large(self):
-        with pytest.raises(ValueError):
-            complete_graph(5000)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -94,17 +80,6 @@ class TestDegree:
         g = build_csr(path_graph(4))
         assert hub_vertices(g, top_k=0).size == 0
 
-    def test_histogram(self):
-        g = build_csr(star_graph(9))  # hub degree 8, leaves degree 1
-        uppers, counts = degree_histogram(g)
-        assert counts.sum() == 9
-        assert counts[0] == 8  # eight degree-1 leaves in bin [1,1]
-
-    def test_histogram_empty(self):
-        g = build_csr(EdgeList(np.array([]), np.array([]), np.array([]), 3))
-        uppers, counts = degree_histogram(g)
-        assert uppers.size == 0 and counts.size == 0
-
 
 class TestIO:
     def test_roundtrip(self, tmp_path):
@@ -123,6 +98,19 @@ class TestIO:
         save_graph(g, p)
         assert load_graph(p).num_vertices == 3
 
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_out_of_range_adjacency_rejected(self, tmp_path, bad):
+        g = build_csr(path_graph(3))
+        adj = g.adj.copy()
+        adj[-1] = bad
+        p = tmp_path / "tampered.npz"
+        np.savez_compressed(
+            p, version=np.int64(1), num_vertices=np.int64(3),
+            indptr=g.indptr, adj=adj, weight=g.weight,
+        )
+        with pytest.raises(ValueError, match=rf"tampered\.npz: .*vertex id {bad}\b"):
+            load_graph(p)
+
 
 class TestEdgeList:
     def test_mismatched_arrays_rejected(self):
@@ -134,16 +122,6 @@ class TestEdgeList:
             EdgeList(np.array([0]), np.array([5]), np.array([1.0]), 3)
         with pytest.raises(ValueError):
             EdgeList(np.array([-1]), np.array([0]), np.array([1.0]), 3)
-
-    def test_concat(self):
-        a = path_graph(4)
-        b = star_graph(4)
-        c = a.concat(b)
-        assert c.num_edges == a.num_edges + b.num_edges
-
-    def test_concat_size_mismatch(self):
-        with pytest.raises(ValueError):
-            path_graph(4).concat(path_graph(5))
 
     def test_select(self):
         el = path_graph(5)

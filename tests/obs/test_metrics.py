@@ -1,32 +1,16 @@
-"""Tests for the unified metrics registry."""
+"""Tests for the power-of-two histogram behind the timeline's task percentiles."""
 
+import json
 import math
 
 import pytest
 
-from repro.obs import MetricsRegistry
 from repro.obs.metrics import Histogram
-from repro.utils.timing import Counters
-
-
-class TestCounterGauge:
-    def test_counter_get_or_create(self):
-        reg = MetricsRegistry()
-        reg.counter("edges").add(10)
-        reg.counter("edges").add(5)
-        assert reg.snapshot()["counters"]["edges"] == 15
-
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.gauge("imbalance").set(1.5)
-        reg.gauge("imbalance").set(1.2)
-        assert reg.snapshot()["gauges"]["imbalance"] == 1.2
 
 
 class TestHistogram:
     def test_summary_stats(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("sizes")
+        h = Histogram()
         for v in (1, 2, 4, 100):
             h.observe(v)
         s = h.summary()
@@ -34,10 +18,10 @@ class TestHistogram:
         assert s["sum"] == 107.0
         assert s["min"] == 1.0 and s["max"] == 100.0
         assert math.isclose(s["mean"], 26.75)
+        assert json.loads(json.dumps(s)) == s
 
     def test_power_of_two_buckets(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("sizes")
+        h = Histogram()
         h.observe(0)      # le_1
         h.observe(1)      # le_1
         h.observe(3)      # le_4
@@ -45,36 +29,14 @@ class TestHistogram:
         assert h.summary()["buckets"] == {"le_1": 2, "le_4": 1, "le_1024": 1}
 
     def test_observe_many(self):
-        reg = MetricsRegistry()
-        reg.histogram("x").observe_many([1, 2, 3])
-        assert reg.histogram("x").count == 3
+        h = Histogram()
+        h.observe_many([1, 2, 3])
+        assert h.count == 3
 
     def test_empty_histogram_summary(self):
-        s = MetricsRegistry().histogram("x").summary()
+        s = Histogram().summary()
         assert s["count"] == 0
         assert s["min"] is None and s["max"] is None
-
-
-class TestCountersBridge:
-    def test_absorb_legacy_counters(self):
-        bag = Counters()
-        bag.add("epochs", 3)
-        bag.add("edges_relaxed", 1000)
-        reg = MetricsRegistry()
-        reg.counter("epochs").add(1)
-        reg.absorb_counters(bag)
-        snap = reg.snapshot()["counters"]
-        assert snap["epochs"] == 4
-        assert snap["edges_relaxed"] == 1000
-
-    def test_snapshot_is_json_shaped(self):
-        import json
-
-        reg = MetricsRegistry()
-        reg.counter("c").add(1)
-        reg.gauge("g").set(0.5)
-        reg.histogram("h").observe(7)
-        assert json.loads(json.dumps(reg.snapshot())) == reg.snapshot()
 
 
 class TestHistogramPercentile:

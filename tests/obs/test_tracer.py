@@ -133,7 +133,6 @@ class TestNullTracer:
         tr.event("e")
         with tr.span("s"):
             pass
-        tr.emit_metrics("m", {})
         assert tr.events == []
         assert tr.meta == {}
 

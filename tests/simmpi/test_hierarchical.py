@@ -89,6 +89,20 @@ class TestHierarchicalFabric:
         g.exchange([dict(o) for o in out])
         assert f.clock.component("comm") < g.clock.component("comm")
 
+    def test_degraded_links_priced_on_every_hop(self):
+        """Member -> leader -> leader -> member, each hop at its link's beta."""
+        machine = small_cluster(64)
+        out = [{} if r != 1 else {20: _msg(100)} for r in range(32)]
+        b = _msg(100).nbytes
+        latency = 2 * machine.alpha_intra + machine.alpha_inter
+        per_byte = 2 * machine.beta_intra + machine.beta_inter
+        for faults, factor in ((None, 1.0), ("degraded=1.0,degraded_factor=8", 8.0)):
+            f = Fabric(machine, 32, hierarchical=True, faults=faults)
+            f.exchange([dict(o) for o in out])
+            assert f.clock.component("comm") == pytest.approx(
+                latency + factor * b * per_byte
+            )
+
 
 class TestHierarchicalEngine:
     def test_exact_distances(self):
@@ -116,3 +130,16 @@ class TestHierarchicalEngine:
             config=SSSPConfig(hierarchical_aggregation=True),
         )
         assert run.comm["bytes_forwarded"] > 0
+
+    def test_degraded_links_slow_hierarchical_runs(self):
+        g = build_csr(generate_kronecker(10, seed=8))
+        src = int(np.argmax(g.out_degree))
+        healthy, degraded = (
+            distributed_sssp(
+                g, src, num_ranks=32, machine=small_cluster(32),
+                config=SSSPConfig(hierarchical_aggregation=True), faults=faults,
+            )
+            for faults in (None, "degraded=1.0,degraded_factor=8")
+        )
+        assert degraded.modeled_time > healthy.modeled_time
+        assert np.array_equal(degraded.result.dist, healthy.result.dist)

@@ -5,6 +5,8 @@ single-element structures, extreme configuration values — where vectorized
 code most often breaks silently.
 """
 
+import re
+import signal
 from functools import partial
 
 import numpy as np
@@ -19,30 +21,9 @@ from repro.graph.kronecker import KroneckerSpec, generate_kronecker
 from repro.graph.synth import path_graph
 from repro.graph.types import EdgeList
 from repro.simmpi.fabric import Message
-from repro.utils.bitset import Bitset
 from repro.utils.prng import CounterRNG
 
 distributed_sssp = partial(repro.run, engine="dist1d")
-
-
-class TestWordBoundaries:
-    def test_bitset_size_exactly_64(self):
-        bs = Bitset(64)
-        bs.add(np.array([0, 63]))
-        assert bs.count() == 2
-        assert list(bs.to_indices()) == [0, 63]
-
-    def test_bitset_size_65(self):
-        bs = Bitset(65)
-        bs.add(np.array([64]))
-        assert 64 in bs
-        assert bs.count() == 1
-
-    def test_bitset_unused_tail_bits_ignored(self):
-        bs = Bitset(3)
-        bs.add(np.array([0, 1, 2]))
-        assert bs.count() == 3
-        assert list(bs.to_indices()) == [0, 1, 2]
 
 
 class TestScaleBoundaries:
@@ -178,3 +159,50 @@ class TestNonIntegralRoots:
     def test_out_of_range_messages_unchanged(self, graph):
         with pytest.raises(ValueError, match=r"source 64 out of range \[0, 64\)"):
             repro.run(graph, 64, num_ranks=4)
+
+
+@pytest.fixture
+def alarm():
+    """Fail a run that hangs instead of stalling the whole suite."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("run did not finish within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _one_bad_edge(weight):
+    """The path 0 - 1 - 2 whose second edge weighs ``weight`` (symmetrized)."""
+    edges = EdgeList(np.array([0, 1]), np.array([1, 2]), np.array([1.0, weight]), 3)
+    return build_csr(edges)
+
+
+class TestEdgeWeights:
+    """Shortest-path kernels need finite weights >= 0: rejected at ``repro.run``."""
+
+    @pytest.mark.parametrize("weight", [-0.5, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "kernel, engine, source",
+        [("sssp", "dist1d", 0), ("sssp", "dist2d", 0), ("sssp", "shared", 0),
+         ("sssp_batch", "dist1d", [0, 2])],
+    )
+    def test_shortest_path_kernels_reject(self, alarm, kernel, engine, source, weight):
+        # A negative edge is a negative 2-cycle once symmetrized: every
+        # engine looped forever on it.
+        edge = re.escape(f"(1, 2, {float(weight)!r})")
+        with pytest.raises(ValueError, match=rf"kernel '{kernel}' .*{edge}"):
+            repro.run(
+                _one_bad_edge(weight), source, kernel=kernel, engine=engine, num_ranks=2
+            )
+
+    @pytest.mark.parametrize(
+        "kernel, source",
+        [("bfs", 0), ("bfs64", [0, 2]), ("cc", None), ("pagerank", None), ("kcore", None)],
+    )
+    def test_weight_free_kernels_accept(self, alarm, kernel, source):
+        graph = _one_bad_edge(-0.5)
+        assert repro.run(graph, source, kernel=kernel, num_ranks=2).result.validate(graph).ok
