@@ -25,8 +25,6 @@ present.
 
 from __future__ import annotations
 
-import json
-
 from repro.obs.profile import BUCKET_HINTS, BUCKETS, PROFILE_SCHEMA
 
 __all__ = ["PhaseAttribution"]
@@ -285,9 +283,6 @@ class PhaseAttribution:
             "ceilings": {k: round(v, 6) for k, v in self.ceilings.items()},
             "diagnosis": self.diagnosis(),
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def render_text(self, max_steps: int = 8) -> str:
         from repro.graph500.report import render_table

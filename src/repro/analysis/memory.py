@@ -52,10 +52,6 @@ class MemoryEstimate:
         """Whether the run fits, including the kernel-1 construction peak."""
         return self.construction_peak_per_node <= self.mem_per_node
 
-    @property
-    def utilization(self) -> float:
-        return self.total_per_node / self.mem_per_node
-
     def row(self) -> dict[str, object]:
         return {
             "scale": self.scale,

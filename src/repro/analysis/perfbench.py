@@ -9,7 +9,7 @@ across commits:
 * build the scale-``s`` Kronecker graph once (untimed) and write one
   document header;
 * per entry: one untimed warm-up / answer pass (numpy caches, permutation
-  memoization, the backend's worker pool) that also yields the entry's
+  memoization) that also yields the entry's
   modeled outputs and answer digest; refuse to go on if the digest
   differs from the entry it must agree with; ``gc.collect()``; then time
   ``repeats`` runs with ``time.perf_counter`` and keep the minimum (all
@@ -63,7 +63,7 @@ from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph500.harness import run_roots
 from repro.graph500.roots import sample_roots
-from repro.simmpi.executor import RankExecutor, resolve_executor
+from repro.simmpi.executor import EXECUTOR_BACKENDS, RankExecutor, resolve_executor
 
 __all__ = [
     "run_bench",
@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_ENGINES = ("dist1d", "dist2d", "bfs")
-DEFAULT_BACKENDS = ("serial", "thread", "process")
+DEFAULT_BACKENDS = EXECUTOR_BACKENDS
 DEFAULT_KERNELS = ("cc", "pagerank", "kcore")
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
 
@@ -321,28 +321,24 @@ def run_bench(
     )
     done = doc["engines"]
     for entry in entries(graph, doc, **params):
-        executor, owns_executor = resolve_executor(entry.backend, entry.workers)
-        try:
-            fields = entry.answer(executor)
-            same = entry.same_answer_as
-            if same is not None and fields["result_sha256"] != done[same]["result_sha256"]:
-                # A wrong answer can never report a speedup.
-                raise AssertionError(
-                    f"{entry.key} answer diverged from {same}: "
-                    f"{fields['result_sha256']} != {done[same]['result_sha256']}"
-                )
-            wall = []
-            for _ in range(max(1, repeats)):
-                # Collect between repeats: the answer pass and earlier
-                # repeats leave garbage whose collection would otherwise
-                # land inside a timed window.
-                gc.collect()
-                t0 = time.perf_counter()
-                entry.run(executor)
-                wall.append(time.perf_counter() - t0)
-        finally:
-            if owns_executor:
-                executor.close()
+        executor, _ = resolve_executor(entry.backend, entry.workers)
+        fields = entry.answer(executor)
+        same = entry.same_answer_as
+        if same is not None and fields["result_sha256"] != done[same]["result_sha256"]:
+            # A wrong answer can never report a speedup.
+            raise AssertionError(
+                f"{entry.key} answer diverged from {same}: "
+                f"{fields['result_sha256']} != {done[same]['result_sha256']}"
+            )
+        wall = []
+        for _ in range(max(1, repeats)):
+            # Collect between repeats: the answer pass and earlier
+            # repeats leave garbage whose collection would otherwise
+            # land inside a timed window.
+            gc.collect()
+            t0 = time.perf_counter()
+            entry.run(executor)
+            wall.append(time.perf_counter() - t0)
         done[entry.key] = {"wall_seconds": min(wall), "wall_seconds_all": wall, **fields}
         if entry.roots is not None:
             done[entry.key]["roots_per_sec"] = entry.roots / min(wall)

@@ -40,8 +40,8 @@ __all__ = [
 #: Every reading a study row reports, by column name: the :class:`RootRun`
 #: field it reads, the key inside that field (``None``: the field itself)
 #: and the type of its mean over the roots.  An absent key reads 0: batched
-#: lanes carry sweep counters, not the single-root relaxation detail (see
-#: ``BenchmarkResult.total_counters``).
+#: lanes carry sweep counters, not the single-root relaxation detail (as
+#: in ``BenchmarkResult.totals``).
 READINGS: dict[str, tuple[str, str | None, type]] = {
     "mean_sim_s": ("simulated_seconds", None, float),
     "bytes": ("trace", "total_bytes", int),

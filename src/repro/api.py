@@ -359,7 +359,7 @@ def run(
             :class:`~repro.simmpi.sanitizer.SanitizerViolation` and the
             audit summary lands in ``result.meta["sanitizer"]``.
         racecheck: verify the parallel backends' shared-memory contracts
-            at runtime (lazy-handle arena generations on the process
+            at runtime (wire-handle arena generations on the process
             backend, shared-array write intervals on the thread backend);
             violations raise
             :class:`~repro.simmpi.racecheck.RaceCheckViolation` and the
@@ -369,7 +369,8 @@ def run(
             ``"thread"``, ``"process"``, or a prebuilt
             :class:`~repro.simmpi.executor.RankExecutor`.  Results are
             bit-identical across backends.
-        workers: pool size for a string ``executor`` spec.
+        workers: worker count for a string ``executor`` spec (the team
+            starts ``min(workers, num_ranks)``).
         **kernel_kwargs: kernel/engine extras — ``grid=(r, c)`` for
             ``sssp`` on ``dist2d``; ``direction=``, ``partition=``,
             ``hierarchical=``, ``alpha=``, ``beta=`` for ``bfs``;

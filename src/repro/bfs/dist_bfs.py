@@ -276,7 +276,8 @@ class _BFSEngine:
                 # its owned range packed to bits; the collective costs
                 # alpha*log2(P) + n/8 bytes per rank — the trick that
                 # makes bottom-up affordable.  The driver reads payload
-                # bytes between calls, so this call stays non-lazy.
+                # bytes between calls; a Message (not a Wire) comes back
+                # owned, never parked in a worker's out arena.
                 contributions = team.call("bitmap_contribution", parallel=True)
                 global_bits = np.zeros(n, dtype=bool)
                 for r, payload in zip(ctx.ranks, contributions):
@@ -299,7 +300,7 @@ class _BFSEngine:
             else:
                 self.levels_top_down += 1
                 outboxes = team.call(
-                    "expand_top_down", common=(depth,), parallel=True, lazy=True
+                    "expand_top_down", common=(depth,), parallel=True
                 )
                 inboxes = fabric.exchange(outboxes)
                 stats = np.array(

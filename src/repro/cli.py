@@ -30,6 +30,8 @@ import sys
 
 import numpy as np
 
+from repro.simmpi.executor import EXECUTOR_BACKENDS
+
 __all__ = ["main"]
 
 
@@ -42,7 +44,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_executor(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=EXECUTOR_BACKENDS,
         default="serial",
         help=(
             "rank-execution backend for per-rank compute phases (results "
@@ -136,7 +138,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         regions = sum((r.racecheck or {}).get("regions_checked", 0) for r in result.roots)
         print(
             f"racecheck: {len(result.roots)} root run(s) audited, 0 "
-            f"violations ({minted} lazy handles, {regions} parallel regions)"
+            f"violations ({minted} wire handles, {regions} parallel regions)"
         )
     if args.racecheck_out:
         import json
@@ -501,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "verify the parallel backends' shared-memory contracts at "
-            "runtime (lazy-handle arena generations, shared-array write "
+            "runtime (wire-handle arena generations, shared-array write "
             "intervals); violations abort, results are bit-identical"
         ),
     )
@@ -602,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--backends",
         nargs="+",
-        default=["serial", "thread", "process"],
-        choices=("serial", "thread", "process"),
+        default=list(EXECUTOR_BACKENDS),
+        choices=EXECUTOR_BACKENDS,
         help="rank-execution backends to time (P4/K1/B1)",
     )
     p_bench.add_argument(

@@ -477,7 +477,6 @@ class _DistSSSPEngine:
             "process_then_flush_updates",
             per_rank=[(m,) for m in inboxes],
             parallel=True,
-            lazy=True,
         )
         inboxes = fabric.exchange(updates)
         stats = np.array(
@@ -525,7 +524,6 @@ class _DistSSSPEngine:
                         "light_superstep",
                         common=(k, first),
                         parallel=True,
-                        lazy=True,
                     )
                     first = False
                     stats = self._exchange_halves(
@@ -541,7 +539,7 @@ class _DistSSSPEngine:
             with tracer.span(
                 "superstep", cat="engine", phase="heavy", epoch=epochs, bucket=k
             ) as sp:
-                sent = team.call("heavy_superstep", parallel=True, lazy=True)
+                sent = team.call("heavy_superstep", parallel=True)
                 stats = self._exchange_halves(ctx, sent, "finish_epoch", ())
                 ctx.close_step(sp)
             self.heavy_rounds += 1

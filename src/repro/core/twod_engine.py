@@ -360,7 +360,7 @@ class _TwoDEngine:
             # inbound tail) where the unfused engine paid six; fabric
             # calls and values are unchanged.
             # Phase 1: row broadcast of owned frontiers.
-            bcast = team.call("broadcast_frontier", parallel=True, lazy=True)
+            bcast = team.call("broadcast_frontier", parallel=True)
             self._note_partners(bcast)
             inboxes = fabric.exchange(bcast)
             # Phase 2: apply the broadcast, relax the block, column-reduce
@@ -369,7 +369,6 @@ class _TwoDEngine:
                 "receive_and_relax",
                 per_rank=[(m,) for m in inboxes],
                 parallel=True,
-                lazy=True,
             )
             self._note_partners(reduce_out)
             inboxes = fabric.exchange(reduce_out)

@@ -230,11 +230,11 @@ def run_superstep_engine(
         sanitize=sanitize,
     )
     ranks = engine.build_ranks(graph, num_ranks)
-    # The team owns where rank methods execute (inline, thread pool, or
+    # The team owns where rank methods execute (inline, parked threads, or
     # forked workers).  It is built after seeding so the process backend's
     # fork inherits the seeded state; from here on every rank interaction
     # goes through the team — the parent's rank objects may be stale copies.
-    exec_obj, owns_executor = resolve_executor(executor, workers)
+    exec_obj, _ = resolve_executor(executor, workers)
     team = exec_obj.team(ranks, tracer=tracer, racecheck=racecheck)
     ctx = EngineContext(
         graph=graph,
@@ -262,8 +262,6 @@ def run_superstep_engine(
             exports = team.call("export_final")
     finally:
         team.close()
-        if owns_executor:
-            exec_obj.close()
     result, meta = engine.finalize(ctx, exports)
     if team.racecheck is not None:
         # Next to the sanitizer report: violations raise during the run,

@@ -362,7 +362,7 @@ class _KernelEngine:
         team, fabric = ctx.team, ctx.fabric
         outboxes = team.call(
             "superstep_send", common=(reduced, begin, settled),
-            parallel=True, lazy=True,
+            parallel=True,
         )
         inboxes = fabric.exchange(outboxes)
         stats = np.array(

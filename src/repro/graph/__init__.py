@@ -9,7 +9,7 @@ edgefactor 16, uniform [0,1) weights, random vertex relabeling).
 
 from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph, build_csr
-from repro.graph.degree import DegreeStats, degree_stats, hub_vertices
+from repro.graph.degree import DegreeStats, degree_stats
 from repro.graph.dist_build import DistBuildResult, distributed_construction
 from repro.graph.io import load_graph, save_graph
 from repro.graph.kronecker import KroneckerSpec, generate_kronecker, kronecker_edge_slice
@@ -28,7 +28,6 @@ __all__ = [
     "distributed_construction",
     "generate_kronecker",
     "grid_graph",
-    "hub_vertices",
     "kronecker_edge_slice",
     "load_graph",
     "path_graph",

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["DegreeStats", "degree_stats", "hub_vertices"]
+__all__ = ["DegreeStats", "degree_stats"]
 
 
 @dataclass(frozen=True)
@@ -59,29 +59,3 @@ def degree_stats(graph: CSRGraph, top_k: int = 16) -> DegreeStats:
         top_k_edge_share=top_share,
         top_k=k,
     )
-
-
-def hub_vertices(
-    graph: CSRGraph,
-    threshold: int | None = None,
-    top_k: int | None = None,
-) -> np.ndarray:
-    """Identify hub vertices either by a degree threshold or as the top-k.
-
-    Exactly one of ``threshold`` / ``top_k`` must be given.  Returns vertex
-    ids sorted by descending degree.
-    """
-    if (threshold is None) == (top_k is None):
-        raise ValueError("specify exactly one of threshold or top_k")
-    deg = graph.out_degree
-    if threshold is not None:
-        ids = np.flatnonzero(deg >= threshold)
-    else:
-        k = min(int(top_k), graph.num_vertices)
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        ids = np.argpartition(deg, graph.num_vertices - k)[graph.num_vertices - k :]
-        ids = ids[deg[ids] > 0]
-    order = np.argsort(deg[ids], kind="stable")[::-1]
-    return ids[order].astype(np.int64)
-

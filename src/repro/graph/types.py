@@ -59,12 +59,5 @@ class EdgeList:
     def num_edges(self) -> int:
         return int(self.src.size)
 
-    def select(self, mask: np.ndarray) -> "EdgeList":
-        """Return the sub-edge-list selected by a boolean mask or index array."""
-        return EdgeList(self.src[mask], self.dst[mask], self.weight[mask], self.num_vertices)
-
-    def reversed(self) -> "EdgeList":
-        return EdgeList(self.dst.copy(), self.src.copy(), self.weight.copy(), self.num_vertices)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EdgeList(num_vertices={self.num_vertices}, num_edges={self.num_edges})"

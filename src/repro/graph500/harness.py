@@ -129,20 +129,6 @@ class BenchmarkResult:
         """Sum of a counter across roots (e.g. 'edges_relaxed')."""
         return int(sum(r.counters.get(key, 0) for r in self.roots))
 
-    def total_counters(self) -> dict[str, int]:
-        """Union-of-keys counter totals across every root.
-
-        Root runs do not all carry the same counter set — batched lanes
-        report sweep counters (``epochs``/``edges_scanned``) while
-        unbatched runs add relaxation detail — so aggregation takes the
-        key union and treats a missing key as 0 rather than raising.
-        """
-        out: dict[str, int] = {}
-        for r in self.roots:
-            for key, value in r.counters.items():
-                out[key] = out.get(key, 0) + int(value)
-        return out
-
     def row(self) -> dict[str, object]:
         """One summary row for report tables."""
         s = self.teps
@@ -190,8 +176,8 @@ def run_roots(
     ``faults`` (a spec/plan/CLI string, see :mod:`repro.simmpi.faults`)
     injects the same deterministic fault schedule into every run's fabric;
     ``engine`` selects the distributed SSSP engine (``dist1d``/``dist2d``).
-    ``executor``/``workers`` select the rank-execution backend; the backend
-    is resolved once and its worker pool is shared across all roots.
+    ``executor``/``workers`` select the rank-execution backend, resolved
+    once; each run starts (and stops) its own team of workers.
     ``kernel_opts`` pass to the single-root kernel (BFS ``direction=``).
     """
     if tracer is None:
@@ -208,76 +194,72 @@ def run_roots(
             )
     check = validator if validate is True else validate
     lanes_per_run = batch_roots if sweeps else 1
-    exec_obj, owns_executor = resolve_executor(executor, workers)
+    exec_obj, _ = resolve_executor(executor, workers)
     runs: list[RootRun] = []
-    try:
-        for index in range((len(roots) + lanes_per_run - 1) // lanes_per_run):
-            chunk = [
-                int(r) for r in roots[index * lanes_per_run : (index + 1) * lanes_per_run]
-            ]
-            num_lanes = len(chunk)
-            # Each run gets a fresh fabric (and simulated clock); detach the
-            # previous one so the span doesn't straddle two clocks.
-            tracer.use_sim_clock(None)
-            span = (
-                tracer.span("batch", cat="harness", index=index, roots=chunk, lanes=num_lanes)
-                if sweeps
-                else tracer.span("root", cat="harness", root=chunk[0], index=index)
+    for index in range((len(roots) + lanes_per_run - 1) // lanes_per_run):
+        chunk = [
+            int(r) for r in roots[index * lanes_per_run : (index + 1) * lanes_per_run]
+        ]
+        num_lanes = len(chunk)
+        # Each run gets a fresh fabric (and simulated clock); detach the
+        # previous one so the span doesn't straddle two clocks.
+        tracer.use_sim_clock(None)
+        span = (
+            tracer.span("batch", cat="harness", index=index, roots=chunk, lanes=num_lanes)
+            if sweeps
+            else tracer.span("root", cat="harness", root=chunk[0], index=index)
+        )
+        with span:
+            run = api.run(
+                graph,
+                chunk if sweeps else chunk[0],
+                kernel=sweep_kernel if sweeps else loop_kernel,
+                engine=engine,
+                num_ranks=num_ranks,
+                machine=machine,
+                config=config,
+                faults=faults,
+                tracer=tracer,
+                sanitize=sanitize,
+                racecheck=racecheck,
+                executor=exec_obj,
+                **kernel_opts,
             )
-            with span:
-                run = api.run(
-                    graph,
-                    chunk if sweeps else chunk[0],
-                    kernel=sweep_kernel if sweeps else loop_kernel,
-                    engine=engine,
-                    num_ranks=num_ranks,
-                    machine=machine,
-                    config=config,
-                    faults=faults,
-                    tracer=tracer,
-                    sanitize=sanitize,
-                    racecheck=racecheck,
-                    executor=exec_obj,
-                    **kernel_opts,
-                )
-                seconds = run.modeled_time
-                lane_edges = run.result.meta.get("lane_edges_scanned")
-                for lane, root in enumerate(chunk):
-                    answer = run.result.lane(lane) if sweeps else run.result
-                    traversed = answer.traversed_edges(graph)
-                    span_lane = {"lane": lane} if sweeps else {}
-                    with tracer.span("validation", cat="harness", root=root, **span_lane):
-                        report = check(graph, answer) if check else ValidationReport(ok=True)
-                    counters = run.result.counters.as_dict()
-                    provenance = {}
-                    if sweeps:
-                        # Per-lane telemetry split: the sweep's shared
-                        # counters, overlaid with what is this lane's own.
-                        # The key set intentionally differs from
-                        # single-root runs (see total_counters).
-                        counters.update(answer.counters.as_dict())
-                        if lane_edges is not None:
-                            counters["edges_scanned"] = int(lane_edges[lane])
-                        counters["batch_lanes"] = num_lanes
-                        provenance = {"lane": lane, "batch": index, "sweep_seconds": seconds}
-                    runs.append(
-                        RootRun(
-                            root=root,
-                            simulated_seconds=seconds / num_lanes,
-                            teps=lane_teps(traversed, seconds, num_lanes),
-                            traversed_edges=traversed,
-                            validation=report,
-                            counters=counters,
-                            time_breakdown=run.time_breakdown,
-                            trace=run.comm,
-                            work_imbalance=run.work_imbalance,
-                            racecheck=run.result.meta.get("racecheck"),
-                            **provenance,
-                        )
+            seconds = run.modeled_time
+            lane_edges = run.result.meta.get("lane_edges_scanned")
+            for lane, root in enumerate(chunk):
+                answer = run.result.lane(lane) if sweeps else run.result
+                traversed = answer.traversed_edges(graph)
+                span_lane = {"lane": lane} if sweeps else {}
+                with tracer.span("validation", cat="harness", root=root, **span_lane):
+                    report = check(graph, answer) if check else ValidationReport(ok=True)
+                counters = run.result.counters.as_dict()
+                provenance = {}
+                if sweeps:
+                    # Per-lane telemetry split: the sweep's shared
+                    # counters, overlaid with what is this lane's own.
+                    # The key set intentionally differs from
+                    # single-root runs (``totals`` reads a missing key as 0).
+                    counters.update(answer.counters.as_dict())
+                    if lane_edges is not None:
+                        counters["edges_scanned"] = int(lane_edges[lane])
+                    counters["batch_lanes"] = num_lanes
+                    provenance = {"lane": lane, "batch": index, "sweep_seconds": seconds}
+                runs.append(
+                    RootRun(
+                        root=root,
+                        simulated_seconds=seconds / num_lanes,
+                        teps=lane_teps(traversed, seconds, num_lanes),
+                        traversed_edges=traversed,
+                        validation=report,
+                        counters=counters,
+                        time_breakdown=run.time_breakdown,
+                        trace=run.comm,
+                        work_imbalance=run.work_imbalance,
+                        racecheck=run.result.meta.get("racecheck"),
+                        **provenance,
                     )
-    finally:
-        if owns_executor:
-            exec_obj.close()
+                )
     return runs
 
 

@@ -24,9 +24,9 @@ enforces them mechanically with an AST-based rule engine:
   bucket instrumentation, which the phase-attribution profiler cannot
   see;
 * **shm pack** — the zero-copy transport's ownership contracts:
-  ``np.frombuffer`` arena views escaping the producing call, lazy
-  ``call(..., lazy=True)`` handles read after a later call recycled
-  their out-arena, writes to ``# repro: shared-ro:`` arrays or module
+  ``np.frombuffer`` arena views escaping the producing call,
+  ``team.call(...)`` results (which may hold wire handles) read after a
+  later call recycled their out-arena, writes to ``# repro: shared-ro:`` arrays or module
   globals from parallel rank tasks, and ``Kernel`` hooks touching state
   outside their phase.
 

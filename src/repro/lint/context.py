@@ -133,7 +133,6 @@ class ScopeIndex:
         self.scopes: list[_Scope] = [
             _Scope(tree, "module", 1, 10**9, None)
         ]
-        self._by_node: dict[ast.AST, int] = {tree: 0}
         self._build(tree, 0)
 
     def _build(self, node: ast.AST, parent: int) -> None:
@@ -148,9 +147,7 @@ class ScopeIndex:
                     parent,
                 )
                 self.scopes.append(scope)
-                idx = len(self.scopes) - 1
-                self._by_node[child] = idx
-                self._build(child, idx)
+                self._build(child, len(self.scopes) - 1)
             else:
                 self._build(child, parent)
 
@@ -164,9 +161,6 @@ class ScopeIndex:
                 if span <= best_span:
                     best, best_span = i, span
         return best
-
-    def of_node(self, node: ast.AST) -> int | None:
-        return self._by_node.get(node)
 
     def chain(self, idx: int) -> list[_Scope]:
         """The scope and its ancestors, innermost first."""

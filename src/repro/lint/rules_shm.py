@@ -1,4 +1,4 @@
-"""Shared-memory rule pack: arena-view lifetimes, lazy handles, phases.
+"""Shared-memory rule pack: arena-view lifetimes, wire handles, phases.
 
 PR 8's zero-copy transport made three ownership contracts load-bearing
 that no type annotation can see:
@@ -6,10 +6,11 @@ that no type annotation can see:
 * an ``np.frombuffer`` view of an arena borrows the arena's lifetime —
   returning or storing one without ``.copy()`` leaves a pointer into a
   buffer that the next flip, spill, or ``close()`` invalidates;
-* a ``team.call(..., lazy=True)`` result is a handle into the producing
-  worker's *double-buffered* out arena — it survives exactly one more
-  ``call`` on the same team, so holding it across a later call and then
-  reading it is a stale-view race;
+* a ``team.call(...)`` result may hold wire handles into the producing
+  worker's *double-buffered* out arena (the process team parks every
+  reply that holds a wire) — it survives exactly one more ``call`` on
+  the same team, so holding it across a later call and then reading it
+  is a stale-view race;
 * rank task methods run concurrently under ``parallel=True`` (thread
   backend) or in forked workers (process backend) — mutating state
   shared across rank objects, or module globals, is either a data race
@@ -175,10 +176,10 @@ def _returns_raw_view(func: ast.AST) -> bool:
 # -- shm-stale-lazy-handle ---------------------------------------------------
 
 
-class _LazyScan:
-    """Flow-ordered lazy-handle lifetime tracking in one function.
+class _HandleScan:
+    """Flow-ordered wire-handle lifetime tracking in one function.
 
-    A name bound to ``<team>.call(..., lazy=True)`` is *pending* until
+    A name bound to ``<team>.call(...)`` is *pending* until
     its first use (any load, including being passed onward — ownership
     transfers).  A subsequent ``<team>.call`` on the same receiver while
     still pending marks it *stale*; a use after that is the finding.
@@ -191,20 +192,14 @@ class _LazyScan:
         self.out: list[tuple[ast.AST, str]] = []
 
     @staticmethod
-    def _lazy_call_receiver(expr: ast.AST) -> str | None:
+    def _call_receiver(expr: ast.AST) -> str | None:
         if not (
             isinstance(expr, ast.Call)
             and isinstance(expr.func, ast.Attribute)
             and expr.func.attr == "call"
         ):
             return None
-        lazy = any(
-            kw.arg == "lazy"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-            for kw in expr.keywords
-        )
-        return name_key(expr.func.value) if lazy else None
+        return name_key(expr.func.value)
 
     def _uses(self, node: ast.AST, skip: ast.AST | None = None) -> None:
         for sub in ast.walk(node):
@@ -216,22 +211,16 @@ class _LazyScan:
                 recv, line = self.stale.pop(sub.id)
                 self.out.append((
                     sub,
-                    f"lazy handle {sub.id!r} is read after a later "
+                    f"call result {sub.id!r} is read after a later "
                     f"{recv}.call(...) (line {line}) may have recycled its "
                     f"out-arena buffer; materialize (use or .copy()) the "
-                    f"handle before the next call on the same team",
+                    f"result before the next call on the same team",
                 ))
             self.pending.pop(sub.id, None)
 
     def _invalidate(self, node: ast.AST) -> None:
         for sub in ast.walk(node):
-            if not (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "call"
-            ):
-                continue
-            recv = name_key(sub.func.value)
+            recv = self._call_receiver(sub)
             if recv is None:
                 continue
             for name, pend_recv in list(self.pending.items()):
@@ -241,7 +230,7 @@ class _LazyScan:
 
     def _statement(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
-            recv = self._lazy_call_receiver(stmt.value)
+            recv = self._call_receiver(stmt.value)
             # Arguments are evaluated before the call recycles anything.
             self._uses(stmt.value)
             self._invalidate(stmt.value)
@@ -505,7 +494,7 @@ def _scan_module(module: LintModule) -> list[tuple[str, ast.AST, str]]:
     for scope_idx, func in module.functions:
         for node, message in _ViewScan(func, view_returning).run():
             cached.append(("shm-view-escape", node, message))
-        for node, message in _LazyScan(func).run():
+        for node, message in _HandleScan(func).run():
             cached.append(("shm-stale-lazy-handle", node, message))
         for node, message in _shared_writes(module, scope_idx, func):
             cached.append(("shm-parallel-shared-mutation", node, message))
@@ -537,8 +526,8 @@ class ShmViewEscape(_ShmRule):
 class ShmStaleLazyHandle(_ShmRule):
     name = "shm-stale-lazy-handle"
     description = (
-        "lazy call(..., lazy=True) handle read after a later call "
-        "on the same team recycled its out-arena"
+        "team call(...) result read after a later call on the same "
+        "team may have recycled its out-arena"
     )
 
 

@@ -22,13 +22,9 @@ What is measured vs. modeled:
 from repro.simmpi.clock import SimClock
 from repro.simmpi.executor import (
     EXECUTOR_BACKENDS,
-    ProcessExecutor,
     RankExecutor,
     RankTeam,
-    SerialExecutor,
-    ThreadExecutor,
     WorkerError,
-    make_executor,
     resolve_executor,
 )
 from repro.simmpi.fabric import Fabric, Message, Wire
@@ -57,19 +53,15 @@ __all__ = [
     "FaultSpec",
     "MachineSpec",
     "Message",
-    "ProcessExecutor",
     "RankExecutor",
     "RankTeam",
     "SanitizerViolation",
-    "SerialExecutor",
     "SimClock",
-    "ThreadExecutor",
     "Topology",
     "UndeliverableMessageError",
     "Wire",
     "WorkerError",
     "laptop_machine",
-    "make_executor",
     "parse_faults",
     "resolve_executor",
     "small_cluster",

@@ -7,7 +7,7 @@ are therefore embarrassingly parallel, and this module is the one place
 that exploits it.  An engine builds its per-rank objects exactly as
 before, wraps them in a :class:`RankTeam`, and from then on drives every
 phase through :meth:`RankTeam.call` — the team decides *where* the rank
-methods run:
+methods run, and what of their results stays in shared memory:
 
 * ``serial`` — in the calling thread, in rank order: today's behavior and
   the default.
@@ -23,9 +23,14 @@ methods run:
   state transfers by copy-on-write instead of pickling; steady-state
   arguments and results (wires, messages, numpy arrays) move through
   ``multiprocessing.shared_memory`` arenas without ever being pickled,
-  and a ``lazy=True`` result's send buffer stays in the producing
-  worker's arena until the destination ranks read their runs of it
-  (zero-copy inter-rank transport).
+  and a result's :class:`~repro.simmpi.fabric.Wire` stays in the
+  producing worker's arena until the destination ranks read their runs
+  of it (zero-copy inter-rank transport).
+
+``call`` is written once, on :class:`RankTeam`: the closed check, the
+critical-path accounting and the ``phase_call`` attribution.  A backend
+supplies only :meth:`RankTeam._run`, which runs the ranks.  An executor
+is just the ``(backend, workers)`` pair that builds a run's team.
 
 Determinism guarantee: compute phases may interleave freely because ranks
 share no mutable state (shared inputs — the graph, the owner array — are
@@ -46,37 +51,25 @@ the engines tag onto their superstep spans and RunReport surfaces.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import time
-from typing import Any, Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.obs.profile import split_call_buckets
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.simmpi.fabric import Message, Wire
+from repro.simmpi.racecheck import RaceChecker
 
 __all__ = [
     "EXECUTOR_BACKENDS",
-    "ProcessExecutor",
     "RankExecutor",
     "RankTeam",
-    "SerialExecutor",
-    "ThreadExecutor",
     "WorkerError",
-    "make_executor",
     "resolve_executor",
 ]
 
-#: Backend names accepted by :func:`make_executor`, in documentation order.
+#: Backend names accepted by :class:`RankExecutor`, in documentation order.
 EXECUTOR_BACKENDS = ("serial", "thread", "process")
-
-# Shared-memory payload layout: array offsets are aligned so any dtype can
-# be mapped in place on the worker side.
-_ALIGN = 16
-_MIN_ARENA = 1 << 20
 
 
 class WorkerError(RuntimeError):
@@ -88,155 +81,8 @@ class WorkerError(RuntimeError):
     """
 
 
-# -- pickle-free payload transport (process backend) ------------------------
-#
-# Arguments and results are mostly numpy arrays, wires and messages.  The
-# encoder walks a value, parks every array in a shared-memory arena, and
-# returns a small metadata tree (offsets + dtypes + shapes) that *is*
-# cheap to send over the control pipe.  Scalars and other plain leaves ride
-# along in the metadata.  The decoder maps each array straight out of the
-# arena.  Nothing array-shaped is ever pickled.
-#
-# Two tags carry the wire.  ``"w"`` is a send buffer: each column of a
-# :class:`Wire` is written once, with its counts and displacements.
-# ``"g"`` is a :class:`Message` as the list of pieces it gathers from: a
-# piece whose source wire is parked in a worker's out arena ships as a
-# reference (arena name, column offsets, start, count) and the decoding
-# worker reads it straight from that arena; any other piece is written to
-# the arena at hand.
-
-
-class _PayloadWriter:
-    """Collects arrays during encoding; writes them into a buffer at once."""
-
-    __slots__ = ("arrays", "total")
-
-    def __init__(self) -> None:
-        self.arrays: list[tuple[np.ndarray, int]] = []
-        self.total = 0
-
-    def reserve(self, array: np.ndarray) -> int:
-        offset = -(-self.total // _ALIGN) * _ALIGN
-        self.arrays.append((array, offset))
-        self.total = offset + array.nbytes
-        return offset
-
-    def write_into(self, buf) -> None:
-        for array, offset in self.arrays:
-            if array.nbytes == 0:
-                continue
-            dst = np.frombuffer(buf, dtype=np.uint8, count=array.nbytes, offset=offset)
-            dst[:] = array.reshape(-1).view(np.uint8)
-
-
-def _encode(obj: Any, writer: _PayloadWriter):
-    if isinstance(obj, np.ndarray):
-        a = np.ascontiguousarray(obj)
-        return ("a", writer.reserve(a), a.dtype.str, a.shape)
-    if isinstance(obj, Wire):
-        return (
-            "w",
-            obj.names,
-            [(writer.reserve(c), c.dtype.str) for c in obj.columns],
-            obj.length,
-            _encode(obj.counts, writer),
-            _encode(obj.displs, writer),
-        )
-    if isinstance(obj, Message):
-        pieces = []
-        for wire, start, count in obj.pieces:
-            if not count:
-                continue  # an empty message keeps one piece, for its schema
-            if wire.arena_name is not None:
-                pieces.append((wire.arena_name, wire.offsets, start, count))
-            else:
-                offsets = tuple(
-                    writer.reserve(c[start : start + count]) for c in wire.columns
-                )
-                pieces.append((None, offsets, 0, count))
-        return ("g", obj.names, tuple(dt.str for dt in obj.dtypes), pieces)
-    if isinstance(obj, tuple):
-        return ("t", [_encode(x, writer) for x in obj])
-    if isinstance(obj, list):
-        return ("l", [_encode(x, writer) for x in obj])
-    if isinstance(obj, dict):
-        return ("d", [(k, _encode(v, writer)) for k, v in obj.items()])
-    return ("p", obj)
-
-
-def _decode_array(buf, offset: int, dtype_str: str, shape) -> np.ndarray:
-    dtype = np.dtype(dtype_str)
-    count = math.prod(shape)
-    if count == 0:
-        return np.empty(shape, dtype=dtype)
-    return (
-        np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
-        .reshape(shape)
-        .copy()
-    )
-
-
-def _decode(
-    meta,
-    buf,
-    attach: Callable[[str], Any] | None = None,
-    park: Callable[..., Wire] | None = None,
-) -> Any:
-    """Rebuild a value from its metadata tree and the arena ``buf``.
-
-    ``attach(name)`` maps another arena by name (workers only: message
-    pieces parked in other workers' out arenas).  ``park``, when given,
-    receives every wire's header instead of its columns being copied out
-    — the parent uses it to leave lazy replies in the out arena.
-    """
-    tag = meta[0]
-    if tag == "a":
-        return _decode_array(buf, meta[1], meta[2], meta[3])
-    if tag == "w":
-        _, names, refs, length, counts, displs = meta
-        counts = _decode(counts, buf)
-        displs = _decode(displs, buf)
-        if park is not None:
-            return park(names, refs, length, counts, displs)
-        columns = [_decode_array(buf, off, dt, (length,)) for off, dt in refs]
-        return Wire(names, columns, counts, displs)
-    if tag == "g":
-        _, names, dtypes, pieces = meta
-        if attach is None and any(arena is not None for arena, *_ in pieces):
-            raise RuntimeError(
-                "message piece parked in a shared-memory arena decoded "
-                "outside the process backend (no arena attach function)"
-            )
-        fields = {}
-        for j, (name, dt) in enumerate(zip(names, dtypes)):
-            dtype = np.dtype(dt)
-            # One copy total per field: pieces map to arena *views*, and
-            # the concatenate allocates the owned destination array.
-            views = [
-                np.frombuffer(
-                    buf if arena is None else attach(arena),
-                    dtype=dtype,
-                    count=count,
-                    offset=offsets[j] + start * dtype.itemsize,
-                )
-                for arena, offsets, start, count in pieces
-            ]
-            fields[name] = np.concatenate(views) if views else np.empty(0, dtype)
-        return Message(**fields)
-    if tag == "t":
-        return tuple(_decode(m, buf, attach, park) for m in meta[1])
-    if tag == "l":
-        return [_decode(m, buf, attach, park) for m in meta[1]]
-    if tag == "d":
-        return {k: _decode(m, buf, attach, park) for k, m in meta[1]}
-    return meta[1]
-
-
-# -- teams ------------------------------------------------------------------
-
-
 class RankTeam:
-    """Drives one engine run's rank objects through an execution backend.
+    """Drives one engine run's rank objects; this base runs them inline.
 
     ``call(method, per_rank=None, common=(), parallel=False)`` invokes
     ``getattr(rank, method)(*per_rank[i], *common)`` on every rank and
@@ -245,27 +91,80 @@ class RankTeam:
     its per-rank wall durations feed the critical-path accounting;
     ``parallel=False`` is for cheap control reads that stay sequential.
 
-    ``lazy=True`` marks a call whose results are the wires of an outbox
-    flush, which the fabric will route straight into the *next* call.
-    Backends with an inter-process transport then return each
-    :class:`~repro.simmpi.fabric.Wire` as a handle — its columns stay in
-    the producing worker's arena until the destination ranks read them.
-    In-process backends ignore the flag; results are bit-identical either
-    way.
+    A backend overrides :meth:`_run` and nothing else of ``call``; this
+    class is the ``serial`` backend — every rank method runs in the
+    calling thread, in rank order.  ``num_workers`` counts the workers
+    that actually run: ``min(workers, ranks)``, and 1 on serial.
     """
 
-    backend = "?"
-    num_workers = 1
-    #: The team's :class:`~repro.simmpi.racecheck.RaceChecker` when the
-    #: run was started with ``racecheck=True``; ``None`` otherwise.  The
-    #: driver reads it to attach the audit report to the run's meta.
-    racecheck = None
+    backend = "serial"
 
-    def __init__(self, num_ranks: int, tracer: Tracer | None) -> None:
-        self.num_ranks = num_ranks
+    def __init__(
+        self,
+        ranks: Sequence,
+        num_workers: int = 1,
+        tracer: Tracer | None = None,
+        racecheck: bool = False,
+    ) -> None:
+        self.ranks = list(ranks)
+        self.num_ranks = len(self.ranks)
+        self.num_workers = max(1, min(int(num_workers), self.num_ranks))
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: The team's :class:`~repro.simmpi.racecheck.RaceChecker` when the
+        #: run was started with ``racecheck=True``; ``None`` otherwise.  The
+        #: driver reads it to attach the audit report to the run's meta.
+        #: Serial attaches one too, so racecheck runs report uniformly.
+        self.racecheck = RaceChecker(self.backend, self.tracer) if racecheck else None
+        self._closed = False
         self._critical_path = 0.0
         self._sum_of_ranks = 0.0
+
+    def call(
+        self,
+        method: str,
+        per_rank: Sequence[tuple] | None = None,
+        common: tuple = (),
+        parallel: bool = False,
+    ) -> list:
+        if self._closed:
+            raise RuntimeError("team is closed")
+        profiling = self.tracer.enabled
+        t_begin = time.perf_counter() if profiling else 0.0
+        results, starts, durations, costs = self._run(
+            method, per_rank, tuple(common), parallel, profiling
+        )
+        if parallel:
+            self._account(method, durations, starts)
+        if profiling:
+            self._profile_call(
+                method, parallel, t_begin, time.perf_counter(),
+                starts, durations, **costs,
+            )
+        return results
+
+    def _run(self, method, per_rank, common, parallel, profiling):
+        """Run ``method`` on every rank: ``(results, starts, durations, costs)``.
+
+        ``starts``/``durations`` are per-rank wall readings, required when
+        ``parallel`` or ``profiling`` (else they may be ``None``);
+        ``costs`` holds the :meth:`_profile_call` keywords the backend
+        measured beyond them.  Inline, nothing is read off the clock
+        unless the call is timed.
+        """
+        timed = parallel or profiling
+        results = []
+        starts = [] if timed else None
+        durations = [] if timed else None
+        for i, rank in enumerate(self.ranks):
+            args = (tuple(per_rank[i]) + common) if per_rank is not None else common
+            if timed:
+                t0 = time.perf_counter()
+                results.append(getattr(rank, method)(*args))
+                starts.append(t0)
+                durations.append(time.perf_counter() - t0)
+            else:
+                results.append(getattr(rank, method)(*args))
+        return results, starts, durations, {}
 
     def _account(
         self,
@@ -306,10 +205,10 @@ class RankTeam:
         method: str,
         parallel: bool,
         t_begin: float,
-        t_dispatched: float,
         t_end: float,
         starts: Sequence[float] | None,
         durations: Sequence[float] | None,
+        t_dispatched: float | None = None,
         ser_out: float = 0.0,
         ser_in: float = 0.0,
         spills: int = 0,
@@ -319,7 +218,7 @@ class RankTeam:
         wall = t_end - t_begin
         buckets = split_call_buckets(
             wall,
-            dispatch_window=t_dispatched - t_begin,
+            dispatch_window=0.0 if t_dispatched is None else t_dispatched - t_begin,
             starts=starts,
             durations=durations,
             workers=self.num_workers,
@@ -354,67 +253,42 @@ class RankTeam:
         self._sum_of_ranks = 0.0
         return timing
 
-    def call(
-        self,
-        method: str,
-        per_rank: Sequence[tuple] | None = None,
-        common: tuple = (),
-        parallel: bool = False,
-        lazy: bool = False,
-    ) -> list:
-        raise NotImplementedError
-
     def close(self) -> None:
-        """Release the team's workers; the team is unusable afterwards."""
-
-
-class SerialTeam(RankTeam):
-    """All rank methods run inline in the calling thread, in rank order."""
-
-    backend = "serial"
-
-    def __init__(self, ranks: Sequence, tracer: Tracer | None = None) -> None:
-        super().__init__(len(ranks), tracer)
-        self.ranks = list(ranks)
-
-    def call(self, method, per_rank=None, common=(), parallel=False, lazy=False):
-        profiling = self.tracer.enabled
-        timed = parallel or profiling
-        t_begin = time.perf_counter() if profiling else 0.0
-        results = []
-        starts = [] if timed else None
-        durations = [] if timed else None
-        for i, rank in enumerate(self.ranks):
-            args = (tuple(per_rank[i]) + common) if per_rank is not None else common
-            if timed:
-                t0 = time.perf_counter()
-                results.append(getattr(rank, method)(*args))
-                starts.append(t0)
-                durations.append(time.perf_counter() - t0)
-            else:
-                results.append(getattr(rank, method)(*args))
-        if parallel:
-            self._account(method, durations, starts)
-        if profiling:
-            self._profile_call(
-                method, parallel, t_begin, t_begin, time.perf_counter(),
-                starts, durations,
-            )
-        return results
-
-
-# -- executors --------------------------------------------------------------
+        """Release the team's workers (idempotent); later calls raise."""
+        self._closed = True
 
 
 class RankExecutor:
-    """Factory for :class:`RankTeam` instances; owns any persistent pool.
+    """Which backend runs a run's ranks, and on how many workers.
 
-    One executor can serve many sequential runs (the harness reuses one
-    across all benchmark roots); each run builds one team from its freshly
-    constructed rank objects.  ``close()`` releases pooled resources.
+    A plain ``(backend, workers)`` value: the workers belong to each team
+    (they must start after the rank objects exist — the process backend
+    forks them to inherit the ranks copy-on-write), so one executor serves
+    any number of sequential runs and :meth:`close` has nothing to
+    release.  ``workers`` defaults to the host's CPU count and is always
+    1 on ``serial``.
     """
 
-    name = "?"
+    def __init__(self, backend: str = "serial", workers: int | None = None) -> None:
+        if backend not in EXECUTOR_BACKENDS:
+            raise ValueError(
+                f"unknown executor backend {backend!r}; "
+                f"options: {', '.join(EXECUTOR_BACKENDS)}"
+            )
+        if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
+            raise RuntimeError(
+                "the process executor needs the fork start method (POSIX); "
+                "use executor='thread' on this platform"
+            )
+        if backend == "serial":
+            workers = 1
+        elif workers is None:
+            workers = os.cpu_count() or 1
+        workers = int(workers)
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers!r}")
+        self.backend = backend
+        self.workers = workers
 
     def team(
         self,
@@ -422,119 +296,26 @@ class RankExecutor:
         tracer: Tracer | None = None,
         racecheck: bool = False,
     ) -> RankTeam:
-        raise NotImplementedError
+        """A team of this backend over one run's freshly built ``ranks``."""
+        if self.backend == "serial":
+            team_cls = RankTeam
+        else:
+            from repro.simmpi import parked  # parked imports this module
+
+            team_cls = (
+                parked.ParkedThreadTeam if self.backend == "thread"
+                else parked.ParkedProcessTeam
+            )
+        return team_cls(ranks, self.workers, tracer, racecheck)
 
     def close(self) -> None:
-        """Release pooled workers (idempotent)."""
+        """Nothing to release: workers belong to teams (kept for callers)."""
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
         return False
-
-
-class SerialExecutor(RankExecutor):
-    """The default backend: everything runs inline, exactly as before."""
-
-    name = "serial"
-
-    def __init__(self, workers: int | None = None) -> None:
-        # ``workers`` is accepted for CLI uniformity; one thread is all
-        # there is.
-        self.workers = 1
-
-    def team(self, ranks, tracer=None, racecheck=False):
-        team = SerialTeam(ranks, tracer)
-        if racecheck:
-            # No concurrency to check, but attach a checker anyway so
-            # racecheck runs report uniformly across backends.
-            from repro.simmpi.racecheck import RaceChecker
-
-            team.racecheck = RaceChecker(team.backend, team.tracer)
-        return team
-
-
-class ThreadExecutor(RankExecutor):
-    """Resident parked rank threads; each team owns its thread crew.
-
-    Threads are spawned per team (parked on a barrier pair for the team's
-    whole run) rather than pooled across teams — the crew holds direct
-    references to the team's rank objects, so it cannot outlive them.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
-
-    def team(self, ranks, tracer=None, racecheck=False):
-        from repro.simmpi.parked import ParkedThreadTeam
-
-        return ParkedThreadTeam(ranks, self.workers, tracer, racecheck=racecheck)
-
-
-class ProcessExecutor(RankExecutor):
-    """Fork-based parked worker processes with shared-memory transport.
-
-    Workers belong to the team (they must be forked after the rank objects
-    exist to inherit them copy-on-write), so this executor holds only the
-    configuration; the fork-availability check happens here, once, instead
-    of failing mid-run.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None) -> None:
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                "the process executor needs the fork start method (POSIX); "
-                "use executor='thread' on this platform"
-            )
-        self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
-
-    def team(self, ranks, tracer=None, racecheck=False):
-        from repro.simmpi.parked import ParkedProcessTeam
-
-        return ParkedProcessTeam(ranks, self.workers, tracer, racecheck=racecheck)
-
-
-_FACTORY = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
-assert tuple(_FACTORY) == EXECUTOR_BACKENDS
-
-
-def make_executor(
-    spec: str | RankExecutor = "serial", workers: int | None = None
-) -> RankExecutor:
-    """Build an executor from a backend name, or pass one through.
-
-    ``workers`` sizes the pool (default: the host's CPU count); it cannot
-    be combined with an already-constructed executor instance.
-    """
-    if isinstance(spec, RankExecutor):
-        if workers is not None:
-            raise ValueError(
-                "workers= cannot be combined with an executor instance; "
-                "size the executor when constructing it"
-            )
-        return spec
-    try:
-        factory = _FACTORY[spec]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown executor backend {spec!r}; "
-            f"options: {', '.join(EXECUTOR_BACKENDS)}"
-        ) from None
-    return factory(workers=workers)
 
 
 def resolve_executor(
@@ -542,9 +323,9 @@ def resolve_executor(
 ) -> tuple[RankExecutor, bool]:
     """Resolve an engine's ``executor=`` argument to ``(executor, owns)``.
 
-    ``owns`` tells the caller whether it created the executor (a string
-    spec) and must close it, or borrowed one (an instance, or the serial
-    default) whose lifetime belongs elsewhere.
+    ``owns`` is true when the executor was built here from a backend name
+    rather than passed in (an instance, or the serial default).  Since an
+    executor holds no resources, nothing needs closing either way.
     """
     if spec is None:
         if workers is not None:
@@ -552,7 +333,12 @@ def resolve_executor(
                 "workers= requires an executor backend "
                 "(executor='thread' or 'process')"
             )
-        return SerialExecutor(), False
+        return RankExecutor(), False
     if isinstance(spec, RankExecutor):
-        return make_executor(spec, workers), False
-    return make_executor(spec, workers), True
+        if workers is not None:
+            raise ValueError(
+                "workers= cannot be combined with an executor instance; "
+                "size the executor when constructing it"
+            )
+        return spec, False
+    return RankExecutor(spec, workers), True

@@ -67,7 +67,7 @@ class Wire(_Header):
     destination worker reads its run straight from the arena.  ``columns``
     on a handle copies the buffer out, for debugging; no steady-state
     consumer calls it.  A handle is valid until its worker's next-but-one
-    lazy reply (out arenas are double-buffered).  The team stamps it with
+    parked reply (out arenas are double-buffered).  The team stamps it with
     the mint generation (``_team_ref``, ``_worker``, ``_gen``): closing
     the team detaches it, so a late read raises :class:`ArenaClosedError`
     instead of touching an unlinked mapping, and under ``racecheck=True``

@@ -16,34 +16,37 @@ per-call submission with **resident parked workers**:
   parked on a per-worker ``multiprocessing`` go-semaphore.  Commands
   travel through a fixed per-worker shared-memory **control slot** (a
   mode word plus the pickled metadata tuple); array payloads ride the
-  existing cmd/rep arenas.  Oversized metadata spills to the cmd arena
-  tail — never the pipe, because a parked worker is not reading and a
-  large pipe write would deadlock the dispatcher.  Semaphores, not a
-  shared barrier, park the processes deliberately: releasing one never
-  blocks, so a SIGKILLed worker cannot wedge the dispatcher (a
+  cmd/rep arenas.  Oversized metadata spills to the cmd arena tail —
+  never the pipe, because a parked worker is not reading and a large
+  pipe write would deadlock the dispatcher.  Semaphores, not a shared
+  barrier, park the processes deliberately: releasing one never blocks,
+  so a SIGKILLed worker cannot wedge the dispatcher (a
   ``multiprocessing.Barrier`` waiter that dies leaves ``notify_all``
   waiting forever for its wake acknowledgement); death and stalls are
   detected on the reply pipe instead.
 
-The process team also implements the **zero-copy lazy transport** for
-``call(..., lazy=True)`` phases (outbox flushes): the worker writes each
-column of its :class:`~repro.simmpi.fabric.Wire` into a worker-owned *out
-arena* once, and the driver receives a handle — header, counts and
-column offsets — instead of the columns.  The fabric cuts the handles
-into per-destination pieces, and the destination worker attaches the
-owning worker's arena by name and gathers its pieces straight out of it
-— one copy end to end, zero pickling.
+Both teams inherit :meth:`~repro.simmpi.executor.RankTeam.call` and
+supply only ``_run``.  The process team also owns the **zero-copy wire
+transport**: a reply that holds a :class:`~repro.simmpi.fabric.Wire` (an
+outbox flush) is written to the worker's *out arena* instead of its reply
+arena, and the driver receives a handle — header, counts and column
+offsets — instead of the columns.  The fabric cuts the handles into
+per-destination pieces, and the destination worker attaches the owning
+worker's arena by name and gathers its pieces straight out of it — one
+copy end to end, zero pickling.  No caller flags such a call: the worker
+decides when its encoder meets a wire.
 
-Safety invariants of the lazy transport:
+Safety invariants of the wire transport:
 
-* **Decode-then-execute**: a worker materializes (copies) every lazy
-  argument before running the rank method, so nothing it later writes
-  can alias its inputs.
+* **Decode-then-execute**: a worker materializes (copies) every argument
+  before running the rank method, so nothing it later writes can alias
+  its inputs.
 * **Double-buffered out arenas**: each worker alternates between two out
-  arenas, so the reply of lazy call *N+1* never overwrites payload from
-  call *N* that another (slower) worker is still reading.  Handles are
-  therefore valid until the owner's next-but-one lazy reply — the
-  engines' flush → exchange → apply pattern consumes them within one.
+  arenas, flipping on every reply it parks, so parked reply *N+1* never
+  overwrites payload from reply *N* that another (slower) worker is still
+  reading.  Handles are therefore valid until the owner's next-but-one
+  parked reply — the engines' flush → exchange → apply pattern consumes
+  them within one.
 * **Retired-arena graveyard**: growing an out arena must not unlink the
   old segment — in-flight handles still name it and a consumer may not
   have mapped it yet — so old segments are retired and unlinked only at
@@ -59,6 +62,7 @@ raises :class:`WorkerError` *after* the team has torn itself down, so
 from __future__ import annotations
 
 import functools
+import math
 import mmap
 import multiprocessing
 import os
@@ -69,21 +73,14 @@ import time
 import traceback
 import weakref
 from multiprocessing import shared_memory
-from typing import Sequence
+from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro.obs.tracer import Tracer
-from repro.simmpi.executor import (
-    _ALIGN,
-    _MIN_ARENA,
-    RankTeam,
-    SerialTeam,
-    WorkerError,
-    _decode,
-    _encode,
-    _PayloadWriter,
-)
+from repro.simmpi.executor import RankTeam, WorkerError
 from repro.simmpi.fabric import Message, Wire
-from repro.simmpi.racecheck import RaceChecker, SharedArrayTracker
+from repro.simmpi.racecheck import SharedArrayTracker
 
 __all__ = ["ParkedProcessTeam", "ParkedThreadTeam"]
 
@@ -111,12 +108,12 @@ _WORKER_TIMEOUT = 60.0
 class ParkedThreadTeam(RankTeam):
     """Parallel phases run on resident rank threads parked on a barrier.
 
-    Rank ``i`` belongs to worker thread ``i % crew`` (the crew is capped
-    at the rank count).  A ``parallel=True`` call publishes the command,
-    releases the ``go`` barrier, and joins the ``done`` barrier; workers
-    never die between calls, so there is no submission latency and no
-    skew — everyone starts on the same barrier edge.  Control calls and
-    single-rank teams run inline (the rank objects live in-process).
+    Rank ``i`` belongs to worker thread ``i % num_workers``.  A
+    ``parallel=True`` call publishes the command, releases the ``go``
+    barrier, and joins the ``done`` barrier; workers never die between
+    calls, so there is no submission latency and no skew — everyone
+    starts on the same barrier edge.  Control calls and single-rank teams
+    run inline (the rank objects live in-process).
 
     Exceptions raised by rank methods are captured per rank and re-raised
     in the driver, lowest rank first, with their original type; the team
@@ -132,20 +129,16 @@ class ParkedThreadTeam(RankTeam):
         tracer: Tracer | None = None,
         racecheck: bool = False,
     ) -> None:
-        super().__init__(len(ranks), tracer)
-        self.ranks = list(ranks)
-        self.num_workers = max(1, int(num_workers))
-        self._closed = False
+        super().__init__(ranks, num_workers, tracer, racecheck)
         self._tracker = None
-        if racecheck:
+        if self.racecheck is not None:
             # Lockset-lite race detection: arrays shared by identity across
             # rank objects are the read-only inputs of every parallel phase;
             # the tracker checksums them around each phase.
-            self.racecheck = RaceChecker(self.backend, self.tracer)
-            self._tracker = SharedArrayTracker(self.racecheck, ranks)
-        crew = min(self.num_workers, max(1, len(self.ranks)))
+            self._tracker = SharedArrayTracker(self.racecheck, self.ranks)
+        crew = self.num_workers
         self._assign = [
-            [i for i in range(len(self.ranks)) if i % crew == t] for t in range(crew)
+            [i for i in range(self.num_ranks) if i % crew == t] for t in range(crew)
         ]
         self._go = threading.Barrier(crew + 1)
         self._done = threading.Barrier(crew + 1)
@@ -187,43 +180,32 @@ class ParkedThreadTeam(RankTeam):
             except threading.BrokenBarrierError:
                 return
 
-    def call(self, method, per_rank=None, common=(), parallel=False, lazy=False):
-        if self._closed:
-            raise RuntimeError("team is closed")
+    def _run(self, method, per_rank, common, parallel, profiling):
         if not parallel or self.num_ranks == 1:
-            return SerialTeam.call(self, method, per_rank, common, parallel)
-        profiling = self.tracer.enabled
-        t_begin = time.perf_counter() if profiling else 0.0
+            return super()._run(method, per_rank, common, parallel, profiling)
         n = self.num_ranks
         self._results = [None] * n
         self._errors = [None] * n
         self._starts = [0.0] * n
         self._durations = [0.0] * n
-        self._cmd = (method, per_rank, tuple(common))
+        self._cmd = (method, per_rank, common)
         tracker = self._tracker
         if tracker is not None:
             tracker.before_parallel()
         self._go.wait()
-        t_dispatched = time.perf_counter() if profiling else t_begin
+        t_dispatched = time.perf_counter() if profiling else None
         self._done.wait()
         for exc in self._errors:
             if exc is not None:
                 raise exc
         if tracker is not None:
             tracker.after_parallel(method)
-        starts, durations = self._starts, self._durations
-        self._account(method, durations, starts)
-        if profiling:
-            self._profile_call(
-                method, True, t_begin, t_dispatched, time.perf_counter(),
-                starts, durations,
-            )
-        return self._results
+        return self._results, self._starts, self._durations, {"t_dispatched": t_dispatched}
 
     def close(self):
         if self._closed:
             return
-        self._closed = True
+        super().close()
         # Breaking the barriers releases parked workers (they exit on
         # BrokenBarrierError) and any worker mid-phase exits at the next
         # barrier it reaches.  Idempotent by the _closed latch.
@@ -234,6 +216,160 @@ class ParkedThreadTeam(RankTeam):
 
 
 # -- process backend ---------------------------------------------------------
+
+
+# Pickle-free payload transport.
+#
+# Arguments and results are mostly numpy arrays, wires and messages.  The
+# encoder walks a value, parks every array in a shared-memory arena, and
+# returns a small metadata tree (offsets + dtypes + shapes) that *is*
+# cheap to send over the control pipe.  Scalars and other plain leaves ride
+# along in the metadata.  The decoder maps each array straight out of the
+# arena.  Nothing array-shaped is ever pickled.
+#
+# Two tags carry the wire.  ``"w"`` is a send buffer: each column of a
+# :class:`Wire` is written once, with its counts and displacements.
+# ``"g"`` is a :class:`Message` as the list of pieces it gathers from: a
+# piece whose source wire is parked in a worker's out arena ships as a
+# reference (arena name, column offsets, start, count) and the decoding
+# worker reads it straight from that arena; any other piece is written to
+# the arena at hand.
+
+# Array offsets are aligned so any dtype can be mapped in place.
+_ALIGN = 16
+_MIN_ARENA = 1 << 20
+
+
+class _PayloadWriter:
+    """Collects arrays during encoding; writes them into a buffer at once.
+
+    ``wires`` turns true once the encoder meets a :class:`Wire` — a
+    worker then parks its reply in the out arena.
+    """
+
+    __slots__ = ("arrays", "total", "wires")
+
+    def __init__(self) -> None:
+        self.arrays: list[tuple[np.ndarray, int]] = []
+        self.total = 0
+        self.wires = False
+
+    def reserve(self, array: np.ndarray) -> int:
+        offset = -(-self.total // _ALIGN) * _ALIGN
+        self.arrays.append((array, offset))
+        self.total = offset + array.nbytes
+        return offset
+
+    def write_into(self, buf) -> None:
+        for array, offset in self.arrays:
+            if array.nbytes == 0:
+                continue
+            dst = np.frombuffer(buf, dtype=np.uint8, count=array.nbytes, offset=offset)
+            dst[:] = array.reshape(-1).view(np.uint8)
+
+
+def _encode(obj: Any, writer: _PayloadWriter):
+    if isinstance(obj, np.ndarray):
+        a = np.ascontiguousarray(obj)
+        return ("a", writer.reserve(a), a.dtype.str, a.shape)
+    if isinstance(obj, Wire):
+        writer.wires = True
+        return (
+            "w",
+            obj.names,
+            [(writer.reserve(c), c.dtype.str) for c in obj.columns],
+            obj.length,
+            _encode(obj.counts, writer),
+            _encode(obj.displs, writer),
+        )
+    if isinstance(obj, Message):
+        pieces = []
+        for wire, start, count in obj.pieces:
+            if not count:
+                continue  # an empty message keeps one piece, for its schema
+            if wire.arena_name is not None:
+                pieces.append((wire.arena_name, wire.offsets, start, count))
+            else:
+                offsets = tuple(
+                    writer.reserve(c[start : start + count]) for c in wire.columns
+                )
+                pieces.append((None, offsets, 0, count))
+        return ("g", obj.names, tuple(dt.str for dt in obj.dtypes), pieces)
+    if isinstance(obj, tuple):
+        return ("t", [_encode(x, writer) for x in obj])
+    if isinstance(obj, list):
+        return ("l", [_encode(x, writer) for x in obj])
+    if isinstance(obj, dict):
+        return ("d", [(k, _encode(v, writer)) for k, v in obj.items()])
+    return ("p", obj)
+
+
+def _decode_array(buf, offset: int, dtype_str: str, shape) -> np.ndarray:
+    dtype = np.dtype(dtype_str)
+    count = math.prod(shape)
+    if count == 0:
+        return np.empty(shape, dtype=dtype)
+    return (
+        np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
+        .reshape(shape)
+        .copy()
+    )
+
+
+def _decode(
+    meta,
+    buf,
+    attach: Callable[[str], Any] | None = None,
+    park: Callable[..., Wire] | None = None,
+) -> Any:
+    """Rebuild a value from its metadata tree and the arena ``buf``.
+
+    ``attach(name)`` maps another arena by name (workers only: message
+    pieces parked in other workers' out arenas).  ``park``, when given,
+    receives every wire's header instead of its columns being copied out
+    — the parent uses it to leave a parked reply in the out arena.
+    """
+    tag = meta[0]
+    if tag == "a":
+        return _decode_array(buf, meta[1], meta[2], meta[3])
+    if tag == "w":
+        _, names, refs, length, counts, displs = meta
+        counts = _decode(counts, buf)
+        displs = _decode(displs, buf)
+        if park is not None:
+            return park(names, refs, length, counts, displs)
+        columns = [_decode_array(buf, off, dt, (length,)) for off, dt in refs]
+        return Wire(names, columns, counts, displs)
+    if tag == "g":
+        _, names, dtypes, pieces = meta
+        if attach is None and any(arena is not None for arena, *_ in pieces):
+            raise RuntimeError(
+                "message piece parked in a shared-memory arena decoded "
+                "outside the process backend (no arena attach function)"
+            )
+        fields = {}
+        for j, (name, dt) in enumerate(zip(names, dtypes)):
+            dtype = np.dtype(dt)
+            # One copy total per field: pieces map to arena *views*, and
+            # the concatenate allocates the owned destination array.
+            views = [
+                np.frombuffer(
+                    buf if arena is None else attach(arena),
+                    dtype=dtype,
+                    count=count,
+                    offset=offsets[j] + start * dtype.itemsize,
+                )
+                for arena, offsets, start, count in pieces
+            ]
+            fields[name] = np.concatenate(views) if views else np.empty(0, dtype)
+        return Message(**fields)
+    if tag == "t":
+        return tuple(_decode(m, buf, attach, park) for m in meta[1])
+    if tag == "l":
+        return [_decode(m, buf, attach, park) for m in meta[1]]
+    if tag == "d":
+        return {k: _decode(m, buf, attach, park) for k, m in meta[1]}
+    return meta[1]
 
 
 def _attach_raw(name: str):
@@ -268,9 +404,11 @@ def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
     touched — all interaction is the control slot, the go-semaphore, the
     reply pipe, and the shared-memory arenas named in each command.
 
-    Arena mappings are cached by *name* (a worker may read several other
-    workers' out arenas in one lazy call); names churn only when the
-    parent grows an arena, so the cache stays small.
+    A reply that holds a wire goes to the out arena the command names,
+    any other to the reply arena; one that outgrows its arena spills
+    over the pipe.  Arena mappings are cached by *name* (a worker may
+    read several other workers' out arenas in one call); names churn
+    only when the parent grows an arena, so the cache stays small.
 
     ``profiled`` is latched at fork time from the team's tracer: when a
     real tracer is attached, each reply carries the worker's measured
@@ -334,23 +472,22 @@ def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
                 continue
             te = time.perf_counter() if profiled else 0.0
             payload = None
-            if out_name is not None and writer.total <= out_size:
-                # Lazy reply: park the payload in this worker's out arena;
-                # the parent hands out wire handles, nothing moves.
-                writer.write_into(attach(out_name))
-                where = "out"
-            elif out_name is None and writer.total <= rep_size:
-                writer.write_into(attach(rep_name))
-                where = "rep"
+            # A wire reply parks in the out arena, where the parent hands
+            # out handles and nothing moves; the rest uses the reply arena.
+            arena, size = (out_name, out_size) if writer.wires else (rep_name, rep_size)
+            if writer.total <= size:
+                writer.write_into(attach(arena))
             else:
                 # Reply outgrew its arena: spill this one over the pipe and
                 # report the size so the parent grows the arena for next time.
                 payload = bytearray(writer.total)
                 writer.write_into(payload)
-                where = "pipe"
             if profiled:
                 enc_s = time.perf_counter() - te
-            conn.send(("res", metas, where, writer.total, dec_s, enc_s))
+            conn.send((
+                "res", metas, writer.wires, payload is not None, writer.total,
+                dec_s, enc_s,
+            ))
             if payload is not None:
                 conn.send_bytes(bytes(payload))
     finally:
@@ -368,15 +505,15 @@ class ParkedProcessTeam(RankTeam):
     is pickle-free for arrays: payloads travel through per-worker
     shared-memory arenas; only tiny metadata tuples cross the control
     slots and reply pipes.  Each worker parks on its own go-semaphore;
-    the dispatcher arms every involved slot first, then releases the
-    semaphores back to back, so wakeups are skew-free and — unlike a
-    shared barrier — a dead worker can never wedge the dispatcher;
-    workers persist for the team's whole run — one fork per run,
-    thousands of supersteps served.
+    the dispatcher arms every slot first, then releases the semaphores
+    back to back, so wakeups are skew-free and — unlike a shared barrier
+    — a dead worker can never wedge the dispatcher; workers persist for
+    the team's whole run — one fork per run, thousands of supersteps
+    served.
 
-    The wires a ``call(..., lazy=True)`` returns stay in the producing
-    worker's double-buffered out arenas; the parent holds handles
-    (zero-copy transport).
+    Every call runs on the workers, control calls included.  The wires a
+    call returns stay in the producing worker's double-buffered out
+    arenas; the parent holds handles (zero-copy transport).
     """
 
     backend = "process"
@@ -388,32 +525,29 @@ class ParkedProcessTeam(RankTeam):
         tracer: Tracer | None = None,
         racecheck: bool = False,
     ) -> None:
-        super().__init__(len(ranks), tracer)
-        if racecheck:
-            # Generation checks on lazy handles; the thread backend's
-            # shared-array tracker has no process-side analogue (writes
-            # happen in forked address spaces the parent cannot see).
-            self.racecheck = RaceChecker(self.backend, self.tracer)
+        # With racecheck on, the base attaches a checker for the generation
+        # checks on wire handles; the thread backend's shared-array tracker
+        # has no process-side analogue (writes happen in forked address
+        # spaces the parent cannot see).
+        super().__init__(ranks, num_workers, tracer, racecheck)
         #: Weakrefs to every wire handle this team minted; ``close()``
         #: detaches the live ones from their arenas (always on — this is
         #: the use-after-close guard, independent of ``racecheck``).
         self._minted: list[weakref.ref] = []
         ctx = multiprocessing.get_context("fork")
-        workers = max(1, min(int(num_workers), len(ranks)))
-        self.num_workers = workers
+        workers = self.num_workers
         self._rank_ids = [
-            [i for i in range(len(ranks)) if i % workers == w] for w in range(workers)
+            [i for i in range(self.num_ranks) if i % workers == w] for w in range(workers)
         ]
-        self._closed = False
         self._gos = [ctx.Semaphore(0) for _ in range(workers)]
         self._conns = []
         self._procs = []
         self._slots: list[shared_memory.SharedMemory] = []
         self._cmd: list[shared_memory.SharedMemory | None] = []
         self._rep: list[shared_memory.SharedMemory] = []
-        # Double-buffered lazy out arenas: index = (#lazy calls) % 2, so
-        # the reply of lazy call N+1 never overwrites payload from call N
-        # that a slower consumer is still reading.
+        # Double-buffered out arenas: index = (#parked replies) % 2, so
+        # parked reply N+1 never overwrites payload from reply N that a
+        # slower consumer is still reading.
         self._out: list[list[shared_memory.SharedMemory]] = []
         self._out_flip = [0] * workers
         #: Out arenas retired by growth; their names may still be held by
@@ -428,7 +562,7 @@ class ParkedProcessTeam(RankTeam):
                     child_conn,
                     slot,
                     self._gos[w],
-                    {i: ranks[i] for i in self._rank_ids[w]},
+                    {i: self.ranks[i] for i in self._rank_ids[w]},
                     self.tracer.enabled,
                 ),
                 daemon=True,
@@ -446,14 +580,14 @@ class ParkedProcessTeam(RankTeam):
                 shared_memory.SharedMemory(create=True, size=_MIN_ARENA),
             ])
 
-    # -- lazy-handle lifetime & generation guards ---------------------------
+    # -- wire-handle lifetime & generation guards ----------------------------
 
     def _mint_handle(self, worker: int, out, *header) -> Wire:
         """A handle to a wire ``worker`` just parked in its out arena ``out``.
 
         Stamped with the mint generation — the worker's out-arena flip
-        counter *after* the minting dispatch; the handle's double-buffered
-        arena half is re-armed for writing by the second lazy dispatch
+        counter *after* the parked reply; the handle's double-buffered
+        arena half is written again by the worker's second parked reply
         after the mint, so the handle is stale once
         ``_out_flip[worker] >= gen + 2``.
         """
@@ -476,17 +610,17 @@ class ParkedProcessTeam(RankTeam):
         if current >= handle._gen + 2:
             checker._violate(
                 "stale-view",
-                f"lazy handle into worker {handle._worker}'s out arena "
+                f"wire handle into worker {handle._worker}'s out arena "
                 f"({handle.arena_name!r}, minted at generation "
                 f"{handle._gen}) used at generation {current}: the "
-                f"double-buffered arena was recycled by later lazy calls "
-                f"and its payload bytes overwritten",
+                f"double-buffered arena was recycled by later parked "
+                f"replies and its payload bytes overwritten",
                 worker=handle._worker,
                 minted_gen=handle._gen,
                 current_gen=current,
             )
 
-    def _check_lazy_args(self, per_rank, common) -> None:
+    def _check_shipped_handles(self, per_rank, common) -> None:
         """Validate every team-minted handle about to ship into a worker.
 
         Workers copy a shipped handle's bytes straight out of the named
@@ -534,11 +668,11 @@ class ParkedProcessTeam(RankTeam):
         """Replace out arena ``(w, idx)`` with one of >= ``nbytes``.
 
         The old segment goes to the retirement graveyard instead of being
-        unlinked: handles from the previous lazy call may still name it,
-        and a consumer worker that has not yet mapped that name must still
-        be able to open it.  Graveyard segments are unlinked at close; the
-        power-of-two growth schedule bounds their total size by roughly
-        the final arena size.
+        unlinked: handles from the previous parked reply may still name
+        it, and a consumer worker that has not yet mapped that name must
+        still be able to open it.  Graveyard segments are unlinked at
+        close; the power-of-two growth schedule bounds their total size by
+        roughly the final arena size.
         """
         old = self._out[w][idx]
         if old.size >= nbytes:
@@ -558,18 +692,31 @@ class ParkedProcessTeam(RankTeam):
         self.close()
         raise WorkerError(detail)
 
-    def _dispatch(self, method, per_rank, common, profiling=False, lazy=False):
+    def _run(self, method, per_rank, common, parallel, profiling):
+        if self.racecheck is not None:
+            self._check_shipped_handles(per_rank, common)
+        ser_out = self._dispatch(method, per_rank, common, profiling)
+        t_dispatched = time.perf_counter() if profiling else None
+        results: list = [None] * self.num_ranks
+        durations = [0.0] * self.num_ranks
+        starts = [0.0] * self.num_ranks if profiling else None
+        ser_in, transport_in, spills = self._gather(
+            results, durations, starts, profiling, method
+        )
+        return results, starts, durations, {
+            "t_dispatched": t_dispatched, "ser_out": ser_out, "ser_in": ser_in,
+            "spills": spills, "transport_in": transport_in,
+        }
+
+    def _dispatch(self, method, per_rank, common, profiling):
         """Arm every worker's control slot, then release their semaphores.
 
-        Returns ``(involved, lazy_idx, ser_out)``: the workers taking part
-        in the call (all of them), the out-arena index armed per worker
-        when ``lazy``, and the measured parent-side encode + arena-write
-        seconds (0.0 unless ``profiling``).
+        Each command names the worker's current out-arena half, where a
+        reply holding a wire will park.  Returns the measured parent-side
+        encode + arena-write seconds (0.0 unless ``profiling``).
         """
-        involved = tuple(range(self.num_workers))
         ser_out = 0.0
-        lazy_idx: dict[int, int] = {}
-        for w in involved:
+        for w in range(self.num_workers):
             t0 = time.perf_counter() if profiling else 0.0
             writer = _PayloadWriter()
             common_meta = tuple(_encode(a, writer) for a in common)
@@ -579,20 +726,14 @@ class ParkedProcessTeam(RankTeam):
                     i: tuple(_encode(a, writer) for a in per_rank[i])
                     for i in self._rank_ids[w]
                 }
-            out_name = out_size = None
-            if lazy:
-                idx = self._out_flip[w] & 1
-                self._out_flip[w] += 1
-                lazy_idx[w] = idx
-                out = self._out[w][idx]
-                out_name, out_size = out.name, out.size
+            out = self._out[w][self._out_flip[w] & 1]
             cmd_name = None
             if writer.total:
                 self._cmd[w] = self._grown(self._cmd[w], writer.total)
                 cmd_name = self._cmd[w].name
             cmd = (method, common_meta, per_metas,
                    cmd_name, self._rep[w].name, self._rep[w].size,
-                   out_name, out_size)
+                   out.name, out.size)
             blob = pickle.dumps(cmd, protocol=pickle.HIGHEST_PROTOCOL)
             slot_buf = self._slots[w].buf
             header = _SLOT_HEADER.size
@@ -624,16 +765,17 @@ class ParkedProcessTeam(RankTeam):
         # releases are one skew-free dispatch edge.  Release never blocks;
         # a dead worker simply leaves its token unconsumed and is caught
         # on the reply pipe in _gather.
-        for w in involved:
-            self._gos[w].release()
-        return involved, lazy_idx, ser_out
+        for go in self._gos:
+            go.release()
+        return ser_out
 
-    def _gather(self, involved, lazy_idx, results, durations, starts=None,
-                profiling=False, method="?"):
-        """Collect one reply per involved worker.
+    def _gather(self, results, durations, starts, profiling, method):
+        """Collect one reply per worker.
 
-        Returns ``(ser_in, transport_in, spills)``: parent-side reply
-        materialization seconds when ``profiling``, the worker-side
+        A reply parked in the out arena advances that worker's flip and
+        comes back as wire handles; a spilled reply grows the arena it
+        outgrew.  Returns ``(ser_in, transport_in, spills)``: parent-side
+        reply materialization seconds when ``profiling``, the worker-side
         arena copy seconds carried in each reply (payload movement, not
         serialization — nothing is pickled), and the count of replies
         that overflowed their arena onto the pipe.  A rank-method
@@ -645,39 +787,40 @@ class ParkedProcessTeam(RankTeam):
         ser_in = 0.0
         transport_in = 0.0
         spills = 0
-        for w in involved:
+        for w, conn in enumerate(self._conns):
             try:
                 # A dead worker's pipe end closes, so poll() returns
                 # immediately and recv() raises EOFError; the timeout only
                 # fires for a live-but-wedged worker.
-                if not self._conns[w].poll(_WORKER_TIMEOUT):
+                if not conn.poll(_WORKER_TIMEOUT):
                     self._fail(
                         f"rank worker {w} stalled in {method!r} "
                         f"(no reply in {_WORKER_TIMEOUT:.0f}s)"
                     )
-                msg = self._conns[w].recv()
+                msg = conn.recv()
             except (EOFError, OSError):
                 self._fail(f"rank worker {w} died mid-call in {method!r}")
             if msg[0] == "err":
                 if failure is None:
                     failure = (w, msg[1], msg[2])
                 continue
-            _, metas, where, total, worker_dec, worker_enc = msg
+            _, metas, wires, spilled, total, worker_dec, worker_enc = msg
             transport_in += worker_dec + worker_enc
             park = None
-            if where == "rep":
-                buf = self._rep[w].buf
-            elif where == "out":
-                out = self._out[w][lazy_idx[w]]
-                buf = out.buf
-                park = functools.partial(self._mint_handle, w, out)
-            else:  # pipe spill
+            if spilled:
                 spills += 1
-                buf = self._conns[w].recv_bytes()
-                if w in lazy_idx:
-                    self._regrown_out(w, lazy_idx[w], total)
+                buf = conn.recv_bytes()
+                if wires:
+                    self._regrown_out(w, self._out_flip[w] & 1, total)
                 else:
                     self._rep[w] = self._grown(self._rep[w], total)
+            elif wires:
+                out = self._out[w][self._out_flip[w] & 1]
+                self._out_flip[w] += 1
+                buf = out.buf
+                park = functools.partial(self._mint_handle, w, out)
+            else:
+                buf = self._rep[w].buf
             t0 = time.perf_counter() if profiling else 0.0
             for rk, meta, duration, start in metas:
                 results[rk] = _decode(meta, buf, park=park)
@@ -693,39 +836,10 @@ class ParkedProcessTeam(RankTeam):
             )
         return ser_in, transport_in, spills
 
-    def call(self, method, per_rank=None, common=(), parallel=False, lazy=False):
-        if self._closed:
-            raise RuntimeError("team is closed")
-        profiling = self.tracer.enabled
-        t_begin = time.perf_counter() if profiling else 0.0
-        if self.racecheck is not None:
-            self._check_lazy_args(per_rank, common)
-        if per_rank is not None:
-            per_rank = {i: tuple(args) for i, args in enumerate(per_rank)}
-        involved, lazy_idx, ser_out = self._dispatch(
-            method, per_rank, tuple(common),
-            profiling=profiling, lazy=lazy,
-        )
-        t_dispatched = time.perf_counter() if profiling else t_begin
-        results: list = [None] * self.num_ranks
-        durations = [0.0] * self.num_ranks
-        starts = [0.0] * self.num_ranks if profiling else None
-        ser_in, transport_in, spills = self._gather(
-            involved, lazy_idx, results, durations, starts, profiling, method
-        )
-        if parallel:
-            self._account(method, durations, starts)
-        if profiling:
-            self._profile_call(
-                method, parallel, t_begin, t_dispatched, time.perf_counter(),
-                starts, durations, ser_out, ser_in, spills, transport_in,
-            )
-        return results
-
     def close(self):
         if self._closed:
             return
-        self._closed = True
+        super().close()
         # Orderly shutdown: arm a STOP in each living worker's slot and
         # hand it a token.  A parked worker wakes, reads STOP, and exits;
         # a worker still mid-call re-parks when it finishes, consumes the

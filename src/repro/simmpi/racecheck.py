@@ -6,11 +6,11 @@ PR 8 zero-copy transport and the parked thread crew silently depend on
 are instrumented and verified while a run executes —
 
 * **arena generations (process backend)** — the
-  :class:`~repro.simmpi.fabric.Wire` a rank returns from a ``lazy=True``
-  call reaches the parent as a handle into a double-buffered per-worker
-  out arena, one per rank per call.  A handle minted at flip ``f`` is
-  valid only while the worker's flip counter is below ``f + 2``; one
-  more lazy call recycles the arena underneath it.  Each minted handle
+  :class:`~repro.simmpi.fabric.Wire` a rank returns from any team call
+  reaches the parent as a handle into a double-buffered per-worker out
+  arena, one per rank per call.  A handle minted at flip ``f`` is valid
+  only while the worker's flip counter is below ``f + 2``; one more
+  parked reply recycles the arena underneath it.  Each minted handle
   carries its generation, and reading (or re-shipping, inside an inbox
   that holds a run of it) a handle past its window raises
   :class:`StaleViewError` instead of silently reading bytes the next
@@ -55,12 +55,12 @@ class RaceCheckViolation(RuntimeError):
 
 
 class StaleViewError(RaceCheckViolation):
-    """A lazy shared-memory handle was read after its arena generation
+    """A shared-memory wire handle was read after its arena generation
     was recycled by a later call on the same team."""
 
 
 class ArenaClosedError(RuntimeError):
-    """A lazy shared-memory handle was read after the owning team closed
+    """A shared-memory wire handle was read after the owning team closed
     and released its arenas.
 
     Deliberately *not* a :class:`RaceCheckViolation`: the lifetime guard

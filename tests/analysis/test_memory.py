@@ -12,7 +12,7 @@ class TestEstimate:
         est = estimate_memory(42, m.max_nodes, m)
         assert est.fits
         # The paper's scale leaves real headroom; the steady state is small.
-        assert est.utilization < 0.5
+        assert est.total_per_node / est.mem_per_node < 0.5
 
     def test_scale_44_does_not_fit(self):
         m = sunway_exascale()

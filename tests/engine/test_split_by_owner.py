@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.coalescing import dedup_min
 from repro.engine.rank import Outbox, OwnerRouter
 from repro.partition import Partition1D, hashed1d
-from repro.simmpi.executor import SerialTeam
+from repro.simmpi.executor import RankTeam
 from repro.simmpi.fabric import Fabric
 from repro.simmpi.machine import small_cluster
 from repro.simmpi.parked import ParkedProcessTeam
@@ -259,7 +259,6 @@ def deliver(team, sends, fold):
         per_rank=[sends.get(r, ([], None)) for r in range(num_ranks)],
         common=(fold,),
         parallel=True,
-        lazy=True,
     )
     inboxes = fabric.exchange(wires)
     got = team.call("read", per_rank=[(m,) for m in inboxes], parallel=True)
@@ -293,7 +292,7 @@ def test_exchange_delivers_what_the_per_destination_reference_does(
 ):
     partition = PARTITIONS[partition]
     router = OwnerRouter(partition)
-    team = SerialTeam([_Sender(router) for _ in range(partition.num_ranks)])
+    team = RankTeam([_Sender(router) for _ in range(partition.num_ranks)])
     sends = make_case(seed, partition, calls, fold, mode)
     assert_delivery_matches(team, partition, sends, fold)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import build_csr
-from repro.graph.degree import degree_stats, hub_vertices
+from repro.graph.degree import degree_stats
 from repro.graph.io import load_graph, save_graph
 from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
 from repro.graph.types import EdgeList
@@ -58,28 +58,6 @@ class TestDegree:
         g = build_csr(grid_graph(10, 10))
         assert degree_stats(g).gini < 0.2
 
-    def test_hub_by_threshold(self):
-        g = build_csr(star_graph(50))
-        hubs = hub_vertices(g, threshold=10)
-        assert list(hubs) == [0]
-
-    def test_hub_by_topk(self):
-        g = build_csr(star_graph(50))
-        hubs = hub_vertices(g, top_k=3)
-        assert hubs[0] == 0
-        assert hubs.size == 3
-
-    def test_hub_requires_exactly_one_mode(self):
-        g = build_csr(path_graph(4))
-        with pytest.raises(ValueError):
-            hub_vertices(g)
-        with pytest.raises(ValueError):
-            hub_vertices(g, threshold=1, top_k=1)
-
-    def test_hub_topk_zero(self):
-        g = build_csr(path_graph(4))
-        assert hub_vertices(g, top_k=0).size == 0
-
 
 class TestIO:
     def test_roundtrip(self, tmp_path):
@@ -122,14 +100,3 @@ class TestEdgeList:
             EdgeList(np.array([0]), np.array([5]), np.array([1.0]), 3)
         with pytest.raises(ValueError):
             EdgeList(np.array([-1]), np.array([0]), np.array([1.0]), 3)
-
-    def test_select(self):
-        el = path_graph(5)
-        sub = el.select(el.weight > 0)
-        assert sub.num_edges == el.num_edges
-
-    def test_reversed(self):
-        el = path_graph(3)
-        rev = el.reversed()
-        assert np.array_equal(rev.src, el.dst)
-        assert np.array_equal(rev.dst, el.src)

@@ -82,7 +82,7 @@ def test_racecheck_is_bit_identical(
         assert audit["regions_checked"] > 0
     else:
         # The sanitizer reads wire headers, never payload, so it rides the
-        # same lazy transport: every cell mints and checks real handles.
+        # same zero-copy transport: every cell mints and checks real handles.
         assert audit["handles_minted"] > 0
         assert audit["handles_checked"] == audit["handles_minted"]
 

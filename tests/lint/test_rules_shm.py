@@ -89,9 +89,23 @@ class TestStaleLazyHandle:
         findings = lint(
             """
             def drive(team):
-                handles = team.call("flush", parallel=True, lazy=True)
+                handles = team.call("flush", parallel=True)
                 team.call("tick", parallel=True)
                 return [h.fields for h in handles]
+            """,
+            SHM,
+        )
+        assert [f.rule for f in findings] == ["shm-stale-lazy-handle"]
+
+    def test_control_call_result_read_after_next_call_fires(self, lint):
+        # No flag marks a call whose result holds wires: the team decides,
+        # so every call result is a potential handle.
+        findings = lint(
+            """
+            def drive(team):
+                votes = team.call("vote")
+                team.call("step", per_rank=[(1,), (2,)])
+                return sum(votes)
             """,
             SHM,
         )
@@ -103,7 +117,7 @@ class TestStaleLazyHandle:
         findings = lint(
             """
             def drive(team):
-                handles = team.call("flush", parallel=True, lazy=True)
+                handles = team.call("flush", parallel=True)
                 return team.call("apply", per_rank=[(h,) for h in handles])
             """,
             SHM,
@@ -114,7 +128,7 @@ class TestStaleLazyHandle:
         findings = lint(
             """
             def drive(team):
-                handles = team.call("flush", parallel=True, lazy=True)
+                handles = team.call("flush", parallel=True)
                 sizes = [len(h) for h in handles]
                 team.call("tick", parallel=True)
                 return sizes
@@ -127,7 +141,7 @@ class TestStaleLazyHandle:
         findings = lint(
             """
             def drive(team, other):
-                handles = team.call("flush", parallel=True, lazy=True)
+                handles = team.call("flush", parallel=True)
                 other.call("tick", parallel=True)
                 return [h.fields for h in handles]
             """,

@@ -6,18 +6,12 @@ import pytest
 from repro.obs.tracer import Tracer
 from repro.simmpi.executor import (
     EXECUTOR_BACKENDS,
-    ProcessExecutor,
     RankExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     WorkerError,
-    _decode,
-    _encode,
-    _PayloadWriter,
-    make_executor,
     resolve_executor,
 )
 from repro.simmpi.fabric import Message
+from repro.simmpi.parked import _decode, _encode, _PayloadWriter
 
 
 class _Counter:
@@ -49,7 +43,7 @@ def _teams(num_ranks=4, tracer=None):
     made = []
     for backend in EXECUTOR_BACKENDS:
         ranks = [_Counter(r) for r in range(num_ranks)]
-        exec_obj = make_executor(backend, workers=2)
+        exec_obj = RankExecutor(backend, workers=2)
         made.append((backend, exec_obj, exec_obj.team(ranks, tracer=tracer)))
     return made
 
@@ -174,7 +168,7 @@ class TestTeams:
         # reply arena grows for the next call.
         big = np.arange(600_000, dtype=np.float64)  # 4.8 MB
         ranks = [_Counter(r) for r in range(3)]
-        exec_obj = ProcessExecutor(workers=2)
+        exec_obj = RankExecutor("process", workers=2)
         team = exec_obj.team(ranks)
         try:
             for _ in range(2):  # second pass exercises the grown arenas
@@ -189,7 +183,7 @@ class TestTeams:
 
     def test_worker_error_propagates(self):
         ranks = [_Counter(r) for r in range(2)]
-        exec_obj = ProcessExecutor(workers=2)
+        exec_obj = RankExecutor("process", workers=2)
         team = exec_obj.team(ranks)
         try:
             with pytest.raises(WorkerError, match="exploded"):
@@ -202,7 +196,7 @@ class TestTeams:
 
     def test_thread_error_propagates(self):
         ranks = [_Counter(r) for r in range(2)]
-        exec_obj = ThreadExecutor(workers=2)
+        exec_obj = RankExecutor("thread", workers=2)
         team = exec_obj.team(ranks)
         try:
             with pytest.raises(ValueError, match="exploded"):
@@ -213,7 +207,7 @@ class TestTeams:
 
     def test_closed_team_rejects_calls(self):
         ranks = [_Counter(r) for r in range(2)]
-        exec_obj = ProcessExecutor(workers=1)
+        exec_obj = RankExecutor("process", workers=1)
         team = exec_obj.team(ranks)
         team.close()
         team.close()  # idempotent
@@ -249,7 +243,7 @@ class TestTiming:
     def test_rank_task_events_emitted_when_tracing(self):
         tracer = Tracer()
         ranks = [_Counter(r) for r in range(3)]
-        exec_obj = SerialExecutor()
+        exec_obj = RankExecutor()
         team = exec_obj.team(ranks, tracer=tracer)
         try:
             team.call("identity", parallel=True)
@@ -268,24 +262,24 @@ class TestFactories:
     def test_backend_registry(self):
         assert EXECUTOR_BACKENDS == ("serial", "thread", "process")
         for backend in EXECUTOR_BACKENDS:
-            exec_obj = make_executor(backend, workers=2)
-            assert isinstance(exec_obj, RankExecutor)
-            assert exec_obj.name == backend
+            exec_obj = RankExecutor(backend, workers=2)
+            assert exec_obj.backend == backend
+            assert exec_obj.workers == (1 if backend == "serial" else 2)
             exec_obj.close()
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
-            make_executor("gpu")
+            RankExecutor("gpu")
 
     def test_instance_passthrough_rejects_workers(self):
-        exec_obj = SerialExecutor()
-        assert make_executor(exec_obj) is exec_obj
+        exec_obj = RankExecutor()
+        assert resolve_executor(exec_obj) == (exec_obj, False)
         with pytest.raises(ValueError, match="cannot be combined"):
-            make_executor(exec_obj, workers=2)
+            resolve_executor(exec_obj, workers=2)
 
     def test_resolve_default_is_serial_not_owned(self):
         exec_obj, owns = resolve_executor(None)
-        assert isinstance(exec_obj, SerialExecutor) and not owns
+        assert exec_obj.backend == "serial" and not owns
 
     def test_resolve_workers_without_backend_raises(self):
         with pytest.raises(ValueError, match="requires an executor backend"):
@@ -293,24 +287,24 @@ class TestFactories:
 
     def test_resolve_string_is_owned(self):
         exec_obj, owns = resolve_executor("thread", workers=2)
-        assert isinstance(exec_obj, ThreadExecutor) and owns
+        assert (exec_obj.backend, exec_obj.workers) == ("thread", 2) and owns
         exec_obj.close()
 
     def test_resolve_instance_is_borrowed(self):
-        inst = ThreadExecutor(workers=2)
+        inst = RankExecutor("thread", workers=2)
         exec_obj, owns = resolve_executor(inst)
         assert exec_obj is inst and not owns
         inst.close()
 
     def test_invalid_worker_counts_raise(self):
         with pytest.raises(ValueError, match="workers"):
-            ThreadExecutor(workers=0)
+            RankExecutor("thread", workers=0)
         with pytest.raises(ValueError, match="workers"):
-            ProcessExecutor(workers=-1)
+            RankExecutor("process", workers=-1)
 
     def test_executor_reuse_across_teams(self):
         # One executor, several sequential teams (the harness pattern).
-        exec_obj = ThreadExecutor(workers=2)
+        exec_obj = RankExecutor("thread", workers=2)
         try:
             for _ in range(3):
                 team = exec_obj.team([_Counter(r) for r in range(2)])
@@ -320,7 +314,7 @@ class TestFactories:
             exec_obj.close()
 
     def test_context_manager_closes(self):
-        with ThreadExecutor(workers=1) as exec_obj:
+        with RankExecutor("thread", workers=1) as exec_obj:
             team = exec_obj.team([_Counter(0)])
             assert team.call("identity") == [0]
             team.close()

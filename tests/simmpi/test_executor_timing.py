@@ -25,7 +25,7 @@ from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.obs.profile import BUCKETS
 from repro.obs.tracer import Tracer
-from repro.simmpi.executor import EXECUTOR_BACKENDS, make_executor
+from repro.simmpi.executor import EXECUTOR_BACKENDS, RankExecutor
 
 EPS = 1e-9
 
@@ -49,7 +49,7 @@ class _BusyRank:
 
 def _run_phases(backend, num_phases=3, num_ranks=4, tracer=None):
     """Drive ``num_phases`` parallel calls; return (team, executor)."""
-    ex = make_executor(backend, workers=2)
+    ex = RankExecutor(backend, workers=2)
     team = ex.team([_BusyRank(r) for r in range(num_ranks)], tracer=tracer)
     for _ in range(num_phases):
         team.call("spin", common=(2e-4,), parallel=True)
@@ -63,7 +63,7 @@ class TestStepTimingInvariants:
         try:
             cp, sor = team.take_step_timing()
         finally:
-            ex.close()
+            team.close()
         assert cp > 0.0 and sor > 0.0
         assert cp <= sor + EPS
         # 4 skewed ranks: the slowest is strictly less than the total.
@@ -75,16 +75,16 @@ class TestStepTimingInvariants:
             assert team.take_step_timing() > (0.0, 0.0)
             assert team.take_step_timing() == (0.0, 0.0)
         finally:
-            ex.close()
+            team.close()
 
     def test_control_calls_are_not_accounted(self, backend):
-        ex = make_executor(backend, workers=2)
+        ex = RankExecutor(backend, workers=2)
         team = ex.team([_BusyRank(r) for r in range(4)])
         try:
             team.call("nop")  # parallel=False: control plane, untimed
             assert team.take_step_timing() == (0.0, 0.0)
         finally:
-            ex.close()
+            team.close()
 
 
 @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
@@ -97,7 +97,7 @@ class TestTracedTimingInvariants:
         try:
             cp, sor = team.take_step_timing()
         finally:
-            ex.close()
+            team.close()
             tracer.close()
         return tracer.events, cp, sor
 
@@ -136,14 +136,14 @@ class TestSerialExactness:
     def test_serial_aggregates_equal_task_sums(self):
         """Serial: one clock, one loop — the aggregates ARE the task sums."""
         tracer = Tracer()
-        ex = make_executor("serial")
+        ex = RankExecutor("serial")
         team = ex.team([_BusyRank(r) for r in range(3)], tracer=tracer)
         try:
             for _ in range(2):
                 team.call("spin", common=(1e-4,), parallel=True)
             cp, sor = team.take_step_timing()
         finally:
-            ex.close()
+            team.close()
             tracer.close()
         secs = [
             r["tags"]["seconds"]

@@ -2,7 +2,7 @@
 
 Covers what the happy-path executor suite does not: arena power-of-two
 growth across the pipe-spill threshold, spill-fallback correctness, the
-zero-copy lazy transport (handles, double-buffering, zero-length fast
+zero-copy wire transport (handles, double-buffering, zero-length fast
 path), shutdown under worker death / barrier timeout / interrupt, and
 the shared-memory lifecycle regression — no ``/dev/shm`` segment may
 survive a worker dying mid-call.
@@ -16,19 +16,14 @@ import numpy as np
 import pytest
 
 from repro.simmpi import parked
-from repro.simmpi.executor import (
-    _MIN_ARENA,
-    ProcessExecutor,
-    ThreadExecutor,
-    WorkerError,
-)
+from repro.simmpi.executor import RankExecutor, WorkerError
 from repro.simmpi.fabric import Fabric, Message, Wire
 from repro.simmpi.machine import small_cluster
-from repro.simmpi.parked import ParkedProcessTeam, ParkedThreadTeam
+from repro.simmpi.parked import _MIN_ARENA, ParkedProcessTeam, ParkedThreadTeam
 
 
 class _Rank:
-    """A stateful rank with payload, lazy-outbox, and failure behaviours."""
+    """A stateful rank with payload, outbox, and failure behaviours."""
 
     def __init__(self, rank):
         self.rank = rank
@@ -130,7 +125,7 @@ class TestArenaGrowthAndSpill:
             team.close()
 
 
-# -- zero-copy lazy transport ------------------------------------------------
+# -- zero-copy wire transport ------------------------------------------------
 
 
 def _route(wires):
@@ -142,7 +137,7 @@ class TestLazyTransport:
     def test_lazy_reply_returns_shm_handles(self):
         team = _process_team()
         try:
-            out = team.call("outbox", common=(5,), parallel=True, lazy=True)
+            out = team.call("outbox", common=(5,), parallel=True)
             assert all(isinstance(w, Wire) for w in out)
             # One handle per rank; the payload stays in the producing
             # worker's armed out arena, only the header crossed.
@@ -150,14 +145,14 @@ class TestLazyTransport:
                 assert wire.arena_name in {seg.name for seg in team._out[worker]}
                 assert wire._columns is None
                 assert wire.counts.tolist() == [5, 5] and wire.nbytes == 2 * 5 * 16
-            # Handles read back the same payload the eager path built.
-            eager = team.call("outbox", common=(5,), parallel=True)
-            for lazy_wire, eager_wire in zip(out, eager):
-                assert eager_wire.arena_name is None
-                assert lazy_wire.schema == eager_wire.schema
-                assert np.array_equal(lazy_wire.counts, eager_wire.counts)
-                assert np.array_equal(lazy_wire.displs, eager_wire.displs)
-                for got, want in zip(lazy_wire.columns, eager_wire.columns):
+            # Handles read back the same payload the rank built in-process.
+            for rank, handle in enumerate(out):
+                owned = _Rank(rank).outbox(5)
+                assert owned.arena_name is None
+                assert handle.schema == owned.schema
+                assert np.array_equal(handle.counts, owned.counts)
+                assert np.array_equal(handle.displs, owned.displs)
+                for got, want in zip(handle.columns, owned.columns):
                     assert np.array_equal(got, want)
         finally:
             team.close()
@@ -165,7 +160,7 @@ class TestLazyTransport:
     def test_handles_route_back_into_workers(self):
         team = _process_team()
         try:
-            out = team.call("outbox", common=(7,), parallel=True, lazy=True)
+            out = team.call("outbox", common=(7,), parallel=True)
             # Destination d receives a run of every rank's wire — a
             # cross-worker arena read on the far side.
             routed = _route(out)
@@ -188,9 +183,9 @@ class TestLazyTransport:
         team = _process_team()
         try:
             # Handles from call N must stay valid while call N+1 produces
-            # new lazy replies (ping-pong out arenas).
-            first = team.call("outbox", common=(3,), parallel=True, lazy=True)
-            second = team.call("outbox", common=(4,), parallel=True, lazy=True)
+            # new parked replies (ping-pong out arenas).
+            first = team.call("outbox", common=(3,), parallel=True)
+            second = team.call("outbox", common=(4,), parallel=True)
             for rank, (old, new) in enumerate(zip(first, second)):
                 assert old.arena_name != new.arena_name
                 assert np.array_equal(old.columns[0], np.arange(3) + rank)
@@ -203,18 +198,18 @@ class TestLazyTransport:
         try:
             length = (_MIN_ARENA // 16) + 64  # two columns → > _MIN_ARENA total
             before = len(team._retired)
-            out = team.call("outbox", common=(length,), parallel=True, lazy=True)
+            out = team.call("outbox", common=(length,), parallel=True)
             for rank, wire in enumerate(out):
+                assert wire.arena_name is None  # spilled: owned, not parked
                 assert np.all(wire.columns[1] == float(rank))
             # The spilled reply grew the armed out arena; the replaced
             # segment went to the graveyard, not /dev/shm limbo.
             assert len(team._retired) > before
             grown = [s for pair in team._out for s in pair if s.size > _MIN_ARENA]
             assert grown
-            # The next reply spills out of the buffer's other half; the one
-            # after lands in the arena the first spill grew.
-            team.call("outbox", common=(length,), parallel=True, lazy=True)
-            again = team.call("outbox", common=(length,), parallel=True, lazy=True)
+            # A spill parks nothing, so the flip stays put and the next
+            # reply lands in the arena the spill grew.
+            again = team.call("outbox", common=(length,), parallel=True)
             assert all(wire.arena_name is not None for wire in again)
         finally:
             team.close()
@@ -223,7 +218,7 @@ class TestLazyTransport:
         empty = Message(vertex=np.empty(0, dtype=np.int64), dist=np.empty(0))
         team = _process_team()
         try:
-            out = team.call("echo", common=(empty,), parallel=True, lazy=True)
+            out = team.call("echo", common=(empty,), parallel=True)
             for msg in out:
                 assert isinstance(msg, Message) and len(msg) == 0
                 assert tuple(msg.names) == ("vertex", "dist")
@@ -247,8 +242,7 @@ class TestShmLifecycle:
         team = _process_team()
         # Force growth so retired segments exist too.
         team.call("make_array", common=(_MIN_ARENA + 64,), parallel=True)
-        team.call("outbox", common=((_MIN_ARENA // 16) + 64,), parallel=True,
-                  lazy=True)
+        team.call("outbox", common=((_MIN_ARENA // 16) + 64,), parallel=True)
         assert _shm_names() - baseline  # the team is holding segments
         with pytest.raises(WorkerError, match="died"):
             team.call("die", parallel=True)
@@ -268,7 +262,7 @@ class TestShmLifecycle:
 
     def test_executor_close_unlinks_segments(self):
         baseline = _shm_names()
-        with ProcessExecutor(workers=2) as exec_obj:
+        with RankExecutor("process", workers=2) as exec_obj:
             team = exec_obj.team([_Rank(r) for r in range(2)])
             assert team.call("identity") == [0, 1]
             team.close()
@@ -349,9 +343,9 @@ class TestShutdown:
             thread.join(timeout=5)
             assert not thread.is_alive()
 
-    def test_thread_executor_reports_requested_workers(self):
-        with ThreadExecutor(workers=32) as exec_obj:
+    def test_thread_team_reports_the_workers_it_runs(self):
+        with RankExecutor("thread", workers=32) as exec_obj:
             team = exec_obj.team([_Rank(r) for r in range(2)])
-            assert team.num_workers == 32  # requested, like the old backend
             assert len(team._threads) == 2  # crew clamps to rank count
+            assert team.num_workers == 2  # and reports the clamped crew
             team.close()

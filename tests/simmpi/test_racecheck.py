@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.obs.tracer import Tracer
-from repro.simmpi.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.simmpi.executor import RankExecutor
 from repro.simmpi.fabric import Fabric, Wire
 from repro.simmpi.machine import small_cluster
 from repro.simmpi.parked import ParkedProcessTeam, ParkedThreadTeam
@@ -27,7 +27,7 @@ from repro.simmpi.racecheck import (
 
 
 class _Rank:
-    """A rank with lazy-outbox behaviour and a seeded shared-write defect."""
+    """A rank with outbox behaviour and a seeded shared-write defect."""
 
     def __init__(self, rank, shared=None):
         self.rank = rank
@@ -76,7 +76,7 @@ def _process_team(racecheck=False, tracer=None):
 
 
 def _handles(out):
-    """The arena-backed wire handles among a lazy call's results."""
+    """The arena-backed wire handles among a call's results."""
     return [w for w in out if isinstance(w, Wire) and w.arena_name is not None]
 
 
@@ -92,9 +92,9 @@ class TestStaleGenerations:
     def test_read_within_window_is_clean(self):
         team = _process_team(racecheck=True)
         try:
-            first = team.call("outbox", common=(3,), parallel=True, lazy=True)
-            team.call("outbox", common=(4,), parallel=True, lazy=True)
-            # One intervening lazy call: the double buffer still protects
+            first = team.call("outbox", common=(3,), parallel=True)
+            team.call("outbox", common=(4,), parallel=True)
+            # One intervening parked reply: the double buffer still protects
             # the old generation, so materializing must succeed.
             assert len(_handles(first)) == 2
             for handle in _handles(first):
@@ -106,10 +106,10 @@ class TestStaleGenerations:
     def test_materialize_past_window_raises_stale(self):
         team = _process_team(racecheck=True)
         try:
-            first = team.call("outbox", common=(3,), parallel=True, lazy=True)
-            team.call("outbox", common=(4,), parallel=True, lazy=True)
-            team.call("outbox", common=(5,), parallel=True, lazy=True)
-            # Two lazy calls since mint: the arena was recycled underneath.
+            first = team.call("outbox", common=(3,), parallel=True)
+            team.call("outbox", common=(4,), parallel=True)
+            team.call("outbox", common=(5,), parallel=True)
+            # Two parked replies since mint: the arena was recycled underneath.
             stale = _handles(first)
             assert stale
             with pytest.raises(StaleViewError, match="stale-view"):
@@ -120,9 +120,9 @@ class TestStaleGenerations:
     def test_reshipping_stale_handle_raises_at_dispatch(self):
         team = _process_team(racecheck=True)
         try:
-            first = team.call("outbox", common=(3,), parallel=True, lazy=True)
-            team.call("outbox", common=(4,), parallel=True, lazy=True)
-            team.call("outbox", common=(5,), parallel=True, lazy=True)
+            first = team.call("outbox", common=(3,), parallel=True)
+            team.call("outbox", common=(4,), parallel=True)
+            team.call("outbox", common=(5,), parallel=True)
             routed = _route(first)
             # The defect is caught before the workers ever see the call.
             with pytest.raises(StaleViewError, match="stale-view"):
@@ -136,7 +136,7 @@ class TestStaleGenerations:
         # The fabric's real usage: mint, route, consume on the next call.
         team = _process_team(racecheck=True)
         try:
-            out = team.call("outbox", common=(7,), parallel=True, lazy=True)
+            out = team.call("outbox", common=(7,), parallel=True)
             routed = _route(out)
             assert all(
                 src.arena_name is not None for m in routed for src, _, _ in m.pieces
@@ -145,7 +145,7 @@ class TestStaleGenerations:
                 "consume", per_rank=[(m,) for m in routed], parallel=True
             )
             assert len(got) == 2
-            # One handle per rank per lazy call, each checked once at the
+            # One handle per rank per wire call, each checked once at the
             # dispatch that ships its runs (to both ranks).
             assert team.racecheck.handles_minted == 2
             assert team.racecheck.handles_checked == 2
@@ -155,9 +155,9 @@ class TestStaleGenerations:
     def test_racecheck_off_skips_generation_checks(self):
         team = _process_team(racecheck=False)
         try:
-            first = team.call("outbox", common=(3,), parallel=True, lazy=True)
-            team.call("outbox", common=(4,), parallel=True, lazy=True)
-            team.call("outbox", common=(5,), parallel=True, lazy=True)
+            first = team.call("outbox", common=(3,), parallel=True)
+            team.call("outbox", common=(4,), parallel=True)
+            team.call("outbox", common=(5,), parallel=True)
             # Unchecked mode preserves the old (unsafe) behaviour: no raise.
             _handles(first)[0].columns
             assert team.racecheck is None
@@ -173,7 +173,7 @@ class TestArenaLifetime:
         before = _shm_names()
         team = _process_team(racecheck=False)
         try:
-            out = team.call("outbox", common=(5,), parallel=True, lazy=True)
+            out = team.call("outbox", common=(5,), parallel=True)
             held = _handles(out)
             assert held
         finally:
@@ -187,7 +187,7 @@ class TestArenaLifetime:
     def test_concat_over_closed_handles_raises(self):
         team = _process_team(racecheck=False)
         try:
-            out = team.call("outbox", common=(5,), parallel=True, lazy=True)
+            out = team.call("outbox", common=(5,), parallel=True)
             routed = _route(out)[0]
         finally:
             team.close()
@@ -198,7 +198,7 @@ class TestArenaLifetime:
     def test_materialized_handles_survive_close(self):
         team = _process_team(racecheck=True)
         try:
-            out = team.call("outbox", common=(5,), parallel=True, lazy=True)
+            out = team.call("outbox", common=(5,), parallel=True)
             held = _handles(out)
             copies = [np.array(h.columns[0]) for h in held]
         finally:
@@ -212,7 +212,7 @@ class TestArenaLifetime:
     def test_close_with_held_handles_leaks_nothing(self):
         before = _shm_names()
         team = _process_team(racecheck=True)
-        out = team.call("outbox", common=(5,), parallel=True, lazy=True)
+        out = team.call("outbox", common=(5,), parallel=True)
         held = _handles(out)
         team.close()
         team.close()  # idempotent with detached handles outstanding
@@ -302,7 +302,7 @@ class TestAuditPlumbing:
     def test_process_report_counts_every_minted_handle(self):
         team = _process_team(racecheck=True)
         try:
-            out = team.call("outbox", common=(6,), parallel=True, lazy=True)
+            out = team.call("outbox", common=(6,), parallel=True)
             for handle in _handles(out):
                 handle.columns  # noqa: B018
             report = team.racecheck.report()
@@ -315,8 +315,8 @@ class TestAuditPlumbing:
 
     def test_executor_team_threads_racecheck_through(self):
         for executor, backend in (
-            (ThreadExecutor(workers=2), "thread"),
-            (ProcessExecutor(workers=2), "process"),
+            (RankExecutor("thread", workers=2), "thread"),
+            (RankExecutor("process", workers=2), "process"),
         ):
             ranks = [_Rank(r) for r in range(2)]
             team = executor.team(ranks, racecheck=True)
@@ -328,7 +328,7 @@ class TestAuditPlumbing:
 
     def test_serial_team_reports_uniform_zero_audit(self):
         ranks = [_Rank(r) for r in range(2)]
-        team = SerialExecutor().team(ranks, racecheck=True)
+        team = RankExecutor().team(ranks, racecheck=True)
         try:
             report = team.racecheck.report()
         finally:

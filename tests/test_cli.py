@@ -72,7 +72,7 @@ class TestCommands:
         assert rc == 0
         assert "batched: 1 multi-source sweeps x <= 4 lanes" in out
         assert "sanitizer: 4 root run(s) audited" in out
-        regions = re.search(r"racecheck: .*\((\d+) lazy handles, (\d+) parallel regions\)", out)
+        regions = re.search(r"racecheck: .*\((\d+) wire handles, (\d+) parallel regions\)", out)
         assert regions and int(regions.group(2)) > 0
 
     def test_sssp_only_flags_are_rejected_for_bfs(self):
