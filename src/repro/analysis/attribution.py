@@ -26,11 +26,10 @@ present.
 from __future__ import annotations
 
 from repro.obs.profile import BUCKET_HINTS, BUCKETS, PROFILE_SCHEMA
+from repro.obs.report import STEP_SPANS, span_ancestry
 
 __all__ = ["PhaseAttribution"]
 
-# Span names that delimit one engine step (same set RunReport uses).
-_STEP_SPANS = frozenset({"superstep", "round", "level"})
 # How driver-side fabric collective wall time maps onto buckets.
 _FABRIC_BUCKET = {
     "fabric_exchange": "transport",
@@ -64,20 +63,14 @@ class PhaseAttribution:
     @classmethod
     def from_records(cls, records: list[dict], meta: dict | None = None) -> "PhaseAttribution":
         att = cls()
-        spans_by_id = {r["id"]: r for r in records if r.get("type") == "span"}
+        ancestry = span_ancestry(records)
 
         def step_ancestor(parent_id):
             """Nearest enclosing step span record, or ``None``."""
-            seen = set()
-            while parent_id is not None and parent_id not in seen:
-                seen.add(parent_id)
-                span = spans_by_id.get(parent_id)
-                if span is None:
-                    return None
-                if span["name"] in _STEP_SPANS:
-                    return span
-                parent_id = span.get("parent")
-            return None
+            return next(
+                (span for span in ancestry(parent_id) if span["name"] in STEP_SPANS),
+                None,
+            )
 
         solve_tags: dict = {}
         critical_path = 0.0
@@ -115,7 +108,7 @@ class PhaseAttribution:
                 if name == "solve":
                     att.total_wall_s += r.get("dur_wall") or 0.0
                     solve_tags.update(tags)
-                elif name in _STEP_SPANS:
+                elif name in STEP_SPANS:
                     row = row_for(r)
                     row["wall_s"] += r.get("dur_wall") or 0.0
                     critical_path += float(tags.get("critical_path") or 0.0)

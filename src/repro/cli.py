@@ -6,16 +6,17 @@ Mirrors the real benchmark driver's workflow:
                  (``--kernel sssp`` / ``--kernel bfs``: the same root loop);
                  ``--trace-out/--report-out/--chrome-out`` persist the run's
                  telemetry (JSONL stream, per-superstep report, Perfetto);
-* ``inspect``  — summarize a saved ``--trace-out`` JSONL telemetry file;
+* ``inspect``  — summarize a saved ``--trace-out`` JSONL telemetry file:
+                 the per-superstep timeline and, when the trace holds
+                 executor phase calls, the compute/barrier/dispatch/
+                 transport/serialization attribution table and the ranked
+                 bottleneck diagnosis (``--profile-out`` writes the
+                 ``repro-profile-report/v1`` document);
 * ``experiment`` — regenerate one table or figure of the reconstructed
   evaluation (``T1``-``T3``, ``F1``-``F11``, ``E1``-``E3``, or ``all``) as a
   JSON document and check its expected shape (``--smoke``: the seconds-long
   profile, unchecked); other parameters are Python calls, see
   :mod:`repro.analysis.studies`;
-* ``profile``  — run one engine under full instrumentation; print the
-  compute/barrier/dispatch/transport/serialization attribution table and
-  the ranked bottleneck diagnosis (``--out`` writes the
-  ``repro-profile-report/v1`` document);
 * ``bench``    — one host wall-clock protocol (``--protocol P1|P4|K1|B1``);
   ``bench diff`` compares two BENCH_*.json documents (or profile
   reports) with per-engine deltas and a regression threshold;
@@ -28,8 +29,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from repro.simmpi.executor import EXECUTOR_BACKENDS
 
 __all__ = ["main"]
@@ -39,27 +38,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=int, default=13, help="log2 of the vertex count")
     p.add_argument("--ranks", type=int, default=8, help="simulated ranks (nodes)")
     p.add_argument("--seed", type=int, default=2022)
-
-
-def _add_executor(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--executor",
-        choices=EXECUTOR_BACKENDS,
-        default="serial",
-        help=(
-            "rank-execution backend for per-rank compute phases (results "
-            "are bit-identical across backends)"
-        ),
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker pool size for --executor thread/process "
-            "(default: the host CPU count)"
-        ),
-    )
 
 
 def _parse_faults_arg(text: str | None):
@@ -101,7 +79,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         sinks = [JsonlSink(args.trace_out)] if args.trace_out else []
         tracer = Tracer(sinks=sinks)
-        tracer.add_meta(command="run", baseline=bool(args.baseline))
+        # The engine label names the profile report ``inspect`` folds.
+        engine = args.engine if args.kernel == "sssp" else "bfs"
+        tracer.add_meta(command="run", engine=engine, baseline=bool(args.baseline))
         if faults is not None:
             tracer.add_meta(faults=faults.describe())
     racecheck = args.racecheck or bool(args.racecheck_out)
@@ -186,10 +166,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import RunReport
+    from repro.analysis.attribution import PhaseAttribution
+    from repro.obs import RunReport, read_jsonl, validate_profile_report
 
     try:
-        report = RunReport.from_jsonl(args.trace)
+        records = read_jsonl(args.trace)
     except FileNotFoundError:
         print(f"repro inspect: trace file not found: {args.trace}", file=sys.stderr)
         return 2
@@ -200,7 +181,30 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    print(report.render_text(max_rows=args.max_rows))
+    print(RunReport.from_events(records).render_text(max_rows=args.max_rows))
+    if not any(r.get("name") == "phase_call" for r in records):
+        if args.profile_out:
+            print(
+                f"repro inspect: {args.trace} holds no phase_call events to "
+                f"attribute; record it with 'repro run --trace-out'",
+                file=sys.stderr,
+            )
+            return 2
+        return 0
+    attribution = PhaseAttribution.from_records(records)
+    print()
+    print(attribution.render_text())
+    if args.profile_out:
+        doc = attribution.to_dict()
+        try:
+            validate_profile_report(doc)
+        except ValueError as exc:
+            print(f"repro inspect: {exc}", file=sys.stderr)
+            return 2
+        with open(args.profile_out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        print(f"profile report: {args.profile_out} (schema {doc['schema']})")
     return 0
 
 
@@ -219,7 +223,7 @@ def _run_kernel_smoke(args: argparse.Namespace) -> int:
         num_ranks=args.ranks,
         faults=faults,
         sanitize=args.sanitize,
-        racecheck=getattr(args, "racecheck", False),
+        racecheck=args.racecheck,
         executor=args.executor,
         workers=args.workers,
     )
@@ -312,73 +316,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.out:
         dump_json(doc, args.out)
         print(f"bench: wrote {args.out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import api
-    from repro.analysis.attribution import PhaseAttribution
-    from repro.graph.csr import build_csr
-    from repro.graph.kronecker import generate_kronecker
-    from repro.obs import (
-        JsonlSink,
-        Tracer,
-        validate_profile_report,
-        write_chrome_trace,
-    )
-
-    faults = _parse_faults_arg(args.faults)
-    sinks = [JsonlSink(args.trace_out)] if args.trace_out else []
-    tracer = Tracer(sinks=sinks)
-    tracer.add_meta(
-        command="profile",
-        engine=args.engine,
-        scale=args.scale,
-        num_ranks=args.ranks,
-        seed=args.seed,
-    )
-    if faults is not None:
-        tracer.add_meta(faults=faults.describe())
-    graph = build_csr(generate_kronecker(args.scale, seed=args.seed))
-    source = int(np.argmax(graph.out_degree))
-    # "--engine bfs" is the committed documents' key for the BFS kernel
-    # on the 1-D layout.
-    kernel = "bfs" if args.engine == "bfs" else "sssp"
-    engine = "dist1d" if args.engine == "bfs" else args.engine
-    run = api.run(
-        graph,
-        source,
-        kernel=kernel,
-        engine=engine,
-        num_ranks=args.ranks,
-        tracer=tracer,
-        faults=faults,
-        sanitize=args.sanitize,
-        racecheck=args.racecheck,
-        executor=args.executor,
-        workers=args.workers,
-    )
-    tracer.close()
-    attribution = PhaseAttribution.from_records(tracer.events)
-    print(attribution.render_text())
-    print(f"\nmodeled time: {run.modeled_time:.6f}s (cost model, unchanged)")
-    doc = attribution.to_dict()
-    validate_profile_report(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"profile report: {args.out} (schema {doc['schema']})")
-    if args.chrome_out:
-        write_chrome_trace(tracer.events, args.chrome_out)
-        print(
-            f"chrome trace: {args.chrome_out} "
-            f"(per-rank lanes; open in chrome://tracing or Perfetto)"
-        )
-    if args.trace_out:
-        print(f"trace: {args.trace_out} ({len(tracer.events)} records)")
     return 0
 
 
@@ -516,7 +453,24 @@ def build_parser() -> argparse.ArgumentParser:
             "repro-racecheck-audit/v1 JSON document (implies --racecheck)"
         ),
     )
-    _add_executor(p_run)
+    p_run.add_argument(
+        "--executor",
+        choices=EXECUTOR_BACKENDS,
+        default="serial",
+        help=(
+            "rank-execution backend for per-rank compute phases (results "
+            "are bit-identical across backends)"
+        ),
+    )
+    p_run.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help=(
+            "worker pool size for --executor thread/process "
+            "(default: the host CPU count)"
+        ),
+    )
     p_run.add_argument(
         "--trace-out", default=None, help="write the telemetry stream as JSONL"
     )
@@ -526,13 +480,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--chrome-out",
         default=None,
-        help="write a chrome://tracing / Perfetto trace_event file",
+        help="write a chrome://tracing / Perfetto trace_event file (one lane per rank)",
     )
     p_run.set_defaults(func=_cmd_run)
 
     p_inspect = sub.add_parser("inspect", help="summarize a saved JSONL trace")
     p_inspect.add_argument("trace", help="path to a --trace-out JSONL file")
     p_inspect.add_argument("--max-rows", type=int, default=80)
+    p_inspect.add_argument(
+        "--profile-out",
+        default=None,
+        metavar="PATH",
+        help="write the repro-profile-report/v1 attribution document here",
+    )
     p_inspect.set_defaults(func=_cmd_inspect)
 
     p_exp = sub.add_parser(
@@ -633,52 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative slowdown tolerated per engine (0.25 = +25%%)",
     )
     p_diff.set_defaults(func=_cmd_bench_diff)
-
-    p_prof = sub.add_parser(
-        "profile",
-        help=(
-            "run one engine under full instrumentation and print the "
-            "wall-clock attribution table + bottleneck diagnosis"
-        ),
-    )
-    _add_common(p_prof)
-    p_prof.add_argument(
-        "--engine",
-        choices=("dist1d", "dist2d", "bfs"),
-        default="dist1d",
-        help="engine to profile (one single-root run)",
-    )
-    p_prof.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="inject deterministic fabric faults (see 'run --faults')",
-    )
-    p_prof.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="audit every fabric collective while profiling",
-    )
-    p_prof.add_argument(
-        "--racecheck",
-        action="store_true",
-        help="verify parallel-backend shared-memory contracts while profiling",
-    )
-    _add_executor(p_prof)
-    p_prof.add_argument(
-        "--out",
-        default=None,
-        help="write the repro-profile-report/v1 JSON document here",
-    )
-    p_prof.add_argument(
-        "--chrome-out",
-        default=None,
-        help="write a Perfetto trace with one lane per rank",
-    )
-    p_prof.add_argument(
-        "--trace-out", default=None, help="write the raw telemetry stream as JSONL"
-    )
-    p_prof.set_defaults(func=_cmd_profile)
 
     p_lint = sub.add_parser(
         "lint", help="codebase-specific static analysis (see repro.lint)"

@@ -19,12 +19,13 @@ __all__ = ["dedup_min"]
 
 
 def dedup_min(targets: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce updates to one minimum-distance entry per target.
+    """Reduce updates to one minimum-value entry per target.
 
-    Returns ``(unique_targets, min_dists)`` with targets sorted ascending.
+    Returns ``(unique_targets, min_values)`` with targets sorted ascending
+    as int64; values keep their dtype (float64 distances, int64 labels).
     """
     targets = np.asarray(targets, dtype=np.int64)
-    dists = np.asarray(dists, dtype=np.float64)
+    dists = np.asarray(dists)
     if targets.shape != dists.shape:
         raise ValueError("targets/dists length mismatch")
     if targets.size == 0:

@@ -31,11 +31,10 @@ class SSSPConfig:
             degree-sized update storm from one rank.
         hub_degree_threshold: vertices with out-degree >= threshold are
             delegated; ``None`` derives it from the graph and rank count.
-        fuse_buckets: drain the local bucket to a fixpoint (several local
-            sub-iterations) before each global exchange, cutting the number
-            of global synchronizations per epoch.
-        fusion_cap: bound on local sub-iterations per exchange (safety
-            valve; 1 is equivalent to ``fuse_buckets=False``).
+        fusion_cap: bucket fusion — drain the local bucket through up to
+            this many local sub-iterations before each global exchange,
+            cutting the number of global synchronizations per epoch; 1 is
+            fusion off (one pass per exchange).
         compressed_indices: send vertex ids as uint32 on the wire when the
             graph is small enough (distances stay float64 — lossless).
         hierarchical_aggregation: route inter-supernode traffic through
@@ -50,7 +49,6 @@ class SSSPConfig:
     coalesce: bool = True
     delegate_hubs: bool = True
     hub_degree_threshold: int | None = None
-    fuse_buckets: bool = True
     fusion_cap: int = 64
     compressed_indices: bool = True
     hierarchical_aggregation: bool = False
@@ -79,7 +77,7 @@ class SSSPConfig:
             partition="block",
             coalesce=False,
             delegate_hubs=False,
-            fuse_buckets=False,
+            fusion_cap=1,
             compressed_indices=False,
         )
 
@@ -88,7 +86,7 @@ class SSSPConfig:
         toggles = {
             "coalesce": {"coalesce": False},
             "delegate_hubs": {"delegate_hubs": False},
-            "fuse_buckets": {"fuse_buckets": False},
+            "fuse_buckets": {"fusion_cap": 1},
             "compressed_indices": {"compressed_indices": False},
             "edge_balanced": {"partition": "block"},
         }
@@ -105,7 +103,7 @@ class SSSPConfig:
             for name, flag in (
                 ("coalesce", self.coalesce),
                 ("delegate", self.delegate_hubs),
-                ("fusion", self.fuse_buckets),
+                ("fusion", self.fusion_cap > 1),
                 ("compress", self.compressed_indices),
             )
             if not flag

@@ -13,7 +13,7 @@ with the optimization stack the paper's system class uses:
 * **hub delegation** (``config.delegate_hubs``) — hubs' adjacency lists are
   pre-split across all ranks; relaxing a hub broadcasts one 17-byte record
   per rank instead of one update per edge;
-* **bucket fusion** (``config.fuse_buckets``) — each rank drains its
+* **bucket fusion** (``config.fusion_cap``) — each rank drains its
   bucket-k frontier through up to ``fusion_cap`` *local* sub-iterations
   before the global exchange, so intra-rank light-edge chains cost no
   synchronization.
@@ -241,12 +241,11 @@ class _Rank(Rank):
     def relax_bucket(self, k: int) -> None:
         """Drain bucket ``k`` through local light sub-iterations.
 
-        With fusion enabled this loops until the bucket stops refilling
-        locally (or ``fusion_cap`` is hit); without it, one pass.
+        Loops until the bucket stops refilling locally or ``fusion_cap``
+        passes are done; ``fusion_cap=1`` (fusion off) is one pass.
         """
-        max_iters = self.config.fusion_cap if self.config.fuse_buckets else 1
         # repro: index-space: frontier=local, targets=global
-        for _ in range(max_iters):
+        for _ in range(self.config.fusion_cap):
             frontier = self.buckets.drain(k)
             if frontier.size == 0:
                 return

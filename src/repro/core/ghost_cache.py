@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.coalescing import dedup_min
+
 __all__ = ["GhostMinCache"]
 
 _INF = np.inf
@@ -44,13 +46,7 @@ class GhostMinCache:
 
     __slots__ = ("_keys", "_vals")
 
-    def __init__(
-        self, initial_capacity: int = 0, key_dtype: np.dtype | type = np.int64
-    ) -> None:
-        # ``initial_capacity`` is accepted for interface compatibility;
-        # the sorted layout is always exact-fit, so there is nothing to
-        # preallocate.
-        del initial_capacity
+    def __init__(self, key_dtype: np.dtype | type = np.int64) -> None:
         self._keys = np.empty(0, dtype=key_dtype)
         self._vals = np.empty(0, dtype=np.float64)
 
@@ -93,7 +89,7 @@ class GhostMinCache:
         values = np.asarray(values, dtype=np.float64)
         if keys.size == 0:
             return
-        uniq, batch_min = _dedup_min(keys, values)
+        uniq, batch_min = dedup_min(keys, values)
         self._fold(uniq, batch_min)
 
     def coalesce_batch(
@@ -113,7 +109,7 @@ class GhostMinCache:
         values = np.asarray(values, dtype=np.float64)
         if keys.size == 0:
             return keys, values
-        uniq, batch_min = _dedup_min(keys, values)
+        uniq, batch_min = dedup_min(keys, values)
         old = self._fold(uniq, batch_min)
         keep = batch_min < old
         return uniq[keep], batch_min[keep]
@@ -139,15 +135,3 @@ class GhostMinCache:
             )
             self._vals = np.insert(self._vals, pos[new], batch_min[new])
         return old
-
-
-def _dedup_min(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One (key, min value) pair per key, keys sorted ascending."""
-    order = np.argsort(keys)  # min per key is order-independent: unstable ok
-    sk = keys[order]
-    sv = values[order]
-    starts = np.empty(sk.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(sk[1:], sk[:-1], out=starts[1:])
-    idx = np.flatnonzero(starts)
-    return sk[idx], np.minimum.reduceat(sv, idx)

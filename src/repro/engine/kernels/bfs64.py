@@ -34,7 +34,6 @@ class BFS64:
     name = "bfs64"
     vote_op = "sum"
     drain = False
-    value_dtype = np.uint64
     #: Claim-resolution crossover: peel min-scatter rounds while more
     #: than this many messages are live, then finish the tail with one
     #: per-(target, lane) sort.  Result-neutral (both rules compute the

@@ -16,23 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.coalescing import dedup_min
 from repro.core.relaxation import frontier_edges, scatter_min
 from repro.engine.results import LabelsResult
 from repro.graph.csr import CSRGraph
 
 __all__ = ["ConnectedComponents"]
-
-
-def _min_per_target(targets: np.ndarray, values: np.ndarray):
-    """One minimum entry per target; min over int64 is order-free."""
-    order = np.argsort(targets)
-    st = targets[order]
-    sv = values[order]
-    starts = np.empty(st.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(st[1:], st[:-1], out=starts[1:])
-    idx = np.flatnonzero(starts)
-    return st[idx], np.minimum.reduceat(sv, idx)
 
 
 class ConnectedComponents:
@@ -41,7 +30,8 @@ class ConnectedComponents:
     name = "cc"
     vote_op = "sum"
     drain = False
-    value_dtype = np.int64
+    #: One wire field: the candidate label (the ``vertex`` field is the target).
+    wire_fields = (("value", np.int64),)
 
     def init_state(self, ctx) -> dict:
         # repro: index-space: labels[local], frontier=local
@@ -58,15 +48,16 @@ class ConnectedComponents:
         src, dst, _ = frontier_edges(ctx.local_graph, frontier)
         scanned = int(src.size)
         if dst.size == 0:
-            return dst, np.empty(0, dtype=np.int64), scanned
+            return dst, (np.empty(0, dtype=np.int64),), scanned
         # Coalesce before the wire: one minimum label per target.
-        targets, values = _min_per_target(dst, state["labels"][src])
-        return targets, values, scanned
+        targets, labels = dedup_min(dst, state["labels"][src])
+        return targets, (labels,), scanned
 
     def apply_messages(self, state: dict, ctx, targets, values) -> None:
+        (labels,) = values
         # The improved set is next superstep's frontier; empty inbox means
         # this rank has converged locally.
-        state["frontier"] = scatter_min(state["labels"], targets, values)
+        state["frontier"] = scatter_min(state["labels"], targets, labels)
 
     def vote(self, state: dict, ctx) -> float:
         return float(state["frontier"].size)

@@ -37,7 +37,8 @@ class KCore:
     name = "kcore"
     vote_op = "min"
     drain = True
-    value_dtype = np.int64
+    #: One wire field: how many peeled neighbours decrement the target.
+    wire_fields = (("value", np.int64),)
 
     def init_state(self, ctx) -> dict:
         # repro: index-space: degree[local], alive[local], coreness[local]
@@ -65,16 +66,17 @@ class KCore:
         src, dst, _ = frontier_edges(ctx.local_graph, frontier)
         scanned = int(src.size)
         if dst.size == 0:
-            return dst, np.empty(0, dtype=np.int64), scanned
+            return dst, (np.empty(0, dtype=np.int64),), scanned
         # Integer decrement counts aggregate exactly in any order.
         targets, counts = np.unique(dst, return_counts=True)
-        return targets, counts.astype(np.int64), scanned
+        return targets, (counts.astype(np.int64),), scanned
 
     def apply_messages(self, state: dict, ctx, targets, values) -> None:
+        (counts,) = values
         if targets.size:
             # Decrements addressed to already-peeled vertices land on dead
             # state and are ignored by the live-degree filters.
-            np.subtract.at(state["degree"], targets, values)
+            np.subtract.at(state["degree"], targets, counts)
 
     def vote(self, state: dict, ctx) -> float:
         live = state["degree"][state["alive"]]

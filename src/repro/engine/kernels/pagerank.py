@@ -40,7 +40,8 @@ class PageRank:
     name = "pagerank"
     vote_op = "sum"
     drain = False
-    value_dtype = np.float64
+    #: One wire field: the source's rank share along one edge.
+    wire_fields = (("value", np.float64),)
 
     def __init__(
         self, damping: float = 0.85, iterations: int = 20, tol: float = 1e-10
@@ -79,10 +80,11 @@ class PageRank:
         # One record per edge, in (source vertex, adjacency position)
         # order: summation order is part of the answer, so no
         # pre-aggregation before the wire.
-        return dst, share[src], int(src.size)
+        return dst, (share[src],), int(src.size)
 
     def apply_messages(self, state: dict, ctx, targets, values) -> None:
         # repro: wire-path
+        (shares,) = values
         new = np.full(
             ctx.owned_count, (1.0 - self.damping) / ctx.num_vertices, dtype=np.float64
         )
@@ -93,7 +95,7 @@ class PageRank:
             # sum the oracle performs.
             order = np.argsort(targets, kind="stable")
             st = targets[order]
-            sv = values[order]
+            sv = shares[order]
             starts = np.empty(st.size, dtype=bool)
             starts[0] = True
             np.not_equal(st[1:], st[:-1], out=starts[1:])

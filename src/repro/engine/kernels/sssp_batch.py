@@ -48,7 +48,6 @@ class SSSPBatch:
     name = "sssp_batch"
     vote_op = "min"
     drain = True
-    value_dtype = np.float64
 
     def __init__(self, roots, delta: float) -> None:
         roots = np.ascontiguousarray(roots, dtype=np.int64).ravel()

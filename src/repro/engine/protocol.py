@@ -83,17 +83,17 @@ class Kernel(Protocol):
         drain: whether a superstep loops generate→exchange→apply until no
             rank has active vertices (k-core's peeling cascade) instead of
             running exactly one pass (label propagation, power iteration).
-        value_dtype: dtype of the ``value`` wire field this kernel emits.
-        wire_fields: optional ``((name, dtype), ...)`` declaring a
-            *multi-field* wire record.  When present, ``gen_messages``
+        wire_fields: ``((name, dtype), ...)`` declaring the wire record
+            after its implicit ``vertex`` target field.  ``gen_messages``
             returns a tuple of equal-length value arrays (one per field,
             in declaration order) alongside the targets, and
             ``apply_messages`` receives the same tuple back — each field
             travels as its own named :class:`Message` array, so the
             sanitizer's schema and conservation audits cover every field.
-            Lane-indexed kernels (batched multi-source BFS/SSSP) use this
-            to ship ``(vertex, lane-mask, payload)`` records without
-            packing tricks.
+            A one-value kernel declares ``(("value", dtype),)``;
+            lane-indexed kernels (batched multi-source BFS/SSSP) ship
+            ``(vertex, lane-mask, payload)`` records without packing
+            tricks.
 
     All rank-side hooks receive ``(state, ctx)`` and must touch nothing
     else: under the process backend they execute in forked workers, so
@@ -113,7 +113,7 @@ class Kernel(Protocol):
     name: str
     vote_op: str
     drain: bool
-    value_dtype: np.dtype
+    wire_fields: tuple[tuple[str, np.dtype], ...]
 
     def init_state(self, ctx: RankContext) -> dict:
         """Allocate one rank's owned-local state (arrays sized by owned_count)."""
@@ -125,12 +125,16 @@ class Kernel(Protocol):
 
     def gen_messages(
         self, state: dict, ctx: RankContext, frontier: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...], int]:
         """Emit ``(targets_global, values, edges_scanned)`` from the frontier."""
         ...
 
     def apply_messages(
-        self, state: dict, ctx: RankContext, targets: np.ndarray, values: np.ndarray
+        self,
+        state: dict,
+        ctx: RankContext,
+        targets: np.ndarray,
+        values: tuple[np.ndarray, ...],
     ) -> None:
         """Fold arrived records (targets already local) into owned state."""
         ...
@@ -178,15 +182,7 @@ class _KernelRank(Rank):
             local_graph=graph.extract_rows(owned),
         )
         self.state = kernel.init_state(self.ctx)
-        # Multi-field wire records: ((name, dtype), ...) or None (legacy
-        # single "value" field).  Internally values are always a tuple of
-        # equal-length arrays so routing has one code path.
-        self._wire_fields = getattr(kernel, "wire_fields", None)
-        names = (
-            ("value",)
-            if self._wire_fields is None
-            else tuple(name for name, _ in self._wire_fields)
-        )
+        names = tuple(name for name, _ in kernel.wire_fields)
         # Self-addressed records go through the fabric like any others:
         # the inbox then holds *every* record for an owned vertex
         # concatenated in source-rank order, which is what lets
@@ -214,8 +210,6 @@ class _KernelRank(Rank):
                 self.state, self.ctx, frontier
             )
         self.step_edges += int(scanned)
-        if self._wire_fields is None:
-            values = (values,)
         self.outbox.route(targets, *values)
 
     def kernel_apply(self, msg: Message | None) -> None:
@@ -225,21 +219,13 @@ class _KernelRank(Rank):
         every owned vertex each pass even when nothing arrived.
         """
         # repro: index-space: msg["vertex"]=global, targets=local
-        if self._wire_fields is not None:
-            if msg is None:
-                targets = np.empty(0, dtype=np.int64)
-                values = tuple(
-                    np.empty(0, dtype=dtype) for _, dtype in self._wire_fields
-                )
-            else:
-                targets = msg["vertex"] - self.ctx.lo
-                values = tuple(msg[name] for name, _ in self._wire_fields)
-        elif msg is None:
+        fields = self.kernel.wire_fields
+        if msg is None:
             targets = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=self.kernel.value_dtype)
+            values = tuple(np.empty(0, dtype=dtype) for _, dtype in fields)
         else:
             targets = msg["vertex"] - self.ctx.lo
-            values = msg["value"]
+            values = tuple(msg[name] for name, _ in fields)
         self.kernel.apply_messages(self.state, self.ctx, targets, values)
 
     def kernel_vote(self) -> float:

@@ -11,7 +11,6 @@ Instrumentation contract: engines accept ``tracer=None`` and substitute
 one attribute check per superstep, never per edge.
 """
 
-from repro.obs.metrics import Histogram
 from repro.obs.profile import (
     BUCKETS,
     PROFILE_SCHEMA,
@@ -30,7 +29,6 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "BUCKETS",
-    "Histogram",
     "JsonlSink",
     "ListSink",
     "NULL_TRACER",

@@ -19,10 +19,12 @@ CommTrace.total_bytes`` for every instrumented engine.
 
 from __future__ import annotations
 
-__all__ = ["RunReport"]
+import numpy as np
 
-# Span names whose tags annotate timeline rows (engine-level work units).
-_STEP_SPANS = frozenset({"superstep", "round", "level"})
+__all__ = ["RunReport", "STEP_SPANS", "span_ancestry"]
+
+#: Span names that delimit one engine step (the engines' work units).
+STEP_SPANS = frozenset({"superstep", "round", "level"})
 # Tags copied from the nearest enclosing step span onto timeline rows.
 _STEP_TAGS = (
     "phase",
@@ -33,6 +35,28 @@ _STEP_TAGS = (
     "critical_path",
     "sum_of_ranks",
 )
+
+
+def span_ancestry(records: list[dict]):
+    """``walk(parent_id)``: the span records enclosing ``parent_id``, nearest first.
+
+    The one span walk every reader of a trace uses; the nearest step span
+    of a record is the first ``walk`` result whose name is in
+    :data:`STEP_SPANS`.
+    """
+    spans_by_id = {r["id"]: r for r in records if r.get("type") == "span"}
+
+    def walk(parent_id):
+        seen = set()
+        while parent_id is not None and parent_id not in seen:
+            seen.add(parent_id)
+            span = spans_by_id.get(parent_id)
+            if span is None:
+                return
+            yield span
+            parent_id = span.get("parent")
+
+    return walk
 
 
 class RunReport:
@@ -56,37 +80,23 @@ class RunReport:
     def from_events(cls, records: list[dict]) -> "RunReport":
         report = cls()
         report.num_records = len(records)
-        spans_by_id: dict[int, dict] = {
-            r["id"]: r for r in records if r.get("type") == "span"
-        }
+        ancestry = span_ancestry(records)
 
-        def ancestry(parent_id):
-            """Walk span records rootward from ``parent_id``."""
-            seen = set()
-            while parent_id is not None and parent_id not in seen:
-                seen.add(parent_id)
-                span = spans_by_id.get(parent_id)
-                if span is None:
-                    return
-                yield span
-                parent_id = span.get("parent")
-
-        # Per-step task-duration distributions: rank_task events grouped by
-        # their nearest enclosing step span (microseconds, so sub-ms task
-        # durations spread across the power-of-two buckets).
-        tasks_by_step: dict[int, "object"] = {}
-        from repro.obs.metrics import Histogram
-
+        # Per-step task durations: rank_task seconds grouped by their
+        # nearest enclosing step span, as exact p50/p99 in microseconds.
+        tasks_by_step: dict[int, list[float]] = {}
         for r in records:
             if r.get("type") != "event" or r.get("name") != "rank_task":
                 continue
             for span in ancestry(r.get("parent")):
-                if span["name"] in _STEP_SPANS:
-                    hist = tasks_by_step.get(span["id"])
-                    if hist is None:
-                        hist = tasks_by_step[span["id"]] = Histogram()
-                    hist.observe(float(r.get("tags", {}).get("seconds", 0.0)) * 1e6)
+                if span["name"] in STEP_SPANS:
+                    seconds = float(r.get("tags", {}).get("seconds", 0.0))
+                    tasks_by_step.setdefault(span["id"], []).append(seconds * 1e6)
                     break
+        task_pcts = {
+            step: tuple(round(float(p), 3) for p in np.percentile(us, (50, 99)))
+            for step, us in tasks_by_step.items()
+        }
 
         summary: dict[tuple[str, str], dict] = {}
         for r in records:
@@ -107,7 +117,7 @@ class RunReport:
                 if name == "allreduce":
                     report.allreduces += 1
                 elif name == "exchange":
-                    report.steps.append(cls._step_row(r, ancestry, tasks_by_step))
+                    report.steps.append(cls._step_row(r, ancestry, task_pcts))
                 elif name == "fault":
                     report.fault_events += 1
         report.span_summary = sorted(
@@ -121,7 +131,7 @@ class RunReport:
         return report
 
     @staticmethod
-    def _step_row(record: dict, ancestry, tasks_by_step=None) -> dict:
+    def _step_row(record: dict, ancestry, task_pcts: dict) -> dict:
         tags = record.get("tags", {})
         row = {
             "root": -1,
@@ -138,16 +148,12 @@ class RunReport:
             row[t] = None
         for span in ancestry(record.get("parent")):
             stags = span.get("tags", {})
-            if span["name"] in _STEP_SPANS:
+            if span["name"] in STEP_SPANS:
                 for t in _STEP_TAGS:
                     if row[t] is None and t in stags:
                         row[t] = stags[t]
-                if tasks_by_step and row["task_p50_us"] is None:
-                    hist = tasks_by_step.get(span["id"])
-                    if hist is not None:
-                        p50, p99 = hist.percentile(0.50), hist.percentile(0.99)
-                        row["task_p50_us"] = round(p50, 3) if p50 is not None else None
-                        row["task_p99_us"] = round(p99, 3) if p99 is not None else None
+                if row["task_p50_us"] is None and span["id"] in task_pcts:
+                    row["task_p50_us"], row["task_p99_us"] = task_pcts[span["id"]]
             elif span["name"] == "root" and row["root"] == -1:
                 row["root"] = int(stags.get("index", stags.get("root", 0)))
         return row

@@ -49,7 +49,7 @@ class TestFusionCapSweep:
 
         root = int(sample_roots(kron11, 1, seed=2022)[0])
         capped = run(kron11, root, num_ranks=2, config=SSSPConfig(fusion_cap=1))
-        off = run(kron11, root, num_ranks=2, config=SSSPConfig(fuse_buckets=False))
+        off = run(kron11, root, num_ranks=2, config=SSSPConfig().without("fuse_buckets"))
         assert capped.comm["supersteps"] == off.comm["supersteps"]
 
 

@@ -224,7 +224,7 @@ def test_distributed_always_matches_dijkstra(n, m, seed, num_ranks, coalesce, de
     config = SSSPConfig(
         coalesce=coalesce,
         delegate_hubs=delegate,
-        fuse_buckets=fuse,
+        fusion_cap=64 if fuse else 1,
         hub_degree_threshold=3 if delegate else None,
     )
     run = distributed_sssp(g, source, num_ranks=num_ranks, config=config)

@@ -42,7 +42,7 @@ def test_growth_preserves_contents():
     rng = np.random.default_rng(1)
     keys = rng.integers(0, 100_000, size=5000).astype(np.int64)
     vals = rng.random(5000)
-    c = GhostMinCache(initial_capacity=8)
+    c = GhostMinCache()
     # Feed in many small batches to exercise repeated growth.
     for i in range(0, keys.size, 257):
         c.update_min(keys[i : i + 257], vals[i : i + 257])
@@ -60,7 +60,7 @@ def test_growth_preserves_contents():
 
 def test_batch_with_many_new_keys():
     """A batch far larger than the current cache must merge cleanly."""
-    c = GhostMinCache(initial_capacity=8)
+    c = GhostMinCache()
     keys = np.arange(0, 4096, 17, dtype=np.int64)
     vals = np.linspace(1, 2, keys.size)
     c.update_min(keys, vals)

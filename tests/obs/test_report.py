@@ -82,6 +82,26 @@ class TestTimeline:
         assert report.total_bytes == 64
 
 
+    def test_task_percentiles_are_exact(self):
+        # Ten rank tasks in one step, none in the other: p50/p99 are the
+        # exact (linearly interpolated) percentiles of the step's task
+        # microseconds, not bucket estimates.
+        tr = Tracer()
+        with tr.span("root", cat="harness", index=0):
+            with tr.span("superstep", cat="engine", phase="light"):
+                with tr.span("fabric_exchange", cat="fabric"):
+                    for rank, us in enumerate((3, 1, 4, 1, 5, 9, 2, 6, 5, 35)):
+                        tr.event("rank_task", cat="executor", rank=rank, seconds=us * 1e-6)
+                tr.event("exchange", cat="fabric", step=0, bytes=8, messages=1)
+            with tr.span("superstep", cat="engine", phase="heavy"):
+                tr.event("exchange", cat="fabric", step=1, bytes=8, messages=1)
+        first, second = RunReport.from_events(tr.events).steps
+        assert first["task_p50_us"] == 4.5
+        assert first["task_p99_us"] == 32.66
+        assert second["task_p50_us"] is None and second["task_p99_us"] is None
+        assert "p99_us" in RunReport.from_events(tr.events).render_text()
+
+
 class TestRendering:
     def test_to_dict_json_serializable(self):
         import json

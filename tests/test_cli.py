@@ -23,7 +23,7 @@ class TestParser:
         args = build_parser().parse_args(["experiment", "T1"])
         assert (args.id, args.smoke, args.out) == ("T1", False, None)
 
-    @pytest.mark.parametrize("command", ["ablation", "sweep", "compare", "project"])
+    @pytest.mark.parametrize("command", ["ablation", "sweep", "compare", "project", "profile"])
     def test_removed_subcommands_are_unknown(self, command):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args([command])
@@ -157,8 +157,15 @@ class TestTelemetryWorkflow:
         assert payload["totals"]["supersteps"] == len(payload["steps"])
         assert payload["meta"]["scale"] == 8
 
-        # The chrome export is a loadable trace_event file.
-        assert json.loads(chrome.read_text())["traceEvents"]
+        # The chrome export is a loadable trace_event file with one lane
+        # per rank.
+        events = json.loads(chrome.read_text())["traceEvents"]
+        lanes = {
+            e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        assert "rank 0" in lanes and "rank 1" in lanes
 
         # inspect renders a timeline summary from the saved trace.
         rc = main(["inspect", str(trace)])
@@ -169,22 +176,29 @@ class TestTelemetryWorkflow:
 
 
 class TestProfileCommand:
+    """A run is profiled by recording it (``run --trace-out``) and folding
+    the trace (``inspect --profile-out``)."""
+
     def test_profile_prints_attribution_and_writes_report(self, capsys, tmp_path):
         import json
 
         from repro.obs.profile import PROFILE_SCHEMA, validate_profile_report
 
+        trace = tmp_path / "run.jsonl"
         report = tmp_path / "profile.json"
-        chrome = tmp_path / "lanes.json"
         rc = main(
             [
-                "profile", "--scale", "8", "--ranks", "2",
+                "run", "--scale", "8", "--ranks", "2", "--roots", "1",
                 "--engine", "dist1d", "--executor", "serial",
-                "--out", str(report), "--chrome-out", str(chrome),
+                "--trace-out", str(trace),
             ]
         )
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(["inspect", str(trace), "--profile-out", str(report)])
         out = capsys.readouterr().out
         assert rc == 0
+        assert "per-superstep timeline" in out
         assert "wall-clock attribution" in out
         assert "dominant overhead is" in out
         doc = json.loads(report.read_text())
@@ -192,30 +206,76 @@ class TestProfileCommand:
         validate_profile_report(doc)
         assert doc["meta"]["engine"] == "dist1d"
         assert doc["meta"]["backend"] == "serial"
-        # The chrome export carries the per-rank lanes.
-        events = json.loads(chrome.read_text())["traceEvents"]
-        lanes = {
-            e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        assert "rank 0" in lanes and "rank 1" in lanes
 
     def test_profile_with_faults_still_reconciles(self, capsys, tmp_path):
         import json
 
         from repro.obs.profile import validate_profile_report
 
+        trace = tmp_path / "run.jsonl"
         report = tmp_path / "profile.json"
         rc = main(
             [
-                "profile", "--scale", "8", "--ranks", "2",
-                "--engine", "bfs", "--faults", "drop=0.1,seed=7",
-                "--out", str(report),
+                "run", "--kernel", "bfs", "--scale", "8", "--ranks", "2",
+                "--roots", "1", "--faults", "drop=0.1,seed=7",
+                "--trace-out", str(trace),
             ]
         )
         assert rc == 0
-        validate_profile_report(json.loads(report.read_text()))
+        assert main(["inspect", str(trace), "--profile-out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        validate_profile_report(doc)
+        assert doc["meta"]["engine"] == "bfs"
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_written_document_equals_the_in_memory_fold(
+        self, backend, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        import repro.obs
+        from repro.analysis.attribution import PhaseAttribution
+
+        tracers = []
+
+        class RecordingTracer(repro.obs.Tracer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tracers.append(self)
+
+        monkeypatch.setattr(repro.obs, "Tracer", RecordingTracer)
+        trace = tmp_path / "run.jsonl"
+        report = tmp_path / "profile.json"
+        rc = main(
+            [
+                "run", "--scale", "8", "--ranks", "4", "--roots", "2",
+                "--executor", backend, "--workers", "2",
+                "--trace-out", str(trace),
+            ]
+        )
+        assert rc == 0
+        assert main(["inspect", str(trace), "--profile-out", str(report)]) == 0
+        (tracer,) = tracers
+        in_memory = PhaseAttribution.from_records(tracer.events).to_dict()
+        written = json.loads(report.read_text())
+        assert written["buckets"] == in_memory["buckets"]
+        assert written == json.loads(json.dumps(in_memory))
+
+    def test_profile_out_without_phase_calls_exits_2(self, capsys, tmp_path):
+        from repro.obs import JsonlSink, Tracer
+
+        trace = tmp_path / "bare.jsonl"
+        tracer = Tracer(sinks=[JsonlSink(trace)])
+        with tracer.span("superstep", cat="engine", phase="light"):
+            tracer.event("exchange", cat="fabric", step=0, bytes=64, messages=1)
+        tracer.close()
+        report = tmp_path / "profile.json"
+        rc = main(["inspect", str(trace), "--profile-out", str(report)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "no phase_call events" in captured.err
+        assert "per-superstep timeline" in captured.out
+        assert not report.exists()
 
 
 class TestBenchDiffCommand:
