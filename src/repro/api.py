@@ -159,6 +159,10 @@ def _sssp_dist1d(graph, source, num_ranks, config, **extra):
 
 def _sssp_dist2d(graph, source, num_ranks, config, grid=None, **extra):
     _reject_extra("sssp", "dist2d", extra)
+    if config is None:
+        # The 2-D engine's default: block partition, coalescing on, int64
+        # wire ids.
+        config = SSSPConfig(partition="block", compressed_indices=False)
     check_source(graph, source)
     rows, cols = grid if grid is not None else make_grid(num_ranks)
     check_grid(rows, cols, num_ranks)
@@ -166,18 +170,17 @@ def _sssp_dist2d(graph, source, num_ranks, config, grid=None, **extra):
 
 
 def _bfs_dist1d(
-    graph, source, num_ranks, config, direction="auto", alpha=15.0, beta=18.0,
+    graph, source, num_ranks, config, direction="auto",
     partition="edge_balanced", hierarchical=False, **extra
 ):
     _reject_config(
         "bfs", config,
-        "pass its own knobs directly (direction=, partition=, "
-        "hierarchical=, alpha=, beta=)",
+        "pass its own knobs directly (direction=, partition=, hierarchical=)",
     )
     _reject_extra("bfs", "dist1d", extra)
     check_source(graph, source)
     check_direction(direction)
-    return _BFSEngine(source, direction, alpha, beta, partition, hierarchical)
+    return _BFSEngine(source, direction, partition, hierarchical)
 
 
 def _bfs64_dist1d(graph, source, num_ranks, config, partition="block", **extra):
@@ -231,13 +234,10 @@ def _sssp_shared(graph, source, config, tracer, max_phases=None, **extra):
     )
 
 
-def _bfs_shared(graph, source, config, tracer, **extra):
-    _reject_config("bfs", config, "pass direction=/alpha=/beta= directly")
-    _reject_extra(
-        "bfs", "shared",
-        {k: v for k, v in extra.items() if k not in ("direction", "alpha", "beta")},
-    )
-    return _shared_bfs(graph, source, **extra)
+def _bfs_shared(graph, source, config, tracer, direction="auto", **extra):
+    _reject_config("bfs", config, "pass direction= directly")
+    _reject_extra("bfs", "shared", extra)
+    return _shared_bfs(graph, source, direction)
 
 
 def _oracle(name: str):
@@ -373,7 +373,7 @@ def run(
             starts ``min(workers, num_ranks)``).
         **kernel_kwargs: kernel/engine extras — ``grid=(r, c)`` for
             ``sssp`` on ``dist2d``; ``direction=``, ``partition=``,
-            ``hierarchical=``, ``alpha=``, ``beta=`` for ``bfs``;
+            ``hierarchical=`` for ``bfs``;
             ``max_phases=`` for ``sssp`` on ``shared``; ``partition=``
             plus constructor parameters (PageRank's ``damping=``,
             ``iterations=``, ``tol=``) for the whole-graph kernels.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bfs.kernel import BFSResult, _bottom_up_step, _NO_PARENT
+from repro.bfs.kernel import BFSResult, _bottom_up_step, _NO_PARENT, beamer_bottom_up
 from repro.core.relaxation import frontier_edges
 from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Outbox, OwnerRouter, Rank
@@ -189,15 +189,11 @@ class _BFSEngine:
         self,
         source: int,
         direction: str,
-        alpha: float,
-        beta: float,
         partition: str,
         hierarchical: bool,
     ) -> None:
         self.source = source
         self.direction = direction
-        self.alpha = alpha
-        self.beta = beta
         self.partition = partition
         self.hierarchical = hierarchical
         self.part = None
@@ -253,12 +249,9 @@ class _BFSEngine:
         total_frontier_edges = fabric.allreduce(frontier_edge_counts, op="sum")
         self.unexplored -= total_frontier_edges
         if self.direction == "auto":
-            if not self.bottom_up and total_frontier_edges * self.alpha > max(
-                self.unexplored, 1.0
-            ):
-                self.bottom_up = True
-            elif self.bottom_up and total_frontier * self.beta < n:
-                self.bottom_up = False
+            self.bottom_up = beamer_bottom_up(
+                self.bottom_up, total_frontier_edges, self.unexplored, total_frontier, n
+            )
         with ctx.tracer.span(
             "level",
             cat="engine",

@@ -6,9 +6,10 @@ middle levels hold most of the graph, and bottom-up wins there by
 short-circuiting on the first frontier neighbor — the direction switch is
 the single most important BFS optimization at Graph500 scale.
 
-The switch follows Beamer's heuristic: go bottom-up when the frontier's
-out-edge count exceeds ``1/alpha`` of the unexplored edge count; return
-top-down when the frontier shrinks below ``1/beta`` of the vertices.
+The switch follows Beamer's heuristic (:func:`beamer_bottom_up`, shared
+with the distributed engine): go bottom-up when the frontier's out-edge
+count exceeds ``1/BEAMER_ALPHA`` of the unexplored edge count; return
+top-down when the frontier shrinks below ``1/BEAMER_BETA`` of the vertices.
 """
 
 from __future__ import annotations
@@ -21,9 +22,28 @@ from repro.core.relaxation import frontier_edges
 from repro.graph.csr import CSRGraph
 from repro.utils.timing import Counters
 
-__all__ = ["BFSResult", "bfs"]
+__all__ = ["BEAMER_ALPHA", "BEAMER_BETA", "BFSResult", "beamer_bottom_up", "bfs"]
 
 _NO_PARENT = np.int64(-1)
+
+#: Beamer's direction-switch thresholds (top-down -> bottom-up, and back).
+BEAMER_ALPHA = 15.0
+BEAMER_BETA = 18.0
+
+
+def beamer_bottom_up(
+    bottom_up: bool,
+    frontier_edges: float,
+    unexplored_edges: float,
+    frontier_size: float,
+    num_vertices: int,
+) -> bool:
+    """The direction of the next level under Beamer's heuristic."""
+    if not bottom_up and frontier_edges * BEAMER_ALPHA > max(unexplored_edges, 1):
+        return True
+    if bottom_up and frontier_size * BEAMER_BETA < num_vertices:
+        return False
+    return bottom_up
 
 
 @dataclass
@@ -117,13 +137,7 @@ def _bottom_up_step(
     return found, scanned
 
 
-def bfs(
-    graph: CSRGraph,
-    source: int,
-    direction: str = "auto",
-    alpha: float = 15.0,
-    beta: float = 18.0,
-) -> BFSResult:
+def bfs(graph: CSRGraph, source: int, direction: str = "auto") -> BFSResult:
     """BFS from ``source``; ``direction`` is 'auto', 'top_down' or 'bottom_up'.
 
     'auto' is the direction-optimizing strategy; the pure strategies exist
@@ -149,10 +163,9 @@ def bfs(
         frontier_edges_count = int(graph.out_degree[frontier].sum())
         unexplored_edges -= frontier_edges_count
         if direction == "auto":
-            if not bottom_up and frontier_edges_count * alpha > max(unexplored_edges, 1):
-                bottom_up = True
-            elif bottom_up and frontier.size * beta < n:
-                bottom_up = False
+            bottom_up = beamer_bottom_up(
+                bottom_up, frontier_edges_count, unexplored_edges, frontier.size, n
+            )
         if bottom_up:
             in_frontier = np.zeros(n, dtype=bool)
             in_frontier[frontier] = True

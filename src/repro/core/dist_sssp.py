@@ -54,13 +54,6 @@ def _min_per_target(targets: np.ndarray, dists: np.ndarray, kinds: np.ndarray) -
     return targets, dists, kinds[: targets.size]
 
 
-def _bucket_votes(kmins) -> np.ndarray:
-    """Termination votes from per-rank min live buckets: "none" (inf)
-    becomes the finite 1e300, so the min allreduce stays NaN/inf-free."""
-    kmins = np.asarray(kmins, dtype=np.float64)
-    return np.where(np.isfinite(kmins), kmins, 1e300)
-
-
 class _Rank(Rank):
     """State and per-superstep behaviour of one simulated rank.
 
@@ -444,11 +437,11 @@ class _DistSSSPEngine:
         return ranks
 
     def votes(self, ctx: EngineContext) -> np.ndarray:
-        # Termination allreduce: min over local minimum buckets.
-        return _bucket_votes(ctx.team.call("local_min_bucket"))
+        # Termination allreduce: min over local minimum buckets (inf: none).
+        return np.array(ctx.team.call("local_min_bucket"), dtype=np.float64)
 
     def done(self, reduced: float) -> bool:
-        return reduced >= 1e300
+        return reduced == _INF
 
     # -- step internals ----------------------------------------------------
 
@@ -543,7 +536,7 @@ class _DistSSSPEngine:
                 ctx.close_step(sp)
             self.heavy_rounds += 1
         # The next min-bucket votes rode out of the fused finish_epoch call.
-        return _bucket_votes(stats[:, 3])
+        return stats[:, 3]
 
     def finalize(
         self, ctx: EngineContext, exports: list[dict]

@@ -31,7 +31,6 @@ from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Outbox, OwnerRouter, Rank, wire_id_dtype
 from repro.engine.validation import make_contiguous_partition
 from repro.graph.csr import CSRGraph
-from repro.partition import block1d
 from repro.simmpi.fabric import Message, Wire
 
 _INF = np.inf
@@ -247,8 +246,6 @@ class _TwoDEngine:
     (uint32 vertex ids on the wire).  ``delta`` and the bucket knobs do
     not apply — this engine relaxes the whole frontier chaotically — and
     the run's ``meta['variant']`` records the applied configuration.
-    ``config=None`` is the historical behaviour: block partition,
-    coalescing on, int64 wire ids.
     """
 
     layout = "dist2d"
@@ -261,7 +258,7 @@ class _TwoDEngine:
         source: int,
         rows: int,
         cols: int,
-        config: SSSPConfig | None,
+        config: SSSPConfig,
     ) -> None:
         self.source = source
         self.rows = rows
@@ -277,18 +274,13 @@ class _TwoDEngine:
         n = graph.num_vertices
         rows, cols = self.rows, self.cols
         config = self.config
-        if config is None:
-            part = block1d(n, num_ranks)
-            coalesce = True
-            id_dtype = wire_id_dtype(n, compress=False)
-        else:
-            # The grid-column owner mapping relies on owned ranges being
-            # contiguous vertex-id intervals.
-            part = make_contiguous_partition(
-                graph, config.partition, num_ranks, "the 2-D engine"
-            )
-            coalesce = config.coalesce
-            id_dtype = wire_id_dtype(n, config.compressed_indices)
+        # The grid-column owner mapping relies on owned ranges being
+        # contiguous vertex-id intervals.
+        part = make_contiguous_partition(
+            graph, config.partition, num_ranks, "the 2-D engine"
+        )
+        coalesce = config.coalesce
+        id_dtype = wire_id_dtype(n, config.compressed_indices)
         self.part = part
         router = OwnerRouter(part)
         owner = part.owner_array
@@ -402,8 +394,7 @@ class _TwoDEngine:
             grid=f"{self.rows}x{self.cols}",
             partition=self.part.kind,
         )
-        if self.config is not None:
-            result.meta["variant"] = self.config.variant_name()
+        result.meta["variant"] = self.config.variant_name()
         attach_fabric_outcome(result, ctx.fabric, "edges_relaxed")
         return result, {
             "grid": (self.rows, self.cols),

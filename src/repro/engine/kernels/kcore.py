@@ -27,9 +27,6 @@ from repro.graph.csr import CSRGraph
 
 __all__ = ["KCore", "kcore_reference"]
 
-# Finite "no live vertices" sentinel (mirrors repro.engine.protocol.VOTE_INF).
-_VOTE_INF = 1e300
-
 
 class KCore:
     """Batch peeling with degree-decrement messages on the substrate."""
@@ -80,10 +77,10 @@ class KCore:
 
     def vote(self, state: dict, ctx) -> float:
         live = state["degree"][state["alive"]]
-        return float(live.min()) if live.size else _VOTE_INF
+        return float(live.min()) if live.size else np.inf  # no live vertices
 
     def done(self, reduced: float, steps: int) -> bool:
-        return reduced >= _VOTE_INF
+        return reduced == np.inf
 
     def export_state(self, state: dict, ctx) -> dict:
         return {"coreness": state["coreness"]}

@@ -30,9 +30,6 @@ from repro.graph.csr import CSRGraph
 
 __all__ = ["PageRank", "pagerank_reference"]
 
-# Finite "no vote yet" sentinel (mirrors repro.engine.protocol.VOTE_INF).
-_VOTE_INF = 1e300
-
 
 class PageRank:
     """Synchronous push-based power iteration on the substrate."""
@@ -61,7 +58,7 @@ class PageRank:
                 ctx.owned_count, 1.0 / ctx.num_vertices, dtype=np.float64
             ),
             "frontier": np.arange(ctx.owned_count, dtype=np.int64),
-            "l1": _VOTE_INF,
+            "l1": np.inf,  # no vote yet
         }
 
     def frontier_from(self, state: dict, ctx) -> np.ndarray:

@@ -35,8 +35,6 @@ from repro.graph.csr import CSRGraph
 
 __all__ = ["SSSPBatch"]
 
-#: Finite stand-in for "no pending work" (see repro.engine.protocol.VOTE_INF).
-_VOTE_INF = 1e300
 
 #: Rows of the per-lane edges-scanned telemetry.
 _LIGHT, _HEAVY = 0, 1
@@ -228,11 +226,11 @@ class SSSPBatch:
             np.minimum.at(minpend, wr, dist.reshape(-1)[winners])
 
     def vote(self, state: dict, ctx) -> float:
-        smallest = float(state["minpend"].min(initial=np.inf))
-        return smallest if np.isfinite(smallest) else _VOTE_INF
+        # inf: no pending work on this rank.
+        return float(state["minpend"].min(initial=np.inf))
 
     def done(self, reduced: float, steps: int) -> bool:
-        return reduced >= _VOTE_INF
+        return reduced == np.inf
 
     def export_state(self, state: dict, ctx) -> dict:
         return {"dist": state["dist"], "lane_edges": state["lane_edges"]}

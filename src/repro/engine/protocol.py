@@ -46,11 +46,6 @@ from repro.simmpi.machine import MachineSpec
 
 __all__ = ["Kernel", "RankContext", "run_kernel"]
 
-#: Finite stand-in for "no vote": sums/mins of it never reach a NaN and
-#: the sanitizer's finite-contribution audit stays happy (same convention
-#: as the 1-D engine's bucket vote).
-VOTE_INF = 1e300
-
 
 @dataclass(frozen=True)
 class RankContext:

@@ -30,23 +30,24 @@ enforces them mechanically with an AST-based rule engine:
   globals from parallel rank tasks, and ``Kernel`` hooks touching state
   outside their phase.
 
+Each rule is a :class:`Rule` row declared in its pack module; the pack's
+one ``scan(module)`` yields the findings of all its rules in one pass.
 Findings can be suppressed per line or per file with
 ``# repro-lint: disable=<rule>[,<rule>...]`` comments.  The CLI entry
 point is ``python -m repro lint [paths...]``.
 """
 
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, all_rules, get_rules, rule_packs
-from repro.lint.report import render_json, render_text
-from repro.lint.runner import LintError, lint_paths, lint_source
-
-# Importing the packs registers their rules.
-from repro.lint import (  # noqa: F401  (registration)
-    rules_determinism,
-    rules_dtype,
-    rules_index,
-    rules_obs,
-    rules_shm,
+from repro.lint.context import Rule
+from repro.lint.runner import (
+    Finding,
+    LintError,
+    all_rules,
+    get_rules,
+    lint_paths,
+    lint_source,
+    render_json,
+    render_text,
+    rule_packs,
 )
 
 __all__ = [

@@ -30,6 +30,10 @@ The analyzer's codebase-specific knowledge travels in two comment grammars:
   arrays are shared *by identity* across rank objects and must stay
   read-only inside rank task methods (the ``shm`` pack flags writes).
   ``self.x`` entries attach to the enclosing class, like index-space.
+
+Beside the per-module context this module holds what every rule pack
+shares: the :class:`Rule` row, :func:`name_key`, the flow-ordered
+:func:`walk_statements`, and the backend-file allowlist.
 """
 
 from __future__ import annotations
@@ -45,9 +49,14 @@ __all__ = [
     "LOCAL",
     "Annotations",
     "LintModule",
+    "Rule",
     "ScopeIndex",
     "Suppressions",
+    "is_backend_path",
+    "name_key",
     "parse_module",
+    "scatter_target",
+    "walk_statements",
 ]
 
 GLOBAL = "global"
@@ -191,14 +200,9 @@ class Annotations:
             if sm:
                 for raw in sm.group(1).split(","):
                     name = raw.strip()
-                    if not name:
-                        continue
-                    # Same attachment rule as index-space entries.
-                    if name.startswith("self."):
-                        idx = scopes.innermost(line, kinds=("module", "class"))
-                    else:
-                        idx = scopes.innermost(line)
-                    scopes.scopes[idx].shared_ro.add(name)
+                    if name:
+                        # Same attachment rule as index-space entries.
+                        self._scope_for(name, line).shared_ro.add(name)
                 continue
             m = _ANNOTATION_RE.search(text)
             if not m:
@@ -211,18 +215,19 @@ class Annotations:
                 if em is None:
                     continue  # malformed entries are inert, not fatal
                 name = em.group("name")
-                # ``self.x`` tags belong to the class so every method sees
-                # them; plain names to the innermost function; at module
-                # level everything lands on the module scope.
-                if name.startswith("self."):
-                    idx = scopes.innermost(line, kinds=("module", "class"))
-                else:
-                    idx = scopes.innermost(line)
-                scope = scopes.scopes[idx]
+                scope = self._scope_for(name, line)
                 if em.group("domain"):
                     scope.index_domain[name] = em.group("domain")
                 if em.group("space"):
                     scope.value_space[name] = em.group("space")
+
+    def _scope_for(self, name: str, line: int) -> _Scope:
+        # ``self.x`` tags belong to the class so every method sees
+        # them; plain names to the innermost function; at module
+        # level everything lands on the module scope.
+        if name.startswith("self."):
+            return self.scopes.scopes[self.scopes.innermost(line, kinds=("module", "class"))]
+        return self.scopes.scopes[self.scopes.innermost(line)]
 
     def value_space_of(self, name: str, scope_idx: int) -> str | None:
         for scope in self.scopes.chain(scope_idx):
@@ -254,7 +259,6 @@ class LintModule:
     """Everything the rules need to know about one source file."""
 
     path: str
-    source: str
     tree: ast.Module
     scopes: ScopeIndex
     annotations: Annotations
@@ -278,9 +282,106 @@ def parse_module(path: str, source: str) -> LintModule:
     annotations = Annotations(scopes, comments)
     return LintModule(
         path=path,
-        source=source,
         tree=tree,
         scopes=scopes,
         annotations=annotations,
         suppressions=Suppressions(comments),
     )
+
+
+# -- shared by the rule packs ------------------------------------------------
+
+
+#: The rank-execution backend layer — the executor core and the
+#: parked-worker thread/process backends — where threading primitives
+#: and raw clock reads (the profiler's bucket instrumentation) belong.
+_BACKEND_FILES = ("repro/simmpi/executor.py", "repro/simmpi/parked.py")
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One named check: a row of the rule table, run by its pack's ``scan``.
+
+    Attributes:
+        name: kebab-case rule id, ``<pack>-<what>`` (used in suppression
+            comments and ``--rules`` filters).
+        pack: rule-pack id (``index``, ``det``, ``dtype``, ``obs``, ``shm``).
+        description: one line for ``repro lint --list-rules``.
+    """
+
+    name: str
+    pack: str
+    description: str
+
+
+def is_backend_path(path: str) -> bool:
+    """Is ``path`` one of the backend files (either path separator)?"""
+    return path.replace("\\", "/").endswith(_BACKEND_FILES)
+
+
+def name_key(node: ast.AST) -> str | None:
+    """Dotted name of a Name/Attribute chain (``self.dist``), else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+#: In-place scatters ``(array, index, values)``: they write their first
+#: argument at the positions named by the second.
+_SCATTER_CALLS = ("scatter_min",)
+_SCATTER_UFUNC_AT = ("np.minimum.at", "np.maximum.at", "np.add.at", "np.subtract.at")
+
+
+def scatter_target(node: ast.Call) -> ast.AST | None:
+    """The array an in-place scatter call writes (its first argument), else None."""
+    fkey = name_key(node.func)
+    if fkey is None or not node.args:
+        return None
+    if fkey.rsplit(".", 1)[-1] in _SCATTER_CALLS or fkey in _SCATTER_UFUNC_AT:
+        return node.args[0]
+    return None
+
+
+def _ignore(node: ast.AST) -> None:
+    pass
+
+
+def walk_statements(stmts, simple, header=_ignore, bind=_ignore) -> None:
+    """Visit ``stmts`` in flow order, skipping nested defs and classes.
+
+    ``header(expr)`` sees an ``if``/``while`` test, a ``for`` iterable or
+    each ``with`` context expression before the body; ``bind(target)``
+    sees a ``for`` or ``with ... as`` target right after its header;
+    ``simple(stmt)`` sees every other statement whole (``match`` and
+    ``try*`` included).  ``try`` visits its body, each handler's body,
+    ``else``, then ``finally``.
+    """
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue  # nested scopes are scanned separately
+        if isinstance(stmt, (ast.If, ast.While)):
+            header(stmt.test)
+            blocks = [stmt.body, stmt.orelse]
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            header(stmt.iter)
+            bind(stmt.target)
+            blocks = [stmt.body, stmt.orelse]
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                header(item.context_expr)
+                if item.optional_vars is not None:
+                    bind(item.optional_vars)
+            blocks = [stmt.body]
+        elif isinstance(stmt, ast.Try):
+            blocks = [stmt.body, *(h.body for h in stmt.handlers)]
+            blocks += [stmt.orelse, stmt.finalbody]
+        else:
+            simple(stmt)
+            continue
+        for block in blocks:
+            walk_statements(block, simple, header, bind)

@@ -19,10 +19,42 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.context import LintModule
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
-from repro.lint.rules_index import name_key
+from repro.lint.context import LintModule, Rule, is_backend_path, name_key
+
+__all__ = ["RULES", "scan"]
+
+UNSEEDED_RNG = Rule(
+    "det-unseeded-rng",
+    "det",
+    "hidden global RNG state (np.random.* legacy API, random.*, or a "
+    "Generator constructed without a seed)",
+)
+SET_ITERATION = Rule(
+    "det-set-iteration",
+    "det",
+    "iteration over a set literal/constructor — ordering is hash-"
+    "dependent; sort first when the order can reach ranks or wire bytes",
+)
+WALLCLOCK = Rule(
+    "det-wallclock",
+    "det",
+    "wall-clock read (time.time / datetime.now) — modeled time must "
+    "come from SimClock; time.perf_counter is allowed for telemetry",
+)
+PARALLEL_PRIMITIVES = Rule(
+    "det-parallel-primitives",
+    "det",
+    "threading/multiprocessing/concurrent.futures import outside "
+    "repro.simmpi.executor — rank code must go through the executor's "
+    "deterministic barrier discipline",
+)
+UNSTABLE_SORT = Rule(
+    "det-unstable-sort",
+    "det",
+    "argsort without kind='stable' inside a '# repro: wire-path' "
+    "function, where output byte order defines wire content",
+)
+RULES = (UNSEEDED_RNG, SET_ITERATION, WALLCLOCK, PARALLEL_PRIMITIVES, UNSTABLE_SORT)
 
 #: ``np.random.<fn>`` calls that read/advance hidden module-global state.
 _LEGACY_NP_RANDOM = {
@@ -44,51 +76,37 @@ _WALLCLOCK = {
     "datetime.datetime.now", "datetime.datetime.utcnow",
 }
 
+#: Modules whose primitives bypass the executor's barrier discipline;
+#: only the backend files (:func:`~repro.lint.context.is_backend_path`)
+#: may import them.
+_PARALLEL_MODULES = ("threading", "multiprocessing", "concurrent.futures", "_thread")
 
-@register
-class UnseededRng(Rule):
-    name = "det-unseeded-rng"
-    pack = "det"
-    description = (
-        "hidden global RNG state (np.random.* legacy API, random.*, or a "
-        "Generator constructed without a seed)"
-    )
 
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            key = name_key(node.func)
-            if key is None:
-                continue
-            if key.startswith("np.random.") or key.startswith("numpy.random."):
-                fn = key.rsplit(".", 1)[-1]
-                if fn in _LEGACY_NP_RANDOM:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{key}() uses numpy's hidden global RNG state; "
-                        f"thread an explicit np.random.Generator "
-                        f"(np.random.default_rng(seed)) instead",
-                    )
-                elif fn in ("default_rng", "RandomState") and not (
-                    node.args or node.keywords
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{key}() without a seed draws entropy from the OS; "
-                        f"pass an explicit seed so runs are reproducible",
-                    )
-            elif key.startswith("random.") and key.count(".") == 1:
-                fn = key.rsplit(".", 1)[-1]
-                if fn in _STDLIB_RANDOM:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{key}() uses the stdlib module-global RNG; use a "
-                        f"seeded random.Random or np.random.Generator",
-                    )
+def _rng_message(key: str, node: ast.Call) -> str | None:
+    """The det-unseeded-rng message for a call of ``key``, if it is one."""
+    if key.startswith("np.random.") or key.startswith("numpy.random."):
+        fn = key.rsplit(".", 1)[-1]
+        if fn in _LEGACY_NP_RANDOM:
+            return (
+                f"{key}() uses numpy's hidden global RNG state; "
+                f"thread an explicit np.random.Generator "
+                f"(np.random.default_rng(seed)) instead"
+            )
+        if fn in ("default_rng", "RandomState") and not (
+            node.args or node.keywords
+        ):
+            return (
+                f"{key}() without a seed draws entropy from the OS; "
+                f"pass an explicit seed so runs are reproducible"
+            )
+    elif key.startswith("random.") and key.count(".") == 1:
+        fn = key.rsplit(".", 1)[-1]
+        if fn in _STDLIB_RANDOM:
+            return (
+                f"{key}() uses the stdlib module-global RNG; use a "
+                f"seeded random.Random or np.random.Generator"
+            )
+    return None
 
 
 def _is_set_expr(expr: ast.AST) -> bool:
@@ -99,104 +117,18 @@ def _is_set_expr(expr: ast.AST) -> bool:
     return False
 
 
-@register
-class SetIteration(Rule):
-    name = "det-set-iteration"
-    pack = "det"
-    description = (
-        "iteration over a set literal/constructor — ordering is hash-"
-        "dependent; sort first when the order can reach ranks or wire bytes"
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            iters: list[ast.AST] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters = [node.iter]
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                iters = [gen.iter for gen in node.generators]
-            for it in iters:
-                if _is_set_expr(it):
-                    yield self.finding(
-                        module,
-                        node,
-                        "iterating a set: element order is hash-dependent "
-                        "and varies across processes; iterate "
-                        "sorted(<set>) when order matters downstream",
-                    )
-
-
-@register
-class WallClock(Rule):
-    name = "det-wallclock"
-    pack = "det"
-    description = (
-        "wall-clock read (time.time / datetime.now) — modeled time must "
-        "come from SimClock; time.perf_counter is allowed for telemetry"
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            key = name_key(node.func)
-            if key in _WALLCLOCK:
-                yield self.finding(
-                    module,
-                    node,
-                    f"{key}() reads the host wall clock; modeled time must "
-                    f"come from SimClock (telemetry may use "
-                    f"time.perf_counter)",
-                )
-
-
-#: Modules whose primitives bypass the executor's barrier discipline.
-_PARALLEL_MODULES = ("threading", "multiprocessing", "concurrent.futures", "_thread")
-
-#: The files allowed to touch them: the rank-execution backend layer —
-#: the executor core and the parked-worker thread/process backends.
-_EXECUTOR_SUFFIXES = (
-    "repro/simmpi/executor.py",
-    "repro\\simmpi\\executor.py",
-    "repro/simmpi/parked.py",
-    "repro\\simmpi\\parked.py",
-)
-
-
-@register
-class ParallelPrimitives(Rule):
-    name = "det-parallel-primitives"
-    pack = "det"
-    description = (
-        "threading/multiprocessing/concurrent.futures import outside "
-        "repro.simmpi.executor — rank code must go through the executor's "
-        "deterministic barrier discipline"
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        if module.path.endswith(_EXECUTOR_SUFFIXES):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module] if node.module else []
-            else:
-                continue
-            for name in names:
-                if name in _PARALLEL_MODULES or any(
-                    name.startswith(m + ".") for m in _PARALLEL_MODULES
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"import of {name!r} outside repro.simmpi.executor: "
-                        f"spawning threads/processes in rank or fabric code "
-                        f"bypasses the executor's canonical-order barriers "
-                        f"and breaks the bit-identical-results guarantee; "
-                        f"run per-rank work through a RankTeam instead",
-                    )
-                    break
+def _parallel_import(node: ast.Import | ast.ImportFrom) -> str | None:
+    """The first threading-like module ``node`` imports, if any."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        names = [node.module] if node.module and node.level == 0 else []
+    for name in names:
+        if name in _PARALLEL_MODULES or any(
+            name.startswith(m + ".") for m in _PARALLEL_MODULES
+        ):
+            return name
+    return None
 
 
 def _sort_kind(node: ast.Call) -> str | None:
@@ -207,49 +139,88 @@ def _sort_kind(node: ast.Call) -> str | None:
     return None
 
 
-@register
-class UnstableSort(Rule):
-    name = "det-unstable-sort"
-    pack = "det"
-    description = (
-        "argsort without kind='stable' inside a '# repro: wire-path' "
-        "function, where output byte order defines wire content"
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for scope_idx, func in module.functions:
-            if not module.annotations.is_wire_path(scope_idx):
+def _unstable_sorts(module: LintModule) -> Iterator[tuple[ast.Call, str]]:
+    """argsort calls without ``kind='stable'`` in wire-path functions."""
+    for scope_idx, func in module.functions:
+        if not module.annotations.is_wire_path(scope_idx):
+            continue
+        # Walk the function body without descending into nested
+        # scopes — a nested function answers to its own mark.
+        stack: list[ast.AST] = list(ast.iter_child_nodes(func))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            # Walk the function body without descending into nested
-            # scopes — a nested function answers to its own mark.
-            stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-            while stack:
-                node = stack.pop()
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    continue
-                stack.extend(ast.iter_child_nodes(node))
-                if not isinstance(node, ast.Call):
-                    continue
-                key = name_key(node.func)
-                attr = (
-                    node.func.attr
-                    if isinstance(node.func, ast.Attribute)
-                    else None
-                )
-                # A value sort (np.sort) is deterministic whatever the
-                # algorithm; only argsort leaks tie order through indices.
-                is_np_argsort = key in ("np.argsort", "numpy.argsort")
-                is_method_argsort = attr == "argsort" and not is_np_argsort
-                if not (is_np_argsort or is_method_argsort):
-                    continue
-                if _sort_kind(node) == "stable":
-                    continue
-                what = key if is_np_argsort else f".{attr}"
-                yield self.finding(
-                    module,
+            stack.extend(ast.iter_child_nodes(node))
+            if not isinstance(node, ast.Call):
+                continue
+            key = name_key(node.func)
+            attr = (
+                node.func.attr
+                if isinstance(node.func, ast.Attribute)
+                else None
+            )
+            # A value sort (np.sort) is deterministic whatever the
+            # algorithm; only argsort leaks tie order through indices.
+            is_np_argsort = key in ("np.argsort", "numpy.argsort")
+            is_method_argsort = attr == "argsort" and not is_np_argsort
+            if not (is_np_argsort or is_method_argsort):
+                continue
+            if _sort_kind(node) == "stable":
+                continue
+            what = key if is_np_argsort else f".{attr}"
+            yield (
+                node,
+                f"{what}() defaults to an unstable sort, but this "
+                f"function is a wire path: equal keys may swap and "
+                f"change wire bytes across numpy versions; pass "
+                f"kind='stable'",
+            )
+
+
+def scan(module: LintModule) -> Iterator[tuple[Rule, ast.AST, str]]:
+    """Yield ``(rule, node, message)`` for every determinism finding."""
+    backend = is_backend_path(module.path)
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Call):
+            key = name_key(node.func)
+            message = _rng_message(key, node) if key is not None else None
+            if message is not None:
+                yield UNSEEDED_RNG, node, message
+            if key in _WALLCLOCK:
+                yield (
+                    WALLCLOCK,
                     node,
-                    f"{what}() defaults to an unstable sort, but this "
-                    f"function is a wire path: equal keys may swap and "
-                    f"change wire bytes across numpy versions; pass "
-                    f"kind='stable'",
+                    f"{key}() reads the host wall clock; modeled time must "
+                    f"come from SimClock (telemetry may use "
+                    f"time.perf_counter)",
                 )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not backend:
+            name = _parallel_import(node)
+            if name is not None:
+                yield (
+                    PARALLEL_PRIMITIVES,
+                    node,
+                    f"import of {name!r} outside repro.simmpi.executor: "
+                    f"spawning threads/processes in rank or fabric code "
+                    f"bypasses the executor's canonical-order barriers "
+                    f"and breaks the bit-identical-results guarantee; "
+                    f"run per-rank work through a RankTeam instead",
+                )
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            iters = [node.iter]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            iters = [gen.iter for gen in node.generators]
+        else:
+            iters = []
+        for it in iters:
+            if _is_set_expr(it):
+                yield (
+                    SET_ITERATION,
+                    node,
+                    "iterating a set: element order is hash-dependent "
+                    "and varies across processes; iterate "
+                    "sorted(<set>) when order matters downstream",
+                )
+    for node, message in _unstable_sorts(module):
+        yield UNSTABLE_SORT, node, message

@@ -16,10 +16,29 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.context import LintModule
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
-from repro.lint.rules_index import name_key
+from repro.lint.context import LintModule, Rule, name_key
+
+__all__ = ["RULES", "scan"]
+
+NARROW_ID = Rule(
+    "dtype-narrow-id",
+    "dtype",
+    "vertex-id array cast to 32 bits without an np.iinfo range check "
+    "in the enclosing function or module",
+)
+LOOP_ASTYPE = Rule(
+    "dtype-loop-astype",
+    "dtype",
+    "astype() of a loop-invariant array inside a loop — one hidden "
+    "copy per iteration; hoist the conversion",
+)
+BYTE_MATH = Rule(
+    "dtype-byte-math",
+    "dtype",
+    "byte count computed as <count> * <hard-coded width>; use "
+    "arr.nbytes or dtype.itemsize so dtype changes propagate",
+)
+RULES = (NARROW_ID, LOOP_ASTYPE, BYTE_MATH)
 
 #: Narrow integer dtypes a vertex id must not be cast to unguarded.
 _NARROW_DTYPES = {"np.uint32", "np.int32", "numpy.uint32", "numpy.int32"}
@@ -74,45 +93,30 @@ def _has_iinfo_guard(module: LintModule, scope_idx: int) -> bool:
     return False
 
 
-@register
-class NarrowIdCast(Rule):
-    name = "dtype-narrow-id"
-    pack = "dtype"
-    description = (
-        "vertex-id array cast to 32 bits without an np.iinfo range check "
-        "in the enclosing function or module"
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for scope_idx, func in module.functions:
-            guarded: bool | None = None  # computed lazily, once per function
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                target_key = None
-                dtype_expr = None
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "astype"
-                    and node.args
-                ):
-                    target_key = name_key(node.func.value)
-                    dtype_expr = node.args[0]
-                if dtype_expr is None or not _is_narrow_dtype(dtype_expr):
-                    continue
-                if not _is_id_like(target_key):
-                    continue
-                if guarded is None:
-                    guarded = _has_iinfo_guard(module, scope_idx)
-                if guarded:
-                    continue
-                yield self.finding(
-                    module,
-                    node,
-                    f"{target_key}.astype(32-bit) truncates silently for "
-                    f"graphs beyond 2^32 vertices; range-check with "
-                    f"np.iinfo first or keep the id dtype",
-                )
+def _narrow_id_casts(module: LintModule) -> Iterator[tuple[ast.Call, str]]:
+    for scope_idx, func in module.functions:
+        guarded: bool | None = None  # computed lazily, once per function
+        for node in ast.walk(func):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "astype"
+                and node.args
+            ):
+                continue
+            target_key = name_key(node.func.value)
+            if not _is_narrow_dtype(node.args[0]) or not _is_id_like(target_key):
+                continue
+            if guarded is None:
+                guarded = _has_iinfo_guard(module, scope_idx)
+            if guarded:
+                continue
+            yield (
+                node,
+                f"{target_key}.astype(32-bit) truncates silently for "
+                f"graphs beyond 2^32 vertices; range-check with "
+                f"np.iinfo first or keep the id dtype",
+            )
 
 
 def _assigned_names(root: ast.AST) -> set[str]:
@@ -139,40 +143,30 @@ def _assigned_names(root: ast.AST) -> set[str]:
     return out
 
 
-@register
-class LoopAstype(Rule):
-    name = "dtype-loop-astype"
-    pack = "dtype"
-    description = (
-        "astype() of a loop-invariant array inside a loop — one hidden "
-        "copy per iteration; hoist the conversion"
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for _scope_idx, func in module.functions:
-            for loop in ast.walk(func):
-                if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+def _loop_astypes(module: LintModule) -> Iterator[tuple[ast.Call, str]]:
+    for _scope_idx, func in module.functions:
+        for loop in ast.walk(func):
+            if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+                continue
+            carried = _assigned_names(loop)
+            for node in ast.walk(loop):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "astype"
+                ):
                     continue
-                carried = _assigned_names(loop)
-                for node in ast.walk(loop):
-                    if not (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "astype"
-                    ):
-                        continue
-                    base = node.func.value
-                    # Only a plain name can be proven loop-invariant; a
-                    # subscript like st[lo:hi] varies with loop state.
-                    if not isinstance(base, ast.Name) or base.id in carried:
-                        continue
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{base.id}.astype(...) runs every iteration on a "
-                        f"loop-invariant array; hoist the conversion out "
-                        f"of the loop",
-                    )
+                base = node.func.value
+                # Only a plain name can be proven loop-invariant; a
+                # subscript like st[lo:hi] varies with loop state.
+                if not isinstance(base, ast.Name) or base.id in carried:
+                    continue
+                yield (
+                    node,
+                    f"{base.id}.astype(...) runs every iteration on a "
+                    f"loop-invariant array; hoist the conversion out "
+                    f"of the loop",
+                )
 
 
 _WIDTHS = (1, 2, 4, 8, 16)
@@ -199,40 +193,40 @@ def _is_count_expr(expr: ast.AST) -> bool:
     return False
 
 
-@register
-class ByteMath(Rule):
-    name = "dtype-byte-math"
-    pack = "dtype"
-    description = (
-        "byte count computed as <count> * <hard-coded width>; use "
-        "arr.nbytes or dtype.itemsize so dtype changes propagate"
-    )
+def _byte_math(module: LintModule) -> Iterator[tuple[ast.BinOp, str]]:
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AugAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        key = next(
+            (k for k in map(name_key, targets) if k is not None), None
+        )
+        if key is None or "byte" not in key.rsplit(".", 1)[-1].lower():
+            continue
+        for sub in ast.walk(value):
+            if not (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)):
+                continue
+            pairs = ((sub.left, sub.right), (sub.right, sub.left))
+            if any(
+                _is_width_const(w) and _is_count_expr(c) for w, c in pairs
+            ):
+                yield (
+                    sub,
+                    "byte size hard-codes the element width; use "
+                    "arr.nbytes (or count * arr.dtype.itemsize) so a "
+                    "dtype change cannot desynchronize the cost model",
+                )
+                break
 
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AugAssign):
-                targets, value = [node.target], node.value
-            else:
-                continue
-            key = next(
-                (k for k in map(name_key, targets) if k is not None), None
-            )
-            if key is None or "byte" not in key.rsplit(".", 1)[-1].lower():
-                continue
-            for sub in ast.walk(value):
-                if not (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)):
-                    continue
-                pairs = ((sub.left, sub.right), (sub.right, sub.left))
-                if any(
-                    _is_width_const(w) and _is_count_expr(c) for w, c in pairs
-                ):
-                    yield self.finding(
-                        module,
-                        sub,
-                        "byte size hard-codes the element width; use "
-                        "arr.nbytes (or count * arr.dtype.itemsize) so a "
-                        "dtype change cannot desynchronize the cost model",
-                    )
-                    break
+
+def scan(module: LintModule) -> Iterator[tuple[Rule, ast.AST, str]]:
+    """Yield ``(rule, node, message)`` for every dtype finding."""
+    for node, message in _narrow_id_casts(module):
+        yield NARROW_ID, node, message
+    for node, message in _loop_astypes(module):
+        yield LOOP_ASTYPE, node, message
+    for node, message in _byte_math(module):
+        yield BYTE_MATH, node, message

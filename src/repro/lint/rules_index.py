@@ -24,11 +24,36 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.context import GLOBAL, LOCAL, LintModule
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.context import (
+    GLOBAL,
+    LOCAL,
+    LintModule,
+    Rule,
+    name_key,
+    scatter_target,
+    walk_statements,
+)
 
-__all__ = ["name_key", "convention_space"]
+__all__ = ["RULES", "convention_space", "scan"]
+
+GLOBAL_INTO_LOCAL = Rule(
+    "index-global-into-local",
+    "index",
+    "untranslated global vertex ids index an owned-local array "
+    "(dist/parent/dist_row-class state)",
+)
+LOCAL_INTO_GLOBAL = Rule(
+    "index-local-into-global",
+    "index",
+    "owned-local slots index a global-space array or feed a "
+    "global-id API (to_local, contains, slots_of, extract_rows, is_hub)",
+)
+ROUNDTRIP = Rule(
+    "index-roundtrip",
+    "index",
+    "redundant LocalIndexMap.to_local/to_global translation",
+)
+RULES = (GLOBAL_INTO_LOCAL, LOCAL_INTO_GLOBAL, ROUNDTRIP)
 
 #: Method names that translate between the spaces, and their output space.
 _TRANSLATORS = {"to_local": LOCAL, "to_global": GLOBAL}
@@ -37,26 +62,9 @@ _TRANSLATORS = {"to_local": LOCAL, "to_global": GLOBAL}
 #: (the LocalIndexMap / DelegateTable / CSRGraph global-space surface).
 _GLOBAL_ID_APIS = ("contains", "slots_of", "extract_rows", "is_hub")
 
-#: scatter-style calls: (array, index, values) — index must match the
-#: array's declared index domain.
-_SCATTER_CALLS = ("scatter_min",)
-_SCATTER_UFUNC_AT = ("np.minimum.at", "np.maximum.at", "np.add.at", "np.subtract.at")
-
 #: Calls through which an id array keeps its value space (arg 0).
 _SPACE_PRESERVING_NP = ("np.unique", "np.sort", "np.asarray", "np.ascontiguousarray")
 _SPACE_PRESERVING_METHODS = ("astype", "copy")
-
-
-def name_key(node: ast.AST) -> str | None:
-    """Dotted name of a Name/Attribute chain (``self.dist``), else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def convention_space(key: str) -> str | None:
@@ -83,7 +91,7 @@ class _FunctionScan:
         self.scope_idx = scope_idx
         self.func = func
         self.env: dict[str, str | None] = {}
-        self.out: list[tuple[str, ast.AST, str]] = []
+        self.out: list[tuple[Rule, ast.AST, str]] = []
 
     # -- space inference ---------------------------------------------------
 
@@ -100,8 +108,6 @@ class _FunctionScan:
         if isinstance(expr, ast.Subscript):
             # Filtering/selecting from an id array keeps its value space
             # (this is also exactly what ``owned[local_ids]`` does).
-            if isinstance(expr.slice, (ast.Slice, ast.Tuple)):
-                return self.space_of(expr.value)
             return self.space_of(expr.value)
         if isinstance(expr, ast.Call):
             fkey = name_key(expr.func)
@@ -126,7 +132,7 @@ class _FunctionScan:
 
     # -- checks ------------------------------------------------------------
 
-    def emit(self, rule: str, node: ast.AST, message: str) -> None:
+    def emit(self, rule: Rule, node: ast.AST, message: str) -> None:
         self.out.append((rule, node, message))
 
     def check_expr(self, expr: ast.AST | None) -> None:
@@ -138,10 +144,11 @@ class _FunctionScan:
             elif isinstance(node, ast.Call):
                 self._check_call(node)
 
-    def _mismatch(self, node: ast.AST, what: str, dom: str, space: str) -> None:
+    def _mismatch(self, node: ast.AST, array: ast.AST, dom: str | None, space: str | None) -> None:
+        what = name_key(array) or "array"
         if dom == LOCAL and space == GLOBAL:
             self.emit(
-                "index-global-into-local",
+                GLOBAL_INTO_LOCAL,
                 node,
                 f"{what} is indexed by owned-local slots but the index "
                 f"expression holds global vertex ids; translate with "
@@ -149,7 +156,7 @@ class _FunctionScan:
             )
         elif dom == GLOBAL and space == LOCAL:
             self.emit(
-                "index-local-into-global",
+                LOCAL_INTO_GLOBAL,
                 node,
                 f"{what} is indexed by global vertex ids but the index "
                 f"expression holds owned-local slots; translate with "
@@ -157,35 +164,29 @@ class _FunctionScan:
             )
 
     def _check_subscript(self, node: ast.Subscript) -> None:
-        dom = self.domain_of(node.value)
-        if dom is None or isinstance(node.slice, (ast.Slice, ast.Tuple)):
-            return
-        space = self.space_of(node.slice)
-        if space is not None and space != dom:
-            self._mismatch(node, name_key(node.value) or "array", dom, space)
+        if not isinstance(node.slice, (ast.Slice, ast.Tuple)):
+            self._mismatch(node, node.value, self.domain_of(node.value), self.space_of(node.slice))
 
     def _check_call(self, node: ast.Call) -> None:
         func = node.func
         attr = func.attr if isinstance(func, ast.Attribute) else None
-        fkey = name_key(func)
         arg0 = node.args[0] if node.args else None
         if attr in _TRANSLATORS and arg0 is not None:
-            inner = arg0
             inner_attr = (
-                inner.func.attr
-                if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+                arg0.func.attr
+                if isinstance(arg0, ast.Call) and isinstance(arg0.func, ast.Attribute)
                 else None
             )
             if inner_attr in _TRANSLATORS and inner_attr != attr:
                 self.emit(
-                    "index-roundtrip",
+                    ROUNDTRIP,
                     node,
                     f"{inner_attr}() immediately wrapped in {attr}() is an "
                     f"identity round trip; drop both translations",
                 )
             elif self.space_of(arg0) == _TRANSLATORS[attr]:
                 self.emit(
-                    "index-roundtrip",
+                    ROUNDTRIP,
                     node,
                     f"argument of {attr}() already holds "
                     f"{_TRANSLATORS[attr]}-space ids; the translation is "
@@ -194,27 +195,26 @@ class _FunctionScan:
         if attr in _GLOBAL_ID_APIS and arg0 is not None:
             if self.space_of(arg0) == LOCAL:
                 self.emit(
-                    "index-local-into-global",
+                    LOCAL_INTO_GLOBAL,
                     node,
                     f"{attr}() takes global vertex ids but the argument "
                     f"holds owned-local slots; translate with "
                     f"LocalIndexMap.to_global first",
                 )
-        scatter = (
-            fkey is not None
-            and (fkey.rsplit(".", 1)[-1] in _SCATTER_CALLS or fkey in _SCATTER_UFUNC_AT)
-        )
-        if scatter and len(node.args) >= 2:
-            dom = self.domain_of(node.args[0])
-            space = self.space_of(node.args[1])
-            if dom is not None and space is not None and space != dom:
-                self._mismatch(node, name_key(node.args[0]) or "array", dom, space)
+        # A scatter's index (arg 1) must match the array's index domain.
+        if scatter_target(node) is not None and len(node.args) >= 2:
+            array, index = node.args[:2]
+            self._mismatch(node, array, self.domain_of(array), self.space_of(index))
 
     # -- statement processing ----------------------------------------------
 
-    def run(self) -> list[tuple[str, ast.AST, str]]:
-        body = getattr(self.func, "body", [])
-        self._block(body)
+    def run(self) -> list[tuple[Rule, ast.AST, str]]:
+        walk_statements(
+            getattr(self.func, "body", []),
+            self._statement,
+            header=self.check_expr,
+            bind=self._clear_target,
+        )
         return self.out
 
     def _clear_target(self, target: ast.AST) -> None:
@@ -239,96 +239,30 @@ class _FunctionScan:
         else:
             self.env[key] = space
 
-    def _block(self, stmts: list[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue  # nested scopes are scanned separately
-            if isinstance(stmt, ast.Assign):
-                self.check_expr(stmt.value)
-                for t in stmt.targets:
-                    self.check_expr(t)
-                    self._assign(t, stmt.value)
-            elif isinstance(stmt, ast.AnnAssign):
-                self.check_expr(stmt.value)
-                self.check_expr(stmt.target)
-                if stmt.value is not None:
-                    self._assign(stmt.target, stmt.value)
-            elif isinstance(stmt, ast.AugAssign):
-                # In-place mutation does not rebind the name's space.
-                self.check_expr(stmt.value)
-                self.check_expr(stmt.target)
-            elif isinstance(stmt, ast.If):
-                self.check_expr(stmt.test)
-                self._block(stmt.body)
-                self._block(stmt.orelse)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self.check_expr(stmt.iter)
-                self._clear_target(stmt.target)
-                self._block(stmt.body)
-                self._block(stmt.orelse)
-            elif isinstance(stmt, ast.While):
-                self.check_expr(stmt.test)
-                self._block(stmt.body)
-                self._block(stmt.orelse)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self.check_expr(item.context_expr)
-                    if item.optional_vars is not None:
-                        self._clear_target(item.optional_vars)
-                self._block(stmt.body)
-            elif isinstance(stmt, ast.Try):
-                self._block(stmt.body)
-                for handler in stmt.handlers:
-                    self._block(handler.body)
-                self._block(stmt.orelse)
-                self._block(stmt.finalbody)
-            else:
-                # Return/Expr/Assert/Raise/Delete/...: check every
-                # expression they contain.
-                for child in ast.iter_child_nodes(stmt):
-                    if isinstance(child, ast.expr):
-                        self.check_expr(child)
+    def _statement(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.Assign):
+            self.check_expr(stmt.value)
+            for t in stmt.targets:
+                self.check_expr(t)
+                self._assign(t, stmt.value)
+        elif isinstance(stmt, ast.AnnAssign):
+            self.check_expr(stmt.value)
+            self.check_expr(stmt.target)
+            if stmt.value is not None:
+                self._assign(stmt.target, stmt.value)
+        elif isinstance(stmt, ast.AugAssign):
+            # In-place mutation does not rebind the name's space.
+            self.check_expr(stmt.value)
+            self.check_expr(stmt.target)
+        else:
+            # Return/Expr/Assert/Raise/Delete/...: check every
+            # expression they contain.
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, ast.expr):
+                    self.check_expr(child)
 
 
-def _scan_module(module: LintModule) -> list[tuple[str, ast.AST, str]]:
-    """All index-space findings of a module (cached — three rules share it)."""
-    cached = getattr(module, "_index_scan", None)
-    if cached is None:
-        cached = []
-        for scope_idx, func in module.functions:
-            cached.extend(_FunctionScan(module, scope_idx, func).run())
-        module._index_scan = cached  # type: ignore[attr-defined]
-    return cached
-
-
-class _IndexRule(Rule):
-    pack = "index"
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for rule_name, node, message in _scan_module(module):
-            if rule_name == self.name:
-                yield self.finding(module, node, message)
-
-
-@register
-class IndexGlobalIntoLocal(_IndexRule):
-    name = "index-global-into-local"
-    description = (
-        "untranslated global vertex ids index an owned-local array "
-        "(dist/parent/dist_row-class state)"
-    )
-
-
-@register
-class IndexLocalIntoGlobal(_IndexRule):
-    name = "index-local-into-global"
-    description = (
-        "owned-local slots index a global-space array or feed a "
-        "global-id API (to_local, contains, slots_of, extract_rows, is_hub)"
-    )
-
-
-@register
-class IndexRoundTrip(_IndexRule):
-    name = "index-roundtrip"
-    description = "redundant LocalIndexMap.to_local/to_global translation"
+def scan(module: LintModule) -> Iterator[tuple[Rule, ast.AST, str]]:
+    """Yield ``(rule, node, message)`` for every index-space finding."""
+    for scope_idx, func in module.functions:
+        yield from _FunctionScan(module, scope_idx, func).run()

@@ -21,10 +21,18 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.context import LintModule
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
-from repro.lint.rules_index import name_key
+from repro.lint.context import LintModule, Rule, is_backend_path, name_key
+
+__all__ = ["RULES", "scan"]
+
+MANUAL_TIMING = Rule(
+    "obs-manual-timing",
+    "obs",
+    "direct monotonic-clock read (time.perf_counter / time.monotonic) "
+    "outside repro.obs and repro.simmpi.executor — time through the "
+    "tracer so the profiler's bucket attribution stays complete",
+)
+RULES = (MANUAL_TIMING,)
 
 #: Monotonic/CPU clock reads that constitute hand-rolled timing.
 _MANUAL_CLOCKS = {
@@ -34,42 +42,25 @@ _MANUAL_CLOCKS = {
     "time.thread_time", "time.thread_time_ns",
 }
 
-def _is_sanctioned_path(path: str) -> bool:
-    """The tracer package itself and the executor layer's bucket
-    instrumentation (executor.py and the parked-worker backends) are
-    where raw clock reads belong — all of them feed the profiler."""
-    norm = path.replace("\\", "/")
-    return (
-        norm.endswith("repro/simmpi/executor.py")
-        or norm.endswith("repro/simmpi/parked.py")
-        or "repro/obs/" in norm
-    )
 
-
-@register
-class ManualTiming(Rule):
-    name = "obs-manual-timing"
-    pack = "obs"
-    description = (
-        "direct monotonic-clock read (time.perf_counter / time.monotonic) "
-        "outside repro.obs and repro.simmpi.executor — time through the "
-        "tracer so the profiler's bucket attribution stays complete"
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        if _is_sanctioned_path(module.path):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            key = name_key(node.func)
-            if key in _MANUAL_CLOCKS:
-                yield self.finding(
-                    module,
-                    node,
-                    f"{key}() is hand-rolled timing: measurements taken "
-                    f"outside repro.obs / the executor are invisible to "
-                    f"the phase-attribution profiler; wrap the region in "
-                    f"tracer.span(...) (or justify with "
-                    f"# repro-lint: disable-file=obs-manual-timing)",
-                )
+def scan(module: LintModule) -> Iterator[tuple[Rule, ast.AST, str]]:
+    """Yield ``(rule, node, message)`` for every hand-rolled clock read."""
+    # The tracer package itself and the executor layer's bucket
+    # instrumentation (the backend files) are where raw clock reads
+    # belong — all of them feed the profiler.
+    if is_backend_path(module.path) or "repro/obs/" in module.path.replace("\\", "/"):
+        return
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        key = name_key(node.func)
+        if key in _MANUAL_CLOCKS:
+            yield (
+                MANUAL_TIMING,
+                node,
+                f"{key}() is hand-rolled timing: measurements taken "
+                f"outside repro.obs / the executor are invisible to "
+                f"the phase-attribution profiler; wrap the region in "
+                f"tracer.span(...) (or justify with "
+                f"# repro-lint: disable-file=obs-manual-timing)",
+            )

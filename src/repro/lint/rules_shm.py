@@ -34,21 +34,39 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.context import LintModule
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
-from repro.lint.rules_index import name_key
+from repro.lint.context import LintModule, Rule, name_key, scatter_target, walk_statements
 
-__all__: list[str] = []
+__all__ = ["RULES", "scan"]
+
+VIEW_ESCAPE = Rule(
+    "shm-view-escape",
+    "shm",
+    "np.frombuffer arena view escapes the producing call "
+    "(returned or stored without .copy())",
+)
+STALE_LAZY_HANDLE = Rule(
+    "shm-stale-lazy-handle",
+    "shm",
+    "team call(...) result read after a later call on the same "
+    "team may have recycled its out-arena",
+)
+PARALLEL_SHARED_MUTATION = Rule(
+    "shm-parallel-shared-mutation",
+    "shm",
+    "rank task method writes a shared-ro array or a module global "
+    "(cross-rank race under parallel=True)",
+)
+KERNEL_PHASE = Rule(
+    "shm-kernel-phase",
+    "shm",
+    "Kernel hook touches state outside its phase (pure-readout "
+    "write, or gen/apply writing the same key)",
+)
+RULES = (VIEW_ESCAPE, STALE_LAZY_HANDLE, PARALLEL_SHARED_MUTATION, KERNEL_PHASE)
 
 #: ndarray methods that mutate the receiver in place.
 _MUTATOR_METHODS = ("fill", "sort", "put", "partition", "resize", "setfield")
 
-#: Calls that mutate their first positional argument in place.
-_MUTATOR_CALLS = ("scatter_min",)
-_MUTATOR_UFUNC_AT = (
-    "np.minimum.at", "np.maximum.at", "np.add.at", "np.subtract.at",
-)
 
 #: Kernel hooks that must not write state at all (pure readouts).
 _PURE_HOOKS = ("frontier_from", "vote", "export_state")
@@ -68,14 +86,25 @@ def _is_raw_view_call(expr: ast.AST) -> bool:
     )
 
 
-def _mutator_arg0(node: ast.Call) -> ast.AST | None:
-    """First argument of an in-place mutating call, else None."""
-    fkey = name_key(node.func)
-    if fkey is None or not node.args:
-        return None
-    if fkey.rsplit(".", 1)[-1] in _MUTATOR_CALLS or fkey in _MUTATOR_UFUNC_AT:
-        return node.args[0]
-    return None
+def _writes(func: ast.AST) -> Iterator[tuple[ast.AST, ast.AST]]:
+    """``(node, written)`` for every write in ``func``: each assignment
+    target, and the array an in-place call mutates (a scatter's first
+    argument, or the receiver of a mutator method)."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield node, target
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            yield node, node.target
+        elif isinstance(node, ast.Call):
+            arg0 = scatter_target(node)
+            if arg0 is not None:
+                yield node, arg0
+            elif (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATOR_METHODS
+            ):
+                yield node, node.func.value
 
 
 # -- shm-view-escape ---------------------------------------------------------
@@ -106,53 +135,36 @@ class _ViewScan:
         return False
 
     def run(self) -> list[tuple[ast.AST, str]]:
-        self._block(getattr(self.func, "body", []))
+        walk_statements(getattr(self.func, "body", []), self._statement)
         return self.out
 
-    def _block(self, stmts: list[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, ast.Assign):
-                raw = self._is_raw(stmt.value)
-                for target in stmt.targets:
-                    key = name_key(target)
-                    if key is None:
-                        continue
-                    if "." in key:
-                        if raw:
-                            self.out.append((
-                                stmt,
-                                f"arena-backed np.frombuffer view stored on "
-                                f"{key}; the view outlives the producing "
-                                f"call's buffer — store a .copy() instead",
-                            ))
-                    elif raw:
-                        self.raw.add(key)
-                    else:
-                        self.raw.discard(key)
-            elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                if self._is_raw(stmt.value):
-                    self.out.append((
-                        stmt,
-                        "returns a raw np.frombuffer view of an arena "
-                        "buffer; the caller outlives the buffer — return "
-                        "a .copy() (or keep the view private)",
-                    ))
-            elif isinstance(stmt, ast.If):
-                self._block(stmt.body)
-                self._block(stmt.orelse)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                self._block(stmt.body)
-                self._block(stmt.orelse)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                self._block(stmt.body)
-            elif isinstance(stmt, ast.Try):
-                self._block(stmt.body)
-                for handler in stmt.handlers:
-                    self._block(handler.body)
-                self._block(stmt.orelse)
-                self._block(stmt.finalbody)
+    def _statement(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.Assign):
+            raw = self._is_raw(stmt.value)
+            for target in stmt.targets:
+                key = name_key(target)
+                if key is None:
+                    continue
+                if "." in key:
+                    if raw:
+                        self.out.append((
+                            stmt,
+                            f"arena-backed np.frombuffer view stored on "
+                            f"{key}; the view outlives the producing "
+                            f"call's buffer — store a .copy() instead",
+                        ))
+                elif raw:
+                    self.raw.add(key)
+                else:
+                    self.raw.discard(key)
+        elif isinstance(stmt, ast.Return) and stmt.value is not None:
+            if self._is_raw(stmt.value):
+                self.out.append((
+                    stmt,
+                    "returns a raw np.frombuffer view of an arena "
+                    "buffer; the caller outlives the buffer — return "
+                    "a .copy() (or keep the view private)",
+                ))
 
 
 def _returns_raw_view(func: ast.AST) -> bool:
@@ -169,7 +181,7 @@ def _returns_raw_view(func: ast.AST) -> bool:
     if not returns:
         return False
     scan = _ViewScan(func, set())
-    scan._block(getattr(func, "body", []))  # populate `raw` bindings
+    scan.run()  # populate `raw` bindings
     return all(scan._is_raw(r.value) for r in returns)
 
 
@@ -201,9 +213,9 @@ class _HandleScan:
             return None
         return name_key(expr.func.value)
 
-    def _uses(self, node: ast.AST, skip: ast.AST | None = None) -> None:
+    def _uses(self, node: ast.AST) -> None:
         for sub in ast.walk(node):
-            if sub is skip or not isinstance(sub, ast.Name):
+            if not isinstance(sub, ast.Name):
                 continue
             if not isinstance(sub.ctx, ast.Load):
                 continue
@@ -232,8 +244,7 @@ class _HandleScan:
         if isinstance(stmt, ast.Assign):
             recv = self._call_receiver(stmt.value)
             # Arguments are evaluated before the call recycles anything.
-            self._uses(stmt.value)
-            self._invalidate(stmt.value)
+            self._consume(stmt.value)
             for target in stmt.targets:
                 key = name_key(target)
                 if key is None or "." in key:
@@ -243,45 +254,18 @@ class _HandleScan:
                 if recv is not None:
                     self.pending[key] = recv
         else:
-            self._uses(stmt)
-            self._invalidate(stmt)
+            self._consume(stmt)
+
+    def _consume(self, node: ast.AST) -> None:
+        """Read every name in ``node``, then let its calls recycle arenas."""
+        self._uses(node)
+        self._invalidate(node)
 
     def run(self) -> list[tuple[ast.AST, str]]:
-        self._block(getattr(self.func, "body", []))
+        walk_statements(
+            getattr(self.func, "body", []), self._statement, header=self._consume
+        )
         return self.out
-
-    def _block(self, stmts: list[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, ast.If):
-                self._uses(stmt.test)
-                self._invalidate(stmt.test)
-                self._block(stmt.body)
-                self._block(stmt.orelse)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._uses(stmt.iter)
-                self._invalidate(stmt.iter)
-                self._block(stmt.body)
-                self._block(stmt.orelse)
-            elif isinstance(stmt, ast.While):
-                self._uses(stmt.test)
-                self._invalidate(stmt.test)
-                self._block(stmt.body)
-                self._block(stmt.orelse)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self._uses(item.context_expr)
-                    self._invalidate(item.context_expr)
-                self._block(stmt.body)
-            elif isinstance(stmt, ast.Try):
-                self._block(stmt.body)
-                for handler in stmt.handlers:
-                    self._block(handler.body)
-                self._block(stmt.orelse)
-                self._block(stmt.finalbody)
-            else:
-                self._statement(stmt)
 
 
 # -- shm-parallel-shared-mutation --------------------------------------------
@@ -300,31 +284,21 @@ def _shared_writes(
             return key
         return None
 
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    key = shared(target.value)
-                    if key is not None:
-                        yield (
-                            node,
-                            f"{key} is declared shared-ro (one array aliased "
-                            f"by every rank) but is written by element here; "
-                            f"under parallel=True this is a cross-rank data "
-                            f"race — give each rank its own copy",
-                        )
-                elif not in_init:
-                    key = shared(target)
-                    if key is not None:
-                        yield (
-                            node,
-                            f"{key} is declared shared-ro but is rebound "
-                            f"outside __init__; the sharing contract no "
-                            f"longer holds for this rank",
-                        )
+    for node, target in _writes(func):
+        if isinstance(node, ast.Call):
+            key = shared(target)
+            if key is not None:
+                what = (
+                    name_key(node.func)
+                    if scatter_target(node) is not None
+                    else f".{node.func.attr}"
+                )
+                yield (
+                    node,
+                    f"{what}() mutates shared-ro {key} in place; under "
+                    f"parallel=True this races with the other rank tasks",
+                )
         elif isinstance(node, ast.AugAssign):
-            target = node.target
             base = target.value if isinstance(target, ast.Subscript) else target
             key = shared(base)
             if key is not None:
@@ -333,44 +307,43 @@ def _shared_writes(
                     f"in-place update of shared-ro {key}; under "
                     f"parallel=True this races with the other rank tasks",
                 )
-        elif isinstance(node, ast.Call):
-            arg0 = _mutator_arg0(node)
-            if arg0 is not None:
-                key = shared(arg0)
-                if key is not None:
-                    yield (
-                        node,
-                        f"{name_key(node.func)}() mutates shared-ro {key} "
-                        f"in place; under parallel=True this races with "
-                        f"the other rank tasks",
-                    )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-            ):
-                key = shared(node.func.value)
-                if key is not None:
-                    yield (
-                        node,
-                        f".{node.func.attr}() mutates shared-ro {key} in "
-                        f"place; under parallel=True this races with the "
-                        f"other rank tasks",
-                    )
-        elif isinstance(node, ast.Global) and not in_init:
-            if ann.has_shared_ro(scope_idx):
+        elif isinstance(target, ast.Subscript):
+            key = shared(target.value)
+            if key is not None:
                 yield (
                     node,
-                    f"rank task method declares global {', '.join(node.names)}; "
-                    f"module globals are shared across thread-backend rank "
-                    f"tasks (a race) and silently fork-local on the process "
-                    f"backend (a lost write)",
+                    f"{key} is declared shared-ro (one array aliased "
+                    f"by every rank) but is written by element here; "
+                    f"under parallel=True this is a cross-rank data "
+                    f"race — give each rank its own copy",
                 )
+        elif not in_init:
+            key = shared(target)
+            if key is not None:
+                yield (
+                    node,
+                    f"{key} is declared shared-ro but is rebound "
+                    f"outside __init__; the sharing contract no "
+                    f"longer holds for this rank",
+                )
+    if in_init or not ann.has_shared_ro(scope_idx):
+        return
+    for node in ast.walk(func):
+        if isinstance(node, ast.Global):
+            yield (
+                node,
+                f"rank task method declares global {', '.join(node.names)}; "
+                f"module globals are shared across thread-backend rank "
+                f"tasks (a race) and silently fork-local on the process "
+                f"backend (a lost write)",
+            )
 
 
 # -- shm-kernel-phase --------------------------------------------------------
 
 
-def _state_param(func: ast.AST) -> str | None:
+def _state_param(func: ast.AST | None) -> str | None:
+    """The hook's state argument; None for a missing hook or no argument."""
     args = getattr(getattr(func, "args", None), "args", [])
     names = [a.arg for a in args]
     if names and names[0] == "self":
@@ -378,7 +351,7 @@ def _state_param(func: ast.AST) -> str | None:
     return names[0] if names else None
 
 
-def _state_writes(func: ast.AST, state: str) -> list[tuple[ast.AST, str]]:
+def _state_writes(func: ast.AST, state: str) -> Iterator[tuple[ast.AST, str]]:
     """(node, key) of every write to ``state[...]`` in a kernel hook.
 
     Unknown keys (non-constant subscripts) report as ``"?"``.
@@ -396,41 +369,15 @@ def _state_writes(func: ast.AST, state: str) -> list[tuple[ast.AST, str]]:
             return expr.slice.value
         return "?"
 
-    out: list[tuple[ast.AST, str]] = []
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                key = keyed(target)
-                if key is None and isinstance(target, ast.Subscript):
-                    key = keyed(target.value)  # state["x"][idx] = ...
-                if key is not None:
-                    out.append((node, key))
-        elif isinstance(node, ast.AugAssign):
-            target = node.target
-            key = keyed(target)
-            if key is None and isinstance(target, ast.Subscript):
-                key = keyed(target.value)
-            if key is not None:
-                out.append((node, key))
-        elif isinstance(node, ast.Call):
-            arg0 = _mutator_arg0(node)
-            if arg0 is not None:
-                key = keyed(arg0)
-                if key is not None:
-                    out.append((node, key))
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-            ):
-                key = keyed(node.func.value)
-                if key is not None:
-                    out.append((node, key))
-    return out
+    for node, target in _writes(func):
+        key = keyed(target)
+        if key is None and isinstance(target, ast.Subscript) and not isinstance(node, ast.Call):
+            key = keyed(target.value)  # state["x"][idx] = ...
+        if key is not None:
+            yield node, key
 
 
-def _kernel_phase_findings(module: LintModule) -> list[tuple[ast.AST, str]]:
-    out: list[tuple[ast.AST, str]] = []
+def _kernel_phase_findings(module: LintModule) -> Iterator[tuple[ast.AST, str]]:
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.ClassDef):
             continue
@@ -442,50 +389,41 @@ def _kernel_phase_findings(module: LintModule) -> list[tuple[ast.AST, str]]:
         if _GEN_HOOK not in hooks or _APPLY_HOOK not in hooks:
             continue  # duck-typed Kernel detection
         for hook_name in _PURE_HOOKS:
-            hook = hooks.get(hook_name)
-            if hook is None:
-                continue
-            state = _state_param(hook)
+            state = _state_param(hooks.get(hook_name))
             if state is None:
                 continue
-            for write, key in _state_writes(hook, state):
-                out.append((
+            for write, key in _state_writes(hooks[hook_name], state):
+                yield (
                     write,
                     f"{hook_name}() is a pure readout by the Kernel "
                     f"contract but writes {state}[{key!r}]; on the fused "
                     f"path it runs as a stat served between supersteps — "
                     f"move the write into gen_messages/apply_messages",
-                ))
+                )
         apply_state = _state_param(hooks[_APPLY_HOOK])
         if apply_state is None:
             continue
         apply_keys = {k for _, k in _state_writes(hooks[_APPLY_HOOK], apply_state)}
         for gen_name in _GEN_HOOKS:
-            gen = hooks.get(gen_name)
-            gen_state = _state_param(gen) if gen is not None else None
+            gen_state = _state_param(hooks.get(gen_name))
             if gen_state is None:
                 continue
-            for write, key in _state_writes(gen, gen_state):
+            for write, key in _state_writes(hooks[gen_name], gen_state):
                 if key in apply_keys:
-                    out.append((
+                    yield (
                         write,
                         f"{gen_name}() writes {gen_state}[{key!r}], which "
                         f"apply_messages() also writes; the phases run in the "
                         f"same exchange round, so the key is updated twice per "
                         f"superstep — own each key from exactly one phase",
-                    ))
-    return out
+                    )
 
 
 # -- the pack ----------------------------------------------------------------
 
 
-def _scan_module(module: LintModule) -> list[tuple[str, ast.AST, str]]:
-    """All shm findings of a module (cached — the four rules share it)."""
-    cached = getattr(module, "_shm_scan", None)
-    if cached is not None:
-        return cached
-    cached = []
+def scan(module: LintModule) -> Iterator[tuple[Rule, ast.AST, str]]:
+    """Yield ``(rule, node, message)`` for every shm finding."""
     view_returning = {
         getattr(func, "name", "")
         for _idx, func in module.functions
@@ -493,57 +431,10 @@ def _scan_module(module: LintModule) -> list[tuple[str, ast.AST, str]]:
     }
     for scope_idx, func in module.functions:
         for node, message in _ViewScan(func, view_returning).run():
-            cached.append(("shm-view-escape", node, message))
+            yield VIEW_ESCAPE, node, message
         for node, message in _HandleScan(func).run():
-            cached.append(("shm-stale-lazy-handle", node, message))
+            yield STALE_LAZY_HANDLE, node, message
         for node, message in _shared_writes(module, scope_idx, func):
-            cached.append(("shm-parallel-shared-mutation", node, message))
+            yield PARALLEL_SHARED_MUTATION, node, message
     for node, message in _kernel_phase_findings(module):
-        cached.append(("shm-kernel-phase", node, message))
-    module._shm_scan = cached  # type: ignore[attr-defined]
-    return cached
-
-
-class _ShmRule(Rule):
-    pack = "shm"
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for rule_name, node, message in _scan_module(module):
-            if rule_name == self.name:
-                yield self.finding(module, node, message)
-
-
-@register
-class ShmViewEscape(_ShmRule):
-    name = "shm-view-escape"
-    description = (
-        "np.frombuffer arena view escapes the producing call "
-        "(returned or stored without .copy())"
-    )
-
-
-@register
-class ShmStaleLazyHandle(_ShmRule):
-    name = "shm-stale-lazy-handle"
-    description = (
-        "team call(...) result read after a later call on the same "
-        "team may have recycled its out-arena"
-    )
-
-
-@register
-class ShmParallelSharedMutation(_ShmRule):
-    name = "shm-parallel-shared-mutation"
-    description = (
-        "rank task method writes a shared-ro array or a module global "
-        "(cross-rank race under parallel=True)"
-    )
-
-
-@register
-class ShmKernelPhase(_ShmRule):
-    name = "shm-kernel-phase"
-    description = (
-        "Kernel hook touches state outside its phase (pure-readout "
-        "write, or gen/apply writing the same key)"
-    )
+        yield KERNEL_PHASE, node, message

@@ -47,8 +47,6 @@ cores) vs ``sum_of_ranks`` (total rank-seconds — the serial cost), which
 the engines tag onto their superstep spans and RunReport surfaces.
 """
 
-# repro-lint: disable-file=det-parallel-primitives
-
 from __future__ import annotations
 
 import multiprocessing

@@ -195,7 +195,12 @@ class FabricSanitizer:
         self._progress("allgather", expected)
 
     def check_allreduce(self, values: np.ndarray, op: str) -> None:
-        """Audit one allreduce: finite contributions from every rank."""
+        """Audit one allreduce: no NaN contribution from any rank.
+
+        ``inf`` is a legal contribution (the engines' "no vote"): a min,
+        max or sum over non-negative votes that include it never yields
+        NaN.
+        """
         if np.isnan(values).any():
             bad = np.flatnonzero(np.isnan(values)).tolist()
             self._violate(

@@ -4,8 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.lint.registry import get_rules
-from repro.lint.runner import lint_source
+from repro.lint import get_rules, lint_source
 
 
 @pytest.fixture

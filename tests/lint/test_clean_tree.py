@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.lint.runner import lint_paths
+from repro.lint import lint_paths
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 

@@ -283,8 +283,7 @@ class TestParallelPrimitives:
         assert findings == []
 
     def test_executor_module_is_exempt(self):
-        from repro.lint.registry import get_rules
-        from repro.lint.runner import lint_source
+        from repro.lint import get_rules, lint_source
 
         source = "import threading\nfrom multiprocessing import get_context\n"
         rules = get_rules(["det-parallel-primitives"])
@@ -297,8 +296,7 @@ class TestParallelPrimitives:
         assert lint_source(source, path="src/repro/simmpi/fabric.py", rules=rules)
 
     def test_real_executor_module_lints_clean(self):
-        from repro.lint.registry import get_rules
-        from repro.lint.runner import lint_source
+        from repro.lint import get_rules, lint_source
 
         path = SRC / "simmpi" / "executor.py"
         findings = lint_source(

@@ -184,6 +184,73 @@ class TestReassignmentFlow:
         assert rules_of(findings) == ["index-global-into-local"]
 
 
+class TestStatementFlow:
+    """Compound statements: headers are checked, binding targets clear."""
+
+    def test_if_and_while_tests_are_checked(self, lint):
+        findings = lint(
+            """
+            def relax(dist, targets):
+                # repro: index-space: dist[local], targets=global
+                if dist[targets].any():
+                    pass
+                while dist[targets].min() > 0:
+                    break
+            """,
+            rules=["index"],
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            ("index-global-into-local", 4),
+            ("index-global-into-local", 6),
+        ]
+
+    def test_for_iterable_is_checked_before_the_target_rebinds(self, lint):
+        # The iterable still sees ``ids`` as global; the loop target then
+        # rebinds ``ids`` to an unknown space, so the body stays silent.
+        findings = lint(
+            """
+            def relax(dist, lmap, targets):
+                # repro: index-space: dist[local]
+                ids = lmap.to_global(targets)
+                for ids in dist[ids]:
+                    dist[ids] = 0.0
+            """,
+            rules=["index"],
+        )
+        assert [(f.rule, f.line) for f in findings] == [("index-global-into-local", 5)]
+
+    def test_with_as_rebinding_clears_the_inferred_space(self, lint):
+        findings = lint(
+            """
+            def relax(dist, lmap, targets, opened):
+                # repro: index-space: dist[local]
+                ids = lmap.to_global(targets)
+                with opened(dist[ids]) as ids:
+                    dist[ids] = 0.0
+            """,
+            rules=["index"],
+        )
+        assert [(f.rule, f.line) for f in findings] == [("index-global-into-local", 5)]
+
+    def test_try_visits_handlers_before_finally(self, lint):
+        # Flow order body -> handler -> finally: the handler's rebinding to
+        # global ids is what the finally block sees.
+        findings = lint(
+            """
+            def relax(dist, lmap, targets):
+                # repro: index-space: dist[local]
+                try:
+                    ids = lmap.to_local(targets)
+                except KeyError:
+                    ids = lmap.to_global(targets)
+                finally:
+                    dist[ids] = 0.0
+            """,
+            rules=["index"],
+        )
+        assert [(f.rule, f.line) for f in findings] == [("index-global-into-local", 9)]
+
+
 class TestKnownGoodEngines:
     def test_owned_local_engine_is_clean(self, lint):
         source = (SRC / "core" / "dist_sssp.py").read_text()

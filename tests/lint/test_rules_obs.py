@@ -2,8 +2,7 @@
 
 import textwrap
 
-from repro.lint.registry import get_rules
-from repro.lint.runner import lint_source
+from repro.lint import get_rules, lint_source
 
 RULES = get_rules(["obs-manual-timing"])
 

@@ -150,6 +150,73 @@ class TestStaleLazyHandle:
         assert findings == []
 
 
+class TestStatementFlow:
+    """Views and handles tracked through compound statements."""
+
+    def test_view_bound_in_nested_blocks_escapes(self, lint):
+        findings = lint(
+            """
+            import numpy as np
+
+            def peek(buf, lock, n):
+                with lock:
+                    for _ in range(n):
+                        try:
+                            view = np.frombuffer(buf, dtype=np.int64)
+                        finally:
+                            pass
+                return view
+            """,
+            SHM,
+        )
+        assert [(f.rule, f.line) for f in findings] == [("shm-view-escape", 11)]
+
+    def test_if_test_consumes_before_the_body_calls_again(self, lint):
+        findings = lint(
+            """
+            def drive(team):
+                votes = team.call("vote")
+                if votes:
+                    team.call("step")
+                return votes
+            """,
+            SHM,
+        )
+        assert findings == []
+
+    def test_while_test_and_with_context_calls_invalidate(self, lint):
+        findings = lint(
+            """
+            def drive(team):
+                handles = team.call("flush")
+                while team.call("more"):
+                    pass
+                votes = team.call("vote")
+                with team.call("tick"):
+                    pass
+                return handles, votes
+            """,
+            SHM,
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            ("shm-stale-lazy-handle", 9),
+            ("shm-stale-lazy-handle", 9),
+        ]
+
+    def test_call_in_try_body_stales_the_read_in_finally(self, lint):
+        findings = lint(
+            """
+            def drive(team):
+                handles = team.call("flush")
+                try:
+                    team.call("tick")
+                finally:
+                    print(handles)
+            """,
+            SHM,
+        )
+        assert [(f.rule, f.line) for f in findings] == [("shm-stale-lazy-handle", 7)]
+
 class TestParallelSharedMutation:
     def test_subscript_write_to_shared_ro_fires(self, lint):
         findings = lint(

@@ -5,15 +5,46 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.lint.registry import all_rules, get_rules, rule_packs
-from repro.lint.report import render_json, render_text
-from repro.lint.runner import LintError, lint_paths, lint_source
+from repro.lint import (
+    LintError,
+    all_rules,
+    get_rules,
+    lint_paths,
+    lint_source,
+    render_json,
+    render_text,
+    rule_packs,
+)
 
 BAD = "import time\n\n\ndef stamp():\n    return time.time()\n"
 GOOD = "def add(a, b):\n    return a + b\n"
 
 
+#: The rule table, (name, pack) sorted by (pack, name).
+RULE_TABLE = [
+    ("det-parallel-primitives", "det"),
+    ("det-set-iteration", "det"),
+    ("det-unseeded-rng", "det"),
+    ("det-unstable-sort", "det"),
+    ("det-wallclock", "det"),
+    ("dtype-byte-math", "dtype"),
+    ("dtype-loop-astype", "dtype"),
+    ("dtype-narrow-id", "dtype"),
+    ("index-global-into-local", "index"),
+    ("index-local-into-global", "index"),
+    ("index-roundtrip", "index"),
+    ("obs-manual-timing", "obs"),
+    ("shm-kernel-phase", "shm"),
+    ("shm-parallel-shared-mutation", "shm"),
+    ("shm-stale-lazy-handle", "shm"),
+    ("shm-view-escape", "shm"),
+]
+
+
 class TestRegistry:
+    def test_rule_table_is_pinned(self):
+        assert [(r.name, r.pack) for r in all_rules()] == RULE_TABLE
+
     def test_all_rules_are_unique_and_sorted(self):
         names = [r.name for r in all_rules()]
         assert len(names) == len(set(names))

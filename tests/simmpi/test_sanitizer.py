@@ -124,6 +124,13 @@ class TestAllgatherAllreduce:
         san.check_allreduce(np.array([1.0, 2.0, 3.0]), op="min")
         assert san.collectives == 1
 
+    def test_allreduce_inf_no_vote_is_clean(self):
+        # inf is the engines' "no vote": only NaN poisons a reduction.
+        fabric = Fabric(small_cluster(2), 2, sanitize=True)
+        assert fabric.allreduce(np.array([np.inf, 3.0]), op="min") == 3.0
+        assert fabric.allreduce(np.array([np.inf, np.inf]), op="min") == np.inf
+        assert fabric.sanitizer.report()["violations"] == 0
+
 
 class TestNoProgress:
     def test_empty_streak_trips_the_threshold(self):
