@@ -44,7 +44,7 @@ class BucketQueue:
             return
         idx = self.bucket_index(vertices)
         self.ops += int(vertices.size)
-        if np.unique(idx).size == 1:
+        if idx.min() == idx.max():
             self._buckets.setdefault(int(idx[0]), []).append(vertices)
             return
         order = np.argsort(idx, kind="stable")
@@ -97,11 +97,19 @@ class BucketQueue:
             k = min(self._buckets)
             parts = self._buckets[k]
             size = int(sum(a.size for a in parts))
-            if size and self.live_count(k) > 0:
+            if size and self.has_live(k):
                 return k
             self.ops += size
             del self._buckets[k]
         return None
+
+    def has_live(self, k: int) -> bool:
+        """``live_count(k) > 0`` without the dedup: ``floor(d / delta)``
+        of an infinite ``d`` is never ``k``, so no finiteness mask either."""
+        return any(
+            bool(np.any(np.floor_divide(self._dist[part], self.delta) == k))
+            for part in self._buckets.get(k, [])
+        )
 
     def live_count(self, k: int) -> int:
         """Number of live entries in bucket ``k`` without draining it."""

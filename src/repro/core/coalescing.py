@@ -5,10 +5,11 @@ the *same* remote vertex (every frontier vertex adjacent to it produces
 one).  Sending them all wastes bandwidth; only the minimum can win at the
 receiver.  :func:`dedup_min` reduces a batch of ``(target, dist)`` updates
 to one entry per target — the send-side half of the paper-style coalescing,
-whose receive-side half is the owner's scatter-min.  The 1-D engine hands
-it to its update outbox as the fold over the whole send buffer; the wire
-format itself (columns, counts, the optional uint32 index compression) is
-the outbox's, :mod:`repro.engine.rank`.
+whose receive-side half is the owner's scatter-min.  The 2-D engine and the
+cc kernel reduce with it; the 1-D engine's pre-routed edges need no sort
+(:mod:`repro.core.ghost_cache`).  The wire format itself (columns, counts,
+the optional uint32 index compression) is the outbox's,
+:mod:`repro.engine.rank`.
 """
 
 from __future__ import annotations

@@ -124,18 +124,21 @@ class DelegateTable:
         ``(targets, candidate_dists, edges_scanned)``.
         """
         slots = self.slots_of(hub_vertices)
-        deg = self.indptr[slots + 1] - self.indptr[slots]
+        starts, stops = self.indptr[slots], self.indptr[slots + 1]
+        deg = stops - starts
         total = int(deg.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, np.empty(0, dtype=np.float64), 0
-        src_dist = np.repeat(np.asarray(hub_dists, dtype=np.float64), deg)
-        idx = _ranges_to_indices(self.indptr[slots], self.indptr[slots + 1])
-        targets = self.adj[idx]
+        idx = _ranges_to_indices(starts, stops)
         w = self.weight[idx]
         keep = np.ones(total, dtype=bool)
         if weight_max is not None:
             keep &= w < weight_max
         if weight_min is not None:
             keep &= w >= weight_min
-        return targets[keep], src_dist[keep] + w[keep], total
+        # Filter on the weights first; only the kept edges' targets and
+        # hub distances are gathered.
+        kept = np.flatnonzero(keep)
+        src_dist = np.repeat(np.asarray(hub_dists, dtype=np.float64), deg)[kept]
+        return self.adj[idx[kept]], src_dist + w[kept], total

@@ -7,9 +7,16 @@ with the optimization stack the paper's system class uses:
 * **routing** — a rank relaxes the out-edges of the bucket-k vertices it
   owns; candidate updates for remote vertices are sent to their owners, who
   fold them in with a scatter-min;
-* **coalescing** (``config.coalesce``) — before sending, updates are
-  reduced to one minimum per target, and suppressed entirely when the
-  sender's cached view says they cannot improve the owner's value;
+* **pre-routed edges** — when a rank is built, every edge target it can
+  relax (its local rows and its hub slices) is numbered once: an owned
+  vertex by its owned-local index, any other by its slot in the rank's
+  sorted *halo* of remote targets.  Routing a candidate batch looks no
+  owner up: one compare splits it into local and remote;
+* **coalescing** (``config.coalesce``) — remote candidates are
+  scatter-min'd into the halo's best-sent values, and at each exchange
+  only the slots whose value dropped are sent: one minimum per target,
+  suppressed entirely when it cannot improve on what the owner was
+  already sent;
 * **hub delegation** (``config.delegate_hubs``) — hubs' adjacency lists are
   pre-split across all ranks; relaxing a hub broadcasts one 17-byte record
   per rank instead of one update per edge;
@@ -26,17 +33,18 @@ communication.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.buckets import BucketQueue
-from repro.core.coalescing import dedup_min
 from repro.core.config import SSSPConfig
 from repro.core.delegation import DelegateTable
 from repro.core.ghost_cache import GhostMinCache
 from repro.core.relaxation import expand, scatter_min
 from repro.core.result import SSSPResult, derive_parents
 from repro.engine.driver import EngineContext, attach_fabric_outcome
-from repro.engine.rank import Columns, Outbox, OwnerRouter, Rank, wire_id_dtype
+from repro.engine.rank import Outbox, OwnerRouter, Rank, wire_id_dtype
 from repro.graph.csr import CSRGraph
 from repro.partition import LocalIndexMap, Partition1D
 from repro.simmpi.fabric import Message, Wire
@@ -48,10 +56,26 @@ _KIND_HEAVY_ANNOUNCE = 2
 _INF = np.inf
 
 
-def _min_per_target(targets: np.ndarray, dists: np.ndarray, kinds: np.ndarray) -> Columns:
-    """Outbox fold for distance updates (all of kind 0): one minimum per target."""
-    targets, dists = dedup_min(targets, dists)
-    return targets, dists, kinds[: targets.size]
+def _edge_codes(
+    targets: np.ndarray, owned: np.ndarray, num_vertices: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-route a rank's edge targets: ``(codes, halo)``.
+
+    ``halo`` is the sorted set of distinct targets the rank does not own.
+    An owned target's code is its owned-local index, any other's is
+    ``owned.size + s`` with ``halo[s]`` its global id.  Two scatters and
+    a gather through one vertex-indexed scratch table, freed on return —
+    no owner lookup and no sort.
+    """
+    # repro: index-space: targets=global, owned=global, halo=global
+    remote = np.zeros(num_vertices, dtype=bool)
+    remote[targets] = True
+    remote[owned] = False
+    halo = np.flatnonzero(remote)
+    code_of = np.empty(num_vertices, dtype=np.int64)
+    code_of[owned] = np.arange(owned.size)
+    code_of[halo] = owned.size + np.arange(halo.size)
+    return code_of[targets], halo
 
 
 class _Rank(Rank):
@@ -60,9 +84,10 @@ class _Rank(Rank):
     All per-vertex state lives in *owned-local* index space: arrays are
     sized by the rank's owned-vertex count, not by the global vertex
     count, so a P-rank run costs O(n + halo) memory in total instead of
-    O(n * P).  Global ids appear only on the wire and in the shared
-    read-only owner router; :class:`LocalIndexMap` translates at the
-    boundary.
+    O(n * P).  The rank's edges hold codes (see :func:`_edge_codes`),
+    fixed at build; global ids appear only in the halo, on the wire and
+    in the shared read-only owner router; :class:`LocalIndexMap`
+    translates received ids at the boundary.
     """
 
     def __init__(
@@ -84,26 +109,39 @@ class _Rank(Rank):
         # repro: index-space: self.is_hub_local[local], owned=global
         self.owned = owned
         self.lmap = LocalIndexMap(owned)
-        self.delegates = delegates
         if delegates is not None and delegates.num_hubs:
             # Owned-local hub lookup plus a local CSR whose hub rows are
             # empty (their adjacency lives in the delegate slices).
             self.is_hub_local: np.ndarray | None = delegates.is_hub(owned)
-            self.local_graph = graph.extract_rows(owned, keep=~self.is_hub_local)
+            local_graph = graph.extract_rows(owned, keep=~self.is_hub_local)
         else:
             self.is_hub_local = None
-            self.local_graph = graph.extract_rows(owned)
+            local_graph = graph.extract_rows(owned)
+        # Pre-route every edge: the local rows and the hub slices hold
+        # codes, and ``halo`` (32-bit whenever the vertex ids fit) decodes
+        # the remote ones.
+        # repro: index-space: self.halo=global
+        num_local = local_graph.num_edges
+        codes, halo = _edge_codes(
+            np.concatenate((local_graph.adj, delegates.adj))
+            if delegates is not None
+            else local_graph.adj,
+            owned,
+            graph.num_vertices,
+        )
+        self.halo = halo.astype(wire_id_dtype(graph.num_vertices, True))
+        self.local_graph = CSRGraph(
+            local_graph.indptr, codes[:num_local], local_graph.weight, owned.size
+        )
+        self.delegates = (
+            None if delegates is None else replace(delegates, adj=codes[num_local:])
+        )
         # Authoritative tentative distances over owned vertices only.
         self.dist = np.full(owned.size, _INF, dtype=np.float64)
-        # The coalescing filter cache for remote ("ghost") vertices —
-        # best candidate ever sent toward each owner — lives in a compact
-        # sorted-key map sized by the halo actually touched, not by n,
-        # with 32-bit keys whenever the vertex ids fit.
-        self.ghosts = (
-            GhostMinCache(key_dtype=wire_id_dtype(graph.num_vertices, True))
-            if (config.coalesce and self.num_ranks > 1)
-            else None
-        )
+        # The coalescing filter for remote ("ghost") vertices — best
+        # candidate ever sent toward each owner — is one value per halo
+        # slot, not per vertex of the graph.
+        self.ghosts = GhostMinCache.fixed(self.halo) if config.coalesce else None
         self.buckets = BucketQueue(self.dist, delta)
         self.in_epoch = np.zeros(owned.size, dtype=bool)
         self.settled_parts: list[np.ndarray] = []
@@ -116,15 +154,12 @@ class _Rank(Rank):
         # in a superstep's reduce round, hub announcements in its
         # broadcast round.  Both ship (vertex, dist, kind) records;
         # distances are always float64 — compressing them would break the
-        # float-exact tree validation.  Several update batches queued for
-        # one flush are reduced to one minimum per target; a lone batch is
-        # already sorted-unique (it came out of the ghost cache's
-        # coalesce_batch), so folding it would be the identity.
+        # float-exact tree validation.  With coalescing, the plain updates
+        # are queued once per exchange, as the ghost cache's lowered slots
+        # — already one minimum per target, ascending.
         fields = ("vertex", "dist", "kind")
         id_dtype = wire_id_dtype(graph.num_vertices, config.compressed_indices)
-        self.updates = Outbox(
-            router, fields, id_dtype, fold=_min_per_target if config.coalesce else None
-        )
+        self.updates = Outbox(router, fields, id_dtype)
         self.announcements = Outbox(router, fields, id_dtype)
         self.others = np.delete(np.arange(self.num_ranks), rank)
         self._bucket_ops_seen = 0
@@ -140,45 +175,38 @@ class _Rank(Rank):
         return _INF if k is None else float(k)
 
     def bucket_live(self, k: int) -> bool:
-        return self.buckets.live_count(k) > 0
+        return self.buckets.has_live(k)
 
     def bucket_live_count(self, k: int) -> int:
         return int(self.buckets.live_count(k))
 
     # -- candidate routing ---------------------------------------------------
 
-    def _apply(self, targets: np.ndarray, cands: np.ndarray) -> None:
+    def _apply(self, targets_local: np.ndarray, cands: np.ndarray) -> None:
         """Fold candidates for owned vertices into ``dist`` and the buckets."""
-        # repro: index-space: targets=global
-        improved = scatter_min(self.dist, self.lmap.to_local(targets), cands)
+        improved = scatter_min(self.dist, targets_local, cands)
         if improved.size:
             self.buckets.insert(improved)
 
-    def _route(self, targets: np.ndarray, cands: np.ndarray) -> None:
-        """Apply owned candidates locally; enqueue remote ones for owners."""
-        # repro: index-space: targets=global
-        if targets.size == 0:
+    def _route(self, codes: np.ndarray, cands: np.ndarray) -> None:
+        """Apply owned candidates locally; hand remote ones to their owners.
+
+        ``codes`` are edge codes (see :func:`_edge_codes`).  With
+        coalescing, remote candidates only lower the ghost cache; the
+        flush sends what dropped.  Without, they are queued as they come.
+        """
+        local = codes < self.lmap.size
+        self._apply(codes[local], cands[local])
+        remote = ~local
+        slots = codes[remote] - self.lmap.size
+        if slots.size == 0:
             return
-        if self.num_ranks == 1:
-            self._apply(targets, cands)
-            return
-        # On contiguous partitions "is it mine" is a range test — cheaper
-        # than an owner lookup on every route call.
-        if self.lmap.contiguous:
-            mine = self.lmap.contains(targets)
+        if self.ghosts is not None:
+            self.ghosts.lower(slots, cands[remote])
         else:
-            mine = self.router.owners(targets) == self.rank
-        if mine.any():
-            self._apply(targets[mine], cands[mine])
-        rem_t = targets[~mine]
-        rem_c = cands[~mine]
-        if rem_t.size and self.config.coalesce:
-            # Filter through the cached view: only candidates that beat the
-            # best value this rank ever sent can matter to the owner.  The
-            # batch comes back sorted by target and deduplicated, which on
-            # a contiguous partition is already the owner split's order.
-            rem_t, rem_c = self.ghosts.coalesce_batch(rem_t, rem_c)
-        self.updates.route(rem_t, rem_c, np.zeros(rem_t.size, dtype=np.uint8))
+            self.updates.route(
+                self.halo[slots], cands[remote], np.zeros(slots.size, dtype=np.uint8)
+            )
 
     def _announce(self, hubs_local: np.ndarray, kind: int) -> None:
         """Broadcast (hub, dist) records; expand the local slice directly."""
@@ -224,7 +252,7 @@ class _Rank(Rank):
         if not kinds.any():
             # Pure-update message (the reduce round).  Plain updates are
             # routed to the owner, so every target is owned by this rank.
-            self._apply(targets, dists)
+            self._apply(self.lmap.to_local(targets), dists)
             return
         for kind in (_KIND_LIGHT_ANNOUNCE, _KIND_HEAVY_ANNOUNCE):
             sel = kinds == kind
@@ -307,8 +335,15 @@ class _Rank(Rank):
 
     def process_then_flush_updates(self, msg: Message | None) -> Wire | None:
         """Apply the announcement inbox (None when the broadcast round was
-        skipped), then flush the plain-update outbox for the reduce round."""
+        skipped), then flush the plain-update outbox for the reduce round.
+
+        With coalescing the outbox gets one batch here: every halo slot
+        the superstep lowered, with its new value, ascending.
+        """
         self.process_inbox(msg)
+        if self.ghosts is not None:
+            targets, dists = self.ghosts.take_dirty()
+            self.updates.route(targets, dists, np.zeros(targets.size, dtype=np.uint8))
         return self.flush_outbox(self.updates)
 
     def finish_light_superstep(self, msg: Message | None, k: int) -> tuple:
@@ -355,17 +390,19 @@ class _Rank(Rank):
         }
         if self.is_hub_local is not None:
             vertex["is_hub_local"] = self.is_hub_local
-        edges = {"adj": lg.adj, "weight": lg.weight}
+        edges = {"codes": lg.adj, "weight": lg.weight}
         other = {"owned": self.owned}
         if self.delegates is not None:
             d = self.delegates
-            edges.update(delegate_adj=d.adj, delegate_weight=d.weight)
+            edges.update(delegate_codes=d.adj, delegate_weight=d.weight)
             other.update(hubs=d.hubs, delegate_indptr=d.indptr)
         return {
             "vertex": vertex,
-            # The ghost cache sizes with the vertices a rank actually
-            # relaxes remotely (the halo), not with n.
-            "halo": {} if self.ghosts is None else self.ghosts.resident(),
+            # The halo and the ghost cache over it size with the remote
+            # targets of the rank's edges, fixed at build, not with n.
+            "halo": (
+                {"ghost_keys": self.halo} if self.ghosts is None else self.ghosts.resident()
+            ),
             "edges": edges,
             "other": other,
         }

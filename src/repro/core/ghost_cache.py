@@ -5,24 +5,29 @@ The 1-D engine's send-side coalescing filter remembers, per remote
 toward the owner; a new candidate is transmitted only if it beats that.
 The dense implementation paid O(num_vertices) memory per rank to store
 the cache inside the tentative-distance array.  :class:`GhostMinCache`
-replaces it with a sorted key array sized by the number of *distinct
-ghosts actually touched* — on a partitioned graph that is the rank's
-halo, not the whole vertex set — with zero slack (no hash-table load
-factor), and ``uint32`` keys when the vertex ids fit.
+replaces it with a sorted key array sized by the rank's halo, not by the
+whole vertex set, with zero slack (no hash-table load factor), and
+``uint32`` keys when the vertex ids fit.
 
-Batches arrive pre-sorted from the engine's dedup step, so lookups are
-a single vectorized ``searchsorted`` and inserts are one merge; there
-are no per-key Python loops and no probe sequences.  Operations:
+A cache is used in one of two ways:
 
-* :meth:`get` — current best value per key (``inf`` for absent keys);
-* :meth:`update_min` — fold ``min`` of a batch of (key, value) pairs
-  into the cache, inserting new keys;
-* :meth:`coalesce_batch` — the engine's hot path: dedup a batch, return
-  the entries that beat the cached view, and fold them in, all in one
-  pass.
+* **fixed keys** (:meth:`GhostMinCache.fixed`) — the engine's hot path.
+  The keys are the rank's halo, known when the rank is built, and its
+  edges already name each remote target by its slot in that key array.
+  :meth:`lower` scatter-mins a batch into its slots and marks the slots
+  whose value dropped; :meth:`take_dirty` hands those back, ascending,
+  once per exchange.  No batch is sorted or searched.
+* **growing keys** — batches of global ids; lookups are one vectorized
+  ``searchsorted`` and new keys go in with one merge.  :meth:`get` reads
+  the current best value per key (``inf`` for absent keys),
+  :meth:`update_min` folds ``min`` per key in, and :meth:`coalesce_batch`
+  dedups a batch, returns the entries that beat the cached view and
+  folds them in, all in one pass.
 
-Everything is deterministic: the layout is the sorted key order, fully
-determined by the set of keys ever inserted.
+Over one exchange the two agree: a key comes out of :meth:`take_dirty`
+iff some :meth:`coalesce_batch` of that exchange would have passed it,
+with the minimum of the passed values.  Everything is deterministic: the
+layout is the sorted key order.
 """
 
 from __future__ import annotations
@@ -44,11 +49,22 @@ class GhostMinCache:
     non-negative vertex ids representable in that dtype.
     """
 
-    __slots__ = ("_keys", "_vals")
+    __slots__ = ("_keys", "_vals", "_dirty")
 
     def __init__(self, key_dtype: np.dtype | type = np.int64) -> None:
         self._keys = np.empty(0, dtype=key_dtype)
         self._vals = np.empty(0, dtype=np.float64)
+        self._dirty: np.ndarray | None = None
+
+    @classmethod
+    def fixed(cls, keys: np.ndarray) -> GhostMinCache:
+        """A cache over ``keys`` (sorted, unique; held, not copied), every
+        value ``inf``, written through the slot path only."""
+        cache = cls(keys.dtype)
+        cache._keys = keys
+        cache._vals = np.full(keys.size, _INF, dtype=np.float64)
+        cache._dirty = np.zeros(keys.size, dtype=bool)
+        return cache
 
     # -- introspection -----------------------------------------------------
 
@@ -57,7 +73,10 @@ class GhostMinCache:
 
     def resident(self) -> dict[str, np.ndarray]:
         """The arrays the cache holds, by name — exact-fit, ``len`` entries each."""
-        return {"ghost_keys": self._keys, "ghost_vals": self._vals}
+        held = {"ghost_keys": self._keys, "ghost_vals": self._vals}
+        if self._dirty is not None:
+            held["ghost_dirty"] = self._dirty
+        return held
 
     # -- lookup ------------------------------------------------------------
 
@@ -80,6 +99,22 @@ class GhostMinCache:
         pos, hit = self._locate(keys)
         out[hit] = self._vals[pos[hit]]
         return out
+
+    # -- the slot path (fixed keys) -----------------------------------------
+
+    def lower(self, slots: np.ndarray, values: np.ndarray) -> None:
+        """Fold ``min`` of each value into its slot; mark the slots whose
+        value dropped.  ``slots`` may repeat and come in any order."""
+        before = self._vals[slots]
+        np.minimum.at(self._vals, slots, values)
+        self._dirty[slots[self._vals[slots] < before]] = True
+
+    def take_dirty(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, values)`` of the slots lowered since the last call,
+        ascending by key; clears the marks."""
+        slots = np.flatnonzero(self._dirty)
+        self._dirty[slots] = False
+        return self._keys[slots], self._vals[slots]
 
     # -- writes ------------------------------------------------------------
 

@@ -314,11 +314,11 @@ def rank_state_meta(exports: list[dict]) -> dict:
     reports ``nbytes`` (resident state, graph share included),
     ``graph_nbytes`` (the rank's share of the input edges — resident in
     any layout) and ``lengths`` (every resident per-vertex array).  A
-    rank that also declares halo arrays (the 1-D engine's ghost cache,
-    which sizes with the remote vertices touched rather than with owned
-    ones) reports them apart as ``halo_lengths``; ``max_dense_len`` then
-    tracks only the truly dense arrays the owned-local layout shrinks
-    from O(n) to O(owned).
+    rank that also declares halo arrays (the 1-D engine's halo and ghost
+    cache, which size with the remote targets of its edges, fixed at
+    build, rather than with owned vertices) reports them apart as
+    ``halo_lengths``; ``max_dense_len`` then tracks only the truly dense
+    arrays the owned-local layout shrinks from O(n) to O(owned).
     """
     rank_bytes = [e["nbytes"] for e in exports]
     dense = max(max(e["lengths"].values()) for e in exports)

@@ -18,8 +18,6 @@ the same four things around their algorithm.  Each lives here once:
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.partition import Partition1D
@@ -85,9 +83,9 @@ class OwnerRouter:
         batch order, which is the wire byte order — and ``counts``, how
         many records each rank receives.
 
-        A batch whose owners never decrease (a sender-side fold leaves its
-        records sorted by target) is already that sort's output, so it is
-        returned as it stands.  Any other batch is permuted first.
+        A batch whose owners never decrease (the ghost cache's flush leaves
+        its records sorted by target) is already that sort's output, so it
+        is returned as it stands.  Any other batch is permuted first.
         """
         # repro: wire-path
         # repro: index-space: targets=global
@@ -118,10 +116,6 @@ class Outbox:
     a destination the wire byte order is the order the algorithm produced
     the records in.  ``id_dtype`` (see :func:`wire_id_dtype`) is the wire
     dtype of the id column; the other columns travel as routed.
-
-    ``fold(*columns) -> columns``, when given, reduces the concatenation
-    of *several* batches before it is sent (a sender-side min per
-    target); a lone batch goes out as routed.
     """
 
     def __init__(
@@ -129,12 +123,10 @@ class Outbox:
         router: OwnerRouter,
         fields: tuple[str, ...],
         id_dtype: np.dtype | None = None,
-        fold: Callable[..., Columns] | None = None,
     ) -> None:
         self.router = router
         self.fields = fields
         self.id_dtype = id_dtype
-        self.fold = fold
         self._batches: list[Columns] = []
 
     def route(self, targets: np.ndarray, *values: np.ndarray) -> None:
@@ -156,8 +148,6 @@ class Outbox:
             columns = batches[0]
         else:
             columns = tuple(np.concatenate(c) for c in zip(*batches))
-            if self.fold is not None:
-                columns = self.fold(*columns)
         if to is None:
             columns, counts = self.router.split(columns)
             displs = None
@@ -209,8 +199,9 @@ class Rank:
 
         ``vertex`` arrays size with the owned vertices (the lengths the
         owned-local memory gate checks), ``halo`` arrays (optional group)
-        with the remote vertices touched, ``edges`` are the rank's share
-        of the input adjacency and weights, ``other`` is everything else.
+        with the remote targets of the rank's edges, fixed at build,
+        ``edges`` are the rank's share of the input adjacency and weights,
+        ``other`` is everything else.
         """
         raise NotImplementedError
 

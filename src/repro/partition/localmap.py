@@ -54,8 +54,7 @@ class LocalIndexMap:
         """Local slot of each (owned) global vertex id.
 
         The caller guarantees every input vertex is owned; feeding
-        non-owned ids returns garbage slots (checked variants go through
-        :meth:`locate`).
+        non-owned ids returns garbage slots.
         """
         # repro: index-space: vertices=global
         vertices = np.asarray(vertices, dtype=np.int64)
@@ -70,19 +69,6 @@ class LocalIndexMap:
         if self._contiguous:
             return local_ids + self._lo
         return self.owned[local_ids]
-
-    def contains(self, vertices: np.ndarray) -> np.ndarray:
-        """Boolean mask: which global ids are owned by this map."""
-        # repro: index-space: vertices=global
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if self._contiguous:
-            return (vertices >= self._lo) & (vertices < self._lo + self.size)
-        pos = np.searchsorted(self.owned, vertices)
-        ok = pos < self.size
-        out = np.zeros(vertices.shape, dtype=bool)
-        if self.size:
-            out[ok] = self.owned[pos[ok]] == vertices[ok]
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "contiguous" if self._contiguous else "scattered"

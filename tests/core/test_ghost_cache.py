@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.coalescing import dedup_min
 from repro.core.ghost_cache import GhostMinCache
 
 
@@ -155,3 +158,62 @@ def test_randomized_against_reference(seed):
         want = np.array([expect.get(int(k), np.inf) for k in probe])
         np.testing.assert_array_equal(got, want)
     assert len(c) == len(expect)
+
+
+# -- the fixed-key slot path against per-batch coalescing --------------------
+
+#: Values with ties and ``inf`` (a candidate that can never be sent).
+_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, np.inf])
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_slot_path_flush_equals_per_batch_coalescing(data):
+    """``lower`` per batch then ``take_dirty`` per exchange sends exactly
+    what ``coalesce_batch`` per batch then one ``dedup_min`` fold of the
+    passed batches at the exchange sent — the same keys, values and order."""
+    keys = np.array(
+        sorted(data.draw(st.sets(st.integers(0, 2**32 - 1), min_size=1, max_size=40))),
+        dtype=np.uint32,
+    )
+    batch = st.lists(st.tuples(st.integers(0, keys.size - 1), _VALUES), max_size=30)
+    exchanges = data.draw(st.lists(st.lists(batch, max_size=4), min_size=1, max_size=5))
+    fixed = GhostMinCache.fixed(keys)
+    oracle = GhostMinCache(key_dtype=np.uint32)
+    for batches in exchanges:
+        passed = []
+        for pairs in batches:
+            slots = np.array([s for s, _ in pairs], dtype=np.int64)
+            vals = np.array([v for _, v in pairs], dtype=np.float64)
+            fixed.lower(slots, vals)
+            kept = oracle.coalesce_batch(keys[slots], vals)
+            if kept[0].size:
+                passed.append(kept)
+        if len(passed) > 1:
+            want = dedup_min(*(np.concatenate(c) for c in zip(*passed)))
+        elif passed:
+            want = passed[0]
+        else:
+            want = (np.empty(0, dtype=np.int64), np.empty(0))
+        got_keys, got_vals = fixed.take_dirty()
+        assert got_keys.dtype == keys.dtype
+        np.testing.assert_array_equal(got_keys.astype(np.int64), want[0])
+        np.testing.assert_array_equal(got_vals, want[1])
+    np.testing.assert_array_equal(fixed.get(keys), oracle.get(keys))
+    assert fixed.take_dirty()[0].size == 0
+
+
+def test_fixed_cache_holds_its_keys_and_reports_the_dirty_mask():
+    keys = np.array([3, 8, 21], dtype=np.uint32)
+    c = GhostMinCache.fixed(keys)
+    assert len(c) == 3 and c.resident()["ghost_keys"] is keys
+    assert {name: a.size for name, a in c.resident().items()} == {
+        "ghost_keys": 3, "ghost_vals": 3, "ghost_dirty": 3
+    }
+    np.testing.assert_array_equal(c.get(keys), [np.inf] * 3)
+    c.lower(np.array([2, 0, 2]), np.array([4.0, 1.0, 2.0]))
+    got_keys, got_vals = c.take_dirty()
+    np.testing.assert_array_equal(got_keys, [3, 21])
+    np.testing.assert_array_equal(got_vals, [1.0, 2.0])
+    c.lower(np.array([0, 1]), np.array([1.0, np.inf]))  # a tie and an inf: nothing drops
+    assert c.take_dirty()[0].size == 0

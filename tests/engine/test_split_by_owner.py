@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coalescing import dedup_min
 from repro.engine.rank import Outbox, OwnerRouter
 from repro.partition import Partition1D, hashed1d
 from repro.simmpi.executor import RankTeam
@@ -169,11 +168,8 @@ class _Sender:
     def __init__(self, router):
         self.router = router
 
-    def send(self, batches, to, fold):
-        outbox = Outbox(
-            self.router, ("vertex", "dist"), np.dtype(np.uint32),
-            fold=dedup_min if fold else None,
-        )
+    def send(self, batches, to):
+        outbox = Outbox(self.router, ("vertex", "dist"), np.dtype(np.uint32))
         for targets, dists in batches:
             outbox.route(targets, dists)
         return outbox.flush(to)
@@ -182,12 +178,12 @@ class _Sender:
         return None if msg is None else (msg["vertex"], msg["dist"])
 
 
-def make_case(seed, partition, calls, fold, mode):
+def make_case(seed, partition, calls, presorted, mode):
     """``{src: (batches, to)}``: what each sending rank routes before one flush.
 
-    Batches may be empty; under ``fold`` each is sorted-unique by target,
-    as the ghost cache's ``coalesce_batch`` leaves them (which is what
-    makes one whole-buffer fold equal a fold per destination).
+    Batches may be empty; under ``presorted`` each is sorted-unique by
+    target, the shape of the ghost cache's flush, which on a contiguous
+    partition takes ``split``'s no-permutation path.
     ``broadcast`` draws a receiver set per sender — possibly empty,
     possibly holding the sender.
     """
@@ -199,7 +195,7 @@ def make_case(seed, partition, calls, fold, mode):
         batches = []
         for _ in range(calls):
             targets = rng.integers(0, 40, size=int(rng.integers(0, 30)))
-            if fold:
+            if presorted:
                 targets = np.unique(targets)
             batches.append((targets, rng.random(targets.size)))
         to = None
@@ -209,12 +205,11 @@ def make_case(seed, partition, calls, fold, mode):
     return sends
 
 
-def reference_delivery(sends, partition, fold):
+def reference_delivery(sends, partition):
     """What every rank must receive, built one destination at a time.
 
     Per sender and destination: the parts each batch contributes, in
-    routing order, min-folded when there are several and ``fold`` is on,
-    ids narrowed to the wire dtype.  Per destination: the senders' runs in
+    routing order, ids narrowed to the wire dtype.  Per destination: the senders' runs in
     rank order.  Returns ``(inboxes, bytes_matrix, messages)``.
     """
     num_ranks = partition.num_ranks
@@ -233,8 +228,6 @@ def reference_delivery(sends, partition, fold):
         for dst, queued in parts.items():
             targets = np.concatenate([t for t, _ in queued])
             dists = np.concatenate([d for _, d in queued])
-            if fold and len(queued) > 1:
-                targets, dists = dedup_min(targets, dists)
             targets = targets.astype(np.uint32)
             runs[dst].append((targets, dists))
             bytes_matrix[src, dst] = targets.nbytes + dists.nbytes
@@ -245,7 +238,7 @@ def reference_delivery(sends, partition, fold):
     return inboxes, bytes_matrix, int(np.count_nonzero(bytes_matrix))
 
 
-def deliver(team, sends, fold):
+def deliver(team, sends):
     """Flush on ``team``'s ranks, exchange, read back: ``(inboxes, bytes_matrix, messages)``."""
     num_ranks = team.num_ranks
     fabric = Fabric(small_cluster(num_ranks), num_ranks)
@@ -257,7 +250,6 @@ def deliver(team, sends, fold):
     wires = team.call(
         "send",
         per_rank=[sends.get(r, ([], None)) for r in range(num_ranks)],
-        common=(fold,),
         parallel=True,
     )
     inboxes = fabric.exchange(wires)
@@ -266,9 +258,9 @@ def deliver(team, sends, fold):
     return got, bytes_matrix, messages
 
 
-def assert_delivery_matches(team, partition, sends, fold):
-    got, bytes_matrix, messages = deliver(team, sends, fold)
-    want, want_bytes, want_messages = reference_delivery(sends, partition, fold)
+def assert_delivery_matches(team, partition, sends):
+    got, bytes_matrix, messages = deliver(team, sends)
+    want, want_bytes, want_messages = reference_delivery(sends, partition)
     for dst, (g, w) in enumerate(zip(got, want)):
         assert (g is None) == (w is None), dst
         if w is not None:
@@ -283,18 +275,18 @@ def assert_delivery_matches(team, partition, sends, fold):
     seed=st.integers(0, 2**32 - 1),
     partition=st.sampled_from(sorted(PARTITIONS)),
     calls=st.sampled_from([1, 3]),
-    fold=st.booleans(),
+    presorted=st.booleans(),
     mode=st.sampled_from(MODES),
 )
 @settings(max_examples=120, deadline=None)
 def test_exchange_delivers_what_the_per_destination_reference_does(
-    seed, partition, calls, fold, mode
+    seed, partition, calls, presorted, mode
 ):
     partition = PARTITIONS[partition]
     router = OwnerRouter(partition)
     team = RankTeam([_Sender(router) for _ in range(partition.num_ranks)])
-    sends = make_case(seed, partition, calls, fold, mode)
-    assert_delivery_matches(team, partition, sends, fold)
+    sends = make_case(seed, partition, calls, presorted, mode)
+    assert_delivery_matches(team, partition, sends)
 
 
 @pytest.mark.parametrize("partition", PARTITIONS.values(), ids=PARTITIONS.keys())
@@ -306,11 +298,11 @@ def test_arena_backed_wires_meet_the_same_reference(partition):
     try:
         seed = 0
         for calls in (1, 3):
-            for fold in (False, True):
+            for presorted in (False, True):
                 for mode in MODES:
                     seed += 1
-                    sends = make_case(seed, partition, calls, fold, mode)
-                    assert_delivery_matches(team, partition, sends, fold)
+                    sends = make_case(seed, partition, calls, presorted, mode)
+                    assert_delivery_matches(team, partition, sends)
         audit = team.racecheck.report()
         assert audit["handles_minted"] > 0
         assert audit["handles_checked"] == audit["handles_minted"]

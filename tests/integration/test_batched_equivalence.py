@@ -237,3 +237,20 @@ def test_bfs64_rejects_more_than_64_roots(graph):
 def test_bfs64_rejects_out_of_range_root(graph):
     with pytest.raises(ValueError, match="out of range"):
         api.run(graph, [0, graph.num_vertices], kernel="bfs64", num_ranks=4)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_duplicate_roots_answer_identical_valid_lanes(kernel):
+    """A root listed twice is answered twice, identically: the batched
+    kernels accept duplicate roots, and each copy's lane is the same
+    column, distances (or levels) and parents alike."""
+    g = build_csr(generate_kronecker(10, seed=2022))
+    hub = int(np.argmax(g.out_degree))
+    result = api.run(g, [hub, 5, hub, 5], kernel=kernel, num_ranks=4).result
+    answer = result.dist if kernel == "sssp_batch" else result.level
+    for a, b in ((0, 2), (1, 3)):
+        assert np.array_equal(answer[:, a], answer[:, b])
+        assert np.array_equal(result.parent[:, a], result.parent[:, b])
+    assert not np.array_equal(answer[:, 0], answer[:, 1])
+    report = result.validate(g)
+    assert report.ok, report.failures

@@ -80,9 +80,10 @@ def test_dist1d_ranks_hold_no_dense_arrays(partition):
     state = run.meta["rank_state"]
     # Owned vertices per rank are ~n/P; allow slack for edge-balanced skew
     # and hub tables — but a dense per-vertex array (length n) must be
-    # flatly impossible.  The ghost hash cache is checked separately: it
-    # sizes with the halo a rank actually touches, and on a tiny Kronecker
-    # graph the halo approaches n, so only dense arrays prove the layout.
+    # flatly impossible.  The halo and its ghost cache are reported apart:
+    # they size with the remote targets of the rank's edges, fixed at
+    # build, and on a tiny Kronecker graph the halo approaches n, so only
+    # dense arrays prove the layout.
     assert state["max_dense_len"] < n // 2, state
 
 

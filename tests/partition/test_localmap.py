@@ -36,24 +36,10 @@ def test_monotonicity_preserves_sort_order():
                                   np.argsort(sample, kind="stable"))
 
 
-def test_contains():
-    owned = np.array([2, 5, 9], dtype=np.int64)
-    m = LocalIndexMap(owned)
-    got = m.contains(np.array([0, 2, 3, 5, 9, 10]))
-    np.testing.assert_array_equal(got, [False, True, False, True, True, False])
-
-
-def test_contains_contiguous():
-    m = LocalIndexMap(np.arange(10, 20, dtype=np.int64))
-    got = m.contains(np.array([9, 10, 19, 20]))
-    np.testing.assert_array_equal(got, [False, True, True, False])
-
-
 def test_empty_map():
     m = LocalIndexMap(np.empty(0, dtype=np.int64))
     assert m.size == 0 and m.contiguous
     assert m.to_local(np.empty(0, dtype=np.int64)).size == 0
-    assert not m.contains(np.array([0, 1])).any()
 
 
 def test_rejects_unsorted_or_duplicate():
