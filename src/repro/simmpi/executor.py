@@ -22,15 +22,20 @@ methods run, and what of their results stays in shared memory:
   forked from the parent *after* the rank objects exist, so the initial
   state transfers by copy-on-write instead of pickling; steady-state
   arguments and results (wires, messages, numpy arrays) move through
-  ``multiprocessing.shared_memory`` arenas without ever being pickled,
-  and a result's :class:`~repro.simmpi.fabric.Wire` stays in the
+  ``multiprocessing.shared_memory`` arenas without ever being pickled —
+  every command is its array payload plus a small pickled metadata tuple
+  in the worker's cmd arena, which a fixed header slot points at — and
+  a result's :class:`~repro.simmpi.fabric.Wire` stays in the
   producing worker's arena until the destination ranks read their runs
   of it (zero-copy inter-rank transport).
 
 ``call`` is written once, on :class:`RankTeam`: the closed check, the
 critical-path accounting and the ``phase_call`` attribution.  A backend
-supplies only :meth:`RankTeam._run`, which runs the ranks.  An executor
-is just the ``(backend, workers)`` pair that builds a run's team.
+supplies only :meth:`RankTeam._run`, which decides where the ranks run;
+on every backend they run through :func:`run_rank_tasks`, the one loop
+that builds a rank's arguments, times its task and invokes its method.
+An executor is just the ``(backend, workers)`` pair that builds a run's
+team.
 
 Determinism guarantee: compute phases may interleave freely because ranks
 share no mutable state (shared inputs — the graph, the owner array — are
@@ -52,7 +57,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.obs.profile import split_call_buckets
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -77,6 +82,28 @@ class WorkerError(RuntimeError):
     itself cannot cross the process boundary without pickling arbitrary
     user state, which the transport layer never does.
     """
+
+
+def run_rank_tasks(ranks, ids, method, args_of, results, starts, durations):
+    """Run ``method`` on ``ranks[i]`` for each ``i`` of ``ids``, in order.
+
+    The one place any backend invokes a rank method.  ``args_of(i)``
+    builds rank ``i``'s argument tuple; the call's result, start
+    timestamp and wall seconds land at index ``i`` of ``results``,
+    ``starts`` and ``durations``.  The loop stops at the first rank that
+    raises (building its arguments included) and returns ``(i, exc)``;
+    ``None`` when every rank ran.
+    """
+    for i in ids:
+        try:
+            args = args_of(i)
+            t0 = time.perf_counter()
+            results[i] = getattr(ranks[i], method)(*args)
+        except BaseException as exc:  # the caller decides how it surfaces
+            return i, exc
+        starts[i] = t0
+        durations[i] = time.perf_counter() - t0
+    return None
 
 
 class RankTeam:
@@ -107,6 +134,11 @@ class RankTeam:
         self.ranks = list(ranks)
         self.num_ranks = len(self.ranks)
         self.num_workers = max(1, min(int(num_workers), self.num_ranks))
+        #: Rank ids per worker: rank ``i`` runs on worker ``i % num_workers``.
+        self._rank_ids = [
+            list(range(w, self.num_ranks, self.num_workers))
+            for w in range(self.num_workers)
+        ]
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: The team's :class:`~repro.simmpi.racecheck.RaceChecker` when the
         #: run was started with ``racecheck=True``; ``None`` otherwise.  The
@@ -143,26 +175,27 @@ class RankTeam:
     def _run(self, method, per_rank, common, parallel, profiling):
         """Run ``method`` on every rank: ``(results, starts, durations, costs)``.
 
-        ``starts``/``durations`` are per-rank wall readings, required when
-        ``parallel`` or ``profiling`` (else they may be ``None``);
-        ``costs`` holds the :meth:`_profile_call` keywords the backend
-        measured beyond them.  Inline, nothing is read off the clock
-        unless the call is timed.
+        ``starts``/``durations`` are per-rank wall readings, read when
+        ``parallel`` or ``profiling``; ``costs`` holds the
+        :meth:`_profile_call` keywords the backend measured beyond them.
+        Inline, the ranks run in rank order in the calling thread.
         """
-        timed = parallel or profiling
-        results = []
-        starts = [] if timed else None
-        durations = [] if timed else None
-        for i, rank in enumerate(self.ranks):
-            args = (tuple(per_rank[i]) + common) if per_rank is not None else common
-            if timed:
-                t0 = time.perf_counter()
-                results.append(getattr(rank, method)(*args))
-                starts.append(t0)
-                durations.append(time.perf_counter() - t0)
-            else:
-                results.append(getattr(rank, method)(*args))
+        n = self.num_ranks
+        results, starts, durations = [None] * n, [0.0] * n, [0.0] * n
+        failed = run_rank_tasks(
+            self.ranks, range(n), method, self._args_of(per_rank, common),
+            results, starts, durations,
+        )
+        if failed is not None:
+            raise failed[1]
         return results, starts, durations, {}
+
+    @staticmethod
+    def _args_of(per_rank, common) -> Callable[[int], tuple]:
+        """Rank ``i``'s argument tuple: ``(*per_rank[i], *common)``."""
+        if per_rank is None:
+            return lambda i: common
+        return lambda i: tuple(per_rank[i]) + common
 
     def _account(
         self,

@@ -26,6 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.utils.prng import splitmix64
+
 __all__ = [
     "FaultSpec",
     "FaultPlan",
@@ -33,10 +35,8 @@ __all__ = [
     "parse_faults",
 ]
 
-# splitmix64 constants (Steele, Lea & Flood 2014).
+# The splitmix64 golden-ratio constant (Steele, Lea & Flood 2014) spreads the seed.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 # Distinct odd multipliers decorrelate the key components.
 _K_STREAM = np.uint64(0xD1B54A32D192ED03)
 _K_STEP = np.uint64(0x8CB92BA72F3D8DD7)
@@ -57,14 +57,6 @@ _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 
 class UndeliverableMessageError(RuntimeError):
     """Raised when a message exhausts the retry budget (a dead link)."""
-
-
-def _finalize(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: avalanche a uint64 counter (wrapping mod 2^64)."""
-    x = x + _GAMMA
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
 
 
 @dataclass(frozen=True)
@@ -139,15 +131,6 @@ class FaultSpec:
     def with_seed(self, seed: int) -> "FaultSpec":
         return replace(self, seed=int(seed))
 
-    @classmethod
-    def parse(cls, text: str) -> "FaultSpec":
-        """Parse a CLI fault spec: ``"drop=0.01,delay=2us,seed=7"``.
-
-        Probabilities are plain floats; durations accept ``s``/``ms``/
-        ``us``/``ns`` suffixes (bare numbers are seconds).
-        """
-        return parse_faults(text)
-
     def describe(self) -> dict[str, object]:
         """Compact non-default view for run metadata and reports."""
         default = FaultSpec()
@@ -177,7 +160,11 @@ def _parse_duration(key: str, raw: str) -> float:
 
 
 def parse_faults(text: str) -> FaultSpec:
-    """Build a :class:`FaultSpec` from a ``key=value,...`` string."""
+    """Build a :class:`FaultSpec` from a spec like ``"drop=0.01,delay=2us,seed=7"``.
+
+    Probabilities are plain floats; durations accept ``s``/``ms``/
+    ``us``/``ns`` suffixes (bare numbers are seconds).
+    """
     if not text or not text.strip():
         return FaultSpec()
     durations = {"delay", "jitter", "stall_time", "timeout"}
@@ -267,7 +254,7 @@ class FaultPlan:
                 ^ np.asarray(dst, dtype=np.uint64) * _K_DST
                 ^ np.asarray(attempt, dtype=np.uint64) * _K_ATTEMPT
             )
-            bits = _finalize(_finalize(x))
+            bits = splitmix64(splitmix64(x))
         return (bits >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
     # -- per-fault-class queries ------------------------------------------

@@ -13,28 +13,31 @@ per-call submission with **resident parked workers**:
   rank, and every worker wakes simultaneously, eliminating submission
   skew.
 * :class:`ParkedProcessTeam` — one forked worker process per slot,
-  parked on a per-worker ``multiprocessing`` go-semaphore.  Commands
-  travel through a fixed per-worker shared-memory **control slot** (a
-  mode word plus the pickled metadata tuple); array payloads ride the
-  cmd/rep arenas.  Oversized metadata spills to the cmd arena tail —
-  never the pipe, because a parked worker is not reading and a large
-  pipe write would deadlock the dispatcher.  Semaphores, not a shared
-  barrier, park the processes deliberately: releasing one never blocks,
-  so a SIGKILLed worker cannot wedge the dispatcher (a
-  ``multiprocessing.Barrier`` waiter that dies leaves ``notify_all``
-  waiting forever for its wake acknowledgement); death and stalls are
-  detected on the reply pipe instead.
+  parked on a per-worker ``multiprocessing`` go-semaphore.  Every
+  command rides the worker's shared-memory **cmd arena**: the array
+  payload first, the pickled metadata tuple after it.  A small per-worker
+  **control slot** holds only a header — mode, the metadata's offset and
+  length, and the cmd arena's name.  Commands never ride the pipe: a
+  parked worker is not reading it, and a large pipe write would deadlock
+  the dispatcher.  Semaphores, not a shared barrier, park the processes
+  deliberately: releasing one never blocks, so a SIGKILLed worker cannot
+  wedge the dispatcher (a ``multiprocessing.Barrier`` waiter that dies
+  leaves ``notify_all`` waiting forever for its wake acknowledgement);
+  death and stalls are detected on the reply pipe instead.
 
 Both teams inherit :meth:`~repro.simmpi.executor.RankTeam.call` and
-supply only ``_run``.  The process team also owns the **zero-copy wire
-transport**: a reply that holds a :class:`~repro.simmpi.fabric.Wire` (an
-outbox flush) is written to the worker's *out arena* instead of its reply
-arena, and the driver receives a handle — header, counts and column
-offsets — instead of the columns.  The fabric cuts the handles into
-per-destination pieces, and the destination worker attaches the owning
-worker's arena by name and gathers its pieces straight out of it — one
-copy end to end, zero pickling.  No caller flags such a call: the worker
-decides when its encoder meets a wire.
+supply only ``_run``; each worker runs its ranks (rank ``i`` on worker
+``i % num_workers``) through :func:`~repro.simmpi.executor.run_rank_tasks`,
+the loop the serial team uses too.  The process team also owns the
+**zero-copy wire transport**: a reply that holds a
+:class:`~repro.simmpi.fabric.Wire` (an outbox flush) is written to the
+worker's *out arena* instead of its reply arena, and the driver receives
+a handle — header, counts and column offsets — instead of the columns.
+The fabric cuts the handles into per-destination pieces, and the
+destination worker attaches the owning worker's arena by name and
+gathers its pieces straight out of it — one copy end to end, zero
+pickling.  No caller flags such a call: the worker decides when its
+encoder meets a wire.
 
 Safety invariants of the wire transport:
 
@@ -78,25 +81,21 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.obs.tracer import Tracer
-from repro.simmpi.executor import RankTeam, WorkerError
+from repro.simmpi.executor import RankTeam, WorkerError, run_rank_tasks
 from repro.simmpi.fabric import Message, Wire
 from repro.simmpi.racecheck import SharedArrayTracker
 
 __all__ = ["ParkedProcessTeam", "ParkedThreadTeam"]
 
 # Control-slot protocol (process backend).  Each worker owns one small
-# shared-memory slot; the parent writes a header + payload, then releases
-# that worker's go-semaphore.
-_MODE_CALL = 1  # pickled command inline in the slot after the header
-_MODE_CALL_ARENA = 2  # command in the cmd arena (offset/length in header)
-_MODE_STOP = 3  # exit the worker loop
+# shared-memory slot holding a header — mode, then the offset and length
+# of the pickled command in the cmd arena, and that arena's name; the
+# parent writes the cmd arena and the header, then releases that
+# worker's go-semaphore.
+_MODE_CALL = 1  # run the command the header points at
+_MODE_STOP = 2  # exit the worker loop
 
-_SLOT_HEADER = struct.Struct("<qqq")  # (mode, a, b)
-_SLOT_SIZE = 1 << 16
-
-#: Sentinel in the command tuple's ``cmd_name`` field for arena-mode
-#: commands: "the arena you read this command from".
-_CMD_NAME_FROM_SLOT = "@slot"
+_SLOT = struct.Struct("<qqq64s")  # (mode, offset, length, cmd arena name)
 
 #: How long the dispatcher waits for a dispatched worker's reply before
 #: declaring it wedged and tearing the team down.  A dead worker is
@@ -115,8 +114,8 @@ class ParkedThreadTeam(RankTeam):
     starts on the same barrier edge.  Control calls and single-rank teams
     run inline (the rank objects live in-process).
 
-    Exceptions raised by rank methods are captured per rank and re-raised
-    in the driver, lowest rank first, with their original type; the team
+    A worker stops at its first failing rank; the driver re-raises the
+    lowest failing rank's exception with its original type, and the team
     survives a failed call.
     """
 
@@ -137,16 +136,11 @@ class ParkedThreadTeam(RankTeam):
             # the tracker checksums them around each phase.
             self._tracker = SharedArrayTracker(self.racecheck, self.ranks)
         crew = self.num_workers
-        self._assign = [
-            [i for i in range(self.num_ranks) if i % crew == t] for t in range(crew)
-        ]
         self._go = threading.Barrier(crew + 1)
         self._done = threading.Barrier(crew + 1)
+        #: The call being run: method, argument builder, and the per-rank
+        #: result/start/duration lists and per-worker failures it fills.
         self._cmd: tuple | None = None
-        self._results: list = []
-        self._errors: list = []
-        self._starts: list = []
-        self._durations: list = []
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -160,21 +154,16 @@ class ParkedThreadTeam(RankTeam):
             thread.start()
 
     def _worker_loop(self, tid: int) -> None:
+        ids = self._rank_ids[tid]
         while True:
             try:
                 self._go.wait()
             except threading.BrokenBarrierError:
                 return
-            method, per_rank, common = self._cmd
-            for i in self._assign[tid]:
-                args = (tuple(per_rank[i]) + common) if per_rank is not None else common
-                t0 = time.perf_counter()
-                try:
-                    self._results[i] = getattr(self.ranks[i], method)(*args)
-                except BaseException as exc:  # re-raised by the driver
-                    self._errors[i] = exc
-                self._starts[i] = t0
-                self._durations[i] = time.perf_counter() - t0
+            method, args_of, results, starts, durations, failures = self._cmd
+            failures[tid] = run_rank_tasks(
+                self.ranks, ids, method, args_of, results, starts, durations
+            )
             try:
                 self._done.wait()
             except threading.BrokenBarrierError:
@@ -184,23 +173,22 @@ class ParkedThreadTeam(RankTeam):
         if not parallel or self.num_ranks == 1:
             return super()._run(method, per_rank, common, parallel, profiling)
         n = self.num_ranks
-        self._results = [None] * n
-        self._errors = [None] * n
-        self._starts = [0.0] * n
-        self._durations = [0.0] * n
-        self._cmd = (method, per_rank, common)
+        results, starts, durations = [None] * n, [0.0] * n, [0.0] * n
+        failures = [None] * self.num_workers
+        args_of = self._args_of(per_rank, common)
+        self._cmd = (method, args_of, results, starts, durations, failures)
         tracker = self._tracker
         if tracker is not None:
             tracker.before_parallel()
         self._go.wait()
         t_dispatched = time.perf_counter() if profiling else None
         self._done.wait()
-        for exc in self._errors:
-            if exc is not None:
-                raise exc
+        failed = [f for f in failures if f is not None]
+        if failed:
+            raise min(failed, key=lambda failure: failure[0])[1]
         if tracker is not None:
             tracker.after_parallel(method)
-        return self._results, self._starts, self._durations, {"t_dispatched": t_dispatched}
+        return results, starts, durations, {"t_dispatched": t_dispatched}
 
     def close(self):
         if self._closed:
@@ -244,15 +232,17 @@ class _PayloadWriter:
     """Collects arrays during encoding; writes them into a buffer at once.
 
     ``wires`` turns true once the encoder meets a :class:`Wire` — a
-    worker then parks its reply in the out arena.
+    worker then parks its reply in the out arena.  ``check``, if set, sees
+    every parked source wire of a message piece (the racecheck hook).
     """
 
-    __slots__ = ("arrays", "total", "wires")
+    __slots__ = ("arrays", "total", "wires", "check")
 
-    def __init__(self) -> None:
+    def __init__(self, check: Callable[[Wire], None] | None = None) -> None:
         self.arrays: list[tuple[np.ndarray, int]] = []
         self.total = 0
         self.wires = False
+        self.check = check
 
     def reserve(self, array: np.ndarray) -> int:
         offset = -(-self.total // _ALIGN) * _ALIGN
@@ -285,6 +275,8 @@ def _encode(obj: Any, writer: _PayloadWriter):
     if isinstance(obj, Message):
         pieces = []
         for wire, start, count in obj.pieces:
+            if wire.arena_name is not None and writer.check is not None:
+                writer.check(wire)
             if not count:
                 continue  # an empty message keeps one piece, for its schema
             if wire.arena_name is not None:
@@ -395,8 +387,8 @@ def _attach_raw(name: str):
     return mapped, mapped.close
 
 
-def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
-    """Process-backend worker loop: park, decode, dispatch, encode, reply.
+def _parked_worker_main(conn, slot, go, ranks: dict) -> None:
+    """Process-backend worker loop: park, decode, run, encode, reply.
 
     Runs in a forked child that inherited ``ranks`` (its subset of the
     team's rank objects) by copy-on-write.  The parent's fabric, tracer
@@ -404,19 +396,21 @@ def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
     touched — all interaction is the control slot, the go-semaphore, the
     reply pipe, and the shared-memory arenas named in each command.
 
-    A reply that holds a wire goes to the out arena the command names,
-    any other to the reply arena; one that outgrows its arena spills
-    over the pipe.  Arena mappings are cached by *name* (a worker may
-    read several other workers' out arenas in one call); names churn
-    only when the parent grows an arena, so the cache stays small.
+    The slot names the cmd arena and where the pickled command sits in
+    it, after the call's array payload.  A reply that holds a wire goes
+    to the out arena the command names, any other to the reply arena;
+    one that outgrows its arena spills over the pipe.  Arena mappings are
+    cached by *name* (a worker may read several other workers' out arenas
+    in one call); names churn only when the parent grows an arena, so the
+    cache stays small.
 
-    ``profiled`` is latched at fork time from the team's tracer: when a
-    real tracer is attached, each reply carries the worker's measured
-    decode/encode seconds and per-task start timestamps (``perf_counter``
-    is CLOCK_MONOTONIC on Linux, so worker and driver timestamps share a
-    clock); when tracing is off only the per-task durations are taken.
+    Each reply carries the worker's measured decode/encode seconds and
+    per-task start timestamps (``perf_counter`` is CLOCK_MONOTONIC on
+    Linux, so worker and driver timestamps share a clock).
     """
     attached: dict[str, tuple] = {}  # name -> (buffer, close)
+    ids = sorted(ranks)
+    dec_s = 0.0
 
     def attach(name: str):
         cached = attached.get(name)
@@ -424,53 +418,50 @@ def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
             cached = attached[name] = _attach_raw(name)
         return cached[0]
 
+    def args_of(rk: int) -> tuple:
+        # Rank ``rk``'s arguments in the current command (``per_metas``,
+        # ``cmd_buf`` and ``common`` are set by the loop below).
+        # Decode-then-execute: every argument is an owned copy before the
+        # rank method runs, so the reply's encode can never overwrite
+        # bytes still in use.
+        nonlocal dec_s
+        if per_metas is None:
+            return common
+        td = time.perf_counter()
+        args = tuple(_decode(m, cmd_buf, attach) for m in per_metas[rk]) + common
+        dec_s += time.perf_counter() - td
+        return args
+
     try:
         while True:
             go.acquire()
-            mode, a, b = _SLOT_HEADER.unpack_from(slot.buf, 0)
+            mode, offset, length, name = _SLOT.unpack_from(slot.buf, 0)
             if mode == _MODE_STOP:
                 break
-            if mode == _MODE_CALL:
-                cmd = pickle.loads(bytes(slot.buf[_SLOT_HEADER.size:_SLOT_HEADER.size + a]))
-                slot_arena = None
-            else:  # _MODE_CALL_ARENA
-                (nlen,) = struct.unpack_from("<q", slot.buf, _SLOT_HEADER.size)
-                name_off = _SLOT_HEADER.size + 8
-                slot_arena = bytes(slot.buf[name_off:name_off + nlen]).decode("ascii")
-                cmd = pickle.loads(bytes(attach(slot_arena)[a:a + b]))
+            cmd_buf = attach(name.rstrip(b"\0").decode("ascii"))
             (method, common_meta, per_metas,
-             cmd_name, rep_name, rep_size, out_name, out_size) = cmd
-            if cmd_name == _CMD_NAME_FROM_SLOT:
-                cmd_name = slot_arena
-            cmd_buf = attach(cmd_name) if cmd_name else b""
-            dec_s = enc_s = 0.0
+             rep_name, rep_size, out_name, out_size) = pickle.loads(
+                cmd_buf[offset:offset + length]
+            )
+            results, starts, durations = {}, {}, {}
+            writer = _PayloadWriter()
             try:
-                td = time.perf_counter() if profiled else 0.0
+                td = time.perf_counter()
                 common = tuple(_decode(m, cmd_buf, attach) for m in common_meta)
-                if profiled:
-                    dec_s += time.perf_counter() - td
-                writer = _PayloadWriter()
-                metas = []
-                for rk in sorted(ranks):
-                    if per_metas is not None:
-                        td = time.perf_counter() if profiled else 0.0
-                        # Decode-then-execute: every argument is an owned
-                        # copy before the rank method runs, so the encode
-                        # below can never overwrite bytes still in use.
-                        args = tuple(_decode(m, cmd_buf, attach) for m in per_metas[rk])
-                        if profiled:
-                            dec_s += time.perf_counter() - td
-                        args += common
-                    else:
-                        args = common
-                    t0 = time.perf_counter()
-                    result = getattr(ranks[rk], method)(*args)
-                    duration = time.perf_counter() - t0
-                    metas.append((rk, _encode(result, writer), duration, t0))
+                dec_s = time.perf_counter() - td
+                failed = run_rank_tasks(
+                    ranks, ids, method, args_of, results, starts, durations
+                )
+                if failed is not None:
+                    raise failed[1]
+                metas = [
+                    (rk, _encode(results[rk], writer), durations[rk], starts[rk])
+                    for rk in ids
+                ]
             except BaseException:
                 conn.send(("err", method, traceback.format_exc()))
                 continue
-            te = time.perf_counter() if profiled else 0.0
+            te = time.perf_counter()
             payload = None
             # A wire reply parks in the out arena, where the parent hands
             # out handles and nothing moves; the rest uses the reply arena.
@@ -482,11 +473,9 @@ def _parked_worker_main(conn, slot, go, ranks: dict, profiled: bool) -> None:
                 # report the size so the parent grows the arena for next time.
                 payload = bytearray(writer.total)
                 writer.write_into(payload)
-            if profiled:
-                enc_s = time.perf_counter() - te
             conn.send((
                 "res", metas, writer.wires, payload is not None, writer.total,
-                dec_s, enc_s,
+                dec_s, time.perf_counter() - te,
             ))
             if payload is not None:
                 conn.send_bytes(bytes(payload))
@@ -536,14 +525,11 @@ class ParkedProcessTeam(RankTeam):
         self._minted: list[weakref.ref] = []
         ctx = multiprocessing.get_context("fork")
         workers = self.num_workers
-        self._rank_ids = [
-            [i for i in range(self.num_ranks) if i % workers == w] for w in range(workers)
-        ]
         self._gos = [ctx.Semaphore(0) for _ in range(workers)]
         self._conns = []
         self._procs = []
         self._slots: list[shared_memory.SharedMemory] = []
-        self._cmd: list[shared_memory.SharedMemory | None] = []
+        self._cmd: list[shared_memory.SharedMemory] = []
         self._rep: list[shared_memory.SharedMemory] = []
         # Double-buffered out arenas: index = (#parked replies) % 2, so
         # parked reply N+1 never overwrites payload from reply N that a
@@ -554,7 +540,7 @@ class ParkedProcessTeam(RankTeam):
         #: in-flight wire handles, so they are unlinked only at close.
         self._retired: list[shared_memory.SharedMemory] = []
         for w in range(workers):
-            slot = shared_memory.SharedMemory(create=True, size=_SLOT_SIZE)
+            slot = shared_memory.SharedMemory(create=True, size=_SLOT.size)
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_parked_worker_main,
@@ -563,7 +549,6 @@ class ParkedProcessTeam(RankTeam):
                     slot,
                     self._gos[w],
                     {i: self.ranks[i] for i in self._rank_ids[w]},
-                    self.tracer.enabled,
                 ),
                 daemon=True,
                 name=f"repro-rank-worker-{w}",
@@ -573,7 +558,7 @@ class ParkedProcessTeam(RankTeam):
             self._slots.append(slot)
             self._conns.append(parent_conn)
             self._procs.append(proc)
-            self._cmd.append(None)
+            self._cmd.append(shared_memory.SharedMemory(create=True, size=_MIN_ARENA))
             self._rep.append(shared_memory.SharedMemory(create=True, size=_MIN_ARENA))
             self._out.append([
                 shared_memory.SharedMemory(create=True, size=_MIN_ARENA),
@@ -620,35 +605,8 @@ class ParkedProcessTeam(RankTeam):
                 current_gen=current,
             )
 
-    def _check_shipped_handles(self, per_rank, common) -> None:
-        """Validate every team-minted handle about to ship into a worker.
-
-        Workers copy a shipped handle's bytes straight out of the named
-        arena (even when the driver already read ``columns``), so
-        staleness must be caught here, before dispatch.  A handle is
-        checked once per call, however many ranks receive a run of it.
-        """
-        stack = list(common)
-        if per_rank is not None:
-            stack.extend(a for args in per_rank for a in args)
-        seen: set[int] = set()
-        while stack:
-            obj = stack.pop()
-            if isinstance(obj, Wire):
-                if obj.arena_name is not None and id(obj) not in seen:
-                    seen.add(id(obj))
-                    ref = obj._team_ref
-                    if ref is not None and ref() is self:
-                        self._check_handle(obj)
-            elif isinstance(obj, Message):
-                stack.extend(wire for wire, _, _ in obj.pieces)
-            elif isinstance(obj, (tuple, list)):
-                stack.extend(obj)
-            elif isinstance(obj, dict):
-                stack.extend(obj.values())
-
     @staticmethod
-    def _grown(segment: shared_memory.SharedMemory | None, nbytes: int):
+    def _grown(segment: shared_memory.SharedMemory, nbytes: int):
         """A segment of at least ``nbytes``; reuses or replaces ``segment``.
 
         POSIX keeps an unlinked segment alive while mapped, so the old one
@@ -656,11 +614,10 @@ class ParkedProcessTeam(RankTeam):
         within the call that sent them.  (Out arenas must NOT come through
         here; see :meth:`_regrown_out`.)
         """
-        if segment is not None and segment.size >= nbytes:
+        if segment.size >= nbytes:
             return segment
-        if segment is not None:
-            segment.close()
-            segment.unlink()
+        segment.close()
+        segment.unlink()
         size = max(_MIN_ARENA, 1 << (nbytes - 1).bit_length())
         return shared_memory.SharedMemory(create=True, size=size)
 
@@ -693,8 +650,6 @@ class ParkedProcessTeam(RankTeam):
         raise WorkerError(detail)
 
     def _run(self, method, per_rank, common, parallel, profiling):
-        if self.racecheck is not None:
-            self._check_shipped_handles(per_rank, common)
         ser_out = self._dispatch(method, per_rank, common, profiling)
         t_dispatched = time.perf_counter() if profiling else None
         results: list = [None] * self.num_ranks
@@ -712,13 +667,25 @@ class ParkedProcessTeam(RankTeam):
         """Arm every worker's control slot, then release their semaphores.
 
         Each command names the worker's current out-arena half, where a
-        reply holding a wire will park.  Returns the measured parent-side
-        encode + arena-write seconds (0.0 unless ``profiling``).
+        reply holding a wire will park.  With racecheck on, the encoder
+        checks each team-minted handle a message ships, once per call and
+        before any worker is released: workers copy its bytes straight out
+        of its arena.  Returns the measured parent-side encode + arena-write
+        seconds (0.0 unless ``profiling``).
         """
+        check = None
+        if self.racecheck is not None:
+            seen: set[int] = set()
+
+            def check(wire: Wire) -> None:
+                if id(wire) not in seen and wire._team_ref() is self:
+                    seen.add(id(wire))
+                    self._check_handle(wire)
+
         ser_out = 0.0
         for w in range(self.num_workers):
             t0 = time.perf_counter() if profiling else 0.0
-            writer = _PayloadWriter()
+            writer = _PayloadWriter(check)
             common_meta = tuple(_encode(a, writer) for a in common)
             per_metas = None
             if per_rank is not None:
@@ -727,38 +694,22 @@ class ParkedProcessTeam(RankTeam):
                     for i in self._rank_ids[w]
                 }
             out = self._out[w][self._out_flip[w] & 1]
-            cmd_name = None
-            if writer.total:
-                self._cmd[w] = self._grown(self._cmd[w], writer.total)
-                cmd_name = self._cmd[w].name
-            cmd = (method, common_meta, per_metas,
-                   cmd_name, self._rep[w].name, self._rep[w].size,
-                   out.name, out.size)
-            blob = pickle.dumps(cmd, protocol=pickle.HIGHEST_PROTOCOL)
-            slot_buf = self._slots[w].buf
-            header = _SLOT_HEADER.size
-            if header + len(blob) <= _SLOT_SIZE:
-                if writer.total:
-                    writer.write_into(self._cmd[w].buf)
-                slot_buf[header:header + len(blob)] = blob
-                _SLOT_HEADER.pack_into(slot_buf, 0, _MODE_CALL, len(blob), 0)
-            else:
-                # Metadata overflow: append the command to the cmd arena
-                # tail (the worker is parked, not reading its pipe — a
-                # large pipe write here would deadlock the dispatcher).
-                meta_off = -(-writer.total // _ALIGN) * _ALIGN
-                cmd_with_name = cmd[:3] + (_CMD_NAME_FROM_SLOT,) + cmd[4:]
-                blob = pickle.dumps(cmd_with_name, protocol=pickle.HIGHEST_PROTOCOL)
-                self._cmd[w] = self._grown(self._cmd[w], meta_off + len(blob))
-                if writer.total:
-                    writer.write_into(self._cmd[w].buf)
-                self._cmd[w].buf[meta_off:meta_off + len(blob)] = blob
-                name = self._cmd[w].name.encode("ascii")
-                struct.pack_into("<q", slot_buf, header, len(name))
-                slot_buf[header + 8:header + 8 + len(name)] = name
-                _SLOT_HEADER.pack_into(
-                    slot_buf, 0, _MODE_CALL_ARENA, meta_off, len(blob)
-                )
+            rep = self._rep[w]
+            blob = pickle.dumps(
+                (method, common_meta, per_metas, rep.name, rep.size, out.name, out.size),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+            # The command follows the array payload in the cmd arena; never
+            # the pipe — a parked worker is not reading it, and a large pipe
+            # write would deadlock the dispatcher.
+            offset = writer.total
+            cmd = self._cmd[w] = self._grown(self._cmd[w], offset + len(blob))
+            writer.write_into(cmd.buf)
+            cmd.buf[offset:offset + len(blob)] = blob
+            _SLOT.pack_into(
+                self._slots[w].buf, 0, _MODE_CALL, offset, len(blob),
+                cmd.name.encode("ascii"),
+            )
             if profiling:
                 ser_out += time.perf_counter() - t0
         # All slots are armed before any worker wakes, so the back-to-back
@@ -794,12 +745,15 @@ class ParkedProcessTeam(RankTeam):
                 # fires for a live-but-wedged worker.
                 if not conn.poll(_WORKER_TIMEOUT):
                     self._fail(
-                        f"rank worker {w} stalled in {method!r} "
-                        f"(no reply in {_WORKER_TIMEOUT:.0f}s)"
+                        f"rank worker {w} (ranks {self._rank_ids[w]}) stalled "
+                        f"in {method!r} (no reply in {_WORKER_TIMEOUT:.0f}s)"
                     )
                 msg = conn.recv()
             except (EOFError, OSError):
-                self._fail(f"rank worker {w} died mid-call in {method!r}")
+                self._fail(
+                    f"rank worker {w} (ranks {self._rank_ids[w]}) died "
+                    f"mid-call in {method!r}"
+                )
             if msg[0] == "err":
                 if failure is None:
                     failure = (w, msg[1], msg[2])
@@ -847,7 +801,7 @@ class ParkedProcessTeam(RankTeam):
         # fall through to terminate below.
         for w, proc in enumerate(self._procs):
             if proc.is_alive():
-                _SLOT_HEADER.pack_into(self._slots[w].buf, 0, _MODE_STOP, 0, 0)
+                _SLOT.pack_into(self._slots[w].buf, 0, _MODE_STOP, 0, 0, b"")
                 self._gos[w].release()
         for proc in self._procs:
             proc.join(timeout=5)
@@ -874,8 +828,6 @@ class ParkedProcessTeam(RankTeam):
             *(seg for pair in self._out for seg in pair),
         ]
         for segment in segments:
-            if segment is None:
-                continue
             try:
                 segment.close()
             except BufferError:  # a leaked wire handle still views it

@@ -136,3 +136,16 @@ def test_more_workers_than_ranks_matches(graph, source, serial_runs):
         workers=32,
     )
     _assert_identical("sssp", serial_runs["sssp", "dist1d", 0], run)
+
+
+def test_wide_team_on_two_workers_matches_serial():
+    # 128 ranks on 2 workers: each worker carries 64 ranks' message
+    # tables, and the command metadata of the closing finish_epoch calls
+    # passes 64 KiB — the size that once took a separate overflow path.
+    graph = build_csr(generate_kronecker(12, seed=2022))
+    source = int(np.argmax(graph.out_degree))
+    base = api.run(graph, source, num_ranks=128)
+    run = api.run(graph, source, num_ranks=128, executor="process", workers=2)
+    assert np.array_equal(run.result.dist, base.result.dist)
+    assert run.modeled_time == base.modeled_time
+    assert run.comm == base.comm

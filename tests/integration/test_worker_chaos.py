@@ -1,0 +1,84 @@
+"""Chaos: a process-backend worker SIGKILLed in the middle of a real run.
+
+One fused ∆-stepping phase is patched before the team forks, so the
+worker hosting a chosen rank kills itself at a seeded call index.  The
+run must fail with a :class:`WorkerError` naming that worker, its ranks
+and the phase; it must leave no shared-memory segment and no worker
+process behind; and the same executor must then run the solve again,
+valid and bit-identical to serial.
+"""
+
+import multiprocessing
+import os
+import random
+import signal
+
+import numpy as np
+import pytest
+
+from repro import api
+from repro.core import dist_sssp
+from repro.graph.csr import build_csr
+from repro.graph.kronecker import generate_kronecker
+from repro.simmpi.executor import RankExecutor, WorkerError
+
+NUM_RANKS = 8
+WORKERS = 2
+VICTIM = 3  # lives on worker 1, with ranks 1, 5 and 7
+SEED = 7
+
+
+def _shm_names():
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-/dev/shm platforms
+        return set()
+
+
+def test_sigkilled_worker_fails_clean_and_the_executor_recovers(monkeypatch):
+    graph = build_csr(generate_kronecker(10, seed=2022))
+    source = int(np.argmax(graph.out_degree))
+    phase = dist_sssp._Rank.light_superstep
+
+    # Count the victim's calls of the phase on a serial run, so the seeded
+    # kill index is one the process run is sure to reach.
+    calls = []
+
+    def counted(self, k, first):
+        if self.rank == VICTIM:
+            calls.append(k)
+        return phase(self, k, first)
+
+    with monkeypatch.context() as m:
+        m.setattr(dist_sssp._Rank, "light_superstep", counted)
+        serial = api.run(graph, source, num_ranks=NUM_RANKS)
+    kill_at = random.Random(SEED).randrange(len(calls))
+
+    seen = []  # the victim's calls so far, counted inside its worker
+
+    def doomed(self, k, first):
+        if self.rank == VICTIM:
+            if len(seen) == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+            seen.append(k)
+        return phase(self, k, first)
+
+    shm_before = _shm_names()
+    children_before = set(multiprocessing.active_children())
+    executor = RankExecutor("process", workers=WORKERS)
+    with monkeypatch.context() as m:
+        m.setattr(dist_sssp._Rank, "light_superstep", doomed)
+        with pytest.raises(
+            WorkerError,
+            match=r"rank worker 1 \(ranks \[1, 3, 5, 7\]\) died mid-call "
+            r"in 'light_superstep'",
+        ):
+            api.run(graph, source, num_ranks=NUM_RANKS, executor=executor)
+    assert seen == []  # the parent never ran the phase itself
+    assert _shm_names() - shm_before == set()
+    assert set(multiprocessing.active_children()) - children_before == set()
+
+    again = api.run(graph, source, num_ranks=NUM_RANKS, executor=executor)
+    assert again.result.validate(graph).ok
+    assert again.result.dist.tobytes() == serial.result.dist.tobytes()
+    assert set(multiprocessing.active_children()) - children_before == set()

@@ -9,6 +9,7 @@ survive a worker dying mid-call.
 """
 
 import os
+import pickle
 import signal
 import time
 
@@ -28,6 +29,7 @@ class _Rank:
     def __init__(self, rank):
         self.rank = rank
         self.held = None
+        self.calls = 0
 
     def identity(self):
         return self.rank
@@ -60,6 +62,11 @@ class _Rank:
 
     def recall(self):
         return int(self.held["vertex"].sum())
+
+    def fail_on(self, bad):
+        if self.rank in bad:
+            raise ValueError(f"rank {self.rank} failed")
+        self.calls += 1
 
     def die(self):
         os._exit(13)
@@ -111,6 +118,21 @@ class TestArenaGrowthAndSpill:
                 out = team.call("make_array", common=(nbytes,), parallel=True)
                 for rank, arr in enumerate(out):
                     assert np.all(arr == float(rank))
+        finally:
+            team.close()
+
+    def test_command_metadata_beyond_64k_round_trips(self):
+        # A plain list rides the pickled metadata, not the array payload:
+        # 20,000 floats make a command several times larger than 64 KiB,
+        # and it travels the same cmd-arena path as every other command.
+        value = [i + 0.5 for i in range(20_000)]
+        meta = parked._encode(value, parked._PayloadWriter())
+        assert len(pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)) > 1 << 16
+        team = _process_team()
+        try:
+            for _ in range(2):
+                assert team.call("echo", common=(value,), parallel=True) == [value] * 2
+            assert all(slot.size < 1 << 16 for slot in team._slots)
         finally:
             team.close()
 
@@ -244,7 +266,9 @@ class TestShmLifecycle:
         team.call("make_array", common=(_MIN_ARENA + 64,), parallel=True)
         team.call("outbox", common=((_MIN_ARENA // 16) + 64,), parallel=True)
         assert _shm_names() - baseline  # the team is holding segments
-        with pytest.raises(WorkerError, match="died"):
+        with pytest.raises(
+            WorkerError, match=r"rank worker 0 \(ranks \[0\]\) died mid-call in 'die'"
+        ):
             team.call("die", parallel=True)
         # The failed call tore the team down: nothing may leak.
         assert _shm_names() - baseline == set()
@@ -257,6 +281,21 @@ class TestShmLifecycle:
             with pytest.raises(AttributeError):
                 team.call("no_such_method", parallel=True)
             assert team.call("identity", parallel=True) == [0, 1]
+        finally:
+            team.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_lowest_failing_rank_raises_and_its_worker_stops(self, backend):
+        # Worker 0 hosts ranks [0, 2], worker 1 ranks [1, 3]: both fail,
+        # the lowest failing rank's exception surfaces with its own type,
+        # and no worker runs a rank after its first failure.
+        ranks = [_Rank(r) for r in range(4)]
+        team = RankExecutor(backend, workers=2).team(ranks)
+        try:
+            with pytest.raises(ValueError, match="rank 1 failed"):
+                team.call("fail_on", common=({1, 2},), parallel=True)
+            assert [r.calls for r in ranks] == [1, 0, 0, 0]
+            assert team.call("identity", parallel=True) == [0, 1, 2, 3]
         finally:
             team.close()
 
@@ -276,13 +315,16 @@ class TestShutdown:
     def test_dead_parked_worker_fails_fast(self, monkeypatch):
         monkeypatch.setattr(parked, "_WORKER_TIMEOUT", 5.0)
         baseline = _shm_names()
-        team = _process_team()
+        team = _process_team(num_ranks=4)
         # Kill a worker while it is parked: its pipe end closes, so the
         # next dispatch must fail fast (EOF, not a timeout) and tear down.
-        team._procs[0].kill()
-        team._procs[0].join()
+        team._procs[1].kill()
+        team._procs[1].join()
         t0 = time.perf_counter()
-        with pytest.raises(WorkerError, match="died"):
+        with pytest.raises(
+            WorkerError,
+            match=r"rank worker 1 \(ranks \[1, 3\]\) died mid-call in 'identity'",
+        ):
             team.call("identity", parallel=True)
         assert time.perf_counter() - t0 < 4.0  # EOF beat the stall timeout
         assert team._closed
@@ -292,7 +334,9 @@ class TestShutdown:
         monkeypatch.setattr(parked, "_WORKER_TIMEOUT", 1.0)
         baseline = _shm_names()
         team = _process_team()
-        with pytest.raises(WorkerError, match="stalled"):
+        with pytest.raises(
+            WorkerError, match=r"rank worker 0 \(ranks \[0\]\) stalled in 'hang'"
+        ):
             team.call("hang", parallel=True)
         assert team._closed
         assert _shm_names() - baseline == set()
