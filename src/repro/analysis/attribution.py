@@ -1,20 +1,25 @@
-"""Fold a telemetry stream into a wall-clock attribution table.
+"""Fold a telemetry stream into one run report: timeline and attribution.
 
-:class:`PhaseAttribution` answers the question BENCH_P2 raised: the
-process backend ran at 0.33x — *where did the time go?*  It consumes the
-records one instrumented run emits (``phase_call`` executor events,
-``fabric_*`` collective spans, ``rank_task`` per-rank events, the
-engine's ``solve`` span) and produces:
+:class:`PhaseAttribution` is the one reader of a trace.  One pass over the
+records a traced run emits (fabric ``exchange`` / ``allreduce`` / ``fault``
+events, ``fabric_*`` collective spans, executor ``phase_call`` and
+``rank_task`` events, the engine's step and ``solve`` spans) builds:
 
-* a per-(superstep, rank, bucket) table — every team phase's wall split
-  into compute / barrier_wait / dispatch / transport / serialization
-  (see :mod:`repro.obs.profile` for the bucket contract);
-* load-imbalance factors (max/mean per-rank compute, per step and
-  overall);
-* Amdahl-style speedup ceilings from the engines' already-collected
-  ``critical_path`` / ``sum_of_ranks`` pair;
-* a ranked bottleneck diagnosis, and a machine-readable document under
-  the ``repro-profile-report/v1`` schema.
+* the **timeline** — one row per fabric exchange, ordered by run unit (a
+  ``root`` run or a batched ``batch`` sweep) then CommTrace superstep:
+  wire bytes and messages, exact from the fabric, joined with the nearest
+  step span's tags (phase, epoch, bucket, edges relaxed, frontier size)
+  and the exact p50/p99 of its rank tasks;
+* the **span summary** (wall/simulated time per span kind) and the
+  **totals** (bytes/messages/supersteps/allreduces, fed by the same fabric
+  call sites as ``CommTrace``);
+* the **attribution** — every team phase's wall split into compute /
+  barrier_wait / dispatch / transport / serialization per (superstep,
+  rank) (see :mod:`repro.obs.profile` for the bucket contract), load
+  imbalance, Amdahl-style ceilings from the engines' ``critical_path`` /
+  ``sum_of_ranks`` pair, and a ranked bottleneck diagnosis;
+
+all written as one ``repro-profile-report/v1`` document.
 
 The attribution reconciles by construction: per-call buckets sum exactly
 to each call's wall, every un-instrumented driver second inside the
@@ -25,10 +30,28 @@ present.
 
 from __future__ import annotations
 
-from repro.obs.profile import BUCKET_HINTS, BUCKETS, PROFILE_SCHEMA
-from repro.obs.report import STEP_SPANS, span_ancestry
+import numpy as np
 
-__all__ = ["PhaseAttribution"]
+from repro.obs.profile import BUCKET_HINTS, BUCKETS, PROFILE_SCHEMA
+
+__all__ = ["PhaseAttribution", "STEP_SPANS", "span_ancestry"]
+
+#: Span names that delimit one engine step (the engines' work units).
+STEP_SPANS = frozenset({"superstep", "round", "level"})
+# Harness spans that delimit one run unit: a root run or a batched sweep.
+_UNIT_SPANS = frozenset({"root", "batch"})
+# Tags copied from the nearest enclosing step span onto timeline rows.
+_STEP_TAGS = (
+    "phase",
+    "epoch",
+    "bucket",
+    "edges",
+    "frontier",
+    "critical_path",
+    "sum_of_ranks",
+)
+# Rows of the "slowest steps" table in the text report.
+_SLOWEST_STEPS = 8
 
 # How driver-side fabric collective wall time maps onto buckets.
 _FABRIC_BUCKET = {
@@ -38,15 +61,68 @@ _FABRIC_BUCKET = {
 }
 
 
+def span_ancestry(records: list[dict]):
+    """``walk(parent_id)``: the span records enclosing ``parent_id``, nearest first.
+
+    The nearest step span of a record is the first ``walk`` result whose
+    name is in :data:`STEP_SPANS`.
+    """
+    spans_by_id = {r["id"]: r for r in records if r.get("type") == "span"}
+
+    def walk(parent_id):
+        seen = set()
+        while parent_id is not None and parent_id not in seen:
+            seen.add(parent_id)
+            span = spans_by_id.get(parent_id)
+            if span is None:
+                return
+            yield span
+            parent_id = span.get("parent")
+
+    return walk
+
+
 def _zero_buckets() -> dict[str, float]:
     return {bucket: 0.0 for bucket in BUCKETS}
 
 
+def _timeline_row(record: dict, ancestry) -> tuple[dict, int | None]:
+    """One exchange's timeline row, and the id of its nearest step span."""
+    step = unit = None
+    for span in ancestry(record.get("parent")):
+        if step is None and span["name"] in STEP_SPANS:
+            step = span
+        elif unit is None and span["name"] in _UNIT_SPANS:
+            unit = span
+    step_tags = {} if step is None else step.get("tags", {})
+    unit_tags = {} if unit is None else unit.get("tags", {})
+    tags = record.get("tags", {})
+    row = {
+        "root": -1 if unit is None else int(unit_tags.get("index", unit_tags.get("root", 0))),
+        "step": int(tags.get("step", -1)),
+        "kind": tags.get("kind", "alltoallv"),
+        "bytes": int(tags.get("bytes", 0)),
+        "messages": int(tags.get("messages", 0)),
+        "retry_bytes": int(tags.get("retry_bytes", 0)),
+        "t_sim": record.get("t_sim"),
+        "task_p50_us": None,
+        "task_p99_us": None,
+        **{t: step_tags.get(t) for t in _STEP_TAGS},
+    }
+    return row, None if step is None else step["id"]
+
+
 class PhaseAttribution:
-    """Attribution of one traced run's wall clock to overhead buckets."""
+    """One traced run's timeline and the attribution of its wall clock."""
 
     def __init__(self) -> None:
         self.meta: dict = {}
+        self.num_records = 0
+        self.timeline: list[dict] = []
+        self.span_summary: list[dict] = []
+        self.allreduces = 0
+        self.fault_events = 0
+        self.phase_calls = 0
         self.total_wall_s = 0.0
         self.attributed_s = 0.0
         self.driver_s = 0.0
@@ -63,6 +139,7 @@ class PhaseAttribution:
     @classmethod
     def from_records(cls, records: list[dict], meta: dict | None = None) -> "PhaseAttribution":
         att = cls()
+        att.num_records = len(records)
         ancestry = span_ancestry(records)
 
         def step_ancestor(parent_id):
@@ -79,6 +156,11 @@ class PhaseAttribution:
         step_rows: dict[int | None, dict] = {}
         rank_compute: dict[int, float] = {}
         rank_wait: dict[int, float] = {}
+        # step span id -> its rank tasks' microseconds (timeline p50/p99).
+        task_us: dict[int, list[float]] = {}
+        # (timeline row, id of the nearest step span enclosing its exchange).
+        exchanges: list[tuple[dict, int | None]] = []
+        span_summary: dict[tuple[str, str], dict] = {}
 
         def row_for(step_span) -> dict:
             key = None if step_span is None else step_span["id"]
@@ -105,6 +187,14 @@ class PhaseAttribution:
             elif kind == "span":
                 name = r["name"]
                 tags = r.get("tags", {})
+                agg = span_summary.setdefault(
+                    (r.get("cat", ""), name),
+                    {"cat": r.get("cat", ""), "name": name, "count": 0,
+                     "wall_s": 0.0, "sim_s": 0.0},
+                )
+                agg["count"] += 1
+                agg["wall_s"] += r.get("dur_wall") or 0.0
+                agg["sim_s"] += r.get("dur_sim") or 0.0
                 if name == "solve":
                     att.total_wall_s += r.get("dur_wall") or 0.0
                     solve_tags.update(tags)
@@ -124,6 +214,7 @@ class PhaseAttribution:
                 name = r["name"]
                 tags = r.get("tags", {})
                 if name == "phase_call":
+                    att.phase_calls += 1
                     row = row_for(step_ancestor(r.get("parent")))
                     for bucket in BUCKETS:
                         seconds = float(tags.get(f"{bucket}_s") or 0.0)
@@ -137,13 +228,32 @@ class PhaseAttribution:
                     wait = float(tags.get("wait") or 0.0)
                     rank_compute[rank] = rank_compute.get(rank, 0.0) + seconds
                     rank_wait[rank] = rank_wait.get(rank, 0.0) + wait
-                    row = row_for(step_ancestor(r.get("parent")))
+                    step = step_ancestor(r.get("parent"))
+                    row = row_for(step)
                     row["per_rank_compute"][rank] = (
                         row["per_rank_compute"].get(rank, 0.0) + seconds
                     )
                     row["per_rank_wait"][rank] = (
                         row["per_rank_wait"].get(rank, 0.0) + wait
                     )
+                    if step is not None:
+                        task_us.setdefault(step["id"], []).append(seconds * 1e6)
+                elif name == "exchange":
+                    exchanges.append(_timeline_row(r, ancestry))
+                elif name == "allreduce":
+                    att.allreduces += 1
+                elif name == "fault":
+                    att.fault_events += 1
+
+        task_pcts = {
+            step: tuple(round(float(p), 3) for p in np.percentile(us, (50, 99)))
+            for step, us in task_us.items()
+        }
+        for row, step_id in exchanges:
+            row["task_p50_us"], row["task_p99_us"] = task_pcts.get(step_id, (None, None))
+            att.timeline.append(row)
+        att.timeline.sort(key=lambda row: (row["root"], row["step"]))
+        att.span_summary = sorted(span_summary.values(), key=lambda a: -a["wall_s"])
 
         if meta:
             att.meta.update(meta)
@@ -213,6 +323,28 @@ class PhaseAttribution:
 
     # -- views -------------------------------------------------------------
 
+    def totals(self) -> dict:
+        rows = self.timeline
+        return {
+            "total_bytes": sum(row["bytes"] for row in rows),
+            "total_messages": sum(row["messages"] for row in rows),
+            "supersteps": len(rows),
+            "allreduces": self.allreduces,
+            "retransmitted_bytes": sum(row["retry_bytes"] for row in rows),
+            "fault_events": self.fault_events,
+            "roots": len({row["root"] for row in rows}),
+        }
+
+    def wavefront(self, root: int | None = None) -> list[int]:
+        """Wire bytes per superstep — the F10 traffic-wavefront series.
+
+        ``root`` selects one run unit: the root run's or the batched
+        sweep's index.
+        """
+        return [
+            row["bytes"] for row in self.timeline if root is None or row["root"] == root
+        ]
+
     @property
     def coverage(self) -> float:
         """Fraction of the solve wall directly measured (1.0 = everything)."""
@@ -275,21 +407,74 @@ class PhaseAttribution:
             "imbalance": round(self.imbalance(), 4),
             "ceilings": {k: round(v, 6) for k, v in self.ceilings.items()},
             "diagnosis": self.diagnosis(),
+            "timeline": self.timeline,
+            "span_summary": self.span_summary,
+            "totals": self.totals(),
         }
 
-    def render_text(self, max_steps: int = 8) -> str:
+    def render_text(self, max_rows: int = 80) -> str:
+        """The ``repro inspect`` report: spans, timeline, then the attribution."""
         from repro.graph500.report import render_table
 
-        parts: list[str] = []
-        meta = self.meta
-        parts.append(
-            "profile: engine={} backend={} workers={} ranks={}".format(
-                meta.get("engine", "?"), meta.get("backend", "?"),
-                meta.get("workers", "?"), meta.get("num_ranks", "?"),
-            )
+        t = self.totals()
+        header = (
+            f"records: {self.num_records}  supersteps: {t['supersteps']}  "
+            f"bytes: {t['total_bytes']}  messages: {t['total_messages']}  "
+            f"allreduces: {t['allreduces']}  roots: {t['roots']}"
         )
+        if t["retransmitted_bytes"] or self.fault_events:
+            header += (
+                f"  retransmitted: {t['retransmitted_bytes']}  "
+                f"fault events: {t['fault_events']}"
+            )
+        parts = [header]
+        if self.meta:
+            parts.append(
+                "meta: " + ", ".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
+            )
+        if self.span_summary:
+            rows = [
+                {
+                    "cat": a["cat"],
+                    "span": a["name"],
+                    "count": a["count"],
+                    "wall_s": round(a["wall_s"], 6),
+                    "sim_s": round(a["sim_s"], 9),
+                }
+                for a in self.span_summary
+            ]
+            parts.append(render_table(rows, title="\nspans"))
+        if self.timeline:
+            peak = max(row["bytes"] for row in self.timeline) or 1
+            shown = self.timeline[:max_rows]
+            with_tasks = any(row["task_p50_us"] is not None for row in shown)
+            rows = []
+            for row in shown:
+                out = {
+                    "root": row["root"],
+                    "step": row["step"],
+                    "phase": row["phase"] or "-",
+                    "bucket": row["bucket"] if row["bucket"] is not None else "-",
+                    "bytes": row["bytes"],
+                    "msgs": row["messages"],
+                    "edges": row["edges"] if row["edges"] is not None else "-",
+                    "frontier": row["frontier"] if row["frontier"] is not None else "-",
+                }
+                if with_tasks:
+                    out["p50_us"] = row["task_p50_us"] if row["task_p50_us"] is not None else "-"
+                    out["p99_us"] = row["task_p99_us"] if row["task_p99_us"] is not None else "-"
+                if t["retransmitted_bytes"]:
+                    out["retry_B"] = row["retry_bytes"]
+                out["bar"] = "#" * int(30 * row["bytes"] / peak)
+                rows.append(out)
+            title = "\nper-superstep timeline"
+            if len(self.timeline) > max_rows:
+                title += f" (first {max_rows} of {len(self.timeline)} steps)"
+            parts.append(render_table(rows, title=title))
+        if not self.phase_calls:
+            return "\n".join(parts)
         parts.append(
-            f"wall: {self.total_wall_s:.4f}s  attributed: {self.attributed_s:.4f}s "
+            f"\nwall: {self.total_wall_s:.4f}s  attributed: {self.attributed_s:.4f}s "
             f"({100.0 * self.coverage:.1f}% measured, driver residual "
             f"{self.driver_s:.4f}s -> dispatch)"
         )
@@ -326,11 +511,11 @@ class PhaseAttribution:
                     "imbalance": round(row["imbalance"], 2),
                     **{b: round(row["buckets"][b], 4) for b in BUCKETS},
                 }
-                for row in steps[:max_steps]
+                for row in steps[:_SLOWEST_STEPS]
             ]
             title = "\nslowest steps"
-            if len(steps) > max_steps:
-                title += f" (top {max_steps} of {len(steps)})"
+            if len(steps) > _SLOWEST_STEPS:
+                title += f" (top {_SLOWEST_STEPS} of {len(steps)})"
             parts.append(render_table(rows, title=title))
         c = self.ceilings
         parts.append(

@@ -27,6 +27,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import api
+from repro.analysis.attribution import PhaseAttribution
 from repro.analysis.memory import estimate_memory, max_feasible_scale
 from repro.analysis.projection import fit_projection_model
 from repro.analysis import studies
@@ -41,7 +42,7 @@ from repro.graph500.harness import run_graph500_sssp
 from repro.graph500.report import render_output_block
 from repro.graph500.roots import sample_roots
 from repro.graph500.validation import validate_bfs, validate_sssp
-from repro.obs import RunReport, Tracer
+from repro.obs import Tracer
 from repro.partition import TwoDPartition, block1d, block1d_edge_balanced, evaluate_partition
 from repro.partition import hashed1d, make_grid
 from repro.simmpi.machine import laptop_machine, small_cluster, sunway_exascale
@@ -400,7 +401,7 @@ def _f10(scale, ranks):
     root = int(sample_roots(graph, 1, seed=ROOT_SEED)[0])
     run = api.run(graph, root, num_ranks=ranks, tracer=tracer)
     # Timeline and CommTrace are fed by the same fabric call sites: equal byte for byte.
-    series = np.array(RunReport.from_events(tracer.events).wavefront(), dtype=np.int64)
+    series = np.array(PhaseAttribution.from_records(tracer.events).wavefront(), dtype=np.int64)
     total = series.sum()
     if total != run.comm["total_bytes"]:
         raise AssertionError("telemetry timeline and CommTrace disagree on wire bytes")

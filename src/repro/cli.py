@@ -4,13 +4,14 @@ Mirrors the real benchmark driver's workflow:
 
 * ``run``      — the full Graph500 protocol, official output block
                  (``--kernel sssp`` / ``--kernel bfs``: the same root loop);
-                 ``--trace-out/--report-out/--chrome-out`` persist the run's
-                 telemetry (JSONL stream, per-superstep report, Perfetto);
-* ``inspect``  — summarize a saved ``--trace-out`` JSONL telemetry file:
-                 the per-superstep timeline and, when the trace holds
-                 executor phase calls, the compute/barrier/dispatch/
-                 transport/serialization attribution table and the ranked
-                 bottleneck diagnosis (``--profile-out`` writes the
+                 ``--trace-out/--chrome-out`` persist the run's telemetry
+                 (JSONL stream, Perfetto);
+* ``inspect``  — fold a saved ``--trace-out`` JSONL telemetry file once and
+                 print one report: the span summary, the per-superstep
+                 timeline and, when the trace holds executor phase calls,
+                 the compute/barrier/dispatch/transport/serialization
+                 attribution table and the ranked bottleneck diagnosis
+                 (``--profile-out`` writes it as the
                  ``repro-profile-report/v1`` document);
 * ``experiment`` — regenerate one table or figure of the reconstructed
   evaluation (``T1``-``T3``, ``F1``-``F11``, ``E1``-``E3``, or ``all``) as a
@@ -73,8 +74,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         harness, kernel_opts = run_graph500_bfs, {}
     faults = _parse_faults_arg(args.faults)
     tracer = None
-    tracing = args.trace_out or args.report_out or args.chrome_out
-    if tracing:
+    if args.trace_out or args.chrome_out:
         from repro.obs import JsonlSink, Tracer
 
         sinks = [JsonlSink(args.trace_out)] if args.trace_out else []
@@ -147,19 +147,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
             write_chrome_trace(tracer.events, args.chrome_out)
             print(f"chrome trace: {args.chrome_out} (open in chrome://tracing or Perfetto)")
-        if args.report_out:
-            import json
-
-            from repro.obs import RunReport
-
-            report = RunReport.from_events(tracer.events)
-            with open(args.report_out, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-            totals = report.totals()
-            print(
-                f"report: {args.report_out} ({totals['supersteps']} supersteps, "
-                f"{totals['total_bytes']} wire bytes)"
-            )
     return 0 if result.all_valid else 1
 
 
@@ -167,7 +154,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.attribution import PhaseAttribution
-    from repro.obs import RunReport, read_jsonl, validate_profile_report
+    from repro.obs import read_jsonl, validate_profile_report
 
     try:
         records = read_jsonl(args.trace)
@@ -181,30 +168,27 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    print(RunReport.from_events(records).render_text(max_rows=args.max_rows))
-    if not any(r.get("name") == "phase_call" for r in records):
-        if args.profile_out:
-            print(
-                f"repro inspect: {args.trace} holds no phase_call events to "
-                f"attribute; record it with 'repro run --trace-out'",
-                file=sys.stderr,
-            )
-            return 2
-        return 0
     attribution = PhaseAttribution.from_records(records)
-    print()
-    print(attribution.render_text())
-    if args.profile_out:
-        doc = attribution.to_dict()
-        try:
-            validate_profile_report(doc)
-        except ValueError as exc:
-            print(f"repro inspect: {exc}", file=sys.stderr)
-            return 2
-        with open(args.profile_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"profile report: {args.profile_out} (schema {doc['schema']})")
+    print(attribution.render_text(max_rows=args.max_rows))
+    if not args.profile_out:
+        return 0
+    if not attribution.phase_calls:
+        print(
+            f"repro inspect: {args.trace} holds no phase_call events to "
+            f"attribute; record it with 'repro run --trace-out'",
+            file=sys.stderr,
+        )
+        return 2
+    doc = attribution.to_dict()
+    try:
+        validate_profile_report(doc)
+    except ValueError as exc:
+        print(f"repro inspect: {exc}", file=sys.stderr)
+        return 2
+    with open(args.profile_out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    print(f"profile report: {args.profile_out} (schema {doc['schema']})")
     return 0
 
 
@@ -473,9 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--trace-out", default=None, help="write the telemetry stream as JSONL"
-    )
-    p_run.add_argument(
-        "--report-out", default=None, help="write the per-superstep report as JSON"
     )
     p_run.add_argument(
         "--chrome-out",

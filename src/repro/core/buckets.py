@@ -65,13 +65,11 @@ class BucketQueue:
             del self._buckets[k]
         return None
 
-    def drain(self, k: int, exclude: np.ndarray | None = None) -> np.ndarray:
+    def drain(self, k: int) -> np.ndarray:
         """Remove and return the *live* members of bucket ``k``.
 
         Live means: finite distance whose current bucket index is still
-        ``k``, not in ``exclude`` (a boolean mask of vertices already
-        processed this epoch), deduplicated.  Stale entries are discarded
-        for good.
+        ``k``, deduplicated.  Stale entries are discarded for good.
         """
         parts = self._buckets.pop(k, [])
         if not parts:
@@ -80,8 +78,6 @@ class BucketQueue:
         self.ops += int(sum(a.size for a in parts))
         live = np.isfinite(self._dist[cand])
         live &= self.bucket_index(cand) == k
-        if exclude is not None:
-            live &= ~exclude[cand]
         return cand[live]
 
     def min_live_bucket(self) -> int | None:

@@ -1,10 +1,10 @@
-"""Run telemetry: structured spans, trace sinks, reports.
+"""Run telemetry: structured spans, trace sinks, the profile contract.
 
 The observability layer every engine reports into.  One :class:`Tracer`
 travels through harness -> engine -> fabric collecting spans and events;
 :mod:`~repro.obs.sinks` persist the stream (JSONL, Chrome ``trace_event``);
-:class:`RunReport` turns it back into the per-superstep timeline the
-evaluation figures are built from.
+:class:`repro.analysis.attribution.PhaseAttribution` folds it back into the
+per-superstep timeline and the wall-clock attribution.
 
 Instrumentation contract: engines accept ``tracer=None`` and substitute
 :data:`NULL_TRACER`, whose every operation is a no-op — tracing off costs
@@ -17,10 +17,8 @@ from repro.obs.profile import (
     split_call_buckets,
     validate_profile_report,
 )
-from repro.obs.report import RunReport
 from repro.obs.sinks import (
     JsonlSink,
-    ListSink,
     chrome_trace_events,
     read_jsonl,
     write_chrome_trace,
@@ -30,11 +28,9 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 __all__ = [
     "BUCKETS",
     "JsonlSink",
-    "ListSink",
     "NULL_TRACER",
     "NullTracer",
     "PROFILE_SCHEMA",
-    "RunReport",
     "Span",
     "Tracer",
     "chrome_trace_events",

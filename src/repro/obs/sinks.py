@@ -1,8 +1,9 @@
 """Telemetry sinks: JSONL streaming and Chrome ``trace_event`` export.
 
 JSONL is the canonical on-disk form — one record per line, append-only,
-streamable while the run is in flight, and round-trippable back into a
-:class:`~repro.obs.report.RunReport` via :func:`read_jsonl`.
+streamable while the run is in flight, and read back by :func:`read_jsonl`
+into the record list :class:`~repro.analysis.attribution.PhaseAttribution`
+folds.
 
 The Chrome exporter re-shapes the same records into the ``trace_event``
 JSON object format (``{"traceEvents": [...]}``) understood by
@@ -27,7 +28,6 @@ from pathlib import Path
 
 __all__ = [
     "JsonlSink",
-    "ListSink",
     "read_jsonl",
     "chrome_trace_events",
     "write_chrome_trace",
@@ -47,19 +47,6 @@ class JsonlSink:
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
-
-
-class ListSink:
-    """Accumulates records in memory (tests, ad-hoc consumers)."""
-
-    def __init__(self) -> None:
-        self.records: list[dict] = []
-
-    def emit(self, record: dict) -> None:
-        self.records.append(record)
-
-    def close(self) -> None:
-        pass
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

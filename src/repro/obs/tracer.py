@@ -13,9 +13,10 @@ collects a single ordered stream of records:
 
 Every record is a plain JSON-serializable dict, so sinks
 (:mod:`repro.obs.sinks`) can stream them to JSONL or re-shape them into the
-Chrome ``trace_event`` format, and :class:`~repro.obs.report.RunReport` can
-rebuild the span tree post-hoc (span records are emitted at *exit*, so
-children precede parents in the stream; ``id``/``parent`` link them).
+Chrome ``trace_event`` format, and
+:class:`~repro.analysis.attribution.PhaseAttribution` can rebuild the span
+tree post-hoc (span records are emitted at *exit*, so children precede
+parents in the stream; ``id``/``parent`` link them).
 
 The disabled path is near-zero-cost: :data:`NULL_TRACER` answers every call
 with a no-op and hands out one shared inert span, so instrumented hot loops

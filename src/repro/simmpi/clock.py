@@ -35,9 +35,6 @@ class SimClock:
     def breakdown(self) -> dict[str, float]:
         return {k: float(v) for k, v in sorted(self._components.items())}
 
-    def reset(self) -> None:
-        self._components.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(f"{k}={v:.3e}s" for k, v in self.breakdown().items())
         return f"SimClock({inner})"

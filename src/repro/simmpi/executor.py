@@ -49,7 +49,7 @@ The team also measures parallel efficiency: every ``parallel=True`` phase
 records per-rank wall durations, accumulated into a per-superstep
 ``critical_path`` (sum of per-phase maxima — the floor with infinite
 cores) vs ``sum_of_ranks`` (total rank-seconds — the serial cost), which
-the engines tag onto their superstep spans and RunReport surfaces.
+the engines tag onto their superstep spans and ``repro inspect`` surfaces.
 """
 
 from __future__ import annotations

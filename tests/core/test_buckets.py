@@ -40,12 +40,6 @@ class TestBucketQueue:
         assert list(bq.drain(0)) == [0]
         assert bq.drain(0).size == 0
 
-    def test_exclude_mask(self):
-        bq, dist = _bq([0.1, 0.2])
-        bq.insert(np.array([0, 1]))
-        exclude = np.array([True, False])
-        assert list(bq.drain(0, exclude=exclude)) == [1]
-
     def test_infinite_distance_never_live(self):
         bq, dist = _bq([0.5, np.inf])
         bq.insert(np.array([0]))

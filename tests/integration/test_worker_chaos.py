@@ -1,17 +1,19 @@
-"""Chaos: a process-backend worker SIGKILLed in the middle of a real run.
+"""Chaos: a process-backend worker that dies or stalls in a real run.
 
 One fused ∆-stepping phase is patched before the team forks, so the
-worker hosting a chosen rank kills itself at a seeded call index.  The
-run must fail with a :class:`WorkerError` naming that worker, its ranks
-and the phase; it must leave no shared-memory segment and no worker
-process behind; and the same executor must then run the solve again,
-valid and bit-identical to serial.
+worker hosting a chosen rank kills itself (SIGKILL) or sleeps past the
+reply timeout at a seeded call index.  The run must fail with a
+:class:`WorkerError` naming that worker, its ranks and the phase; it must
+leave no shared-memory segment and no worker process behind; and the
+same executor must then run the solve again, valid and bit-identical to
+serial.
 """
 
 import multiprocessing
 import os
 import random
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro import api
 from repro.core import dist_sssp
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
+from repro.simmpi import parked
 from repro.simmpi.executor import RankExecutor, WorkerError
 
 NUM_RANKS = 8
@@ -35,13 +38,16 @@ def _shm_names():
         return set()
 
 
-def test_sigkilled_worker_fails_clean_and_the_executor_recovers(monkeypatch):
+def _fail_and_recover(monkeypatch, fault, failure):
+    """Inject ``fault()`` into the victim's phase at a seeded call; check the
+    run fails with a ``failure`` WorkerError, cleanly, and the executor
+    recovers."""
     graph = build_csr(generate_kronecker(10, seed=2022))
     source = int(np.argmax(graph.out_degree))
     phase = dist_sssp._Rank.light_superstep
 
     # Count the victim's calls of the phase on a serial run, so the seeded
-    # kill index is one the process run is sure to reach.
+    # fault index is one the process run is sure to reach.
     calls = []
 
     def counted(self, k, first):
@@ -52,14 +58,14 @@ def test_sigkilled_worker_fails_clean_and_the_executor_recovers(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(dist_sssp._Rank, "light_superstep", counted)
         serial = api.run(graph, source, num_ranks=NUM_RANKS)
-    kill_at = random.Random(SEED).randrange(len(calls))
+    fault_at = random.Random(SEED).randrange(len(calls))
 
     seen = []  # the victim's calls so far, counted inside its worker
 
     def doomed(self, k, first):
         if self.rank == VICTIM:
-            if len(seen) == kill_at:
-                os.kill(os.getpid(), signal.SIGKILL)
+            if len(seen) == fault_at:
+                fault()
             seen.append(k)
         return phase(self, k, first)
 
@@ -68,11 +74,7 @@ def test_sigkilled_worker_fails_clean_and_the_executor_recovers(monkeypatch):
     executor = RankExecutor("process", workers=WORKERS)
     with monkeypatch.context() as m:
         m.setattr(dist_sssp._Rank, "light_superstep", doomed)
-        with pytest.raises(
-            WorkerError,
-            match=r"rank worker 1 \(ranks \[1, 3, 5, 7\]\) died mid-call "
-            r"in 'light_superstep'",
-        ):
+        with pytest.raises(WorkerError, match=failure):
             api.run(graph, source, num_ranks=NUM_RANKS, executor=executor)
     assert seen == []  # the parent never ran the phase itself
     assert _shm_names() - shm_before == set()
@@ -82,3 +84,22 @@ def test_sigkilled_worker_fails_clean_and_the_executor_recovers(monkeypatch):
     assert again.result.validate(graph).ok
     assert again.result.dist.tobytes() == serial.result.dist.tobytes()
     assert set(multiprocessing.active_children()) - children_before == set()
+
+
+def test_sigkilled_worker_fails_clean_and_the_executor_recovers(monkeypatch):
+    _fail_and_recover(
+        monkeypatch,
+        lambda: os.kill(os.getpid(), signal.SIGKILL),
+        r"rank worker 1 \(ranks \[1, 3, 5, 7\]\) died mid-call in 'light_superstep'",
+    )
+
+
+def test_stalled_worker_fails_clean_and_the_executor_recovers(monkeypatch):
+    # The stalled worker wakes within the team's 5 s shutdown join, so it
+    # exits on its STOP token rather than being terminated.
+    monkeypatch.setattr(parked, "_WORKER_TIMEOUT", 1.0)
+    _fail_and_recover(
+        monkeypatch,
+        lambda: time.sleep(2.0),
+        r"rank worker 1 \(ranks \[1, 3, 5, 7\]\) stalled in 'light_superstep'",
+    )

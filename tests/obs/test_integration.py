@@ -16,7 +16,8 @@ from repro.core.delta_stepping import _delta_stepping as delta_stepping
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph500.harness import run_graph500_bfs, run_graph500_sssp
-from repro.obs import RunReport, Tracer
+from repro.analysis.attribution import PhaseAttribution
+from repro.obs import Tracer
 
 distributed_sssp = partial(run, engine="dist1d")
 distributed_sssp_2d = partial(run, engine="dist2d")
@@ -31,38 +32,38 @@ class TestEngineTelemetry:
     def test_dist_sssp_bytes_match_commtrace(self):
         tracer = Tracer()
         run = distributed_sssp(_graph(), 0, num_ranks=4, tracer=tracer)
-        report = RunReport.from_events(tracer.events)
-        assert report.total_bytes == run.comm["total_bytes"]
-        assert report.total_messages == run.comm["messages"]
-        assert report.num_steps == run.comm["supersteps"]
-        assert report.allreduces == run.comm["allreduces"]
+        totals = PhaseAttribution.from_records(tracer.events).totals()
+        assert totals["total_bytes"] == run.comm["total_bytes"]
+        assert totals["total_messages"] == run.comm["messages"]
+        assert totals["supersteps"] == run.comm["supersteps"]
+        assert totals["allreduces"] == run.comm["allreduces"]
 
     def test_dist_sssp_step_annotations(self):
         tracer = Tracer()
         distributed_sssp(_graph(), 0, num_ranks=4, tracer=tracer)
-        report = RunReport.from_events(tracer.events)
-        phases = {row["phase"] for row in report.steps}
+        timeline = PhaseAttribution.from_records(tracer.events).timeline
+        phases = {row["phase"] for row in timeline}
         assert phases <= {"light", "heavy"}
         assert "light" in phases and "heavy" in phases
-        light = [row for row in report.steps if row["phase"] == "light"]
+        light = [row for row in timeline if row["phase"] == "light"]
         assert any(row["frontier"] for row in light)
-        assert any(row["edges"] for row in report.steps)
+        assert any(row["edges"] for row in timeline)
         # Step indices are the CommTrace superstep sequence, gap-free.
-        assert [row["step"] for row in report.steps] == list(range(len(report.steps)))
+        assert [row["step"] for row in timeline] == list(range(len(timeline)))
 
     def test_twod_bytes_match_commtrace(self):
         tracer = Tracer()
         run = distributed_sssp_2d(_graph(), 0, num_ranks=4, tracer=tracer)
-        report = RunReport.from_events(tracer.events)
-        assert report.total_bytes == run.comm["total_bytes"]
-        assert all(row["phase"] == "frontier" for row in report.steps)
+        report = PhaseAttribution.from_records(tracer.events)
+        assert report.totals()["total_bytes"] == run.comm["total_bytes"]
+        assert all(row["phase"] == "frontier" for row in report.timeline)
 
     def test_bfs_bytes_match_commtrace(self):
         tracer = Tracer()
         run = distributed_bfs(_graph(), 0, num_ranks=4, direction="auto", tracer=tracer)
-        report = RunReport.from_events(tracer.events)
-        assert report.total_bytes == run.comm["total_bytes"]
-        phases = {row["phase"] for row in report.steps}
+        report = PhaseAttribution.from_records(tracer.events)
+        assert report.totals()["total_bytes"] == run.comm["total_bytes"]
+        phases = {row["phase"] for row in report.timeline}
         assert phases <= {"top_down", "bottom_up"}
 
     def test_shared_memory_epoch_spans(self):
@@ -98,16 +99,36 @@ class TestHarnessTelemetry:
         result = run_graph500_sssp(
             scale=8, num_ranks=2, num_roots=3, tracer=tracer, validate=True
         )
-        report = RunReport.from_events(tracer.events)
+        report = PhaseAttribution.from_records(tracer.events)
         # Per-root: the timeline rows inside each root span must sum to that
         # root's CommTrace.summary() totals, byte for byte.
         for index, root_run in enumerate(result.roots):
-            rows = report.steps_of_root(index)
+            rows = [row for row in report.timeline if row["root"] == index]
             assert rows, f"no timeline rows for root {index}"
             assert sum(r["bytes"] for r in rows) == root_run.trace["total_bytes"]
             assert sum(r["messages"] for r in rows) == root_run.trace["messages"]
             assert len(rows) == root_run.trace["supersteps"]
-        assert report.total_bytes == sum(r.trace["total_bytes"] for r in result.roots)
+        total = sum(r.trace["total_bytes"] for r in result.roots)
+        assert report.totals()["total_bytes"] == total
+
+    def test_batched_timeline_keeps_sweep_order(self):
+        # Sweeps open ``batch`` spans, not ``root`` spans: each sweep is one
+        # unit of the timeline, its steps ascending, the sweeps in order.
+        tracer = Tracer()
+        result = run_graph500_sssp(
+            scale=8, num_ranks=4, num_roots=8, seed=3, batch_roots=4, tracer=tracer
+        )
+        report = PhaseAttribution.from_records(tracer.events)
+        sweeps = [result.roots[0], result.roots[4]]  # lanes share their sweep's trace
+        units = [row["root"] for row in report.timeline]
+        assert units == sorted(units) and set(units) == {0, 1}
+        for index, sweep in enumerate(sweeps):
+            rows = [row for row in report.timeline if row["root"] == index]
+            assert len(rows) == sweep.trace["supersteps"]
+            assert [r["step"] for r in rows] == list(range(len(rows)))
+            assert sum(r["messages"] for r in rows) == sweep.trace["messages"]
+        assert report.totals()["roots"] == 2
+        assert report.wavefront() == report.wavefront(root=0) + report.wavefront(root=1)
 
     @pytest.mark.parametrize(
         "harness, batch_roots, engine_spans",
@@ -124,7 +145,7 @@ class TestHarnessTelemetry:
         harness(
             scale=8, num_ranks=2, num_roots=2, tracer=tracer, batch_roots=batch_roots
         )
-        report = RunReport.from_events(tracer.events)
+        report = PhaseAttribution.from_records(tracer.events)
         names = {(a["cat"], a["name"]) for a in report.span_summary}
         run_span = ("harness", "root" if batch_roots is None else "batch")
         assert {("harness", "generation"), ("harness", "construction"),
@@ -143,7 +164,7 @@ class TestHarnessTelemetry:
         tracer = Tracer()
         run_graph500_sssp(scale=8, num_ranks=2, num_roots=2, tracer=tracer)
         assert {r["type"] for r in tracer.events} == {"span", "event", "meta"}
-        assert "metrics" not in RunReport.from_events(tracer.events).to_dict()
+        assert "metrics" not in PhaseAttribution.from_records(tracer.events).to_dict()
 
     def test_trace_round_trip_through_jsonl(self, tmp_path):
         from repro.obs import JsonlSink, read_jsonl
@@ -152,6 +173,6 @@ class TestHarnessTelemetry:
         tracer = Tracer(sinks=[JsonlSink(path)], keep_events=False)
         run_graph500_sssp(scale=8, num_ranks=2, num_roots=2, tracer=tracer)
         tracer.close()
-        report = RunReport.from_jsonl(path)
-        assert report.num_steps > 0
-        assert report.total_bytes > 0
+        totals = PhaseAttribution.from_jsonl(path).totals()
+        assert totals["supersteps"] > 0
+        assert totals["total_bytes"] > 0

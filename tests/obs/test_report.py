@@ -1,6 +1,7 @@
-"""Tests for RunReport: timeline construction from a telemetry stream."""
+"""Tests for the timeline view of PhaseAttribution: rows, totals, rendering."""
 
-from repro.obs import RunReport, Tracer
+from repro.analysis.attribution import PhaseAttribution
+from repro.obs import Tracer
 
 
 def _make_trace():
@@ -29,9 +30,9 @@ def _make_trace():
 
 class TestTimeline:
     def test_rows_join_fabric_and_engine_tags(self):
-        report = RunReport.from_events(_make_trace().events)
-        assert report.num_steps == 4
-        row = report.steps[0]
+        report = PhaseAttribution.from_records(_make_trace().events)
+        assert report.totals()["supersteps"] == 4
+        row = report.timeline[0]
         assert row["root"] == 0  # index tag of the enclosing root span
         assert row["step"] == 0
         assert row["bytes"] == 100
@@ -42,7 +43,7 @@ class TestTimeline:
         assert row["frontier"] == 5
 
     def test_totals(self):
-        report = RunReport.from_events(_make_trace().events)
+        report = PhaseAttribution.from_records(_make_trace().events)
         t = report.totals()
         assert t["total_bytes"] == 2 * (100 + 200)
         assert t["total_messages"] == 2 * (1 + 2)
@@ -51,35 +52,36 @@ class TestTimeline:
         assert t["roots"] == 2
 
     def test_per_root_views(self):
-        report = RunReport.from_events(_make_trace().events)
-        assert len(report.steps_of_root(0)) == 2
+        report = PhaseAttribution.from_records(_make_trace().events)
+        assert len(report.wavefront(root=0)) == 2
         assert report.wavefront(root=1) == [100, 200]
-        assert sum(report.wavefront()) == report.total_bytes
+        assert sum(report.wavefront()) == report.totals()["total_bytes"]
 
     def test_rows_sorted_by_root_then_step(self):
-        report = RunReport.from_events(_make_trace().events)
-        keys = [(r["root"], r["step"]) for r in report.steps]
+        report = PhaseAttribution.from_records(_make_trace().events)
+        keys = [(r["root"], r["step"]) for r in report.timeline]
         assert keys == sorted(keys)
 
     def test_span_summary(self):
-        report = RunReport.from_events(_make_trace().events)
+        report = PhaseAttribution.from_records(_make_trace().events)
         by_name = {(a["cat"], a["name"]): a for a in report.span_summary}
         assert by_name[("engine", "superstep")]["count"] == 4
         assert by_name[("harness", "root")]["count"] == 2
         assert by_name[("harness", "root")]["wall_s"] > 0.0
 
     def test_meta_collected(self):
-        report = RunReport.from_events(_make_trace().events)
-        assert report.meta == {"scale": 10, "ranks": 4}
+        report = PhaseAttribution.from_records(_make_trace().events)
+        # Trace meta records, plus the rank count the attribution backfills.
+        assert report.meta == {"scale": 10, "ranks": 4, "num_ranks": 0}
 
     def test_exchange_outside_any_span(self):
         tr = Tracer()
         tr.event("exchange", cat="fabric", step=0, bytes=64, messages=1)
-        report = RunReport.from_events(tr.events)
-        row = report.steps[0]
+        report = PhaseAttribution.from_records(tr.events)
+        row = report.timeline[0]
         assert row["root"] == -1
         assert row["phase"] is None and row["edges"] is None
-        assert report.total_bytes == 64
+        assert report.totals()["total_bytes"] == 64
 
 
     def test_task_percentiles_are_exact(self):
@@ -95,33 +97,36 @@ class TestTimeline:
                 tr.event("exchange", cat="fabric", step=0, bytes=8, messages=1)
             with tr.span("superstep", cat="engine", phase="heavy"):
                 tr.event("exchange", cat="fabric", step=1, bytes=8, messages=1)
-        first, second = RunReport.from_events(tr.events).steps
+        first, second = PhaseAttribution.from_records(tr.events).timeline
         assert first["task_p50_us"] == 4.5
         assert first["task_p99_us"] == 32.66
         assert second["task_p50_us"] is None and second["task_p99_us"] is None
-        assert "p99_us" in RunReport.from_events(tr.events).render_text()
+        assert "p99_us" in PhaseAttribution.from_records(tr.events).render_text()
 
 
 class TestRendering:
     def test_to_dict_json_serializable(self):
         import json
 
-        report = RunReport.from_events(_make_trace().events)
+        report = PhaseAttribution.from_records(_make_trace().events)
         parsed = json.loads(json.dumps(report.to_dict()))
         assert parsed["totals"] == report.totals()
-        assert len(parsed["steps"]) == 4
+        assert len(parsed["timeline"]) == 4
 
     def test_render_text_timeline(self):
-        text = RunReport.from_events(_make_trace().events).render_text()
+        text = PhaseAttribution.from_records(_make_trace().events).render_text()
         assert "per-superstep timeline" in text
         assert "spans" in text
         assert "supersteps: 4" in text
 
     def test_render_text_caps_rows(self):
-        text = RunReport.from_events(_make_trace().events).render_text(max_rows=2)
+        text = PhaseAttribution.from_records(_make_trace().events).render_text(max_rows=2)
         assert "first 2 of 4 steps" in text
 
     def test_empty_report(self):
-        report = RunReport.from_events([])
+        report = PhaseAttribution.from_records([])
         assert report.totals()["supersteps"] == 0
-        assert "supersteps: 0" in report.render_text()
+        text = report.render_text()
+        assert "supersteps: 0" in text
+        # No phase_call events: no attribution section.
+        assert "wall-clock attribution" not in text

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from repro.analysis.attribution import PhaseAttribution
 from repro.obs import (
     JsonlSink,
-    RunReport,
     Tracer,
     chrome_trace_events,
     read_jsonl,
@@ -45,9 +45,9 @@ class TestJsonl:
     def test_report_from_round_tripped_trace(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _sample_tracer(path)
-        report = RunReport.from_jsonl(path)
-        assert report.total_bytes == 128
-        assert report.steps[0]["edges"] == 42
+        report = PhaseAttribution.from_jsonl(path)
+        assert report.totals()["total_bytes"] == 128
+        assert report.timeline[0]["edges"] == 42
 
 
 class TestChromeTrace:

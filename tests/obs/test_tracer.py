@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import ListSink, NULL_TRACER, NullTracer, Tracer
+from repro.obs import NULL_TRACER, JsonlSink, NullTracer, Tracer, read_jsonl
 
 
 class _FakeClock:
@@ -98,21 +98,22 @@ class TestMetaAndSinks:
         assert tr.meta == {"scale": 12, "ranks": 8, "variant": "optimized"}
         assert [r["type"] for r in tr.events] == ["meta", "meta"]
 
-    def test_sink_receives_every_record(self):
-        sink = ListSink()
-        tr = Tracer(sinks=[sink])
+    def test_sink_receives_every_record(self, tmp_path):
+        tr = Tracer(sinks=[JsonlSink(tmp_path / "t.jsonl")])
         tr.add_meta(a=1)
         with tr.span("s"):
             tr.event("e")
-        assert [r["type"] for r in sink.records] == ["meta", "event", "span"]
-        assert sink.records == tr.events
+        tr.close()
+        records = read_jsonl(tmp_path / "t.jsonl")
+        assert [r["type"] for r in records] == ["meta", "event", "span"]
+        assert records == tr.events
 
-    def test_keep_events_false(self):
-        sink = ListSink()
-        tr = Tracer(sinks=[sink], keep_events=False)
+    def test_keep_events_false(self, tmp_path):
+        tr = Tracer(sinks=[JsonlSink(tmp_path / "t.jsonl")], keep_events=False)
         tr.event("e")
+        tr.close()
         assert tr.events == []
-        assert len(sink.records) == 1
+        assert len(read_jsonl(tmp_path / "t.jsonl")) == 1
 
 
 class TestNullTracer:

@@ -20,7 +20,7 @@ import pytest
 
 from repro import api
 from repro.baselines import dijkstra
-from repro.obs.report import RunReport
+from repro.analysis.attribution import PhaseAttribution
 from repro.obs.tracer import Tracer
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
@@ -270,12 +270,13 @@ class TestTelemetryVisibility:
         assert fault_events, "fault events must reach the tracer"
         kinds = {e["tags"]["kind"] for e in fault_events}
         assert "retry" in kinds
-        report = RunReport.from_events(tracer.events)
-        assert report.retransmitted_bytes == faulty.comm["bytes_retransmitted"]
-        assert report.fault_events == len(fault_events)
-        assert report.totals()["retransmitted_bytes"] > 0
+        report = PhaseAttribution.from_records(tracer.events)
+        totals = report.totals()
+        assert totals["retransmitted_bytes"] == faulty.comm["bytes_retransmitted"]
+        assert totals["fault_events"] == len(fault_events)
+        assert totals["retransmitted_bytes"] > 0
         # Per-superstep columns still reconcile exactly with CommTrace.
-        assert report.total_bytes == faulty.comm["total_bytes"]
+        assert totals["total_bytes"] == faulty.comm["total_bytes"]
         text = report.render_text(max_rows=10)
         assert "retransmitted" in text
         assert "retry_B" in text

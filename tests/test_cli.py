@@ -32,8 +32,13 @@ class TestParser:
     def test_run_trace_flags_default_off(self):
         args = build_parser().parse_args(["run"])
         assert args.trace_out is None
-        assert args.report_out is None
         assert args.chrome_out is None
+
+    def test_run_report_out_is_gone(self):
+        # The timeline document is ``inspect --profile-out``'s to write.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "--report-out", "r.json"])
+        assert exit_info.value.code == 2
 
     def test_inspect_requires_trace_path(self):
         with pytest.raises(SystemExit):
@@ -78,6 +83,22 @@ class TestCommands:
     def test_sssp_only_flags_are_rejected_for_bfs(self):
         with pytest.raises(SystemExit, match="apply to --kernel sssp"):
             main(["run", "--kernel", "bfs", "--scale", "8", "--engine", "dist2d"])
+
+    @pytest.mark.parametrize(
+        "kernel, summary",
+        [("cc", "components"), ("pagerank", "iterations"), ("kcore", "max_coreness")],
+    )
+    def test_whole_graph_kernel(self, kernel, summary, capsys):
+        rc = main(["run", "--kernel", kernel, "--scale", "8", "--ranks", "4"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert re.search(rf"^{kernel} +\d+ +\d+ +[\d.]+ +{summary}=\d+", out, re.M)
+        assert "validation: PASSED" in out
+
+    @pytest.mark.parametrize("kernel", ["cc", "pagerank", "kcore"])
+    def test_batch_roots_rejected_for_whole_graph_kernels(self, kernel):
+        with pytest.raises(SystemExit, match="multi-source kernels"):
+            main(["run", "--kernel", kernel, "--scale", "8", "--batch-roots", "4"])
 
     def test_ablation(self, capsys):
         rc = main(["experiment", "F3", "--smoke"])
@@ -141,21 +162,12 @@ class TestTelemetryWorkflow:
             [
                 "run", "--scale", "8", "--ranks", "2", "--roots", "2",
                 "--trace-out", str(trace),
-                "--report-out", str(report),
                 "--chrome-out", str(chrome),
             ]
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "trace:" in out and "report:" in out and "chrome trace:" in out
-
-        # The report's per-superstep byte totals are internally consistent.
-        payload = json.loads(report.read_text())
-        assert payload["totals"]["total_bytes"] == sum(
-            row["bytes"] for row in payload["steps"]
-        )
-        assert payload["totals"]["supersteps"] == len(payload["steps"])
-        assert payload["meta"]["scale"] == 8
+        assert "trace:" in out and "chrome trace:" in out
 
         # The chrome export is a loadable trace_event file with one lane
         # per rank.
@@ -173,6 +185,16 @@ class TestTelemetryWorkflow:
         assert rc == 0
         assert "per-superstep timeline" in out
         assert "supersteps:" in out
+
+        # The written document's per-superstep byte totals are internally
+        # consistent.
+        assert main(["inspect", str(trace), "--profile-out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["totals"]["total_bytes"] == sum(
+            row["bytes"] for row in payload["timeline"]
+        )
+        assert payload["totals"]["supersteps"] == len(payload["timeline"])
+        assert payload["meta"]["scale"] == 8
 
 
 class TestProfileCommand:
