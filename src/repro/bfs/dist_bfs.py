@@ -9,7 +9,11 @@ Level-synchronous BSP over a contiguous 1-D vertex partition:
   (each rank contributes its owned range, ``n/8`` bytes total on the wire
   — the classic trick that makes bottom-up affordable at scale), after
   which every rank scans its unvisited owned rows with *zero* per-edge
-  communication.
+  communication, each row stopping at its first frontier neighbor (the
+  shared kernel's ``_bottom_up_step``).
+
+A rank's rows are read-only views of the input graph's arrays: its owned
+range is contiguous, so ``CSRGraph.extract_rows`` copies no adjacency.
 
 The direction switch uses the same Beamer heuristic as the shared-memory
 kernel, evaluated on globally allreduced frontier statistics.
@@ -54,7 +58,8 @@ class _BFSRank(Rank):
         self.owned = owned
         self.range_lo = int(owned[0]) if owned.size else 0
         self.range_hi = int(owned[-1]) + 1 if owned.size else 0
-        # Renumbered rows (local row i = global owned[i]), global columns.
+        # Renumbered rows (local row i = global owned[i]), global columns;
+        # adj/weight are read-only views of the input graph's arrays.
         self.local_graph = graph.extract_rows(owned)
         self.parent = np.full(owned.size, _NO_PARENT, dtype=np.int64)
         self.level = np.full(owned.size, -1, dtype=np.int64)

@@ -4,7 +4,10 @@ Top-down expands the frontier's out-edges; bottom-up has every *unvisited*
 vertex scan its neighbors for a frontier member.  On scale-free graphs the
 middle levels hold most of the graph, and bottom-up wins there by
 short-circuiting on the first frontier neighbor — the direction switch is
-the single most important BFS optimization at Graph500 scale.
+the single most important BFS optimization at Graph500 scale.  The scan
+stops each row at that neighbor on the host too: rows are read in growing
+chunks (:data:`BOTTOM_UP_CHUNKS`), so the edges gathered stay close to the
+edges charged.
 
 The switch follows Beamer's heuristic (:func:`beamer_bottom_up`, shared
 with the distributed engine): go bottom-up when the frontier's out-edge
@@ -19,16 +22,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.relaxation import frontier_edges
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _ranges_to_indices
 from repro.utils.timing import Counters
 
-__all__ = ["BEAMER_ALPHA", "BEAMER_BETA", "BFSResult", "beamer_bottom_up", "bfs"]
+__all__ = [
+    "BEAMER_ALPHA", "BEAMER_BETA", "BOTTOM_UP_CHUNKS", "BFSResult", "beamer_bottom_up", "bfs",
+]
 
 _NO_PARENT = np.int64(-1)
 
 #: Beamer's direction-switch thresholds (top-down -> bottom-up, and back).
 BEAMER_ALPHA = 15.0
 BEAMER_BETA = 18.0
+
+#: Bottom-up scan schedule: a row's first 8 neighbors, then chunks 4x wider.
+BOTTOM_UP_CHUNKS = (8, 4)
 
 
 def beamer_bottom_up(
@@ -108,33 +116,41 @@ def _bottom_up_step(
 ) -> tuple[np.ndarray, int]:
     """Every unvisited vertex scans its row for a frontier neighbor.
 
-    Vectorized over all unvisited rows; the short-circuit of a sequential
-    implementation is approximated by counting only edges up to (and
-    including) the first hit per row when charging work.
+    Exact early exit, vectorized over rows: each round reads the next
+    chunk of every surviving row (:data:`BOTTOM_UP_CHUNKS`), and a row
+    leaves at its first frontier neighbor — its parent — or at its end.
+    Returns ``(found, scanned)``: the rows that found a parent, ascending in
+    ``unvisited`` order, and ``Σ min(first_hit, deg)``, the edges a
+    sequential scan inspects.
     """
-    src, dst, _ = frontier_edges(graph, unvisited)
-    if src.size == 0:
-        return np.empty(0, dtype=np.int64), 0
     deg = graph.degree_of(unvisited)
-    row_of_edge = np.repeat(np.arange(unvisited.size, dtype=np.int64), deg)
-    offsets = np.zeros(unvisited.size, dtype=np.int64)
-    np.cumsum(deg[:-1], out=offsets[1:])
-    within_row = np.arange(src.size, dtype=np.int64) - offsets[row_of_edge]
-    hits = in_frontier[dst]
-    # Short-circuit accounting: a sequential bottom-up stops a row at its
-    # first frontier neighbor; rows without one scan fully.
-    first_hit = deg.copy()  # sentinel: full row scanned
-    np.minimum.at(first_hit, row_of_edge[hits], within_row[hits] + 1)
-    scanned = int(np.minimum(first_hit, deg).sum())
-    found_mask = np.zeros(unvisited.size, dtype=bool)
-    found_mask[row_of_edge[hits]] = True
-    found = unvisited[found_mask]
-    if found.size == 0:
-        return np.empty(0, dtype=np.int64), scanned
-    # Parent = the first frontier neighbor in row order.
-    hit_pos = offsets[found_mask] + first_hit[found_mask] - 1
-    parent[found] = dst[hit_pos]
-    return found, scanned
+    starts = graph.indptr[unvisited]
+    hit_edge = np.full(unvisited.size, -1, dtype=np.int64)
+    rows = np.flatnonzero(deg)
+    scanned = 0
+    lo, (width, growth) = 0, BOTTOM_UP_CHUNKS
+    while rows.size:
+        stop = np.minimum(deg[rows], lo + width)
+        lens = stop - lo
+        take = _ranges_to_indices(starts[rows] + lo, starts[rows] + stop)
+        hits = np.flatnonzero(in_frontier[graph.adj[take]])
+        firsts = np.zeros(rows.size, dtype=np.int64)
+        np.cumsum(lens[:-1], out=firsts[1:])
+        # ``hits`` ascend, so each row's first hit opens its run in ``row_of``.
+        row_of = np.searchsorted(firsts, hits, side="right") - 1
+        first = np.ones(hits.size, dtype=bool)
+        np.not_equal(row_of[1:], row_of[:-1], out=first[1:])
+        hit_rows, hits = row_of[first], hits[first]
+        hit_edge[rows[hit_rows]] = take[hits]
+        lens[hit_rows] = hits - firsts[hit_rows] + 1
+        scanned += int(lens.sum())
+        alive = stop < deg[rows]
+        alive[hit_rows] = False
+        rows = rows[alive]
+        lo, width = lo + width, width * growth
+    found_mask = hit_edge >= 0
+    parent[unvisited[found_mask]] = graph.adj[hit_edge[found_mask]]
+    return unvisited[found_mask], scanned
 
 
 def bfs(graph: CSRGraph, source: int, direction: str = "auto") -> BFSResult:

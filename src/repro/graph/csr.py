@@ -114,8 +114,19 @@ class CSRGraph:
         ``keep`` (optional boolean mask over ``rows``) empties the rows
         where it is ``False`` — used to drop delegated hub rows without
         copying their adjacency.
+
+        Without ``keep``, a non-empty ``rows`` that is one ascending run
+        (a contiguous rank's owned range) copies nothing: ``adj`` and
+        ``weight`` are *read-only views* into this graph's arrays, and only
+        the rebased ``indptr`` is new.  Any other input is gathered.
         """
         rows = np.asarray(rows, dtype=np.int64)
+        if keep is None and rows.size and np.all(np.diff(rows) == 1):
+            lo, hi = self.indptr[rows[0]], self.indptr[rows[-1] + 1]
+            adj, weight = self.adj[lo:hi], self.weight[lo:hi]
+            adj.flags.writeable = weight.flags.writeable = False
+            indptr = self.indptr[rows[0] : rows[-1] + 2] - lo
+            return CSRGraph(indptr, adj, weight, rows.size)
         starts = self.indptr[rows]
         stops = self.indptr[rows + 1]
         if keep is not None:

@@ -1,7 +1,11 @@
 """Unit tests for CSRGraph.extract_rows (renumbered owned-local CSR)."""
 
-import numpy as np
+import hashlib
 
+import numpy as np
+import pytest
+
+from repro import run
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 
@@ -54,3 +58,57 @@ def test_indptr_is_owned_sized_not_dense():
     sub = g.extract_rows(rows)
     assert sub.indptr.size == 3  # not num_vertices + 1
     assert sub.num_edges == g.degree_of(rows).sum()
+
+
+def _gathered(g, rows):
+    """The gather path for the same rows: an all-True ``keep`` copies."""
+    return g.extract_rows(rows, keep=np.ones(len(rows), dtype=bool))
+
+
+def test_owned_range_is_a_read_only_view():
+    g = _graph()
+    rows = np.arange(20, 60, dtype=np.int64)
+    sub = g.extract_rows(rows)
+    want = _gathered(g, rows)
+    for name in ("indptr", "adj", "weight"):
+        np.testing.assert_array_equal(getattr(sub, name), getattr(want, name))
+    assert np.shares_memory(sub.adj, g.adj)
+    assert np.shares_memory(sub.weight, g.weight)
+    with pytest.raises(ValueError):
+        sub.adj[0] = 0
+    with pytest.raises(ValueError):
+        sub.weight[0] = 0.0
+    # The graph's own arrays stay writable.
+    assert g.adj.flags.writeable and g.weight.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "rows,keep",
+    [
+        (np.array([3, 10, 64, 100]), None),  # not contiguous
+        (np.array([12, 11, 10]), None),  # contiguous but descending
+        (np.arange(20, 60), np.ones(40, dtype=bool)),  # keep= given
+        (np.empty(0, dtype=np.int64), None),  # empty
+    ],
+)
+def test_other_inputs_still_gather(rows, keep):
+    g = _graph()
+    sub = g.extract_rows(rows.astype(np.int64), keep=keep)
+    assert not np.shares_memory(sub.adj, g.adj)
+    assert not np.shares_memory(sub.weight, g.weight)
+    assert sub.adj.flags.writeable and sub.weight.flags.writeable
+
+
+def _digest(g):
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in (g.indptr, g.adj, g.weight)]
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+def test_runs_leave_the_input_graph_untouched(executor):
+    g = _graph()
+    before = _digest(g)
+    roots = [0, 5, 9]
+    for kernel, source in (("bfs", 0), ("bfs64", roots), ("sssp_batch", roots), ("cc", None)):
+        res = run(g, source, kernel=kernel, num_ranks=4, executor=executor, workers=2)
+        assert res.result.validate(g).ok, kernel
+    assert _digest(g) == before
