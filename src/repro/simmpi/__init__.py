@@ -16,7 +16,7 @@ What is measured vs. modeled:
   come from the actual algorithm execution and would be identical on a real
   machine;
 * **modeled** — the conversion of those measurements into seconds, via an
-  alpha-beta (latency/bandwidth) model with topology tiers.
+  alpha-beta model with topology tiers, in one place: ``Topology.price``.
 """
 
 from repro.simmpi.clock import SimClock

@@ -1,8 +1,8 @@
 """The message fabric: moves numpy buffers between ranks and charges time.
 
 The fabric is the single point through which all inter-rank data flows, so
-it is also where measurement (bytes, messages, supersteps — exact) and
-modeling (seconds — alpha-beta with topology tiers) happen.
+it is also where measurement (bytes, messages, supersteps — exact) happens;
+the seconds come from one place, :meth:`~repro.simmpi.topology.Topology.price`.
 
 One rank sends one :class:`Wire` per exchange: a struct-of-arrays send
 buffer (e.g. ``vertex`` ids plus tentative ``dist`` values) in destination
@@ -23,7 +23,7 @@ from repro.simmpi.faults import FaultPlan, FaultSpec, UndeliverableMessageError
 from repro.simmpi.machine import MachineSpec
 from repro.simmpi.racecheck import ArenaClosedError
 from repro.simmpi.sanitizer import FabricSanitizer
-from repro.simmpi.topology import Topology
+from repro.simmpi.topology import Schedule, Topology
 from repro.simmpi.trace import CommTrace
 
 __all__ = ["Fabric", "Message", "Wire"]
@@ -255,11 +255,13 @@ class Message(_Header):
 class Fabric:
     """Bulk-synchronous communication between ``num_ranks`` simulated ranks.
 
-    With ``hierarchical=True`` the cost model routes inter-supernode
-    traffic through supernode leader ranks (gather -> leader exchange ->
-    scatter), the aggregation a 10^5-rank machine needs to avoid per-step
-    O(P) message fan-out.  Payload *delivery* is unchanged — only the
-    modeled time and the forwarded-bytes accounting differ.
+    Every collective builds a :class:`~repro.simmpi.topology.Schedule` of
+    hops on :attr:`topology` and charges what its one ``price`` returns.
+    With ``hierarchical=True`` an exchange routes inter-supernode traffic
+    through supernode leader ranks (gather -> leader exchange -> scatter),
+    the aggregation a 10^5-rank machine needs to avoid per-step O(P)
+    message fan-out.  Payload *delivery* is unchanged — only the modeled
+    time and the forwarded-bytes accounting differ.
 
     ``faults`` (a :class:`~repro.simmpi.faults.FaultPlan`, a
     :class:`~repro.simmpi.faults.FaultSpec`, a CLI spec string, or ``None``)
@@ -300,24 +302,11 @@ class Fabric:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Simulated timestamps in telemetry come from this fabric's clock.
         self.tracer.use_sim_clock(self.clock)
-        self._alpha = self.topology.alpha_matrix()
-        self._beta = self.topology.beta_matrix()
         self._tiers = self.topology.tier_matrix()
         # Per-rank accumulated work units by component, for load-balance reports.
         self.work_per_rank: dict[str, np.ndarray] = {}
         # Fault injection: None (the free path) or a deterministic plan.
         self.faults = FaultPlan.coerce(faults, num_ranks)
-        if self.faults is not None:
-            spec = self.faults.spec
-            self._fault_timeout = (
-                spec.timeout
-                if spec.timeout is not None
-                else 4.0 * max(machine.alpha_inter, machine.alpha_intra)
-            )
-            if self.faults.link_beta_factor is not None:
-                self._beta_faulty = self._beta * self.faults.link_beta_factor
-            else:
-                self._beta_faulty = self._beta
         self.sanitizer: FabricSanitizer | None = None
         if sanitize:
             self.sanitizer = FabricSanitizer(num_ranks, tracer=self.tracer)
@@ -377,37 +366,15 @@ class Fabric:
             record_bytes[src] = wire.record_bytes
         bytes_matrix = counts * record_bytes
         msg_count = int(np.count_nonzero(counts))
-        if msg_count == 0:
-            step = 0.0
-        elif self.hierarchical and self.topology.num_supernodes() > 1:
-            step = self._hierarchical_step_cost(bytes_matrix)
-        elif self.faults is not None:
-            step = self._direct_step_cost(bytes_matrix, beta=self._beta_faulty)
-        else:
-            step = self._direct_step_cost(bytes_matrix)
-        self.clock.charge("comm", step)
-        self.clock.charge("sync", self.topology.barrier_cost())
-        self.trace.record_exchange(bytes_matrix, self._tiers, msg_count)
-        self.trace.barriers += 1
-        fault_tags: dict[str, int] = {}
-        if self.faults is not None:
-            fault_tags = self._inject_faults(
-                self.trace.supersteps - 1,
-                bytes_matrix,
-                retry_cost=lambda m: self._direct_step_cost(m, beta=self._beta_faulty),
-            )
-        if self.tracer.enabled:
-            # One telemetry row per CommTrace superstep, byte-exact: the
-            # timeline report's totals must equal CommTrace.total_bytes.
-            self.tracer.event(
-                "exchange",
-                cat="fabric",
-                kind="alltoallv",
-                step=self.trace.supersteps - 1,
-                bytes=int(bytes_matrix.sum()),
-                messages=msg_count,
-                **fault_tags,
-            )
+        slow = None if self.faults is None else self.faults.link_beta_factor
+        fault_tags = self._record(
+            "alltoallv",
+            bytes_matrix,
+            msg_count,
+            self.topology.exchange(bytes_matrix, self.hierarchical, slow),
+            # Retransmissions go direct, over the same (degraded) links.
+            retry=lambda m: self.topology.exchange(m, slow=slow),
+        )
         # Destination-major, sources ascending: the delivery order.
         inbound: list[list] = [[] for _ in range(p)]
         dsts, srcs = np.nonzero(counts.T)
@@ -423,30 +390,46 @@ class Fabric:
             )
         return delivered
 
-    def _direct_step_cost(
-        self, bytes_matrix: np.ndarray, beta: np.ndarray | None = None
-    ) -> float:
-        """Each message costs alpha + bytes*beta on both sides; a rank's
-        step cost is the max of its send and receive pipelines.  ``beta``
-        overrides the healthy inverse-bandwidth matrix (degraded links)."""
-        if beta is None:
-            beta = self._beta
-        has_msg = bytes_matrix > 0
-        per_pair = np.where(has_msg, self._alpha + bytes_matrix * beta, 0.0)
-        send_time = per_pair.sum(axis=1)
-        recv_time = per_pair.sum(axis=0)
-        return float(np.maximum(send_time, recv_time).max())
+    def _record(
+        self, kind: str, bytes_matrix: np.ndarray, messages: int, schedule: Schedule, retry
+    ) -> dict:
+        """The one record path of :meth:`exchange` and :meth:`allgather`.
+
+        Prices ``schedule``, accounts ``bytes_matrix`` in :class:`CommTrace`,
+        replays the fault schedule (``retry`` maps retransmitted bytes to
+        the schedule that re-moves them) and emits the superstep's
+        ``exchange`` event.  Returns the event's fault tags.
+        """
+        comm, sync = self.topology.price(schedule)
+        self.clock.charge("comm", comm)
+        self.clock.charge("sync", sync)
+        self.trace.record_exchange(bytes_matrix, self._tiers, messages)
+        self.trace.bytes_forwarded += schedule.forwarded
+        self.trace.barriers += 1
+        step = self.trace.supersteps - 1
+        fault_tags: dict[str, int] = {}
+        if self.faults is not None:
+            fault_tags = self._inject_faults(step, bytes_matrix, retry)
+        if self.tracer.enabled:
+            # One telemetry row per CommTrace superstep.  Its bytes count
+            # rank-local records, which CommTrace.total_bytes leaves out: the
+            # two agree on dist1d, dist2d and bfs, not on the kernel substrate.
+            self.tracer.event(
+                "exchange", cat="fabric", kind=kind, step=step,
+                bytes=int(bytes_matrix.sum()), messages=messages, **fault_tags,
+            )
+        return fault_tags
 
     # -- fault injection ----------------------------------------------------
 
-    def _inject_faults(self, step: int, bytes_matrix: np.ndarray, retry_cost) -> dict:
+    def _inject_faults(self, step: int, bytes_matrix: np.ndarray, retry) -> dict:
         """Apply the fault schedule to the superstep recorded last.
 
         Models the ack/retry protocol: delayed messages and stalled ranks
         extend the phase (charged to the ``faults`` clock component);
         dropped messages wait out an ack timeout with exponential backoff
-        and are retransmitted (wire time charged to ``comm`` via
-        ``retry_cost``, bytes recorded as retransmissions).  Returns tags
+        and are retransmitted (the ``retry`` schedule's wire time charged
+        to ``comm``, bytes recorded as retransmissions).  Returns tags
         for the superstep's telemetry event.
         """
         plan = self.faults
@@ -480,6 +463,7 @@ class Fabric:
         rounds = 0
         if src.size and spec.drop > 0.0:
             dropped = plan.drop_mask(step, src, dst, 0)
+            timeout = self.topology.ack_timeout(spec.timeout)
             attempt = 0
             while dropped.any():
                 attempt += 1
@@ -499,8 +483,8 @@ class Fabric:
                 retry_bytes += round_bytes
                 # Senders detect the loss after the (backed-off) ack
                 # timeout, then resend over the wire.
-                fault_wait += self._fault_timeout * spec.backoff ** (attempt - 1)
-                self.clock.charge("comm", retry_cost(retry_matrix))
+                fault_wait += timeout * spec.backoff ** (attempt - 1)
+                self.clock.charge("comm", self.topology.price(retry(retry_matrix))[0])
                 if self.tracer.enabled:
                     self.tracer.event(
                         "fault",
@@ -517,85 +501,6 @@ class Fabric:
         if drop_events:
             self.trace.record_retransmissions(retry_bytes, drop_events, rounds)
         return {"retry_bytes": retry_bytes, "drops": drop_events, "retries": rounds}
-
-    def _hierarchical_step_cost(self, bytes_matrix: np.ndarray) -> float:
-        """Three-stage leader routing for inter-supernode traffic.
-
-        Stage A: members forward their inter-SN payload to the supernode
-        leader (intra-SN hop).  Stage B: leaders exchange aggregated
-        payloads (inter-SN hop).  Stage C: destination leaders scatter to
-        members (intra-SN hop).  Intra-SN traffic still goes direct and
-        overlaps stage A.  The stages serialize; the slowest rank bounds
-        each stage.  Every hop moves its bytes at its own link's
-        bandwidth, so a degraded link slows exactly the hops routed over
-        it.
-        """
-        m = self.machine
-        p = self.num_ranks
-        sn = self.topology.supernode
-        num_sn = self.topology.num_supernodes()
-        # Bandwidth divisor of each (src, dst) link; 1.0 on a healthy one.
-        slow = self.faults.link_beta_factor if self.faults is not None else None
-        if slow is None:
-            slow = np.ones((p, p))
-        ranks = np.arange(p)
-        inter_mask = sn[:, None] != sn[None, :]
-        intra_bytes = np.where(~inter_mask, bytes_matrix, 0)
-        inter_bytes = np.where(inter_mask, bytes_matrix, 0)
-        # Leaders are the first rank of each supernode (supernodes hold
-        # contiguous rank ranges, so ``sn`` is sorted).
-        leaders = np.searchsorted(sn, np.arange(num_sn))
-        leader_of = leaders[sn]
-        is_leader = leader_of == ranks
-        # Stage A: member -> leader gather of outbound inter-SN payload.
-        out_inter = inter_bytes.sum(axis=1)
-        up = out_inter * slow[ranks, leader_of]
-        a_send = np.where(
-            (out_inter > 0) & ~is_leader, m.alpha_intra + up * m.beta_intra, 0.0
-        )
-        a_recv = np.zeros(p)
-        np.add.at(a_recv, leader_of, np.where(~is_leader, up, 0))
-        a_recv = np.where(a_recv > 0, m.alpha_intra + a_recv * m.beta_intra, 0.0)
-        stage_a = float(np.maximum(a_send, a_recv).max())
-        # Forwarded bytes: everything a non-leader handed to its leader, and
-        # everything a destination leader re-sends (stage C), counted as
-        # extra intra-SN traffic.
-        forwarded = int(np.where(~is_leader, out_inter, 0).sum())
-        # Stage B: leader <-> leader aggregated exchange.
-        sn_matrix = np.zeros((num_sn, num_sn), dtype=np.int64)
-        for s1 in range(num_sn):
-            rows = sn == s1
-            for s2 in range(num_sn):
-                if s1 != s2:
-                    sn_matrix[s1, s2] = inter_bytes[np.ix_(rows, sn == s2)].sum()
-        has = sn_matrix > 0
-        per_pair = np.where(
-            has,
-            m.alpha_inter + sn_matrix * slow[np.ix_(leaders, leaders)] * m.beta_inter,
-            0.0,
-        )
-        stage_b = float(np.maximum(per_pair.sum(axis=1), per_pair.sum(axis=0)).max())
-        # Stage C: destination leader -> member scatter.
-        in_inter = inter_bytes.sum(axis=0)
-        down = in_inter * slow[leader_of, ranks]
-        c_recv = np.where(
-            (in_inter > 0) & ~is_leader, m.alpha_intra + down * m.beta_intra, 0.0
-        )
-        c_send = np.zeros(p)
-        np.add.at(c_send, leader_of, np.where(~is_leader, down, 0))
-        c_send = np.where(c_send > 0, m.alpha_intra + c_send * m.beta_intra, 0.0)
-        stage_c = float(np.maximum(c_send, c_recv).max())
-        forwarded += int(np.where(~is_leader, in_inter, 0).sum())
-        self.trace.bytes_forwarded += forwarded
-        # Direct intra-SN traffic overlaps stage A.
-        has_intra = intra_bytes > 0
-        intra_pair = np.where(
-            has_intra, m.alpha_intra + intra_bytes * slow * m.beta_intra, 0.0
-        )
-        direct = float(
-            np.maximum(intra_pair.sum(axis=1), intra_pair.sum(axis=0)).max()
-        )
-        return max(stage_a, direct) + stage_b + stage_c
 
     # -- collectives -------------------------------------------------------
 
@@ -619,7 +524,7 @@ class Fabric:
             raise ValueError(f"unsupported allreduce op {op!r}")
         if self.sanitizer is not None:
             self.sanitizer.check_allreduce(values, op)
-        self.clock.charge("sync", 2.0 * self.topology.barrier_cost())
+        self.clock.charge("sync", self.topology.price(Schedule(syncs=2))[1])
         self.trace.allreduces += 1
         if self.tracer.enabled:
             self.tracer.event("allreduce", cat="fabric", op=op)
@@ -652,43 +557,25 @@ class Fabric:
         if len(contributions) != self.num_ranks:
             raise ValueError(f"need {self.num_ranks} contributions, got {len(contributions)}")
         nonempty = [m for m in contributions if m is not None and len(m) > 0]
-        total_bytes = sum(m.nbytes for m in nonempty)
-        if nonempty and self.num_ranks > 1:
-            depth = int(np.ceil(np.log2(self.num_ranks)))
-            worst_alpha = max(
-                float(self._alpha.max(initial=0.0)), self.machine.alpha_intra
+        p = self.num_ranks
+        if nonempty and p > 1:
+            sizes = np.array(
+                [0 if m is None else m.nbytes for m in contributions], dtype=np.int64
             )
-            worst_beta = max(float(self._beta.max(initial=0.0)), self.machine.beta_intra)
-            self.clock.charge("comm", depth * worst_alpha + total_bytes * worst_beta)
             # Traffic accounting: each rank ends up holding every byte once.
-            p = self.num_ranks
-            bytes_matrix = np.zeros((p, p), dtype=np.int64)
-            for src, m in enumerate(contributions):
-                if m is not None and len(m) > 0:
-                    bytes_matrix[src, :] = m.nbytes
-                    bytes_matrix[src, src] = 0
-            self.trace.record_exchange(bytes_matrix, self._tiers, len(nonempty))
-            fault_tags: dict[str, int] = {}
-            if self.faults is not None:
+            bytes_matrix = np.where(np.eye(p, dtype=bool), 0, sizes[:, None])
+            self._record(
+                "allgather",
+                bytes_matrix,
+                len(nonempty),
+                self.topology.allgather(int(sizes.sum())),
                 # A lost round of the recursive-doubling tree re-moves the
                 # accumulated payload after the backed-off timeout.
-                fault_tags = self._inject_faults(
-                    self.trace.supersteps - 1,
-                    bytes_matrix,
-                    retry_cost=lambda m: depth * worst_alpha + float(m.sum()) * worst_beta,
-                )
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "exchange",
-                    cat="fabric",
-                    kind="allgather",
-                    step=self.trace.supersteps - 1,
-                    bytes=int(bytes_matrix.sum()),
-                    messages=len(nonempty),
-                    **fault_tags,
-                )
-        self.clock.charge("sync", self.topology.barrier_cost())
-        self.trace.barriers += 1
+                retry=lambda m: self.topology.allgather(int(m.sum())),
+            )
+        else:
+            self.clock.charge("sync", self.topology.price(Schedule(syncs=1))[1])
+            self.trace.barriers += 1
         gathered = (
             Message.gather([piece for m in nonempty for piece in m.pieces])
             if nonempty

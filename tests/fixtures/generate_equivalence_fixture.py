@@ -25,12 +25,18 @@ from repro import api
 from repro.core.config import SSSPConfig
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
+from repro.simmpi.machine import small_cluster
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "engine_equivalence.json")
 
 SCALE = 9
 GRAPH_SEED = 3
 FAULTS = "drop=0.02,delay=2us,seed=7"
+# 32 ranks on a 16-node-per-supernode cluster: two supernodes, so these
+# cases reach inter-supernode bytes, leader routing and degraded links.
+WIDE = {"num_ranks": 32, "machine": small_cluster(64)}
+HIER = SSSPConfig(hierarchical_aggregation=True)
+WIDE_FAULTS = "drop=0.02,delay=2us,degraded=0.25,degraded_factor=3,seed=7"
 
 
 def _hash_array(a: np.ndarray) -> str:
@@ -54,6 +60,14 @@ def dist1d_cases() -> list[tuple[str, dict]]:
     cases.append(
         ("dist1d/ranks=7", {"config": SSSPConfig.optimized(), "num_ranks": 7})
     )
+    cases.append(("dist1d/inter", dict(WIDE)))
+    cases.append(("dist1d/hierarchical", {**WIDE, "config": HIER}))
+    cases.append(
+        (
+            "dist1d/hierarchical+faults",
+            {**WIDE, "config": HIER, "faults": WIDE_FAULTS},
+        )
+    )
     return cases
 
 
@@ -67,6 +81,7 @@ def dist2d_cases() -> list[tuple[str, dict]]:
         ),
         ("dist2d/faults", {"faults": FAULTS}),
         ("dist2d/grid=2x3", {"num_ranks": 6, "grid": (2, 3)}),
+        ("dist2d/inter", dict(WIDE)),
     ]
 
 
@@ -76,6 +91,7 @@ def bfs_cases() -> list[tuple[str, dict]]:
         ("bfs/top_down", {"direction": "top_down"}),
         ("bfs/block", {"direction": "auto", "partition": "block"}),
         ("bfs/faults", {"direction": "auto", "faults": FAULTS}),
+        ("bfs/hierarchical", {**WIDE, "direction": "auto", "hierarchical": True}),
     ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simmpi.machine import MachineSpec, laptop_machine, small_cluster, sunway_exascale
-from repro.simmpi.topology import TIER_INTER, TIER_INTRA, TIER_LOCAL, Topology
+from repro.simmpi.topology import TIER_INTER, TIER_INTRA, TIER_LOCAL, Schedule, Topology
 
 
 class TestMachineSpec:
@@ -73,21 +73,28 @@ class TestTopology:
         assert np.array_equal(tiers, tiers.T)
 
     def test_alpha_beta_matrices(self):
+        """A direct message pays its tier's alpha and beta; a local one nothing."""
         m = small_cluster(64)
         topo = Topology(m, 20)
-        a = topo.alpha_matrix()
-        b = topo.beta_matrix()
-        assert a[0, 0] == 0.0
-        assert a[0, 1] == m.alpha_intra
-        assert a[0, 17] == m.alpha_inter
-        assert b[0, 17] == m.beta_inter
+
+        def one_message(src, dst, nbytes=1):
+            matrix = np.zeros((20, 20), dtype=np.int64)
+            matrix[src, dst] = nbytes
+            return topo.price(topo.exchange(matrix))[0]
+
+        assert one_message(0, 0) == 0.0
+        assert one_message(0, 1) == m.alpha_intra + m.beta_intra
+        assert one_message(0, 17) == m.alpha_inter + m.beta_inter
+        assert one_message(0, 17, 1000) == m.alpha_inter + 1000 * m.beta_inter
 
     def test_barrier_cost_log_scaling(self):
         m = small_cluster(64)
-        assert Topology(m, 1).barrier_cost() == 0.0
-        c2 = Topology(m, 2).barrier_cost()
-        c64 = Topology(m, 64).barrier_cost()
-        assert c64 == pytest.approx(6 * c2)
+
+        def barrier(ranks):
+            return Topology(m, ranks).price(Schedule(syncs=1))[1]
+
+        assert barrier(1) == 0.0
+        assert barrier(64) == pytest.approx(6 * barrier(2))
 
     def test_capacity_enforced(self):
         with pytest.raises(ValueError):
