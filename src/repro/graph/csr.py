@@ -7,8 +7,8 @@ undirected), self-loops are dropped, and parallel edges are collapsed
 keeping the *minimum* weight (any SSSP distance is unchanged by this, which
 is why the spec permits it).
 
-Everything is numpy: lexsort + run-length reduction, no Python loops over
-edges.
+Everything is numpy: one value sort of a packed ``(src, dst, position)``
+key + run-length reduction, no Python loops over edges.
 """
 
 from __future__ import annotations
@@ -166,6 +166,41 @@ def _ranges_to_indices(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.cumsum(deltas)
 
 
+def _edge_order(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the pair keys ``src * n + dst``: ``(order, pairs[order])``.
+
+    ``order`` sorts edges by ``(src, dst)``, ties by position — exactly
+    ``np.lexsort((dst, src))``'s stable permutation, computed faster.
+    With ``b`` the bit width of an edge position, the key
+    ``pair << b | position`` is unique and orders edges exactly so; when it
+    fits in 63 bits one value sort of it (no stability needed) yields the
+    order in its low ``b`` bits and the sorted pairs in its high bits.  A
+    wider key (scale >= 20 at edgefactor 16) falls back to a stable argsort
+    of the pairs.  ``pairs`` is consumed: its buffer holds ``order``.
+    """
+    m = pairs.size
+    b = max(m - 1, 0).bit_length()
+    if (n * n - 1).bit_length() + b > 63:
+        order = np.argsort(pairs, kind="stable")
+        return order, pairs[order]
+    key = np.arange(m, dtype=np.int64)
+    pairs <<= b
+    key |= pairs
+    key.sort()
+    order = np.bitwise_and(key, (1 << b) - 1, out=pairs)
+    key >>= b
+    return order, key
+
+
+def _collapse_runs(pairs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep each run of equal sorted pair keys once, with its minimum weight."""
+    first = np.empty(pairs.size, dtype=bool)
+    first[0] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return pairs[starts], np.minimum.reduceat(w, starts)
+
+
 def build_csr(
     edges: EdgeList,
     symmetrize: bool = True,
@@ -177,29 +212,40 @@ def build_csr(
     ``symmetrize`` inserts the reverse of every edge with the same weight
     (the benchmark graph is undirected).  ``dedup`` collapses parallel edges
     to their minimum weight — distance-preserving and spec-sanctioned.
+
+    Edges are ordered by one sort of the int64 pair key ``src * n + dst``
+    (:func:`_edge_order`), and both endpoints are read back from the sorted
+    keys; only the weights are gathered through the permutation.  Dropping
+    self-loops before symmetrizing keeps the same edges in the same order
+    (a loop's reverse is itself).  Every step past the self-loop filter
+    writes into a buffer of its own, so the build's peak memory is a few
+    edge-length arrays.
     """
     n = edges.num_vertices
+    if (n * n - 1).bit_length() > 63:
+        raise ValueError(f"{n} vertices: (src, dst) pair keys overflow int64")
     src, dst, w = edges.src, edges.dst, edges.weight
-    if symmetrize:
-        src = np.concatenate([src, edges.dst])
-        dst = np.concatenate([dst, edges.src])
-        w = np.concatenate([w, edges.weight])
     if drop_self_loops:
-        mask = src != dst
-        src, dst, w = src[mask], dst[mask], w[mask]
-    if src.size:
-        order = np.lexsort((dst, src))
-        src, dst, w = src[order], dst[order], w[order]
+        keep = src != dst
+        src, dst, w = src[keep], dst[keep], w[keep]
+    m = src.size
+    pairs = np.empty(2 * m if symmetrize else m, dtype=np.int64)
+    np.multiply(src, n, out=pairs[:m])
+    pairs[:m] += dst
+    if symmetrize:
+        np.multiply(dst, n, out=pairs[m:])
+        pairs[m:] += src
+        w = np.concatenate([w, w])
+    del src, dst
+    if pairs.size:
+        order, pairs = _edge_order(pairs, n)
+        w = w[order]
+        del order
         if dedup:
-            boundary = np.empty(src.size, dtype=bool)
-            boundary[0] = True
-            np.not_equal(src[1:], src[:-1], out=boundary[1:])
-            boundary[1:] |= dst[1:] != dst[:-1]
-            starts = np.flatnonzero(boundary)
-            w = np.minimum.reduceat(w, starts)
-            src = src[starts]
-            dst = dst[starts]
-    counts = np.bincount(src, minlength=n) if src.size else np.zeros(n, dtype=np.int64)
+            pairs, w = _collapse_runs(pairs, w)
+    src = pairs // max(n, 1)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return CSRGraph(indptr, dst, w, n)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    src *= n
+    pairs -= src  # now the destinations
+    return CSRGraph(indptr, pairs, w, n)

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.graph.types import VERTEX_DTYPE, EdgeList
-from repro.utils.prng import CounterRNG
+from repro.utils.prng import BLOCK_WORDS, CounterRNG
 
 __all__ = ["KroneckerSpec", "generate_kronecker", "kronecker_edge_slice"]
 
@@ -44,6 +44,31 @@ _STREAM_QUADRANT = 1
 _STREAM_WEIGHT = 2
 _STREAM_PERMUTE = 3
 _STREAM_DIRECTION = 4
+
+
+def _cut_point(threshold: float) -> np.uint64:
+    """The smallest uint64 word whose ``float64`` image x 2^-64 reaches ``threshold``.
+
+    A draw ``u = float64(word) * 2**-64`` picks its quadrant by ``u >=``
+    a cumulative probability.  uint64 -> float64 rounding never decreases
+    and scaling by 2^-64 is exact, so that rule is monotone in ``word``:
+    it holds exactly when ``word >= T``, and bisection finds ``T``.
+    """
+    lo, hi = 0, 1 << 64  # the rule fails below lo and holds at hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.array(mid, dtype=np.uint64).astype(np.float64) * 2.0**-64 >= threshold:
+            hi = mid
+        else:
+            lo = mid + 1
+    return np.uint64(hi)
+
+
+# Integer cut points of the quadrant draw: a mixed word falls in A below
+# _CUT_A, in B below _CUT_AB, in C below _CUT_ABC and in D from there on.
+_CUT_A = _cut_point(_A)
+_CUT_AB = _cut_point(_A + _B)
+_CUT_ABC = _cut_point(_A + _B + _C)
 
 
 @dataclass(frozen=True)
@@ -78,26 +103,47 @@ class KroneckerSpec:
 def _edge_endpoints(spec: KroneckerSpec, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compute raw (pre-permutation) endpoints for the given edge indices.
 
-    For each edge and each level we draw one uniform and pick the quadrant
-    by the cumulative thresholds of (A, B, C, D).  Noise-free Graph500
+    Edge ``e`` draws one word per level ``l`` at stream counter
+    ``e * scale + l`` and picks the quadrant by comparing the word against
+    the integer cut points of the cumulative (A, B, C, D) thresholds —
+    exactly the uniform-float rule, with no float.  Noise-free Graph500
     recurrence: the same matrix is used at every level.
+
+    Each block of :data:`BLOCK_WORDS` edges goes through all ``scale``
+    levels in buffers that stay in cache; nothing else of edge length is
+    allocated besides the two results.  Levels are visited from the top bit
+    down, so each level shifts the partial ids left by one and ORs its bit
+    in (every draw is a pure function of its counter, so order is free).
     """
-    n = edge_ids.size
-    src = np.zeros(n, dtype=np.uint64)
-    dst = np.zeros(n, dtype=np.uint64)
+    ids = np.asarray(edge_ids, dtype=np.int64).view(np.uint64)
+    src = np.zeros(ids.size, dtype=VERTEX_DTYPE)
+    dst = np.zeros(ids.size, dtype=VERTEX_DTYPE)
     rng = CounterRNG(spec.seed, _STREAM_QUADRANT)
+    size = min(ids.size, BLOCK_WORDS)
+    words = [np.empty(size, dtype=np.uint64) for _ in range(4)]
+    bits = [np.empty(size, dtype=bool) for _ in range(3)]
     scale = np.uint64(spec.scale)
-    with np.errstate(over="ignore"):
-        base = edge_ids.astype(np.uint64) * scale
-        for level in range(spec.scale):
-            u = rng.uniform_at(base + np.uint64(level))
-            # Quadrant -> (src bit, dst bit): A=(0,0) B=(0,1) C=(1,0) D=(1,1)
-            src_bit = (u >= _A + _B).astype(np.uint64)
-            dst_bit = ((u >= _A) & (u < _A + _B) | (u >= _A + _B + _C)).astype(np.uint64)
-            shift = np.uint64(level)
-            src |= src_bit << shift
-            dst |= dst_bit << shift
-    return src.astype(VERTEX_DTYPE), dst.astype(VERTEX_DTYPE)
+    for lo in range(0, ids.size, BLOCK_WORDS):
+        block = ids[lo : lo + BLOCK_WORDS]
+        first, counter, word, scratch = (w[: block.size] for w in words)
+        src_bit, dst_bit, above = (b[: block.size] for b in bits)
+        src_out, dst_out = src[lo : lo + block.size], dst[lo : lo + block.size]
+        np.multiply(block, scale, out=first)
+        for level in reversed(range(spec.scale)):
+            np.add(first, np.uint64(level), out=counter)
+            rng.words_into(counter, word, scratch)
+            # Quadrant -> (src bit, dst bit): A=(0,0) B=(0,1) C=(1,0) D=(1,1);
+            # the dst bit is the parity of the three cut comparisons.
+            np.greater_equal(word, _CUT_AB, out=src_bit)
+            np.greater_equal(word, _CUT_A, out=dst_bit)
+            np.greater_equal(word, _CUT_ABC, out=above)
+            dst_bit ^= src_bit
+            dst_bit ^= above
+            src_out <<= 1
+            src_out |= src_bit
+            dst_out <<= 1
+            dst_out |= dst_bit
+    return src, dst
 
 
 @lru_cache(maxsize=8)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["splitmix64", "CounterRNG"]
+__all__ = ["BLOCK_WORDS", "CounterRNG", "splitmix64"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -27,6 +27,28 @@ _SHIFT31 = np.uint64(31)
 # 2^-64, to map uint64 -> [0, 1).
 _INV_2_64 = float(2.0**-64)
 
+# Words per evaluation block.  A block and its scratch buffer (2 x 256 KiB)
+# stay in L2 while the finalizer's eight passes run over them, so a long
+# evaluation streams each word through memory once instead of once per pass.
+BLOCK_WORDS = 1 << 15
+
+
+def _finalize(z: np.ndarray, scratch: np.ndarray) -> None:
+    """The splitmix64 finalizer, in place on the uint64 buffer ``z``.
+
+    ``scratch`` is a uint64 buffer of ``z``'s shape that the caller owns;
+    its contents are overwritten.  The arithmetic is modular uint64, the same
+    as :func:`splitmix64` minus its leading ``+ GOLDEN``.
+    """
+    np.right_shift(z, _SHIFT30, out=scratch)
+    z ^= scratch
+    z *= _MIX1
+    np.right_shift(z, _SHIFT27, out=scratch)
+    z ^= scratch
+    z *= _MIX2
+    np.right_shift(z, _SHIFT31, out=scratch)
+    z ^= scratch
+
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray:
     """Apply the splitmix64 finalizer to ``x`` (scalar or uint64 array).
@@ -34,12 +56,10 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray:
     This is a bijective mixing function on 64-bit integers; feeding it the
     values ``seed + GOLDEN * counter`` yields the splitmix64 stream.
     """
-    with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64)
-        z = (z + _GOLDEN).astype(np.uint64)
-        z = (z ^ (z >> _SHIFT30)) * _MIX1
-        z = (z ^ (z >> _SHIFT27)) * _MIX2
-        return z ^ (z >> _SHIFT31)
+    x = np.asarray(x, dtype=np.uint64)
+    z = x.reshape(-1) + _GOLDEN
+    _finalize(z, np.empty_like(z))
+    return z.reshape(x.shape) if x.ndim else z[0]
 
 
 def _mix_scalar(x: int) -> int:
@@ -60,7 +80,7 @@ class CounterRNG:
     once.
     """
 
-    __slots__ = ("_base", "_cursor", "seed", "stream")
+    __slots__ = ("_base", "_cursor", "_key", "seed", "stream")
 
     def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = int(seed)
@@ -68,6 +88,8 @@ class CounterRNG:
         # Derive a stream-specific base key so that distinct streams with the
         # same seed are statistically independent.
         self._base = _mix_scalar(self.seed ^ _mix_scalar(0xA5A5A5A5A5A5A5A5 ^ self.stream))
+        # at(c) = splitmix64(base + c * GOLDEN) = finalize(c * GOLDEN + key).
+        self._key = np.uint64((self._base + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
         self._cursor = 0
 
     def split(self, stream: int) -> "CounterRNG":
@@ -76,11 +98,33 @@ class CounterRNG:
 
     # -- indexed (stateless) access -------------------------------------
 
+    def words_into(self, counters: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write the stream at ``counters`` into ``out``, allocating nothing.
+
+        ``counters``, ``out`` and ``scratch`` are uint64 arrays of one shape;
+        ``out`` and ``scratch`` are buffers the caller owns.  This is one
+        block of :meth:`at`, for callers that run their own block loop.
+        """
+        np.multiply(counters, _GOLDEN, out=out)
+        out += self._key
+        _finalize(out, scratch)
+
     def at(self, counters: np.ndarray | int) -> np.ndarray:
-        """Evaluate the stream at the given counter indices."""
-        with np.errstate(over="ignore"):
-            c = np.asarray(counters, dtype=np.uint64)
-            return splitmix64(np.uint64(self._base) + c * _GOLDEN)
+        """Evaluate the stream at the given counter indices.
+
+        Evaluation runs in L2-sized blocks (:data:`BLOCK_WORDS`) written in
+        place into the result, so the finalizer's passes touch cache, not
+        memory; the values are those of ``splitmix64(base + counters *
+        GOLDEN)`` computed at once.
+        """
+        c = np.asarray(counters, dtype=np.uint64)
+        out = np.empty(c.shape, dtype=np.uint64)
+        flat_c, flat_out = c.reshape(-1), out.reshape(-1)
+        scratch = np.empty(min(flat_c.size, BLOCK_WORDS), dtype=np.uint64)
+        for lo in range(0, flat_c.size, BLOCK_WORDS):
+            block = flat_c[lo : lo + BLOCK_WORDS]
+            self.words_into(block, flat_out[lo : lo + block.size], scratch[: block.size])
+        return out if out.ndim else out[()]
 
     def uniform_at(self, counters: np.ndarray | int) -> np.ndarray:
         """Uniform [0, 1) doubles at the given counter indices."""
@@ -138,11 +182,12 @@ class CounterRNG:
 
         Implemented as an argsort of the stream values, so the permutation is
         a pure function of (seed, stream) — every rank can recompute it.
+        The keys are distinct (``c -> base + c * GOLDEN`` with an odd GOLDEN
+        and the finalizer are both bijections on uint64), so any sort
+        returns this one permutation and none needs to be stable.
         """
         keys = self.at(np.arange(n, dtype=np.uint64))
-        # Break potential (astronomically unlikely) key ties by index so the
-        # result is fully deterministic across numpy versions.
-        return np.argsort(keys, kind="stable").astype(np.int64)
+        return np.argsort(keys).astype(np.int64, copy=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CounterRNG(seed={self.seed}, stream={self.stream}, cursor={self._cursor})"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import CSRGraph, build_csr, _ranges_to_indices
+from repro.graph.csr import CSRGraph, _edge_order, _ranges_to_indices, build_csr
 from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
 from repro.graph.types import EdgeList
 
@@ -139,3 +139,83 @@ def test_csr_roundtrip_properties(n, m, seed):
     for v in range(n):
         nbrs = g.neighbors(v)
         assert np.all(np.diff(nbrs) > 0)  # strictly increasing (deduped)
+
+
+def _lexsort_build(edges, symmetrize, drop_self_loops, dedup):
+    """Oracle: the CSR build by ``np.lexsort`` and run-length reduction."""
+    n = edges.num_vertices
+    src, dst, w = edges.src, edges.dst, edges.weight
+    if symmetrize:
+        src, dst, w = np.r_[src, edges.dst], np.r_[dst, edges.src], np.r_[w, edges.weight]
+    if drop_self_loops:
+        keep = src != dst
+        src, dst, w = src[keep], dst[keep], w[keep]
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    if dedup and src.size:
+        first = np.r_[True, (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])]
+        starts = np.flatnonzero(first)
+        w = np.minimum.reduceat(w, starts)
+        src, dst = src[starts], dst[starts]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst, w
+
+
+@st.composite
+def _multigraphs(draw):
+    """Small multigraphs: self-loops, parallel edges with distinct weights,
+    isolated vertices (ids drawn from a prefix of the vertex range), n = 1."""
+    n = draw(st.integers(1, 9))
+    used = draw(st.integers(1, n))
+    m = draw(st.integers(0, 30))
+    ends = st.lists(st.integers(0, used - 1), min_size=m, max_size=m)
+    src, dst = draw(ends), draw(ends)
+    weights = draw(st.lists(
+        st.floats(0.001, 1.0, allow_nan=False), min_size=m, max_size=m, unique=True
+    ))
+    return EdgeList(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                    np.array(weights, dtype=np.float64), n)
+
+
+@given(edges=_multigraphs(), symmetrize=st.booleans(), drop=st.booleans(), dedup=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_build_csr_matches_lexsort_oracle(edges, symmetrize, drop, dedup):
+    graph = build_csr(edges, symmetrize=symmetrize, drop_self_loops=drop, dedup=dedup)
+    indptr, adj, weight = _lexsort_build(edges, symmetrize, drop, dedup)
+    assert np.array_equal(graph.indptr, indptr)
+    assert np.array_equal(graph.adj, adj)
+    assert np.array_equal(graph.weight, weight)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 40])
+def test_edge_order_both_key_widths_equal_lexsort(m):
+    """At n = 2^31 a pair key takes 62 bits: up to 2 edges the packed key
+    (pair << b | position) fits in 63 bits, from 3 edges on the order falls
+    back to a stable argsort of the pairs.  ``build_csr`` itself would
+    allocate an n-sized indptr, so the helper is called directly."""
+    n = 1 << 31
+    gen = np.random.default_rng(m)
+    src = gen.integers(n - 4, n, size=m)  # high ids, and repeated pairs
+    dst = gen.integers(n - 3, n, size=m)
+    order, pairs = _edge_order(src * n + dst, n)
+    expected = np.lexsort((dst, src))
+    assert np.array_equal(order, expected)
+    assert np.array_equal(pairs, (src * n + dst)[expected])
+    packed = (n * n - 1).bit_length() + (m - 1).bit_length() <= 63
+    assert packed == (m <= 2)
+
+
+def test_edge_order_packed_key_small_graph():
+    gen = np.random.default_rng(0)
+    n, m = 50, 3000
+    src, dst = gen.integers(0, n, size=m), gen.integers(0, n, size=m)
+    order, pairs = _edge_order(src * n + dst, n)
+    assert np.array_equal(order, np.lexsort((dst, src)))
+    assert np.array_equal(pairs // n, src[order]) and np.array_equal(pairs % n, dst[order])
+
+
+def test_build_csr_rejects_vertex_counts_whose_pair_keys_overflow():
+    edges = EdgeList(np.array([0]), np.array([1]), np.array([0.5]), 1 << 32)
+    with pytest.raises(ValueError, match="overflow int64"):
+        build_csr(edges)

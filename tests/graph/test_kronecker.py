@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graph.csr import build_csr
 from repro.graph.degree import degree_stats
+from repro.graph import kronecker
 from repro.graph.kronecker import KroneckerSpec, generate_kronecker, kronecker_edge_slice
 
 
@@ -110,3 +111,27 @@ class TestSlices:
         bounds = np.linspace(0, spec.num_edges, nparts + 1).astype(int)
         srcs = [kronecker_edge_slice(spec, bounds[i], bounds[i + 1]).src for i in range(nparts)]
         assert np.array_equal(np.concatenate(srcs), full.src)
+
+
+def _float_rule(word: int, threshold: float) -> bool:
+    """The quadrant rule on the uniform double: float64(word) * 2^-64 >= t."""
+    return bool(np.array(word, dtype=np.uint64).astype(np.float64) * 2.0**-64 >= threshold)
+
+
+@pytest.mark.parametrize(
+    "cut,threshold",
+    [
+        (kronecker._CUT_A, kronecker._A),
+        (kronecker._CUT_AB, kronecker._A + kronecker._B),
+        (kronecker._CUT_ABC, kronecker._A + kronecker._B + kronecker._C),
+    ],
+    ids=["A", "A+B", "A+B+C"],
+)
+def test_cut_point_is_the_first_word_the_float_rule_accepts(cut, threshold):
+    """Comparing the word against T is the float comparison, exactly: the
+    rule holds at T and fails at T - 1 (and it is monotone in the word)."""
+    assert isinstance(cut, np.uint64)
+    t = int(cut)
+    assert _float_rule(t, threshold)
+    assert not _float_rule(t - 1, threshold)
+    assert _float_rule(t + 1, threshold) and not _float_rule(t - 2048, threshold)

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.prng import CounterRNG, splitmix64
+from repro.utils.prng import BLOCK_WORDS, CounterRNG, splitmix64
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64_ref(x: int) -> int:
+    """The splitmix64 finalizer on Python ints, one value at a time."""
+    z = (x + _GOLDEN) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
 
 
 class TestSplitmix64:
@@ -109,3 +120,37 @@ class TestCounterRNG:
         r = CounterRNG(seed)
         parts = np.concatenate([r.uint64(split_at), r.uint64(50 - split_at)])
         assert np.array_equal(whole, parts)
+
+
+class TestBlockedEvaluation:
+    """``at`` runs in blocks of BLOCK_WORDS counters; the block edges must
+    not show in the values."""
+
+    @pytest.mark.parametrize("count", [0, 1, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1])
+    def test_at_matches_elementwise_reference(self, count):
+        rng = CounterRNG(2022, stream=1)
+        counters = np.arange(count, dtype=np.uint64) * np.uint64(3) + np.uint64(5)
+        expected = np.array(
+            [_splitmix64_ref((rng._base + int(c) * _GOLDEN) & _M64) for c in counters],
+            dtype=np.uint64,
+        )
+        got = rng.at(counters)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(splitmix64(counters), [_splitmix64_ref(int(c)) for c in counters])
+
+    def test_shape_and_scalar_preserved(self):
+        rng = CounterRNG(3)
+        grid = np.arange(6, dtype=np.uint64).reshape(2, 3)
+        assert np.array_equal(rng.at(grid), rng.at(np.arange(6, dtype=np.uint64)).reshape(2, 3))
+        assert isinstance(rng.at(4), np.uint64) and rng.at(4) == rng.at(np.arange(5))[4]
+        assert isinstance(rng.uniform_at(4), np.float64)
+        assert isinstance(splitmix64(np.uint64(9)), np.uint64)
+
+    def test_shuffle_keys_are_distinct(self):
+        """The keys are a bijective image of the counters, so the argsort
+        needs no tie-break and equals the stable one."""
+        rng = CounterRNG(4, stream=3)
+        keys = rng.at(np.arange(1 << 16, dtype=np.uint64))
+        assert np.unique(keys).size == keys.size
+        assert np.array_equal(rng.shuffle_permutation(keys.size), np.argsort(keys, kind="stable"))
