@@ -85,7 +85,7 @@ class _BFSRank(Rank):
         # Coalesce: one claim per remote target (any parent is valid).
         uniq, first = np.unique(rem_dst, return_index=True)
         self.claims.route(uniq, rem_src[first])
-        return self.flush_outbox(self.claims)
+        return self.claims.flush()
 
     def apply_claims(self, msg: Message | None, depth: int) -> None:
         if msg is None:
@@ -113,9 +113,7 @@ class _BFSRank(Rank):
         if self.frontier.size:
             bits[self.frontier] = True
         packed = np.packbits(bits) if width else np.empty(0, dtype=np.uint8)
-        payload = Message(bitmap=packed)
-        self.step_bytes += payload.nbytes
-        return payload
+        return Message(bitmap=packed)
 
     def bottom_up_level(self, global_frontier: np.ndarray, depth: int) -> None:
         """Scan unvisited owned rows against the global frontier bitmap."""
@@ -138,14 +136,13 @@ class _BFSRank(Rank):
     def _level_tail(self) -> tuple:
         """Work readout + next level's votes, carried out of a fused call.
 
-        Returns ``(edges, bytes, frontier_size, frontier_edge_count)``;
-        the driver charges the cost model from the first two and feeds
-        the last two to the next level's allreduces — both readouts are
-        pure, so per-level evaluation matches the unfused call order.
+        Returns ``(edges, frontier_size, frontier_edge_count)``; the
+        driver charges the cost model from the first and feeds the last
+        two to the next level's allreduces — both readouts are pure, so
+        per-level evaluation matches the unfused call order.
         """
-        edges, nbytes = self.take_step_work()
         return (
-            float(edges), float(nbytes),
+            float(self.take_step_work()),
             float(self.frontier.size), self.frontier_edge_count(),
         )
 
@@ -310,10 +307,10 @@ class _BFSEngine:
                     ),
                     dtype=np.float64,
                 )
-            ctx.charge(stats, "edges", "bytes")
-            self._edge_cache = stats[:, 3].copy()
+            ctx.charge(stats, "edges")
+            self._edge_cache = stats[:, 2].copy()
             ctx.close_step(sp)
-        return stats[:, 2]
+        return stats[:, 1]
 
     def finalize(
         self, ctx: EngineContext, exports: list[dict]

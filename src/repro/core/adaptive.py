@@ -14,8 +14,6 @@ near the bottom of the U-shaped cost curve.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import SSSPConfig
 from repro.engine.validation import check_delta
 from repro.graph.csr import CSRGraph
@@ -37,14 +35,12 @@ _DELTA_SCALE = 4.0
 _BATCH_DELTA_FACTOR = 0.125
 
 
-def choose_delta(graph: CSRGraph, scale: float = _DELTA_SCALE) -> float:
+def choose_delta(graph: CSRGraph) -> float:
     """Pick ∆ from the weight distribution and mean degree.
 
-    ``∆ = scale * w_max / mean_degree``, clamped to ``(0, w_max]``.  Falls
+    ``∆ = 4 * w_max / mean_degree``, clamped to ``(0, w_max]``.  Falls
     back to 1.0 on degenerate graphs (no edges).
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     m = graph.num_edges
     if m == 0 or graph.num_vertices == 0:
         return 1.0
@@ -52,11 +48,11 @@ def choose_delta(graph: CSRGraph, scale: float = _DELTA_SCALE) -> float:
     if w_max <= 0:
         raise ValueError("choose_delta requires positive weights")
     mean_degree = m / graph.num_vertices
-    delta = scale * w_max / max(mean_degree, 1.0)
+    delta = _DELTA_SCALE * w_max / max(mean_degree, 1.0)
     return float(min(max(delta, 1e-9), w_max))
 
 
-def choose_batch_delta(graph: CSRGraph, scale: float = _DELTA_SCALE) -> float:
+def choose_batch_delta(graph: CSRGraph) -> float:
     """Pick ∆ for a batched multi-root sweep (``sssp_batch``).
 
     The per-lane fixed point is the exact shortest distance for any ∆
@@ -64,7 +60,7 @@ def choose_batch_delta(graph: CSRGraph, scale: float = _DELTA_SCALE) -> float:
     free to bucket more finely than the single-root heuristic without
     perturbing results: epoch overhead is shared by all lanes.
     """
-    return float(max(choose_delta(graph, scale) * _BATCH_DELTA_FACTOR, 1e-9))
+    return float(max(choose_delta(graph) * _BATCH_DELTA_FACTOR, 1e-9))
 
 
 def resolve_delta(
@@ -74,13 +70,13 @@ def resolve_delta(
     batch: bool = False,
 ) -> float:
     """The bucket width a run uses: ``delta``, else ``config.delta``, else
-    the adaptive choice at ``config.delta_scale`` (:func:`choose_batch_delta`
-    for a batched sweep, :func:`choose_delta` otherwise) — checked by
-    ``check_delta`` either way."""
+    the adaptive choice (:func:`choose_batch_delta` for a batched sweep,
+    :func:`choose_delta` otherwise) — checked by ``check_delta`` either
+    way."""
     config = config if config is not None else SSSPConfig()
     if delta is None:
         delta = config.delta
     adaptive = delta is None
     if adaptive:
-        delta = (choose_batch_delta if batch else choose_delta)(graph, config.delta_scale)
+        delta = (choose_batch_delta if batch else choose_delta)(graph)
     return check_delta(delta, adaptive)

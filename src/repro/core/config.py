@@ -18,9 +18,8 @@ class SSSPConfig:
     """Knobs of the distributed ∆-stepping engine.
 
     Attributes:
-        delta: bucket width; ``None`` selects it adaptively from the graph.
-        delta_scale: multiplier for the adaptive choice (see
-            :func:`repro.core.adaptive.choose_delta`).
+        delta: bucket width; ``None`` selects it adaptively from the graph
+            (:func:`repro.core.adaptive.choose_delta`).
         partition: vertex-partition strategy (``block``, ``edge_balanced``,
             ``hashed``).
         coalesce: per-destination dedup-min of outgoing updates plus the
@@ -44,7 +43,6 @@ class SSSPConfig:
     """
 
     delta: float | None = None
-    delta_scale: float = 4.0
     partition: str = "edge_balanced"
     coalesce: bool = True
     delegate_hubs: bool = True
@@ -58,8 +56,6 @@ class SSSPConfig:
             raise ValueError(f"partition must be one of {_PARTITIONS}, got {self.partition!r}")
         if self.delta is not None and self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.delta_scale <= 0:
-            raise ValueError("delta_scale must be positive")
         if self.fusion_cap < 1:
             raise ValueError("fusion_cap must be >= 1")
         if self.hub_degree_threshold is not None and self.hub_degree_threshold < 1:

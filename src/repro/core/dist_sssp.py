@@ -326,12 +326,12 @@ class _Rank(Rank):
         if first:
             self.start_epoch()
         self.relax_bucket(k)
-        return self.flush_outbox(self.announcements, to=self.others)
+        return self.announcements.flush(to=self.others)
 
     def heavy_superstep(self) -> Wire | None:
         """Outbound half of the heavy round: emit, flush announcements."""
         self.emit_heavy()
-        return self.flush_outbox(self.announcements, to=self.others)
+        return self.announcements.flush(to=self.others)
 
     def process_then_flush_updates(self, msg: Message | None) -> Wire | None:
         """Apply the announcement inbox (None when the broadcast round was
@@ -344,14 +344,14 @@ class _Rank(Rank):
         if self.ghosts is not None:
             targets, dists = self.ghosts.take_dirty()
             self.updates.route(targets, dists, np.zeros(targets.size, dtype=np.uint8))
-        return self.flush_outbox(self.updates)
+        return self.updates.flush()
 
     def finish_light_superstep(self, msg: Message | None, k: int) -> tuple:
         """Inbound tail of a light superstep: apply updates, read out work.
 
-        Returns ``(edges, bucket_ops, bytes, bucket_live)``; the driver
-        charges the cost model from the first three and feeds the fourth
-        to the continuation allreduce.
+        Returns ``(edges, bucket_ops, bucket_live)``; the driver charges
+        the cost model from the first two and feeds the third to the
+        continuation allreduce.
         """
         self.process_inbox(msg)
         return (*self._work_readout(), float(self.bucket_live(k)))
@@ -359,15 +359,15 @@ class _Rank(Rank):
     def finish_epoch(self, msg: Message | None) -> tuple:
         """Inbound tail of the heavy round: apply updates, read out work.
 
-        Returns ``(edges, bucket_ops, bytes, local_min_bucket)``; the last
+        Returns ``(edges, bucket_ops, local_min_bucket)``; the last
         element is this rank's next termination vote, carried out of the
         fused call so the loop top needs no extra gather.
         """
         self.process_inbox(msg)
         return (*self._work_readout(), self.local_min_bucket())
 
-    def _work_readout(self) -> tuple[float, float, float]:
-        """``(edges, bucket_ops, bytes)`` since the last call, as floats.
+    def _work_readout(self) -> tuple[float, float]:
+        """``(edges, bucket_ops)`` since the last call, as floats.
 
         Guarded against double-reset: a second call without intervening
         work returns zeros, and a rebuilt/reset bucket structure (ops
@@ -375,8 +375,7 @@ class _Rank(Rank):
         """
         bucket_ops = max(0, self.buckets.ops - self._bucket_ops_seen)
         self._bucket_ops_seen = self.buckets.ops
-        edges, nbytes = self.take_step_work()
-        return float(edges), float(bucket_ops), float(nbytes)
+        return float(self.take_step_work()), float(bucket_ops)
 
     # -- introspection -----------------------------------------------------
 
@@ -492,7 +491,7 @@ class _DistSSSPEngine:
         when any rank queued one (the skip condition is knowable without
         extra cost on a real machine: the flag rides on the preceding
         allreduce), then the plain-update reduce round, then the fused
-        ``finish`` call whose per-rank ``(edges, bucket_ops, bytes, vote)``
+        ``finish`` call whose per-rank ``(edges, bucket_ops, vote)``
         rows it charges to the cost model and returns.  The fabric call
         sequence — conditional exchange, exchange, charge — is exactly the
         unfused engine's.
@@ -517,7 +516,7 @@ class _DistSSSPEngine:
             ),
             dtype=np.float64,
         )
-        ctx.charge(stats, "edges", "bucket_ops", "bytes")
+        ctx.charge(stats, "edges", "bucket_ops")
         return stats
 
     def step(self, ctx: EngineContext, reduced: float) -> np.ndarray:
@@ -560,7 +559,7 @@ class _DistSSSPEngine:
                     )
                     ctx.close_step(sp)
                 self.light_supersteps += 1
-                if not fabric.allreduce_any(stats[:, 3]):
+                if not fabric.allreduce_any(stats[:, 2]):
                     break
             # ---- heavy phase: one announcement round (delegation only)
             # plus one update round; heavy results only land in later
@@ -573,7 +572,7 @@ class _DistSSSPEngine:
                 ctx.close_step(sp)
             self.heavy_rounds += 1
         # The next min-bucket votes rode out of the fused finish_epoch call.
-        return stats[:, 3]
+        return stats[:, 2]
 
     def finalize(
         self, ctx: EngineContext, exports: list[dict]

@@ -126,7 +126,7 @@ class _GridRank(Rank):
         self.row_frontier.route(
             self.frontier + self.row_lo, self.dist_row[self.frontier]
         )
-        return self.flush_outbox(self.row_frontier, to=self.row_partners)
+        return self.row_frontier.flush(to=self.row_partners)
 
     def receive_frontier(self, msg: Message | None) -> None:
         if msg is None:
@@ -179,7 +179,7 @@ class _GridRank(Rank):
         # Owners of the remaining targets sit in this grid column by
         # construction.
         self.candidates.route(targets[~mine], best[~mine])
-        return self.flush_outbox(self.candidates)
+        return self.candidates.flush()
 
     def receive_candidates(self, msg: Message | None) -> None:
         if msg is None:
@@ -210,14 +210,13 @@ class _GridRank(Rank):
     def finish_round(self, msg: Message | None) -> tuple:
         """Inbound tail of a round: apply candidates, read out work.
 
-        Returns ``(edges, bytes, frontier_size)``; the driver charges the
-        cost model from the first two and hands the third to the next
-        vote allreduce — the readout is pure, so per-round evaluation
-        matches the unfused call order.
+        Returns ``(edges, frontier_size)``; the driver charges the cost
+        model from the first and hands the second to the next vote
+        allreduce — the readout is pure, so per-round evaluation matches
+        the unfused call order.
         """
         self.receive_candidates(msg)
-        edges, nbytes = self.take_step_work()
-        return (float(edges), float(nbytes), float(self.frontier.size))
+        return (float(self.take_step_work()), float(self.frontier.size))
 
     def answer(self) -> dict:
         return {"owned_dist": self.dist_row[self.owned - self.row_lo]}
@@ -372,10 +371,10 @@ class _TwoDEngine:
                 ),
                 dtype=np.float64,
             )
-            ctx.charge(stats, "edges", "bytes")
+            ctx.charge(stats, "edges")
             ctx.close_step(sp)
         # The next frontier sizes rode out of the fused finish_round call.
-        return stats[:, 2]
+        return stats[:, 1]
 
     def finalize(
         self, ctx: EngineContext, exports: list[dict]

@@ -65,7 +65,8 @@ class RunSummary:
             shape; empty for the shared engine).
         work_imbalance: max over mean of the per-rank edge work charged.
         machine_name: the simulated machine's name.
-        step_bytes: wire bytes per superstep — the traffic wavefront.
+        step_bytes: bytes moved between ranks per superstep — the traffic
+            wavefront; it sums to ``comm["total_bytes"]``.
         meta: what is specific to the engine (``config``/``delta`` for
             1-D ∆-stepping, ``grid``/``max_partners_per_rank`` for the 2-D
             grid, ``partition``) plus ``executor`` and ``rank_state``.
@@ -129,13 +130,16 @@ class EngineContext:
         """Charge one compute phase to the cost model.
 
         ``stats`` holds one row per rank whose leading columns are the
-        work components ``columns`` names (``edges``/``bucket_ops``/
-        ``bytes``).  The phase lasts as long as its slowest rank; its
-        totals count toward the superstep :meth:`close_step` tags.
+        work components ``columns`` names (``edges``/``bucket_ops``); the
+        last component, ``bytes``, is what the fabric saw each rank pack
+        since the previous charge.  The phase lasts as long as its slowest
+        rank; its totals count toward the superstep :meth:`close_step` tags.
         """
-        self.fabric.charge_compute(**{c: stats[:, i] for i, c in enumerate(columns)})
-        for i, c in enumerate(columns):
-            self.step_work[c] = self.step_work.get(c, 0) + int(stats[:, i].sum())
+        work = {c: stats[:, i] for i, c in enumerate(columns)}
+        work["bytes"] = self.fabric.take_packed()
+        self.fabric.charge_compute(**work)
+        for c, counts in work.items():
+            self.step_work[c] = self.step_work.get(c, 0) + int(counts.sum())
 
     def close_step(self, span) -> dict[str, int]:
         """Tag a superstep's span with the work charged since the last

@@ -183,7 +183,8 @@ class _KernelRank(Rank):
         # concatenated in source-rank order, which is what lets
         # order-sensitive kernels reproduce a sequential oracle bitwise
         # (and keeps the sanitizer's conservation audit covering the whole
-        # payload).
+        # payload).  They are packed, and the packing is charged as
+        # memcpy, but they cross no link: they are not traffic.
         self.outbox = Outbox(router, ("vertex", *names))
 
     # -- kernel hook dispatch (team-callable) -------------------------------
@@ -246,22 +247,20 @@ class _KernelRank(Rank):
         if begin:
             self.kernel_begin_step(reduced)
         self.kernel_generate(settled)
-        return self.flush_outbox(self.outbox)
+        return self.outbox.flush()
 
     def superstep_recv(self, msg: Message | None, drain: bool) -> tuple:
         """The whole inbound half of one pass, as a single team call.
 
         apply → work readout → (pending when draining) → vote.  Returns
-        ``(edges, bytes, pending, vote)``; the driver charges the cost
-        model from the first two, drives quiescence from the third, and
-        hands the fourth to the next vote allreduce — the hooks are pure
-        readouts, so per-pass evaluation matches the unfused phase order
-        bit for bit.
+        ``(edges, pending, vote)``; the driver charges the cost model from
+        the first, drives quiescence from the second, and hands the third
+        to the next vote allreduce — the hooks are pure readouts, so
+        per-pass evaluation matches the unfused phase order bit for bit.
         """
         self.kernel_apply(msg)
-        edges, nbytes = self.take_step_work()
         pending = self.kernel_pending() if drain else 0.0
-        return (float(edges), float(nbytes), pending, self.kernel_vote())
+        return (float(self.take_step_work()), pending, self.kernel_vote())
 
     # -- introspection ------------------------------------------------------
 
@@ -355,7 +354,7 @@ class _KernelEngine:
             ),
             dtype=np.float64,
         )
-        ctx.charge(stats, "edges", "bytes")
+        ctx.charge(stats, "edges")
         return stats
 
     def step(self, ctx: EngineContext, reduced: float) -> np.ndarray:
@@ -368,14 +367,14 @@ class _KernelEngine:
             # with quiescence detected by an any-allreduce like the 1-D
             # engine's light-phase loop.
             stats = self._pass(ctx, reduced, begin=True)
-            while self.kernel.drain and ctx.fabric.allreduce_any(stats[:, 2]):
+            while self.kernel.drain and ctx.fabric.allreduce_any(stats[:, 1]):
                 stats = self._pass(ctx, reduced)
             if hasattr(self.kernel, "gen_settled"):
                 stats = self._pass(ctx, reduced, settled=True)
             ctx.close_step(sp)
         # The last pass's votes are the next superstep's: the hooks are
         # pure, so they equal what a fresh gather would read.
-        return stats[:, 3]
+        return stats[:, 2]
 
     def finalize(self, ctx: EngineContext, exports: list[dict]) -> tuple[Any, dict]:
         result = self.kernel.finalize(

@@ -8,9 +8,9 @@ the same four things around their algorithm.  Each lives here once:
   record batch into destination order, which is the wire byte order;
 * :class:`Outbox` — record batches queued until the next exchange and
   flushed as one :class:`~repro.simmpi.fabric.Wire`: one send buffer with
-  a count per destination, bytes counted at the flush;
-* :meth:`Rank.take_step_work` — the ``(edges, bytes)`` readout the cost
-  model charges per superstep;
+  a count per destination (the fabric, not the rank, counts its bytes);
+* :meth:`Rank.take_step_work` — the edge readout the cost model charges
+  per superstep, next to the bytes the fabric saw the rank pack;
 * :meth:`Rank.export_final` — the answer arrays plus the memory
   accounting (``nbytes`` / ``graph_nbytes`` / ``lengths``), derived from
   the one dict of resident arrays a rank declares.
@@ -164,9 +164,9 @@ class Rank:
     """Base of every per-rank state object the superstep driver runs.
 
     Subclasses keep their algorithm; this class keeps the step-work
-    counters the cost model reads and the final export.  A subclass
+    counter the cost model reads and the final export.  A subclass
     declares :meth:`resident` and :meth:`answer` and bumps ``step_edges``
-    as it scans edges; ``step_bytes`` grows at every outbox flush.
+    as it scans edges.
     """
 
     def __init__(self, rank: int, router: OwnerRouter) -> None:
@@ -178,21 +178,11 @@ class Rank:
         # reachable from two ranks.
         self.owner_table = router.table
         self.step_edges = 0
-        self.step_bytes = 0
 
-    def flush_outbox(self, outbox: Outbox, to: np.ndarray | None = None) -> Wire | None:
-        """Flush ``outbox`` for the next exchange, charging its wire bytes."""
-        wire = outbox.flush(to)
-        if wire is not None:
-            self.step_bytes += wire.nbytes
-        return wire
-
-    def take_step_work(self) -> tuple[int, int]:
-        """Return and reset ``(edges, bytes)`` since the last call."""
-        work = (self.step_edges, self.step_bytes)
-        self.step_edges = 0
-        self.step_bytes = 0
-        return work
+    def take_step_work(self) -> int:
+        """Return and reset the edges scanned since the last call."""
+        edges, self.step_edges = self.step_edges, 0
+        return edges
 
     def resident(self) -> dict[str, dict[str, np.ndarray]]:
         """Every array this rank keeps resident, by name, grouped by role.

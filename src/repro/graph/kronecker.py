@@ -100,28 +100,35 @@ class KroneckerSpec:
         return self.edgefactor << self.scale
 
 
-def _edge_endpoints(spec: KroneckerSpec, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compute raw (pre-permutation) endpoints for the given edge indices.
+def _edge_endpoints(
+    spec: KroneckerSpec, edge_ids: np.ndarray, permutation: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints of the given edges: relabeled by ``permutation``, oriented.
 
     Edge ``e`` draws one word per level ``l`` at stream counter
     ``e * scale + l`` and picks the quadrant by comparing the word against
     the integer cut points of the cumulative (A, B, C, D) thresholds —
     exactly the uniform-float rule, with no float.  Noise-free Graph500
-    recurrence: the same matrix is used at every level.
+    recurrence: the same matrix is used at every level.  The raw ids are
+    then relabeled through ``permutation``, and the endpoints swapped when
+    bit 0 of the direction stream's word at counter ``e`` is set.
 
     Each block of :data:`BLOCK_WORDS` edges goes through all ``scale``
-    levels in buffers that stay in cache; nothing else of edge length is
-    allocated besides the two results.  Levels are visited from the top bit
-    down, so each level shifts the partial ids left by one and ORs its bit
-    in (every draw is a pure function of its counter, so order is free).
+    levels, the relabeling and the swap in buffers that stay in cache;
+    nothing else of edge length is allocated besides the two results.
+    Levels are visited from the top bit down, so each level shifts the
+    partial ids left by one and ORs its bit in (every draw is a pure
+    function of its counter, so order is free).
     """
     ids = np.asarray(edge_ids, dtype=np.int64).view(np.uint64)
     src = np.zeros(ids.size, dtype=VERTEX_DTYPE)
     dst = np.zeros(ids.size, dtype=VERTEX_DTYPE)
-    rng = CounterRNG(spec.seed, _STREAM_QUADRANT)
+    quadrant = CounterRNG(spec.seed, _STREAM_QUADRANT)
+    direction = CounterRNG(spec.seed, _STREAM_DIRECTION)
     size = min(ids.size, BLOCK_WORDS)
     words = [np.empty(size, dtype=np.uint64) for _ in range(4)]
     bits = [np.empty(size, dtype=bool) for _ in range(3)]
+    relabeled = [np.empty(size, dtype=VERTEX_DTYPE) for _ in range(2)]
     scale = np.uint64(spec.scale)
     for lo in range(0, ids.size, BLOCK_WORDS):
         block = ids[lo : lo + BLOCK_WORDS]
@@ -131,7 +138,7 @@ def _edge_endpoints(spec: KroneckerSpec, edge_ids: np.ndarray) -> tuple[np.ndarr
         np.multiply(block, scale, out=first)
         for level in reversed(range(spec.scale)):
             np.add(first, np.uint64(level), out=counter)
-            rng.words_into(counter, word, scratch)
+            quadrant.words_into(counter, word, scratch)
             # Quadrant -> (src bit, dst bit): A=(0,0) B=(0,1) C=(1,0) D=(1,1);
             # the dst bit is the parity of the three cut comparisons.
             np.greater_equal(word, _CUT_AB, out=src_bit)
@@ -143,6 +150,16 @@ def _edge_endpoints(spec: KroneckerSpec, edge_ids: np.ndarray) -> tuple[np.ndarr
             src_out |= src_bit
             dst_out <<= 1
             dst_out |= dst_bit
+        # Randomize undirected orientation so that directed-degree artifacts
+        # of the recurrence do not leak into 1-D partitioners.
+        direction.words_into(block, word, scratch)
+        word &= np.uint64(1)
+        flip = np.not_equal(word, 0, out=above)
+        new_src, new_dst = (r[: block.size] for r in relabeled)
+        np.take(permutation, src_out, out=new_src)
+        np.take(permutation, dst_out, out=new_dst)
+        np.copyto(src_out, np.where(flip, new_dst, new_src))
+        np.copyto(dst_out, np.where(flip, new_src, new_dst))
     return src, dst
 
 
@@ -181,19 +198,11 @@ def kronecker_edge_slice(
     if not (0 <= start <= stop <= spec.num_edges):
         raise ValueError(f"invalid slice [{start}, {stop}) of {spec.num_edges} edges")
     edge_ids = np.arange(start, stop, dtype=np.int64)
-    src, dst = _edge_endpoints(spec, edge_ids)
     if permutation is None:
         permutation = _permutation(spec)
-    src = permutation[src]
-    dst = permutation[dst]
-    # Randomize undirected orientation so that directed-degree artifacts of
-    # the recurrence do not leak into 1-D partitioners.
-    flip = CounterRNG(spec.seed, _STREAM_DIRECTION).at(edge_ids) & np.uint64(1)
-    flip = flip.astype(bool)
-    src2 = np.where(flip, dst, src)
-    dst2 = np.where(flip, src, dst)
+    src, dst = _edge_endpoints(spec, edge_ids, permutation)
     weight = CounterRNG(spec.seed, _STREAM_WEIGHT).uniform_pos_at(edge_ids)
-    return EdgeList(src2, dst2, weight, spec.num_vertices)
+    return EdgeList(src, dst, weight, spec.num_vertices)
 
 
 def generate_kronecker(

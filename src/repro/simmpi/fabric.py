@@ -305,6 +305,8 @@ class Fabric:
         self._tiers = self.topology.tier_matrix()
         # Per-rank accumulated work units by component, for load-balance reports.
         self.work_per_rank: dict[str, np.ndarray] = {}
+        # Bytes each rank packed into its sends since the last take_packed().
+        self._packed = np.zeros(num_ranks, dtype=np.int64)
         # Fault injection: None (the free path) or a deterministic plan.
         self.faults = FaultPlan.coerce(faults, num_ranks)
         self.sanitizer: FabricSanitizer | None = None
@@ -365,12 +367,15 @@ class Fabric:
             displs[src] = wire.displs
             record_bytes[src] = wire.record_bytes
         bytes_matrix = counts * record_bytes
-        msg_count = int(np.count_nonzero(counts))
+        self._packed += bytes_matrix.sum(axis=1)
+        # A record a rank addresses to itself is packed and delivered, but
+        # it crosses no link: it is not traffic.
+        np.fill_diagonal(bytes_matrix, 0)
         slow = None if self.faults is None else self.faults.link_beta_factor
         fault_tags = self._record(
             "alltoallv",
             bytes_matrix,
-            msg_count,
+            int(np.count_nonzero(bytes_matrix)),
             self.topology.exchange(bytes_matrix, self.hierarchical, slow),
             # Retransmissions go direct, over the same (degraded) links.
             retry=lambda m: self.topology.exchange(m, slow=slow),
@@ -411,9 +416,8 @@ class Fabric:
         if self.faults is not None:
             fault_tags = self._inject_faults(step, bytes_matrix, retry)
         if self.tracer.enabled:
-            # One telemetry row per CommTrace superstep.  Its bytes count
-            # rank-local records, which CommTrace.total_bytes leaves out: the
-            # two agree on dist1d, dist2d and bfs, not on the kernel substrate.
+            # One telemetry row per CommTrace superstep: over a run, its
+            # bytes add up to CommTrace.total_bytes.
             self.tracer.event(
                 "exchange", cat="fabric", kind=kind, step=step,
                 bytes=int(bytes_matrix.sum()), messages=messages, **fault_tags,
@@ -558,10 +562,11 @@ class Fabric:
             raise ValueError(f"need {self.num_ranks} contributions, got {len(contributions)}")
         nonempty = [m for m in contributions if m is not None and len(m) > 0]
         p = self.num_ranks
+        sizes = np.array(
+            [0 if m is None else m.nbytes for m in contributions], dtype=np.int64
+        )
+        self._packed += sizes
         if nonempty and p > 1:
-            sizes = np.array(
-                [0 if m is None else m.nbytes for m in contributions], dtype=np.int64
-            )
             # Traffic accounting: each rank ends up holding every byte once.
             bytes_matrix = np.where(np.eye(p, dtype=bool), 0, sizes[:, None])
             self._record(
@@ -589,6 +594,12 @@ class Fabric:
         return delivered
 
     # -- compute charging ----------------------------------------------------
+
+    def take_packed(self) -> np.ndarray:
+        """Return and reset the bytes each rank packed (rank-local records
+        included: packing is memcpy work) since the last call."""
+        packed, self._packed = self._packed, np.zeros(self.num_ranks, dtype=np.int64)
+        return packed
 
     _RATE_BY_COMPONENT = {
         "edges": "edge_rate",

@@ -37,22 +37,13 @@ class CommTrace:
     messages_dropped: int = 0
     retries: int = 0
     stalls: int = 0
-    # Per-rank totals for load-balance analysis; ``None`` until
-    # ``__post_init__`` sizes them to ``num_ranks``.
-    bytes_sent_per_rank: np.ndarray | None = None
-    bytes_recv_per_rank: np.ndarray | None = None
-    # Per-superstep totals: the traffic wavefront over the run's lifetime.
+    # Per-rank sent bytes, for load-balance analysis.
+    bytes_sent_per_rank: np.ndarray = field(init=False)
+    # Per-superstep bytes: the traffic wavefront over the run's lifetime.
     step_bytes: list = field(default_factory=list)
-    step_messages: list = field(default_factory=list)
-    # Per-superstep retransmitted bytes, aligned with ``step_bytes`` (always
-    # appended, zero on fault-free steps, so the columns line up).
-    step_retry_bytes: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.bytes_sent_per_rank is None:
-            self.bytes_sent_per_rank = np.zeros(self.num_ranks, dtype=np.int64)
-        if self.bytes_recv_per_rank is None:
-            self.bytes_recv_per_rank = np.zeros(self.num_ranks, dtype=np.int64)
+        self.bytes_sent_per_rank = np.zeros(self.num_ranks, dtype=np.int64)
 
     @property
     def total_bytes(self) -> int:
@@ -64,7 +55,8 @@ class CommTrace:
         tier_matrix: np.ndarray,
         message_count: int,
     ) -> None:
-        """Account one alltoallv: ``bytes_matrix[src, dst]`` bytes moved."""
+        """Account one superstep: ``bytes_matrix[src, dst]`` bytes moved
+        between ranks (the diagonal, records a rank keeps, is zero)."""
         if bytes_matrix.shape != (self.num_ranks, self.num_ranks):
             raise ValueError("bytes matrix shape mismatch")
         self.bytes_intra += int(bytes_matrix[tier_matrix == TIER_INTRA].sum())
@@ -72,21 +64,15 @@ class CommTrace:
         self.messages += int(message_count)
         self.supersteps += 1
         self.bytes_sent_per_rank += bytes_matrix.sum(axis=1).astype(np.int64)
-        self.bytes_recv_per_rank += bytes_matrix.sum(axis=0).astype(np.int64)
         self.step_bytes.append(int(bytes_matrix.sum()))
-        self.step_messages.append(int(message_count))
-        self.step_retry_bytes.append(0)
 
     def record_retransmissions(
         self, retry_bytes: int, dropped: int, rounds: int
     ) -> None:
-        """Account the retry traffic of the superstep recorded last."""
-        if not self.step_retry_bytes:
-            raise ValueError("no superstep recorded yet")
+        """Account the retry traffic of one superstep."""
         self.bytes_retransmitted += int(retry_bytes)
         self.messages_dropped += int(dropped)
         self.retries += int(rounds)
-        self.step_retry_bytes[-1] += int(retry_bytes)
 
     def comm_imbalance(self) -> float:
         """Max/mean of per-rank sent bytes (1.0 = perfectly balanced)."""

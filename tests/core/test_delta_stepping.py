@@ -132,20 +132,11 @@ class TestChooseDelta:
         d = choose_delta(g)
         assert 0 < d <= float(g.weight.max())
 
-    def test_scale_monotone(self):
-        g = build_csr(generate_kronecker(10))
-        assert choose_delta(g, scale=1.0) < choose_delta(g, scale=8.0)
-
     def test_empty_graph(self):
         from repro.graph.types import EdgeList
 
         g = build_csr(EdgeList(np.array([]), np.array([]), np.array([]), 4))
         assert choose_delta(g) == 1.0
-
-    def test_invalid_scale(self):
-        g = build_csr(path_graph(3))
-        with pytest.raises(ValueError):
-            choose_delta(g, scale=0)
 
     def test_adaptive_near_optimal(self):
         """Adaptive ∆ should be within 4x of the best swept ∆ by relaxations."""

@@ -203,8 +203,6 @@ class TestConfig:
             SSSPConfig(fusion_cap=0)
         with pytest.raises(ValueError):
             SSSPConfig(hub_degree_threshold=0)
-        with pytest.raises(ValueError):
-            SSSPConfig(delta_scale=-1)
 
 
 @given(

@@ -20,6 +20,7 @@ from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import path_graph
 from repro.obs import Tracer
 from repro.partition import block1d
+from repro.simmpi.fabric import Message
 
 STEPS = 3
 
@@ -39,8 +40,7 @@ class _CountdownRank(Rank):
     def tick(self) -> tuple:
         self.left[0] -= 1
         self.step_edges += 1
-        edges, nbytes = self.take_step_work()
-        return (float(edges), float(nbytes), float(self.left[0]))
+        return (float(self.take_step_work()), float(self.left[0]))
 
     def resident(self):
         return {"vertex": {"left": self.left}, "edges": {}, "other": {}}
@@ -76,12 +76,16 @@ class _CountdownEngine:
         self.steps += 1
         with ctx.tracer.span("superstep", cat="engine", step=self.steps) as sp:
             stats = np.array(ctx.team.call("tick", parallel=True), dtype=np.float64)
-            ctx.charge(stats, "edges", "bytes")
+            ctx.charge(stats, "edges")
             ctx.close_step(sp)
-        return stats[:, 2]
+        return stats[:, 1]
 
     def finalize(self, ctx, exports):
         return SimpleNamespace(meta={}, exports=exports), {}
+
+
+def _bytes(n):
+    return Message(payload=np.zeros(n, dtype=np.uint8))
 
 
 def _spans(tracer, name):
@@ -120,12 +124,15 @@ def test_close_step_totals_every_phase_since_the_last_close():
         engine.steps += 1
         with ctx.tracer.span("superstep", cat="engine") as sp:
             for _ in range(2):
-                ctx.charge(np.full((ctx.num_ranks, 2), [3.0, 5.0]), "edges", "bytes")
+                # Rank 0 packs 5 bytes to rank 1 and 3 to itself; the
+                # charge that follows reads both off the fabric.
+                ctx.fabric.exchange([{1: _bytes(5), 0: _bytes(3)}, None])
+                ctx.charge(np.full((ctx.num_ranks, 1), 3.0), "edges")
             stats = np.array(ctx.team.call("tick"), dtype=np.float64)
-            ctx.charge(stats, "edges", "bytes")
-            assert ctx.close_step(sp) == {"edges": 2 * 2 * 3 + 2, "bytes": 2 * 2 * 5}
+            ctx.charge(stats, "edges")
+            assert ctx.close_step(sp) == {"edges": 2 * 2 * 3 + 2, "bytes": 2 * 8}
             assert ctx.step_work == {}
-        return stats[:, 2]
+        return stats[:, 1]
 
     engine.step = three_phase_step
     tracer = Tracer()

@@ -210,7 +210,8 @@ def reference_delivery(sends, partition):
 
     Per sender and destination: the parts each batch contributes, in
     routing order, ids narrowed to the wire dtype.  Per destination: the senders' runs in
-    rank order.  Returns ``(inboxes, bytes_matrix, messages)``.
+    rank order.  Returns ``(inboxes, bytes_matrix)``, the bytes each sender
+    packed for each destination, itself included.
     """
     num_ranks = partition.num_ranks
     runs = [[] for _ in range(num_ranks)]
@@ -235,11 +236,15 @@ def reference_delivery(sends, partition):
         (np.concatenate([t for t, _ in r]), np.concatenate([d for _, d in r])) if r else None
         for r in runs
     ]
-    return inboxes, bytes_matrix, int(np.count_nonzero(bytes_matrix))
+    return inboxes, bytes_matrix
 
 
 def deliver(team, sends):
-    """Flush on ``team``'s ranks, exchange, read back: ``(inboxes, bytes_matrix, messages)``."""
+    """Flush on ``team``'s ranks, exchange, read back.
+
+    Returns ``(inboxes, bytes_matrix, messages, packed)``: what the trace
+    recorded, and the bytes the fabric saw each rank pack.
+    """
     num_ranks = team.num_ranks
     fabric = Fabric(small_cluster(num_ranks), num_ranks)
     recorded = []
@@ -255,20 +260,24 @@ def deliver(team, sends):
     inboxes = fabric.exchange(wires)
     got = team.call("read", per_rank=[(m,) for m in inboxes], parallel=True)
     ((bytes_matrix, messages),) = recorded
-    return got, bytes_matrix, messages
+    return got, bytes_matrix, messages, fabric.take_packed()
 
 
 def assert_delivery_matches(team, partition, sends):
-    got, bytes_matrix, messages = deliver(team, sends)
-    want, want_bytes, want_messages = reference_delivery(sends, partition)
+    got, bytes_matrix, messages, packed = deliver(team, sends)
+    want, want_bytes = reference_delivery(sends, partition)
     for dst, (g, w) in enumerate(zip(got, want)):
         assert (g is None) == (w is None), dst
         if w is not None:
             for got_col, want_col in zip(g, w):
                 assert got_col.dtype == want_col.dtype
                 assert got_col.tobytes() == want_col.tobytes(), dst
-    np.testing.assert_array_equal(bytes_matrix, want_bytes)
-    assert messages == want_messages
+    # Every packed byte is charged; only those between ranks are traffic.
+    np.testing.assert_array_equal(packed, want_bytes.sum(axis=1))
+    traffic = want_bytes.copy()
+    np.fill_diagonal(traffic, 0)
+    np.testing.assert_array_equal(bytes_matrix, traffic)
+    assert messages == np.count_nonzero(traffic)
 
 
 @given(

@@ -159,7 +159,7 @@ class TestFabricInjection:
     def test_faults_cost_modeled_time_and_bytes(self):
         machine = small_cluster(4)
         clean = Fabric(machine, 4)
-        faulty = Fabric(machine, 4, faults="drop=0.2,seed=5")
+        faulty = Fabric(machine, 4, faults="drop=0.2,seed=5", tracer=Tracer())
         _exercise_fabric(clean, steps=8, seed=3)
         _exercise_fabric(faulty, steps=8, seed=3)
         assert faulty.clock.total > clean.clock.total
@@ -168,7 +168,11 @@ class TestFabricInjection:
         assert faulty.trace.retries > 0
         # Goodput bytes are identical; only the retry ledger differs.
         assert faulty.trace.total_bytes == clean.trace.total_bytes
-        assert sum(faulty.trace.step_retry_bytes) == faulty.trace.bytes_retransmitted
+        retried = [
+            e["tags"]["bytes"] for e in faulty.tracer.events
+            if e["name"] == "fault" and e["tags"]["kind"] == "retry"
+        ]
+        assert sum(retried) == faulty.trace.bytes_retransmitted
 
     def test_inactive_fault_arg_is_free(self):
         machine = small_cluster(4)

@@ -266,7 +266,7 @@ class TestDeltaValidation:
         adaptive = importlib.import_module("repro.core.adaptive")
         g = build_csr(generate_kronecker(6, seed=1))
         for bad in (0.0, float("nan")):
-            monkeypatch.setattr(adaptive, "choose_delta", lambda graph, scale: bad)
+            monkeypatch.setattr(adaptive, "choose_delta", lambda graph: bad)
             for solve in (
                 lambda: _delta_stepping(g, 0),
                 lambda: api.run(g, 0, engine="shared"),
@@ -276,13 +276,13 @@ class TestDeltaValidation:
                     solve()
 
     def test_delta_scale_honored_by_every_engine(self, graph):
-        config = SSSPConfig(delta_scale=2.0)
-        shared = api.run(graph, 0, engine="shared", config=config)
-        dist = api.run(graph, 0, engine="dist1d", num_ranks=4, config=config)
+        # Every engine resolves the one adaptive ∆ of repro.core.adaptive.
+        shared = api.run(graph, 0, engine="shared")
+        dist = api.run(graph, 0, engine="dist1d", num_ranks=4)
         assert shared.result.meta["delta"] == dist.result.meta["delta"]
-        assert dist.result.meta["delta"] == choose_delta(graph, 2.0)
-        batch = api.run(graph, [0, 1], kernel="sssp_batch", num_ranks=4, config=config)
-        assert batch.result.meta["delta"] == choose_batch_delta(graph, 2.0)
+        assert dist.result.meta["delta"] == choose_delta(graph)
+        batch = api.run(graph, [0, 1], kernel="sssp_batch", num_ranks=4)
+        assert batch.result.meta["delta"] == choose_batch_delta(graph)
 
     def test_sssp_batch_rejects_infinite_delta(self, graph):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
