@@ -68,7 +68,7 @@ class MultiBFSResult:
         )
         # Same convention as the shared kernel's counter: the number of
         # expansion rounds, i.e. the deepest level plus one.
-        result.counters.add("levels", int(self.level[:, i].max()) + 1)
+        result.counters.add("levels", int(result.level.max()) + 1)
         result.meta["lane"] = i
         result.meta["batched"] = True
         return result

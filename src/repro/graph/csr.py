@@ -28,13 +28,16 @@ class CSRGraph:
 
     ``indptr`` has length ``num_vertices + 1``; the out-neighbors of vertex
     ``v`` are ``adj[indptr[v]:indptr[v+1]]`` with parallel ``weight``
-    entries, sorted by neighbor id.
+    entries, sorted by neighbor id.  ``symmetric`` promises that every
+    entry ``(u, v, w)`` has a mirror ``(v, u, w)``, parallel entries
+    included; only :func:`build_csr` with ``symmetrize=True`` makes it.
     """
 
     indptr: np.ndarray
     adj: np.ndarray
     weight: np.ndarray
     num_vertices: int
+    symmetric: bool = False
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -248,4 +251,4 @@ def build_csr(
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     src *= n
     pairs -= src  # now the destinations
-    return CSRGraph(indptr, pairs, w, n)
+    return CSRGraph(indptr, pairs, w, n, symmetric=symmetrize)

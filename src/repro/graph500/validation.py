@@ -24,15 +24,27 @@ validator keeps its own closure and per-edge slack rule.  All checks are
 whole-array vectorized; the validator runs comfortably on every benchmark
 run rather than on samples.
 
-One answer costs one pass in edge order, the shape of GBBS's dense
-``edgeMap``: source-side state is ``np.repeat(state, out_degree)``, read
-sequentially, and only the target side is gathered through ``adj``.  Rules
-3 and 4 are evaluated on every edge and masked by both-reached (true on
-nearly every edge of a Kronecker graph) instead of compressing the edge
-arrays by it; the tree edge of each reached vertex is found by the same
-kind of test, ``parent[adj] == source of the edge``, which sees every
-parallel entry of a multigraph and needs no sorted rows; BFS levels are
-compared in the narrowest dtype their observed range allows.
+The per-edge passes have the shape of GBBS's dense ``edgeMap``: source-side
+state is ``np.repeat(state, out_degree)``, read sequentially, and only the
+target side is gathered through ``adj``, in blocks of whole rows of about
+``2**15`` entries, so temporaries are O(n) plus one cache-sized block.  One
+answer costs one gather and two repeats per edge:
+
+- Rules 3 and 4 share the gather: SSSP counts both off it; BFS gives
+  unreached vertices the level ``max + 2``, so a reached-unreached edge
+  spans more than one level too, and further passes split the count only
+  when that fused test fires.
+- A tree edge ``(v, parent[v])`` is found in the child's own row,
+  ``np.repeat(parent, out_degree) == adj``.  That needs the mirror of every
+  entry at the same weight, which only a :attr:`CSRGraph.symmetric` graph
+  promises; any other keeps the parent-row test ``parent[adj] == source``.
+  Both see every parallel entry of a multigraph and need no sorted rows.
+- BFS rule 5 needs no pointer jump if rules 1 and 2 found nothing: then
+  every reached non-root vertex has a reached parent one level lower, so
+  the walk up from ``v`` stops within ``level[v]`` steps at a reached
+  vertex of level 0, the root (any other sits at ``level[p] + 1 >= 1``).
+  The jump runs whenever a failure is already recorded, so the failure
+  list is what an unconditional jump gives.
 
 Nothing is kept between calls.  A prototype that parked its per-graph
 edge keys on the ``CSRGraph`` read, on ``bfs_s17`` (scale 17, 64 answers),
@@ -73,10 +85,12 @@ class ValidationReport:
 class _TreeCheck:
     """The spec checks that read only ``(root, parent, reached)``.
 
-    Collects failure messages in call order.  A per-edge rule reads its
-    source-side state as ``np.repeat(state, graph.out_degree)`` — sequential,
-    in edge order — and gathers only the target side through ``graph.adj``.
+    Collects failure messages in call order, and walks the graph's edges a
+    block of rows at a time for the per-edge rules (:meth:`edge_sum`).
     """
+
+    #: CSR entries per block of a per-edge pass: its int64 temporaries fit in L2.
+    BLOCK = 1 << 15
 
     def __init__(
         self,
@@ -99,6 +113,12 @@ class _TreeCheck:
         if not 0 <= root < n:
             raise ValueError(f"source {root} out of range for {n} vertices")
         self.graph, self.root, self.reached = graph, root, reached
+        self.out_degree = graph.out_degree
+        # Blocks of whole rows, cut at the rows holding every BLOCK-th entry.
+        firsts = np.arange(self.BLOCK, graph.num_edges, self.BLOCK)
+        ip = graph.indptr
+        cuts = np.unique(np.r_[0, np.searchsorted(ip, firsts, "right") - 1, n]).tolist()
+        self.blocks = [(slice(a, b), slice(ip[a], ip[b])) for a, b in zip(cuts, cuts[1:])]
         self.failures: list[str] = []
         if state[root] != 0:
             self.failures.append(f"rule 1: {name}[root]={state[root]}, expected 0")
@@ -117,28 +137,44 @@ class _TreeCheck:
         self.tree_vs = np.flatnonzero(others & (parent >= 0) & (parent < n))
         self.ps = parent[self.tree_vs]
 
+    def edge_sum(self, state: np.ndarray, count):
+        """Sum ``count(state[u], state[v], entries)`` over the blocks, for the
+        edges ``(u, v)`` at CSR positions ``entries``; one block is alive at a time."""
+        adj, deg = self.graph.adj, self.out_degree
+        return sum(
+            count(np.repeat(state[rows], deg[rows]), np.take(state, adj[entries]), entries)
+            for rows, entries in self.blocks
+        )
+
     def tree_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rule 2, structural half: parents are reached, tree edges exist.
 
-        One test in edge order, ``parent[adj] == source of the edge``, marks
-        the CSR entries that are some vertex's tree edge — a run of them
-        where parallel edges were kept.  Returns ``(hit, at, ok)``: those CSR
-        positions, the index into ``tree_vs`` each belongs to, and per tree
-        vertex whether it has one.
+        Marks the CSR entries that are some vertex's tree edge — a run of
+        them where parallel edges were kept — in the child's own row on a
+        symmetric graph, else in the parent's (module docstring).  Returns
+        ``(hit, at, ok)``: those CSR positions, the index into ``tree_vs``
+        each belongs to, and per tree vertex whether it has one.
         """
-        n, adj = self.graph.num_vertices, self.graph.adj
+        graph, deg = self.graph, self.out_degree
         if np.any(~self.reached[self.ps]):
             self.failures.append("rule 2: some parents are unreached")
-        # Ids are compared in 32 bits where the range check allows it; a
-        # vertex outside the tree carries -1, which matches no edge source.
-        ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        tree_parent = np.full(n, -1, dtype=ids)
+        # A vertex outside the tree carries -1, which matches no edge.
+        tree_parent = np.full(graph.num_vertices, -1)
         tree_parent[self.tree_vs] = self.ps
-        source = np.repeat(np.arange(n, dtype=ids), self.graph.out_degree)
-        hit = np.flatnonzero(tree_parent[adj] == source)
-        slot = np.empty(n, dtype=np.int64)  # read at tree vertices only
-        slot[self.tree_vs] = np.arange(self.tree_vs.size)
-        at = slot[adj[hit]]
+        hits = []
+        for rows, entries in self.blocks:
+            adj = graph.adj[entries]
+            if graph.symmetric:
+                tree = np.repeat(tree_parent[rows], deg[rows]) == adj
+            else:
+                source = np.repeat(np.arange(rows.start, rows.stop), deg[rows])
+                tree = np.take(tree_parent, adj) == source
+            hits.append(np.flatnonzero(tree) + entries.start)
+        hit = np.concatenate(hits)
+        if graph.symmetric:  # the row a hit lies in is its tree vertex
+            at = np.searchsorted(graph.indptr[self.tree_vs], hit, side="right") - 1
+        else:
+            at = np.searchsorted(self.tree_vs, graph.adj[hit])
         ok = np.zeros(self.tree_vs.size, dtype=bool)
         ok[at] = True
         if np.any(~ok):
@@ -147,20 +183,10 @@ class _TreeCheck:
             )
         return hit, at, ok
 
-    def adjacency(self, what: str) -> np.ndarray:
-        """Rule 4: no edge joins a reached and an unreached vertex.
-
-        Returns the mask of edges with both endpoints reached, which is
-        where the kernel's slack rule (rule 3) applies.
-        """
-        u_reached = np.repeat(self.reached, self.graph.out_degree)
-        v_reached = self.reached[self.graph.adj]
-        mixed = u_reached != v_reached
-        if np.any(mixed):
-            self.failures.append(
-                f"rule 4: {np.count_nonzero(mixed)} edges connect reached and {what}"
-            )
-        return u_reached & v_reached
+    def adjacency(self, mixed: int, what: str) -> None:
+        """Rule 4: ``mixed`` edges join a reached and an unreached vertex."""
+        if mixed:
+            self.failures.append(f"rule 4: {mixed} edges connect reached and {what}")
 
     def reaches_root(self) -> None:
         """Rule 5: pointer-jump every tree vertex to the root, O(log n) rounds.
@@ -224,10 +250,15 @@ def validate_sssp(
                 "the distance"
             )
 
-    # -- checks 3 and 4: per-edge conditions ---------------------------------
-    both = tree.adjacency("unreached vertices")
-    slack = dist[graph.adj] - (np.repeat(dist, graph.out_degree) + graph.weight)
-    relaxable = np.count_nonzero((slack > tolerance) & both)
+    # -- checks 3 and 4: per-edge conditions, off one gather -----------------
+    def rules_3_and_4(du, dv, entries):
+        u_in, v_in = np.isfinite(du), np.isfinite(dv)
+        du += graph.weight[entries]
+        slack = (np.subtract(dv, du, out=du) > tolerance) & u_in & v_in
+        return np.array([np.count_nonzero(u_in != v_in), np.count_nonzero(slack)])
+
+    mixed, relaxable = tree.edge_sum(dist, rules_3_and_4)
+    tree.adjacency(mixed, "unreached vertices")
     if relaxable:
         failures.append(f"rule 3: {relaxable} edges violate the relaxation condition")
 
@@ -268,17 +299,21 @@ def validate_bfs(graph: CSRGraph, result: BFSResult) -> ValidationReport:
             failures.append(
                 f"rule 2: {np.count_nonzero(off != 1)} tree edges do not step one level"
             )
-        tree.reaches_root()
+        if failures:  # else rules 1 and 2 prove rule 5 (module docstring)
+            tree.reaches_root()
 
-    both = tree.adjacency("unreached")
-    # Levels are values, not ids: compare them in the narrowest signed dtype
-    # whose half-range holds every value present, so no difference can wrap.
-    extent = max(int(level.max()), -int(level.min()))
-    fits = (t for t in (np.int8, np.int16, np.int32) if extent <= np.iinfo(t).max // 2)
-    lv = level.astype(next(fits, np.int64))
-    skew = np.abs(np.repeat(lv, graph.out_degree) - lv[graph.adj])
-    skewed = np.count_nonzero((skew > 1) & both)
-    if skewed:
-        failures.append(f"rule 3: {skewed} edges span more than one level")
+    # Rules 3 and 4 fused: unreached vertices sit at level top, two past the
+    # deepest reached one, in the narrowest signed dtype that holds top, so
+    # no difference can wrap.
+    top = int(level.max(initial=0)) + 2
+    fits = (t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max)
+    lv = np.where(reached, level, top).astype(next(fits, np.int64))
+
+    if tree.edge_sum(lv, lambda u, v, _: np.abs(u - v).max(initial=0) > 1):
+        mixed = tree.edge_sum(lv, lambda u, v, _: np.count_nonzero((u == top) != (v == top)))
+        tree.adjacency(mixed, "unreached")
+        skewed = tree.edge_sum(lv, lambda u, v, _: np.count_nonzero(np.abs(u - v) > 1)) - mixed
+        if skewed:
+            failures.append(f"rule 3: {skewed} edges span more than one level")
 
     return tree.report()

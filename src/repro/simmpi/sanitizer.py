@@ -108,11 +108,12 @@ class FabricSanitizer:
         """
         schema = None
         sent_to = np.zeros(self.num_ranks, dtype=np.int64)
-        for wire in wires:
+        for src, wire in enumerate(wires):
             if wire is None:
                 continue
             sent_to += wire.counts
-            self.messages_checked += int(np.count_nonzero(wire.counts))
+            # A run a rank addresses to itself is delivered, but it is no message.
+            self.messages_checked += int(np.count_nonzero(wire.counts) - (wire.counts[src] != 0))
             s = wire.schema
             if schema is None:
                 schema = s
@@ -168,7 +169,7 @@ class FabricSanitizer:
             if msg is None or len(msg) == 0:
                 continue
             expected += len(msg)
-            self.messages_checked += 1
+            self.messages_checked += int(self.num_ranks > 1)  # a lone rank sends nothing
             s = msg.schema
             if schema is None:
                 schema = s

@@ -44,12 +44,14 @@ def _random_outboxes(rng: np.random.Generator, num_ranks: int):
 
 
 def _wires(sent):
-    """One sender's wire per message, all of its records in ``dst``'s run."""
-    return [
-        Wire(m.names, m.columns, np.eye(len(sent), dtype=np.int64)[dst] * len(m))
-        for dst, msgs in enumerate(sent)
-        for m in msgs
-    ]
+    """One wire per rank, as the fabric hands them over: rank ``j % P``
+    sends the ``j``-th message addressed to each destination."""
+    p = len(sent)
+    outboxes = [{} for _ in range(p)]
+    for dst, msgs in enumerate(sent):
+        for j, m in enumerate(msgs):
+            outboxes[j % p].setdefault(dst, []).append(m)
+    return [Wire.from_mapping({d: _inbox(ms) for d, ms in o.items()}, p) for o in outboxes]
 
 
 def _inbox(msgs) -> Message:

@@ -48,6 +48,24 @@ class TestBuildCSR:
         g = build_csr(_el([0, 0, 0], [5, 2, 9], [1, 1, 1], 10), symmetrize=False)
         assert list(g.neighbors(0)) == [2, 5, 9]
 
+    def test_only_a_symmetrized_build_is_flagged_symmetric(self, tmp_path):
+        from repro.graph.dist_build import distributed_construction
+        from repro.graph.io import load_graph, save_graph
+        from repro.graph.kronecker import KroneckerSpec
+
+        el = _el([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0], 3)
+        g = build_csr(el)
+        assert g.symmetric is True
+        assert build_csr(el, drop_self_loops=False, dedup=False).symmetric is True
+        assert build_csr(el, symmetrize=False).symmetric is False
+        # Symmetric data says nothing: only the build makes the promise.
+        assert CSRGraph(g.indptr, g.adj, g.weight, g.num_vertices).symmetric is False
+        assert g.subgraph_rows(np.arange(3)).symmetric is False
+        assert g.extract_rows(np.arange(3)).symmetric is False
+        save_graph(g, tmp_path / "g.npz")
+        assert load_graph(tmp_path / "g.npz").symmetric is False
+        assert distributed_construction(KroneckerSpec(scale=6), num_ranks=2).graph.symmetric is False
+
     def test_empty_graph(self):
         g = build_csr(_el([], [], [], 5))
         assert g.num_edges == 0

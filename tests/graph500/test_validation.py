@@ -1,6 +1,8 @@
 """Tests for the Graph500 tree validators, including corruption rejection."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +13,13 @@ import repro
 from repro.baselines.dijkstra import dijkstra
 from repro.bfs import bfs
 from repro.core.delta_stepping import _delta_stepping as delta_stepping
-from repro.graph.csr import build_csr
+from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
 from repro.graph.types import EdgeList
-from repro.graph500.validation import validate_bfs, validate_sssp
+from repro.graph500.validation import _TreeCheck, validate_bfs, validate_sssp
+
+from tests.graph500 import reference_validation as reference
 
 
 @pytest.fixture(scope="module")
@@ -306,17 +310,29 @@ SHAPES = [
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, symmetrize=st.just(True), hand_built=st.just(False)):
     """A named shape, or up to 12 random edges on up to 7 vertices (weights
-    are binary fractions, so every distance is exact in any order)."""
+    are binary fractions, so every distance is exact in any order).
+
+    ``symmetrize`` draws the build's flag: a directed graph breaks the
+    genuine answers' rules 3 and 4, so only the comparison with the
+    reference validator draws it.  ``hand_built`` draws whether to rewrap
+    the arrays in a bare ``CSRGraph``, which promises no symmetry: the
+    validator then takes the parent-row tree test on symmetric data."""
     if draw(st.booleans()):
-        return draw(st.sampled_from(SHAPES))
-    n = draw(st.integers(1, 7))
-    vertex = st.integers(0, n - 1)
-    weight = st.sampled_from([0.125, 0.25, 0.5, 1.0])
-    triples = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=12))
-    src, dst, w = zip(*triples) if triples else ((), (), ())
-    return build_csr(EdgeList(src, dst, w, n), dedup=draw(st.booleans()))
+        graph = draw(st.sampled_from(SHAPES))
+    else:
+        n = draw(st.integers(1, 7))
+        vertex = st.integers(0, n - 1)
+        weight = st.sampled_from([0.125, 0.25, 0.5, 1.0])
+        triples = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=12))
+        src, dst, w = zip(*triples) if triples else ((), (), ())
+        graph = build_csr(
+            EdgeList(src, dst, w, n), symmetrize=draw(symmetrize), dedup=draw(st.booleans())
+        )
+    if draw(hand_built):
+        graph = CSRGraph(graph.indptr, graph.adj, graph.weight, graph.num_vertices)
+    return graph
 
 
 @given(
@@ -480,3 +496,67 @@ class TestMalformedAnswer:
         res.source = source
         with pytest.raises(ValueError, match=f"source {source} out of range"):
             validate(g, res)
+
+
+# -- the row-local rewrite against the gathering validator it replaced --------
+
+REFERENCE = {"sssp": reference.validate_sssp, "bfs": reference.validate_bfs}
+
+
+def assert_same_report(graph, kernel, res):
+    new, old = KERNELS[kernel][1](graph, res), REFERENCE[kernel](graph, res)
+    assert (new.ok, new.failures) == (old.ok, old.failures)
+
+
+@given(
+    graph=small_graphs(symmetrize=st.booleans(), hand_built=st.booleans()),
+    root=st.integers(0, 6),
+    kernel=st.sampled_from(sorted(KERNELS)),
+    op=st.sampled_from((None, *OPERATORS)),
+    k=st.integers(0, 6),
+    block=st.sampled_from([1, 2, 3, 1 << 15]),
+)
+@settings(max_examples=600, deadline=None)
+def test_failures_match_the_gathering_validator(graph, root, kernel, op, k, block):
+    """Property: on directed, symmetric and hand-built graphs, genuine and
+    tampered answers get the reference's ``ok`` and failure list, message
+    for message, however the edges are cut into blocks."""
+    res = KERNELS[kernel][0](graph, root % graph.num_vertices)
+    if op is not None:
+        tamper(op, graph, res, k)
+    with mock.patch.object(_TreeCheck, "BLOCK", block):
+        assert_same_report(graph, kernel, res)
+
+
+@pytest.mark.parametrize("hand_built", [False, True], ids=["symmetric", "hand_built"])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kronecker_failures_match_the_gathering_validator(kron2022, kernel, hand_built):
+    """Every operator at three vertices each, on a graph cut into about 42 blocks,
+    through both tree-edge tests."""
+    graph = kron2022
+    if hand_built:
+        graph = CSRGraph(graph.indptr, graph.adj, graph.weight, graph.num_vertices)
+    root = int(np.argmax(graph.out_degree))
+    with mock.patch.object(_TreeCheck, "BLOCK", 1 << 9):
+        for op in (None, *OPERATORS):
+            for k in range(3):
+                res = KERNELS[kernel][0](graph, root)
+                if op is None or tamper(op, graph, res, k):
+                    assert_same_report(graph, kernel, res)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_validator_temporaries_stay_under_ten_bytes_per_edge(kernel):
+    """The validator runs on top of a live sweep result, so its transient
+    peak is capped: at scale 12, at most 10 bytes per stored edge."""
+    graph = build_csr(generate_kronecker(12, seed=2022))
+    solve, validate = KERNELS[kernel]
+    res = solve(graph, int(np.argmax(graph.out_degree)))
+    assert validate(graph, res).ok  # and every lazy import is done
+    tracemalloc.start()
+    try:
+        validate(graph, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * graph.num_edges, peak / graph.num_edges

@@ -32,13 +32,9 @@ def _msg(n, dtype=np.int64):
 
 
 def _wires(sent):
-    """``sent[dst]`` lists the messages addressed to ``dst``: each becomes
-    one sender's wire, all of its records in ``dst``'s run."""
-    return [
-        Wire(m.names, m.columns, np.eye(len(sent), dtype=np.int64)[dst] * len(m))
-        for dst, msgs in enumerate(sent)
-        for m in msgs
-    ]
+    """``sent[src]`` maps each destination to what rank ``src`` sends it:
+    one wire per rank, as the fabric hands them over."""
+    return [Wire.from_mapping(outbox, len(sent)) for outbox in sent]
 
 
 def _inbox(msgs):
@@ -48,29 +44,29 @@ def _inbox(msgs):
 class TestExchange:
     def test_clean_exchange_counts_what_it_audited(self):
         san = FabricSanitizer(num_ranks=2)
-        sent = [[_msg(3)], [_msg(2), _msg(1)]]
-        delivered = [_inbox(msgs) for msgs in sent]
+        sent = [{1: _msg(3)}, {0: _msg(2), 1: _msg(1)}]
+        delivered = [_msg(2), _inbox([_msg(3), _msg(1)])]
         san.check_exchange(0, _wires(sent), delivered, fault_tags={})
         assert san.collectives == 1
-        assert san.messages_checked == 3
+        assert san.messages_checked == 2  # rank 1's run to itself is no message
         assert san.elements_checked == 6
 
     def test_mixed_schema_raises(self):
         san = FabricSanitizer(num_ranks=2)
         odd = Message(vertex=np.arange(2, dtype=np.int64))  # missing "dist"
-        sent = [[_msg(3)], [odd]]
+        sent = [{0: _msg(3)}, {1: odd}]
         with pytest.raises(SanitizerViolation, match="collective-mismatch"):
             san.check_exchange(0, _wires(sent), [_msg(3), odd], fault_tags={})
 
     def test_mixed_dtype_is_a_schema_mismatch(self):
         san = FabricSanitizer(num_ranks=2)
-        sent = [[_msg(3)], [_msg(2, dtype=np.int32)]]
+        sent = [{0: _msg(3)}, {1: _msg(2, dtype=np.int32)}]
         with pytest.raises(SanitizerViolation, match="collective-mismatch"):
             san.check_exchange(0, _wires(sent), [_msg(3), _msg(2)], fault_tags={})
 
     def test_lost_payload_raises_conservation(self):
         san = FabricSanitizer(num_ranks=2)
-        sent = [[_msg(3)], [_msg(2)]]
+        sent = [{0: _msg(3)}, {1: _msg(2)}]
         delivered = [_msg(3), _msg(1)]  # rank 1 got 1 of 2 elements
         with pytest.raises(SanitizerViolation, match="conservation"):
             san.check_exchange(4, _wires(sent), delivered, fault_tags={})
@@ -78,17 +74,17 @@ class TestExchange:
     def test_duplicated_payload_raises_conservation(self):
         san = FabricSanitizer(num_ranks=1)
         with pytest.raises(SanitizerViolation, match="conservation"):
-            san.check_exchange(0, _wires([[_msg(2)]]), [_msg(3)], fault_tags={})
+            san.check_exchange(0, _wires([{0: _msg(2)}]), [_msg(3)], fault_tags={})
 
     def test_drops_without_retries_raise(self):
         san = FabricSanitizer(num_ranks=1)
-        sent = [[_msg(2)]]
+        sent = [{0: _msg(2)}]
         with pytest.raises(SanitizerViolation, match="unacked-drop"):
             san.check_exchange(0, _wires(sent), [_msg(2)], fault_tags={"drops": 3})
 
     def test_drops_with_retries_are_reconciled(self):
         san = FabricSanitizer(num_ranks=1)
-        sent = [[_msg(2)]]
+        sent = [{0: _msg(2)}]
         san.check_exchange(
             0, _wires(sent), [_msg(2)], fault_tags={"drops": 3, "retries": 2}
         )
@@ -145,7 +141,7 @@ class TestNoProgress:
         san = FabricSanitizer(num_ranks=1, deadlock_threshold=4)
         for _ in range(3):
             san.check_exchange(0, [None], [None], fault_tags={})
-        san.check_exchange(0, _wires([[_msg(1)]]), [_msg(1)], fault_tags={})
+        san.check_exchange(0, _wires([{0: _msg(1)}]), [_msg(1)], fault_tags={})
         for _ in range(3):
             san.check_exchange(0, [None], [None], fault_tags={})
         assert san.max_empty_streak == 3
@@ -162,7 +158,7 @@ class TestNoProgress:
 
     def test_report_shape(self):
         san = FabricSanitizer(num_ranks=2)
-        san.check_exchange(0, _wires([[_msg(2)], []]), [_msg(2), None], fault_tags={})
+        san.check_exchange(0, _wires([{1: _msg(2)}, {}]), [None, _msg(2)], fault_tags={})
         rep = san.report()
         assert rep["violations"] == 0
         assert rep["collectives"] == 1
@@ -241,3 +237,19 @@ class TestEndToEnd:
     def test_shared_engine_rejects_sanitize(self, graph):
         with pytest.raises(ValueError, match="no fabric"):
             api.run(graph, 0, engine="shared", sanitize=True)
+
+
+@pytest.mark.parametrize("num_ranks", [1, 4, 7])
+@pytest.mark.parametrize("kernel", api.KERNELS)
+def test_messages_checked_are_the_fabric_messages(kernel, num_ranks):
+    """The audit counts what the byte ledger counts: a run a rank addresses
+    to itself, and anything a lone rank gathers, is not a message."""
+    graph = build_csr(generate_kronecker(8, seed=2022))
+    roots = [int(v) for v in np.argsort(-graph.out_degree, kind="stable")[:8]]
+    source = {"sssp": roots[0], "bfs": roots[0], "bfs64": roots, "sssp_batch": roots}
+    summary = api.run(
+        graph, source.get(kernel), kernel=kernel, num_ranks=num_ranks, sanitize=True
+    )
+    checked = summary.result.meta["sanitizer"]["messages_checked"]
+    assert checked == summary.comm["messages"]
+    assert checked > 0 or num_ranks == 1
