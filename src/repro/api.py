@@ -377,6 +377,9 @@ def run(
             ``max_phases=`` for ``sssp`` on ``shared``; ``partition=``
             plus constructor parameters (PageRank's ``damping=``,
             ``iterations=``, ``tol=``) for the whole-graph kernels.
+            ``partition=`` (and ``SSSPConfig.partition``) is one of
+            :data:`repro.partition.RUN_PARTITIONS`, ``"block"`` or
+            ``"edge_balanced"``: rank ``r`` owns one contiguous id range.
 
     Returns:
         A :class:`RunSummary`, whose kernel-typed ``result`` implements

@@ -27,7 +27,7 @@ from repro.bfs.kernel import BFSResult, _bottom_up_step, _NO_PARENT, beamer_bott
 from repro.core.relaxation import frontier_edges
 from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Outbox, OwnerRouter, Rank
-from repro.engine.validation import make_contiguous_partition
+from repro.engine.validation import make_partition
 from repro.graph.csr import CSRGraph
 from repro.simmpi.fabric import Message, Wire
 
@@ -36,33 +36,22 @@ class _BFSRank(Rank):
     """Per-rank state of the level-synchronous engine.
 
     State is *owned-local*: ``parent``/``level``/``frontier`` are indexed by
-    owned-local vertex id (the partition is contiguous, so local id ``i`` is
-    global ``range_lo + i``); parent *values* stay global, since a parent
-    can live on any rank and that is what goes on the wire and into the
-    assembled tree.  The bottom-up frontier bitmap remains global by
+    owned-local vertex id (local id ``i`` is global ``lo + i``); parent
+    *values* stay global, since a parent can live on any rank and that is
+    what goes on the wire and into the assembled tree.  The bottom-up frontier bitmap remains global by
     design — allgathering ``n/8`` bytes per rank is the algorithm.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        graph: CSRGraph,
-        owned: np.ndarray,
-        router: OwnerRouter,
-    ) -> None:
+    def __init__(self, rank: int, graph: CSRGraph, router: OwnerRouter) -> None:
         super().__init__(rank, router)
         # repro: index-space: self.parent[local], self.level[local]
-        # repro: index-space: self.owned=global
-        # repro: index-space: self.frontier=local, owned=global
+        # repro: index-space: self.frontier=local
         self.claims = Outbox(router, ("vertex", "parent"))
-        self.owned = owned
-        self.range_lo = int(owned[0]) if owned.size else 0
-        self.range_hi = int(owned[-1]) + 1 if owned.size else 0
-        # Renumbered rows (local row i = global owned[i]), global columns;
+        # Renumbered rows (local row i = global lo + i), global columns;
         # adj/weight are read-only views of the input graph's arrays.
-        self.local_graph = graph.extract_rows(owned)
-        self.parent = np.full(owned.size, _NO_PARENT, dtype=np.int64)
-        self.level = np.full(owned.size, -1, dtype=np.int64)
+        self.local_graph = graph.extract_rows(np.arange(self.lo, self.hi))
+        self.parent = np.full(self.hi - self.lo, _NO_PARENT, dtype=np.int64)
+        self.level = np.full(self.hi - self.lo, -1, dtype=np.int64)
         self.frontier = np.empty(0, dtype=np.int64)  # owned-local ids
 
     # -- top-down ---------------------------------------------------------
@@ -75,9 +64,9 @@ class _BFSRank(Rank):
         self.frontier = np.empty(0, dtype=np.int64)
         if src.size == 0:
             return None
-        src_global = src + self.range_lo  # parents are global on the wire
-        mine = (dst >= self.range_lo) & (dst < self.range_hi)
-        self._claim(dst[mine] - self.range_lo, src_global[mine], depth)
+        src_global = self.to_global(src)  # parents are global on the wire
+        mine = (dst >= self.lo) & (dst < self.hi)
+        self._claim(self.to_local(dst[mine]), src_global[mine], depth)
         rem_dst = dst[~mine]
         rem_src = src_global[~mine]
         if rem_dst.size == 0:
@@ -90,7 +79,7 @@ class _BFSRank(Rank):
     def apply_claims(self, msg: Message | None, depth: int) -> None:
         if msg is None:
             return
-        self._claim(msg["vertex"] - self.range_lo, msg["parent"], depth)
+        self._claim(self.to_local(msg["vertex"]), msg["parent"], depth)
 
     def _claim(self, targets: np.ndarray, parents: np.ndarray, depth: int) -> None:
         """Claim owned-local ``targets`` with global ``parents``."""
@@ -108,7 +97,7 @@ class _BFSRank(Rank):
 
     def bitmap_contribution(self) -> Message:
         """Pack this rank's owned frontier range to bits for the allgather."""
-        width = self.range_hi - self.range_lo
+        width = self.hi - self.lo
         bits = np.zeros(width, dtype=bool)
         if self.frontier.size:
             bits[self.frontier] = True
@@ -168,7 +157,6 @@ class _BFSRank(Rank):
                 "local_indptr": lg.indptr,
             },
             "edges": {"adj": lg.adj, "weight": lg.weight},
-            "other": {"owned": self.owned},
         }
 
 
@@ -213,19 +201,12 @@ class _BFSEngine:
     # -- driver hooks ------------------------------------------------------
 
     def build_ranks(self, graph: CSRGraph, num_ranks: int) -> list[_BFSRank]:
-        # The bitmap allgather packs each rank's owned range to bits, so
-        # owned ranges must be contiguous vertex-id intervals.
-        self.part = make_contiguous_partition(
-            graph, self.partition, num_ranks, "distributed BFS"
-        )
+        self.part = make_partition(graph, self.partition, num_ranks)
         self.unexplored = float(graph.num_edges)
         router = OwnerRouter(self.part)
-        ranks = [
-            _BFSRank(r, graph, self.part.vertices_of(r), router)
-            for r in range(num_ranks)
-        ]
-        src_rank = ranks[int(self.part.owner_of(self.source))]
-        src_local = self.source - src_rank.range_lo
+        ranks = [_BFSRank(r, graph, router) for r in range(num_ranks)]
+        src_rank = ranks[int(router.owners(self.source))]
+        src_local = src_rank.to_local(self.source)
         src_rank.parent[src_local] = self.source
         src_rank.level[src_local] = 0
         src_rank.frontier = np.array([src_local], dtype=np.int64)
@@ -279,9 +260,9 @@ class _BFSEngine:
                     # Rank ranges are ctor-set and immutable, so the
                     # driver's (possibly pre-fork) copies are accurate;
                     # packbits/unpackbits round-trips exactly.
-                    width = r.range_hi - r.range_lo
+                    width = r.hi - r.lo
                     if width:
-                        global_bits[r.range_lo : r.range_hi] = np.unpackbits(
+                        global_bits[r.lo : r.hi] = np.unpackbits(
                             payload["bitmap"], count=width
                         ).astype(bool)
                 fabric.allgather(contributions)
@@ -315,12 +296,9 @@ class _BFSEngine:
     def finalize(
         self, ctx: EngineContext, exports: list[dict]
     ) -> tuple[BFSResult, dict]:
-        n = ctx.graph.num_vertices
-        parent = np.full(n, _NO_PARENT, dtype=np.int64)
-        level = np.full(n, -1, dtype=np.int64)
-        for r, export in zip(ctx.ranks, exports):
-            parent[r.owned] = export["parent"]
-            level[r.owned] = export["level"]
+        # The owned ranges tile [0, n) in rank order.
+        parent = np.concatenate([export["parent"] for export in exports])
+        level = np.concatenate([export["level"] for export in exports])
         result = BFSResult(source=self.source, parent=parent, level=level)
         result.counters.add("levels", self.depth)
         result.counters.add("levels_top_down", self.levels_top_down)

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["SSSPConfig"]
+from repro.engine.validation import check_partition
 
-_PARTITIONS = ("block", "edge_balanced", "hashed")
+__all__ = ["SSSPConfig"]
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,9 @@ class SSSPConfig:
     Attributes:
         delta: bucket width; ``None`` selects it adaptively from the graph
             (:func:`repro.core.adaptive.choose_delta`).
-        partition: vertex-partition strategy (``block``, ``edge_balanced``,
-            ``hashed``).
+        partition: vertex-partition strategy, one of
+            :data:`repro.partition.RUN_PARTITIONS` (``block``,
+            ``edge_balanced``): each rank owns one contiguous id range.
         coalesce: per-destination dedup-min of outgoing updates plus the
             tentative-distance filter cache (suppress updates that cannot
             improve the receiver's value).
@@ -52,8 +53,7 @@ class SSSPConfig:
     hierarchical_aggregation: bool = False
 
     def __post_init__(self) -> None:
-        if self.partition not in _PARTITIONS:
-            raise ValueError(f"partition must be one of {_PARTITIONS}, got {self.partition!r}")
+        check_partition(self.partition)
         if self.delta is not None and self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.fusion_cap < 1:

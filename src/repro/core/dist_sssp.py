@@ -46,7 +46,7 @@ from repro.core.result import SSSPResult, derive_parents
 from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Outbox, OwnerRouter, Rank, wire_id_dtype
 from repro.graph.csr import CSRGraph
-from repro.partition import LocalIndexMap, Partition1D
+from repro.partition import Partition1D
 from repro.simmpi.fabric import Message, Wire
 
 # Record kinds on the wire; 0 is a plain distance update to an owned vertex.
@@ -57,24 +57,24 @@ _INF = np.inf
 
 
 def _edge_codes(
-    targets: np.ndarray, owned: np.ndarray, num_vertices: int
+    targets: np.ndarray, lo: int, hi: int, num_vertices: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-route a rank's edge targets: ``(codes, halo)``.
+    """Pre-route the edge targets of the rank owning ``[lo, hi)``: ``(codes, halo)``.
 
     ``halo`` is the sorted set of distinct targets the rank does not own.
     An owned target's code is its owned-local index, any other's is
-    ``owned.size + s`` with ``halo[s]`` its global id.  Two scatters and
+    ``hi - lo + s`` with ``halo[s]`` its global id.  Two scatters and
     a gather through one vertex-indexed scratch table, freed on return —
     no owner lookup and no sort.
     """
-    # repro: index-space: targets=global, owned=global, halo=global
+    # repro: index-space: targets=global, halo=global
     remote = np.zeros(num_vertices, dtype=bool)
     remote[targets] = True
-    remote[owned] = False
+    remote[lo:hi] = False
     halo = np.flatnonzero(remote)
     code_of = np.empty(num_vertices, dtype=np.int64)
-    code_of[owned] = np.arange(owned.size)
-    code_of[halo] = owned.size + np.arange(halo.size)
+    code_of[lo:hi] = np.arange(hi - lo)
+    code_of[halo] = hi - lo + np.arange(halo.size)
     return code_of[targets], halo
 
 
@@ -86,7 +86,7 @@ class _Rank(Rank):
     count, so a P-rank run costs O(n + halo) memory in total instead of
     O(n * P).  The rank's edges hold codes (see :func:`_edge_codes`),
     fixed at build; global ids appear only in the halo, on the wire and
-    in the shared read-only owner router; :class:`LocalIndexMap`
+    in the shared read-only owner router; :meth:`Rank.to_local`
     translates received ids at the boundary.
     """
 
@@ -94,7 +94,6 @@ class _Rank(Rank):
         self,
         rank: int,
         graph: CSRGraph,
-        owned: np.ndarray,
         router: OwnerRouter,
         delegates: DelegateTable | None,
         config: SSSPConfig,
@@ -104,11 +103,9 @@ class _Rank(Rank):
         self.num_ranks = router.num_ranks
         self.config = config
         self.delta = delta
-        # repro: index-space: self.owned[local]=global
         # repro: index-space: self.dist[local], self.in_epoch[local]
         # repro: index-space: self.is_hub_local[local], owned=global
-        self.owned = owned
-        self.lmap = LocalIndexMap(owned)
+        owned = np.arange(self.lo, self.hi)
         if delegates is not None and delegates.num_hubs:
             # Owned-local hub lookup plus a local CSR whose hub rows are
             # empty (their adjacency lives in the delegate slices).
@@ -126,7 +123,8 @@ class _Rank(Rank):
             np.concatenate((local_graph.adj, delegates.adj))
             if delegates is not None
             else local_graph.adj,
-            owned,
+            self.lo,
+            self.hi,
             graph.num_vertices,
         )
         self.halo = halo.astype(wire_id_dtype(graph.num_vertices, True))
@@ -195,10 +193,11 @@ class _Rank(Rank):
         coalescing, remote candidates only lower the ghost cache; the
         flush sends what dropped.  Without, they are queued as they come.
         """
-        local = codes < self.lmap.size
+        size = self.hi - self.lo
+        local = codes < size
         self._apply(codes[local], cands[local])
         remote = ~local
-        slots = codes[remote] - self.lmap.size
+        slots = codes[remote] - size
         if slots.size == 0:
             return
         if self.ghosts is not None:
@@ -212,7 +211,7 @@ class _Rank(Rank):
         """Broadcast (hub, dist) records; expand the local slice directly."""
         # repro: index-space: hubs_local=local, hubs=global
         assert self.delegates is not None
-        hubs_in_frontier = self.lmap.to_global(hubs_local)
+        hubs_in_frontier = self.to_global(hubs_local)
         slots = self.delegates.slots_of(hubs_in_frontier)
         d = self.dist[hubs_local]
         fresh = d < self.announced[slots]
@@ -252,7 +251,7 @@ class _Rank(Rank):
         if not kinds.any():
             # Pure-update message (the reduce round).  Plain updates are
             # routed to the owner, so every target is owned by this rank.
-            self._apply(self.lmap.to_local(targets), dists)
+            self._apply(self.to_local(targets), dists)
             return
         for kind in (_KIND_LIGHT_ANNOUNCE, _KIND_HEAVY_ANNOUNCE):
             sel = kinds == kind
@@ -390,7 +389,7 @@ class _Rank(Rank):
         if self.is_hub_local is not None:
             vertex["is_hub_local"] = self.is_hub_local
         edges = {"codes": lg.adj, "weight": lg.weight}
-        other = {"owned": self.owned}
+        other = {}
         if self.delegates is not None:
             d = self.delegates
             edges.update(delegate_codes=d.adj, delegate_weight=d.weight)
@@ -454,7 +453,6 @@ class _DistSSSPEngine:
             _Rank(
                 rank=r,
                 graph=graph,
-                owned=self.partition.vertices_of(r),
                 router=router,
                 delegates=(
                     DelegateTable.build(graph, self.hubs, r, num_ranks)
@@ -466,8 +464,8 @@ class _DistSSSPEngine:
             )
             for r in range(num_ranks)
         ]
-        src_rank = ranks[int(self.partition.owner_of(self.source))]
-        src_local = int(src_rank.lmap.to_local(np.int64(self.source)))
+        src_rank = ranks[int(router.owners(self.source))]
+        src_local = src_rank.to_local(self.source)
         src_rank.dist[src_local] = 0.0
         src_rank.buckets.insert(np.array([src_local], dtype=np.int64))
         return ranks
@@ -578,13 +576,9 @@ class _DistSSSPEngine:
         self, ctx: EngineContext, exports: list[dict]
     ) -> tuple[SSSPResult, dict]:
         fabric = ctx.fabric
-        # ---- assemble the global answer ---------------------------------
-        # Each rank's dist vector is owned-local, so the gather is one
-        # direct scatter per rank — no dense per-rank indexing.
-        # repro: index-space: dist[global], r.owned=global
-        dist = np.full(ctx.graph.num_vertices, _INF, dtype=np.float64)
-        for r, export in zip(ctx.ranks, exports):
-            dist[r.owned] = export["dist"]
+        # Each rank's dist vector is its owned range [lo, hi), and the
+        # ranges tile [0, n) in rank order.
+        dist = np.concatenate([export["dist"] for export in exports])
         result = SSSPResult(
             source=self.source,
             dist=dist,

@@ -29,7 +29,7 @@ from repro.core.relaxation import frontier_edges, scatter_min
 from repro.core.result import SSSPResult, derive_parents
 from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Outbox, OwnerRouter, Rank, wire_id_dtype
-from repro.engine.validation import make_contiguous_partition
+from repro.engine.validation import make_partition
 from repro.graph.csr import CSRGraph
 from repro.simmpi.fabric import Message, Wire
 
@@ -59,7 +59,6 @@ class _GridRank(Rank):
         cols: int,
         graph: CSRGraph,
         router: OwnerRouter,
-        owned: np.ndarray,
         row_range: tuple[int, int],
         adj_cols: np.ndarray,
         coalesce: bool = True,
@@ -76,13 +75,10 @@ class _GridRank(Rank):
         row_ranks = np.arange(self.grid_row * cols, (self.grid_row + 1) * cols)
         self.row_partners = row_ranks[row_ranks != rank]
         self.rows = rows
-        # "local" for a grid rank means *row-local*: global id − row_lo.
+        # "local" for a grid rank means *row-local*: global id − row_lo;
+        # the owned range [lo, hi) lies inside the row's.
         # repro: index-space: self.dist_row[local], self.frontier=local
-        # repro: index-space: self.owned=global
-        self.owned = owned
         self.row_lo, self.row_hi = row_range
-        self.own_lo = int(owned[0]) if owned.size else 0
-        self.own_hi = int(owned[-1]) + 1 if owned.size else 0
         # Edge block: sources owned by ranks in this grid row (a contiguous
         # slice of the global CSR, renumbered to row-local rows), targets
         # owned by ranks in this grid column (global ids, filtered).  The
@@ -174,7 +170,7 @@ class _GridRank(Rank):
             targets, best = dst, cands
         if targets.size == 0:
             return None
-        mine = (targets >= self.own_lo) & (targets < self.own_hi)
+        mine = (targets >= self.lo) & (targets < self.hi)
         self._apply(targets[mine] - self.row_lo, best[mine])
         # Owners of the remaining targets sit in this grid column by
         # construction.
@@ -219,13 +215,12 @@ class _GridRank(Rank):
         return (float(self.take_step_work()), float(self.frontier.size))
 
     def answer(self) -> dict:
-        return {"owned_dist": self.dist_row[self.owned - self.row_lo]}
+        return {"owned_dist": self.dist_row[self.lo - self.row_lo : self.hi - self.row_lo]}
 
     def resident(self) -> dict[str, dict[str, np.ndarray]]:
         return {
             "vertex": {"dist_row": self.dist_row, "block_indptr": self.block.indptr},
             "edges": {"adj": self.block.adj, "weight": self.block.weight},
-            "other": {"owned": self.owned},
         }
 
 
@@ -273,30 +268,21 @@ class _TwoDEngine:
         n = graph.num_vertices
         rows, cols = self.rows, self.cols
         config = self.config
-        # The grid-column owner mapping relies on owned ranges being
-        # contiguous vertex-id intervals.
-        part = make_contiguous_partition(
-            graph, config.partition, num_ranks, "the 2-D engine"
-        )
+        part = make_partition(graph, config.partition, num_ranks)
         coalesce = config.coalesce
         id_dtype = wire_id_dtype(n, config.compressed_indices)
         self.part = part
         router = OwnerRouter(part)
-        owner = part.owner_array
-        owned_arrays = [part.vertices_of(r) for r in range(num_ranks)]
-        # Each grid row's source range: the union of its ranks' (contiguous,
-        # ordered) owned ranges.  Row-local state spans exactly this range.
-        row_ranges: list[tuple[int, int]] = []
-        for gr in range(rows):
-            in_row = [a for a in owned_arrays[gr * cols : (gr + 1) * cols] if a.size]
-            if in_row:
-                row_ranges.append((int(in_row[0][0]), int(in_row[-1][-1]) + 1))
-            else:
-                row_ranges.append((0, 0))
+        # Each grid row's source range: the union of its ranks' owned
+        # ranges.  Row-local state spans exactly this range.
+        starts = router.starts
+        row_ranges = [
+            (int(starts[gr * cols]), int(starts[(gr + 1) * cols])) for gr in range(rows)
+        ]
         # The grid column of every edge target, computed once per grid row
         # and shared by the row's ranks (each would otherwise redo the same
         # owner-gather over the row's full edge slice).
-        owner_col = owner % cols
+        owner_col = part.owner_array % cols
         row_adj_cols = [
             owner_col[graph.adj[graph.indptr[lo] : graph.indptr[hi]]]
             for lo, hi in row_ranges
@@ -308,7 +294,6 @@ class _TwoDEngine:
                 cols,
                 graph,
                 router,
-                owned_arrays[r],
                 row_ranges[r // cols],
                 row_adj_cols[r // cols],
                 coalesce=coalesce,
@@ -316,7 +301,7 @@ class _TwoDEngine:
             )
             for r in range(num_ranks)
         ]
-        src_rank = ranks[int(owner[self.source])]
+        src_rank = ranks[int(router.owners(self.source))]
         src_rank.dist_row[self.source - src_rank.row_lo] = 0.0
         src_rank.frontier = np.array(
             [self.source - src_rank.row_lo], dtype=np.int64
@@ -379,9 +364,8 @@ class _TwoDEngine:
     def finalize(
         self, ctx: EngineContext, exports: list[dict]
     ) -> tuple[SSSPResult, dict]:
-        dist = np.full(ctx.graph.num_vertices, _INF, dtype=np.float64)
-        for r, export in zip(ctx.ranks, exports):
-            dist[r.owned] = export["owned_dist"]
+        # The owned ranges tile [0, n) in rank order.
+        dist = np.concatenate([export["owned_dist"] for export in exports])
         result = SSSPResult(
             source=self.source,
             dist=dist,

@@ -36,7 +36,7 @@ from repro.engine.driver import (
     run_superstep_engine,
 )
 from repro.engine.rank import Outbox, OwnerRouter, Rank
-from repro.engine.validation import check_num_ranks, make_contiguous_partition
+from repro.engine.validation import check_num_ranks, make_partition
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
 from repro.simmpi.executor import RankExecutor
@@ -164,17 +164,14 @@ class _KernelRank(Rank):
         self, rank: int, graph: CSRGraph, router: OwnerRouter, kernel: Kernel
     ) -> None:
         super().__init__(rank, router)
-        # repro: index-space: owned=global
-        lo, hi = int(router.starts[rank]), int(router.starts[rank + 1])
-        owned = np.arange(lo, hi, dtype=np.int64)
         self.kernel = kernel
         self.ctx = RankContext(
             rank=rank,
             num_ranks=router.num_ranks,
             num_vertices=graph.num_vertices,
-            lo=lo,
-            hi=hi,
-            local_graph=graph.extract_rows(owned),
+            lo=self.lo,
+            hi=self.hi,
+            local_graph=graph.extract_rows(np.arange(self.lo, self.hi)),
         )
         self.state = kernel.init_state(self.ctx)
         names = tuple(name for name, _ in kernel.wire_fields)
@@ -220,7 +217,7 @@ class _KernelRank(Rank):
             targets = np.empty(0, dtype=np.int64)
             values = tuple(np.empty(0, dtype=dtype) for _, dtype in fields)
         else:
-            targets = msg["vertex"] - self.ctx.lo
+            targets = self.to_local(msg["vertex"])
             values = tuple(msg[name] for name, _ in fields)
         self.kernel.apply_messages(self.state, self.ctx, targets, values)
 
@@ -309,9 +306,7 @@ class _KernelEngine:
 
             kernel = make_kernel(kernel)
         check_num_ranks(num_ranks)
-        self.partition = make_contiguous_partition(
-            graph, partition, num_ranks, "the vertex-kernel substrate"
-        )
+        self.partition = make_partition(graph, partition, num_ranks)
         self.kernel = kernel
         self.kernel_name = kernel.name
         self.vote_op = kernel.vote_op

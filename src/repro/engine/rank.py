@@ -43,36 +43,26 @@ def wire_id_dtype(num_vertices: int, compress: bool) -> np.dtype:
 
 
 class OwnerRouter:
-    """Owner lookup of a 1-D partition plus the destination-order sort.
+    """Owner lookup of a run partition plus the destination-order sort.
 
-    Built once per run and shared read-only by every rank.  The lookup is
-    decided by the partition: when its owner array never decreases, every
-    rank owns one contiguous id range (``starts`` holds the ``P + 1``
-    boundaries) and the owner is a binary search over the inner ones; any
-    other partition (``hashed``) gathers from the dense owner array.
-    Either way the keys come back in the narrowest unsigned dtype that
-    holds a rank, so the stable sort in :meth:`split` is a radix pass.
-    ``table`` is whichever array the lookup reads.
+    Built once per run and shared read-only by every rank.  Rank ``r``
+    owns the ids ``[starts[r], starts[r + 1])`` (``starts`` holds the
+    ``P + 1`` boundaries), so the owner of an id is a binary search over
+    the inner boundaries.  The keys come back in the narrowest unsigned
+    dtype that holds a rank, so the stable sort in :meth:`split` is a
+    radix pass.
     """
 
     def __init__(self, partition: Partition1D) -> None:
         self.num_ranks = partition.num_ranks
         self._key = np.min_scalar_type(self.num_ranks - 1)
-        owner = partition.owner_array
-        self.starts: np.ndarray | None = None
-        if not np.any(owner[1:] < owner[:-1]):
-            # repro: index-space: self.starts[rank]=global
-            self.starts = np.concatenate(([0], np.cumsum(partition.counts())))
-            self._inner = self.starts[1:-1]
-            self.table = self.starts
-        else:
-            self.table = owner.astype(self._key)
+        # repro: index-space: self.starts[rank]=global
+        self.starts = np.concatenate(([0], np.cumsum(partition.counts())))
+        self._inner = self.starts[1:-1]
 
     def owners(self, targets: np.ndarray) -> np.ndarray:
         """Owner rank of each global vertex id, as narrow unsigned keys."""
         # repro: index-space: targets=global
-        if self.starts is None:
-            return self.table[targets]
         return np.searchsorted(self._inner, targets, side="right").astype(self._key)
 
     def split(self, columns: Columns) -> tuple[Columns, np.ndarray]:
@@ -163,10 +153,11 @@ class Outbox:
 class Rank:
     """Base of every per-rank state object the superstep driver runs.
 
-    Subclasses keep their algorithm; this class keeps the step-work
-    counter the cost model reads and the final export.  A subclass
-    declares :meth:`resident` and :meth:`answer` and bumps ``step_edges``
-    as it scans edges.
+    Subclasses keep their algorithm; this class keeps the owned range, the
+    step-work counter the cost model reads and the final export.  The
+    rank owns the global ids ``[lo, hi)``: owned-local slot ``i`` is
+    global id ``lo + i``.  A subclass declares :meth:`resident` and
+    :meth:`answer` and bumps ``step_edges`` as it scans edges.
     """
 
     def __init__(self, rank: int, router: OwnerRouter) -> None:
@@ -176,8 +167,20 @@ class Rank:
         # The one array all ranks share, held as a direct attribute because
         # that is where the thread backend's race checker looks for arrays
         # reachable from two ranks.
-        self.owner_table = router.table
+        self.owner_table = router.starts
+        self.lo = int(router.starts[rank])
+        self.hi = int(router.starts[rank + 1])
         self.step_edges = 0
+
+    def to_local(self, ids: np.ndarray) -> np.ndarray:
+        """Owned-local slot of each owned global id."""
+        # repro: index-space: ids=global
+        return ids - self.lo
+
+    def to_global(self, slots: np.ndarray) -> np.ndarray:
+        """Global id of each owned-local slot."""
+        # repro: index-space: slots=local
+        return slots + self.lo
 
     def take_step_work(self) -> int:
         """Return and reset the edges scanned since the last call."""

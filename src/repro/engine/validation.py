@@ -2,11 +2,10 @@
 
 Before the superstep substrate existed, each engine re-implemented its own
 checks for the same parameters — the shared-memory kernel and the 1-D
-engine validated ∆ with different wording, the 2-D engine and distributed
-BFS each phrased the contiguous-partition requirement their own way, and a
-user flipping ``engine=`` saw the error message change shape for the same
-mistake.  Every check lives here now, so the messages agree by
-construction and a new kernel inherits them by calling one function.
+engine validated ∆ with different wording, and a user flipping ``engine=``
+saw the error message change shape for the same mistake.  Every check
+lives here now, so the messages agree by construction and a new kernel
+inherits them by calling one function.
 """
 
 from __future__ import annotations
@@ -14,28 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.partition import (
-    Partition1D,
-    block1d,
-    block1d_edge_balanced,
-    hashed1d,
-)
+from repro.partition import RUN_PARTITIONS, Partition1D, block1d, block1d_edge_balanced
 
 __all__ = [
-    "CONTIGUOUS_PARTITIONS",
     "check_source",
     "check_integral_roots",
     "check_num_ranks",
     "check_delta",
     "check_direction",
     "check_grid",
+    "check_partition",
     "check_weights",
     "make_partition",
-    "make_contiguous_partition",
 ]
-
-#: Partition kinds whose owned ranges are contiguous vertex-id intervals.
-CONTIGUOUS_PARTITIONS = ("block", "edge_balanced")
 
 
 def check_source(graph: CSRGraph, source: int) -> None:
@@ -110,30 +100,18 @@ def check_weights(graph: CSRGraph, kernel: str) -> None:
     )
 
 
+def check_partition(kind: str) -> None:
+    """Reject a partition kind a run cannot use (see ``RUN_PARTITIONS``)."""
+    if kind not in RUN_PARTITIONS:
+        raise ValueError(
+            f"partition must be one of {RUN_PARTITIONS} (each rank owns one "
+            f"contiguous id range); got {kind!r}"
+        )
+
+
 def make_partition(graph: CSRGraph, kind: str, num_ranks: int) -> Partition1D:
-    """Build any 1-D partition by name; reject unknown kinds."""
+    """Build a run partition by name: rank ``r`` owns one contiguous id range."""
+    check_partition(kind)
     if kind == "block":
         return block1d(graph.num_vertices, num_ranks)
-    if kind == "edge_balanced":
-        return block1d_edge_balanced(graph, num_ranks)
-    if kind == "hashed":
-        return hashed1d(graph.num_vertices, num_ranks)
-    raise ValueError(f"unknown partition kind {kind!r}")
-
-
-def make_contiguous_partition(
-    graph: CSRGraph, kind: str, num_ranks: int, engine: str
-) -> Partition1D:
-    """Build a contiguous 1-D partition, naming the engine on rejection.
-
-    Engines whose routing relies on owned ranges being intervals (the 2-D
-    grid mapping, distributed BFS's bitmap allgather, the vertex-kernel
-    substrate's range-split router) call this instead of
-    :func:`make_partition` so the requirement reads the same everywhere.
-    """
-    if kind not in CONTIGUOUS_PARTITIONS:
-        raise ValueError(
-            f"{engine} needs a contiguous partition (block or edge_balanced); "
-            f"got {kind!r}"
-        )
-    return make_partition(graph, kind, num_ranks)
+    return block1d_edge_balanced(graph, num_ranks)

@@ -122,10 +122,9 @@ def distributed_construction(
         w_parts: list[np.ndarray] = []
         offset = 0
         for r, local in enumerate(local_graphs):
-            owned = part.vertices_of(r)
-            if owned.size == 0:
+            lo, hi = int(router.starts[r]), int(router.starts[r + 1])
+            if lo == hi:
                 continue
-            lo, hi = int(owned[0]), int(owned[-1]) + 1
             counts = np.diff(local.indptr)[lo:hi]
             indptr[lo + 1 : hi + 1] = offset + np.cumsum(counts)
             take_lo, take_hi = local.indptr[lo], local.indptr[hi]

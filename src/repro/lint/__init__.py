@@ -1,7 +1,7 @@
 """repro-lint: a codebase-specific static analyzer for the repro package.
 
 PR 3 split every engine into two index spaces (global vertex ids vs.
-owned-local slots via :class:`~repro.partition.localmap.LocalIndexMap`)
+owned-local slots via :meth:`~repro.engine.rank.Rank.to_local`)
 and two sort disciplines (stable where byte order defines wire content,
 unstable where a min-reduction erases order).  Those conventions are
 correctness-critical and invisible to generic linters, so this package

@@ -2,10 +2,11 @@
 
 PR 3 moved every engine's per-vertex state into owned-local index space;
 global ids survive only on the wire, in shared read-only tables
-(``owner``), and in :class:`~repro.partition.localmap.LocalIndexMap`
-translations.  Mixing the two spaces is silent — both are int64 arrays —
-so these rules track which space an expression's *values* are in and
-which space an array is *indexed by*, from three sources:
+(``owner``), and in :meth:`~repro.engine.rank.Rank.to_local` /
+:meth:`~repro.engine.rank.Rank.to_global` translations.  Mixing the two
+spaces is silent — both are int64 arrays — so these rules track which
+space an expression's *values* are in and which space an array is
+*indexed by*, from three sources:
 
 * naming conventions — ``*_local`` / ``local_*`` names hold local ids,
   ``*_global`` / ``global_*`` names hold global ids;
@@ -51,7 +52,7 @@ LOCAL_INTO_GLOBAL = Rule(
 ROUNDTRIP = Rule(
     "index-roundtrip",
     "index",
-    "redundant LocalIndexMap.to_local/to_global translation",
+    "redundant Rank.to_local/to_global translation",
 )
 RULES = (GLOBAL_INTO_LOCAL, LOCAL_INTO_GLOBAL, ROUNDTRIP)
 
@@ -59,7 +60,7 @@ RULES = (GLOBAL_INTO_LOCAL, LOCAL_INTO_GLOBAL, ROUNDTRIP)
 _TRANSLATORS = {"to_local": LOCAL, "to_global": GLOBAL}
 
 #: Methods whose first positional argument must be *global* vertex ids
-#: (the LocalIndexMap / DelegateTable / CSRGraph global-space surface).
+#: (the DelegateTable / CSRGraph global-space surface).
 _GLOBAL_ID_APIS = ("contains", "slots_of", "extract_rows", "is_hub")
 
 #: Calls through which an id array keeps its value space (arg 0).
@@ -152,7 +153,7 @@ class _FunctionScan:
                 node,
                 f"{what} is indexed by owned-local slots but the index "
                 f"expression holds global vertex ids; translate with "
-                f"LocalIndexMap.to_local first",
+                f"Rank.to_local first",
             )
         elif dom == GLOBAL and space == LOCAL:
             self.emit(
@@ -160,7 +161,7 @@ class _FunctionScan:
                 node,
                 f"{what} is indexed by global vertex ids but the index "
                 f"expression holds owned-local slots; translate with "
-                f"LocalIndexMap.to_global first",
+                f"Rank.to_global first",
             )
 
     def _check_subscript(self, node: ast.Subscript) -> None:
@@ -199,7 +200,7 @@ class _FunctionScan:
                     node,
                     f"{attr}() takes global vertex ids but the argument "
                     f"holds owned-local slots; translate with "
-                    f"LocalIndexMap.to_global first",
+                    f"Rank.to_global first",
                 )
         # A scatter's index (arg 1) must match the array's index domain.
         if scatter_target(node) is not None and len(node.args) >= 2:

@@ -9,7 +9,8 @@ goes through:
 * :func:`block1d_edge_balanced` — contiguous, boundaries placed on the
   degree prefix-sum so *edge work* is balanced;
 * :func:`hashed1d` — ownership by vertex hash (destroys locality, balances
-  ownership in expectation);
+  ownership in expectation); measured in F6a's partition-quality table
+  only, never run;
 * :class:`TwoDPartition` — 2-D decomposition of the adjacency matrix over a
   process grid (used for partition-quality analysis figures).
 
@@ -18,13 +19,18 @@ algorithmic concern and lives in :mod:`repro.core.delegation`; the
 partitioners only expose the degree information it needs.
 """
 
-from repro.partition.localmap import LocalIndexMap
 from repro.partition.metrics import PartitionMetrics, evaluate_partition
-from repro.partition.oned import Partition1D, block1d, block1d_edge_balanced, hashed1d
+from repro.partition.oned import (
+    RUN_PARTITIONS,
+    Partition1D,
+    block1d,
+    block1d_edge_balanced,
+    hashed1d,
+)
 from repro.partition.twod import TwoDPartition, make_grid
 
 __all__ = [
-    "LocalIndexMap",
+    "RUN_PARTITIONS",
     "Partition1D",
     "PartitionMetrics",
     "TwoDPartition",

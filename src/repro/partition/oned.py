@@ -1,9 +1,10 @@
 """One-dimensional vertex partitions.
 
-A :class:`Partition1D` assigns every vertex to exactly one owner rank.  The
-distributed SSSP engine uses it to answer two vectorized questions: *who owns
-these vertices* (for message routing) and *which vertices do I own* (for
-local state layout).
+A :class:`Partition1D` assigns every vertex to exactly one owner rank.  A run
+uses only the contiguous ones (:data:`RUN_PARTITIONS`): rank ``r`` owns the
+ids ``[starts[r], starts[r + 1])``, so the engines route by range search and
+keep owned state at offset ``lo``.  :func:`hashed1d` scatters ownership; it
+is kept for partition-quality measurement (F6a), not for runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.utils.prng import splitmix64
 
-__all__ = ["Partition1D", "block1d", "block1d_edge_balanced", "hashed1d"]
+__all__ = ["RUN_PARTITIONS", "Partition1D", "block1d", "block1d_edge_balanced", "hashed1d"]
+
+#: The partitions a run accepts, by the name ``SSSPConfig(partition=)`` and
+#: ``repro.run(partition=)`` take: ``block1d`` and ``block1d_edge_balanced``.
+RUN_PARTITIONS = ("block", "edge_balanced")
 
 
 class Partition1D:
@@ -93,8 +98,6 @@ def block1d(num_vertices: int, num_ranks: int) -> Partition1D:
         extra = num_vertices % num_ranks
         sizes = np.full(num_ranks, base, dtype=np.int64)
         sizes[:extra] += 1
-        bounds = np.zeros(num_ranks + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
         owner = np.repeat(np.arange(num_ranks, dtype=np.int32), sizes)
     return Partition1D(owner, num_ranks, kind="block1d")
 

@@ -141,7 +141,7 @@ class TestDistributedBFS:
         assert np.array_equal(run.result.level, scipy_levels(kron, 3))
 
     def test_hashed_partition_rejected(self, kron):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="partition must be one of"):
             distributed_bfs(kron, 3, num_ranks=4, partition="hashed")
 
     def test_hierarchical_fabric(self, kron):

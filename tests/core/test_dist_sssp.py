@@ -45,7 +45,7 @@ class TestDistributedCorrectness:
             SSSPConfig().without("delegate_hubs"),
             SSSPConfig().without("fuse_buckets"),
             SSSPConfig().without("compressed_indices"),
-            SSSPConfig(partition="hashed"),
+            SSSPConfig(partition="block", delegate_hubs=False),
             SSSPConfig(partition="block"),
             SSSPConfig(fusion_cap=2),
             SSSPConfig(delta=0.05),

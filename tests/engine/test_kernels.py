@@ -9,10 +9,13 @@ reduction order on the wire and the oracle replays it).
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from repro import api
+from repro.core import SSSPConfig
 from repro.engine import run_kernel
 from repro.engine.kernels import make_kernel
 from repro.engine.kernels.kcore import kcore_reference
@@ -114,8 +117,17 @@ class TestSubstratePlumbing:
         assert out.meta["partition"] == "block1d_edge_balanced"
 
     def test_hashed_partition_rejected(self, graph):
-        with pytest.raises(ValueError, match="contiguous"):
-            api.run(graph, kernel="cc", num_ranks=NUM_RANKS, partition="hashed")
+        message = re.escape("partition must be one of ('block', 'edge_balanced')")
+        cells = [{"kernel": k} for k in ("cc", "pagerank", "kcore")] + [
+            {"kernel": "bfs", "source": 0},
+            {"kernel": "bfs64", "source": [0, 1]},
+            {"kernel": "sssp_batch", "source": [0, 1]},
+        ]
+        for cell in cells:
+            with pytest.raises(ValueError, match=message):
+                api.run(graph, num_ranks=NUM_RANKS, partition="hashed", **cell)
+        with pytest.raises(ValueError, match=message):
+            api.run(graph, 0, num_ranks=NUM_RANKS, config=SSSPConfig(partition="hashed"))
 
     def test_report_shape_and_rank_state(self, graph):
         out = api.run(graph, kernel="kcore", num_ranks=NUM_RANKS)

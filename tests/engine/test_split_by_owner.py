@@ -2,8 +2,8 @@
 
 The order ``split`` arranges a record batch in is the wire byte order, so
 whichever way a batch is arranged — left as it stands when its owners
-never decrease, after a stable owner sort otherwise, with the owner looked
-up by range search or by dense gather — each destination's run must be
+never decrease, after a stable owner sort otherwise, over four ranks or
+over more ranks than vertices — each destination's run must be
 exactly the slice of the stable-argsort reference below.  The same
 reference, applied per destination, is the oracle for the whole send path:
 ``Outbox`` → ``Wire`` → ``Fabric.exchange`` → inbox, in process and
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.rank import Outbox, OwnerRouter
-from repro.partition import Partition1D, hashed1d
+from repro.partition import Partition1D, block1d
 from repro.simmpi.executor import RankTeam
 from repro.simmpi.fabric import Fabric
 from repro.simmpi.machine import small_cluster
@@ -72,6 +72,9 @@ def batch(targets, dtype=np.int64):
 
 #: Four ranks owning [0, 10), [10, 10) (nothing), [10, 25), [25, 40).
 RANGES = contiguous(np.array([0, 10, 10, 25, 40]))
+#: Four even blocks, and 40 vertices over 300 ranks: owner keys wider than
+#: a byte, 260 empty ranks and the boundary 40 repeated 261 times.
+BLOCKS, WIDE = block1d(40, 4), block1d(40, 300)
 
 MONOTONE = {
     "every owner": [0, 3, 9, 10, 17, 24, 25, 39],
@@ -95,15 +98,13 @@ def test_owner_monotone_batch_is_cut_in_place(targets, dtype):
 
 
 @pytest.mark.parametrize(
-    "partition", [RANGES, hashed1d(40, 4), hashed1d(40, 300)],
-    ids=["ranges", "hashed", "hashed, wide keys"],
+    "partition", [RANGES, BLOCKS, WIDE], ids=["ranges", "blocks", "blocks, wide keys"],
 )
 @pytest.mark.parametrize("seed", range(5))
 def test_shuffled_batch_takes_the_stable_sort(seed, partition):
     rng = np.random.default_rng(seed)
     targets, values = batch(rng.integers(0, 40, size=500))
     router = OwnerRouter(partition)
-    assert (router.starts is None) == (partition.kind == "hashed1d")
     pieces, columns = split_pieces(router, targets, values)
     assert_same_pieces(pieces, reference_split(targets, values, partition))
     assert not np.shares_memory(columns[0], targets)
@@ -158,7 +159,7 @@ def test_outbox_flushes_parts_in_insertion_order_and_counts_their_bytes():
 
 # -- the send path against the per-destination oracle -----------------------
 
-PARTITIONS = {"ranges": RANGES, "hashed": hashed1d(40, 4), "hashed, wide keys": hashed1d(40, 300)}
+PARTITIONS = {"ranges": RANGES, "blocks": BLOCKS, "blocks, wide keys": WIDE}
 MODES = ("scatter", "broadcast", "few senders")
 
 

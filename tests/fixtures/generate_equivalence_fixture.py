@@ -45,7 +45,7 @@ def _hash_array(a: np.ndarray) -> str:
 
 def dist1d_cases() -> list[tuple[str, dict]]:
     cases: list[tuple[str, dict]] = []
-    for part in ("block", "edge_balanced", "hashed"):
+    for part in ("block", "edge_balanced"):
         cases.append(
             (f"dist1d/part={part}", {"config": SSSPConfig(partition=part)})
         )

@@ -64,7 +64,7 @@ def test_engine_behaviour_matches_prerefactor_fixture(name, fixture_graph):
 # -- owned-local memory contract ------------------------------------------
 
 
-@pytest.mark.parametrize("partition", ["block", "edge_balanced", "hashed"])
+@pytest.mark.parametrize("partition", ["block", "edge_balanced"])
 def test_dist1d_ranks_hold_no_dense_arrays(partition):
     """No per-rank array in the superstep loop scales with num_vertices."""
     graph = build_csr(generate_kronecker(11, seed=5))

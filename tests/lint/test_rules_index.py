@@ -256,6 +256,6 @@ class TestKnownGoodEngines:
         source = (SRC / "core" / "dist_sssp.py").read_text()
         assert lint(source, rules=["index"]) == []
 
-    def test_localmap_is_clean(self, lint):
-        source = (SRC / "partition" / "localmap.py").read_text()
+    def test_rank_base_is_clean(self, lint):
+        source = (SRC / "engine" / "rank.py").read_text()
         assert lint(source, rules=["index"]) == []

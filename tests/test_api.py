@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -207,9 +208,13 @@ class TestConfigHonored:
         assert off.comm["total_bytes"] > on.comm["total_bytes"]
 
     def test_dist2d_rejects_hashed_partition(self, graph):
-        with pytest.raises(ValueError, match="contiguous"):
-            api.run(graph, 0, engine="dist2d", num_ranks=4,
-                    config=SSSPConfig(partition="hashed"))
+        message = re.escape("partition must be one of ('block', 'edge_balanced')")
+        for engine in ("dist2d", "dist1d"):
+            with pytest.raises(ValueError, match=message):
+                api.run(graph, 0, engine=engine, num_ranks=4,
+                        config=SSSPConfig(partition="hashed"))
+        with pytest.raises(ValueError, match=message):
+            api.run(graph, 0, kernel="bfs", num_ranks=4, partition="hashed")
 
     def test_dist2d_default_unchanged_by_config_arg(self, graph, oracle):
         # config=None must reproduce the historical behavior byte-for-byte:

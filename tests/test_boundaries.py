@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.baselines import dijkstra
 from repro.core import SSSPConfig
 from repro.core.delta_stepping import _delta_stepping as delta_stepping
 from repro.core.buckets import BucketQueue
@@ -49,6 +50,48 @@ class TestScaleBoundaries:
         g = build_csr(path_graph(3, weight=0.5))
         run = distributed_sssp(g, 0, num_ranks=8)
         np.testing.assert_allclose(run.result.dist, [0.0, 0.5, 1.0])
+
+
+class TestMoreRanksThanVertices:
+    """8 vertices over 11 or 16 ranks: every rank past the last vertex owns
+    the empty range ``lo == hi``, and each cell still answers exactly."""
+
+    CELLS = ("sssp/dist1d", "sssp/dist2d", "bfs", "cc", "pagerank", "kcore",
+             "bfs64", "sssp_batch")
+    ROOTS = [0, 3, 7]
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return build_csr(generate_kronecker(3, seed=1))
+
+    def check(self, graph, cell, num_ranks, **knobs):
+        kernel, _, engine = cell.partition("/")
+        source = {"sssp": 3, "bfs": 3, "bfs64": self.ROOTS, "sssp_batch": self.ROOTS}
+        if engine == "dist2d":
+            knobs["grid"] = (1, num_ranks)
+        out = repro.run(graph, source.get(kernel), kernel=kernel,
+                        engine=engine or "dist1d", num_ranks=num_ranks, **knobs)
+        assert graph.num_vertices == 8 < num_ranks
+        assert out.result.validate(graph).ok
+        if kernel in ("sssp", "sssp_batch"):
+            roots = [3] if kernel == "sssp" else self.ROOTS
+            want = np.stack([dijkstra(graph, r).dist for r in roots], axis=1)
+            np.testing.assert_array_equal(out.result.dist.reshape(8, -1), want)
+        elif kernel in ("bfs", "bfs64"):
+            roots = [3] if kernel == "bfs" else self.ROOTS
+            want = np.stack(
+                [repro.run(graph, r, kernel="bfs", engine="shared").result.level
+                 for r in roots], axis=1,
+            )
+            np.testing.assert_array_equal(out.result.level.reshape(8, -1), want)
+
+    @pytest.mark.parametrize("num_ranks", [11, 16])
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_every_cell_answers(self, graph, cell, num_ranks):
+        self.check(graph, cell, num_ranks)
+
+    def test_forked_workers(self, graph):
+        self.check(graph, "sssp/dist1d", 16, executor="process", workers=2)
 
 
 class TestExtremeConfigurations:
