@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bfs.kernel import BFSResult, _bottom_up_step, _NO_PARENT, beamer_bottom_up
+from repro.bfs.kernel import BFSResult, _bottom_up_step, _NO_PARENT, _sorted_set, beamer_bottom_up
 from repro.core.relaxation import frontier_edges
 from repro.engine.driver import EngineContext, attach_fabric_outcome
 from repro.engine.rank import Outbox, OwnerRouter, Rank
 from repro.engine.validation import make_partition
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, unique_first
 from repro.simmpi.fabric import Message, Wire
 
 
@@ -50,6 +50,8 @@ class _BFSRank(Rank):
         # Renumbered rows (local row i = global lo + i), global columns;
         # adj/weight are read-only views of the input graph's arrays.
         self.local_graph = graph.extract_rows(np.arange(self.lo, self.hi))
+        # Owned-local rows a bottom-up level may still find: unvisited, with an edge.
+        self.candidates = np.flatnonzero(self.local_graph.out_degree)
         self.parent = np.full(self.hi - self.lo, _NO_PARENT, dtype=np.int64)
         self.level = np.full(self.hi - self.lo, -1, dtype=np.int64)
         self.frontier = np.empty(0, dtype=np.int64)  # owned-local ids
@@ -72,7 +74,7 @@ class _BFSRank(Rank):
         if rem_dst.size == 0:
             return None
         # Coalesce: one claim per remote target (any parent is valid).
-        uniq, first = np.unique(rem_dst, return_index=True)
+        uniq, first = unique_first(rem_dst, int(self.router.starts[-1]))
         self.claims.route(uniq, rem_src[first])
         return self.claims.flush()
 
@@ -91,7 +93,7 @@ class _BFSRank(Rank):
             return
         self.parent[t] = p  # duplicate targets: last write wins, all valid
         self.level[t] = depth
-        self.frontier = np.concatenate([self.frontier, np.unique(t)])
+        self.frontier = np.concatenate([self.frontier, _sorted_set(t, self.parent.size)])
 
     # -- bottom-up ----------------------------------------------------------
 
@@ -106,9 +108,9 @@ class _BFSRank(Rank):
 
     def bottom_up_level(self, global_frontier: np.ndarray, depth: int) -> None:
         """Scan unvisited owned rows against the global frontier bitmap."""
-        unvisited = np.flatnonzero(self.parent == _NO_PARENT)
+        self.candidates = self.candidates[self.parent[self.candidates] == _NO_PARENT]
         found, scanned = _bottom_up_step(
-            self.local_graph, unvisited, global_frontier, self.parent
+            self.local_graph, self.candidates, global_frontier, self.parent
         )
         self.step_edges += scanned
         self.level[found] = depth
@@ -118,7 +120,7 @@ class _BFSRank(Rank):
         return int(self.frontier.size)
 
     def frontier_edge_count(self) -> float:
-        return float(self.local_graph.out_degree[self.frontier].sum())
+        return float(self.local_graph.degree_of(self.frontier).sum())
 
     # -- fused level phases (one team call per exchange side) ---------------
 

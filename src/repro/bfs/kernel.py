@@ -5,9 +5,11 @@ vertex scan its neighbors for a frontier member.  On scale-free graphs the
 middle levels hold most of the graph, and bottom-up wins there by
 short-circuiting on the first frontier neighbor — the direction switch is
 the single most important BFS optimization at Graph500 scale.  The scan
-stops each row at that neighbor on the host too: rows are read in growing
+stops each row at that neighbor on the host too: it probes each row's
+first neighbors one column at a time, then reads what is left in growing
 chunks (:data:`BOTTOM_UP_CHUNKS`), so the edges gathered stay close to the
-edges charged.
+edges charged.  A BFS scans only the unvisited rows that have an edge, so
+an isolated or already claimed vertex is never read again.
 
 The switch follows Beamer's heuristic (:func:`beamer_bottom_up`, shared
 with the distributed engine): go bottom-up when the frontier's out-edge
@@ -35,7 +37,7 @@ _NO_PARENT = np.int64(-1)
 BEAMER_ALPHA = 15.0
 BEAMER_BETA = 18.0
 
-#: Bottom-up scan schedule: a row's first 8 neighbors, then chunks 4x wider.
+#: Bottom-up scan: a row's first 8 neighbors one at a time, then chunks 4x wider.
 BOTTOM_UP_CHUNKS = (8, 4)
 
 
@@ -105,7 +107,14 @@ def _top_down_step(
         return np.empty(0, dtype=np.int64), scanned
     # First-wins claim: later writes overwrite earlier, any is a valid parent.
     parent[dst_u] = src_u
-    return np.unique(dst_u), scanned
+    return _sorted_set(dst_u, parent.size), scanned
+
+
+def _sorted_set(ids: np.ndarray, n: int) -> np.ndarray:
+    """``np.unique(ids)`` for ids in ``[0, n)``: one bool mark, no sort."""
+    mark = np.zeros(n, dtype=bool)
+    mark[ids] = True
+    return np.flatnonzero(mark)
 
 
 def _bottom_up_step(
@@ -116,23 +125,36 @@ def _bottom_up_step(
 ) -> tuple[np.ndarray, int]:
     """Every unvisited vertex scans its row for a frontier neighbor.
 
-    Exact early exit, vectorized over rows: each round reads the next
-    chunk of every surviving row (:data:`BOTTOM_UP_CHUNKS`), and a row
-    leaves at its first frontier neighbor — its parent — or at its end.
-    Returns ``(found, scanned)``: the rows that found a parent, ascending in
-    ``unvisited`` order, and ``Σ min(first_hit, deg)``, the edges a
-    sequential scan inspects.
+    Exact early exit, vectorized over rows: the first columns are probed
+    one at a time — an ``adj`` and a frontier gather over the rows still
+    alive — then each round reads the next, wider chunk of every surviving
+    row (:data:`BOTTOM_UP_CHUNKS`).  A row leaves at its first frontier
+    neighbor — its parent — or at its end.  Returns ``(found, scanned)``:
+    the rows that found a parent, ascending in ``unvisited`` order, and
+    ``Σ min(first_hit, deg)``, the edges a sequential scan inspects.
     """
-    deg = graph.degree_of(unvisited)
-    starts = graph.indptr[unvisited]
+    starts, stops = graph.indptr[unvisited], graph.indptr[unvisited + 1]
     hit_edge = np.full(unvisited.size, -1, dtype=np.int64)
-    rows = np.flatnonzero(deg)
+    # The rows still alive, each with its next edge and its row end.
+    rows = np.flatnonzero(stops > starts)
+    edge, end = starts[rows], stops[rows]
     scanned = 0
-    lo, (width, growth) = 0, BOTTOM_UP_CHUNKS
+    probes, growth = BOTTOM_UP_CHUNKS
+    for _ in range(probes):
+        if not rows.size:
+            break
+        scanned += rows.size
+        hit = in_frontier[graph.adj[edge]]
+        hit_edge[rows[hit]] = edge[hit]
+        edge += 1
+        hit |= edge == end
+        alive = np.flatnonzero(~hit)
+        rows, edge, end = rows[alive], edge[alive], end[alive]
+    width = probes * growth
     while rows.size:
-        stop = np.minimum(deg[rows], lo + width)
-        lens = stop - lo
-        take = _ranges_to_indices(starts[rows] + lo, starts[rows] + stop)
+        stop = np.minimum(end, edge + width)
+        lens = stop - edge
+        take = _ranges_to_indices(edge, stop)
         hits = np.flatnonzero(in_frontier[graph.adj[take]])
         firsts = np.zeros(rows.size, dtype=np.int64)
         np.cumsum(lens[:-1], out=firsts[1:])
@@ -144,10 +166,10 @@ def _bottom_up_step(
         hit_edge[rows[hit_rows]] = take[hits]
         lens[hit_rows] = hits - firsts[hit_rows] + 1
         scanned += int(lens.sum())
-        alive = stop < deg[rows]
+        alive = stop < end
         alive[hit_rows] = False
-        rows = rows[alive]
-        lo, width = lo + width, width * growth
+        rows, edge, end = rows[alive], stop[alive], end[alive]
+        width *= growth
     found_mask = hit_edge >= 0
     parent[unvisited[found_mask]] = graph.adj[hit_edge[found_mask]]
     return unvisited[found_mask], scanned
@@ -174,9 +196,11 @@ def bfs(graph: CSRGraph, source: int, direction: str = "auto") -> BFSResult:
     unexplored_edges = m
     depth = 0
     bottom_up = direction == "bottom_up"
+    # The rows a bottom-up level may still find: unvisited, with an edge.
+    candidates = np.flatnonzero(graph.out_degree)
     while frontier.size:
         depth += 1
-        frontier_edges_count = int(graph.out_degree[frontier].sum())
+        frontier_edges_count = int(graph.degree_of(frontier).sum())
         unexplored_edges -= frontier_edges_count
         if direction == "auto":
             bottom_up = beamer_bottom_up(
@@ -185,8 +209,8 @@ def bfs(graph: CSRGraph, source: int, direction: str = "auto") -> BFSResult:
         if bottom_up:
             in_frontier = np.zeros(n, dtype=bool)
             in_frontier[frontier] = True
-            unvisited = np.flatnonzero(parent == _NO_PARENT)
-            nxt, scanned = _bottom_up_step(graph, unvisited, in_frontier, parent)
+            candidates = candidates[parent[candidates] == _NO_PARENT]
+            nxt, scanned = _bottom_up_step(graph, candidates, in_frontier, parent)
             counters.add("bottom_up_steps")
         else:
             nxt, scanned = _top_down_step(graph, frontier, parent)

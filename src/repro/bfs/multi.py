@@ -2,7 +2,7 @@
 
 The bit-parallel batched kernel answers up to 64 roots in one sweep and
 returns a :class:`MultiBFSResult` holding lane-major ``parent``/``level``
-matrices.  ``lane(i)`` reconstructs the i-th root's
+matrices.  ``lane(i)`` copies the i-th root's contiguous columns into a
 :class:`~repro.bfs.kernel.BFSResult` (same dataclass single-root callers
 get), and ``validate`` runs the spec's tree checks on every lane — a
 batched answer is only as good as its worst lane.
@@ -25,9 +25,10 @@ __all__ = ["MultiBFSResult"]
 class MultiBFSResult:
     """BFS trees from a batch of roots, lane-indexed.
 
-    ``parent``/``level`` are ``(num_vertices, num_lanes)`` int64 matrices;
-    column ``i`` is the tree from ``roots[i]`` (-1 = unreached, the root
-    its own parent — the Graph500 convention, per lane).
+    ``parent``/``level`` are ``(num_vertices, num_lanes)`` int64 matrices
+    in Fortran order; column ``i`` — contiguous — is the tree from
+    ``roots[i]`` (-1 = unreached, the root its own parent — the Graph500
+    convention, per lane).
     """
 
     roots: np.ndarray
@@ -39,8 +40,8 @@ class MultiBFSResult:
 
     def __post_init__(self) -> None:
         self.roots = np.ascontiguousarray(self.roots, dtype=np.int64)
-        self.parent = np.ascontiguousarray(self.parent, dtype=np.int64)
-        self.level = np.ascontiguousarray(self.level, dtype=np.int64)
+        self.parent = np.asfortranarray(self.parent, dtype=np.int64)
+        self.level = np.asfortranarray(self.level, dtype=np.int64)
         if self.parent.shape != self.level.shape:
             raise ValueError("parent/level shape mismatch")
         if self.parent.ndim != 2 or self.parent.shape[1] != self.roots.size:

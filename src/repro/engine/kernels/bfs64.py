@@ -63,12 +63,14 @@ class BFS64:
             )
         owned = ctx.owned_count
         L = self.num_lanes
+        # Lane-major, in the narrowest signed dtype holding n - 1; finalize widens.
+        lane_dtype = np.min_scalar_type(-ctx.num_vertices)
         # repro: index-space: visited=local, frontier=local
-        # repro: index-space: parent[local,lane]=global, level[local,lane]=local
+        # repro: index-space: parent[lane,local]=global, level[lane,local]=local
         visited = np.zeros(owned, dtype=np.uint64)
         frontier = np.zeros(owned, dtype=np.uint64)
-        parent = np.full((owned, L), _NO_PARENT, dtype=np.int64)
-        level = np.full((owned, L), -1, dtype=np.int64)
+        parent = np.full((L, owned), _NO_PARENT, dtype=lane_dtype)
+        level = np.full((L, owned), -1, dtype=lane_dtype)
         mine = (self.roots >= ctx.lo) & (self.roots < ctx.hi)
         lanes = np.flatnonzero(mine)
         if lanes.size:
@@ -76,8 +78,8 @@ class BFS64:
             bits = np.uint64(1) << lanes.astype(np.uint64)
             np.bitwise_or.at(visited, locs, bits)
             np.bitwise_or.at(frontier, locs, bits)
-            parent[locs, lanes] = self.roots[lanes]
-            level[locs, lanes] = 0
+            parent[lanes, locs] = self.roots[lanes]
+            level[lanes, locs] = 0
         return {
             "visited": visited,
             "frontier": frontier,
@@ -123,10 +125,10 @@ class BFS64:
         if not new.any():
             return
         depth = state["depth"]
-        # Row stride of the (owned, num_lanes) level/parent matrices:
+        # Lane stride of the (num_lanes, owned) level/parent matrices:
         # lane_matrix columns past num_lanes are never set (roots define
-        # the bits), so flat keys ``row * num_lanes + lane`` are exact.
-        LW = np.int64(self.num_lanes)
+        # the bits), so flat keys ``lane * owned + row`` are exact.
+        OW = np.int64(ctx.owned_count)
         level_flat = state["level"].reshape(-1)
         # Levels ride the parent-claim writes below: the claimed
         # (vertex, lane) pairs ARE the newly visited pairs (every new
@@ -180,7 +182,7 @@ class BFS64:
             # first claimant per (target, lane) key after a (key, src)
             # sort is that lane's true minimum source.
             rows2, lanes2 = np.nonzero(lane_matrix(pending))
-            key = ct[rows2] * LW + lanes2
+            key = lanes2 * OW + ct[rows2]
             order = np.lexsort((cs[rows2], key))
             ko = key[order]
             first = np.empty(ko.size, dtype=bool)
@@ -196,7 +198,7 @@ class BFS64:
             wt = np.concatenate(win_t)
             ws = np.concatenate(win_s)
             wrows, wlanes = np.nonzero(lane_matrix(np.concatenate(win_p)))
-            peel_keys = wt[wrows] * LW + wlanes
+            peel_keys = wlanes * OW + wt[wrows]
             parent_flat[peel_keys] = ws[wrows]
             level_flat[peel_keys] = depth
 
@@ -216,10 +218,10 @@ class BFS64:
     def finalize(
         self, graph: CSRGraph, exports: list[dict], steps: int
     ) -> MultiBFSResult:
-        parent = np.concatenate([e["parent"] for e in exports], axis=0)
-        level = np.concatenate([e["level"] for e in exports], axis=0)
+        parent = np.concatenate([e["parent"] for e in exports], axis=1, dtype=np.int64)
+        level = np.concatenate([e["level"] for e in exports], axis=1, dtype=np.int64)
         lane_edges = np.sum([e["lane_edges"] for e in exports], axis=0)
-        result = MultiBFSResult(roots=self.roots, parent=parent, level=level)
+        result = MultiBFSResult(roots=self.roots, parent=parent.T, level=level.T)
         result.counters.add("levels", steps)
         result.meta["algorithm"] = "bfs64_bit_parallel"
         result.meta["num_lanes"] = self.num_lanes

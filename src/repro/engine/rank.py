@@ -57,7 +57,7 @@ class OwnerRouter:
         self.num_ranks = partition.num_ranks
         self._key = np.min_scalar_type(self.num_ranks - 1)
         # repro: index-space: self.starts[rank]=global
-        self.starts = np.concatenate(([0], np.cumsum(partition.counts())))
+        self.starts = partition.starts
         self._inner = self.starts[1:-1]
 
     def owners(self, targets: np.ndarray) -> np.ndarray:

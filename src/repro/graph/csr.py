@@ -169,36 +169,43 @@ def _ranges_to_indices(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.cumsum(deltas)
 
 
-def _edge_order(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the pair keys ``src * n + dst``: ``(order, pairs[order])``.
+def _key_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of int64 ``keys`` in ``[0, bound)``: ``(order, keys[order])``.
 
-    ``order`` sorts edges by ``(src, dst)``, ties by position — exactly
-    ``np.lexsort((dst, src))``'s stable permutation, computed faster.
-    With ``b`` the bit width of an edge position, the key
-    ``pair << b | position`` is unique and orders edges exactly so; when it
-    fits in 63 bits one value sort of it (no stability needed) yields the
-    order in its low ``b`` bits and the sorted pairs in its high bits.  A
-    wider key (scale >= 20 at edgefactor 16) falls back to a stable argsort
-    of the pairs.  ``pairs`` is consumed: its buffer holds ``order``.
+    ``order`` is ``np.argsort(keys, kind="stable")`` — for the pair keys
+    ``src * n + dst`` (``bound = n * n``), ``np.lexsort((dst, src))`` —
+    computed faster.  With ``b`` the bit width of a position, the key
+    ``key << b | position`` is unique and orders the keys exactly so; when
+    it fits in 63 bits one value sort of it (no stability needed) yields the
+    order in its low ``b`` bits and the sorted keys in its high bits.  A
+    wider key (edge pairs at scale >= 20 and edgefactor 16) falls back to a
+    stable argsort.  ``keys`` is consumed: its buffer holds ``order``.
     """
-    m = pairs.size
+    m = keys.size
     b = max(m - 1, 0).bit_length()
-    if (n * n - 1).bit_length() + b > 63:
-        order = np.argsort(pairs, kind="stable")
-        return order, pairs[order]
+    if (bound - 1).bit_length() + b > 63:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
     key = np.arange(m, dtype=np.int64)
-    pairs <<= b
-    key |= pairs
+    keys <<= b
+    key |= keys
     key.sort()
-    order = np.bitwise_and(key, (1 << b) - 1, out=pairs)
+    order = np.bitwise_and(key, (1 << b) - 1, out=keys)
     key >>= b
     return order, key
 
 
+def unique_first(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True)`` for int64 keys in ``[0, bound)``,
+    by one :func:`_key_order` sort; ``keys`` is consumed."""
+    order, keys = _key_order(keys, bound)
+    return _collapse_runs(keys, order)  # a run's least position is its first
+
+
 def _collapse_runs(pairs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep each run of equal sorted pair keys once, with its minimum weight."""
+    """Keep each run of equal sorted keys once, with its minimum of ``w``."""
     first = np.empty(pairs.size, dtype=bool)
-    first[0] = True
+    first[:1] = True
     np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     return pairs[starts], np.minimum.reduceat(w, starts)
@@ -217,7 +224,7 @@ def build_csr(
     to their minimum weight — distance-preserving and spec-sanctioned.
 
     Edges are ordered by one sort of the int64 pair key ``src * n + dst``
-    (:func:`_edge_order`), and both endpoints are read back from the sorted
+    (:func:`_key_order`), and both endpoints are read back from the sorted
     keys; only the weights are gathered through the permutation.  Dropping
     self-loops before symmetrizing keeps the same edges in the same order
     (a loop's reverse is itself).  Every step past the self-loop filter
@@ -241,7 +248,7 @@ def build_csr(
         w = np.concatenate([w, w])
     del src, dst
     if pairs.size:
-        order, pairs = _edge_order(pairs, n)
+        order, pairs = _key_order(pairs, n * n)
         w = w[order]
         del order
         if dedup:

@@ -2,11 +2,12 @@
 
 ``_full_scan`` is the reference: it gathers every edge of every unvisited
 row, then charges each row only up to its first frontier neighbor.  The
-chunked scan (``_bottom_up_step``) must return the same ``found``, write
-the same parents and charge the same ``scanned`` on any CSR — including
-the ones ``build_csr`` never makes (self-loops, duplicate neighbors) —
-and the shared and distributed engines must keep charging the same BFS
-work.
+column-probing, then chunked scan (``_bottom_up_step``) must return the
+same ``found``, write the same parents and charge the same ``scanned`` on
+any CSR — including the ones ``build_csr`` never makes (self-loops,
+duplicate neighbors) — the shared and distributed engines must keep
+charging the same BFS work, and neither may hand the scan a row it
+cannot find (degree 0, or claimed at an earlier level).
 """
 
 import numpy as np
@@ -15,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import run
-from repro.bfs import bfs
+from repro.bfs import bfs, dist_bfs, kernel
 from repro.bfs.kernel import BOTTOM_UP_CHUNKS, _bottom_up_step
 from repro.core.relaxation import frontier_edges
 from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.kronecker import generate_kronecker
+from repro.graph.types import EdgeList
 
 
 def _full_scan(graph, unvisited, in_frontier, parent):
@@ -56,8 +58,9 @@ def _chunk_ends(count):
     return ends
 
 
-#: First-hit positions on both sides of the first two chunk boundaries.
-_BOUNDARY_HITS = (0, 7, 8, 39, 40)
+#: First-hit positions at every single-column probe and on both sides of
+#: the first two chunk boundaries (8 and 40).
+_BOUNDARY_HITS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 39, 40)
 
 
 def _raw_csr(rows, n):
@@ -167,3 +170,80 @@ def test_shared_and_distributed_charge_the_same_work(kron12, direction):
             assert (
                 dist.counters["edges_inspected"] == shared.counters["edges_inspected"]
             ), (root, num_ranks)
+
+
+def _sparse_forest(seed=3):
+    """A Kronecker core, many small components and many isolated vertices.
+
+    The core's 256 ids and the paths' ids are scattered over 2048
+    vertices; about half the vertices have no edge at all.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2048
+    ids = rng.permutation(n)
+    core = generate_kronecker(8, seed=seed)
+    src, dst = [ids[core.src]], [ids[core.dst]]
+    free = iter(ids[256:])
+    for length in rng.integers(1, 6, size=120):  # paths of 2..6 vertices
+        path = np.array([next(free) for _ in range(length + 1)])
+        src.append(path[:-1])
+        dst.append(path[1:])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    return build_csr(EdgeList(src, dst, np.ones(src.size), n))
+
+
+@pytest.fixture(scope="module")
+def forest():
+    return _sparse_forest()
+
+
+def _roots(graph):
+    """A hub, a mid-degree core vertex, a path vertex and an isolated one."""
+    deg = graph.out_degree
+    order = np.argsort(-deg, kind="stable")
+    small = np.flatnonzero((deg > 0) & (deg <= 2))
+    return [int(order[0]), int(order[40]), int(small[-1]), int(np.flatnonzero(deg == 0)[0])]
+
+
+@pytest.mark.parametrize("direction", ["auto", "top_down", "bottom_up"])
+def test_isolated_vertices_and_small_components(forest, direction):
+    """Levels and inspected edges equal across P and against ``bfs()``;
+    parents too wherever the parent rule is the scan's own (pure
+    bottom-up: a row's first frontier neighbor)."""
+    assert np.count_nonzero(forest.out_degree == 0) > forest.num_vertices // 3
+    for root in _roots(forest):
+        shared = bfs(forest, root, direction=direction)
+        assert shared.validate(forest).ok
+        for num_ranks in (1, 3, 16):
+            dist = run(
+                forest, root, kernel="bfs", num_ranks=num_ranks, direction=direction
+            ).result
+            np.testing.assert_array_equal(dist.level, shared.level)
+            assert dist.counters["edges_inspected"] == shared.counters["edges_inspected"]
+            assert dist.validate(forest).ok
+            if direction == "bottom_up":
+                np.testing.assert_array_equal(dist.parent, shared.parent)
+
+
+@pytest.mark.parametrize("engine", ["shared", "dist"])
+def test_bottom_up_reads_only_rows_it_can_find(forest, kron12, monkeypatch, engine):
+    """No bottom-up level hands the scan a degree-0 or visited row."""
+    calls = []
+
+    def checked(graph, unvisited, in_frontier, parent):
+        assert np.all(graph.degree_of(unvisited) > 0)
+        assert np.all(parent[unvisited] == -1)
+        assert np.all(np.diff(unvisited) > 0)
+        calls.append(unvisited.size)
+        return _bottom_up_step(graph, unvisited, in_frontier, parent)
+
+    monkeypatch.setattr(kernel, "_bottom_up_step", checked)
+    monkeypatch.setattr(dist_bfs, "_bottom_up_step", checked)
+    for graph in (forest, kron12):
+        root = int(np.argmax(graph.out_degree))
+        for direction in ("auto", "bottom_up"):
+            if engine == "shared":
+                bfs(graph, root, direction=direction)
+            else:
+                run(graph, root, kernel="bfs", num_ranks=3, direction=direction)
+    assert calls

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import CSRGraph, _edge_order, _ranges_to_indices, build_csr
+from repro.graph.csr import CSRGraph, _key_order, _ranges_to_indices, build_csr, unique_first
 from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
 from repro.graph.types import EdgeList
 
@@ -216,7 +216,7 @@ def test_edge_order_both_key_widths_equal_lexsort(m):
     gen = np.random.default_rng(m)
     src = gen.integers(n - 4, n, size=m)  # high ids, and repeated pairs
     dst = gen.integers(n - 3, n, size=m)
-    order, pairs = _edge_order(src * n + dst, n)
+    order, pairs = _key_order(src * n + dst, n * n)
     expected = np.lexsort((dst, src))
     assert np.array_equal(order, expected)
     assert np.array_equal(pairs, (src * n + dst)[expected])
@@ -228,7 +228,7 @@ def test_edge_order_packed_key_small_graph():
     gen = np.random.default_rng(0)
     n, m = 50, 3000
     src, dst = gen.integers(0, n, size=m), gen.integers(0, n, size=m)
-    order, pairs = _edge_order(src * n + dst, n)
+    order, pairs = _key_order(src * n + dst, n * n)
     assert np.array_equal(order, np.lexsort((dst, src)))
     assert np.array_equal(pairs // n, src[order]) and np.array_equal(pairs % n, dst[order])
 
@@ -237,3 +237,25 @@ def test_build_csr_rejects_vertex_counts_whose_pair_keys_overflow():
     edges = EdgeList(np.array([0]), np.array([1]), np.array([0.5]), 1 << 32)
     with pytest.raises(ValueError, match="overflow int64"):
         build_csr(edges)
+
+
+@pytest.mark.parametrize("bound", [50, 1 << 62])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 1000])
+def test_unique_first_equals_np_unique(m, bound):
+    """Packed ``(key, position)`` sort at a small bound; from 3 keys on,
+    keys below 2^62 leave no room for a position and take the stable
+    argsort fallback."""
+    keys = np.random.default_rng(m).integers(max(bound - 60, 0), bound, size=m)
+    want, want_first = np.unique(keys, return_index=True)
+    got, got_first = unique_first(keys.copy(), bound)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_first, want_first)
+    assert got.dtype == got_first.dtype == np.int64
+
+
+def test_sorted_set_equals_np_unique():
+    from repro.bfs.kernel import _sorted_set
+
+    ids = np.random.default_rng(1).integers(0, 300, size=2000)
+    np.testing.assert_array_equal(_sorted_set(ids, 300), np.unique(ids))
+    assert _sorted_set(ids[:0], 300).size == 0

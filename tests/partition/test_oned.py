@@ -119,3 +119,38 @@ def test_block1d_properties(n, ranks):
     assert counts.max() - counts.min() <= 1
     owners = p.owner_of(np.arange(n))
     assert np.all(np.diff(owners) >= 0)
+
+
+class TestRangeBoundaries:
+    """Contiguous partitions keep ``starts``; the owner array is lazy."""
+
+    @pytest.mark.parametrize("build", [
+        lambda g: block1d(g.num_vertices, 5),
+        lambda g: block1d_edge_balanced(g, 5),
+    ])
+    def test_starts_kept_and_owner_array_built_on_ask(self, build):
+        from repro.engine.rank import OwnerRouter
+
+        g = build_csr(generate_kronecker(8, seed=2))
+        p = build(g)
+        assert p._owner is None
+        assert p.starts.shape == (6,) and p.starts[0] == 0 and p.starts[-1] == 256
+        np.testing.assert_array_equal(p.counts(), np.diff(p.starts))
+        router = OwnerRouter(p)
+        assert router.starts is p.starts
+        assert p._owner is None
+        np.testing.assert_array_equal(p.vertices_of(2), np.arange(p.starts[2], p.starts[3]))
+        assert p._owner is None
+        owners = p.owner_of(np.arange(256))
+        np.testing.assert_array_equal(owners, np.repeat(np.arange(5), p.counts()))
+        np.testing.assert_array_equal(router.owners(np.arange(256)), owners)
+
+    def test_owner_array_input(self):
+        contiguous = Partition1D(np.array([0, 0, 2, 2, 2]), 4, "x")
+        np.testing.assert_array_equal(contiguous.starts, [0, 2, 2, 5, 5])
+        scattered = hashed1d(64, 4, seed=1)
+        assert scattered.starts is None
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([scattered.vertices_of(r) for r in range(4)])),
+            np.arange(64),
+        )
