@@ -123,17 +123,14 @@ def _reject_fabric_knobs(machine, faults, sanitize, racecheck, executor, workers
         )
 
 
-def _as_roots(kernel: str, source) -> np.ndarray:
-    """Validate a batched kernel's root batch (a sequence of vertex ids)."""
+def _as_roots(kernel: str, source):
+    """Reject a scalar where a batched kernel takes a sequence of roots."""
     if source is None or np.isscalar(source):
         raise ValueError(
             f"kernel {kernel!r} is batched multi-source: pass a sequence "
             f"of root vertex ids as source= (e.g. source=[0, 5, 9])"
         )
-    roots = np.ascontiguousarray(source, dtype=np.int64).ravel()
-    if roots.size == 0:
-        raise ValueError(f"kernel {kernel!r} needs at least one root")
-    return roots
+    return source
 
 
 # -- distributed cells: engine builders -------------------------------------

@@ -257,16 +257,15 @@ class _BFSEngine:
                 # bytes between calls; a Message (not a Wire) comes back
                 # owned, never parked in a worker's out arena.
                 contributions = team.call("bitmap_contribution", parallel=True)
-                global_bits = np.zeros(n, dtype=bool)
+                # The owned ranges tile [0, n), so every bit is written.
+                global_bits = np.empty(n, dtype=bool)
                 for r, payload in zip(ctx.ranks, contributions):
                     # Rank ranges are ctor-set and immutable, so the
                     # driver's (possibly pre-fork) copies are accurate;
                     # packbits/unpackbits round-trips exactly.
-                    width = r.hi - r.lo
-                    if width:
-                        global_bits[r.lo : r.hi] = np.unpackbits(
-                            payload["bitmap"], count=width
-                        ).astype(bool)
+                    global_bits[r.lo : r.hi] = np.unpackbits(
+                        payload["bitmap"], count=r.hi - r.lo
+                    ).view(bool)
                 fabric.allgather(contributions)
                 stats = np.array(
                     team.call(

@@ -5,8 +5,9 @@ the *same* remote vertex (every frontier vertex adjacent to it produces
 one).  Sending them all wastes bandwidth; only the minimum can win at the
 receiver.  :func:`dedup_min` reduces a batch of ``(target, dist)`` updates
 to one entry per target — the send-side half of the paper-style coalescing,
-whose receive-side half is the owner's scatter-min.  The 2-D engine and the
-cc kernel reduce with it; the 1-D engine's pre-routed edges need no sort
+whose receive-side half is the owner's scatter-min.  The 2-D engine, the
+cc kernel and the batched kernels' ``(vertex, lane)`` folds reduce with
+it; the 1-D engine's pre-routed edges need no sort
 (:mod:`repro.core.ghost_cache`).  The wire format itself (columns, counts,
 the optional uint32 index compression) is the outbox's,
 :mod:`repro.engine.rank`.
@@ -22,10 +23,11 @@ __all__ = ["dedup_min"]
 def dedup_min(targets: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce updates to one minimum-value entry per target.
 
-    Returns ``(unique_targets, min_values)`` with targets sorted ascending
-    as int64; values keep their dtype (float64 distances, int64 labels).
+    Returns ``(unique_targets, min_values)`` with targets sorted ascending;
+    both keep their dtype (int32 or int64 keys, float64 distances, int64
+    labels).
     """
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = np.asarray(targets)
     dists = np.asarray(dists)
     if targets.shape != dists.shape:
         raise ValueError("targets/dists length mismatch")

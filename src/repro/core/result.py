@@ -93,47 +93,31 @@ def derive_parents(graph: CSRGraph, dist: np.ndarray, source: int) -> np.ndarray
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (graph.num_vertices,):
         raise ValueError("dist length must equal num_vertices")
-    return _tight_edge_parents(graph, _edge_sources(graph), dist, source)
+    return derive_parents_lanes(graph, dist[None], [source])[0]
 
 
 def derive_parents_lanes(graph: CSRGraph, dist: np.ndarray, sources) -> np.ndarray:
-    """:func:`derive_parents` for every column of an ``(n, lanes)`` matrix.
+    """:func:`derive_parents` for every row of a lane-major ``(lanes, n)`` matrix.
 
-    Column ``i`` is the tree :func:`derive_parents` gives for
-    ``dist[:, i]`` and ``sources[i]``, bit for bit; the columns share one
-    weight check and one edge-source array, and each is read from a
-    contiguous row of the transpose instead of a strided column.
+    Row ``i`` of the ``(lanes, n)`` result is the tree from ``sources[i]``
+    over ``dist[i]``; the rows share one weight check and one edge-source
+    array.
     """
     dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape != (graph.num_vertices, len(sources)):
-        raise ValueError("dist must be (num_vertices, len(sources))")
-    src = _edge_sources(graph)
-    lanes = np.ascontiguousarray(dist.T)
-    parent = np.empty(lanes.shape, dtype=np.int64)
-    for i, source in enumerate(sources):
-        parent[i] = _tight_edge_parents(graph, src, lanes[i], int(source))
-    return parent.T
-
-
-def _edge_sources(graph: CSRGraph) -> np.ndarray:
-    """The source vertex of every CSR edge, after the weight check."""
+    if dist.shape != (len(sources), graph.num_vertices):
+        raise ValueError("dist must be (len(sources), num_vertices)")
     if np.any(graph.weight <= 0):
         raise ValueError("derive_parents requires strictly positive edge weights")
-    return np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.out_degree)
-
-
-def _tight_edge_parents(
-    graph: CSRGraph, src: np.ndarray, dist: np.ndarray, source: int
-) -> np.ndarray:
-    parent = np.full(graph.num_vertices, UNREACHABLE_PARENT, dtype=np.int64)
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.out_degree)
     dst = graph.adj
-    dist_src = np.repeat(dist, graph.out_degree)  # dist[src], read in order
-    tight = np.flatnonzero(
-        np.isfinite(dist_src) & (dist_src + graph.weight == dist[dst])
-    )
-    # Last write wins; any tight edge is a valid tree edge.
-    parent[dst[tight]] = src[tight]
-    parent[source] = source
-    unreached = ~np.isfinite(dist)
-    parent[unreached] = UNREACHABLE_PARENT
+    parent = np.full(dist.shape, UNREACHABLE_PARENT, dtype=np.int64)
+    for row, lane, source in zip(parent, dist, sources):
+        dist_src = np.repeat(lane, graph.out_degree)  # lane[src], read in order
+        tight = np.flatnonzero(
+            np.isfinite(dist_src) & (dist_src + graph.weight == lane[dst])
+        )
+        # Last write wins; any tight edge is a valid tree edge.
+        row[dst[tight]] = src[tight]
+        row[source] = source
+        row[~np.isfinite(lane)] = UNREACHABLE_PARENT
     return parent

@@ -31,7 +31,7 @@ from repro.engine.driver import (
     run_superstep_engine,
 )
 from repro.engine.protocol import Kernel, RankContext, run_kernel
-from repro.engine.results import CorenessResult, LabelsResult, RanksResult
+from repro.engine.results import CorenessResult, LabelsResult, LanesResult, RanksResult
 
 __all__ = [
     "EngineContext",
@@ -44,4 +44,5 @@ __all__ = [
     "LabelsResult",
     "RanksResult",
     "CorenessResult",
+    "LanesResult",
 ]

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bfs.multi import MultiBFSResult
+from repro.bfs.kernel import BFSResult
+from repro.core.coalescing import dedup_min
 from repro.core.relaxation import frontier_edges
+from repro.engine.results import LanesResult
+from repro.engine.validation import check_roots
 from repro.graph.csr import CSRGraph
 from repro.utils.bitset import MAX_LANES, lane_matrix
 
@@ -45,9 +48,7 @@ class BFS64:
     wire_fields = (("mask", np.uint64), ("src", np.int64))
 
     def __init__(self, roots) -> None:
-        roots = np.ascontiguousarray(roots, dtype=np.int64).ravel()
-        if roots.size == 0:
-            raise ValueError("bfs64 needs at least one root")
+        roots = check_roots(self.name, roots)
         if roots.size > MAX_LANES:
             raise ValueError(
                 f"bfs64 carries one uint64 bit per root: at most "
@@ -57,10 +58,7 @@ class BFS64:
         self.num_lanes = int(roots.size)
 
     def init_state(self, ctx) -> dict:
-        if np.any(self.roots < 0) or np.any(self.roots >= ctx.num_vertices):
-            raise ValueError(
-                f"bfs64 roots out of range [0, {ctx.num_vertices})"
-            )
+        lanes, locs = ctx.owned_roots(self.name, self.roots)
         owned = ctx.owned_count
         L = self.num_lanes
         # Lane-major, in the narrowest signed dtype holding n - 1; finalize widens.
@@ -71,15 +69,11 @@ class BFS64:
         frontier = np.zeros(owned, dtype=np.uint64)
         parent = np.full((L, owned), _NO_PARENT, dtype=lane_dtype)
         level = np.full((L, owned), -1, dtype=lane_dtype)
-        mine = (self.roots >= ctx.lo) & (self.roots < ctx.hi)
-        lanes = np.flatnonzero(mine)
-        if lanes.size:
-            locs = self.roots[lanes] - ctx.lo
-            bits = np.uint64(1) << lanes.astype(np.uint64)
-            np.bitwise_or.at(visited, locs, bits)
-            np.bitwise_or.at(frontier, locs, bits)
-            parent[lanes, locs] = self.roots[lanes]
-            level[lanes, locs] = 0
+        bits = np.uint64(1) << lanes.astype(np.uint64)
+        np.bitwise_or.at(visited, locs, bits)
+        np.bitwise_or.at(frontier, locs, bits)
+        parent[lanes, locs] = self.roots[lanes]
+        level[lanes, locs] = 0
         return {
             "visited": visited,
             "frontier": frontier,
@@ -179,18 +173,10 @@ class BFS64:
         if ct.size:
             # Tail: uncovered lanes still hold their full claimant sets
             # (peeling clears bits only when a lane is covered), so the
-            # first claimant per (target, lane) key after a (key, src)
-            # sort is that lane's true minimum source.
+            # minimum source per (target, lane) key is that lane's parent.
             rows2, lanes2 = np.nonzero(lane_matrix(pending))
-            key = lanes2 * OW + ct[rows2]
-            order = np.lexsort((cs[rows2], key))
-            ko = key[order]
-            first = np.empty(ko.size, dtype=bool)
-            first[0] = True
-            np.not_equal(ko[1:], ko[:-1], out=first[1:])
-            sel = order[first]
-            tail_keys = ko[first]
-            parent_flat[tail_keys] = cs[rows2[sel]]
+            tail_keys, tail_src = dedup_min(lanes2 * OW + ct[rows2], cs[rows2])
+            parent_flat[tail_keys] = tail_src
             level_flat[tail_keys] = depth
         if win_t:
             # One unpack covers every peeled round's claims (a lane is
@@ -217,11 +203,16 @@ class BFS64:
 
     def finalize(
         self, graph: CSRGraph, exports: list[dict], steps: int
-    ) -> MultiBFSResult:
+    ) -> LanesResult:
         parent = np.concatenate([e["parent"] for e in exports], axis=1, dtype=np.int64)
         level = np.concatenate([e["level"] for e in exports], axis=1, dtype=np.int64)
         lane_edges = np.sum([e["lane_edges"] for e in exports], axis=0)
-        result = MultiBFSResult(roots=self.roots, parent=parent.T, level=level.T)
+        result = LanesResult(
+            self.roots, BFSResult, {"parent": parent, "level": level},
+            # A lane's expansion rounds, the shared kernel's counter: its
+            # deepest level plus one.
+            lane_counters={"levels": level.max(axis=1) + 1},
+        )
         result.counters.add("levels", steps)
         result.meta["algorithm"] = "bfs64_bit_parallel"
         result.meta["num_lanes"] = self.num_lanes

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.multi import MultiSSSPResult
+from repro.core.coalescing import dedup_min
 from repro.core.relaxation import scatter_min
-from repro.core.result import derive_parents_lanes
-from repro.engine.validation import check_delta
+from repro.core.result import SSSPResult, derive_parents_lanes
+from repro.engine.results import LanesResult
+from repro.engine.validation import check_delta, check_roots
 from repro.graph.csr import CSRGraph
 
 __all__ = ["SSSPBatch"]
@@ -48,11 +49,8 @@ class SSSPBatch:
     drain = True
 
     def __init__(self, roots, delta: float) -> None:
-        roots = np.ascontiguousarray(roots, dtype=np.int64).ravel()
-        if roots.size == 0:
-            raise ValueError("sssp_batch needs at least one root")
-        self.roots = roots
-        self.num_lanes = int(roots.size)
+        self.roots = check_roots(self.name, roots)
+        self.num_lanes = int(self.roots.size)
         self.delta = check_delta(delta, adaptive=False)
         #: Multi-field wire record: the destination lane, in the narrowest
         #: unsigned type that holds it, and the candidate distance.  The
@@ -63,21 +61,14 @@ class SSSPBatch:
         )
 
     def init_state(self, ctx) -> dict:
-        if np.any(self.roots < 0) or np.any(self.roots >= ctx.num_vertices):
-            raise ValueError(
-                f"sssp_batch roots out of range [0, {ctx.num_vertices})"
-            )
+        lanes, locs = ctx.owned_roots(self.name, self.roots)
         owned = ctx.owned_count
         L = self.num_lanes
         # repro: index-space: dist[local,lane]=local, improved[local,lane]=local
         dist = np.full((owned, L), np.inf, dtype=np.float64)
         improved = np.zeros((owned, L), dtype=bool)
-        mine = (self.roots >= ctx.lo) & (self.roots < ctx.hi)
-        lanes = np.flatnonzero(mine)
-        if lanes.size:
-            locs = self.roots[lanes] - ctx.lo
-            dist[locs, lanes] = 0.0
-            improved[locs, lanes] = True
+        dist[locs, lanes] = 0.0
+        improved[locs, lanes] = True
         minpend = np.where(improved, dist, np.inf).min(axis=1)
         # The rank's out-edges, each row's light edges before its heavy
         # ones (a stable sort, so both keep adjacency order): row r is
@@ -167,12 +158,9 @@ class SSSPBatch:
         count = (hi - lo)[pair_rows]
         np.add.at(state["lane_edges"][phase], pair_lanes, count)
         ends = np.cumsum(count)
-        if ends.size == 0 or ends[-1] == 0:
-            empty = np.empty(0, dtype=state["adj"].dtype)
-            return empty, (empty.astype(lane_dtype), np.empty(0, dtype=np.float64)), 0
         # Edge ids of every pair's slice, back to back: each slice's start,
         # rebased to its offset in the output, plus a running index.
-        idx = np.repeat(lo[pair_rows] - (ends - count), count) + np.arange(ends[-1])
+        idx = np.repeat(lo[pair_rows] - (ends - count), count) + np.arange(count.sum())
         tgt = state["adj"][idx]
         cand = np.repeat(dist_rows[sub], count) + state["weight"][idx]
         # Sender-side combine: hubs collect many candidates per
@@ -181,17 +169,12 @@ class SSSPBatch:
         # and the receive scatter all run on the folded records.
         # Order-free, so lanes stay bit-identical.
         L = tgt.dtype.type(self.num_lanes)
-        key = tgt * L + np.repeat(pair_lanes.astype(tgt.dtype), count)
-        order = np.argsort(key)
-        key = key[order]
-        first = np.empty(key.size, dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        key = key[starts]
+        key, best = dedup_min(
+            tgt * L + np.repeat(pair_lanes.astype(tgt.dtype), count), cand
+        )
         vertex = key // L
         lane = (key - vertex * L).astype(lane_dtype)
-        return vertex, (lane, np.minimum.reduceat(cand[order], starts)), int(idx.size)
+        return vertex, (lane, best), int(idx.size)
 
     def apply_messages(self, state: dict, ctx, targets, values) -> None:
         dist = state["dist"]
@@ -237,13 +220,17 @@ class SSSPBatch:
 
     def finalize(
         self, graph: CSRGraph, exports: list[dict], steps: int
-    ) -> MultiSSSPResult:
-        dist = np.concatenate([e["dist"] for e in exports], axis=0)
+    ) -> LanesResult:
+        # One transposing copy of the ranks' (owned, L) rows: lane-major.
+        dist = np.empty((self.num_lanes, graph.num_vertices), dtype=np.float64)
+        np.concatenate([e["dist"].T for e in exports], axis=1, out=dist)
         lane_edges = np.sum([e["lane_edges"] for e in exports], axis=0)
         # The same tight-edge pass every single-root engine uses, per
-        # column — which is what pins parent bit-identity per lane.
+        # lane — which is what pins parent bit-identity per lane.
         parent = derive_parents_lanes(graph, dist, self.roots)
-        result = MultiSSSPResult(roots=self.roots, dist=dist, parent=parent)
+        result = LanesResult(
+            self.roots, SSSPResult, {"dist": dist, "parent": parent}
+        )
         result.counters.add("epochs", steps)
         result.meta["algorithm"] = "sssp_batch_delta_stepping"
         result.meta["delta"] = self.delta

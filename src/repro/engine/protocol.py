@@ -36,7 +36,7 @@ from repro.engine.driver import (
     run_superstep_engine,
 )
 from repro.engine.rank import Outbox, OwnerRouter, Rank
-from repro.engine.validation import check_num_ranks, make_partition
+from repro.engine.validation import check_num_ranks, check_roots, make_partition
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
 from repro.simmpi.executor import RankExecutor
@@ -67,6 +67,13 @@ class RankContext:
     @property
     def owned_count(self) -> int:
         return self.hi - self.lo
+
+    def owned_roots(self, kernel: str, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Range-check a root batch; return the lanes whose root this rank
+        owns and those roots' local ids."""
+        roots = check_roots(kernel, roots, self.num_vertices)
+        lanes = np.flatnonzero((roots >= self.lo) & (roots < self.hi))
+        return lanes, roots[lanes] - self.lo
 
 
 class Kernel(Protocol):

@@ -3,7 +3,8 @@
 Each whole-graph kernel on the substrate returns its own result shape —
 labels for connected components, ranks for PageRank, coreness for k-core
 — mirroring how :class:`~repro.core.result.SSSPResult` carries distances
-and :class:`~repro.bfs.kernel.BFSResult` carries a tree.  All of them
+and :class:`~repro.bfs.kernel.BFSResult` carries a tree; the batched
+kernels return one :class:`LanesResult`, a lane per root.  All of them
 share one contract: ``counters``/``meta`` bookkeeping, and
 ``validate(graph)`` returning a
 :class:`~repro.graph500.validation.ValidationReport` after checking the
@@ -21,7 +22,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.utils.timing import Counters
 
-__all__ = ["LabelsResult", "RanksResult", "CorenessResult"]
+__all__ = ["LabelsResult", "RanksResult", "CorenessResult", "LanesResult"]
 
 
 def _report(failures: list[str]):
@@ -149,3 +150,80 @@ class CorenessResult:
         if not np.array_equal(self.coreness, oracle):
             failures.append("coreness differs from sequential peeling")
         return _report(failures)
+
+
+@dataclass
+class LanesResult:
+    """Answers from a batch of roots, one lane per root.
+
+    ``lanes`` maps each answer field of the single-root type ``answer``
+    (``dist`` / ``parent`` of :class:`~repro.core.result.SSSPResult`,
+    ``parent`` / ``level`` of :class:`~repro.bfs.kernel.BFSResult`) to a
+    lane-major ``(num_lanes, num_vertices)`` array whose row ``i`` answers
+    ``roots[i]``.  The field's attribute (``result.dist``) is the
+    ``(num_vertices, num_lanes)`` view of that array, so column ``i`` is
+    lane ``i``; ``lane(i)`` copies row ``i`` into an ``answer``, adding
+    ``lane_counters[name][i]`` to its counters.
+    """
+
+    roots: np.ndarray
+    answer: type
+    lanes: dict[str, np.ndarray]
+    lane_counters: dict[str, np.ndarray] = field(default_factory=dict)
+    counters: Counters = field(default_factory=Counters)
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.roots = np.ascontiguousarray(self.roots, dtype=np.int64)
+        self.lanes = {k: np.ascontiguousarray(v) for k, v in self.lanes.items()}
+        shapes = {v.shape for v in self.lanes.values()}
+        if len(shapes) != 1:
+            raise ValueError(f"{'/'.join(self.lanes)} shape mismatch")
+        (shape,) = shapes
+        if len(shape) != 2 or shape[0] != self.roots.size:
+            raise ValueError(
+                f"expected ({self.roots.size}, n) lane-major arrays, got {shape}"
+            )
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        lanes = self.__dict__.get("lanes", {})
+        if name not in lanes:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        return lanes[name].T
+
+    @property
+    def num_vertices(self) -> int:
+        return int(next(iter(self.lanes.values())).shape[1])
+
+    @property
+    def num_lanes(self) -> int:
+        return int(self.roots.size)
+
+    def lane(self, i: int):
+        """The i-th root's answer as a single-root ``answer``."""
+        if not 0 <= i < self.num_lanes:
+            raise IndexError(f"lane {i} out of range [0, {self.num_lanes})")
+        result = self.answer(
+            int(self.roots[i]), **{k: v[i].copy() for k, v in self.lanes.items()}
+        )
+        for name, values in self.lane_counters.items():
+            result.counters.add(name, int(values[i]))
+        result.meta["lane"] = i
+        result.meta["batched"] = True
+        return result
+
+    def traversed_edges(self, graph: CSRGraph) -> int:
+        """Sum of the per-lane Graph500 TEPS numerators."""
+        # The single-root type's own reach test, on every lane at once.
+        reached = self.answer.reached.fget(self)  # (n, L)
+        return int(((graph.out_degree @ reached) // 2).sum())
+
+    def validate(self, graph: CSRGraph):
+        """The single-root checks on every lane; failures are lane-prefixed."""
+        return _report([
+            f"lane {i}: {msg}"
+            for i in range(self.num_lanes)
+            for msg in self.lane(i).validate(graph).failures
+        ])

@@ -18,6 +18,7 @@ from repro.partition import RUN_PARTITIONS, Partition1D, block1d, block1d_edge_b
 __all__ = [
     "check_source",
     "check_integral_roots",
+    "check_roots",
     "check_num_ranks",
     "check_delta",
     "check_direction",
@@ -46,6 +47,19 @@ def check_integral_roots(kernel: str, source) -> None:
         raise ValueError(
             f"kernel {kernel!r} needs integer vertex ids as source=; got {source!r}"
         )
+
+
+def check_roots(kernel: str, roots, num_vertices: int | None = None) -> np.ndarray:
+    """A batched kernel's roots as a non-empty 1-D int64 array.
+
+    ``num_vertices`` adds the range check, once the graph is known.
+    """
+    roots = np.ascontiguousarray(roots, dtype=np.int64).ravel()
+    if roots.size == 0:
+        raise ValueError(f"{kernel} needs at least one root")
+    if num_vertices is not None and (np.any(roots < 0) or np.any(roots >= num_vertices)):
+        raise ValueError(f"{kernel} roots out of range [0, {num_vertices})")
+    return roots
 
 
 def check_num_ranks(num_ranks: int) -> None:

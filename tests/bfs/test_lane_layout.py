@@ -1,9 +1,11 @@
-"""``bfs64`` lane state: narrow and lane-major on the ranks, contiguous
-int64 columns out of ``MultiBFSResult.lane``.
+"""Batched lane layout: ``bfs64`` state is narrow and lane-major on the
+ranks, and both batched kernels' ``LanesResult.lane`` returns contiguous
+rows.
 
-The oracle is independent of the layout: a lane's levels are the
-single-root BFS levels, and its parents follow the batched kernel's rule
-— the smallest neighbor one level up (the minimum claimant).
+The oracle is independent of the layout: a ``bfs64`` lane's levels are
+the single-root BFS levels, and its parents follow the batched kernel's
+rule — the smallest neighbor one level up (the minimum claimant); an
+``sssp_batch`` lane is the single-root dist1d answer.
 """
 
 import numpy as np
@@ -32,7 +34,10 @@ def _min_claimant_parents(graph, root, level):
     return parent
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+BACKENDS = ["serial", "thread", "process"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_lane_returns_contiguous_int64_columns(kron9, backend):
     roots = np.argsort(-kron9.out_degree, kind="stable")[[0, 3, 30, 300, 500]]
     run = api.run(
@@ -50,6 +55,40 @@ def test_lane_returns_contiguous_int64_columns(kron9, backend):
         np.testing.assert_array_equal(lane.level, want_level)
         np.testing.assert_array_equal(
             lane.parent, _min_claimant_parents(kron9, root, want_level)
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sssp_batch_lane_returns_contiguous_rows(kron9, backend):
+    roots = np.argsort(-kron9.out_degree, kind="stable")[[0, 3, 30, 300, 500]]
+    run = api.run(
+        kron9, roots.tolist(), kernel="sssp_batch", num_ranks=4,
+        executor=backend, workers=2,
+    )
+    result = run.result
+    assert result.dist.shape == (kron9.num_vertices, roots.size)
+    assert result.dist.flags.f_contiguous and result.parent.flags.f_contiguous
+    for i, root in enumerate(map(int, roots)):
+        lane = result.lane(i)
+        assert lane.dist.dtype == np.float64 and lane.dist.flags.c_contiguous
+        assert lane.parent.dtype == np.int64 and lane.parent.flags.c_contiguous
+        want = api.run(kron9, root, num_ranks=4).result
+        np.testing.assert_array_equal(lane.dist, want.dist)
+        np.testing.assert_array_equal(lane.parent, want.parent)
+
+
+@pytest.mark.parametrize("peel_floor", [0, 2**62], ids=["peel_only", "tail_only"])
+def test_both_claim_paths_pick_the_min_claimant(kron9, monkeypatch, peel_floor):
+    """A floor of 0 resolves every claim by peel rounds; a floor above any
+    message count leaves every claim to the folded tail."""
+    monkeypatch.setattr(BFS64, "peel_floor", peel_floor)
+    roots = np.argsort(-kron9.out_degree, kind="stable")[[0, 1, 3, 30, 300, 500]]
+    result = api.run(kron9, roots.tolist(), kernel="bfs64", num_ranks=4).result
+    for i, root in enumerate(map(int, roots)):
+        want_level = bfs(kron9, root).level
+        np.testing.assert_array_equal(result.level[:, i], want_level)
+        np.testing.assert_array_equal(
+            result.parent[:, i], _min_claimant_parents(kron9, root, want_level)
         )
 
 

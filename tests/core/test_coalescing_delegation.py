@@ -31,6 +31,15 @@ class TestDedupMin:
         assert list(t) == [2, 5]
         assert list(d) == [2.0, 1.0]
 
+    def test_int32_keys_stay_int32(self):
+        targets = np.array([7, 2, 7, 9, 2, 0], dtype=np.int64)
+        dists = np.array([3.0, 1.5, 2.0, 4.0, 0.5, 6.0])
+        t64, d64 = dedup_min(targets, dists)
+        t32, d32 = dedup_min(targets.astype(np.int32), dists)
+        assert t32.dtype == np.int32 and t64.dtype == np.int64
+        np.testing.assert_array_equal(t32, t64)
+        np.testing.assert_array_equal(d32, d64)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             dedup_min(np.array([1]), np.array([1.0, 2.0]))
