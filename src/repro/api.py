@@ -51,7 +51,6 @@ from repro.core.adaptive import resolve_delta
 from repro.core.config import SSSPConfig
 from repro.core.delegation import auto_hub_threshold, select_hubs
 from repro.core.delta_stepping import _delta_stepping
-from repro.core.dist_sssp import _DistSSSPEngine
 from repro.core.twod_engine import _TwoDEngine
 from repro.engine.driver import RunSummary, run_superstep_engine
 from repro.engine.protocol import _KernelEngine
@@ -63,7 +62,6 @@ from repro.engine.validation import (
     check_num_ranks,
     check_source,
     check_weights,
-    make_partition,
 )
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
@@ -143,15 +141,24 @@ def _sssp_dist1d(graph, source, num_ranks, config, **extra):
     check_source(graph, source)
     check_num_ranks(num_ranks)
     delta = resolve_delta(graph, config)
-    partition = make_partition(graph, config.partition, num_ranks)
+    threshold, hubs = 0, None
     if config.delegate_hubs:
         threshold = config.hub_degree_threshold
         if threshold is None:
             threshold = auto_hub_threshold(graph, num_ranks)
         hubs = select_hubs(graph, threshold)
-    else:
-        threshold, hubs = 0, np.empty(0, dtype=np.int64)
-    return _DistSSSPEngine(source, config, delta, partition, hubs, threshold)
+    from repro.engine.kernels import SSSPBatch
+
+    # Single-root ∆-stepping is one lane of the batched kernel, with the
+    # config's optimization stack switched on.
+    return _KernelEngine(
+        graph,
+        SSSPBatch([source], delta, config, hubs, threshold),
+        num_ranks,
+        config.partition,
+        hierarchical=config.hierarchical_aggregation,
+        meta={"config": config, "delta": delta},
+    )
 
 
 def _sssp_dist2d(graph, source, num_ranks, config, grid=None, **extra):

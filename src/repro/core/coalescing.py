@@ -6,9 +6,9 @@ one).  Sending them all wastes bandwidth; only the minimum can win at the
 receiver.  :func:`dedup_min` reduces a batch of ``(target, dist)`` updates
 to one entry per target — the send-side half of the paper-style coalescing,
 whose receive-side half is the owner's scatter-min.  The 2-D engine, the
-cc kernel and the batched kernels' ``(vertex, lane)`` folds reduce with
-it; the 1-D engine's pre-routed edges need no sort
-(:mod:`repro.core.ghost_cache`).  The wire format itself (columns, counts,
+cc kernel and the ∆-stepping and ``bfs64`` kernels' ``(vertex, lane)``
+folds reduce with it; the best-sent filter on top of the fold is
+:mod:`repro.core.ghost_cache`.  The wire format itself (columns, counts,
 the optional uint32 index compression) is the outbox's,
 :mod:`repro.engine.rank`.
 """

@@ -23,9 +23,9 @@ class SSSPConfig:
         partition: vertex-partition strategy, one of
             :data:`repro.partition.RUN_PARTITIONS` (``block``,
             ``edge_balanced``): each rank owns one contiguous id range.
-        coalesce: per-destination dedup-min of outgoing updates plus the
-            tentative-distance filter cache (suppress updates that cannot
-            improve the receiver's value).
+        coalesce: the best-sent filter on top of the per-pass dedup-min
+            fold every run does: suppress updates that cannot beat what
+            the receiver was already sent.
         delegate_hubs: split hub adjacency lists across all ranks; a hub
             relaxation becomes a P-message broadcast instead of a
             degree-sized update storm from one rank.

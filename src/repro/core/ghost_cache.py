@@ -1,8 +1,9 @@
 """Compact ghost-vertex cache for the remote coalescing filter.
 
-The 1-D engine's send-side coalescing filter remembers, per remote
-("ghost") vertex, the best candidate distance this rank has ever sent
-toward the owner; a new candidate is transmitted only if it beats that.
+The ∆-stepping kernel's send-side coalescing filter remembers, per remote
+("ghost") vertex and lane, the best candidate distance this rank has ever
+sent toward the owner; a new candidate is transmitted only if it beats
+that.
 The dense implementation paid O(num_vertices) memory per rank to store
 the cache inside the tentative-distance array.  :class:`GhostMinCache`
 replaces it with a sorted key array sized by the rank's halo, not by the
@@ -11,9 +12,10 @@ whole vertex set, with zero slack (no hash-table load factor), and
 
 A cache is used in one of two ways:
 
-* **fixed keys** (:meth:`GhostMinCache.fixed`) — the engine's hot path.
-  The keys are the rank's halo, known when the rank is built, and its
-  edges already name each remote target by its slot in that key array.
+* **fixed keys** (:meth:`GhostMinCache.fixed`) — the kernel's hot path.
+  The keys are the fold keys (pre-routed target code times lanes plus
+  lane) that reach the filter, known when the rank is built, so a folded
+  record names its slot directly.
   :meth:`lower` scatter-mins a batch into its slots and marks the slots
   whose value dropped; :meth:`take_dirty` hands those back, ascending,
   once per exchange.  No batch is sorted or searched.

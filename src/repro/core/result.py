@@ -100,24 +100,26 @@ def derive_parents_lanes(graph: CSRGraph, dist: np.ndarray, sources) -> np.ndarr
     """:func:`derive_parents` for every row of a lane-major ``(lanes, n)`` matrix.
 
     Row ``i`` of the ``(lanes, n)`` result is the tree from ``sources[i]``
-    over ``dist[i]``; the rows share one weight check and one edge-source
-    array.
+    over ``dist[i]``; the rows share one weight check.  A row holds two
+    edge-length arrays at a time, and only its tight edges look their
+    sources up in ``indptr``.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (len(sources), graph.num_vertices):
         raise ValueError("dist must be (len(sources), num_vertices)")
     if np.any(graph.weight <= 0):
         raise ValueError("derive_parents requires strictly positive edge weights")
-    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.out_degree)
     dst = graph.adj
     parent = np.full(dist.shape, UNREACHABLE_PARENT, dtype=np.int64)
     for row, lane, source in zip(parent, dist, sources):
-        dist_src = np.repeat(lane, graph.out_degree)  # lane[src], read in order
-        tight = np.flatnonzero(
-            np.isfinite(dist_src) & (dist_src + graph.weight == lane[dst])
-        )
+        cand = np.repeat(lane, graph.out_degree)  # lane[src], read in order
+        cand += graph.weight
+        tight = np.flatnonzero(cand == lane[dst])
+        # A finite sum has a finite source: unreached edges drop out.
+        tight = tight[np.isfinite(cand[tight])]
+        src = np.searchsorted(graph.indptr, tight, side="right") - 1
         # Last write wins; any tight edge is a valid tree edge.
-        row[dst[tight]] = src[tight]
+        row[dst[tight]] = src
         row[source] = source
         row[~np.isfinite(lane)] = UNREACHABLE_PARENT
     return parent

@@ -1,8 +1,9 @@
 """The generic superstep driver every distributed engine runs on.
 
-All three original engines (1-D ∆-stepping, 2-D frontier relaxation,
-direction-optimizing BFS) share one loop shape: build per-rank state,
-seed it, gather per-rank votes once, then repeat *(fabric allreduce →
+Every distributed engine (2-D frontier relaxation, direction-optimizing
+BFS, and the vertex-kernel substrate, 1-D ∆-stepping included) shares one
+loop shape: build per-rank state, seed it, gather per-rank votes once,
+then repeat *(fabric allreduce →
 terminate or run one engine-defined step of team phases and exchanges,
 which hands back the next votes)* until the vote converges, gather the
 per-rank exports, and assemble a run object.  This module owns that
@@ -318,8 +319,8 @@ def rank_state_meta(exports: list[dict]) -> dict:
     reports ``nbytes`` (resident state, graph share included),
     ``graph_nbytes`` (the rank's share of the input edges — resident in
     any layout) and ``lengths`` (every resident per-vertex array).  A
-    rank that also declares halo arrays (the 1-D engine's halo and ghost
-    cache, which size with the remote targets of its edges, fixed at
+    rank that also declares halo arrays (a ∆-stepping rank's halo and
+    best-sent filter, which size with the remote targets of its edges, fixed at
     build, rather than with owned vertices) reports them apart as
     ``halo_lengths``; ``max_dense_len`` then tracks only the truly dense
     arrays the owned-local layout shrinks from O(n) to O(owned).

@@ -16,19 +16,22 @@ generates in (source vertex, adjacency position) order and applies with
 a stable per-target grouping reproduces a sequential oracle bitwise —
 including floating-point sums (see the PageRank kernel).
 
-Connected components, PageRank and k-core
-(:mod:`repro.engine.kernels`) are the three shipped kernels; the README's
+The shipped kernels (:mod:`repro.engine.kernels`) are ∆-stepping
+(``sssp_batch``, whose one-lane case is ``repro.run(kernel="sssp")``),
+``bfs64``, connected components, PageRank and k-core; the README's
 "Writing a kernel" walk-through builds connected components from scratch
 on this interface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from typing import Any, Protocol
 
 import numpy as np
 
+from repro.core.delegation import DelegateTable
 from repro.engine.driver import (
     EngineContext,
     RunSummary,
@@ -54,7 +57,9 @@ class RankContext:
     Owned vertices are the contiguous global range ``[lo, hi)``;
     ``local_graph`` holds their out-edges with *local* row indices and
     *global* adjacency targets, so ``global id = local id + lo`` is the
-    whole index translation a kernel ever needs.
+    whole index translation a kernel ever needs.  When the kernel
+    delegates ``hubs``, an owned hub's row is empty and row
+    ``owned_count + s`` holds this rank's slice of ``hubs[s]``.
     """
 
     rank: int
@@ -62,7 +67,7 @@ class RankContext:
     num_vertices: int
     lo: int
     hi: int
-    local_graph: CSRGraph
+    local_graph: CSRGraph | None
 
     @property
     def owned_count(self) -> int:
@@ -102,14 +107,35 @@ class Kernel(Protocol):
     mutations of kernel-object attributes would be lost.  ``done`` is the
     one parent-side hook and may keep parent-side state.
 
-    Two hooks are optional.  ``begin_step(state, ctx, reduced)`` runs
+    Some hooks are optional.  ``begin_step(state, ctx, reduced)`` runs
     before a superstep's first generate.  ``gen_settled(state, ctx)``
     returns ``(targets_global, values, edges_scanned)`` like
     ``gen_messages``; when a kernel defines it, each superstep ends with
     one extra generate → exchange → apply pass that sends what it returns
     — the records owed by vertices the superstep settled (∆-stepping's
-    heavy edges, relaxed once with final distances).  It is a generate
-    hook: it must write no state key that ``apply_messages`` writes.
+    heavy edges, relaxed once with final distances).  ``phases`` names the
+    span phase of a drain pass and of that closing pass.
+
+    ``gen_messages`` and ``gen_settled`` are generate hooks: each must
+    write no state key that ``apply_messages`` writes — except that a
+    generate hook may fold records into the state early (∆-stepping's
+    fusion applies owned-target records in place) with the very helper
+    that ``apply_messages`` folds through, when that helper is all
+    ``apply_messages`` writes the key with (lint rule
+    ``shm-kernel-phase``).
+
+    A kernel with non-empty ``hubs`` delegates them (rows split over the
+    ranks, see :class:`RankContext`), and each pass gains an announcement
+    round: each rank broadcasts what ``take_announced(state, ctx)``
+    returns (``(hubs, values)`` or ``None``), and passes what it received
+    to ``expand_announced(state, ctx, hubs, values, settled)``, whose
+    records (as ``gen_messages``) go out in the pass's exchange.
+
+    A state holding ``"indptr"`` / ``"adj"`` / ``"weight"`` is the rank's
+    one copy of its edges (``ctx.local_graph`` is then dropped), and
+    ``state["halo"]`` the arrays sized by the rank's remote targets.
+    ``edges_counter`` renames the edges-scanned counter; ``passes_counter``
+    names one counting the drain passes.
     """
 
     name: str
@@ -172,15 +198,33 @@ class _KernelRank(Rank):
     ) -> None:
         super().__init__(rank, router)
         self.kernel = kernel
+        # repro: index-space: rows=global
+        rows = np.arange(self.lo, self.hi)
+        hubs = getattr(kernel, "hubs", ())
+        if len(hubs):
+            # Hub delegation: empty hub rows, this rank's slices appended.
+            slices = DelegateTable.build(graph, hubs, rank, router.num_ranks)
+            own = graph.extract_rows(rows, keep=~slices.is_hub(rows))
+            local_graph = CSRGraph(
+                np.concatenate((own.indptr, own.num_edges + slices.indptr[1:])),
+                np.concatenate((own.adj, slices.adj)),
+                np.concatenate((own.weight, slices.weight)),
+                rows.size + len(hubs),
+            )
+        else:
+            local_graph = graph.extract_rows(rows)
         self.ctx = RankContext(
             rank=rank,
             num_ranks=router.num_ranks,
             num_vertices=graph.num_vertices,
             lo=self.lo,
             hi=self.hi,
-            local_graph=graph.extract_rows(np.arange(self.lo, self.hi)),
+            local_graph=local_graph,
         )
         self.state = kernel.init_state(self.ctx)
+        if "adj" in self.state:
+            # One copy of the rank's edges: the kernel's.
+            self.ctx = replace(self.ctx, local_graph=None)
         names = tuple(name for name, _ in kernel.wire_fields)
         # Self-addressed records go through the fabric like any others:
         # the inbox then holds *every* record for an owned vertex
@@ -190,6 +234,9 @@ class _KernelRank(Rank):
         # payload).  They are packed, and the packing is charged as
         # memcpy, but they cross no link: they are not traffic.
         self.outbox = Outbox(router, ("vertex", *names))
+        # Hub announcements: one copy of the records for every other rank.
+        self.announcements = Outbox(router, ("vertex", *names)) if len(hubs) else None
+        self.others = np.delete(np.arange(router.num_ranks), rank)
 
     # -- kernel hook dispatch (team-callable) -------------------------------
 
@@ -218,15 +265,18 @@ class _KernelRank(Rank):
         The kernel always runs — vertex programs like PageRank update
         every owned vertex each pass even when nothing arrived.
         """
-        # repro: index-space: msg["vertex"]=global, targets=local
+        # repro: index-space: targets=global
+        targets, values = self._unpack(msg)
+        self.kernel.apply_messages(self.state, self.ctx, self.to_local(targets), values)
+
+    def _unpack(self, msg: Message | None) -> tuple:
+        """``(vertex, values)`` columns of an inbox; empty for ``None``."""
         fields = self.kernel.wire_fields
         if msg is None:
-            targets = np.empty(0, dtype=np.int64)
-            values = tuple(np.empty(0, dtype=dtype) for _, dtype in fields)
-        else:
-            targets = self.to_local(msg["vertex"])
-            values = tuple(msg[name] for name, _ in fields)
-        self.kernel.apply_messages(self.state, self.ctx, targets, values)
+            return np.empty(0, dtype=np.int64), tuple(
+                np.empty(0, dtype=dtype) for _, dtype in fields
+            )
+        return msg["vertex"], tuple(msg[name] for name, _ in fields)
 
     def kernel_vote(self) -> float:
         return float(self.kernel.vote(self.state, self.ctx))
@@ -251,6 +301,24 @@ class _KernelRank(Rank):
         if begin:
             self.kernel_begin_step(reduced)
         self.kernel_generate(settled)
+        if self.announcements is None:
+            return self.outbox.flush()
+        announced = self.kernel.take_announced(self.state, self.ctx)
+        if announced is not None:
+            self.announcements.route(announced[0], *announced[1])
+        return self.announcements.flush(to=self.others)
+
+    def superstep_relay(self, msg: Message | None, settled: bool) -> Wire | None:
+        """The announcement round's inbound half: expand the hubs the other
+        ranks announced (``msg`` is ``None`` when none did), then flush the
+        pass's records."""
+        # repro: index-space: hubs=global
+        hubs, values = self._unpack(msg)
+        targets, values, scanned = self.kernel.expand_announced(
+            self.state, self.ctx, hubs, values, settled
+        )
+        self.step_edges += int(scanned)
+        self.outbox.route(targets, *values)
         return self.outbox.flush()
 
     def superstep_recv(self, msg: Message | None, drain: bool) -> tuple:
@@ -274,21 +342,27 @@ class _KernelRank(Rank):
     def resident(self) -> dict[str, dict[str, np.ndarray]]:
         # A kernel's per-vertex arrays are the ones it exports; whatever
         # else it keeps in ``state`` is scratch.
-        lg = self.ctx.local_graph
+        state = self.state
+        owner = state if "adj" in state else vars(self.ctx.local_graph)
+        edges = {"adj": owner["adj"], "weight": owner["weight"]}
+        indptr = owner["indptr"]
         exported = {
             k: np.asarray(v)
-            for k, v in self.kernel.export_state(self.state, self.ctx).items()
+            for k, v in self.kernel.export_state(state, self.ctx).items()
         }
-        held = {id(v) for v in exported.values()}
-        return {
-            "vertex": {**exported, "local_indptr": lg.indptr},
-            "edges": {"adj": lg.adj, "weight": lg.weight},
+        held = {id(v) for v in (*exported.values(), *edges.values(), indptr)}
+        groups = {
+            "vertex": {**exported, "local_indptr": indptr},
+            "edges": edges,
             "other": {
                 k: v
-                for k, v in self.state.items()
+                for k, v in state.items()
                 if isinstance(v, np.ndarray) and id(v) not in held
             },
         }
+        if "halo" in state:
+            groups["halo"] = state["halo"]
+        return groups
 
 
 class _KernelEngine:
@@ -296,10 +370,11 @@ class _KernelEngine:
 
     ``kernel`` is a :class:`Kernel` instance or a registered name; its
     vertices are split over ``num_ranks`` by a contiguous 1-D ``partition``.
+    ``hierarchical`` routes the fabric's inter-supernode traffic through
+    supernode leaders; ``meta`` lands in the run's meta.
     """
 
     layout = "dist1d"
-    hierarchical = False
 
     def __init__(
         self,
@@ -307,6 +382,8 @@ class _KernelEngine:
         kernel: Kernel | str,
         num_ranks: int,
         partition: str = "block",
+        hierarchical: bool = False,
+        meta: dict | None = None,
     ) -> None:
         if isinstance(kernel, str):
             from repro.engine.kernels import make_kernel
@@ -317,7 +394,12 @@ class _KernelEngine:
         self.kernel = kernel
         self.kernel_name = kernel.name
         self.vote_op = kernel.vote_op
+        self.hierarchical = hierarchical
+        self.meta = meta or {}
+        self.announces = len(getattr(kernel, "hubs", ())) > 0
+        self.phases = getattr(kernel, "phases", None)
         self.steps = 0
+        self.passes = 0
 
     def build_ranks(self, graph: CSRGraph, num_ranks: int) -> list[_KernelRank]:
         router = OwnerRouter(self.partition)
@@ -333,59 +415,82 @@ class _KernelEngine:
 
     def _pass(
         self, ctx: EngineContext, reduced: float, begin: bool = False,
-        settled: bool = False,
+        settled: bool = False, frontier: int | None = None,
     ) -> np.ndarray:
-        """One generate → exchange → apply pass; per-rank ``superstep_recv`` rows.
+        """One generate → exchange → apply pass, in its own superstep span;
+        per-rank ``superstep_recv`` rows.
 
-        Two fused team calls (one per exchange side) where the unfused
-        driver paid five; the fabric call sequence and values are
-        unchanged.
+        Two fused team calls (one per exchange side), three with hub
+        announcements: their broadcast round runs only when some rank
+        announced, which a real machine learns from the preceding
+        allreduce at no cost.
         """
         team, fabric = ctx.team, ctx.fabric
-        outboxes = team.call(
-            "superstep_send", common=(reduced, begin, settled),
-            parallel=True,
-        )
-        inboxes = fabric.exchange(outboxes)
-        stats = np.array(
-            team.call(
-                "superstep_recv",
-                per_rank=[(m,) for m in inboxes],
-                common=(self.kernel.drain and not settled,),
+        tags = {"kernel": self.kernel_name, "step": self.steps}
+        if self.phases is not None:
+            tags["phase"] = self.phases[settled]
+        if frontier is not None:
+            tags["frontier"] = frontier
+        with ctx.tracer.span("superstep", cat="engine", **tags) as sp:
+            outboxes = team.call(
+                "superstep_send", common=(reduced, begin, settled),
                 parallel=True,
-            ),
-            dtype=np.float64,
-        )
-        ctx.charge(stats, "edges")
+            )
+            if self.announces:
+                if any(wire is not None for wire in outboxes):
+                    inboxes = fabric.exchange(outboxes)
+                else:
+                    inboxes = [None] * ctx.num_ranks
+                outboxes = team.call(
+                    "superstep_relay", per_rank=[(m,) for m in inboxes],
+                    common=(settled,), parallel=True,
+                )
+            inboxes = fabric.exchange(outboxes)
+            stats = np.array(
+                team.call(
+                    "superstep_recv",
+                    per_rank=[(m,) for m in inboxes],
+                    common=(self.kernel.drain and not settled,),
+                    parallel=True,
+                ),
+                dtype=np.float64,
+            )
+            ctx.charge(stats, "edges")
+            ctx.close_step(sp)
+        self.passes += not settled
         return stats
 
     def step(self, ctx: EngineContext, reduced: float) -> np.ndarray:
         self.steps += 1
+        # A phased kernel's superstep is an epoch of phase-tagged passes.
         with ctx.tracer.span(
-            "superstep", cat="engine", kernel=self.kernel_name, step=self.steps
-        ) as sp:
+            "epoch", cat="engine", epoch=self.steps
+        ) if self.phases is not None else nullcontext():
             # One generate→exchange→apply pass per superstep; draining
-            # kernels (k-core) repeat until every rank's frontier is empty,
-            # with quiescence detected by an any-allreduce like the 1-D
-            # engine's light-phase loop.
+            # kernels (k-core, ∆-stepping's bucket) repeat until every
+            # rank's frontier is empty, with quiescence detected by an
+            # any-allreduce.  A drain pass's frontier is what the previous
+            # pass left pending.
             stats = self._pass(ctx, reduced, begin=True)
             while self.kernel.drain and ctx.fabric.allreduce_any(stats[:, 1]):
-                stats = self._pass(ctx, reduced)
+                stats = self._pass(ctx, reduced, frontier=int(stats[:, 1].sum()))
             if hasattr(self.kernel, "gen_settled"):
                 stats = self._pass(ctx, reduced, settled=True)
-            ctx.close_step(sp)
         # The last pass's votes are the next superstep's: the hooks are
         # pure, so they equal what a fresh gather would read.
         return stats[:, 2]
 
     def finalize(self, ctx: EngineContext, exports: list[dict]) -> tuple[Any, dict]:
-        result = self.kernel.finalize(
-            ctx.graph, [e["kernel"] for e in exports], self.steps
-        )
+        kernel = self.kernel
+        result = kernel.finalize(ctx.graph, [e["kernel"] for e in exports], self.steps)
         result.counters.add("supersteps", self.steps)
+        if hasattr(kernel, "passes_counter"):
+            result.counters.add(kernel.passes_counter, self.passes)
         result.meta.update(kernel=self.kernel_name, num_ranks=ctx.num_ranks)
-        attach_fabric_outcome(result, ctx.fabric, "edges_scanned")
-        return result, {"partition": self.partition.kind}
+        attach_fabric_outcome(
+            result, ctx.fabric, getattr(kernel, "edges_counter", "edges_scanned")
+        )
+        return result, {"partition": self.partition.kind, **self.meta}
 
 
 def run_kernel(

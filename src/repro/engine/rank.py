@@ -1,8 +1,9 @@
 """The rank substrate: what every simulated rank does besides its algorithm.
 
-Four rank classes run on the superstep driver — 1-D ∆-stepping, the 2-D
-grid, distributed BFS and the vertex-kernel substrate — and all four do
-the same four things around their algorithm.  Each lives here once:
+Three rank classes run on the superstep driver — the 2-D grid,
+distributed BFS and the vertex-kernel substrate (whose kernels include
+1-D ∆-stepping) — and all three do the same four things around their
+algorithm.  Each lives here once:
 
 * :class:`OwnerRouter` — who owns a vertex, and the arrangement of a
   record batch into destination order, which is the wire byte order;

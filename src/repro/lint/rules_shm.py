@@ -20,7 +20,12 @@ that no type annotation can see:
   ``gen_messages``/``gen_settled`` and ``apply_messages`` must write
   *disjoint* state keys —
   a key written from both phases is applied twice per exchange round on
-  the fused path.
+  the fused path.  The one sanctioned overlap is a shared fold: a key
+  that ``apply_messages`` writes only inside a helper the generate hook
+  also runs (a generate hook folding owned records in place early).
+  Writes count wherever they happen: in the hook, through a local alias
+  (``x = state["k"]``) or a view of one, or in a ``self`` method the
+  hook passes the state to.
 
 Like the ``index`` pack, inference is conservative: the view-escape rule
 only marks functions whose return is *unconditionally* a raw view (a
@@ -351,14 +356,30 @@ def _state_param(func: ast.AST | None) -> str | None:
     return names[0] if names else None
 
 
+#: ndarray methods whose result is a view of the receiver.
+_VIEW_METHODS = ("reshape", "ravel", "view")
+
+
 def _state_writes(func: ast.AST, state: str) -> Iterator[tuple[ast.AST, str]]:
-    """(node, key) of every write to ``state[...]`` in a kernel hook.
+    """(node, key) of every write to ``state[...]`` in a kernel hook, made
+    directly or through a local alias (``x = state["k"]``) or a view of
+    either.
 
     Unknown keys (non-constant subscripts) report as ``"?"``.
     """
+    aliases: dict[str, str] = {}
 
     def keyed(expr: ast.AST) -> str | None:
-        """``state["k"]`` → ``k`` when ``expr`` subscripts the state dict."""
+        """``state["k"]`` → ``k`` when ``expr`` is (a view of) the state
+        entry or of an alias of it."""
+        while (
+            isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr in _VIEW_METHODS
+        ):
+            expr = expr.func.value
+        if isinstance(expr, ast.Name):
+            return aliases.get(expr.id)
         if not (
             isinstance(expr, ast.Subscript)
             and isinstance(expr.value, ast.Name)
@@ -369,7 +390,19 @@ def _state_writes(func: ast.AST, state: str) -> Iterator[tuple[ast.AST, str]]:
             return expr.slice.value
         return "?"
 
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Subscript)
+        ):
+            key = keyed(node.value)
+            if key is not None:
+                aliases[node.targets[0].id] = key
     for node, target in _writes(func):
+        if isinstance(target, ast.Name) and not isinstance(node, (ast.AugAssign, ast.Call)):
+            continue  # rebinding a name writes no array
         key = keyed(target)
         if key is None and isinstance(target, ast.Subscript) and not isinstance(node, ast.Call):
             key = keyed(target.value)  # state["x"][idx] = ...
@@ -377,46 +410,83 @@ def _state_writes(func: ast.AST, state: str) -> Iterator[tuple[ast.AST, str]]:
             yield node, key
 
 
+def _hook_writes(
+    methods: dict[str, ast.AST], name: str, seen: tuple[str, ...] = ()
+) -> Iterator[tuple[ast.AST, str, tuple[str, ...]]]:
+    """(node, key, via) of every state write of method ``name``: its own,
+    and those of the ``self.helper(...)`` calls it passes the state to,
+    transitively.  ``via`` names the helpers the write sits in, outermost
+    first (empty for the method's own writes)."""
+    func = methods.get(name)
+    state = _state_param(func)
+    if state is None:
+        return
+    for node, key in _state_writes(func, state):
+        yield node, key, seen
+    for call in ast.walk(func):
+        if not (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "self"
+            and call.func.attr in methods
+            and call.func.attr != name
+            and call.func.attr not in seen
+        ):
+            continue
+        passes = any(isinstance(a, ast.Name) and a.id == state for a in call.args)
+        passes |= any(
+            isinstance(k.value, ast.Name) and k.value.id == state for k in call.keywords
+        )
+        if passes:
+            helper = call.func.attr
+            yield from _hook_writes(methods, helper, (*seen, helper))
+
+
 def _kernel_phase_findings(module: LintModule) -> Iterator[tuple[ast.AST, str]]:
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        hooks = {
+        methods = {
             item.name: item
             for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        if _GEN_HOOK not in hooks or _APPLY_HOOK not in hooks:
+        if _GEN_HOOK not in methods or _APPLY_HOOK not in methods:
             continue  # duck-typed Kernel detection
         for hook_name in _PURE_HOOKS:
-            state = _state_param(hooks.get(hook_name))
-            if state is None:
-                continue
-            for write, key in _state_writes(hooks[hook_name], state):
+            for write, key, via in _hook_writes(methods, hook_name):
                 yield (
                     write,
                     f"{hook_name}() is a pure readout by the Kernel "
-                    f"contract but writes {state}[{key!r}]; on the fused "
-                    f"path it runs as a stat served between supersteps — "
-                    f"move the write into gen_messages/apply_messages",
+                    f"contract but writes state[{key!r}]{_via(via)}; on the "
+                    f"fused path it runs as a stat served between supersteps "
+                    f"— move the write into gen_messages/apply_messages",
                 )
-        apply_state = _state_param(hooks[_APPLY_HOOK])
-        if apply_state is None:
-            continue
-        apply_keys = {k for _, k in _state_writes(hooks[_APPLY_HOOK], apply_state)}
+        apply_writes = list(_hook_writes(methods, _APPLY_HOOK))
         for gen_name in _GEN_HOOKS:
-            gen_state = _state_param(hooks.get(gen_name))
-            if gen_state is None:
-                continue
-            for write, key in _state_writes(hooks[gen_name], gen_state):
-                if key in apply_keys:
+            gen_writes = list(_hook_writes(methods, gen_name))
+            # The helpers a generate hook runs; a key that apply writes
+            # only inside them is a fold the generate hook applies early.
+            reached = {helper for _, _, via in gen_writes for helper in via}
+            own = {key for _, key, via in apply_writes if not (via and via[-1] in reached)}
+            for write, key, via in gen_writes:
+                if key in own:
                     yield (
                         write,
-                        f"{gen_name}() writes {gen_state}[{key!r}], which "
-                        f"apply_messages() also writes; the phases run in the "
-                        f"same exchange round, so the key is updated twice per "
+                        f"{gen_name}() writes state[{key!r}]{_via(via)}, "
+                        f"which apply_messages() also writes outside the "
+                        f"fold the two share; the phases run in the same "
+                        f"exchange round, so the key is updated twice per "
                         f"superstep — own each key from exactly one phase",
                     )
+
+
+def _via(helpers: tuple[str, ...]) -> str:
+    """`` (via self.a() → self.b())`` for a write reached through helpers."""
+    if not helpers:
+        return ""
+    return " (via " + " → ".join(f"self.{h}()" for h in helpers) + ")"
 
 
 # -- the pack ----------------------------------------------------------------

@@ -147,7 +147,7 @@ def test_close_step_totals_every_phase_since_the_last_close():
 @pytest.mark.parametrize(
     "kernel,engine,gather,span",
     [
-        ("sssp", "dist1d", "local_min_bucket", "superstep"),
+        ("sssp", "dist1d", "kernel_vote", "superstep"),
         ("sssp", "dist2d", "frontier_size", "round"),
         ("bfs", "dist1d", "frontier_size", "level"),
         ("kcore", "dist1d", "kernel_vote", "superstep"),

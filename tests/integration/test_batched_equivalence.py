@@ -10,9 +10,10 @@ lane's answer must hash identically to the corresponding single-root
 reference run:
 
 * ``sssp_batch``: the lane's dist *and* parent arrays are bitwise equal
-  to the single-root dist1d ∆-stepping answer (the distance fixed point
-  is unique and float64 min over path sums is exact; parents come from
-  the same ``derive_parents`` pass).
+  to the shared-memory ∆-stepping answer — an engine independent of the
+  lanes, since single-root dist1d SSSP *is* one lane of this kernel (the
+  distance fixed point is unique and float64 min over path sums is
+  exact; parents come from the same ``derive_parents`` pass).
 * ``bfs64``: the lane's level column is bitwise equal to the single-root
   BFS levels (hop distance is unique).  Parent trees are pinned across
   the whole batched matrix (min-claimant rule is order-free) and
@@ -69,7 +70,7 @@ def single_root_hashes(graph, roots):
     """Per-root reference digests from independent single-root runs."""
     hashes = {}
     for root in roots:
-        sssp = api.run(graph, root, kernel="sssp", num_ranks=NUM_RANKS).result
+        sssp = api.run(graph, root, kernel="sssp", engine="shared").result
         bfs = api.run(graph, root, kernel="bfs", num_ranks=NUM_RANKS).result
         hashes["sssp", root] = _sha(sssp.dist, sssp.parent)
         hashes["bfs_level", root] = _sha(bfs.level)
@@ -194,12 +195,26 @@ def test_sssp_batch_past_256_lanes():
     lane_roots = [int(distinct[i % distinct.size]) for i in range(300)]
     swept = api.run(small, lane_roots, kernel="sssp_batch", num_ranks=4).result
     single = {
-        int(r): api.run(small, int(r), kernel="sssp", num_ranks=4).result
+        int(r): api.run(small, int(r), kernel="sssp", engine="shared").result
         for r in distinct
     }
     for i, root in enumerate(lane_roots):
         lane = swept.lane(i)
         assert _sha(lane.dist, lane.parent) == _sha(single[root].dist, single[root].parent)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_permuted_roots_permute_the_lanes(graph, roots, serial_batched, kernel):
+    """Lane order is only a labelling: permuted roots answer with the
+    same lanes, bit for bit, in the permuted order."""
+    perm = np.random.default_rng(7).permutation(len(roots))
+    base = serial_batched[kernel, 0].result
+    permuted = api.run(
+        graph, [roots[i] for i in perm], kernel=kernel, num_ranks=NUM_RANKS
+    ).result
+    answer = "dist" if kernel == "sssp_batch" else "level"
+    for field in (answer, "parent"):
+        assert np.array_equal(getattr(permuted, field), getattr(base, field)[:, perm])
 
 
 def test_sssp_batch_respects_explicit_delta(graph, roots):

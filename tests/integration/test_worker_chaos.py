@@ -1,6 +1,6 @@
 """Chaos: a process-backend worker that dies or stalls in a real run.
 
-One fused ∆-stepping phase is patched before the team forks, so the
+The fused outbound half of a substrate pass is patched before the team forks, so the
 worker hosting a chosen rank kills itself (SIGKILL) or sleeps past the
 reply timeout at a seeded call index.  The run must fail with a
 :class:`WorkerError` naming that worker, its ranks and the phase; it must
@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core import dist_sssp
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
+from repro.engine.protocol import _KernelRank
 from repro.simmpi import parked
 from repro.simmpi.executor import RankExecutor, WorkerError
 
@@ -44,36 +44,36 @@ def _fail_and_recover(monkeypatch, fault, failure):
     recovers."""
     graph = build_csr(generate_kronecker(10, seed=2022))
     source = int(np.argmax(graph.out_degree))
-    phase = dist_sssp._Rank.light_superstep
+    phase = _KernelRank.superstep_send
 
     # Count the victim's calls of the phase on a serial run, so the seeded
     # fault index is one the process run is sure to reach.
     calls = []
 
-    def counted(self, k, first):
+    def counted(self, reduced, begin, settled):
         if self.rank == VICTIM:
-            calls.append(k)
-        return phase(self, k, first)
+            calls.append(reduced)
+        return phase(self, reduced, begin, settled)
 
     with monkeypatch.context() as m:
-        m.setattr(dist_sssp._Rank, "light_superstep", counted)
+        m.setattr(_KernelRank, "superstep_send", counted)
         serial = api.run(graph, source, num_ranks=NUM_RANKS)
     fault_at = random.Random(SEED).randrange(len(calls))
 
     seen = []  # the victim's calls so far, counted inside its worker
 
-    def doomed(self, k, first):
+    def doomed(self, reduced, begin, settled):
         if self.rank == VICTIM:
             if len(seen) == fault_at:
                 fault()
-            seen.append(k)
-        return phase(self, k, first)
+            seen.append(reduced)
+        return phase(self, reduced, begin, settled)
 
     shm_before = _shm_names()
     children_before = set(multiprocessing.active_children())
     executor = RankExecutor("process", workers=WORKERS)
     with monkeypatch.context() as m:
-        m.setattr(dist_sssp._Rank, "light_superstep", doomed)
+        m.setattr(_KernelRank, "superstep_send", doomed)
         with pytest.raises(WorkerError, match=failure):
             api.run(graph, source, num_ranks=NUM_RANKS, executor=executor)
     assert seen == []  # the parent never ran the phase itself
@@ -90,7 +90,7 @@ def test_sigkilled_worker_fails_clean_and_the_executor_recovers(monkeypatch):
     _fail_and_recover(
         monkeypatch,
         lambda: os.kill(os.getpid(), signal.SIGKILL),
-        r"rank worker 1 \(ranks \[1, 3, 5, 7\]\) died mid-call in 'light_superstep'",
+        r"rank worker 1 \(ranks \[1, 3, 5, 7\]\) died mid-call in 'superstep_send'",
     )
 
 
@@ -101,5 +101,5 @@ def test_stalled_worker_fails_clean_and_the_executor_recovers(monkeypatch):
     _fail_and_recover(
         monkeypatch,
         lambda: time.sleep(2.0),
-        r"rank worker 1 \(ranks \[1, 3, 5, 7\]\) stalled in 'light_superstep'",
+        r"rank worker 1 \(ranks \[1, 3, 5, 7\]\) stalled in 'superstep_send'",
     )

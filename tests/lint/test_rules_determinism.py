@@ -307,6 +307,6 @@ class TestParallelPrimitives:
 
 class TestKnownGoodEngines:
     def test_routing_wire_paths_are_clean(self, lint):
-        for rel in ("core/dist_sssp.py", "core/twod_engine.py", "graph/dist_build.py"):
+        for rel in ("engine/kernels/sssp_batch.py", "core/twod_engine.py", "graph/dist_build.py"):
             source = (SRC / rel).read_text()
             assert lint(source, rules=["det"]) == [], rel

@@ -253,7 +253,7 @@ class TestStatementFlow:
 
 class TestKnownGoodEngines:
     def test_owned_local_engine_is_clean(self, lint):
-        source = (SRC / "core" / "dist_sssp.py").read_text()
+        source = (SRC / "engine" / "kernels" / "sssp_batch.py").read_text()
         assert lint(source, rules=["index"]) == []
 
     def test_rank_base_is_clean(self, lint):

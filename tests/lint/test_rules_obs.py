@@ -24,7 +24,7 @@ TIMED_LOOP = """
 
 class TestManualTiming:
     def test_perf_counter_in_engine_code_fires(self):
-        findings = lint_at(TIMED_LOOP, "src/repro/core/dist_sssp.py")
+        findings = lint_at(TIMED_LOOP, "src/repro/engine/protocol.py")
         assert [f.rule for f in findings] == ["obs-manual-timing"] * 2
         assert "tracer.span" in findings[0].message
 
@@ -56,7 +56,7 @@ class TestManualTiming:
             def now():
                 return time.time()
             """,
-            "src/repro/core/dist_sssp.py",
+            "src/repro/engine/protocol.py",
         )
         assert findings == []
 

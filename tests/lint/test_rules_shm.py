@@ -6,6 +6,8 @@ seeded-defect corpus (the dynamic half lives in
 ``tests/simmpi/test_racecheck.py``).
 """
 
+import pytest
+
 SHM = ["shm"]
 
 
@@ -342,6 +344,106 @@ class TestKernelPhase:
         )
         assert [f.rule for f in findings] == ["shm-kernel-phase"]
         assert "gen_settled() writes state['dist']" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "apply_body",
+        [
+            "self._set(state, inbox)",
+            "labels = state['labels']\n                    labels[inbox] = 1",
+            "np.minimum.at(state['labels'].reshape(-1), inbox, 1)",
+        ],
+        ids=["helper", "alias", "view"],
+    )
+    def test_writes_through_helpers_aliases_and_views_are_seen(self, lint, apply_body):
+        findings = lint(
+            f"""
+            import numpy as np
+
+            class Bad:
+                def gen_messages(self, state, frontier):
+                    state["labels"][frontier] = 0
+                    return frontier
+
+                def apply_messages(self, state, inbox):
+                    {apply_body}
+
+                def _set(self, st, inbox):
+                    st["labels"][inbox] = 1
+            """,
+            SHM,
+        )
+        assert [f.rule for f in findings] == ["shm-kernel-phase"]
+
+    def test_pure_hook_writing_through_a_helper_fires(self, lint):
+        findings = lint(
+            """
+            class Bad:
+                def gen_messages(self, state, frontier):
+                    return frontier
+
+                def apply_messages(self, state, inbox):
+                    state["labels"][inbox] = 1
+
+                def vote(self, state):
+                    return self._count(state)
+
+                def _count(self, state):
+                    state["votes"] = 1
+                    return 1
+            """,
+            SHM,
+        )
+        assert [f.rule for f in findings] == ["shm-kernel-phase"]
+        assert "via self._count()" in findings[0].message
+
+    def test_fold_shared_with_a_generate_hook_is_clean(self, lint):
+        # The fusion shape: a generate hook retires what it expands and
+        # folds owned records in place with the very fold apply runs.
+        findings = lint(
+            """
+            import numpy as np
+
+            class Good:
+                def gen_messages(self, state, frontier):
+                    state["improved"][frontier] = False
+                    self._emit(state, frontier)
+                    return frontier
+
+                def _emit(self, state, records):
+                    self._fold(state, records)
+
+                def _fold(self, state, records):
+                    dist = state["dist"]
+                    np.minimum.at(dist, records, 0.0)
+                    state["improved"][records] = True
+
+                def apply_messages(self, state, inbox):
+                    self._fold(state, inbox)
+            """,
+            SHM,
+        )
+        assert findings == []
+
+    def test_apply_write_beside_the_shared_fold_fires(self, lint):
+        findings = lint(
+            """
+            class Bad:
+                def gen_messages(self, state, frontier):
+                    state["improved"][frontier] = False
+                    self._fold(state, frontier)
+                    return frontier
+
+                def _fold(self, state, records):
+                    state["dist"][records] = 0.0
+
+                def apply_messages(self, state, inbox):
+                    self._fold(state, inbox)
+                    state["improved"][inbox] = True
+            """,
+            SHM,
+        )
+        assert [f.rule for f in findings] == ["shm-kernel-phase"]
+        assert "gen_messages() writes state['improved']" in findings[0].message
 
     def test_disjoint_phase_writes_are_clean(self, lint):
         # The KCore shape: gen writes coreness/alive, apply writes degree.
