@@ -10,9 +10,10 @@ The one entry point is the unified kernel facade :func:`repro.run`
 >>> out.result.dist, out.modeled_time, out.report()
 >>> out.result.validate(graph)      # uniform oracle check, any kernel
 
-``kernel=`` picks the computation (``sssp``, ``bfs``, ``cc``,
-``pagerank``, ``kcore``); ``engine=`` picks the layout (``dist1d``,
-``dist2d``, ``shared``) — orthogonal axes, same answer either way.  The
+``kernel=`` picks the computation (``sssp``, ``bfs``, ``cc``, ``pagerank``,
+``kcore``, batched ``bfs64`` / ``sssp_batch``), ``engine=`` the layout
+(``dist1d`` every kernel, ``dist2d`` SSSP, ``shared`` all but the batched
+two) — the answer is the same on each.  The
 facade also accepts ``faults="drop=0.01,delay=2us,seed=7"`` to inject
 deterministic fabric faults — answers stay bit-identical; only modeled
 time and retransmission accounting change.

@@ -1,8 +1,8 @@
 """The unified kernel API: one ``run()`` facade over every graph kernel.
 
-The package computes five kernels — SSSP (the paper's algorithm), BFS
-(Graph500 kernel 2), connected components, PageRank and k-core — and this
-module is the single front door to all of them:
+The package computes seven kernels — SSSP (the paper's algorithm), BFS
+(Graph500 kernel 2), connected components, PageRank, k-core and the
+batched ``bfs64`` / ``sssp_batch`` — and this module is their front door:
 
 >>> from repro import run
 >>> out = run(graph, 0, kernel="sssp", engine="dist1d", num_ranks=8)
@@ -14,16 +14,16 @@ module is the single front door to all of them:
 ``kernel=`` selects *what* to compute; ``engine=`` selects *where and
 how* — ``dist1d`` (1-D partitioned ranks over the simulated fabric),
 ``dist2d`` (checkerboard grid; SSSP only), or ``shared`` (the in-process
-sequential kernel, no cost model).  The two axes are orthogonal: every
-kernel runs on ``dist1d`` and ``shared``, and flipping ``engine=`` never
+sequential kernel, no cost model).  Every kernel runs on ``dist1d``, all
+but ``bfs64`` and ``sssp_batch`` on ``shared``; flipping ``engine=`` never
 changes the answer.
 
-``source=`` is required for the traversal kernels (``sssp``, ``bfs``)
-and must be omitted for the whole-graph kernels (``cc``, ``pagerank``,
-``kcore``).  Every run returns one :class:`RunSummary`, whose
-kernel-typed ``result`` (distances / parent+level / labels / ranks /
-coreness) carries a uniform ``validate(graph)`` hook checking it against a
-sequential oracle.
+``source=`` is required for the traversal kernels (``sssp``, ``bfs``; a
+root sequence for ``bfs64`` and ``sssp_batch``) and must be omitted for
+the whole-graph kernels (``cc``, ``pagerank``, ``kcore``).  Every run
+returns one :class:`RunSummary`, whose kernel-typed ``result`` (distances
+/ parent+level / labels / ranks / coreness) carries a uniform
+``validate(graph)`` hook checking it against a sequential oracle.
 
 Cross-cutting knobs — ``machine``, ``faults``, ``sanitize``,
 ``racecheck``, ``tracer``, ``executor``/``workers`` — mean the same thing
@@ -164,9 +164,10 @@ def _sssp_dist1d(graph, source, num_ranks, config, **extra):
 def _sssp_dist2d(graph, source, num_ranks, config, grid=None, **extra):
     _reject_extra("sssp", "dist2d", extra)
     if config is None:
-        # The 2-D engine's default: block partition, coalescing on, int64
-        # wire ids.
         config = SSSPConfig(partition="block", compressed_indices=False)
+    if config.hierarchical_aggregation:
+        raise ValueError("engine 'dist2d' routes nothing through supernode leaders; "
+                         "hierarchical_aggregation=True requires engine 'dist1d'")
     check_source(graph, source)
     rows, cols = grid if grid is not None else make_grid(num_ranks)
     check_grid(rows, cols, num_ranks)

@@ -239,7 +239,7 @@ class _TwoDEngine:
     (send-side dedup-min + replica filter) and ``compressed_indices``
     (uint32 vertex ids on the wire).  ``delta`` and the bucket knobs do
     not apply — this engine relaxes the whole frontier chaotically — and
-    the run's ``meta['variant']`` records the applied configuration.
+    the run's ``meta['variant']`` names only the knobs it applies.
     """
 
     layout = "dist2d"
@@ -377,7 +377,9 @@ class _TwoDEngine:
             grid=f"{self.rows}x{self.cols}",
             partition=self.part.kind,
         )
-        result.meta["variant"] = self.config.variant_name()
+        c = self.config
+        result.meta["variant"] = (f"part={c.partition} {'+' if c.coalesce else '-'}coalesce "
+                                  f"{'+' if c.compressed_indices else '-'}compress")
         attach_fabric_outcome(result, ctx.fabric, "edges_relaxed")
         return result, {
             "grid": (self.rows, self.cols),

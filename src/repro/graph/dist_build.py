@@ -16,7 +16,7 @@ validate kernel 1 distributedly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class DistBuildResult:
     shuffle_bytes: int
     wall_seconds: float
     edges_per_rank: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def edge_imbalance(self) -> float:
@@ -81,7 +80,6 @@ def distributed_construction(
         # 2. Symmetrize locally and shuffle by source-vertex owner.
         wires = []
         gen_edges = np.zeros(num_ranks, dtype=np.float64)
-        pack_bytes = np.zeros(num_ranks, dtype=np.float64)
         for r, sl in enumerate(slices):
             src = np.concatenate([sl.src, sl.dst])
             dst = np.concatenate([sl.dst, sl.src])
@@ -91,11 +89,10 @@ def distributed_construction(
             # is also the CSR build order: the dense build reproduces.
             shuffle = Outbox(router, ("src", "dst", "weight"))
             shuffle.route(src, dst, w)
-            wire = shuffle.flush()
-            pack_bytes[r] = 0 if wire is None else wire.nbytes
-            wires.append(wire)
-        fabric.charge_compute(edges=gen_edges, bytes=pack_bytes)
+            wires.append(shuffle.flush())
         inboxes = fabric.exchange(wires)
+        # The fabric's ledger holds what each rank packed, self-records too.
+        fabric.charge_compute(edges=gen_edges, bytes=fabric.take_packed())
         # 3. Each rank builds CSR rows for its owned contiguous range.
         local_graphs: list[CSRGraph] = []
         edges_per_rank = np.zeros(num_ranks, dtype=np.int64)
@@ -146,5 +143,4 @@ def distributed_construction(
         shuffle_bytes=fabric.trace.total_bytes,
         wall_seconds=wall.seconds,
         edges_per_rank=edges_per_rank,
-        meta={"scale": spec.scale, "edgefactor": spec.edgefactor},
     )

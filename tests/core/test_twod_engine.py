@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra
 from repro import run
+from repro.core.config import SSSPConfig
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.synth import grid_graph, path_graph, random_graph, star_graph
@@ -45,6 +46,19 @@ class TestTwoDCorrectness:
     def test_invalid_source(self, kron):
         with pytest.raises(ValueError):
             distributed_sssp_2d(kron, -1, num_ranks=4)
+
+    def test_variant_names_only_the_applied_knobs(self, kron):
+        # ∆, delegation and fusion never run on the grid.
+        run = distributed_sssp_2d(kron, 3, num_ranks=4)
+        assert run.result.meta["variant"] == "part=block +coalesce -compress"
+        config = SSSPConfig(coalesce=False, fusion_cap=1)
+        run = distributed_sssp_2d(kron, 3, num_ranks=4, config=config)
+        assert run.result.meta["variant"] == "part=edge_balanced -coalesce +compress"
+
+    def test_hierarchical_aggregation_rejected(self, kron):
+        config = SSSPConfig(hierarchical_aggregation=True)
+        with pytest.raises(ValueError, match="hierarchical_aggregation=True requires"):
+            distributed_sssp_2d(kron, 3, num_ranks=4, config=config)
 
     def test_non_kronecker_graphs(self):
         for el in (grid_graph(8, 8, seed=2), star_graph(100, weight=0.3), path_graph(40, 0.5)):
