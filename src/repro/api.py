@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bfs.dist_bfs import _BFSEngine
 from repro.bfs.kernel import bfs as _shared_bfs
 from repro.core.adaptive import resolve_delta
 from repro.core.config import SSSPConfig
@@ -185,7 +184,10 @@ def _bfs_dist1d(
     _reject_extra("bfs", "dist1d", extra)
     check_source(graph, source)
     check_direction(direction)
-    return _BFSEngine(source, direction, partition, hierarchical)
+    from repro.engine.kernels.bfs import BFS
+
+    kernel = BFS(source, direction, graph.num_vertices, graph.num_edges)
+    return _KernelEngine(graph, kernel, num_ranks, partition, hierarchical=hierarchical)
 
 
 def _bfs64_dist1d(graph, source, num_ranks, config, partition="block", **extra):

@@ -3,8 +3,8 @@
 Three layers live here:
 
 * :mod:`repro.engine.driver` — the low-level loop (vote → fabric
-  allreduce → engine-defined step) shared by the 2-D checkerboard and
-  distributed BFS engines and the vertex-kernel substrate, plus the one
+  allreduce → engine-defined step) shared by the 2-D checkerboard engine
+  and the vertex-kernel substrate, plus the one
   :class:`~repro.engine.driver.RunSummary` every run returns, filled
   from the fabric in one place.
 * :mod:`repro.engine.rank` — what every rank does besides its algorithm:

@@ -1,13 +1,12 @@
 """The generic superstep driver every distributed engine runs on.
 
-Every distributed engine (2-D frontier relaxation, direction-optimizing
-BFS, and the vertex-kernel substrate, 1-D ∆-stepping included) shares one
-loop shape: build per-rank state, seed it, gather per-rank votes once,
-then repeat *(fabric allreduce →
-terminate or run one engine-defined step of team phases and exchanges,
-which hands back the next votes)* until the vote converges, gather the
-per-rank exports, and assemble a run object.  This module owns that
-shape — fabric construction, executor/team lifecycle, the ``solve``
+Every distributed engine (2-D frontier relaxation and the vertex-kernel
+substrate, 1-D ∆-stepping and BFS included) shares one loop shape: build
+per-rank state, seed it, gather per-rank votes once, then repeat *(fabric
+allreduce → terminate or run one engine-defined step of team phases and
+exchanges, which hands back the next votes)* until the vote converges,
+gather the per-rank exports, and assemble a run object.  This module owns
+that shape — fabric construction, executor/team lifecycle, the ``solve``
 tracer span bounding wall-clock attribution, the per-step work charge and
 span tags (:meth:`EngineContext.charge` / :meth:`EngineContext.close_step`),
 and the shared finalize bookkeeping (fault counters, sanitizer report,
@@ -17,11 +16,10 @@ the engine and thread the run knobs here.
 
 What stays engine-defined is exactly what differs between engines: rank
 construction/seeding, the vote (min live bucket, frontier size), and the
-step body (light/heavy phases, row broadcast + column reduce, level
-expansion).  The driver performs team and fabric calls in the same
-canonical order whatever the engine, which is why re-expressing an engine
-on this substrate is bit-identical: the byte-exact equivalence fixtures
-pin the refactor.
+step body (a kernel's passes, row broadcast + column reduce).  The driver
+performs team and fabric calls in the same canonical order whatever the
+engine, which is why re-expressing an engine on this substrate is
+bit-identical: the witness matrix (``tests/witness.py``) pins it.
 """
 
 from __future__ import annotations
@@ -111,10 +109,7 @@ class EngineContext:
     """Everything a step body may touch, handed to every engine hook.
 
     The driver owns construction and teardown; engines only *use* these.
-    ``ranks`` holds the driver-side rank objects — under the process
-    backend they are pre-fork copies whose constructor-set immutable
-    attributes (ranges, owned arrays) remain accurate, but whose mutable
-    state is stale; all state interaction goes through ``team``.
+    All rank state interaction goes through ``team``.
     """
 
     graph: CSRGraph
@@ -123,7 +118,6 @@ class EngineContext:
     fabric: Fabric
     team: RankTeam
     tracer: Tracer
-    ranks: list
     #: Work charged since the last :meth:`close_step`, by component.
     step_work: dict[str, int] = field(default_factory=dict)
 
@@ -248,7 +242,6 @@ def run_superstep_engine(
         fabric=fabric,
         team=team,
         tracer=tracer,
-        ranks=ranks,
     )
     try:
         # The solve span bounds wall-clock attribution: everything the team

@@ -7,9 +7,10 @@ oracle its result's ``validate()`` hook checks against exactly.
 Batched multi-source: ``bfs64`` (bit-parallel BFS, one uint64 lane per
 root) and ``sssp_batch`` (multi-root ∆-stepping over a distance matrix)
 — constructed with a ``roots`` batch, validated per lane against the
-single-root answers.
+single-root ``BFS`` (direction-optimizing) and one-lane ``sssp_batch``.
 """
 
+from repro.engine.kernels.bfs import BFS
 from repro.engine.kernels.bfs64 import BFS64
 from repro.engine.kernels.cc import ConnectedComponents
 from repro.engine.kernels.kcore import KCore, kcore_reference
@@ -17,6 +18,7 @@ from repro.engine.kernels.pagerank import PageRank, pagerank_reference
 from repro.engine.kernels.sssp_batch import SSSPBatch
 
 __all__ = [
+    "BFS",
     "BFS64",
     "ConnectedComponents",
     "KCore",

@@ -18,7 +18,9 @@ including floating-point sums (see the PageRank kernel).
 
 The shipped kernels (:mod:`repro.engine.kernels`) are ∆-stepping
 (``sssp_batch``, whose one-lane case is ``repro.run(kernel="sssp")``),
-``bfs64``, connected components, PageRank and k-core; the README's
+direction-optimizing BFS (``repro.run(kernel="bfs")``, whose bottom-up
+levels are gather passes steered by a per-rank statistic), ``bfs64``,
+connected components, PageRank and k-core; the README's
 "Writing a kernel" walk-through builds connected components from scratch
 on this interface.
 """
@@ -54,7 +56,8 @@ __all__ = ["Kernel", "RankContext", "run_kernel"]
 class RankContext:
     """The fixed, read-only view a kernel's rank-side hooks receive.
 
-    Owned vertices are the contiguous global range ``[lo, hi)``;
+    Owned vertices are the contiguous global range ``[lo, hi)`` —
+    rank ``r`` owns ``[starts[r], starts[r + 1])``;
     ``local_graph`` holds their out-edges with *local* row indices and
     *global* adjacency targets, so ``global id = local id + lo`` is the
     whole index translation a kernel ever needs.  When the kernel
@@ -68,6 +71,7 @@ class RankContext:
     lo: int
     hi: int
     local_graph: CSRGraph | None
+    starts: np.ndarray
 
     @property
     def owned_count(self) -> int:
@@ -113,16 +117,30 @@ class Kernel(Protocol):
     ``gen_messages``; when a kernel defines it, each superstep ends with
     one extra generate → exchange → apply pass that sends what it returns
     — the records owed by vertices the superstep settled (∆-stepping's
-    heavy edges, relaxed once with final distances).  ``phases`` names the
-    span phase of a drain pass and of that closing pass.
+    heavy edges, relaxed once with final distances), as one ``epoch`` span.
+    ``phases`` names the span phase of a drain pass and of that closing
+    pass (or of an exchange pass and of a gather pass).
 
     ``gen_messages`` and ``gen_settled`` are generate hooks: each must
-    write no state key that ``apply_messages`` writes — except that a
+    write no state key that ``apply_messages`` writes (nor ``gen_gather``
+    one that ``apply_gathered`` writes) — except that a
     generate hook may fold records into the state early (∆-stepping's
     fusion applies owned-target records in place) with the very helper
     that ``apply_messages`` folds through, when that helper is all
     ``apply_messages`` writes the key with (lint rule
     ``shm-kernel-phase``).
+
+    A per-rank statistic: ``stat(state, ctx)`` is a pure readout, summed
+    by an allreduce right after each superstep's vote allreduce, and the
+    parent-side ``observe(reduced, total)`` reads both sums before the
+    superstep runs (BFS: frontier out-edges, for Beamer's switch).
+
+    Gather passes: a superstep starting while the parent-side ``gathering``
+    is true sends no records — each rank's ``gen_gather(state, ctx)``
+    returns a ``{field: array}`` contribution, the fabric allgathers them,
+    and each rank's ``apply_gathered(state, ctx, gathered)`` folds the one
+    message holding all of them in rank order and returns the edges it
+    scanned (BFS: the bottom-up frontier bitmap).
 
     A kernel with non-empty ``hubs`` delegates them (rows split over the
     ranks, see :class:`RankContext`), and each pass gains an announcement
@@ -134,8 +152,9 @@ class Kernel(Protocol):
     A state holding ``"indptr"`` / ``"adj"`` / ``"weight"`` is the rank's
     one copy of its edges (``ctx.local_graph`` is then dropped), and
     ``state["halo"]`` the arrays sized by the rank's remote targets.
-    ``edges_counter`` renames the edges-scanned counter; ``passes_counter``
-    names one counting the drain passes.
+    ``edges_counter`` renames the edges-scanned counter, ``steps_counter``
+    the supersteps counter; ``passes_counter`` names one counting the drain
+    passes.
     """
 
     name: str
@@ -220,6 +239,7 @@ class _KernelRank(Rank):
             lo=self.lo,
             hi=self.hi,
             local_graph=local_graph,
+            starts=router.starts,
         )
         self.state = kernel.init_state(self.ctx)
         if "adj" in self.state:
@@ -236,14 +256,11 @@ class _KernelRank(Rank):
         self.outbox = Outbox(router, ("vertex", *names))
         # Hub announcements: one copy of the records for every other rank.
         self.announcements = Outbox(router, ("vertex", *names)) if len(hubs) else None
-        self.others = np.delete(np.arange(router.num_ranks), rank)
+        self.others = np.delete(np.arange(router.num_ranks), rank) if len(hubs) else None
+        self.begin_step = getattr(kernel, "begin_step", None)
+        self.stat = getattr(kernel, "stat", None)
 
-    # -- kernel hook dispatch (team-callable) -------------------------------
-
-    def kernel_begin_step(self, reduced: float) -> None:
-        begin = getattr(self.kernel, "begin_step", None)
-        if begin is not None:
-            begin(self.state, self.ctx, reduced)
+    # -- kernel hook dispatch ------------------------------------------------
 
     def kernel_generate(self, settled: bool) -> None:
         """Run the kernel's generate hook and route what it emitted."""
@@ -259,16 +276,6 @@ class _KernelRank(Rank):
         self.step_edges += int(scanned)
         self.outbox.route(targets, *values)
 
-    def kernel_apply(self, msg: Message | None) -> None:
-        """Unpack the inbox (possibly empty) and fold it into owned state.
-
-        The kernel always runs — vertex programs like PageRank update
-        every owned vertex each pass even when nothing arrived.
-        """
-        # repro: index-space: targets=global
-        targets, values = self._unpack(msg)
-        self.kernel.apply_messages(self.state, self.ctx, self.to_local(targets), values)
-
     def _unpack(self, msg: Message | None) -> tuple:
         """``(vertex, values)`` columns of an inbox; empty for ``None``."""
         fields = self.kernel.wire_fields
@@ -278,12 +285,20 @@ class _KernelRank(Rank):
             )
         return msg["vertex"], tuple(msg[name] for name, _ in fields)
 
-    def kernel_vote(self) -> float:
-        return float(self.kernel.vote(self.state, self.ctx))
+    def kernel_vote(self) -> tuple:
+        """``(vote,)``, or ``(vote, stat)`` when the kernel keeps a statistic."""
+        vote = float(self.kernel.vote(self.state, self.ctx))
+        if self.stat is None:
+            return (vote,)
+        return vote, float(self.stat(self.state, self.ctx))
 
-    def kernel_pending(self) -> float:
-        """Active-vertex count after apply — the drain loop's quiescence vote."""
-        return float(self.kernel.frontier_from(self.state, self.ctx).size)
+    def _readout(self, drain: bool) -> tuple:
+        """A pass's ``(edges, pending, vote[, stat])``: the cost model's
+        charge, the drain loop's quiescence vote (active vertices, when
+        draining) and the next allreduces' inputs — pure readouts, so
+        per-pass evaluation matches the unfused phase order bit for bit."""
+        pending = float(self.kernel.frontier_from(self.state, self.ctx).size) if drain else 0.0
+        return (float(self.take_step_work()), pending, *self.kernel_vote())
 
     # -- fused superstep phases (one team call per exchange side) -----------
 
@@ -298,8 +313,8 @@ class _KernelRank(Rank):
         ``settled`` selects the kernel's ``gen_settled`` hook for the
         superstep's closing pass.
         """
-        if begin:
-            self.kernel_begin_step(reduced)
+        if begin and self.begin_step is not None:
+            self.begin_step(self.state, self.ctx, reduced)
         self.kernel_generate(settled)
         if self.announcements is None:
             return self.outbox.flush()
@@ -322,17 +337,27 @@ class _KernelRank(Rank):
         return self.outbox.flush()
 
     def superstep_recv(self, msg: Message | None, drain: bool) -> tuple:
-        """The whole inbound half of one pass, as a single team call.
+        """The whole inbound half of one pass, as a single team call: fold
+        the inbox (possibly empty) into owned state, then :meth:`_readout`.
 
-        apply → work readout → (pending when draining) → vote.  Returns
-        ``(edges, pending, vote)``; the driver charges the cost model from
-        the first, drives quiescence from the second, and hands the third
-        to the next vote allreduce — the hooks are pure readouts, so
-        per-pass evaluation matches the unfused phase order bit for bit.
+        The kernel always runs — vertex programs like PageRank update
+        every owned vertex each pass even when nothing arrived.
         """
-        self.kernel_apply(msg)
-        pending = self.kernel_pending() if drain else 0.0
-        return (float(self.take_step_work()), pending, self.kernel_vote())
+        # repro: index-space: targets=global
+        targets, values = self._unpack(msg)
+        self.kernel.apply_messages(self.state, self.ctx, self.to_local(targets), values)
+        return self._readout(drain)
+
+    def gather_send(self, reduced: float, begin: bool) -> Message:
+        """A gather pass's :meth:`superstep_send`: the rank's contribution."""
+        if begin and self.begin_step is not None:
+            self.begin_step(self.state, self.ctx, reduced)
+        return Message(**self.kernel.gen_gather(self.state, self.ctx))
+
+    def gather_recv(self, msg: Message, drain: bool) -> tuple:
+        """A gather pass's :meth:`superstep_recv`."""
+        self.step_edges += int(self.kernel.apply_gathered(self.state, self.ctx, msg))
+        return self._readout(drain)
 
     # -- introspection ------------------------------------------------------
 
@@ -398,6 +423,11 @@ class _KernelEngine:
         self.meta = meta or {}
         self.announces = len(getattr(kernel, "hubs", ())) > 0
         self.phases = getattr(kernel, "phases", None)
+        self.closes = hasattr(kernel, "gen_settled")
+        self.gathers = hasattr(kernel, "gen_gather")
+        self.observes = hasattr(kernel, "stat")
+        # Per-rank statistics awaiting the next superstep's allreduce.
+        self.stats: np.ndarray | None = None
         self.steps = 0
         self.passes = 0
 
@@ -408,14 +438,20 @@ class _KernelEngine:
         ]
 
     def votes(self, ctx: EngineContext) -> np.ndarray:
-        return np.array(ctx.team.call("kernel_vote"), dtype=np.float64)
+        return self._carry(np.array(ctx.team.call("kernel_vote"), dtype=np.float64), 0)
+
+    def _carry(self, rows: np.ndarray, col: int) -> np.ndarray:
+        """Column ``col`` of per-rank ``rows``; the statistics after it wait."""
+        if self.observes:
+            self.stats = rows[:, col + 1]
+        return rows[:, col]
 
     def done(self, reduced: float) -> bool:
         return self.kernel.done(reduced, self.steps)
 
     def _pass(
         self, ctx: EngineContext, reduced: float, begin: bool = False,
-        settled: bool = False, frontier: int | None = None,
+        settled: bool = False, gather: bool = False, frontier: int | None = None,
     ) -> np.ndarray:
         """One generate → exchange → apply pass, in its own superstep span;
         per-rank ``superstep_recv`` rows.
@@ -423,38 +459,39 @@ class _KernelEngine:
         Two fused team calls (one per exchange side), three with hub
         announcements: their broadcast round runs only when some rank
         announced, which a real machine learns from the preceding
-        allreduce at no cost.
+        allreduce at no cost.  A ``gather`` pass allgathers the kernel's
+        contributions instead of exchanging records.
         """
         team, fabric = ctx.team, ctx.fabric
         tags = {"kernel": self.kernel_name, "step": self.steps}
         if self.phases is not None:
-            tags["phase"] = self.phases[settled]
+            tags["phase"] = self.phases[settled or gather]
         if frontier is not None:
             tags["frontier"] = frontier
         with ctx.tracer.span("superstep", cat="engine", **tags) as sp:
-            outboxes = team.call(
-                "superstep_send", common=(reduced, begin, settled),
-                parallel=True,
-            )
-            if self.announces:
-                if any(wire is not None for wire in outboxes):
-                    inboxes = fabric.exchange(outboxes)
-                else:
-                    inboxes = [None] * ctx.num_ranks
+            if gather:
+                parts = team.call("gather_send", common=(reduced, begin), parallel=True)
+                inboxes, recv = fabric.allgather(parts), "gather_recv"
+            else:
                 outboxes = team.call(
-                    "superstep_relay", per_rank=[(m,) for m in inboxes],
-                    common=(settled,), parallel=True,
-                )
-            inboxes = fabric.exchange(outboxes)
-            stats = np.array(
-                team.call(
-                    "superstep_recv",
-                    per_rank=[(m,) for m in inboxes],
-                    common=(self.kernel.drain and not settled,),
+                    "superstep_send", common=(reduced, begin, settled),
                     parallel=True,
-                ),
-                dtype=np.float64,
+                )
+                if self.announces:
+                    if any(wire is not None for wire in outboxes):
+                        inboxes = fabric.exchange(outboxes)
+                    else:
+                        inboxes = [None] * ctx.num_ranks
+                    outboxes = team.call(
+                        "superstep_relay", per_rank=[(m,) for m in inboxes],
+                        common=(settled,), parallel=True,
+                    )
+                inboxes, recv = fabric.exchange(outboxes), "superstep_recv"
+            rows = team.call(
+                recv, per_rank=[(m,) for m in inboxes],
+                common=(self.kernel.drain and not settled,), parallel=True,
             )
+            stats = np.array(rows, dtype=np.float64)
             ctx.charge(stats, "edges")
             ctx.close_step(sp)
         self.passes += not settled
@@ -462,28 +499,34 @@ class _KernelEngine:
 
     def step(self, ctx: EngineContext, reduced: float) -> np.ndarray:
         self.steps += 1
-        # A phased kernel's superstep is an epoch of phase-tagged passes.
+        kernel = self.kernel
+        if self.observes:
+            kernel.observe(reduced, ctx.fabric.allreduce(self.stats, op="sum"))
+        gather = self.gathers and kernel.gathering
+        # A closing kernel's superstep is an epoch of phase-tagged passes.
         with ctx.tracer.span(
             "epoch", cat="engine", epoch=self.steps
-        ) if self.phases is not None else nullcontext():
+        ) if self.closes else nullcontext():
             # One generate→exchange→apply pass per superstep; draining
             # kernels (k-core, ∆-stepping's bucket) repeat until every
             # rank's frontier is empty, with quiescence detected by an
             # any-allreduce.  A drain pass's frontier is what the previous
             # pass left pending.
-            stats = self._pass(ctx, reduced, begin=True)
-            while self.kernel.drain and ctx.fabric.allreduce_any(stats[:, 1]):
-                stats = self._pass(ctx, reduced, frontier=int(stats[:, 1].sum()))
-            if hasattr(self.kernel, "gen_settled"):
+            stats = self._pass(ctx, reduced, begin=True, gather=gather)
+            while kernel.drain and ctx.fabric.allreduce_any(stats[:, 1]):
+                stats = self._pass(
+                    ctx, reduced, gather=gather, frontier=int(stats[:, 1].sum())
+                )
+            if self.closes:
                 stats = self._pass(ctx, reduced, settled=True)
         # The last pass's votes are the next superstep's: the hooks are
         # pure, so they equal what a fresh gather would read.
-        return stats[:, 2]
+        return self._carry(stats, 2)
 
     def finalize(self, ctx: EngineContext, exports: list[dict]) -> tuple[Any, dict]:
         kernel = self.kernel
         result = kernel.finalize(ctx.graph, [e["kernel"] for e in exports], self.steps)
-        result.counters.add("supersteps", self.steps)
+        result.counters.add(getattr(kernel, "steps_counter", "supersteps"), self.steps)
         if hasattr(kernel, "passes_counter"):
             result.counters.add(kernel.passes_counter, self.passes)
         result.meta.update(kernel=self.kernel_name, num_ranks=ctx.num_ranks)

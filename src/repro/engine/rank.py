@@ -1,8 +1,8 @@
 """The rank substrate: what every simulated rank does besides its algorithm.
 
-Three rank classes run on the superstep driver — the 2-D grid,
-distributed BFS and the vertex-kernel substrate (whose kernels include
-1-D ∆-stepping) — and all three do the same four things around their
+Two rank classes run on the superstep driver — the 2-D grid and the
+vertex-kernel substrate (whose kernels include 1-D ∆-stepping and
+direction-optimizing BFS) — and both do the same four things around their
 algorithm.  Each lives here once:
 
 * :class:`OwnerRouter` — who owns a vertex, and the arrangement of a
@@ -177,11 +177,6 @@ class Rank:
         """Owned-local slot of each owned global id."""
         # repro: index-space: ids=global
         return ids - self.lo
-
-    def to_global(self, slots: np.ndarray) -> np.ndarray:
-        """Global id of each owned-local slot."""
-        # repro: index-space: slots=local
-        return slots + self.lo
 
     def take_step_work(self) -> int:
         """Return and reset the edges scanned since the last call."""

@@ -79,6 +79,8 @@ class RootRun:
     #: The run's ``meta["racecheck"]`` audit summary when the harness ran
     #: with ``racecheck=True``; ``None`` otherwise.
     racecheck: dict | None = None
+    #: The engine's ``meta["variant"]``; ``None`` when it reports none (BFS, sweeps).
+    variant: str | None = None
     #: Batched-sweep provenance: which lane of which sweep answered this
     #: root, and the sweep's total simulated seconds (``simulated_seconds``
     #: is the amortized ``sweep_seconds / lanes-in-sweep`` share).  All
@@ -111,7 +113,9 @@ class BenchmarkResult:
 
     @property
     def variant(self) -> str:
-        return self.direction or self.config.variant_name()
+        """The engine's reported variant, else the BFS policy or config name."""
+        reported = self.roots[0].variant if self.roots else None
+        return reported or self.direction or self.config.variant_name()
 
     @property
     def teps(self) -> Summary:
@@ -257,6 +261,7 @@ def run_roots(
                         trace=run.comm,
                         work_imbalance=run.work_imbalance,
                         racecheck=run.result.meta.get("racecheck"),
+                        variant=run.result.meta.get("variant"),
                         **provenance,
                     )
                 )
@@ -277,8 +282,9 @@ def _run_graph500(
 ) -> BenchmarkResult:
     """generation → construction → roots → loop → result, for either kernel.
 
-    ``variant`` labels the result (SSSP: the config's name, BFS: the
-    traversal policy); ``loop`` is every other keyword of :func:`run_roots`.
+    ``variant`` labels the result unless the engine reports one (SSSP: the
+    config's name, BFS: the traversal policy); ``loop`` is every other
+    keyword of :func:`run_roots`.
     """
     if tracer is None:
         tracer = NULL_TRACER
@@ -290,7 +296,6 @@ def _run_graph500(
         seed=seed,
         ranks=num_ranks,
         machine=machine.name,
-        variant=variant,
         num_roots=num_roots,
         batch_roots=loop["batch_roots"],
     )
@@ -311,7 +316,7 @@ def _run_graph500(
         tracer=tracer,
         **loop,
     )
-    return BenchmarkResult(
+    result = BenchmarkResult(
         scale=scale,
         edgefactor=edgefactor,
         seed=seed,
@@ -327,6 +332,8 @@ def _run_graph500(
         kernel=kernel,
         direction=variant if kernel == "bfs" else None,
     )
+    tracer.add_meta(variant=result.variant)
+    return result
 
 
 def run_graph500_sssp(

@@ -74,13 +74,15 @@ _MUTATOR_METHODS = ("fill", "sort", "put", "partition", "resize", "setfield")
 
 
 #: Kernel hooks that must not write state at all (pure readouts).
-_PURE_HOOKS = ("frontier_from", "vote", "export_state")
+_PURE_HOOKS = ("frontier_from", "vote", "stat", "export_state")
 
-#: The exchange-phase hooks: what a generate hook writes, apply must not.
-#: ``gen_settled`` is the optional closing-pass generate hook.
+#: The generate and apply hooks of one round: what the generate hook
+#: writes, the apply hook must not.  ``gen_settled`` is the optional
+#: closing-pass generate hook; ``gen_gather`` / ``apply_gathered`` are the
+#: optional gather pass.
 _GEN_HOOK = "gen_messages"
-_GEN_HOOKS = (_GEN_HOOK, "gen_settled")
 _APPLY_HOOK = "apply_messages"
+_ROUNDS = ((_GEN_HOOK, _APPLY_HOOK), ("gen_settled", _APPLY_HOOK), ("gen_gather", "apply_gathered"))
 
 
 def _is_raw_view_call(expr: ast.AST) -> bool:
@@ -463,21 +465,21 @@ def _kernel_phase_findings(module: LintModule) -> Iterator[tuple[ast.AST, str]]:
                     f"fused path it runs as a stat served between supersteps "
                     f"— move the write into gen_messages/apply_messages",
                 )
-        apply_writes = list(_hook_writes(methods, _APPLY_HOOK))
-        for gen_name in _GEN_HOOKS:
+        for gen_name, apply_name in _ROUNDS:
             gen_writes = list(_hook_writes(methods, gen_name))
             # The helpers a generate hook runs; a key that apply writes
             # only inside them is a fold the generate hook applies early.
             reached = {helper for _, _, via in gen_writes for helper in via}
+            apply_writes = _hook_writes(methods, apply_name)
             own = {key for _, key, via in apply_writes if not (via and via[-1] in reached)}
             for write, key, via in gen_writes:
                 if key in own:
                     yield (
                         write,
                         f"{gen_name}() writes state[{key!r}]{_via(via)}, "
-                        f"which apply_messages() also writes outside the "
+                        f"which {apply_name}() also writes outside the "
                         f"fold the two share; the phases run in the same "
-                        f"exchange round, so the key is updated twice per "
+                        f"round, so the key is updated twice per "
                         f"superstep — own each key from exactly one phase",
                     )
 

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import run
-from repro.bfs import bfs, dist_bfs, kernel
+from repro.bfs import bfs, kernel
 from repro.bfs.kernel import BOTTOM_UP_CHUNKS, _bottom_up_step
 from repro.core.relaxation import frontier_edges
+from repro.engine.kernels import bfs as dist_kernel
 from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.graph.types import EdgeList
@@ -238,7 +239,7 @@ def test_bottom_up_reads_only_rows_it_can_find(forest, kron12, monkeypatch, engi
         return _bottom_up_step(graph, unvisited, in_frontier, parent)
 
     monkeypatch.setattr(kernel, "_bottom_up_step", checked)
-    monkeypatch.setattr(dist_bfs, "_bottom_up_step", checked)
+    monkeypatch.setattr(dist_kernel, "_bottom_up_step", checked)
     for graph in (forest, kron12):
         root = int(np.argmax(graph.out_degree))
         for direction in ("auto", "bottom_up"):

@@ -99,7 +99,7 @@ def test_rank_state_is_narrow_and_lane_major(kron9):
     lo, hi = 100, 300
     ctx = RankContext(
         rank=0, num_ranks=1, num_vertices=kron9.num_vertices, lo=lo, hi=hi,
-        local_graph=kron9.extract_rows(np.arange(lo, hi)),
+        local_graph=kron9.extract_rows(np.arange(lo, hi)), starts=np.array([lo, hi]),
     )
     state = BFS64([5, 150, 299]).init_state(ctx)
     for name in ("parent", "level"):

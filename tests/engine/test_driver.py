@@ -149,7 +149,7 @@ def test_close_step_totals_every_phase_since_the_last_close():
     [
         ("sssp", "dist1d", "kernel_vote", "superstep"),
         ("sssp", "dist2d", "frontier_size", "round"),
-        ("bfs", "dist1d", "frontier_size", "level"),
+        ("bfs", "dist1d", "kernel_vote", "superstep"),
         ("kcore", "dist1d", "kernel_vote", "superstep"),
         ("sssp_batch", "dist1d", "kernel_vote", "superstep"),
     ],

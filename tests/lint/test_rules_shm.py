@@ -445,6 +445,74 @@ class TestKernelPhase:
         assert [f.rule for f in findings] == ["shm-kernel-phase"]
         assert "gen_messages() writes state['improved']" in findings[0].message
 
+    def test_stat_hook_is_a_pure_readout(self, lint):
+        findings = lint(
+            """
+            class Bad:
+                def gen_messages(self, state, frontier):
+                    return frontier
+
+                def apply_messages(self, state, inbox):
+                    state["labels"][inbox] = 1
+
+                def stat(self, state, ctx):
+                    state["seen"] = state["labels"].sum()
+                    return state["seen"]
+            """,
+            SHM,
+        )
+        assert [f.rule for f in findings] == ["shm-kernel-phase"]
+        assert "stat() is a pure readout" in findings[0].message
+
+    def test_gather_hooks_writing_one_key_fire(self, lint):
+        findings = lint(
+            """
+            import numpy as np
+
+            class Bad:
+                def gen_messages(self, state, frontier):
+                    return frontier
+
+                def apply_messages(self, state, inbox):
+                    state["labels"][inbox] = 1
+
+                def gen_gather(self, state, ctx):
+                    state["bits"][state["frontier"]] = True
+                    return {"bitmap": np.packbits(state["bits"])}
+
+                def apply_gathered(self, state, ctx, gathered):
+                    state["bits"][:] = False
+                    return 0
+            """,
+            SHM,
+        )
+        assert [f.rule for f in findings] == ["shm-kernel-phase"]
+        assert "apply_gathered() also writes" in findings[0].message
+
+    def test_exchange_and_gather_passes_are_separate_rounds(self, lint):
+        # The BFS shape: a top-down level resets the frontier in generate,
+        # a bottom-up level sets it in the gathered apply.
+        findings = lint(
+            """
+            class Good:
+                def gen_messages(self, state, frontier):
+                    state["frontier"] = frontier[:0]
+                    return frontier
+
+                def apply_messages(self, state, inbox):
+                    state["parent"][inbox] = 0
+
+                def gen_gather(self, state, ctx):
+                    return {"bitmap": state["frontier"]}
+
+                def apply_gathered(self, state, ctx, gathered):
+                    state["frontier"] = gathered["bitmap"]
+                    return 0
+            """,
+            SHM,
+        )
+        assert findings == []
+
     def test_disjoint_phase_writes_are_clean(self, lint):
         # The KCore shape: gen writes coreness/alive, apply writes degree.
         findings = lint(

@@ -134,7 +134,7 @@ class TestHarnessTelemetry:
         "harness, batch_roots, engine_spans",
         [
             (run_graph500_sssp, None, {("engine", "epoch"), ("engine", "superstep")}),
-            (run_graph500_bfs, None, {("engine", "level")}),
+            (run_graph500_bfs, None, {("engine", "superstep")}),
             (run_graph500_sssp, 2, {("engine", "superstep")}),
             (run_graph500_bfs, 2, {("engine", "superstep")}),
         ],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import warnings
 
@@ -16,6 +17,7 @@ from repro.core.adaptive import choose_batch_delta, choose_delta
 from repro.graph.csr import build_csr
 from repro.graph.kronecker import generate_kronecker
 from repro.simmpi.machine import small_cluster
+from tests import witness
 
 REPORT_KEYS = ("engine", "kernel", "num_ranks", "modeled_time",
                "time_breakdown", "comm", "counters", "work_imbalance", "meta")
@@ -216,28 +218,18 @@ class TestConfigHonored:
         with pytest.raises(ValueError, match=message):
             api.run(graph, 0, kernel="bfs", num_ranks=4, partition="hashed")
 
-    def test_dist2d_default_unchanged_by_config_arg(self, graph, oracle):
-        # config=None must reproduce the historical behavior byte-for-byte:
-        # block partition, coalescing on, int64 wire ids.  The schedule
-        # below was recorded from the engine before the run path moved
-        # into repro.run.
-        plain = api.run(graph, 0, engine="dist2d", num_ranks=4)
-        assert np.array_equal(plain.result.dist, oracle.dist)
-        assert plain.modeled_time == 0.0001240366
-        assert plain.comm == {
-            "ranks": 4, "total_bytes": 55392, "bytes_intra": 55392,
-            "bytes_inter": 0, "bytes_forwarded": 0, "messages": 69,
-            "supersteps": 22, "barriers": 22, "allreduces": 12,
-            "bytes_retransmitted": 0, "messages_dropped": 0, "retries": 0,
-            "stalls": 0, "comm_imbalance": 1.027,
-        }
-        assert plain.result.counters.as_dict() == {"edges_relaxed": 28610, "rounds": 11}
-        historical = api.run(
-            graph, 0, engine="dist2d", num_ranks=4,
-            config=SSSPConfig(partition="block", compressed_indices=False),
+    def test_dist2d_default_unchanged_by_config_arg(self, recorder, oracle):
+        # config=None must run SSSPConfig(partition="block",
+        # compressed_indices=False): block partition, coalescing on, int64
+        # wire ids.  The witness case dist2d/source=0 pins the schedule
+        # itself; here the explicit config must record every field alike.
+        case = witness.by_name("dist2d/source=0")
+        assert np.array_equal(recorder.run(case).result.dist, oracle.dist)
+        explicit = dataclasses.replace(
+            case, name=f"{case.name}+config",
+            config={"partition": "block", "compressed_indices": False},
         )
-        assert historical.modeled_time == plain.modeled_time
-        assert historical.comm == plain.comm
+        witness.assert_same(recorder, case, explicit)
 
 
 class TestNoDeprecatedPaths:

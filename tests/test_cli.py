@@ -58,6 +58,18 @@ class TestCommands:
         assert rc == 0
         assert "variant: baseline" in capsys.readouterr().out
 
+    def test_run_prints_the_variant_the_engine_ran(self, capsys, tmp_path):
+        # The grid runs none of delegation, fusion and ∆: it is not "optimized".
+        trace = tmp_path / "t.jsonl"
+        rc = main(["run", "--engine", "dist2d", "--scale", "8", "--ranks", "4",
+                   "--roots", "2", "--trace-out", str(trace)])
+        assert rc == 0
+        assert "variant: part=edge_balanced +coalesce +compress" in capsys.readouterr().out
+        from repro.analysis.attribution import PhaseAttribution
+
+        meta = PhaseAttribution.from_jsonl(trace).meta
+        assert meta["variant"] == "part=edge_balanced +coalesce +compress"
+
     def test_bfs(self, capsys):
         # Kernel 2 runs the same protocol and prints the same block as SSSP.
         rc = main(["run", "--kernel", "bfs", "--scale", "9", "--ranks", "2", "--roots", "2"])

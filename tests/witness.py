@@ -56,7 +56,8 @@ MODE_FAULTS = "drop=0.04,delay=1us,seed=11"
 class Case:
     """One run on Kronecker ``graph = (scale, seed)`` from the ``"hub"``
     (top-degree vertex; top eight when batched) or ``"sampled"`` (Graph500
-    sample of eight) ``roots``; ``wide`` runs on ``small_cluster(64)``;
+    sample of eight) ``roots``, or from the one vertex ``roots`` names;
+    ``wide`` runs on ``small_cluster(64)``;
     ``relations`` re-run it on :data:`PARALLEL` with racecheck off/on."""
 
     name: str
@@ -64,7 +65,7 @@ class Case:
     engine: str = "dist1d"
     num_ranks: int = 4
     graph: tuple[int, int] = (9, 2022)
-    roots: str = "hub"
+    roots: str | int = "hub"
     config: dict | None = field(default=None, compare=False)
     knobs: dict = field(default_factory=dict, compare=False)
     wide: bool = False
@@ -123,6 +124,12 @@ def _engine_cases() -> list[Case]:
         _cell("bfs", "block", knobs={**auto, "partition": "block"}, **g),
         _cell("bfs", "faults", knobs={**auto, "faults": FAULTS}, **g),
         _cell("bfs", "hierarchical", knobs={**auto, "hierarchical": True}, **wide),
+        # Roots with a level right at one of Beamer's thresholds: moving
+        # BEAMER_ALPHA to 14 / 16 or BEAMER_BETA to 17 / 19 flips a direction.
+        *(_cell("bfs", f"switch/root={root}/P={p}", num_ranks=p, roots=root, knobs=auto, **g)
+          for root, p in ((365, 4), (479, 8), (208, 4), (95, 8))),
+        # The shape tests/test_api.py compares config=None with.
+        _cell("dist2d", "source=0", graph=(9, 5), roots=0),
     ]
 
 
@@ -188,6 +195,8 @@ class Recorder:
         graph = self.graph(*case.graph)
         if case.kernel in ("cc", "pagerank", "kcore"):
             return None
+        if isinstance(case.roots, int):
+            return case.roots
         if case.roots == "sampled":
             return [int(r) for r in sample_roots(graph, 8, seed=2022)]
         top = [int(v) for v in np.argsort(-graph.out_degree, kind="stable")[:8]]
